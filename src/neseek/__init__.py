@@ -2,7 +2,7 @@
 event-triggered communication."""
 
 from .bounds import BoundsReport, alpha_max, beta_min, compute_report, sigma_bound
-from .engine import EngineConfig, EngineState, RunResult, TriggerEvent, init, run, step
+from .engine import EngineConfig, EngineState, RunResult, init, run, step
 from .games import (
     ActionInterval,
     GameConstants,
@@ -38,7 +38,6 @@ from .oracle import NeSolution, solve_ne, verify_ne
 from .scenario import Scenario, load_scenario
 from .triggers import (
     LawKind,
-    TriggerContext,
     TriggerParams,
     decay_at,
     decide,
@@ -65,8 +64,6 @@ __all__ = [
     "RunResult",
     "Scenario",
     "SpectrumGame",
-    "TriggerContext",
-    "TriggerEvent",
     "TriggerParams",
     "adjacency_diagonal",
     "aggregate",

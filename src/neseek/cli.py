@@ -26,6 +26,7 @@ from . import bounds as bounds_mod
 from . import harness, outputs
 from .data import bundled_path
 from .errors import NeseekError
+from .metrics import interval_stats
 from .oracle import solve_ne
 from .scenario import Scenario, load_scenario
 from .triggers import LawKind
@@ -110,7 +111,7 @@ def cmd_simulate(args) -> int:
 
     record_every = scenario.engine.record_every
     outputs.write_trajectory_csv(out_dir / "trajectory.csv", result, record_every)
-    outputs.write_events_csv(out_dir / "events.csv", result.events)
+    outputs.write_events_csv(out_dir / "events.csv", result)
 
     m = result.metrics
     seed = scenario.engine.seed if args.seed is None else args.seed
@@ -125,11 +126,8 @@ def cmd_simulate(args) -> int:
         "rate_fit": m.rate_fit,
         "trigger_counts": m.trigger_counts,
         "interval_stats": [
-            _interval_row(i + 1, scenario.law.value, float(m.trigger_counts[i]), s)
-            for i, s in enumerate(
-                (None if iv.size == 0 else (float(iv.max()), float(iv.mean()), float(iv.min())))
-                for iv in m.intervals
-            )
+            _interval_row(i + 1, scenario.law.value, float(count), interval_stats(gaps))
+            for i, (count, gaps) in enumerate(zip(m.trigger_counts, m.intervals))
         ],
     }
     (out_dir / "metrics.json").write_text(

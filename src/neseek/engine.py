@@ -1,7 +1,8 @@
 """Fixed-step integration of the coupled action/estimate dynamics.
 
-Each step: (1) every player evaluates its communication law on the current
-event errors and, if it fires, re-broadcasts its action and estimate row;
+Each step: (1) all players evaluate their communication law at once on the
+current event errors, and those that fire re-broadcast their action and
+estimate row;
 (2) actions follow the projected own-gradient flow evaluated at each
 player's local estimate row; (3) estimate rows relax toward the broadcast
 field (neighbor estimates plus each neighbor's broadcast action); (4) a
@@ -21,14 +22,7 @@ from . import oracle
 from .errors import InfeasibleStart, NumericalDivergence
 from .games import GameDefinition, gradient_at_estimates
 from .graphs import DirectedGraph
-from .triggers import (
-    LawKind,
-    TriggerContext,
-    TriggerParams,
-    decide,
-    triggering_function,
-    xi_from_uniform,
-)
+from .triggers import LawKind, TriggerParams, decide, triggering_function, xi_from_uniform
 
 # State magnitudes beyond this abort the run: the step sizes are unstable.
 DIVERGENCE_GUARD = 1e9
@@ -79,41 +73,41 @@ class EngineState:
     delta: np.ndarray
 
 
-@dataclass(frozen=True)
-class TriggerEvent:
-    t: float
-    step_index: int
-    player: int
-    rho: float
-    xi: float
-
-
-@dataclass(frozen=True)
-class Evaluation:
-    """One trigger evaluation, kept when evaluation collection is enabled."""
-
-    t: float
-    step_index: int
-    player: int
-    action_err_sq: float
-    estimate_err_sq: float
-    disagreement_sq: float
-    decay: float
-    xi: float
-    fired: bool
-
-
 @dataclass
 class RunResult:
+    """One run on the grid t_k = k*dt, k = 0..steps.
+
+    ``trig`` is the (steps + 1, n) fire matrix, with an all-zero row 0 so its
+    rows align with ``times``: ``trig[k + 1]`` holds the decisions made at
+    t_k. ``rho`` and ``xi`` are the (steps, n) triggering-function values and
+    random thresholds of those evaluations; ``xi`` is NaN under the
+    deterministic laws.
+    """
+
     times: np.ndarray
     actions: np.ndarray
     err_inf: np.ndarray
-    gamma: np.ndarray
     trig: np.ndarray
-    events: list[TriggerEvent]
+    rho: np.ndarray
+    xi: np.ndarray
     metrics: "metrics_mod.RunMetrics"
     x_star: np.ndarray
-    evaluations: list[Evaluation] | None = None
+
+    @property
+    def gamma(self) -> np.ndarray:
+        return self.metrics.gamma_series
+
+
+def check_start(game: GameDefinition, x0: np.ndarray, error: type[Exception]) -> None:
+    """Raise ``error`` naming the first entry of x0 outside its action interval.
+
+    Written so that a NaN entry counts as outside.
+    """
+    lo, hi = game.bounds
+    bad = np.flatnonzero(~((x0 >= lo) & (x0 <= hi)))
+    if bad.size:
+        i = int(bad[0])
+        raise error(f"x0[{i}]={x0[i]} outside [{lo[i]}, {hi[i]}]")
 
 
 def init(
@@ -137,12 +131,7 @@ def init(
         raise ValueError(f"y0 must be {n}x{n}")
     if trigger_params.n != n:
         raise ValueError("trigger parameters and graph disagree on player count")
-    lo, hi = game.bounds
-    if ((x0 < lo) | (x0 > hi)).any():
-        bad = int(np.argmax((x0 < lo) | (x0 > hi)))
-        raise InfeasibleStart(
-            f"x0[{bad}]={x0[bad]} outside [{lo[bad]}, {hi[bad]}]"
-        )
+    check_start(game, x0, InfeasibleStart)
     y0[np.arange(n), np.arange(n)] = x0
     return EngineState(
         t=0.0,
@@ -161,13 +150,14 @@ def step(
     graph: DirectedGraph,
     trigger_params: TriggerParams,
     config: EngineConfig,
-    rngs: list[np.random.Generator],
-    evaluations: list[Evaluation] | None = None,
-) -> tuple[EngineState, list[TriggerEvent]]:
-    """Advance one grid step; returns the new state and any trigger events.
+    u: np.ndarray,
+) -> tuple[EngineState, np.ndarray, np.ndarray]:
+    """Advance one grid step, given each player's uniform draw ``u``.
 
-    Trigger decisions are made before derivatives are computed, so the
-    broadcast values entering the estimate dynamics are the latest ones.
+    Returns the new state, the boolean fire mask and the triggering-function
+    values of this step's evaluations. Trigger decisions are made before
+    derivatives are computed, so the broadcast values entering the estimate
+    dynamics are the latest ones.
     """
     n = graph.n
     weights = graph.weights
@@ -175,53 +165,19 @@ def step(
 
     x = state.x
     y = state.y
-    x_hat = state.x_hat.copy()
-    y_hat = state.y_hat.copy()
-
-    e_x = x_hat - x
-    e_y = y_hat - y
+    e_x = state.x_hat - x
+    e_y = state.y_hat - y
     action_err_sq = e_x * e_x
     estimate_err_sq = (e_y * e_y).sum(axis=1)
-    disagreement = din[:, None] * y_hat - weights @ y_hat
+    disagreement = din[:, None] * state.y_hat - weights @ state.y_hat
     disagreement_sq = (disagreement * disagreement).sum(axis=1)
 
-    events: list[TriggerEvent] = []
-    for i in range(n):
-        u = float(rngs[i].random())
-        ctx = TriggerContext(
-            action_err_sq=float(action_err_sq[i]),
-            estimate_err_sq=float(estimate_err_sq[i]),
-            disagreement_sq=float(disagreement_sq[i]),
-            decay=float(state.delta[i]),
-            t=state.t,
-        )
-        fired = decide(config.law, trigger_params, i, ctx, u)
-        xi = (
-            xi_from_uniform(trigger_params, u)
-            if config.law is LawKind.STOCHASTIC
-            else math.nan
-        )
-        if fired:
-            x_hat[i] = x[i]
-            y_hat[i, :] = y[i, :]
-            rho = triggering_function(ctx, float(trigger_params.sigma[i]))
-            events.append(
-                TriggerEvent(t=state.t, step_index=state.step_index, player=i, rho=rho, xi=xi)
-            )
-        if evaluations is not None:
-            evaluations.append(
-                Evaluation(
-                    t=state.t,
-                    step_index=state.step_index,
-                    player=i,
-                    action_err_sq=ctx.action_err_sq,
-                    estimate_err_sq=ctx.estimate_err_sq,
-                    disagreement_sq=ctx.disagreement_sq,
-                    decay=ctx.decay,
-                    xi=xi,
-                    fired=fired,
-                )
-            )
+    rho = triggering_function(action_err_sq, estimate_err_sq, disagreement_sq, trigger_params.sigma)
+    fired = decide(
+        config.law, trigger_params, action_err_sq, estimate_err_sq, disagreement_sq, state.delta, u
+    )
+    x_hat = np.where(fired, x, state.x_hat)
+    y_hat = np.where(fired[:, None], y, state.y_hat)
 
     lo, hi = game.bounds
     grad = gradient_at_estimates(game, y)
@@ -236,10 +192,12 @@ def step(
     y_new = y + config.dt * ydot
     y_new[np.arange(n), np.arange(n)] = x_new
 
-    if max(np.abs(x_new).max(), np.abs(y_new).max()) > DIVERGENCE_GUARD:
+    # y_new carries x_new on its diagonal, so it bounds the whole state; a
+    # NaN fails the comparison as well
+    if not np.abs(y_new).max() <= DIVERGENCE_GUARD:
         raise NumericalDivergence(
-            f"state magnitude exceeded {DIVERGENCE_GUARD:.0e} at t={t_new:.6g}; "
-            "reduce alpha, beta, or dt"
+            f"state magnitude exceeded {DIVERGENCE_GUARD:.0e} or became non-finite "
+            f"at t={t_new:.6g}; reduce alpha, beta, or dt"
         )
 
     delta_new = trigger_params.delta0 * np.exp(-trigger_params.eta * t_new)
@@ -253,7 +211,8 @@ def step(
             y_hat=y_hat,
             delta=delta_new,
         ),
-        events,
+        fired,
+        rho,
     )
 
 
@@ -265,14 +224,15 @@ def run(
     x0: np.ndarray,
     y0: np.ndarray,
     x_star: np.ndarray | None = None,
-    collect_evaluations: bool = False,
     rate_window: tuple[float, float] = (0.0, 10.0),
 ) -> RunResult:
     """Integrate over the horizon; reproducible bit-for-bit for a fixed seed.
 
     ``x_star`` defaults to the centralized solver's equilibrium and anchors
     the error series. Each player draws from its own generator, spawned from
-    the seed, so per-player streams are independent of one another.
+    the seed, so per-player streams are independent of one another. A stream
+    is drawn whole up front: ``random(steps)`` yields the same doubles as
+    ``steps`` scalar draws.
     """
     if x_star is None:
         x_star = oracle.solve_ne(game).x_star
@@ -280,51 +240,47 @@ def run(
 
     n = graph.n
     steps = config.steps
-    rngs = [
-        np.random.Generator(np.random.PCG64(ss))
-        for ss in np.random.SeedSequence(int(config.seed)).spawn(n)
-    ]
+    uniforms = np.column_stack(
+        [
+            np.random.Generator(np.random.PCG64(ss)).random(steps)
+            for ss in np.random.SeedSequence(int(config.seed)).spawn(n)
+        ]
+    )
 
     state = init(game, graph, trigger_params, config, x0, y0)
     times = np.arange(steps + 1) * config.dt
     actions = np.empty((steps + 1, n))
     err_inf = np.empty(steps + 1)
     trig = np.zeros((steps + 1, n), dtype=np.int8)
-    gamma = np.zeros(steps + 1)
+    rho = np.empty((steps, n))
 
     actions[0] = state.x
     err_inf[0] = np.abs(state.x - x_star).max()
-
-    all_events: list[TriggerEvent] = []
-    evaluations: list[Evaluation] | None = [] if collect_evaluations else None
-    fires = 0
     for k in range(steps):
-        state, events = step(state, game, graph, trigger_params, config, rngs, evaluations)
-        all_events.extend(events)
-        fires += len(events)
+        state, trig[k + 1], rho[k] = step(
+            state, game, graph, trigger_params, config, uniforms[k]
+        )
         actions[k + 1] = state.x
         err_inf[k + 1] = np.abs(state.x - x_star).max()
-        for ev in events:
-            trig[k + 1, ev.player] = 1
-        gamma[k + 1] = fires / (n * (k + 1))
 
-    run_metrics = metrics_mod.run_metrics(
-        events=all_events,
-        times=times,
-        err_series=err_inf,
-        n=n,
-        dt=config.dt,
-        horizon=config.horizon,
-        window=rate_window,
-    )
+    if config.law is LawKind.STOCHASTIC:
+        xi = xi_from_uniform(trigger_params, uniforms)
+    else:
+        xi = np.full((steps, n), math.nan)
     return RunResult(
         times=times,
         actions=actions,
         err_inf=err_inf,
-        gamma=gamma,
         trig=trig,
-        events=all_events,
-        metrics=run_metrics,
+        rho=rho,
+        xi=xi,
+        metrics=metrics_mod.run_metrics(
+            fired=trig[1:],
+            times=times,
+            err_series=err_inf,
+            dt=config.dt,
+            horizon=config.horizon,
+            window=rate_window,
+        ),
         x_star=x_star,
-        evaluations=evaluations,
     )

@@ -53,7 +53,6 @@ def single_run(
     law: LawKind | None = None,
     dt: float | None = None,
     x_star: np.ndarray | None = None,
-    collect_evaluations: bool = False,
 ) -> RunResult:
     """One seeded simulation of the scenario, with optional overrides."""
     config = scenario.engine
@@ -76,7 +75,6 @@ def single_run(
         x0=scenario.x0,
         y0=scenario.y0,
         x_star=x_star,
-        collect_evaluations=collect_evaluations,
     )
 
 

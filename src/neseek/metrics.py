@@ -1,9 +1,10 @@
-"""Communication-rate and convergence statistics from trigger logs.
+"""Communication-rate and convergence statistics from the fire matrix.
 
-The average communication rate discretizes the time-averaged fraction of
-broadcasting players: an event occupies its whole grid step, so at step k
-the rate is (total fires so far) / (n * k), with the convention that it is
-zero at t = 0.
+The fire matrix is (steps, n): entry [k, i] says whether player i broadcast
+at step k. The average communication rate discretizes the time-averaged
+fraction of broadcasting players: an event occupies its whole grid step, so
+at step k the rate is (total fires so far) / (n * k), with the convention
+that it is zero at t = 0.
 """
 
 from __future__ import annotations
@@ -43,29 +44,16 @@ class EnsembleMetrics:
     interval_stats: tuple[tuple[float, float, float] | None, ...]
 
 
-def gamma_series(events: Sequence, n: int, dt: float, horizon: float) -> np.ndarray:
+def gamma_series(fired: np.ndarray) -> np.ndarray:
     """Average communication rate on the grid t_k = k*dt, k = 0..steps."""
-    steps = max(1, int(math.ceil(horizon / dt - 1e-9)))
-    fires_at = np.zeros(steps, dtype=np.int64)
-    for ev in events:
-        if 0 <= ev.step_index < steps:
-            fires_at[ev.step_index] += 1
+    steps, n = fired.shape
     out = np.zeros(steps + 1)
-    out[1:] = np.cumsum(fires_at) / (n * np.arange(1, steps + 1))
+    out[1:] = np.cumsum(fired.sum(axis=1)) / (n * np.arange(1, steps + 1))
     return out
 
 
-def player_intervals(events: Sequence, player: int, dt: float) -> np.ndarray:
-    """Gaps (seconds) between consecutive events of one player, in order."""
-    steps = sorted(ev.step_index for ev in events if ev.player == player)
-    if len(steps) < 2:
-        return np.empty(0)
-    return np.diff(np.asarray(steps, dtype=float)) * dt
-
-
-def interval_stats(events: Sequence, player: int, dt: float) -> tuple[float, float, float] | None:
-    """(max, mean, min) gap between the player's consecutive events; None if < 2 events."""
-    gaps = player_intervals(events, player, dt)
+def interval_stats(gaps: np.ndarray) -> tuple[float, float, float] | None:
+    """(max, mean, min) of inter-event gaps; None when there are none."""
     if gaps.size == 0:
         return None
     return float(gaps.max()), float(gaps.mean()), float(gaps.min())
@@ -91,19 +79,21 @@ def rate_fit(times: np.ndarray, err_series: np.ndarray, window: tuple[float, flo
 
 
 def run_metrics(
-    events: Sequence,
+    fired: np.ndarray,
     times: np.ndarray,
     err_series: np.ndarray,
-    n: int,
     dt: float,
     horizon: float,
     window: tuple[float, float] = (0.0, 10.0),
 ) -> RunMetrics:
-    """Assemble per-run statistics; the rate fit degrades to NaN when undefined."""
-    counts = np.zeros(n, dtype=np.int64)
-    for ev in events:
-        counts[ev.player] += 1
-    intervals = tuple(player_intervals(events, i, dt) for i in range(n))
+    """Per-run statistics from the (steps, n) fire matrix; the rate fit
+    degrades to NaN when undefined.
+
+    ``intervals[i]`` holds the gaps (seconds) between player i's consecutive
+    events.
+    """
+    fired = np.asarray(fired, dtype=bool)
+    n = fired.shape[1]
     try:
         fit = rate_fit(times, err_series, window)
     except DegenerateWindow:
@@ -113,9 +103,9 @@ def run_metrics(
         dt=dt,
         horizon=horizon,
         times=np.asarray(times, dtype=float),
-        gamma_series=gamma_series(events, n, dt, horizon),
-        trigger_counts=counts,
-        intervals=intervals,
+        gamma_series=gamma_series(fired),
+        trigger_counts=fired.sum(axis=0),
+        intervals=tuple(np.diff(np.flatnonzero(fired[:, i])) * dt for i in range(n)),
         err_series=np.asarray(err_series, dtype=float),
         rate_fit=fit,
     )
@@ -137,13 +127,10 @@ def aggregate(members: Sequence[RunMetrics]) -> EnsembleMetrics:
     gammas = np.stack([m.gamma_series for m in members])
     errs = np.stack([m.err_series for m in members])
     counts = np.stack([m.trigger_counts for m in members])
-    stats = []
-    for i in range(first.n):
-        pooled = np.concatenate([m.intervals[i] for m in members])
-        if pooled.size == 0:
-            stats.append(None)
-        else:
-            stats.append((float(pooled.max()), float(pooled.mean()), float(pooled.min())))
+    stats = [
+        interval_stats(np.concatenate([m.intervals[i] for m in members]))
+        for i in range(first.n)
+    ]
     return EnsembleMetrics(
         runs=len(members),
         n=first.n,

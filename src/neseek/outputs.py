@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import RunResult, TriggerEvent
+from .engine import RunResult
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf"]
 
@@ -44,13 +44,16 @@ def write_trajectory_csv(path: Path, result: RunResult, record_every: int = 1) -
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_events_csv(path: Path, events: Sequence[TriggerEvent]) -> None:
-    """Columns: t, player, rho, xi (player indices are 1-based, xi empty for
+def write_events_csv(path: Path, result: RunResult) -> None:
+    """One row per broadcast, in step order and then player order.
+
+    Columns: t, player, rho, xi (player indices are 1-based, xi empty for
     deterministic laws)."""
     lines = ["t,player,rho,xi"]
-    for ev in events:
-        xi = "" if math.isnan(ev.xi) else _fmt(ev.xi)
-        lines.append(f"{_fmt(ev.t)},{ev.player + 1},{_fmt(ev.rho)},{xi}")
+    for k, i in zip(*np.nonzero(result.trig[1:])):
+        xi = result.xi[k, i]
+        xi = "" if math.isnan(xi) else _fmt(xi)
+        lines.append(f"{_fmt(result.times[k])},{i + 1},{_fmt(result.rho[k, i])},{xi}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

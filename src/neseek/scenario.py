@@ -18,6 +18,7 @@ Schema (top-level keys):
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import sigma_bound
-from .engine import EngineConfig
+from .engine import EngineConfig, check_start
 from .errors import ParseError, ValidationError
 from .games import ActionInterval, GameDefinition, QuadraticGame, SpectrumGame
 from .graphs import DirectedGraph, is_strongly_connected
@@ -183,10 +184,7 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
     y0 = np.array(_require(data, "y0", source), dtype=float)
     if y0.shape != (n, n):
         raise ValidationError(f"y0: expected {n}x{n}, got shape {y0.shape}")
-    lo, hi = game.bounds
-    if ((x0 < lo) | (x0 > hi)).any():
-        bad = int(np.argmax((x0 < lo) | (x0 > hi)))
-        raise ValidationError(f"x0[{bad}]={x0[bad]} outside its action interval")
+    check_start(game, x0, ValidationError)
 
     runs = int(data.get("runs", 1))
     if runs < 1:
@@ -223,15 +221,27 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
     )
 
 
+def _finite(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {literal} is not allowed")
+    return value
+
+
 def load_scenario(path: str | Path) -> Scenario:
-    """Read and validate a scenario JSON file."""
+    """Read and validate a scenario JSON file.
+
+    ``NaN``, ``Infinity`` and literals that overflow to infinity are rejected.
+    """
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_float=_finite, parse_constant=_finite)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     return scenario_from_dict(data, source=str(path))

@@ -74,27 +74,15 @@ class TriggerParams:
         return len(self.c)
 
 
-@dataclass(frozen=True)
-class TriggerContext:
-    """Squared error magnitudes a player sees at one evaluation instant.
+def triggering_function(action_err_sq, estimate_err_sq, disagreement_sq, sigma):
+    """Event-error energy minus the weighted disagreement allowance, per player.
 
     ``action_err_sq`` is the squared gap between the broadcast and current
-    action; ``estimate_err_sq`` the squared norm of the broadcast-vs-current
-    estimate row; ``disagreement_sq`` the squared norm of the weighted sum of
-    broadcast differences against in-neighbors; ``decay`` the current value of
-    the decaying scale.
+    action, ``estimate_err_sq`` the squared norm of the broadcast-vs-current
+    estimate row and ``disagreement_sq`` the squared norm of the weighted sum
+    of broadcast differences against in-neighbors.
     """
-
-    action_err_sq: float
-    estimate_err_sq: float
-    disagreement_sq: float
-    decay: float
-    t: float
-
-
-def triggering_function(ctx: TriggerContext, sigma_i: float) -> float:
-    """Event-error energy minus the weighted disagreement allowance."""
-    return ctx.action_err_sq + ctx.estimate_err_sq - sigma_i * ctx.disagreement_sq
+    return action_err_sq + estimate_err_sq - sigma * disagreement_sq
 
 
 def decay_at(params: TriggerParams, i: int, t: float) -> float:
@@ -104,10 +92,11 @@ def decay_at(params: TriggerParams, i: int, t: float) -> float:
     return float(params.delta0[i]) * math.exp(-params.eta * t)
 
 
-def xi_from_uniform(params: TriggerParams, u: float) -> float:
+def xi_from_uniform(params: TriggerParams, u: float | np.ndarray) -> float | np.ndarray:
     """Map a uniform draw u in [0, 1) onto the threshold support (a_floor, 1].
 
     Chosen so that ``fire(xi) == (u < trigger_probability)`` holds exactly.
+    Applies elementwise to an array of draws.
     """
     return 1.0 - u * (1.0 - params.a_floor)
 
@@ -127,31 +116,40 @@ def trigger_probability(params: TriggerParams, i: int, rho_val: float, delta: fl
     return (1.0 - v) / (1.0 - params.a_floor)
 
 
-def _fires(params: TriggerParams, i: int, rho_val: float, delta: float, xi: float) -> bool:
-    # log-domain comparison; the quiet branch is the exact negation of this test
-    return rho_val > (delta / float(params.c[i])) * (math.log(params.kappa) - math.log(xi))
+def _log(v: np.ndarray) -> np.ndarray:
+    # math.log per entry: np.log can differ from it in the last ulp, which
+    # would move borderline decisions off the scalar oracle
+    return np.fromiter(map(math.log, v), float, len(v))
 
 
-def decide(law: LawKind, params: TriggerParams, i: int, ctx: TriggerContext, u: float) -> bool:
-    """Whether player i broadcasts now.
+def decide(
+    law: LawKind,
+    params: TriggerParams,
+    action_err_sq: np.ndarray,
+    estimate_err_sq: np.ndarray,
+    disagreement_sq: np.ndarray,
+    decay: np.ndarray,
+    u: np.ndarray,
+) -> np.ndarray:
+    """Fire mask over players, one entry per element of the length-n inputs.
 
     CONTINUOUS always fires. STATIC is a comparison law that fires once the
     raw event-error energy exceeds the decaying scale (no disagreement
     allowance). DYNAMIC is the deterministic limit of the randomized law with
     the threshold pinned at a_floor. STOCHASTIC fires when the uniform draw u
     falls below ``trigger_probability``, evaluated through the equivalent
-    threshold comparison.
+    log-domain threshold comparison, whose quiet branch is its exact negation.
     """
     if law is LawKind.CONTINUOUS:
-        return True
+        return np.ones(len(decay), dtype=bool)
+    scale = decay / params.c
+    ln_kappa = math.log(params.kappa)
     if law is LawKind.STATIC:
-        scale = ctx.decay / float(params.c[i])
-        return ctx.action_err_sq + ctx.estimate_err_sq > scale * (
-            math.log(params.kappa) - math.log(params.a_floor)
-        )
-    rho_val = triggering_function(ctx, float(params.sigma[i]))
+        energy = action_err_sq + estimate_err_sq
+        return energy > scale * (ln_kappa - math.log(params.a_floor))
+    rho = triggering_function(action_err_sq, estimate_err_sq, disagreement_sq, params.sigma)
     if law is LawKind.DYNAMIC:
-        return _fires(params, i, rho_val, ctx.decay, params.a_floor)
+        return rho > scale * (ln_kappa - math.log(params.a_floor))
     if law is LawKind.STOCHASTIC:
-        return _fires(params, i, rho_val, ctx.decay, xi_from_uniform(params, u))
+        return rho > scale * (ln_kappa - _log(xi_from_uniform(params, u)))
     raise ValueError(f"unknown law {law!r}")

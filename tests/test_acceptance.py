@@ -28,14 +28,13 @@ from neseek import (
     solve_ne,
     spectral_efficiency,
     step,
-    triggering_function,
 )
 from neseek.games import ActionInterval
 from neseek.triggers import decide
 
 from conftest import PUBLISHED_X_STAR, random_strongly_connected
+from test_triggers import margin, random_cases
 from test_triggers import params as trigger_params_factory
-from test_triggers import random_contexts
 
 ENSEMBLE_RUNS = 100
 
@@ -154,45 +153,44 @@ def test_04_communication_rate_ordering(comparison_ensembles):
 
 def test_05_no_trigger_inequality_exact(spectrum_scenario):
     s = spectrum_scenario
-    result = single_run(s, seed=123, collect_evaluations=True)
-    ln_kappa = math.log(s.trigger.kappa)
+    p = s.trigger
+    result = single_run(s, seed=123)
+    ln_kappa = math.log(p.kappa)
     violations = 0
     quiet = 0
-    for ev in result.evaluations:
-        rho = (
-            ev.action_err_sq
-            + ev.estimate_err_sq
-            - float(s.trigger.sigma[ev.player]) * ev.disagreement_sq
-        )
-        bound = (ev.decay / float(s.trigger.c[ev.player])) * (ln_kappa - math.log(ev.xi))
-        if not ev.fired:
-            quiet += 1
-            if not rho <= bound:
+    for k, t in enumerate(result.times[:-1]):
+        decay = p.delta0 * np.exp(-p.eta * t)
+        for i in range(s.n):
+            rho = float(result.rho[k, i])
+            bound = (float(decay[i]) / float(p.c[i])) * (ln_kappa - math.log(result.xi[k, i]))
+            if not result.trig[k + 1, i]:
+                quiet += 1
+                if not rho <= bound:
+                    violations += 1
+            elif not rho > bound:
                 violations += 1
-        elif not rho > bound:
-            violations += 1
     check(
         "05",
         violations == 0 and quiet > 0,
-        f"{violations} violations over {len(result.evaluations)} evaluations ({quiet} quiet)",
+        f"{violations} violations over {result.rho.size} evaluations ({quiet} quiet)",
     )
 
 
 def test_06_pinned_threshold_equals_dynamic_law():
-    p = trigger_params_factory()
-    rng = np.random.default_rng(2024)
-    agree = 0
     total = 10_000
-    for ctx in random_contexts(rng, total):
-        rho = triggering_function(ctx, float(p.sigma[0]))
-        z = float(p.c[0]) * rho / ctx.decay
+    p = trigger_params_factory(n=total)
+    cases = random_cases(np.random.default_rng(2024), total)
+    fired = decide(LawKind.DYNAMIC, p, **cases, u=np.full(total, 0.5))
+    agree = 0
+    for rho, decay, got in zip(margin(cases, p.sigma), cases["decay"], fired):
+        z = float(p.c[0]) * float(rho) / float(decay)
         if z > 700.0:
             pinned = True
         elif z < -700.0:
             pinned = False
         else:
             pinned = p.a_floor > p.kappa * math.exp(-z)
-        agree += pinned == decide(LawKind.DYNAMIC, p, 0, ctx, 0.5)
+        agree += pinned == got
     check("06", agree == total, f"{agree}/{total} decisions agree with the pinned-threshold law")
 
 
@@ -282,7 +280,7 @@ def test_11_single_step_hand_oracle():
     game, graph, trig, cfg = test_engine.two_player_setup(horizon=0.025)
     state = init(game, graph, trig, cfg, np.array([1.0, 2.0]),
                  np.array([[1.0, 0.5], [1.5, 2.0]]))
-    new, _ = step(state, game, graph, trig, cfg, test_engine.make_rngs(0, 2))
+    new, _, _ = step(state, game, graph, trig, cfg, test_engine.draw(test_engine.make_rngs(0, 2)))
     g0 = (2.0 * 1.0 + (0.0 * 1.0 + 1.0 * 0.5)) + -4.0
     g1 = (3.0 * 2.0 + (-1.0 * 1.5 + 0.0 * 2.0)) + 1.0
     expected_x = np.array(

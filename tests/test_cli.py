@@ -70,6 +70,17 @@ def test_simulate_outputs(tmp_path, capsys):
     assert metrics["law"] == "stochastic"
 
 
+def test_simulate_rejects_non_finite_scenario(tmp_path, capsys):
+    doc = json.loads(bundled_path("quadratic_demo").read_text())
+    doc["y0"][0][1] = float("nan")
+    config = tmp_path / "nan.json"
+    config.write_text(json.dumps(doc))  # writes the bare NaN literal
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+    assert "non-finite number NaN" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_byte_identical_for_same_seed(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["simulate", "--config", QUAD, "--seed", "9", "--out", str(out1)]) == 0

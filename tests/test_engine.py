@@ -18,7 +18,6 @@ from neseek import (
     step,
 )
 from neseek.errors import InfeasibleStart, NumericalDivergence
-from neseek.metrics import gamma_series
 
 from conftest import with_engine
 
@@ -61,6 +60,11 @@ def make_rngs(seed, n):
     ]
 
 
+def draw(rngs):
+    """One uniform per player, for one call of ``step``."""
+    return np.array([g.random() for g in rngs])
+
+
 class TestInit:
     def test_shipped_initial_state(self, spectrum_scenario):
         s = spectrum_scenario
@@ -89,13 +93,20 @@ class TestInit:
         with pytest.raises(InfeasibleStart):
             init(s.game, s.graph, s.trigger, s.engine, bad, PUBLISHED_Y0)
 
+    def test_nan_start_is_infeasible(self, spectrum_scenario):
+        s = spectrum_scenario
+        bad = PUBLISHED_X0.copy()
+        bad[2] = math.nan
+        with pytest.raises(InfeasibleStart, match=r"x0\[2\]=nan outside"):
+            init(s.game, s.graph, s.trigger, s.engine, bad, PUBLISHED_Y0)
+
 
 class TestStep:
     def test_single_step_matches_hand_computation(self):
         game, graph, trig, cfg = two_player_setup(horizon=0.025)
         state = init(game, graph, trig, cfg, np.array([1.0, 2.0]),
                      np.array([[1.0, 0.5], [1.5, 2.0]]))
-        new, events = step(state, game, graph, trig, cfg, make_rngs(0, 2))
+        new, fired, _ = step(state, game, graph, trig, cfg, draw(make_rngs(0, 2)))
 
         # scalar forward-Euler computation, written out term by term
         g0 = (2.0 * 1.0 + (0.0 * 1.0 + 1.0 * 0.5)) + -4.0
@@ -115,7 +126,7 @@ class TestStep:
         assert new.y[1, 1] == new.x[1]
         assert 1.0 + 0.025 * ydot00 != new.x[0]  # the pin is not a no-op
         assert new.t == pytest.approx(0.025)
-        assert len(events) == 2  # continuous law fires everyone
+        assert fired.tolist() == [True, True]  # continuous law fires everyone
 
     def test_continuous_law_reduces_to_exact_estimate_dynamics(self):
         game, graph, trig, cfg = two_player_setup(horizon=1.0)
@@ -146,7 +157,7 @@ class TestStep:
             y = y + cfg.dt * ydot
             y[np.arange(2), np.arange(2)] = x
 
-            state, _ = step(state, game, graph, trig, cfg, rngs)
+            state, _, _ = step(state, game, graph, trig, cfg, draw(rngs))
         assert np.allclose(state.x, x, atol=1e-12)
         assert np.allclose(state.y, y, atol=1e-12)
 
@@ -155,7 +166,7 @@ class TestStep:
         state = init(s.game, s.graph, s.trigger, s.engine, s.x0, s.y0)
         rngs = make_rngs(s.engine.seed, s.n)
         for _ in range(50):
-            state, _ = step(state, s.game, s.graph, s.trigger, s.engine, rngs)
+            state, _, _ = step(state, s.game, s.graph, s.trigger, s.engine, draw(rngs))
             assert np.array_equal(np.diagonal(state.y), state.x)
             expected = s.trigger.delta0 * np.exp(-s.trigger.eta * state.t)
             assert np.allclose(state.delta, expected, rtol=1e-12)
@@ -169,10 +180,9 @@ class TestStep:
             prev_yhat = state.y_hat.copy()
             prev_x = state.x.copy()
             prev_y = state.y.copy()
-            state, events = step(state, s.game, s.graph, s.trigger, s.engine, rngs)
-            fired = {ev.player for ev in events}
+            state, fired, _ = step(state, s.game, s.graph, s.trigger, s.engine, draw(rngs))
             for i in range(s.n):
-                if i in fired:
+                if fired[i]:
                     assert state.x_hat[i] == prev_x[i]
                     assert np.array_equal(state.y_hat[i], prev_y[i])
                 else:
@@ -185,7 +195,7 @@ class TestStep:
                      np.array([[1.0, 0.5], [1.5, 2.0]]))
         with pytest.raises(NumericalDivergence):
             for _ in range(cfg.steps):
-                state, _ = step(state, game, graph, trig, cfg, make_rngs(0, 2))
+                state, _, _ = step(state, game, graph, trig, cfg, draw(make_rngs(0, 2)))
 
 
 class TestRun:
@@ -206,8 +216,8 @@ class TestRun:
     def test_same_seed_reproduces_everything(self, quadratic_scenario):
         a = single_run(quadratic_scenario, seed=42)
         b = single_run(quadratic_scenario, seed=42)
-        assert a.events == b.events
-        assert np.array_equal(a.actions, b.actions)
+        for column in ("trig", "rho", "xi", "actions"):
+            assert np.array_equal(getattr(a, column), getattr(b, column))
         assert np.array_equal(a.gamma, b.gamma)
 
     def test_continuous_vs_stochastic_rate(self, quadratic_scenario):
@@ -235,19 +245,20 @@ class TestRun:
 
     def test_no_trigger_inequality_exact(self, spectrum_scenario):
         s = spectrum_scenario
-        result = single_run(s, seed=11, collect_evaluations=True)
-        sigma = s.trigger.sigma
-        c = s.trigger.c
-        ln_kappa = math.log(s.trigger.kappa)
+        p = s.trigger
+        result = single_run(s, seed=11)
+        ln_kappa = math.log(p.kappa)
         checked = 0
-        for ev in result.evaluations:
-            rho = ev.action_err_sq + ev.estimate_err_sq - float(sigma[ev.player]) * ev.disagreement_sq
-            bound = (ev.decay / float(c[ev.player])) * (ln_kappa - math.log(ev.xi))
-            if ev.fired:
-                assert rho > bound
-            else:
-                assert rho <= bound
-                checked += 1
+        for k, t in enumerate(result.times[:-1]):
+            decay = p.delta0 * np.exp(-p.eta * t)
+            for i in range(s.n):
+                rho = float(result.rho[k, i])
+                bound = (float(decay[i]) / float(p.c[i])) * (ln_kappa - math.log(result.xi[k, i]))
+                if result.trig[k + 1, i]:
+                    assert rho > bound
+                else:
+                    assert rho <= bound
+                    checked += 1
         assert checked > 0
 
     def test_evaluation_errors_match_raw_state(self, quadratic_scenario):
@@ -256,7 +267,6 @@ class TestRun:
         state = init(s.game, s.graph, s.trigger, s.engine, s.x0, s.y0)
         rngs = make_rngs(s.engine.seed, s.n)
         for _ in range(60):
-            evaluations = []
             prev = dataclasses.replace(
                 state,
                 x=state.x.copy(),
@@ -264,30 +274,45 @@ class TestRun:
                 x_hat=state.x_hat.copy(),
                 y_hat=state.y_hat.copy(),
             )
-            state, _ = step(state, s.game, s.graph, s.trigger, s.engine, rngs, evaluations)
+            state, _, rho = step(state, s.game, s.graph, s.trigger, s.engine, draw(rngs))
             a = s.graph.weights
-            for ev in evaluations:
-                i = ev.player
+            for i in range(s.n):
                 e_x = prev.x_hat[i] - prev.x[i]
                 e_y = prev.y_hat[i] - prev.y[i]
                 disagreement = sum(
                     a[i, j] * (prev.y_hat[i] - prev.y_hat[j]) for j in range(s.n)
                 )
-                assert ev.action_err_sq == pytest.approx(e_x * e_x, rel=1e-12, abs=1e-300)
-                assert ev.estimate_err_sq == pytest.approx(float(e_y @ e_y), rel=1e-12, abs=1e-300)
-                assert ev.disagreement_sq == pytest.approx(
-                    float(disagreement @ disagreement), rel=1e-12, abs=1e-300
+                terms = (
+                    e_x * e_x,
+                    float(e_y @ e_y),
+                    -float(s.trigger.sigma[i]) * float(disagreement @ disagreement),
+                )
+                assert rho[i] == pytest.approx(
+                    sum(terms), rel=1e-12, abs=1e-12 * max(map(abs, terms)) + 1e-300
                 )
 
     def test_gamma_matches_metrics_recomputation(self, quadratic_scenario):
+        # running count of fires over the evaluations so far, step by step
         result = single_run(quadratic_scenario, seed=9)
-        recomputed = gamma_series(
-            result.events,
-            quadratic_scenario.n,
-            quadratic_scenario.engine.dt,
-            quadratic_scenario.engine.horizon,
-        )
+        n = quadratic_scenario.n
+        fires = 0
+        recomputed = [0.0]
+        for k, row in enumerate(result.trig[1:]):
+            fires += int(row.sum())
+            recomputed.append(fires / (n * (k + 1)))
         assert np.array_equal(result.gamma, recomputed)
+        assert 0 < result.gamma[-1] < 1
+
+    def test_columns_have_one_row_per_step(self, quadratic_scenario):
+        result = single_run(quadratic_scenario, seed=4)
+        steps, n = quadratic_scenario.engine.steps, quadratic_scenario.n
+        assert result.trig.shape == (steps + 1, n)
+        assert not result.trig[0].any()
+        assert result.rho.shape == result.xi.shape == (steps, n)
+        assert ((result.xi > quadratic_scenario.trigger.a_floor) & (result.xi <= 1.0)).all()
+        static = single_run(quadratic_scenario, seed=4, law=LawKind.STATIC)
+        assert np.isnan(static.xi).all()
+        assert np.isfinite(static.rho).all()
 
     def test_one_step_horizon_rows(self, quadratic_scenario):
         short = with_engine(quadratic_scenario, horizon=quadratic_scenario.engine.dt)

@@ -1,11 +1,13 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
 
-from neseek import LawKind, load_scenario
+from neseek import LawKind, load_scenario, single_run
 from neseek.data import bundled_path
-from neseek.errors import ParseError, ValidationError
+from neseek.errors import NumericalDivergence, ParseError, ValidationError
 from neseek.scenario import AdvisoryWarning, scenario_from_dict
 
 
@@ -103,6 +105,37 @@ def test_parse_error_has_location(tmp_path):
     bad.write_text('{"adjacency": [[0, 1], [1, 0]],\n  "game": }')
     with pytest.raises(ParseError, match="broken.json:2"):
         load_scenario(bad)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize("field", ["x0", "y0"])
+def test_non_finite_number_in_file_is_parse_error(tmp_path, literal, field):
+    data = quadratic_dict()
+    if field == "x0":
+        data["x0"][0] = "HOLE"
+    else:
+        data["y0"][0][1] = "HOLE"
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(data).replace('"HOLE"', literal))
+    with pytest.raises(ParseError, match=f"non-finite number {literal}"):
+        load_scenario(path)
+
+
+def test_nan_x0_from_api_is_outside():
+    data = quadratic_dict()
+    data["x0"][0] = math.nan
+    with pytest.raises(ValidationError, match=r"x0\[0\]=nan outside"):
+        scenario_from_dict(data)
+
+
+def test_nan_y0_from_api_stops_the_run():
+    data = quadratic_dict()
+    data["y0"][0][1] = math.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AdvisoryWarning)
+        s = scenario_from_dict(data)
+    with pytest.raises(NumericalDivergence, match="non-finite"):
+        single_run(s, seed=0)
 
 
 def test_missing_file_is_parse_error(tmp_path):

@@ -5,7 +5,6 @@ import pytest
 
 from neseek import (
     LawKind,
-    TriggerContext,
     TriggerParams,
     decay_at,
     decide,
@@ -26,25 +25,38 @@ def params(n=2, kappa=1.075, a_floor=0.05, eta=10.0, c=1.0, sigma=0.2, delta0=1.
     )
 
 
-def ctx(e_x=0.0, e_y=0.0, cons=0.0, decay=1.0, t=0.0):
-    return TriggerContext(
-        action_err_sq=e_x,
-        estimate_err_sq=e_y,
-        disagreement_sq=cons,
-        decay=decay,
-        t=t,
+def cases(e_x=(0.0,), e_y=(0.0,), cons=(0.0,), decay=(1.0,)):
+    """Evaluation inputs as arrays, keyed like the arguments of ``decide``."""
+    return {
+        "action_err_sq": np.array(e_x, dtype=float),
+        "estimate_err_sq": np.array(e_y, dtype=float),
+        "disagreement_sq": np.array(cons, dtype=float),
+        "decay": np.array(decay, dtype=float),
+    }
+
+
+def random_cases(rng, count):
+    """``count`` random evaluations; each draws its action error, estimate
+    error, disagreement, decay and a time (unused by every law), in order."""
+    draws = np.array(
+        [
+            [
+                rng.uniform(0, 4),
+                rng.uniform(0, 4),
+                rng.uniform(0, 20),
+                10.0 ** rng.uniform(-8, 2),
+                rng.uniform(0, 20),
+            ]
+            for _ in range(count)
+        ]
     )
+    return cases(*draws[:, :4].T)
 
 
-def random_contexts(rng, count):
-    for _ in range(count):
-        yield ctx(
-            e_x=float(rng.uniform(0, 4)),
-            e_y=float(rng.uniform(0, 4)),
-            cons=float(rng.uniform(0, 20)),
-            decay=float(10.0 ** rng.uniform(-8, 2)),
-            t=float(rng.uniform(0, 20)),
-        )
+def margin(c, sigma):
+    return triggering_function(
+        c["action_err_sq"], c["estimate_err_sq"], c["disagreement_sq"], sigma
+    )
 
 
 def test_params_validation():
@@ -63,8 +75,8 @@ def test_params_validation():
 
 
 def test_triggering_function():
-    assert triggering_function(ctx(cons=4.0), 0.2) == pytest.approx(-0.8)
-    assert triggering_function(ctx(e_x=1.0, e_y=2.0), 0.3) == pytest.approx(3.0)
+    c = cases(e_x=[0.0, 1.0], e_y=[0.0, 2.0], cons=[4.0, 0.0])
+    assert margin(c, np.array([0.2, 0.3])) == pytest.approx([-0.8, 3.0])
 
 
 def test_decay_closed_form():
@@ -112,64 +124,75 @@ class TestTriggerProbability:
 
 class TestDecide:
     def test_continuous_always_fires(self):
-        p = params()
-        rng = np.random.default_rng(0)
-        for c in random_contexts(rng, 50):
-            assert decide(LawKind.CONTINUOUS, p, 0, c, 0.5)
+        p = params(n=50)
+        c = random_cases(np.random.default_rng(0), 50)
+        assert decide(LawKind.CONTINUOUS, p, **c, u=np.full(50, 0.5)).all()
 
     def test_stochastic_never_fires_on_nonpositive_margin(self):
-        p = params(sigma=0.5)
-        quiet = ctx(e_x=0.1, e_y=0.3, cons=10.0, decay=1e-7)  # margin negative
-        assert triggering_function(quiet, 0.5) < 0
-        for u in np.linspace(0.0, 1.0, 101)[:-1]:
-            assert not decide(LawKind.STOCHASTIC, p, 0, quiet, float(u))
+        u = np.linspace(0.0, 1.0, 101)[:-1]
+        p = params(n=len(u), sigma=0.5)
+        quiet = cases(e_x=[0.1] * len(u), e_y=[0.3] * len(u), cons=[10.0] * len(u),
+                      decay=[1e-7] * len(u))  # margin negative
+        assert (margin(quiet, 0.5) < 0).all()
+        assert not decide(LawKind.STOCHASTIC, p, **quiet, u=u).any()
 
     def test_stochastic_matches_uniform_probability(self):
-        p = params()
+        # 200 random cases, each against 20 uniform draws, in one call
         rng = np.random.default_rng(1)
-        for c in random_contexts(rng, 200):
-            prob = trigger_probability(p, 0, triggering_function(c, 0.2), c.decay)
-            for u in rng.random(20):
-                assert decide(LawKind.STOCHASTIC, p, 0, c, float(u)) == (u < prob)
+        c = {k: np.repeat(v, 20) for k, v in random_cases(rng, 200).items()}
+        p = params(n=len(c["decay"]))
+        rho = margin(c, 0.2)
+        prob = np.array(
+            [trigger_probability(p, 0, float(r), float(d)) for r, d in zip(rho, c["decay"])]
+        )
+        u = rng.random(len(prob))
+        assert np.array_equal(decide(LawKind.STOCHASTIC, p, **c, u=u), u < prob)
+
+    def test_stochastic_stays_quiet_exactly_at_the_threshold(self):
+        # margin set to the threshold computed with math.log, the scalar
+        # oracle: rho <= threshold holds with equality, so no entry may fire
+        count = 100_000
+        p = params(n=count)
+        u = np.random.default_rng(5).random(count)
+        ln_kappa = math.log(p.kappa)
+        at = [ln_kappa - math.log(xi_from_uniform(p, float(v))) for v in u]
+        c = cases(e_x=at, e_y=np.zeros(count), cons=np.zeros(count), decay=np.ones(count))
+        assert not decide(LawKind.STOCHASTIC, p, **c, u=u).any()
 
     def test_dynamic_equals_pinned_threshold_stochastic(self):
         # oracle in the multiplicative form: fire iff a_floor > kappa*exp(-c*rho/decay)
-        p = params()
-        rng = np.random.default_rng(2)
-        agree = 0
-        total = 0
-        for c in random_contexts(rng, 10_000):
-            rho = triggering_function(c, float(p.sigma[0]))
-            z = float(p.c[0]) * rho / c.decay
+        count = 10_000
+        p = params(n=count)
+        c = random_cases(np.random.default_rng(2), count)
+        got = decide(LawKind.DYNAMIC, p, **c, u=np.full(count, 0.123))
+        pinned = []
+        for rho, decay in zip(margin(c, p.sigma), c["decay"]):
+            z = float(p.c[0]) * float(rho) / float(decay)
             if z > 700.0:
-                pinned = True
+                pinned.append(True)
             elif z < -700.0:
-                pinned = False
+                pinned.append(False)
             else:
-                pinned = p.a_floor > p.kappa * math.exp(-z)
-            got = decide(LawKind.DYNAMIC, p, 0, c, 0.123)
-            agree += got == pinned
-            total += 1
-        assert agree == total
+                pinned.append(p.a_floor > p.kappa * math.exp(-z))
+        assert int((got == np.array(pinned)).sum()) == count
 
     def test_static_threshold_comparison(self):
-        p = params()
+        p = params(n=3)
         scale = math.log(p.kappa) - math.log(p.a_floor)
-        below = ctx(e_x=0.5 * scale, e_y=0.0, cons=100.0, decay=1.0)
-        above = ctx(e_x=1.5 * scale, e_y=0.0, cons=100.0, decay=1.0)
-        assert not decide(LawKind.STATIC, p, 0, below, 0.5)
-        assert decide(LawKind.STATIC, p, 0, above, 0.5)
-        # the disagreement term plays no role in the static comparison law
-        same_but_no_cons = ctx(e_x=1.5 * scale, e_y=0.0, cons=0.0, decay=1.0)
-        assert decide(LawKind.STATIC, p, 0, same_but_no_cons, 0.5)
+        # below, above, and above without any disagreement term: the
+        # disagreement plays no role in the static comparison law
+        c = cases(e_x=[0.5 * scale, 1.5 * scale, 1.5 * scale], e_y=[0.0] * 3,
+                  cons=[100.0, 100.0, 0.0], decay=[1.0] * 3)
+        fired = decide(LawKind.STATIC, p, **c, u=np.full(3, 0.5))
+        assert fired.tolist() == [False, True, True]
 
     def test_decide_is_pure(self):
-        p = params()
         rng = np.random.default_rng(3)
-        for c in random_contexts(rng, 50):
-            u = float(rng.random())
-            for law in LawKind:
-                assert decide(law, p, 0, c, u) == decide(law, p, 0, c, u)
+        p = params(n=50)
+        c = random_cases(rng, 50)
+        u = rng.random(50)
+        for law in LawKind:
+            assert np.array_equal(decide(law, p, **c, u=u), decide(law, p, **c, u=u))
 
 
 def test_xi_mapping_support():
