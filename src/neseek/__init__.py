@@ -19,7 +19,7 @@ from .games import (
 from .graphs import (
     DirectedGraph,
     LyapunovPair,
-    adjacency_diagonal,
+    coupling_blocks,
     coupling_matrix,
     is_strongly_connected,
     laplacian,
@@ -65,13 +65,13 @@ __all__ = [
     "Scenario",
     "SpectrumGame",
     "TriggerParams",
-    "adjacency_diagonal",
     "aggregate",
     "alpha_max",
     "beta_min",
     "compare_laws",
     "compute_report",
     "cost",
+    "coupling_blocks",
     "coupling_matrix",
     "decay_at",
     "decide",

@@ -1,9 +1,11 @@
 """Admissible step-size region and convergence-rate certificate.
 
 All constants follow from the game's regularity constants (mu, lbar), the
-Lyapunov pair of the graph's coupling matrix, and the two step sizes. The
-certified decay rate is the smaller root of a quadratic balancing the
-action-error and estimate-error contraction rates against their coupling.
+Lyapunov certificate P of the graph's coupling matrix M with Q = I, and the
+two step sizes. P and M share one block-diagonal structure, so every norm of
+them below is a maximum over the blocks. The certified decay rate is the
+smaller root of a quadratic balancing the action-error and estimate-error
+contraction rates against their coupling.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .errors import InfeasibleBeta
 from .games import GameDefinition, estimate_constants
-from .graphs import DirectedGraph, coupling_matrix, laplacian, lyapunov_pair
+from .graphs import DirectedGraph, coupling_blocks, laplacian, lyapunov_pair
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,6 @@ class BoundsReport:
     beta_min: float
     sigma_max: float
     feasible: bool
-    q_kind: str
 
 
 def sigma_bound(graph: DirectedGraph) -> float:
@@ -96,7 +97,6 @@ def compute_report(
     alpha: float,
     beta: float,
     eta: float,
-    q: np.ndarray | None = None,
 ) -> BoundsReport:
     """Full certificate for one (game, graph, alpha, beta, eta) instance.
 
@@ -107,15 +107,15 @@ def compute_report(
     mu, lbar = constants.mu, constants.lbar
     n = graph.n
 
-    pair = lyapunov_pair(graph, q)
-    norm_p = float(np.linalg.norm(pair.p, 2))
-    norm_pm = float(np.linalg.norm(pair.p @ coupling_matrix(graph), 2))
-    lambda_min_q = float(np.linalg.eigvalsh(pair.q).min())
+    pair = lyapunov_pair(graph)
+    # ||P|| = lambda_max(P) for symmetric positive definite P
     lambda_max_p = float(np.linalg.eigvalsh(pair.p).max())
+    norm_pm = float(np.linalg.norm(pair.p @ coupling_blocks(graph), 2, axis=(1, 2)).max())
+    lambda_min_q = 1.0
 
     c1 = lbar * math.sqrt(n)
     c2 = lbar
-    c3 = math.sqrt(n) * norm_p
+    c3 = math.sqrt(n) * lambda_max_p
     c4 = 2.0 * math.sqrt(2.0 * (n - 1)) * norm_pm
     c5 = n * math.sqrt(2.0 / (n - 1)) * norm_pm
 
@@ -162,5 +162,4 @@ def compute_report(
         beta_min=b_min,
         sigma_max=sigma_bound(graph),
         feasible=feasible,
-        q_kind="identity" if q is None else "custom",
     )

@@ -109,8 +109,7 @@ def cmd_simulate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     result = harness.single_run(scenario, seed=args.seed, dt=args.dt)
 
-    record_every = scenario.engine.record_every
-    outputs.write_trajectory_csv(out_dir / "trajectory.csv", result, record_every)
+    outputs.write_trajectory_csv(out_dir / "trajectory.csv", result)
     outputs.write_events_csv(out_dir / "events.csv", result)
 
     m = result.metrics

@@ -36,17 +36,17 @@ class EngineConfig:
     seed: int
     law: LawKind
     dt: float = 0.025
-    record_every: int = 1
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.beta <= 0:
+        # written so that NaN fails every check
+        if not (self.alpha > 0 and self.beta > 0):
             raise ValueError("alpha and beta must be positive")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
+        if not math.isfinite(self.horizon):
+            raise ValueError("horizon must be finite")
         if self.dt > self.horizon:
             raise ValueError("dt must not exceed the horizon")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
 
@@ -174,7 +174,7 @@ def step(
 
     rho = triggering_function(action_err_sq, estimate_err_sq, disagreement_sq, trigger_params.sigma)
     fired = decide(
-        config.law, trigger_params, action_err_sq, estimate_err_sq, disagreement_sq, state.delta, u
+        config.law, trigger_params, rho, action_err_sq + estimate_err_sq, state.delta, u
     )
     x_hat = np.where(fired, x, state.x_hat)
     y_hat = np.where(fired[:, None], y, state.y_hat)

@@ -31,10 +31,12 @@ class ActionInterval:
             raise ValueError("interval must satisfy lo <= hi")
 
 
-def _as_vector(values, n: int, name: str) -> np.ndarray:
+def _as_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
     v = np.array(values, dtype=float)
-    if v.shape != (n,):
-        raise ValueError(f"{name} must have length {n}")
+    if v.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} must be finite")
     v.flags.writeable = False
     return v
 
@@ -70,15 +72,15 @@ class SpectrumGame:
             raise ValueError("at least one player is required")
         object.__setattr__(self, "intervals", tuple(self.intervals))
         for name in ("m_c", "q", "r", "s_db", "ber_target"):
-            object.__setattr__(self, name, _as_vector(getattr(self, name), n, name))
+            object.__setattr__(self, name, _as_array(getattr(self, name), (n,), name))
         if (self.q <= 0).any():
             raise ValueError("price slopes q must be positive")
         if (self.r < 0).any():
             raise ValueError("revenue rates r must be nonnegative")
         if ((self.ber_target <= 0) | (self.ber_target >= 0.2)).any():
             raise ValueError("ber_target must lie in (0, 0.2)")
-        if self.tau < 1:
-            raise ValueError("pricing exponent tau must be >= 1")
+        if not 1 <= self.tau < math.inf:
+            raise ValueError("pricing exponent tau must be finite and >= 1")
         if self.tau > 1 and any(iv.lo < 0 for iv in self.intervals):
             # fractional powers of a negative total are undefined
             raise DomainError("tau > 1 requires nonnegative action intervals")
@@ -115,15 +117,11 @@ class QuadraticGame:
         if n < 1:
             raise ValueError("at least one player is required")
         object.__setattr__(self, "intervals", tuple(self.intervals))
-        object.__setattr__(self, "diag_a", _as_vector(self.diag_a, n, "diag_a"))
-        object.__setattr__(self, "offset", _as_vector(self.offset, n, "offset"))
-        c = np.array(self.cross, dtype=float)
-        if c.shape != (n, n):
-            raise ValueError(f"cross must be {n}x{n}")
-        if np.diagonal(c).any():
+        object.__setattr__(self, "diag_a", _as_array(self.diag_a, (n,), "diag_a"))
+        object.__setattr__(self, "offset", _as_array(self.offset, (n,), "offset"))
+        object.__setattr__(self, "cross", _as_array(self.cross, (n, n), "cross"))
+        if np.diagonal(self.cross).any():
             raise ValueError("cross must have zero diagonal")
-        c.flags.writeable = False
-        object.__setattr__(self, "cross", c)
         if (self.diag_a <= 0).any():
             raise ValueError("diag_a must be positive")
 

@@ -1,10 +1,14 @@
 """Directed communication graphs and their spectral certificates.
 
 The estimate-sharing dynamics couple all n*n stacked estimates through the
-matrix ``kron(L, I) + diag(stacked adjacency)``; for strongly connected
+matrix ``M = kron(L, I) + diag(stacked adjacency)``; for strongly connected
 digraphs that matrix has spectrum in the open right half-plane, so a
-positive definite pair (P, Q) solving the continuous Lyapunov equation
-exists and certifies exponential contraction.
+positive definite P solving ``M.T @ P + P @ M = I`` exists and certifies
+exponential contraction.
+
+Row i*n + j of M is player i's estimate of player j, and M only couples rows
+that share j, so M and P are block diagonal once grouped by j: the
+certificate takes n solves of size n instead of one of size n*n.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import scipy.linalg
 
 from .errors import NotStronglyConnected, SolverFailure
 
-# Relative residual allowed on the Lyapunov solve, w.r.t. the norm of Q.
+# Residual allowed on the Lyapunov solve; the right-hand side is I, of norm 1.
 LYAPUNOV_RTOL = 1e-8
 
 
@@ -56,13 +60,16 @@ class DirectedGraph:
 
 @dataclass(frozen=True)
 class LyapunovPair:
-    """Positive definite (P, Q) with ``M.T @ P + P @ M == Q`` for the coupling matrix M.
+    """Positive definite P with ``M.T @ P + P @ M == I`` for the coupling matrix M.
 
-    ``residual`` is the operator norm of the defect ``M.T @ P + P @ M - Q``.
+    ``p`` is the (n, n, n) block stack: ``p[j]`` solves the equation for the
+    block ``coupling_blocks(g)[j]``, and the dense P is
+    ``P[i*n + j, k*n + j] = p[j][i, k]``, zero elsewhere. ``residual`` is the
+    operator norm of the defect ``M.T @ P + P @ M - I``, the largest over
+    the blocks.
     """
 
     p: np.ndarray
-    q: np.ndarray
     residual: float
 
 
@@ -71,18 +78,21 @@ def laplacian(g: DirectedGraph) -> np.ndarray:
     return np.diag(g.in_degrees) - g.weights
 
 
-def adjacency_diagonal(g: DirectedGraph) -> np.ndarray:
-    """n^2 x n^2 diagonal matrix of the adjacency entries stacked row by row."""
-    return np.diag(g.weights.ravel())
-
-
 def coupling_matrix(g: DirectedGraph) -> np.ndarray:
-    """Matrix driving the stacked estimate errors: ``kron(L, I_n) + adjacency_diagonal``.
+    """Dense n^2 x n^2 matrix driving the stacked estimate errors:
+    ``kron(L, I_n)`` plus the adjacency entries, stacked row by row, on the diagonal.
 
     Nonsingular with spectrum in the open right half-plane exactly when the
-    graph is strongly connected.
+    graph is strongly connected. Kept as the reference for ``coupling_blocks``.
     """
-    return np.kron(laplacian(g), np.eye(g.n)) + adjacency_diagonal(g)
+    return np.kron(laplacian(g), np.eye(g.n)) + np.diag(g.weights.ravel())
+
+
+def coupling_blocks(g: DirectedGraph) -> np.ndarray:
+    """The (n, n, n) stack of diagonal blocks of the coupling matrix,
+    ``blocks[j] = L + diag(W[:, j])``: its rows i*n + j for i = 0..n-1."""
+    lap = laplacian(g)
+    return np.array([lap + np.diag(w) for w in g.weights.T])
 
 
 def _reaches_all(links: np.ndarray) -> bool:
@@ -104,39 +114,31 @@ def is_strongly_connected(g: DirectedGraph) -> bool:
     return _reaches_all(links) and _reaches_all(links.T)
 
 
-def solve_lyapunov_pd(m: np.ndarray, q: np.ndarray) -> LyapunovPair:
-    """Solve ``m.T @ P + P @ m = q`` for symmetric positive definite P.
+def solve_lyapunov_pd(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """Solve ``m.T @ P + P @ m = I`` for symmetric positive definite P.
 
-    Requires q symmetric positive definite and m with spectrum in the open
-    right half-plane; raises SolverFailure if the solve does not certify.
+    Requires m with spectrum in the open right half-plane; returns P and the
+    operator norm of the defect, and raises SolverFailure if the solve does
+    not certify.
     """
-    q = np.asarray(q, dtype=float)
-    if q.shape != m.shape:
-        raise ValueError("q must match the coupling matrix shape")
-    if not np.allclose(q, q.T, rtol=0, atol=1e-12 * max(1.0, abs(q).max())):
-        raise ValueError("q must be symmetric")
-    if np.linalg.eigvalsh(q).min() <= 0:
-        raise ValueError("q must be positive definite")
-
-    p = scipy.linalg.solve_continuous_lyapunov(m.T, q)
+    eye = np.eye(len(m))
+    p = scipy.linalg.solve_continuous_lyapunov(m.T, eye)
     p = 0.5 * (p + p.T)
-    residual = np.linalg.norm(m.T @ p + p @ m - q, 2)
-    if residual > LYAPUNOV_RTOL * np.linalg.norm(q, 2):
+    residual = float(np.linalg.norm(m.T @ p + p @ m - eye, 2))
+    if residual > LYAPUNOV_RTOL:
         raise SolverFailure(f"Lyapunov residual {residual:.3e} above tolerance")
     if np.linalg.eigvalsh(p).min() <= 0:
         raise SolverFailure("Lyapunov solution is not positive definite")
-    return LyapunovPair(p=p, q=q, residual=float(residual))
+    return p, residual
 
 
-def lyapunov_pair(g: DirectedGraph, q: np.ndarray | None = None) -> LyapunovPair:
-    """Lyapunov certificate for the coupling matrix of a strongly connected graph.
-
-    ``q`` defaults to the identity, which makes its minimum eigenvalue 1 and
-    keeps the rate constants simple.
-    """
+def lyapunov_pair(g: DirectedGraph) -> LyapunovPair:
+    """Lyapunov certificate, with Q = I, for the coupling matrix of a
+    strongly connected graph, solved block by block."""
     if not is_strongly_connected(g):
         raise NotStronglyConnected("graph must be strongly connected")
-    m = coupling_matrix(g)
-    if q is None:
-        q = np.eye(g.n * g.n)
-    return solve_lyapunov_pd(m, q)
+    solved = [solve_lyapunov_pd(b) for b in coupling_blocks(g)]
+    return LyapunovPair(
+        p=np.array([p for p, _ in solved]),
+        residual=max(r for _, r in solved),
+    )

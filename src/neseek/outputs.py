@@ -22,7 +22,7 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def write_trajectory_csv(path: Path, result: RunResult, record_every: int = 1) -> None:
+def write_trajectory_csv(path: Path, result: RunResult) -> None:
     """Columns: t, x_1..x_n, err_inf, gamma, trig_1..trig_n."""
     n = result.actions.shape[1]
     header = (
@@ -31,11 +31,8 @@ def write_trajectory_csv(path: Path, result: RunResult, record_every: int = 1) -
         + ["err_inf", "gamma"]
         + [f"trig_{i + 1}" for i in range(n)]
     )
-    last = len(result.times) - 1
     lines = [",".join(header)]
     for k in range(len(result.times)):
-        if k % record_every and k != last:
-            continue
         row = [_fmt(result.times[k])]
         row += [_fmt(v) for v in result.actions[k]]
         row += [_fmt(result.err_inf[k]), _fmt(result.gamma[k])]

@@ -7,7 +7,7 @@ Schema (top-level keys):
     game        {"kind": "spectrum" | "quadratic", ...parameters by name}
     trigger     {"law", "kappa", "a_floor", "eta", "c", "delta0",
                  "sigma" or "sigma_rule": "0.8/din"}
-    engine      {"alpha", "beta", "dt", "horizon", "seed", "record_every"}
+    engine      {"alpha", "beta", "dt", "horizon", "seed"}
     x0          initial actions, length n
     y0          initial estimate rows, n x n (diagonal is overwritten by x0)
     runs        ensemble size for comparisons (optional, default 1)
@@ -76,6 +76,15 @@ def _intervals(raw, n: int, where: str) -> tuple[ActionInterval, ...]:
         except ValueError as exc:
             raise ValidationError(f"{where}: intervals[{k}]: {exc}") from exc
     return tuple(out)
+
+
+def _finite_array(raw, shape: tuple[int, ...], where: str) -> np.ndarray:
+    a = np.array(raw, dtype=float)
+    if a.shape != shape:
+        raise ValidationError(f"{where}: expected shape {shape}, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{where}: entries must be finite")
+    return a
 
 
 def _game_from_dict(data: dict, n: int) -> GameDefinition:
@@ -173,28 +182,26 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
             horizon=float(_require(eraw, "horizon", "engine")),
             seed=int(eraw.get("seed", 0)),
             law=law,
-            record_every=int(eraw.get("record_every", 1)),
         )
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ValidationError(f"engine: {exc}") from exc
 
     x0 = np.array(_require(data, "x0", source), dtype=float)
     if x0.shape != (n,):
         raise ValidationError(f"x0: expected length {n}, got shape {x0.shape}")
-    y0 = np.array(_require(data, "y0", source), dtype=float)
-    if y0.shape != (n, n):
-        raise ValidationError(f"y0: expected {n}x{n}, got shape {y0.shape}")
+    y0 = _finite_array(_require(data, "y0", source), (n, n), "y0")
     check_start(game, x0, ValidationError)
 
-    runs = int(data.get("runs", 1))
+    try:
+        runs = int(data.get("runs", 1))
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ValidationError(f"runs: {exc}") from exc
     if runs < 1:
         raise ValidationError("runs must be >= 1")
 
     ne_override = None
     if data.get("ne_override") is not None:
-        ne_override = np.array(data["ne_override"], dtype=float)
-        if ne_override.shape != (n,):
-            raise ValidationError(f"ne_override: expected length {n}")
+        ne_override = _finite_array(data["ne_override"], (n,), "ne_override")
 
     advisories = []
     if not is_strongly_connected(graph):

@@ -62,8 +62,8 @@ class TriggerParams:
             v = np.array(getattr(self, name), dtype=float)
             if v.ndim != 1:
                 raise ValueError(f"{name} must be a vector")
-            if (v <= 0).any():
-                raise ValueError(f"{name} entries must be positive")
+            if not ((v > 0) & (v < math.inf)).all():
+                raise ValueError(f"{name} entries must be positive and finite")
             v.flags.writeable = False
             object.__setattr__(self, name, v)
         if not len(self.c) == len(self.sigma) == len(self.delta0):
@@ -125,29 +125,28 @@ def _log(v: np.ndarray) -> np.ndarray:
 def decide(
     law: LawKind,
     params: TriggerParams,
-    action_err_sq: np.ndarray,
-    estimate_err_sq: np.ndarray,
-    disagreement_sq: np.ndarray,
+    rho: np.ndarray,
+    energy: np.ndarray,
     decay: np.ndarray,
     u: np.ndarray,
 ) -> np.ndarray:
     """Fire mask over players, one entry per element of the length-n inputs.
 
-    CONTINUOUS always fires. STATIC is a comparison law that fires once the
-    raw event-error energy exceeds the decaying scale (no disagreement
-    allowance). DYNAMIC is the deterministic limit of the randomized law with
-    the threshold pinned at a_floor. STOCHASTIC fires when the uniform draw u
-    falls below ``trigger_probability``, evaluated through the equivalent
-    log-domain threshold comparison, whose quiet branch is its exact negation.
+    ``rho`` is the triggering function and ``energy`` the raw event-error
+    energy (action plus estimate term) of each evaluation. CONTINUOUS always
+    fires. STATIC is a comparison law that fires once the raw energy exceeds
+    the decaying scale (no disagreement allowance). DYNAMIC is the
+    deterministic limit of the randomized law with the threshold pinned at
+    a_floor. STOCHASTIC fires when the uniform draw u falls below
+    ``trigger_probability``, evaluated through the equivalent log-domain
+    threshold comparison, whose quiet branch is its exact negation.
     """
     if law is LawKind.CONTINUOUS:
         return np.ones(len(decay), dtype=bool)
     scale = decay / params.c
     ln_kappa = math.log(params.kappa)
     if law is LawKind.STATIC:
-        energy = action_err_sq + estimate_err_sq
         return energy > scale * (ln_kappa - math.log(params.a_floor))
-    rho = triggering_function(action_err_sq, estimate_err_sq, disagreement_sq, params.sigma)
     if law is LawKind.DYNAMIC:
         return rho > scale * (ln_kappa - math.log(params.a_floor))
     if law is LawKind.STOCHASTIC:

@@ -39,6 +39,16 @@ def with_engine(scenario, **overrides):
     )
 
 
+def dense_p(pair):
+    """The dense n^2 x n^2 P of a block-stacked Lyapunov certificate:
+    ``P[i*n + j, k*n + j] = pair.p[j][i, k]``, zero elsewhere."""
+    n = len(pair.p)
+    p = np.zeros((n * n, n * n))
+    for j in range(n):
+        p[j::n, j::n] = pair.p[j]
+    return p
+
+
 def random_strongly_connected(rng, n):
     """Random weighted digraph containing a spanning cycle, hence strongly connected."""
     w = np.zeros((n, n))

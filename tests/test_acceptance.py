@@ -32,8 +32,8 @@ from neseek import (
 from neseek.games import ActionInterval
 from neseek.triggers import decide
 
-from conftest import PUBLISHED_X_STAR, random_strongly_connected
-from test_triggers import margin, random_cases
+from conftest import PUBLISHED_X_STAR, dense_p, random_strongly_connected
+from test_triggers import law_inputs, margin, random_cases
 from test_triggers import params as trigger_params_factory
 
 ENSEMBLE_RUNS = 100
@@ -180,7 +180,7 @@ def test_06_pinned_threshold_equals_dynamic_law():
     total = 10_000
     p = trigger_params_factory(n=total)
     cases = random_cases(np.random.default_rng(2024), total)
-    fired = decide(LawKind.DYNAMIC, p, **cases, u=np.full(total, 0.5))
+    fired = decide(LawKind.DYNAMIC, p, **law_inputs(cases, p), u=np.full(total, 0.5))
     agree = 0
     for rho, decay, got in zip(margin(cases, p.sigma), cases["decay"], fired):
         z = float(p.c[0]) * float(rho) / float(decay)
@@ -205,9 +205,11 @@ def test_07_lyapunov_certificates_on_random_digraphs():
             ok = False
             break
         pair = lyapunov_pair(g)
-        rel = pair.residual / np.linalg.norm(pair.q, 2)
+        p = dense_p(pair)
+        # relative to ||Q|| = ||I|| = 1, checked on the dense equation too
+        rel = max(np.linalg.norm(m.T @ p + p @ m - np.eye(g.n ** 2), 2), pair.residual)
         worst_resid = max(worst_resid, rel)
-        if np.linalg.eigvalsh(pair.p).min() <= 0 or rel > 1e-8:
+        if np.linalg.eigvalsh(p).min() <= 0 or rel > 1e-8:
             ok = False
             break
     check("07", ok, f"100 random digraphs certified; worst relative residual {worst_resid:.2e}")

@@ -37,7 +37,7 @@ def test_bounds_reports_full_certificate(capsys):
     for key in (
         "mu", "lbar", "c1", "c2", "c3", "c4", "c5", "lambda_min_q", "lambda_max_p",
         "phi1", "phi2", "omega1", "omega2", "theta_star", "k_v",
-        "alpha_max", "beta_min", "sigma_max", "feasible", "q_kind",
+        "alpha_max", "beta_min", "sigma_max", "feasible",
     ):
         assert key in doc
     assert doc["lambda_min_q"] == pytest.approx(1.0)
@@ -181,18 +181,3 @@ def test_compare_byte_identical_for_same_base_seed(tmp_path):
     assert main(args + ["--out", str(out2)]) == 0
     for name in ("summary.csv", "compare.json", "gamma_compare.svg", "error_compare.svg"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-
-def test_record_every_subsamples_but_keeps_endpoints(tmp_path):
-    config = json.loads(bundled_path("quadratic_demo").read_text())
-    config["engine"]["record_every"] = 3
-    path = tmp_path / "sub.json"
-    path.write_text(json.dumps(config))
-    out = tmp_path / "out"
-    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
-    _, rows = read_csv(out / "trajectory.csv")
-    times = [float(r[0]) for r in rows]
-    assert times[0] == 0.0
-    assert times[-1] == pytest.approx(5.0)
-    # 200 steps sampled every 3rd, plus the final row
-    assert len(rows) == 68

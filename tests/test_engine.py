@@ -358,10 +358,6 @@ class TestEngineConfig:
             EngineConfig(alpha=0.1, beta=1.0, horizon=1.0, dt=2.0, seed=0, law=LawKind.CONTINUOUS)
         with pytest.raises(ValueError):
             EngineConfig(alpha=0.1, beta=1.0, horizon=1.0, seed=-1, law=LawKind.CONTINUOUS)
-        with pytest.raises(ValueError):
-            EngineConfig(
-                alpha=0.1, beta=1.0, horizon=1.0, seed=0, law=LawKind.CONTINUOUS, record_every=0
-            )
 
     def test_step_count_avoids_float_drift(self):
         from neseek import EngineConfig
