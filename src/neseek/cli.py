@@ -105,9 +105,9 @@ def _interval_row(player: int, law: str, count_mean: float, stats) -> dict:
 
 def cmd_simulate(args) -> int:
     scenario = _load(args)
+    result = harness.single_run(scenario, seed=args.seed, dt=args.dt)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = harness.single_run(scenario, seed=args.seed, dt=args.dt)
 
     outputs.write_trajectory_csv(out_dir / "trajectory.csv", result)
     outputs.write_events_csv(out_dir / "events.csv", result)
@@ -170,10 +170,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     scenario = _load(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         laws = [LawKind(name.strip()) for name in args.laws.split(",") if name.strip()]
+        if not laws or len(set(laws)) < len(laws):
+            raise ValueError(f"--laws must name one or more laws, none twice: {args.laws!r}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -181,6 +181,8 @@ def cmd_compare(args) -> int:
     base_seed = scenario.engine.seed if args.seed is None else args.seed
 
     ensembles = harness.compare_laws(scenario, laws, runs, base_seed, dt=args.dt)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
     for law in laws:

@@ -8,17 +8,20 @@ player's local estimate row; (3) estimate rows relax toward the broadcast
 field (neighbor estimates plus each neighbor's broadcast action); (4) a
 forward Euler update advances the state, and the own-estimate diagonal is
 pinned back to the actions.
+
+The state may carry a leading seed axis: R seeded runs of one scenario then
+advance together, as (R, n) actions and (R, n, n) estimates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from . import metrics as metrics_mod
-from . import oracle
 from .errors import InfeasibleStart, NumericalDivergence
 from .games import GameDefinition, gradient_at_estimates
 from .graphs import DirectedGraph
@@ -61,7 +64,10 @@ class EngineState:
 
     The estimate matrix keeps row i as player i's view of everyone; its
     diagonal always equals the actions. Broadcast copies hold the most
-    recently transmitted values.
+    recently transmitted values; ``disagreement`` is ``din * y_hat - W @
+    y_hat``, which both the triggering function and the estimate dynamics
+    read. All but ``delta``, which depends only on time, may share a leading
+    seed axis.
     """
 
     t: float
@@ -71,6 +77,7 @@ class EngineState:
     x_hat: np.ndarray
     y_hat: np.ndarray
     delta: np.ndarray
+    disagreement: np.ndarray
 
 
 @dataclass
@@ -133,15 +140,9 @@ def init(
         raise ValueError("trigger parameters and graph disagree on player count")
     check_start(game, x0, InfeasibleStart)
     y0[np.arange(n), np.arange(n)] = x0
-    return EngineState(
-        t=0.0,
-        step_index=0,
-        x=x0,
-        y=y0,
-        x_hat=x0.copy(),
-        y_hat=y0.copy(),
-        delta=np.array(trigger_params.delta0, dtype=float),
-    )
+    delta = np.array(trigger_params.delta0, dtype=float)
+    disagreement = graph.in_degrees[:, None] * y0 - graph.weights @ y0
+    return EngineState(0.0, 0, x0, y0, x0.copy(), y0.copy(), delta, disagreement)
 
 
 def step(
@@ -155,9 +156,9 @@ def step(
     """Advance one grid step, given each player's uniform draw ``u``.
 
     Returns the new state, the boolean fire mask and the triggering-function
-    values of this step's evaluations. Trigger decisions are made before
-    derivatives are computed, so the broadcast values entering the estimate
-    dynamics are the latest ones.
+    values of this step's evaluations, both shaped like ``state.x``. Trigger
+    decisions are made before derivatives are computed, so the broadcast
+    values entering the estimate dynamics are the latest ones.
     """
     n = graph.n
     weights = graph.weights
@@ -168,29 +169,27 @@ def step(
     e_x = state.x_hat - x
     e_y = state.y_hat - y
     action_err_sq = e_x * e_x
-    estimate_err_sq = (e_y * e_y).sum(axis=1)
-    disagreement = din[:, None] * state.y_hat - weights @ state.y_hat
-    disagreement_sq = (disagreement * disagreement).sum(axis=1)
+    estimate_err_sq = (e_y * e_y).sum(axis=-1)
+    disagreement_sq = (state.disagreement * state.disagreement).sum(axis=-1)
 
     rho = triggering_function(action_err_sq, estimate_err_sq, disagreement_sq, trigger_params.sigma)
     fired = decide(
         config.law, trigger_params, rho, action_err_sq + estimate_err_sq, state.delta, u
     )
     x_hat = np.where(fired, x, state.x_hat)
-    y_hat = np.where(fired[:, None], y, state.y_hat)
+    y_hat = np.where(fired[..., None], y, state.y_hat)
 
     lo, hi = game.bounds
     grad = gradient_at_estimates(game, y)
     xdot = np.clip(x - config.alpha * grad, lo, hi) - x
-    ydot = -config.beta * (
-        din[:, None] * y_hat - weights @ y_hat + weights * (y_hat - x_hat[None, :])
-    )
+    disagreement = din[:, None] * y_hat - weights @ y_hat
+    ydot = -config.beta * (disagreement + weights * (y_hat - x_hat[..., None, :]))
 
     k_new = state.step_index + 1
     t_new = k_new * config.dt
     x_new = x + config.dt * xdot
     y_new = y + config.dt * ydot
-    y_new[np.arange(n), np.arange(n)] = x_new
+    y_new[..., np.arange(n), np.arange(n)] = x_new
 
     # y_new carries x_new on its diagonal, so it bounds the whole state; a
     # NaN fails the comparison as well
@@ -201,19 +200,8 @@ def step(
         )
 
     delta_new = trigger_params.delta0 * np.exp(-trigger_params.eta * t_new)
-    return (
-        EngineState(
-            t=t_new,
-            step_index=k_new,
-            x=x_new,
-            y=y_new,
-            x_hat=x_hat,
-            y_hat=y_hat,
-            delta=delta_new,
-        ),
-        fired,
-        rho,
-    )
+    state = EngineState(t_new, k_new, x_new, y_new, x_hat, y_hat, delta_new, disagreement)
+    return state, fired, rho
 
 
 def run(
@@ -223,64 +211,58 @@ def run(
     config: EngineConfig,
     x0: np.ndarray,
     y0: np.ndarray,
-    x_star: np.ndarray | None = None,
+    x_star: np.ndarray,
+    seeds: Sequence[int],
     rate_window: tuple[float, float] = (0.0, 10.0),
-) -> RunResult:
-    """Integrate over the horizon; reproducible bit-for-bit for a fixed seed.
+) -> list[RunResult]:
+    """Integrate one run per seed over the horizon, all seeds in one batch.
 
-    ``x_star`` defaults to the centralized solver's equilibrium and anchors
-    the error series. Each player draws from its own generator, spawned from
-    the seed, so per-player streams are independent of one another. A stream
-    is drawn whole up front: ``random(steps)`` yields the same doubles as
-    ``steps`` scalar draws.
+    The seeds replace ``config.seed``; each run is reproducible bit-for-bit
+    and equals the run of its seed alone. ``x_star`` anchors the error
+    series. Each player draws from its own generator, spawned from the seed,
+    so per-player streams are independent of one another. A stream is drawn
+    whole up front: ``random(steps)`` yields the same doubles as ``steps``
+    scalar draws.
     """
-    if x_star is None:
-        x_star = oracle.solve_ne(game).x_star
     x_star = np.asarray(x_star, dtype=float)
-
-    n = graph.n
-    steps = config.steps
-    uniforms = np.column_stack(
+    n, steps, runs = graph.n, config.steps, len(seeds)
+    # uniforms[k, r, i]: player i's k-th draw under seeds[r]
+    uniforms = np.array(
         [
-            np.random.Generator(np.random.PCG64(ss)).random(steps)
-            for ss in np.random.SeedSequence(int(config.seed)).spawn(n)
+            [
+                np.random.Generator(np.random.PCG64(ss)).random(steps)
+                for ss in np.random.SeedSequence(int(seed)).spawn(n)
+            ]
+            for seed in seeds
         ]
-    )
+    ).transpose(2, 0, 1).copy()
 
-    state = init(game, graph, trigger_params, config, x0, y0)
+    one = init(game, graph, trigger_params, config, x0, y0)
+    seeded = ("x", "y", "x_hat", "y_hat", "disagreement")
+    state = replace(one, **{k: np.stack([getattr(one, k)] * runs) for k in seeded})
     times = np.arange(steps + 1) * config.dt
-    actions = np.empty((steps + 1, n))
-    err_inf = np.empty(steps + 1)
-    trig = np.zeros((steps + 1, n), dtype=np.int8)
-    rho = np.empty((steps, n))
-
+    actions = np.empty((steps + 1, runs, n))
+    trig = np.zeros((steps + 1, runs, n), dtype=np.int8)
+    rho = np.empty((steps, runs, n))
     actions[0] = state.x
-    err_inf[0] = np.abs(state.x - x_star).max()
     for k in range(steps):
         state, trig[k + 1], rho[k] = step(
             state, game, graph, trigger_params, config, uniforms[k]
         )
         actions[k + 1] = state.x
-        err_inf[k + 1] = np.abs(state.x - x_star).max()
+    err_inf = np.abs(actions - x_star).max(axis=-1)
 
     if config.law is LawKind.STOCHASTIC:
         xi = xi_from_uniform(trigger_params, uniforms)
     else:
-        xi = np.full((steps, n), math.nan)
-    return RunResult(
-        times=times,
-        actions=actions,
-        err_inf=err_inf,
-        trig=trig,
-        rho=rho,
-        xi=xi,
-        metrics=metrics_mod.run_metrics(
-            fired=trig[1:],
-            times=times,
-            err_series=err_inf,
-            dt=config.dt,
-            horizon=config.horizon,
-            window=rate_window,
-        ),
-        x_star=x_star,
-    )
+        xi = np.full(rho.shape, math.nan)
+    return [
+        RunResult(
+            times, actions[:, r], err_inf[:, r], trig[:, r], rho[:, r], xi[:, r],
+            metrics=metrics_mod.run_metrics(
+                trig[1:, r], times, err_inf[:, r], config.dt, config.horizon, rate_window
+            ),
+            x_star=x_star,
+        )
+        for r in range(runs)
+    ]

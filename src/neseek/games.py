@@ -194,17 +194,20 @@ def partial_gradient(game: GameDefinition, i: int, y_i: np.ndarray) -> float:
 
 
 def gradient_at_estimates(game: GameDefinition, y: np.ndarray) -> np.ndarray:
-    """Stack of own-action partial gradients, player i evaluated at row i of y."""
+    """Stack of own-action partial gradients, player i evaluated at row i of y.
+
+    ``y`` may carry leading axes (one estimate matrix per seed).
+    """
     y = np.asarray(y, dtype=float)
-    own = np.diagonal(y)
+    own = np.diagonal(y, axis1=-2, axis2=-1)
     if isinstance(game, SpectrumGame):
-        totals = y.sum(axis=1)
+        totals = y.sum(axis=-1)
         if game.tau > 1 and (totals < 0).any():
             raise DomainError("negative total demand with fractional pricing exponent")
         price = game.m_c + game.q * totals ** game.tau
         marginal = own * game.q * game.tau * totals ** (game.tau - 1.0)
         return price + marginal - game.r * game.efficiencies
-    return game.diag_a * own + (game.cross * y).sum(axis=1) + game.offset
+    return game.diag_a * own + (game.cross * y).sum(axis=-1) + game.offset
 
 
 def pseudo_gradient(game: GameDefinition, x: np.ndarray) -> np.ndarray:

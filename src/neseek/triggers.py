@@ -119,7 +119,7 @@ def trigger_probability(params: TriggerParams, i: int, rho_val: float, delta: fl
 def _log(v: np.ndarray) -> np.ndarray:
     # math.log per entry: np.log can differ from it in the last ulp, which
     # would move borderline decisions off the scalar oracle
-    return np.fromiter(map(math.log, v), float, len(v))
+    return np.fromiter(map(math.log, v.ravel()), float, v.size).reshape(v.shape)
 
 
 def decide(
@@ -130,7 +130,8 @@ def decide(
     decay: np.ndarray,
     u: np.ndarray,
 ) -> np.ndarray:
-    """Fire mask over players, one entry per element of the length-n inputs.
+    """Fire mask shaped like ``rho``: one entry per player, with an optional
+    leading seed axis shared by ``energy`` and ``u``.
 
     ``rho`` is the triggering function and ``energy`` the raw event-error
     energy (action plus estimate term) of each evaluation. CONTINUOUS always
@@ -142,7 +143,7 @@ def decide(
     threshold comparison, whose quiet branch is its exact negation.
     """
     if law is LawKind.CONTINUOUS:
-        return np.ones(len(decay), dtype=bool)
+        return np.ones(np.shape(rho), dtype=bool)
     scale = decay / params.c
     ln_kappa = math.log(params.kappa)
     if law is LawKind.STATIC:

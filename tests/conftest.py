@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from neseek import DirectedGraph, load_scenario
 from neseek.data import bundled_path
@@ -59,4 +60,20 @@ def random_strongly_connected(rng, n):
         i, j = rng.integers(0, n, size=2)
         if i != j:
             w[i, j] = rng.uniform(0.5, 2.0)
+    return DirectedGraph(w)
+
+
+@st.composite
+def strongly_connected_graphs(draw):
+    """Weighted digraphs on 2..8 nodes with a spanning cycle plus extra links."""
+    n = draw(st.integers(2, 8))
+    weight = st.floats(0.5, 2.0)
+    order = draw(st.permutations(range(n)))
+    w = np.zeros((n, n))
+    for a, b in zip(order, order[1:] + order[:1]):
+        w[a, b] = draw(weight)
+    links = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight)
+    for i, j, v in draw(st.lists(links, max_size=n * (n - 1))):
+        if i != j:
+            w[i, j] = v
     return DirectedGraph(w)

@@ -168,6 +168,38 @@ def test_unknown_law_rejected(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("laws", ["stochastic,static,stochastic", ","])
+def test_duplicate_or_missing_law_rejected(tmp_path, capsys, laws):
+    out = tmp_path / "x"
+    code = main(["compare", "--config", QUAD, "--laws", laws, "--runs", "1", "--out", str(out)])
+    assert code == 2
+    assert "none twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--runs", "0"],
+        ["simulate", "--seed", "-1"],
+        ["compare", "--seed", "-1"],
+        ["simulate", "--dt", "0"],
+        ["compare", "--dt", "0"],
+        # the base seed fits in 64 bits, the second run's seed does not
+        ["compare", "--seed", "18446744073709551615", "--runs", "2"],
+    ],
+    ids=["runs-0", "simulate-seed-neg", "compare-seed-neg", "simulate-dt-0",
+         "compare-dt-0", "seed-range-overflows"],
+)
+def test_bad_override_is_one_error_line(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--config", QUAD, "--out", str(out)]) == 1
+    err = [line for line in capsys.readouterr().err.splitlines()
+           if not line.startswith("warning:")]
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
 def test_missing_config_fails_cleanly(capsys):
     assert main(["solve-ne", "--config", "/nonexistent/nope.json"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neseek import (
     ActionInterval,
@@ -10,16 +12,19 @@ from neseek import (
     LawKind,
     QuadraticGame,
     DirectedGraph,
+    Scenario,
     TriggerParams,
     init,
     run,
+    run_ensemble,
     single_run,
     solve_ne,
     step,
 )
+from neseek import harness
 from neseek.errors import InfeasibleStart, NumericalDivergence
 
-from conftest import with_engine
+from conftest import strongly_connected_graphs, with_engine
 
 PUBLISHED_X0 = np.array([14.0, 12.0, 10.0, 4.0, 2.0])
 PUBLISHED_Y0 = np.array(
@@ -202,7 +207,7 @@ class TestRun:
     def test_equilibrium_is_invariant(self, spectrum_scenario):
         s = spectrum_scenario
         x_star = solve_ne(s.game).x_star
-        result = run(
+        (result,) = run(
             s.game,
             s.graph,
             s.trigger,
@@ -210,6 +215,7 @@ class TestRun:
             x0=x_star,
             y0=np.tile(x_star, (5, 1)),
             x_star=x_star,
+            seeds=[s.engine.seed],
         )
         assert result.err_inf.max() <= 1e-6
 
@@ -344,6 +350,89 @@ class TestRun:
         result = single_run(s, seed=0)
         assert np.array_equal(result.x_star, [0.0, 0.0])
         assert result.err_inf[0] == np.abs(s.x0).max()
+
+
+@st.composite
+def batch_cases(draw):
+    """A quadratic game on a random strongly connected digraph, one law and
+    1..5 distinct seeds; 40 steps of 0.025 s."""
+    g = draw(strongly_connected_graphs())
+    n = g.n
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cross = rng.uniform(-0.5, 0.5, (n, n))
+    np.fill_diagonal(cross, 0.0)
+    game = QuadraticGame(
+        diag_a=rng.uniform(1.0, 3.0, n),
+        cross=cross,
+        offset=rng.uniform(-2.0, 2.0, n),
+        intervals=(ActionInterval(-3.0, 3.0),) * n,
+    )
+    trig = TriggerParams(
+        kappa=1.075,
+        a_floor=0.05,
+        eta=float(rng.uniform(0.5, 3.0)),
+        c=rng.uniform(0.5, 2.0, n),
+        sigma=rng.uniform(0.01, 0.3, n),
+        delta0=rng.uniform(0.05, 1.0, n),
+    )
+    law = draw(st.sampled_from(list(LawKind)))
+    cfg = EngineConfig(alpha=0.1, beta=0.5, dt=0.025, horizon=1.0, seed=0, law=law)
+    seeds = draw(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=5, unique=True))
+    scenario = Scenario(
+        graph=g,
+        game=game,
+        trigger=trig,
+        engine=cfg,
+        x0=rng.uniform(-3.0, 3.0, n),
+        y0=rng.uniform(-3.0, 3.0, (n, n)),
+    )
+    return scenario, seeds
+
+
+BATCH_COLUMNS = ("trig", "rho", "xi", "actions", "err_inf")
+
+
+class TestBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(batch_cases())
+    def test_batch_equals_separate_runs(self, case):
+        s, seeds = case
+        x_star = np.zeros(s.n)
+        args = (s.game, s.graph, s.trigger, s.engine, s.x0, s.y0, x_star)
+        batch = run(*args, seeds=seeds)
+        for seed, got in zip(seeds, batch):
+            (alone,) = run(*args, seeds=[seed])
+            for column in BATCH_COLUMNS:
+                a, b = getattr(got, column), getattr(alone, column)
+                assert a.dtype == b.dtype and a.shape == b.shape, column
+                assert np.array_equal(a, b, equal_nan=True), column
+        if s.law is not LawKind.STOCHASTIC:
+            # a deterministic ensemble replicates one run; each member must
+            # still equal the separate run of its own seed
+            base = min(seeds[0], 2 ** 64 - len(seeds))
+            _, members = run_ensemble(s, s.law, len(seeds), base, x_star=x_star)
+            for k, m in enumerate(members):
+                alone = single_run(s, seed=base + k, x_star=x_star)
+                assert np.array_equal(m.err_series, alone.err_inf)
+                assert np.array_equal(m.gamma_series, alone.gamma)
+                assert np.array_equal(m.trigger_counts, alone.metrics.trigger_counts)
+
+    @pytest.mark.parametrize("law", [LawKind.CONTINUOUS, LawKind.STATIC, LawKind.DYNAMIC])
+    def test_deterministic_ensemble_integrates_one_seed(
+        self, quadratic_scenario, monkeypatch, law
+    ):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(list(kwargs["seeds"]))
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run", spy)
+        ens, members = run_ensemble(quadratic_scenario, law, 7, base_seed=3)
+        assert calls == [[3]]
+        assert ens.runs == len(members) == 7
+        run_ensemble(quadratic_scenario, LawKind.STOCHASTIC, 4, base_seed=3)
+        assert calls[-1] == [3, 4, 5, 6]
 
 
 class TestEngineConfig:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from neseek import (
     DirectedGraph,
@@ -15,7 +14,7 @@ from neseek import (
 from neseek.errors import NotStronglyConnected
 from neseek.graphs import solve_lyapunov_pd
 
-from conftest import dense_p, random_strongly_connected
+from conftest import dense_p, random_strongly_connected, strongly_connected_graphs
 
 TWO_CYCLE = DirectedGraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
 EDGELESS = DirectedGraph(np.zeros((3, 3)))
@@ -176,22 +175,6 @@ def test_lyapunov_property_random_strongly_connected_graphs():
         assert np.linalg.eigvalsh(p).min() > 0
         assert pair.residual <= 1e-8
         assert np.linalg.norm(m.T @ p + p @ m - np.eye(g.n ** 2), 2) <= 1e-8
-
-
-@st.composite
-def strongly_connected_graphs(draw):
-    """Weighted digraphs on 2..8 nodes with a spanning cycle plus extra links."""
-    n = draw(st.integers(2, 8))
-    weight = st.floats(0.5, 2.0)
-    order = draw(st.permutations(range(n)))
-    w = np.zeros((n, n))
-    for a, b in zip(order, order[1:] + order[:1]):
-        w[a, b] = draw(weight)
-    links = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight)
-    for i, j, v in draw(st.lists(links, max_size=n * (n - 1))):
-        if i != j:
-            w[i, j] = v
-    return DirectedGraph(w)
 
 
 @settings(max_examples=100, deadline=None)

@@ -205,6 +205,22 @@ class TestDecide:
         for law in LawKind:
             assert np.array_equal(decide(law, p, **args, u=u), decide(law, p, **args, u=u))
 
+    def test_seed_axis_matches_row_by_row(self):
+        # (R, n) margins, energies and draws against one (n,) decay, as in a
+        # seed-batched step
+        rng = np.random.default_rng(5)
+        p = params(n=20)
+        rows = [law_inputs(random_cases(rng, 20), p) for _ in range(4)]
+        decay = rows[0]["decay"]
+        rho = np.stack([r["rho"] for r in rows])
+        energy = np.stack([r["energy"] for r in rows])
+        u = rng.random((4, 20))
+        for law in LawKind:
+            batch = decide(law, p, rho, energy, decay, u)
+            assert batch.shape == (4, 20)
+            for k in range(4):
+                assert np.array_equal(batch[k], decide(law, p, rho[k], energy[k], decay, u[k]))
+
 
 def test_xi_mapping_support():
     p = params(a_floor=0.05)
