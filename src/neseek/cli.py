@@ -73,6 +73,8 @@ def cmd_solve_ne(args) -> int:
             "x_star": solution.x_star,
             "residual": solution.residual,
             "iterations": solution.iterations,
+            "step": solution.step,
+            "exact": solution.exact,
         }
     )
     return 0

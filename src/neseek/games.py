@@ -193,27 +193,42 @@ def partial_gradient(game: GameDefinition, i: int, y_i: np.ndarray) -> float:
     return float(game.diag_a[i] * y_i[i] + game.cross[i] @ y_i + game.offset[i])
 
 
+def _own_gradient(game: GameDefinition, own: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Own-action partial gradients, player i evaluated at its view of the profile.
+
+    ``rows`` is either one estimate row per player (``own.shape + (n,)``) or
+    one common profile of shape (n,) that every player sees; a common
+    profile is summed once, not once per player.
+    """
+    if isinstance(game, SpectrumGame):
+        totals = rows.sum(axis=-1)
+        if rows.ndim == own.ndim:
+            totals = np.full(own.shape, totals)
+        if game.tau > 1 and (totals < 0).any():
+            raise DomainError("negative total demand with fractional pricing exponent")
+        price = game.m_c + game.q * totals ** game.tau
+        marginal = own * game.q * game.tau * totals ** (game.tau - 1.0)
+        return price + marginal - game.r * game.efficiencies
+    return game.diag_a * own + (game.cross * rows).sum(axis=-1) + game.offset
+
+
 def gradient_at_estimates(game: GameDefinition, y: np.ndarray) -> np.ndarray:
     """Stack of own-action partial gradients, player i evaluated at row i of y.
 
     ``y`` may carry leading axes (one estimate matrix per seed).
     """
     y = np.asarray(y, dtype=float)
-    own = np.diagonal(y, axis1=-2, axis2=-1)
-    if isinstance(game, SpectrumGame):
-        totals = y.sum(axis=-1)
-        if game.tau > 1 and (totals < 0).any():
-            raise DomainError("negative total demand with fractional pricing exponent")
-        price = game.m_c + game.q * totals ** game.tau
-        marginal = own * game.q * game.tau * totals ** (game.tau - 1.0)
-        return price + marginal - game.r * game.efficiencies
-    return game.diag_a * own + (game.cross * y).sum(axis=-1) + game.offset
+    return _own_gradient(game, np.diagonal(y, axis1=-2, axis2=-1), y)
 
 
 def pseudo_gradient(game: GameDefinition, x: np.ndarray) -> np.ndarray:
-    """Stacked own-action gradients at a common profile x."""
+    """Stacked own-action gradients at a common profile x.
+
+    Equal, bit for bit, to ``gradient_at_estimates`` at n copies of x; the
+    spectrum game costs O(n) and builds no (n, n) array.
+    """
     x = np.asarray(x, dtype=float)
-    return gradient_at_estimates(game, np.tile(x, (len(x), 1)))
+    return _own_gradient(game, x, x)
 
 
 def _linear_jacobian(game: GameDefinition) -> np.ndarray | None:

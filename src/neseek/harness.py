@@ -4,14 +4,17 @@ Comparison policy: each law is a drop-in replacement for the broadcast
 decision, but the dynamic comparison law runs with its disagreement weight
 capped at the admissible bound (its own analysis requires a compliant
 weight), while the randomized law keeps the scenario's weights. Ensemble
-members use seeds base_seed, base_seed + 1, ..., integrated together in one
-batch and returned in seed order. Only the randomized law reads the random
-draw, so any other law's ensemble integrates one run and repeats it.
+members use seeds base_seed, base_seed + 1, ..., integrated in batches of
+up to ENSEMBLE_CHUNK seeds and returned in seed order. Only the randomized
+law reads the random draw, so any other law's ensemble integrates one run
+and repeats it.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from operator import attrgetter
+from typing import Any, Callable
 
 import numpy as np
 
@@ -24,6 +27,9 @@ from .scenario import Scenario
 from .triggers import LawKind, TriggerParams
 
 COMPARISON_LAWS = (LawKind.STATIC, LawKind.DYNAMIC, LawKind.STOCHASTIC)
+
+# Seeds integrated in one batch; bounds an ensemble's peak memory.
+ENSEMBLE_CHUNK = 256
 
 
 def resolve_equilibrium(scenario: Scenario) -> np.ndarray:
@@ -48,12 +54,17 @@ def _law_runs(
     runs: int,
     dt: float | None,
     x_star: np.ndarray | None,
-) -> list[RunResult]:
-    """Runs at seeds base_seed..base_seed+runs-1 under one law, in one batch.
+    keep: Callable[[RunResult], Any] = lambda result: result,
+) -> list:
+    """Runs at seeds base_seed..base_seed+runs-1 under one law, each passed
+    through ``keep``.
 
     Every seed and the dt override are checked here, so a bad override
     raises ValidationError. Only the stochastic law reads the random draw:
-    any other law integrates the first seed and repeats that run.
+    any other law integrates the first seed and repeats that run. Seeds are
+    integrated ENSEMBLE_CHUNK at a time and only ``keep`` of each run
+    outlives its chunk, so memory does not grow with the batch arrays of
+    the whole ensemble.
     """
     try:
         seeds = range(int(base_seed), int(base_seed) + int(runs))
@@ -68,11 +79,16 @@ def _law_runs(
     if x_star is None:
         x_star = resolve_equilibrium(scenario)
     stochastic = law is LawKind.STOCHASTIC
-    results = run(
-        scenario.game, scenario.graph, law_trigger_params(scenario, law), config,
-        scenario.x0, scenario.y0, x_star, seeds=seeds if stochastic else seeds[:1],
-    )
-    return results if stochastic else results * len(seeds)
+    integrated = seeds if stochastic else seeds[:1]
+    params = law_trigger_params(scenario, law)
+    kept = []
+    for start in range(0, len(integrated), ENSEMBLE_CHUNK):
+        # bind no name to the chunk's results, so they are freed before the next
+        kept += map(keep, run(
+            scenario.game, scenario.graph, params, config, scenario.x0, scenario.y0,
+            x_star, seeds=integrated[start:start + ENSEMBLE_CHUNK],
+        ))
+    return kept if stochastic else kept * len(seeds)
 
 
 def single_run(
@@ -100,7 +116,7 @@ def run_ensemble(
 
     Under a deterministic law every member is the same ``RunMetrics`` object.
     """
-    members = [r.metrics for r in _law_runs(scenario, law, base_seed, runs, dt, x_star)]
+    members = _law_runs(scenario, law, base_seed, runs, dt, x_star, keep=attrgetter("metrics"))
     return metrics_mod.aggregate(members), members
 
 

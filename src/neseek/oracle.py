@@ -17,9 +17,18 @@ from .games import GameDefinition, estimate_constants, pseudo_gradient
 
 @dataclass(frozen=True)
 class NeSolution:
+    """The fixed point, its residual and iteration count, and the step used.
+
+    ``exact`` is True when the step came from analytic game constants, and
+    False when it came from sampled constants (nonlinear pricing), which
+    guarantee nothing, or from the caller.
+    """
+
     x_star: np.ndarray
     residual: float
     iterations: int
+    step: float
+    exact: bool
 
 
 def verify_ne(game: GameDefinition, x: np.ndarray, step: float) -> float:
@@ -45,9 +54,11 @@ def solve_ne(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    exact = False
     if step is None:
         c = estimate_constants(game)
         step = 0.9 * 2.0 * c.mu / c.lbar ** 2
+        exact = c.exact
     if step <= 0:
         raise ValueError("step must be positive")
 
@@ -58,7 +69,9 @@ def solve_ne(
         nxt = np.clip(x - step * pseudo_gradient(game, x), lo, hi)
         residual = float(np.abs(x - nxt).max())
         if residual <= tol:
-            return NeSolution(x_star=x, residual=residual, iterations=it)
+            return NeSolution(
+                x_star=x, residual=residual, iterations=it, step=float(step), exact=exact
+            )
         x = nxt
     raise NoConvergence(
         f"no fixed point within {max_iter} iterations (residual {residual:.3e})",

@@ -245,27 +245,19 @@ def test_09_rate_certificate_identities(spectrum_scenario):
 
 
 def test_10_bounded_events_under_grid_refinement(spectrum_scenario, equilibrium):
-    seeds = range(6)
-    coarse = np.mean(
-        [
-            single_run(spectrum_scenario, seed=s, x_star=equilibrium).metrics.trigger_counts
-            for s in seeds
-        ],
-        axis=0,
+    law = spectrum_scenario.law
+    coarse_ensemble, coarse_members = run_ensemble(
+        spectrum_scenario, law, 6, base_seed=0, x_star=equilibrium
     )
-    fine = np.mean(
-        [
-            single_run(
-                spectrum_scenario, seed=s, dt=0.0125, x_star=equilibrium
-            ).metrics.trigger_counts
-            for s in seeds
-        ],
-        axis=0,
+    fine_ensemble, _ = run_ensemble(
+        spectrum_scenario, law, 6, base_seed=0, x_star=equilibrium, dt=0.0125
     )
+    coarse = coarse_ensemble.mean_counts
+    fine = fine_ensemble.mean_counts
     ratio = fine / coarse
     gaps_ok = all(
         gaps.min() >= spectrum_scenario.engine.dt
-        for gaps in single_run(spectrum_scenario, seed=0, x_star=equilibrium).metrics.intervals
+        for gaps in coarse_members[0].intervals
         if gaps.size
     )
     check(

@@ -23,12 +23,28 @@ def test_solve_ne_spectrum(capsys):
     assert np.abs(np.array(doc["x_star"]) - [2.000, 3.987, 6.011, 8.018, 9.990]).max() < 1e-2
     assert doc["residual"] <= 1e-8
     assert doc["iterations"] >= 1
+    # linear pricing: the step comes from analytic constants
+    assert doc["exact"] is True
+    assert doc["step"] > 0
 
 
 def test_solve_ne_quadratic_closed_form(capsys):
     assert main(["solve-ne", "--config", QUAD]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert np.allclose(doc["x_star"], [1.0, 2.0], atol=1e-6)
+    assert doc["exact"] is True
+
+
+def test_solve_ne_superlinear_pricing_step_is_sampled(tmp_path, capsys):
+    config = json.loads(bundled_path("spectrum_paper").read_text())
+    config["game"]["tau"] = 1.5
+    path = tmp_path / "tau.json"
+    path.write_text(json.dumps(config))
+    assert main(["solve-ne", "--config", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["exact"] is False
+    assert doc["step"] > 0
+    assert doc["residual"] <= 1e-8
 
 
 def test_bounds_reports_full_certificate(capsys):

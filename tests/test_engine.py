@@ -329,14 +329,11 @@ class TestRun:
 
     def test_trigger_counts_bounded_as_dt_halves(self, spectrum_scenario):
         short = with_engine(spectrum_scenario, horizon=10.0)
-        seeds = range(4)
-        coarse = np.mean(
-            [single_run(short, seed=s).metrics.trigger_counts for s in seeds], axis=0
-        )
-        fine = np.mean(
-            [single_run(short, seed=s, dt=0.0125).metrics.trigger_counts for s in seeds],
-            axis=0,
-        )
+        x_star = solve_ne(short.game).x_star
+        coarse = run_ensemble(short, short.law, 4, base_seed=0, x_star=x_star)[0].mean_counts
+        fine = run_ensemble(
+            short, short.law, 4, base_seed=0, x_star=x_star, dt=0.0125
+        )[0].mean_counts
         assert (fine <= 1.5 * coarse).all()
 
     def test_inter_event_gaps_at_least_dt(self, spectrum_scenario):
@@ -392,6 +389,18 @@ def batch_cases(draw):
 BATCH_COLUMNS = ("trig", "rho", "xi", "actions", "err_inf")
 
 
+def spy_on_run(monkeypatch):
+    """The seed lists of every ``run`` call the harness makes from now on."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(list(kwargs["seeds"]))
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run", spy)
+    return calls
+
+
 class TestBatch:
     @settings(max_examples=60, deadline=None)
     @given(batch_cases())
@@ -421,18 +430,26 @@ class TestBatch:
     def test_deterministic_ensemble_integrates_one_seed(
         self, quadratic_scenario, monkeypatch, law
     ):
-        calls = []
-
-        def spy(*args, **kwargs):
-            calls.append(list(kwargs["seeds"]))
-            return run(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "run", spy)
+        calls = spy_on_run(monkeypatch)
         ens, members = run_ensemble(quadratic_scenario, law, 7, base_seed=3)
         assert calls == [[3]]
         assert ens.runs == len(members) == 7
         run_ensemble(quadratic_scenario, LawKind.STOCHASTIC, 4, base_seed=3)
         assert calls[-1] == [3, 4, 5, 6]
+
+    def test_stochastic_ensemble_integrates_in_chunks(self, quadratic_scenario, monkeypatch):
+        whole, whole_members = run_ensemble(quadratic_scenario, LawKind.STOCHASTIC, 7, base_seed=3)
+        calls = spy_on_run(monkeypatch)
+        monkeypatch.setattr(harness, "ENSEMBLE_CHUNK", 3)
+        chunked, members = run_ensemble(quadratic_scenario, LawKind.STOCHASTIC, 7, base_seed=3)
+        assert calls == [[3, 4, 5], [6, 7, 8], [9]]
+        assert len(members) == 7
+        for a, b in zip(members, whole_members):
+            assert np.array_equal(a.err_series, b.err_series)
+            assert np.array_equal(a.trigger_counts, b.trigger_counts)
+        for field in ("mean_gamma_series", "mean_err_series", "mean_counts"):
+            assert getattr(chunked, field).tobytes() == getattr(whole, field).tobytes()
+        assert chunked.interval_stats == whole.interval_stats
 
 
 class TestEngineConfig:

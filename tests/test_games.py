@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neseek import (
     ActionInterval,
@@ -192,6 +194,45 @@ class TestPseudoGradient:
         y = rng.uniform(0, 16, size=(5, 5))
         per_row = [partial_gradient(game, i, y[i]) for i in range(5)]
         assert np.allclose(gradient_at_estimates(game, y), per_row, atol=1e-12)
+
+
+@st.composite
+def common_profile_cases(draw):
+    """A spectrum game (linear or fractional pricing) or a quadratic game on
+    1..300 players, and a profile whose entries span nine decades, so the
+    order in which a sum is taken shows in its last bits."""
+    n = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["linear", "fractional", "quadratic"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** rng.uniform(-6.0, 3.0, n)
+    box = (ActionInterval(0.0, 16.0),) * n
+    if kind == "quadratic":
+        cross = rng.standard_normal((n, n))
+        np.fill_diagonal(cross, 0.0)
+        game = QuadraticGame(
+            diag_a=rng.uniform(0.5, 3.0, n), cross=cross, offset=rng.standard_normal(n),
+            intervals=box,
+        )
+        return game, rng.standard_normal(n) * scale
+    tau = 1.0 if kind == "linear" else draw(st.floats(1.0, 3.0, exclude_min=True))
+    game = SpectrumGame(
+        m_c=rng.uniform(5.7, 15.0, n), q=rng.uniform(1.1, 1.5, n), r=rng.uniform(0.0, 20.0, n),
+        s_db=rng.uniform(12.0, 18.0, n), ber_target=rng.uniform(1e-5, 1e-2, n),
+        intervals=box, tau=tau,
+    )
+    # fractional powers need a nonnegative total
+    x = rng.random(n) if kind == "fractional" else rng.standard_normal(n)
+    return game, x * scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(common_profile_cases())
+def test_pseudo_gradient_equals_tiled_estimates(case):
+    game, x = case
+    tiled = gradient_at_estimates(game, np.tile(x, (len(x), 1)))
+    got = pseudo_gradient(game, x)
+    assert got.dtype == tiled.dtype and got.shape == tiled.shape
+    assert got.tobytes() == tiled.tobytes()
 
 
 class TestProjection:

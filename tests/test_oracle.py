@@ -1,10 +1,19 @@
 import time
+from itertools import count
 
 import numpy as np
 import pytest
 
-from neseek import ActionInterval, QuadraticGame, solve_ne, verify_ne
+from neseek import (
+    ActionInterval,
+    QuadraticGame,
+    SpectrumGame,
+    estimate_constants,
+    solve_ne,
+    verify_ne,
+)
 from neseek.errors import NoConvergence
+from neseek.games import gradient_at_estimates
 
 from test_games import decoupled_quadratic, published_game
 
@@ -78,3 +87,49 @@ def test_no_convergence_reports_residual():
     with pytest.raises(NoConvergence) as err:
         solve_ne(published_game(), tol=1e-15, max_iter=3)
     assert err.value.residual > 0
+
+
+def test_step_and_its_origin_reported():
+    game = published_game()
+    c = estimate_constants(game)
+    sol = solve_ne(game)
+    assert sol.exact is True
+    assert sol.step == 0.9 * 2.0 * c.mu / c.lbar ** 2
+    # sampled constants (nonlinear pricing) and a caller's step carry no guarantee
+    assert solve_ne(published_game(tau=2.0)).exact is False
+    caller = solve_ne(game, step=0.05)
+    assert caller.exact is False and caller.step == 0.05
+
+
+def tiled_solve_ne(game, tol=1e-8):
+    """The projected fixed-point iteration with the pseudo-gradient taken as
+    every player's gradient at its own copy of the profile."""
+    c = estimate_constants(game)
+    step = 0.9 * 2.0 * c.mu / c.lbar ** 2
+    lo, hi = game.bounds
+    x = 0.5 * (lo + hi)
+    for it in count(1):
+        grad = gradient_at_estimates(game, np.tile(x, (len(x), 1)))
+        nxt = np.clip(x - step * grad, lo, hi)
+        residual = float(np.abs(x - nxt).max())
+        if residual <= tol:
+            return x, residual, it
+        x = nxt
+
+
+def test_solution_bits_equal_tiled_reference_at_n200():
+    n = 200
+    rng = np.random.default_rng(200)
+    game = SpectrumGame(
+        m_c=rng.uniform(5.7, 15.0, n),
+        q=rng.uniform(1.1, 1.5, n),
+        r=[20.0] * n,
+        s_db=rng.uniform(12.0, 18.0, n),
+        ber_target=[1e-4] * n,
+        intervals=(ActionInterval(0.0, 16.0),) * n,
+    )
+    sol = solve_ne(game)
+    x_star, residual, iterations = tiled_solve_ne(game)
+    assert sol.x_star.tobytes() == x_star.tobytes()
+    assert sol.residual == residual
+    assert sol.iterations == iterations
