@@ -2,7 +2,7 @@
 event-triggered communication."""
 
 from .bounds import BoundsReport, alpha_max, beta_min, compute_report, sigma_bound
-from .engine import EngineConfig, EngineState, RunResult, init, run, step
+from .engine import Batch, EngineConfig, EngineState, Member, RunResult, init, run, step
 from .games import (
     ActionInterval,
     GameConstants,
@@ -49,6 +49,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActionInterval",
+    "Batch",
     "BoundsReport",
     "DirectedGraph",
     "EngineConfig",
@@ -58,6 +59,7 @@ __all__ = [
     "GameDefinition",
     "LawKind",
     "LyapunovPair",
+    "Member",
     "NeSolution",
     "QuadraticGame",
     "RunMetrics",

@@ -9,8 +9,9 @@ field (neighbor estimates plus each neighbor's broadcast action); (4) a
 forward Euler update advances the state, and the own-estimate diagonal is
 pinned back to the actions.
 
-The state may carry a leading seed axis: R seeded runs of one scenario then
-advance together, as (R, n) actions and (R, n, n) estimates.
+The state may carry a leading member axis: R runs of one scenario then
+advance together, as (R, n) actions and (R, n, n) estimates. A member is one
+(law, seed) pair; members of a batch may differ in law, seed and ``sigma``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,14 @@ from . import metrics as metrics_mod
 from .errors import InfeasibleStart, NumericalDivergence
 from .games import GameDefinition, gradient_at_estimates
 from .graphs import DirectedGraph
-from .triggers import LawKind, TriggerParams, decide, triggering_function, xi_from_uniform
+from .triggers import (
+    LawKind,
+    TriggerParams,
+    decide,
+    threshold_term,
+    triggering_function,
+    xi_from_uniform,
+)
 
 # State magnitudes beyond this abort the run: the step sizes are unstable.
 DIVERGENCE_GUARD = 1e9
@@ -33,6 +41,12 @@ DIVERGENCE_GUARD = 1e9
 
 @dataclass(frozen=True)
 class EngineConfig:
+    """Step sizes, grid and the scenario's default law and seed.
+
+    ``run`` takes its laws and seeds from its members, not from ``law`` and
+    ``seed``.
+    """
+
     alpha: float
     beta: float
     horizon: float
@@ -56,6 +70,69 @@ class EngineConfig:
     @property
     def steps(self) -> int:
         return max(1, int(math.ceil(self.horizon / self.dt - 1e-9)))
+
+
+@dataclass(frozen=True)
+class Member:
+    """One run of a batch: its law, the trigger parameters it runs with and
+    its seed."""
+
+    law: LawKind
+    params: TriggerParams
+    seed: int
+
+
+@dataclass(frozen=True)
+class Batch:
+    """The per-member inputs of the trigger decision, for R members.
+
+    ``params`` holds the fields every member shares, all but ``sigma``;
+    ``sigma`` is (R, n). ``xi`` and ``term`` are (steps, R, n): the random
+    thresholds and their ``threshold_term``, with NaN thresholds under the
+    deterministic laws. ``static`` and ``continuous`` are (R, 1) law masks.
+    """
+
+    params: TriggerParams
+    sigma: np.ndarray
+    xi: np.ndarray
+    term: np.ndarray
+    static: np.ndarray
+    continuous: np.ndarray
+
+    @classmethod
+    def of(cls, members: Sequence[Member], steps: int) -> "Batch":
+        """Inputs for ``steps`` steps of the members, drawing their thresholds.
+
+        Each stochastic member's player i draws from its own generator, the
+        i-th child of ``SeedSequence(seed).spawn(n)``, so per-player streams
+        are independent of one another. A stream is drawn whole up front:
+        ``random(steps)`` yields the same doubles as ``steps`` scalar draws.
+        Raises ValueError unless the members share every trigger field but
+        ``sigma``.
+        """
+        if not members:
+            raise ValueError("a batch needs at least one member")
+        params = members[0].params
+        for name in ("kappa", "a_floor", "eta", "c", "delta0"):
+            if not all(np.array_equal(getattr(m.params, name), getattr(params, name))
+                       for m in members):
+                raise ValueError(f"members may differ only in law, seed and sigma, not {name}")
+        xi = np.full((steps, len(members), params.n), math.nan)
+        for r, m in enumerate(members):
+            if m.law is LawKind.STOCHASTIC:
+                streams = [
+                    np.random.Generator(np.random.PCG64(ss)).random(steps)
+                    for ss in np.random.SeedSequence(int(m.seed)).spawn(params.n)
+                ]
+                xi[:, r] = xi_from_uniform(params, np.array(streams).T)
+        return cls(
+            params,
+            np.stack([m.params.sigma for m in members]),
+            xi,
+            threshold_term(params, xi),
+            np.array([[m.law is LawKind.STATIC] for m in members]),
+            np.array([[m.law is LawKind.CONTINUOUS] for m in members]),
+        )
 
 
 @dataclass
@@ -149,16 +226,16 @@ def step(
     state: EngineState,
     game: GameDefinition,
     graph: DirectedGraph,
-    trigger_params: TriggerParams,
+    batch: Batch,
     config: EngineConfig,
-    u: np.ndarray,
 ) -> tuple[EngineState, np.ndarray, np.ndarray]:
-    """Advance one grid step, given each player's uniform draw ``u``.
+    """Advance one grid step under the batch's laws and thresholds.
 
     Returns the new state, the boolean fire mask and the triggering-function
-    values of this step's evaluations, both shaped like ``state.x``. Trigger
-    decisions are made before derivatives are computed, so the broadcast
-    values entering the estimate dynamics are the latest ones.
+    values of this step's evaluations, both shaped like ``state.x`` with the
+    batch's member axis. Trigger decisions are made before derivatives are
+    computed, so the broadcast values entering the estimate dynamics are the
+    latest ones.
     """
     n = graph.n
     weights = graph.weights
@@ -172,9 +249,11 @@ def step(
     estimate_err_sq = (e_y * e_y).sum(axis=-1)
     disagreement_sq = (state.disagreement * state.disagreement).sum(axis=-1)
 
-    rho = triggering_function(action_err_sq, estimate_err_sq, disagreement_sq, trigger_params.sigma)
+    params = batch.params
+    rho = triggering_function(action_err_sq, estimate_err_sq, disagreement_sq, batch.sigma)
     fired = decide(
-        config.law, trigger_params, rho, action_err_sq + estimate_err_sq, state.delta, u
+        params, rho, action_err_sq + estimate_err_sq, state.delta,
+        batch.term[state.step_index], batch.static, batch.continuous,
     )
     x_hat = np.where(fired, x, state.x_hat)
     y_hat = np.where(fired[..., None], y, state.y_hat)
@@ -199,7 +278,7 @@ def step(
             f"at t={t_new:.6g}; reduce alpha, beta, or dt"
         )
 
-    delta_new = trigger_params.delta0 * np.exp(-trigger_params.eta * t_new)
+    delta_new = params.delta0 * np.exp(-params.eta * t_new)
     state = EngineState(t_new, k_new, x_new, y_new, x_hat, y_hat, delta_new, disagreement)
     return state, fired, rho
 
@@ -207,37 +286,25 @@ def step(
 def run(
     game: GameDefinition,
     graph: DirectedGraph,
-    trigger_params: TriggerParams,
     config: EngineConfig,
     x0: np.ndarray,
     y0: np.ndarray,
     x_star: np.ndarray,
-    seeds: Sequence[int],
+    members: Sequence[Member],
     rate_window: tuple[float, float] = (0.0, 10.0),
 ) -> list[RunResult]:
-    """Integrate one run per seed over the horizon, all seeds in one batch.
+    """Integrate one run per member over the horizon, all members in one batch.
 
-    The seeds replace ``config.seed``; each run is reproducible bit-for-bit
-    and equals the run of its seed alone. ``x_star`` anchors the error
-    series. Each player draws from its own generator, spawned from the seed,
-    so per-player streams are independent of one another. A stream is drawn
-    whole up front: ``random(steps)`` yields the same doubles as ``steps``
-    scalar draws.
+    Each run is reproducible bit-for-bit and equals the run of its member
+    alone. ``x_star`` anchors the error series. Raises ValueError unless the
+    members share every trigger field but ``sigma``; NumericalDivergence
+    stops the whole batch at the first step where any member diverges.
     """
     x_star = np.asarray(x_star, dtype=float)
-    n, steps, runs = graph.n, config.steps, len(seeds)
-    # uniforms[k, r, i]: player i's k-th draw under seeds[r]
-    uniforms = np.array(
-        [
-            [
-                np.random.Generator(np.random.PCG64(ss)).random(steps)
-                for ss in np.random.SeedSequence(int(seed)).spawn(n)
-            ]
-            for seed in seeds
-        ]
-    ).transpose(2, 0, 1).copy()
+    n, steps, runs = graph.n, config.steps, len(members)
+    batch = Batch.of(members, steps)
 
-    one = init(game, graph, trigger_params, config, x0, y0)
+    one = init(game, graph, batch.params, config, x0, y0)
     seeded = ("x", "y", "x_hat", "y_hat", "disagreement")
     state = replace(one, **{k: np.stack([getattr(one, k)] * runs) for k in seeded})
     times = np.arange(steps + 1) * config.dt
@@ -246,19 +313,12 @@ def run(
     rho = np.empty((steps, runs, n))
     actions[0] = state.x
     for k in range(steps):
-        state, trig[k + 1], rho[k] = step(
-            state, game, graph, trigger_params, config, uniforms[k]
-        )
+        state, trig[k + 1], rho[k] = step(state, game, graph, batch, config)
         actions[k + 1] = state.x
     err_inf = np.abs(actions - x_star).max(axis=-1)
-
-    if config.law is LawKind.STOCHASTIC:
-        xi = xi_from_uniform(trigger_params, uniforms)
-    else:
-        xi = np.full(rho.shape, math.nan)
     return [
         RunResult(
-            times, actions[:, r], err_inf[:, r], trig[:, r], rho[:, r], xi[:, r],
+            times, actions[:, r], err_inf[:, r], trig[:, r], rho[:, r], batch.xi[:, r],
             metrics=metrics_mod.run_metrics(
                 trig[1:, r], times, err_inf[:, r], config.dt, config.horizon, rate_window
             ),

@@ -242,7 +242,6 @@ def _linear_jacobian(game: GameDefinition) -> np.ndarray | None:
 
 def estimate_constants(
     game: GameDefinition,
-    probe_box: tuple[ActionInterval, ...] | None = None,
     samples: int = 512,
     seed: int = 0,
 ) -> GameConstants:
@@ -250,7 +249,7 @@ def estimate_constants(
 
     Affine pseudo-gradients (quadratic game, linear pricing) are handled
     analytically. Otherwise the constants are sampled over random pairs in
-    ``probe_box`` (defaulting to the action box) and flagged as estimates.
+    the action box and flagged as estimates.
     """
     jac = _linear_jacobian(game)
     if jac is not None:
@@ -266,9 +265,7 @@ def estimate_constants(
 
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    box = game.intervals if probe_box is None else tuple(probe_box)
-    lo = np.array([iv.lo for iv in box])
-    hi = np.array([iv.hi for iv in box])
+    lo, hi = game.bounds
     rng = np.random.default_rng(seed)
     mu = math.inf
     l = np.zeros(game.n)

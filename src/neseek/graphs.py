@@ -14,6 +14,7 @@ certificate takes n solves of size n instead of one of size n*n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -53,9 +54,11 @@ class DirectedGraph:
     def n(self) -> int:
         return self.weights.shape[0]
 
-    @property
+    @cached_property
     def in_degrees(self) -> np.ndarray:
-        return self.weights.sum(axis=1)
+        din = self.weights.sum(axis=1)
+        din.flags.writeable = False
+        return din
 
 
 @dataclass(frozen=True)

@@ -122,34 +122,40 @@ def _log(v: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, v.ravel()), float, v.size).reshape(v.shape)
 
 
+def threshold_term(params: TriggerParams, xi: np.ndarray) -> np.ndarray:
+    """``ln(kappa) - ln(xi)`` per entry of the random thresholds ``xi``.
+
+    A NaN entry, which is what a deterministic law records for ``xi``,
+    stands for the threshold pinned at a_floor. Computed once for a whole
+    run, so ``decide`` reads it instead of taking a log every step.
+    """
+    ln_kappa = math.log(params.kappa)
+    term = np.full(np.shape(xi), ln_kappa - math.log(params.a_floor))
+    drawn = ~np.isnan(xi)
+    term[drawn] = ln_kappa - _log(xi[drawn])
+    return term
+
+
 def decide(
-    law: LawKind,
     params: TriggerParams,
     rho: np.ndarray,
     energy: np.ndarray,
     decay: np.ndarray,
-    u: np.ndarray,
+    term: np.ndarray,
+    static: np.ndarray | bool,
+    continuous: np.ndarray | bool,
 ) -> np.ndarray:
     """Fire mask shaped like ``rho``: one entry per player, with an optional
-    leading seed axis shared by ``energy`` and ``u``.
+    leading member axis shared by ``energy``, ``term`` and the law masks.
 
     ``rho`` is the triggering function and ``energy`` the raw event-error
-    energy (action plus estimate term) of each evaluation. CONTINUOUS always
-    fires. STATIC is a comparison law that fires once the raw energy exceeds
-    the decaying scale (no disagreement allowance). DYNAMIC is the
-    deterministic limit of the randomized law with the threshold pinned at
-    a_floor. STOCHASTIC fires when the uniform draw u falls below
-    ``trigger_probability``, evaluated through the equivalent log-domain
-    threshold comparison, whose quiet branch is its exact negation.
+    energy (action plus estimate term) of each evaluation; ``term`` is
+    ``threshold_term`` at this evaluation. Every law compares a margin with
+    ``(decay / c) * term``. STOCHASTIC fires when the uniform draw behind xi
+    falls below ``trigger_probability``, through this log-domain form,
+    whose quiet branch is its exact negation. DYNAMIC is its deterministic
+    limit, with the threshold pinned at a_floor. Where ``static`` holds, the
+    margin is the raw energy instead (no disagreement allowance); where
+    ``continuous`` holds, the law always fires.
     """
-    if law is LawKind.CONTINUOUS:
-        return np.ones(np.shape(rho), dtype=bool)
-    scale = decay / params.c
-    ln_kappa = math.log(params.kappa)
-    if law is LawKind.STATIC:
-        return energy > scale * (ln_kappa - math.log(params.a_floor))
-    if law is LawKind.DYNAMIC:
-        return rho > scale * (ln_kappa - math.log(params.a_floor))
-    if law is LawKind.STOCHASTIC:
-        return rho > scale * (ln_kappa - _log(xi_from_uniform(params, u)))
-    raise ValueError(f"unknown law {law!r}")
+    return (np.where(static, energy, rho) > (decay / params.c) * term) | continuous

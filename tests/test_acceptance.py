@@ -30,10 +30,9 @@ from neseek import (
     step,
 )
 from neseek.games import ActionInterval
-from neseek.triggers import decide
 
 from conftest import PUBLISHED_X_STAR, dense_p, random_strongly_connected
-from test_triggers import law_inputs, margin, random_cases
+from test_triggers import decide_law, law_inputs, margin, random_cases
 from test_triggers import params as trigger_params_factory
 
 ENSEMBLE_RUNS = 100
@@ -180,7 +179,7 @@ def test_06_pinned_threshold_equals_dynamic_law():
     total = 10_000
     p = trigger_params_factory(n=total)
     cases = random_cases(np.random.default_rng(2024), total)
-    fired = decide(LawKind.DYNAMIC, p, **law_inputs(cases, p), u=np.full(total, 0.5))
+    fired = decide_law(LawKind.DYNAMIC, p, **law_inputs(cases, p), u=np.full(total, 0.5))
     agree = 0
     for rho, decay, got in zip(margin(cases, p.sigma), cases["decay"], fired):
         z = float(p.c[0]) * float(rho) / float(decay)
@@ -274,7 +273,7 @@ def test_11_single_step_hand_oracle():
     game, graph, trig, cfg = test_engine.two_player_setup(horizon=0.025)
     state = init(game, graph, trig, cfg, np.array([1.0, 2.0]),
                  np.array([[1.0, 0.5], [1.5, 2.0]]))
-    new, _, _ = step(state, game, graph, trig, cfg, test_engine.draw(test_engine.make_rngs(0, 2)))
+    new, _, _ = step(state, game, graph, test_engine.one_member(cfg.law, trig, 0, cfg.steps), cfg)
     g0 = (2.0 * 1.0 + (0.0 * 1.0 + 1.0 * 0.5)) + -4.0
     g1 = (3.0 * 2.0 + (-1.0 * 1.5 + 0.0 * 2.0)) + 1.0
     expected_x = np.array(

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,6 +218,39 @@ def test_bad_override_is_one_error_line(tmp_path, capsys, argv):
            if not line.startswith("warning:")]
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
+
+
+def test_compare_divergence_is_one_error_line(tmp_path, capsys):
+    # the actions are projected onto their box, so it is a huge estimate
+    # step that blows the state up; every law's members diverge together
+    config = json.loads(bundled_path("spectrum_paper").read_text())
+    config["engine"]["beta"] = 1e6
+    path = tmp_path / "diverging.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    argv = ["compare", "--config", str(path), "--runs", "2", "--out", str(out),
+            "--laws", "continuous,static,dynamic,stochastic"]
+    assert main(argv) == 1
+    err = [line for line in capsys.readouterr().err.splitlines()
+           if not line.startswith("warning:")]
+    assert err == ["error: state magnitude exceeded 1e+09 or became non-finite at t=0.05; "
+                   "reduce alpha, beta, or dt"]
+    assert not out.exists()
+
+
+def test_package_runs_as_a_module():
+    import neseek
+
+    src = str(Path(neseek.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+    done = subprocess.run(
+        [sys.executable, "-m", "neseek", "solve-ne", "--config", "quadratic_demo"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert np.allclose(json.loads(done.stdout)["x_star"], [1.0, 2.0], atol=1e-6)
 
 
 def test_missing_config_fails_cleanly(capsys):

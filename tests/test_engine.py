@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 
 from neseek import (
     ActionInterval,
+    Batch,
     EngineConfig,
     LawKind,
+    Member,
     QuadraticGame,
     DirectedGraph,
     Scenario,
     TriggerParams,
+    compare_laws,
     init,
     run,
     run_ensemble,
@@ -23,6 +26,7 @@ from neseek import (
 )
 from neseek import harness
 from neseek.errors import InfeasibleStart, NumericalDivergence
+from neseek.triggers import xi_from_uniform
 
 from conftest import strongly_connected_graphs, with_engine
 
@@ -66,8 +70,18 @@ def make_rngs(seed, n):
 
 
 def draw(rngs):
-    """One uniform per player, for one call of ``step``."""
+    """One uniform per player, as one step of a run consumes them."""
     return np.array([g.random() for g in rngs])
+
+
+def one_member(law, params, seed, steps):
+    """``step``'s inputs for one run on an unbatched state: a one-member
+    ``Batch`` with its member axis dropped."""
+    b = Batch.of([Member(law, params, seed)], steps)
+    return dataclasses.replace(
+        b, sigma=b.sigma[0], xi=b.xi[:, 0], term=b.term[:, 0],
+        static=b.static[0], continuous=b.continuous[0],
+    )
 
 
 class TestInit:
@@ -111,7 +125,7 @@ class TestStep:
         game, graph, trig, cfg = two_player_setup(horizon=0.025)
         state = init(game, graph, trig, cfg, np.array([1.0, 2.0]),
                      np.array([[1.0, 0.5], [1.5, 2.0]]))
-        new, fired, _ = step(state, game, graph, trig, cfg, draw(make_rngs(0, 2)))
+        new, fired, _ = step(state, game, graph, one_member(cfg.law, trig, 0, cfg.steps), cfg)
 
         # scalar forward-Euler computation, written out term by term
         g0 = (2.0 * 1.0 + (0.0 * 1.0 + 1.0 * 0.5)) + -4.0
@@ -137,7 +151,7 @@ class TestStep:
         game, graph, trig, cfg = two_player_setup(horizon=1.0)
         state = init(game, graph, trig, cfg, np.array([1.0, 2.0]),
                      np.array([[1.0, 0.5], [1.5, 2.0]]))
-        rngs = make_rngs(cfg.seed, 2)
+        batch = one_member(cfg.law, trig, cfg.seed, cfg.steps)
 
         # oracle: integrate the always-broadcast dynamics without any hats
         a = graph.weights
@@ -162,16 +176,16 @@ class TestStep:
             y = y + cfg.dt * ydot
             y[np.arange(2), np.arange(2)] = x
 
-            state, _, _ = step(state, game, graph, trig, cfg, draw(rngs))
+            state, _, _ = step(state, game, graph, batch, cfg)
         assert np.allclose(state.x, x, atol=1e-12)
         assert np.allclose(state.y, y, atol=1e-12)
 
     def test_diagonal_identity_and_decay_every_step(self, quadratic_scenario):
         s = quadratic_scenario
         state = init(s.game, s.graph, s.trigger, s.engine, s.x0, s.y0)
-        rngs = make_rngs(s.engine.seed, s.n)
+        batch = one_member(s.law, s.trigger, s.engine.seed, s.engine.steps)
         for _ in range(50):
-            state, _, _ = step(state, s.game, s.graph, s.trigger, s.engine, draw(rngs))
+            state, _, _ = step(state, s.game, s.graph, batch, s.engine)
             assert np.array_equal(np.diagonal(state.y), state.x)
             expected = s.trigger.delta0 * np.exp(-s.trigger.eta * state.t)
             assert np.allclose(state.delta, expected, rtol=1e-12)
@@ -179,13 +193,13 @@ class TestStep:
     def test_broadcast_constant_between_triggers(self, quadratic_scenario):
         s = quadratic_scenario
         state = init(s.game, s.graph, s.trigger, s.engine, s.x0, s.y0)
-        rngs = make_rngs(3, s.n)
+        batch = one_member(s.law, s.trigger, 3, s.engine.steps)
         for _ in range(120):
             prev_xhat = state.x_hat.copy()
             prev_yhat = state.y_hat.copy()
             prev_x = state.x.copy()
             prev_y = state.y.copy()
-            state, fired, _ = step(state, s.game, s.graph, s.trigger, s.engine, draw(rngs))
+            state, fired, _ = step(state, s.game, s.graph, batch, s.engine)
             for i in range(s.n):
                 if fired[i]:
                     assert state.x_hat[i] == prev_x[i]
@@ -198,9 +212,10 @@ class TestStep:
         game, graph, trig, cfg = two_player_setup(beta=1e12, horizon=0.1)
         state = init(game, graph, trig, cfg, np.array([1.0, 2.0]),
                      np.array([[1.0, 0.5], [1.5, 2.0]]))
+        batch = one_member(cfg.law, trig, 0, cfg.steps)
         with pytest.raises(NumericalDivergence):
             for _ in range(cfg.steps):
-                state, _, _ = step(state, game, graph, trig, cfg, draw(make_rngs(0, 2)))
+                state, _, _ = step(state, game, graph, batch, cfg)
 
 
 class TestRun:
@@ -210,12 +225,11 @@ class TestRun:
         (result,) = run(
             s.game,
             s.graph,
-            s.trigger,
             s.engine,
             x0=x_star,
             y0=np.tile(x_star, (5, 1)),
             x_star=x_star,
-            seeds=[s.engine.seed],
+            members=[Member(s.law, s.trigger, s.engine.seed)],
         )
         assert result.err_inf.max() <= 1e-6
 
@@ -271,7 +285,7 @@ class TestRun:
         # recompute the squared error terms from the previous state by hand
         s = quadratic_scenario
         state = init(s.game, s.graph, s.trigger, s.engine, s.x0, s.y0)
-        rngs = make_rngs(s.engine.seed, s.n)
+        batch = one_member(s.law, s.trigger, s.engine.seed, s.engine.steps)
         for _ in range(60):
             prev = dataclasses.replace(
                 state,
@@ -280,7 +294,7 @@ class TestRun:
                 x_hat=state.x_hat.copy(),
                 y_hat=state.y_hat.copy(),
             )
-            state, _, rho = step(state, s.game, s.graph, s.trigger, s.engine, draw(rngs))
+            state, _, rho = step(state, s.game, s.graph, batch, s.engine)
             a = s.graph.weights
             for i in range(s.n):
                 e_x = prev.x_hat[i] - prev.x[i]
@@ -386,19 +400,55 @@ def batch_cases(draw):
     return scenario, seeds
 
 
+@st.composite
+def mixed_batch_cases(draw):
+    """A batch case with 1..8 members, each with a law drawn from all four,
+    any seed, and the scenario's sigma or that sigma capped at 0.05 or 0.15."""
+    s, _ = draw(batch_cases())
+    members = []
+    for law, seed, cap in draw(st.lists(
+        st.tuples(
+            st.sampled_from(list(LawKind)),
+            st.integers(0, 2 ** 64 - 1),
+            st.sampled_from([None, 0.05, 0.15]),
+        ),
+        min_size=1, max_size=8,
+    )):
+        params = s.trigger if cap is None else dataclasses.replace(
+            s.trigger, sigma=np.minimum(s.trigger.sigma, cap)
+        )
+        members.append(Member(law, params, seed))
+    return s, members
+
+
 BATCH_COLUMNS = ("trig", "rho", "xi", "actions", "err_inf")
 
 
+def assert_same_columns(got, alone):
+    for column in BATCH_COLUMNS:
+        a, b = getattr(got, column), getattr(alone, column)
+        assert a.dtype == b.dtype and a.shape == b.shape, column
+        assert np.array_equal(a, b, equal_nan=True), column
+
+
 def spy_on_run(monkeypatch):
-    """The seed lists of every ``run`` call the harness makes from now on."""
+    """The (law, seed) of each member of every ``run`` call the harness makes
+    from now on, one list per call."""
     calls = []
 
     def spy(*args, **kwargs):
-        calls.append(list(kwargs["seeds"]))
+        calls.append([(m.law, m.seed) for m in kwargs["members"]])
         return run(*args, **kwargs)
 
     monkeypatch.setattr(harness, "run", spy)
     return calls
+
+
+def stochastic(*seeds):
+    return [(LawKind.STOCHASTIC, seed) for seed in seeds]
+
+
+ENSEMBLE_FIELDS = ("mean_gamma_series", "mean_err_series", "mean_counts")
 
 
 class TestBatch:
@@ -407,14 +457,11 @@ class TestBatch:
     def test_batch_equals_separate_runs(self, case):
         s, seeds = case
         x_star = np.zeros(s.n)
-        args = (s.game, s.graph, s.trigger, s.engine, s.x0, s.y0, x_star)
-        batch = run(*args, seeds=seeds)
+        args = (s.game, s.graph, s.engine, s.x0, s.y0, x_star)
+        batch = run(*args, members=[Member(s.law, s.trigger, seed) for seed in seeds])
         for seed, got in zip(seeds, batch):
-            (alone,) = run(*args, seeds=[seed])
-            for column in BATCH_COLUMNS:
-                a, b = getattr(got, column), getattr(alone, column)
-                assert a.dtype == b.dtype and a.shape == b.shape, column
-                assert np.array_equal(a, b, equal_nan=True), column
+            (alone,) = run(*args, members=[Member(s.law, s.trigger, seed)])
+            assert_same_columns(got, alone)
         if s.law is not LawKind.STOCHASTIC:
             # a deterministic ensemble replicates one run; each member must
             # still equal the separate run of its own seed
@@ -426,30 +473,82 @@ class TestBatch:
                 assert np.array_equal(m.gamma_series, alone.gamma)
                 assert np.array_equal(m.trigger_counts, alone.metrics.trigger_counts)
 
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_batch_cases())
+    def test_mixed_law_batch_equals_separate_runs(self, case):
+        s, members = case
+        args = (s.game, s.graph, s.engine, s.x0, s.y0, np.zeros(s.n))
+        for member, got in zip(members, run(*args, members=members)):
+            (alone,) = run(*args, members=[member])
+            assert_same_columns(got, alone)
+
+    @pytest.mark.parametrize(
+        "field, factor", [("kappa", 2.0), ("a_floor", 0.5), ("eta", 2.0), ("c", 2.0),
+                          ("delta0", 2.0)],
+    )
+    def test_members_must_share_all_but_sigma(self, quadratic_scenario, field, factor):
+        s = quadratic_scenario
+        other = dataclasses.replace(s.trigger, **{field: getattr(s.trigger, field) * factor})
+        members = [Member(LawKind.STOCHASTIC, s.trigger, 0), Member(LawKind.STATIC, other, 0)]
+        with pytest.raises(ValueError, match=f"not {field}$"):
+            run(s.game, s.graph, s.engine, s.x0, s.y0, np.zeros(s.n), members=members)
+
+    def test_thresholds_follow_per_player_streams(self, quadratic_scenario):
+        s = quadratic_scenario
+        members = [Member(LawKind.STATIC, s.trigger, 9), Member(LawKind.STOCHASTIC, s.trigger, 9)]
+        batch = Batch.of(members, 30)
+        rngs = make_rngs(9, s.n)
+        for k in range(30):
+            assert np.array_equal(batch.xi[k, 1], xi_from_uniform(s.trigger, draw(rngs)))
+        assert np.isnan(batch.xi[:, 0]).all()
+
     @pytest.mark.parametrize("law", [LawKind.CONTINUOUS, LawKind.STATIC, LawKind.DYNAMIC])
     def test_deterministic_ensemble_integrates_one_seed(
         self, quadratic_scenario, monkeypatch, law
     ):
         calls = spy_on_run(monkeypatch)
         ens, members = run_ensemble(quadratic_scenario, law, 7, base_seed=3)
-        assert calls == [[3]]
+        assert calls == [[(law, 3)]]
         assert ens.runs == len(members) == 7
         run_ensemble(quadratic_scenario, LawKind.STOCHASTIC, 4, base_seed=3)
-        assert calls[-1] == [3, 4, 5, 6]
+        assert calls[-1] == stochastic(3, 4, 5, 6)
+
+    def test_compare_integrates_every_law_in_one_call(self, spectrum_scenario, monkeypatch):
+        calls = spy_on_run(monkeypatch)
+        laws = [LawKind.STATIC, LawKind.DYNAMIC, LawKind.STOCHASTIC]
+        compare_laws(spectrum_scenario, laws, runs=2, base_seed=5)
+        assert calls == [[(LawKind.STATIC, 5), (LawKind.DYNAMIC, 5), *stochastic(5, 6)]]
 
     def test_stochastic_ensemble_integrates_in_chunks(self, quadratic_scenario, monkeypatch):
         whole, whole_members = run_ensemble(quadratic_scenario, LawKind.STOCHASTIC, 7, base_seed=3)
         calls = spy_on_run(monkeypatch)
         monkeypatch.setattr(harness, "ENSEMBLE_CHUNK", 3)
         chunked, members = run_ensemble(quadratic_scenario, LawKind.STOCHASTIC, 7, base_seed=3)
-        assert calls == [[3, 4, 5], [6, 7, 8], [9]]
+        assert calls == [stochastic(3, 4, 5), stochastic(6, 7, 8), stochastic(9)]
         assert len(members) == 7
         for a, b in zip(members, whole_members):
             assert np.array_equal(a.err_series, b.err_series)
             assert np.array_equal(a.trigger_counts, b.trigger_counts)
-        for field in ("mean_gamma_series", "mean_err_series", "mean_counts"):
+        for field in ENSEMBLE_FIELDS:
             assert getattr(chunked, field).tobytes() == getattr(whole, field).tobytes()
         assert chunked.interval_stats == whole.interval_stats
+
+    def test_mixed_law_compare_integrates_in_chunks(self, quadratic_scenario, monkeypatch):
+        # 1 + 1 + 1 deterministic members and 4 stochastic ones: chunks 3, 3, 1
+        s, laws = quadratic_scenario, list(LawKind)
+        whole = compare_laws(s, laws, 4, base_seed=3)
+        calls = spy_on_run(monkeypatch)
+        monkeypatch.setattr(harness, "ENSEMBLE_CHUNK", 3)
+        chunked = compare_laws(s, laws, 4, base_seed=3)
+        assert [len(call) for call in calls] == [3, 3, 1]
+        monkeypatch.undo()
+        for law in laws:
+            alone, _ = run_ensemble(s, law, 4, base_seed=3)
+            for ens in (chunked[law], alone):
+                assert ens.runs == whole[law].runs == 4
+                for field in ENSEMBLE_FIELDS:
+                    assert getattr(ens, field).tobytes() == getattr(whole[law], field).tobytes()
+                assert ens.interval_stats == whole[law].interval_stats
 
 
 class TestEngineConfig:

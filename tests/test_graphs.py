@@ -31,6 +31,14 @@ def test_graph_validation():
         DirectedGraph(np.zeros((2, 3)))
 
 
+def test_in_degrees_computed_once_and_read_only(spectrum_scenario):
+    g = spectrum_scenario.graph
+    assert g.in_degrees is g.in_degrees
+    assert np.array_equal(g.in_degrees, g.weights.sum(axis=1))
+    with pytest.raises(ValueError):
+        g.in_degrees[0] = 0.0
+
+
 def test_laplacian_two_cycle():
     assert np.array_equal(laplacian(TWO_CYCLE), np.array([[1.0, -1.0], [-1.0, 1.0]]))
 

@@ -11,7 +11,7 @@ from neseek import (
     trigger_probability,
     triggering_function,
 )
-from neseek.triggers import xi_from_uniform
+from neseek.triggers import threshold_term, xi_from_uniform
 
 
 def params(n=2, kappa=1.075, a_floor=0.05, eta=10.0, c=1.0, sigma=0.2, delta0=1.0):
@@ -67,6 +67,14 @@ def law_inputs(c, p):
         "energy": c["action_err_sq"] + c["estimate_err_sq"],
         "decay": c["decay"],
     }
+
+
+def decide_law(law, p, rho, energy, decay, u):
+    """``decide`` for evaluations that all follow ``law``, given the uniform
+    draw ``u`` of each; deterministic laws record NaN thresholds."""
+    xi = xi_from_uniform(p, u) if law is LawKind.STOCHASTIC else np.full(np.shape(u), math.nan)
+    return decide(p, rho, energy, decay, threshold_term(p, xi),
+                  law is LawKind.STATIC, law is LawKind.CONTINUOUS)
 
 
 def test_params_validation():
@@ -136,7 +144,7 @@ class TestDecide:
     def test_continuous_always_fires(self):
         p = params(n=50)
         c = random_cases(np.random.default_rng(0), 50)
-        assert decide(LawKind.CONTINUOUS, p, **law_inputs(c, p), u=np.full(50, 0.5)).all()
+        assert decide_law(LawKind.CONTINUOUS, p, **law_inputs(c, p), u=np.full(50, 0.5)).all()
 
     def test_stochastic_never_fires_on_nonpositive_margin(self):
         u = np.linspace(0.0, 1.0, 101)[:-1]
@@ -144,7 +152,7 @@ class TestDecide:
         quiet = cases(e_x=[0.1] * len(u), e_y=[0.3] * len(u), cons=[10.0] * len(u),
                       decay=[1e-7] * len(u))  # margin negative
         assert (margin(quiet, 0.5) < 0).all()
-        assert not decide(LawKind.STOCHASTIC, p, **law_inputs(quiet, p), u=u).any()
+        assert not decide_law(LawKind.STOCHASTIC, p, **law_inputs(quiet, p), u=u).any()
 
     def test_stochastic_matches_uniform_probability(self):
         # 200 random cases, each against 20 uniform draws, in one call
@@ -156,7 +164,7 @@ class TestDecide:
             [trigger_probability(p, 0, float(r), float(d)) for r, d in zip(rho, c["decay"])]
         )
         u = rng.random(len(prob))
-        assert np.array_equal(decide(LawKind.STOCHASTIC, p, **law_inputs(c, p), u=u), u < prob)
+        assert np.array_equal(decide_law(LawKind.STOCHASTIC, p, **law_inputs(c, p), u=u), u < prob)
 
     def test_stochastic_stays_quiet_exactly_at_the_threshold(self):
         # margin set to the threshold computed with math.log, the scalar
@@ -167,14 +175,14 @@ class TestDecide:
         ln_kappa = math.log(p.kappa)
         at = [ln_kappa - math.log(xi_from_uniform(p, float(v))) for v in u]
         c = cases(e_x=at, e_y=np.zeros(count), cons=np.zeros(count), decay=np.ones(count))
-        assert not decide(LawKind.STOCHASTIC, p, **law_inputs(c, p), u=u).any()
+        assert not decide_law(LawKind.STOCHASTIC, p, **law_inputs(c, p), u=u).any()
 
     def test_dynamic_equals_pinned_threshold_stochastic(self):
         # oracle in the multiplicative form: fire iff a_floor > kappa*exp(-c*rho/decay)
         count = 10_000
         p = params(n=count)
         c = random_cases(np.random.default_rng(2), count)
-        got = decide(LawKind.DYNAMIC, p, **law_inputs(c, p), u=np.full(count, 0.123))
+        got = decide_law(LawKind.DYNAMIC, p, **law_inputs(c, p), u=np.full(count, 0.123))
         pinned = []
         for rho, decay in zip(margin(c, p.sigma), c["decay"]):
             z = float(p.c[0]) * float(rho) / float(decay)
@@ -193,7 +201,7 @@ class TestDecide:
         # disagreement plays no role in the static comparison law
         c = cases(e_x=[0.5 * scale, 1.5 * scale, 1.5 * scale], e_y=[0.0] * 3,
                   cons=[100.0, 100.0, 0.0], decay=[1.0] * 3)
-        fired = decide(LawKind.STATIC, p, **law_inputs(c, p), u=np.full(3, 0.5))
+        fired = decide_law(LawKind.STATIC, p, **law_inputs(c, p), u=np.full(3, 0.5))
         assert fired.tolist() == [False, True, True]
 
     def test_decide_is_pure(self):
@@ -203,7 +211,7 @@ class TestDecide:
         u = rng.random(50)
         args = law_inputs(c, p)
         for law in LawKind:
-            assert np.array_equal(decide(law, p, **args, u=u), decide(law, p, **args, u=u))
+            assert np.array_equal(decide_law(law, p, **args, u=u), decide_law(law, p, **args, u=u))
 
     def test_seed_axis_matches_row_by_row(self):
         # (R, n) margins, energies and draws against one (n,) decay, as in a
@@ -216,10 +224,10 @@ class TestDecide:
         energy = np.stack([r["energy"] for r in rows])
         u = rng.random((4, 20))
         for law in LawKind:
-            batch = decide(law, p, rho, energy, decay, u)
+            batch = decide_law(law, p, rho, energy, decay, u)
             assert batch.shape == (4, 20)
             for k in range(4):
-                assert np.array_equal(batch[k], decide(law, p, rho[k], energy[k], decay, u[k]))
+                assert np.array_equal(batch[k], decide_law(law, p, rho[k], energy[k], decay, u[k]))
 
 
 def test_xi_mapping_support():
