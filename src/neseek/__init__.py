@@ -9,10 +9,7 @@ from .games import (
     GameDefinition,
     QuadraticGame,
     SpectrumGame,
-    cost,
     estimate_constants,
-    partial_gradient,
-    project,
     pseudo_gradient,
     spectral_efficiency,
 )
@@ -20,16 +17,14 @@ from .graphs import (
     DirectedGraph,
     LyapunovPair,
     coupling_blocks,
-    coupling_matrix,
     is_strongly_connected,
     laplacian,
     lyapunov_pair,
 )
-from .harness import compare_laws, law_trigger_params, run_ensemble, single_run
+from .harness import compare_laws, law_trigger_params, single_run
 from .metrics import (
+    Ensemble,
     EnsembleMetrics,
-    RunMetrics,
-    aggregate,
     gamma_series,
     interval_stats,
     rate_fit,
@@ -39,9 +34,7 @@ from .scenario import Scenario, load_scenario
 from .triggers import (
     LawKind,
     TriggerParams,
-    decay_at,
     decide,
-    trigger_probability,
     triggering_function,
 )
 
@@ -54,6 +47,7 @@ __all__ = [
     "DirectedGraph",
     "EngineConfig",
     "EngineState",
+    "Ensemble",
     "EnsembleMetrics",
     "GameConstants",
     "GameDefinition",
@@ -62,20 +56,15 @@ __all__ = [
     "Member",
     "NeSolution",
     "QuadraticGame",
-    "RunMetrics",
     "RunResult",
     "Scenario",
     "SpectrumGame",
     "TriggerParams",
-    "aggregate",
     "alpha_max",
     "beta_min",
     "compare_laws",
     "compute_report",
-    "cost",
     "coupling_blocks",
-    "coupling_matrix",
-    "decay_at",
     "decide",
     "estimate_constants",
     "gamma_series",
@@ -86,18 +75,14 @@ __all__ = [
     "law_trigger_params",
     "load_scenario",
     "lyapunov_pair",
-    "partial_gradient",
-    "project",
     "pseudo_gradient",
     "rate_fit",
     "run",
-    "run_ensemble",
     "sigma_bound",
     "single_run",
     "solve_ne",
     "spectral_efficiency",
     "step",
-    "trigger_probability",
     "triggering_function",
     "verify_ne",
 ]

@@ -114,21 +114,20 @@ def cmd_simulate(args) -> int:
     outputs.write_trajectory_csv(out_dir / "trajectory.csv", result)
     outputs.write_events_csv(out_dir / "events.csv", result)
 
-    m = result.metrics
     seed = scenario.engine.seed if args.seed is None else args.seed
     metrics_doc = {
         "law": scenario.law.value,
         "seed": int(seed),
-        "dt": m.dt,
-        "horizon": m.horizon,
+        "dt": result.dt,
+        "horizon": scenario.engine.horizon,
         "x_star": result.x_star,
         "final_err_inf": result.err_inf[-1],
         "final_gamma": result.gamma[-1],
-        "rate_fit": m.rate_fit,
-        "trigger_counts": m.trigger_counts,
+        "rate_fit": result.rate_fit,
+        "trigger_counts": result.trigger_counts,
         "interval_stats": [
             _interval_row(i + 1, scenario.law.value, float(count), interval_stats(gaps))
-            for i, (count, gaps) in enumerate(zip(m.trigger_counts, m.intervals))
+            for i, (count, gaps) in enumerate(zip(result.trigger_counts, result.intervals))
         ],
     }
     (out_dir / "metrics.json").write_text(

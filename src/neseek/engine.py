@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from . import metrics as metrics_mod
-from .errors import InfeasibleStart, NumericalDivergence
+from . import metrics
+from .errors import DegenerateWindow, InfeasibleStart, NumericalDivergence
 from .games import GameDefinition, gradient_at_estimates
 from .graphs import DirectedGraph
 from .triggers import (
@@ -159,13 +160,14 @@ class EngineState:
 
 @dataclass
 class RunResult:
-    """One run on the grid t_k = k*dt, k = 0..steps.
+    """One run on the grid t_k = k*dt, k = 0..steps, with its statistics.
 
     ``trig`` is the (steps + 1, n) fire matrix, with an all-zero row 0 so its
     rows align with ``times``: ``trig[k + 1]`` holds the decisions made at
     t_k. ``rho`` and ``xi`` are the (steps, n) triggering-function values and
     random thresholds of those evaluations; ``xi`` is NaN under the
-    deterministic laws.
+    deterministic laws. The statistics are derived from ``trig`` and
+    ``err_inf`` on first use and then cached.
     """
 
     times: np.ndarray
@@ -174,12 +176,31 @@ class RunResult:
     trig: np.ndarray
     rho: np.ndarray
     xi: np.ndarray
-    metrics: "metrics_mod.RunMetrics"
     x_star: np.ndarray
+    dt: float
 
-    @property
+    @cached_property
     def gamma(self) -> np.ndarray:
-        return self.metrics.gamma_series
+        """Average communication rate at every grid instant."""
+        return metrics.gamma_series(self.trig[1:])
+
+    @cached_property
+    def trigger_counts(self) -> np.ndarray:
+        """Broadcasts per player over the run."""
+        return self.trig[1:].sum(axis=0)
+
+    @cached_property
+    def intervals(self) -> tuple[np.ndarray, ...]:
+        """Per player, the gaps (seconds) between consecutive broadcasts."""
+        return metrics.intervals(self.trig[1:], self.dt)
+
+    @cached_property
+    def rate_fit(self) -> float:
+        """Decay slope of ln(err_inf) over t in [0, 10]; NaN when undefined."""
+        try:
+            return metrics.rate_fit(self.times, self.err_inf)
+        except DegenerateWindow:
+            return math.nan
 
 
 def check_start(game: GameDefinition, x0: np.ndarray, error: type[Exception]) -> None:
@@ -291,7 +312,6 @@ def run(
     y0: np.ndarray,
     x_star: np.ndarray,
     members: Sequence[Member],
-    rate_window: tuple[float, float] = (0.0, 10.0),
 ) -> list[RunResult]:
     """Integrate one run per member over the horizon, all members in one batch.
 
@@ -319,10 +339,7 @@ def run(
     return [
         RunResult(
             times, actions[:, r], err_inf[:, r], trig[:, r], rho[:, r], batch.xi[:, r],
-            metrics=metrics_mod.run_metrics(
-                trig[1:, r], times, err_inf[:, r], config.dt, config.horizon, rate_window
-            ),
-            x_star=x_star,
+            x_star, config.dt,
         )
         for r in range(runs)
     ]

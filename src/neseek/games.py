@@ -160,39 +160,6 @@ def spectral_efficiency(s_db: float, ber_target: float) -> float:
     return math.log2(1.0 + 1.5 * s_lin / math.log(0.2 / ber_target))
 
 
-def project(interval: ActionInterval, v: float) -> float:
-    """Clamp v into the interval (idempotent, non-expansive)."""
-    return min(max(v, interval.lo), interval.hi)
-
-
-def _total_power(game: SpectrumGame, total: float, power: float) -> float:
-    if game.tau > 1 and total < 0:
-        raise DomainError("negative total demand with fractional pricing exponent")
-    return total ** power
-
-
-def cost(game: GameDefinition, i: int, x: np.ndarray) -> float:
-    """Cost of player i at the full action profile x."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(game, SpectrumGame):
-        price = game.m_c[i] + game.q[i] * _total_power(game, float(x.sum()), game.tau)
-        return float(x[i] * price - game.r[i] * game.efficiencies[i] * x[i])
-    others = float(game.cross[i] @ x)
-    return float(0.5 * game.diag_a[i] * x[i] ** 2 + x[i] * others + game.offset[i] * x[i])
-
-
-def partial_gradient(game: GameDefinition, i: int, y_i: np.ndarray) -> float:
-    """Derivative of player i's cost w.r.t. its own action, evaluated at the
-    profile estimate ``y_i`` (the i-th entry plays the role of the own action)."""
-    y_i = np.asarray(y_i, dtype=float)
-    if isinstance(game, SpectrumGame):
-        total = float(y_i.sum())
-        price = game.m_c[i] + game.q[i] * _total_power(game, total, game.tau)
-        marginal = y_i[i] * game.q[i] * game.tau * _total_power(game, total, game.tau - 1.0)
-        return float(price + marginal - game.r[i] * game.efficiencies[i])
-    return float(game.diag_a[i] * y_i[i] + game.cross[i] @ y_i + game.offset[i])
-
-
 def _own_gradient(game: GameDefinition, own: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Own-action partial gradients, player i evaluated at its view of the profile.
 

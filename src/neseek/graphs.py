@@ -81,16 +81,6 @@ def laplacian(g: DirectedGraph) -> np.ndarray:
     return np.diag(g.in_degrees) - g.weights
 
 
-def coupling_matrix(g: DirectedGraph) -> np.ndarray:
-    """Dense n^2 x n^2 matrix driving the stacked estimate errors:
-    ``kron(L, I_n)`` plus the adjacency entries, stacked row by row, on the diagonal.
-
-    Nonsingular with spectrum in the open right half-plane exactly when the
-    graph is strongly connected. Kept as the reference for ``coupling_blocks``.
-    """
-    return np.kron(laplacian(g), np.eye(g.n)) + np.diag(g.weights.ravel())
-
-
 def coupling_blocks(g: DirectedGraph) -> np.ndarray:
     """The (n, n, n) stack of diagonal blocks of the coupling matrix,
     ``blocks[j] = L + diag(W[:, j])``: its rows i*n + j for i = 0..n-1."""

@@ -9,34 +9,24 @@ that it is zero at t = 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DegenerateWindow, ShapeMismatch
 
+if TYPE_CHECKING:
+    from .engine import RunResult
 
-@dataclass(frozen=True)
-class RunMetrics:
-    n: int
-    dt: float
-    horizon: float
-    times: np.ndarray
-    gamma_series: np.ndarray
-    trigger_counts: np.ndarray
-    intervals: tuple[np.ndarray, ...]
-    err_series: np.ndarray
-    rate_fit: float
+# Gap arrays a player's pool holds before they are joined into one: thousands
+# of small arrays fragment the heap, and peak memory then grows with the runs.
+_POOL_LIMIT = 256
 
 
 @dataclass(frozen=True)
 class EnsembleMetrics:
     runs: int
-    n: int
-    dt: float
-    horizon: float
     times: np.ndarray
     mean_gamma_series: np.ndarray
     mean_err_series: np.ndarray
@@ -78,67 +68,56 @@ def rate_fit(times: np.ndarray, err_series: np.ndarray, window: tuple[float, flo
     return float(((t - tbar) * (z - z.mean())).sum() / denom)
 
 
-def run_metrics(
-    fired: np.ndarray,
-    times: np.ndarray,
-    err_series: np.ndarray,
-    dt: float,
-    horizon: float,
-    window: tuple[float, float] = (0.0, 10.0),
-) -> RunMetrics:
-    """Per-run statistics from the (steps, n) fire matrix; the rate fit
-    degrades to NaN when undefined.
+def intervals(fired: np.ndarray, dt: float) -> tuple[np.ndarray, ...]:
+    """Per player, the gaps (seconds) between consecutive events."""
+    return tuple(np.diff(np.flatnonzero(fired[:, i])) * dt for i in range(fired.shape[1]))
 
-    ``intervals[i]`` holds the gaps (seconds) between player i's consecutive
-    events.
+
+class Ensemble:
+    """Pointwise means over runs plus pooled per-player interval statistics,
+    folded one run at a time.
+
+    Series and counts are summed from zero in the order the runs are added
+    and divided once in ``metrics``, which reproduces
+    ``np.stack(...).mean(axis=0)`` bit for bit for series of two or more
+    points, as every run's are. Each player's gaps are pooled in the same
+    order and concatenated, because ``mean`` over them sums pairwise.
     """
-    fired = np.asarray(fired, dtype=bool)
-    n = fired.shape[1]
-    try:
-        fit = rate_fit(times, err_series, window)
-    except DegenerateWindow:
-        fit = math.nan
-    return RunMetrics(
-        n=n,
-        dt=dt,
-        horizon=horizon,
-        times=np.asarray(times, dtype=float),
-        gamma_series=gamma_series(fired),
-        trigger_counts=fired.sum(axis=0),
-        intervals=tuple(np.diff(np.flatnonzero(fired[:, i])) * dt for i in range(n)),
-        err_series=np.asarray(err_series, dtype=float),
-        rate_fit=fit,
-    )
 
+    def __init__(self):
+        self.runs = 0
+        self.times: np.ndarray | None = None
+        self._sums: list[np.ndarray] = []
+        self._gaps: list[list[np.ndarray]] = []
 
-def aggregate(members: Sequence[RunMetrics]) -> EnsembleMetrics:
-    """Pointwise means over runs plus pooled per-player interval statistics."""
-    if not members:
-        raise ShapeMismatch("cannot aggregate zero runs")
-    first = members[0]
-    for m in members[1:]:
-        if (
-            m.n != first.n
-            or m.dt != first.dt
-            or m.horizon != first.horizon
-            or len(m.gamma_series) != len(first.gamma_series)
-        ):
-            raise ShapeMismatch("runs disagree on player count, dt, or horizon")
-    gammas = np.stack([m.gamma_series for m in members])
-    errs = np.stack([m.err_series for m in members])
-    counts = np.stack([m.trigger_counts for m in members])
-    stats = [
-        interval_stats(np.concatenate([m.intervals[i] for m in members]))
-        for i in range(first.n)
-    ]
-    return EnsembleMetrics(
-        runs=len(members),
-        n=first.n,
-        dt=first.dt,
-        horizon=first.horizon,
-        times=first.times,
-        mean_gamma_series=gammas.mean(axis=0),
-        mean_err_series=errs.mean(axis=0),
-        mean_counts=counts.mean(axis=0),
-        interval_stats=tuple(stats),
-    )
+    def add(self, run: RunResult, copies: int = 1) -> None:
+        """Add ``run`` as ``copies`` consecutive members of the ensemble."""
+        series = (run.gamma, run.err_inf, run.trigger_counts)
+        if self.runs == 0:
+            self.times = run.times
+            self._sums = [np.zeros(len(s)) for s in series]
+            self._gaps = [[] for _ in run.trigger_counts]
+        elif len(run.gamma) != len(self._sums[0]) or len(run.trigger_counts) != len(self._gaps):
+            raise ShapeMismatch("runs disagree on series length or player count")
+        for _ in range(copies):
+            for total, s in zip(self._sums, series):
+                total += s
+        for pooled, gaps in zip(self._gaps, run.intervals):
+            pooled += [gaps] * copies
+            if len(pooled) >= _POOL_LIMIT:
+                pooled[:] = [np.concatenate(pooled)]
+        self.runs += copies
+
+    def metrics(self) -> EnsembleMetrics:
+        """The means over every run added so far."""
+        if self.runs == 0:
+            raise ShapeMismatch("cannot aggregate zero runs")
+        gamma, err, counts = (total / self.runs for total in self._sums)
+        return EnsembleMetrics(
+            runs=self.runs,
+            times=self.times,
+            mean_gamma_series=gamma,
+            mean_err_series=err,
+            mean_counts=counts,
+            interval_stats=tuple(interval_stats(np.concatenate(g)) for g in self._gaps),
+        )

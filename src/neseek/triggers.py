@@ -85,35 +85,14 @@ def triggering_function(action_err_sq, estimate_err_sq, disagreement_sq, sigma):
     return action_err_sq + estimate_err_sq - sigma * disagreement_sq
 
 
-def decay_at(params: TriggerParams, i: int, t: float) -> float:
-    """Closed-form value of the decaying scale at time t."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return float(params.delta0[i]) * math.exp(-params.eta * t)
-
-
 def xi_from_uniform(params: TriggerParams, u: float | np.ndarray) -> float | np.ndarray:
     """Map a uniform draw u in [0, 1) onto the threshold support (a_floor, 1].
 
-    Chosen so that ``fire(xi) == (u < trigger_probability)`` holds exactly.
+    Chosen so that ``fire(xi)`` equals ``u < p`` exactly, where p is the
+    randomized law's fire probability.
     Applies elementwise to an array of draws.
     """
     return 1.0 - u * (1.0 - params.a_floor)
-
-
-def trigger_probability(params: TriggerParams, i: int, rho_val: float, delta: float) -> float:
-    """Probability that the randomized law fires at the given margin and scale."""
-    ln_kappa = math.log(params.kappa)
-    if delta <= 0:
-        # fully decayed scale: the law degenerates to a sign test on rho
-        return 1.0 if rho_val > 0 else 0.0
-    z = float(params.c[i]) * rho_val / delta
-    if z <= ln_kappa:
-        return 0.0
-    if z >= ln_kappa - math.log(params.a_floor):
-        return 1.0
-    v = params.kappa * math.exp(-z)
-    return (1.0 - v) / (1.0 - params.a_floor)
 
 
 def _log(v: np.ndarray) -> np.ndarray:
@@ -152,7 +131,7 @@ def decide(
     energy (action plus estimate term) of each evaluation; ``term`` is
     ``threshold_term`` at this evaluation. Every law compares a margin with
     ``(decay / c) * term``. STOCHASTIC fires when the uniform draw behind xi
-    falls below ``trigger_probability``, through this log-domain form,
+    falls below the law's fire probability, through this log-domain form,
     whose quiet branch is its exact negation. DYNAMIC is its deterministic
     limit, with the threshold pinned at a_floor. Where ``static`` holds, the
     margin is the raw energy instead (no disagreement allowance); where

@@ -17,13 +17,13 @@ import pytest
 
 from neseek import (
     LawKind,
+    Member,
+    compare_laws,
     compute_report,
-    coupling_matrix,
     init,
     lyapunov_pair,
-    project,
     pseudo_gradient,
-    run_ensemble,
+    run,
     single_run,
     solve_ne,
     spectral_efficiency,
@@ -32,6 +32,7 @@ from neseek import (
 from neseek.games import ActionInterval
 
 from conftest import PUBLISHED_X_STAR, dense_p, random_strongly_connected
+from oracles import coupling_matrix, project
 from test_triggers import decide_law, law_inputs, margin, random_cases
 from test_triggers import params as trigger_params_factory
 
@@ -49,23 +50,21 @@ def equilibrium(spectrum_scenario):
 
 
 @pytest.fixture(scope="module")
-def stochastic_ensemble(spectrum_scenario, equilibrium):
+def stochastic_members(spectrum_scenario, equilibrium):
+    """The stochastic ensemble's runs, one per seed, and the time they took."""
+    s = spectrum_scenario
+    members = [Member(LawKind.STOCHASTIC, s.trigger, seed) for seed in range(ENSEMBLE_RUNS)]
     t0 = time.perf_counter()
-    ens, members = run_ensemble(
-        spectrum_scenario, LawKind.STOCHASTIC, ENSEMBLE_RUNS, base_seed=0, x_star=equilibrium
-    )
+    runs = run(s.game, s.graph, s.engine, s.x0, s.y0, equilibrium, members=members)
     elapsed = time.perf_counter() - t0
-    return ens, members, elapsed
+    return runs, elapsed
 
 
 @pytest.fixture(scope="module")
-def comparison_ensembles(spectrum_scenario, equilibrium, stochastic_ensemble):
-    out = {LawKind.STOCHASTIC: stochastic_ensemble[0]}
-    for law in (LawKind.STATIC, LawKind.DYNAMIC, LawKind.CONTINUOUS):
-        out[law], _ = run_ensemble(
-            spectrum_scenario, law, ENSEMBLE_RUNS, base_seed=0, x_star=equilibrium
-        )
-    return out
+def comparison_ensembles(spectrum_scenario, equilibrium):
+    return compare_laws(
+        spectrum_scenario, list(LawKind), ENSEMBLE_RUNS, base_seed=0, x_star=equilibrium
+    )
 
 
 def test_01_equilibrium_reproduction(spectrum_scenario):
@@ -103,9 +102,9 @@ def test_02_interior_equilibrium_residual(spectrum_scenario):
     reason="20 s horizon cannot reach the 0.05 error band at action step 0.14; "
     "the slowest pseudo-gradient mode needs about 35 s from this start",
 )
-def test_03a_error_band_at_shipped_horizon(stochastic_ensemble):
-    _, members, _ = stochastic_ensemble
-    finals = np.array([m.err_series[-1] for m in members])
+def test_03a_error_band_at_shipped_horizon(stochastic_members):
+    members, _ = stochastic_members
+    finals = np.array([m.err_inf[-1] for m in members])
     good = int((finals < 0.05).sum())
     check(
         "03a",
@@ -114,8 +113,8 @@ def test_03a_error_band_at_shipped_horizon(stochastic_ensemble):
     )
 
 
-def test_03b_decay_rate_and_runtime(stochastic_ensemble):
-    _, members, elapsed = stochastic_ensemble
+def test_03b_decay_rate_and_runtime(stochastic_members):
+    members, elapsed = stochastic_members
     fits = np.array([m.rate_fit for m in members])
     good = int((fits < -0.1).sum())
     check(
@@ -245,18 +244,13 @@ def test_09_rate_certificate_identities(spectrum_scenario):
 
 def test_10_bounded_events_under_grid_refinement(spectrum_scenario, equilibrium):
     law = spectrum_scenario.law
-    coarse_ensemble, coarse_members = run_ensemble(
-        spectrum_scenario, law, 6, base_seed=0, x_star=equilibrium
-    )
-    fine_ensemble, _ = run_ensemble(
-        spectrum_scenario, law, 6, base_seed=0, x_star=equilibrium, dt=0.0125
-    )
-    coarse = coarse_ensemble.mean_counts
-    fine = fine_ensemble.mean_counts
-    ratio = fine / coarse
+    coarse = compare_laws(spectrum_scenario, [law], 6, base_seed=0, x_star=equilibrium)
+    fine = compare_laws(spectrum_scenario, [law], 6, base_seed=0, x_star=equilibrium, dt=0.0125)
+    ratio = fine[law].mean_counts / coarse[law].mean_counts
+    first = single_run(spectrum_scenario, seed=0, law=law, x_star=equilibrium)
     gaps_ok = all(
         gaps.min() >= spectrum_scenario.engine.dt
-        for gaps in coarse_members[0].intervals
+        for gaps in first.intervals
         if gaps.size
     )
     check(

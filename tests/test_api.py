@@ -1,0 +1,29 @@
+import neseek
+
+# Removed from the package: the per-run metrics record and the second
+# ensemble entry point (a RunResult carries its own statistics and
+# compare_laws is the one ensemble call), and the scalar reference
+# implementations, which live in tests/oracles.py.
+REMOVED = (
+    "RunMetrics",
+    "run_ensemble",
+    "aggregate",
+    "trigger_probability",
+    "decay_at",
+    "cost",
+    "partial_gradient",
+    "project",
+    "coupling_matrix",
+)
+
+
+def test_every_exported_name_resolves():
+    assert len(set(neseek.__all__)) == len(neseek.__all__)
+    for name in neseek.__all__:
+        assert getattr(neseek, name) is not None, name
+
+
+def test_removed_names_are_not_exported():
+    for name in REMOVED:
+        assert name not in neseek.__all__, name
+        assert not hasattr(neseek, name), name

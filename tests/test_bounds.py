@@ -8,13 +8,13 @@ from neseek import (
     alpha_max,
     beta_min,
     compute_report,
-    coupling_matrix,
     lyapunov_pair,
     sigma_bound,
 )
 from neseek.errors import InfeasibleBeta
 
 from conftest import dense_p
+from oracles import coupling_matrix
 
 from test_games import decoupled_quadratic
 

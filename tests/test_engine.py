@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from neseek import (
     ActionInterval,
     Batch,
     EngineConfig,
+    Ensemble,
     LawKind,
     Member,
     QuadraticGame,
@@ -19,7 +22,6 @@ from neseek import (
     compare_laws,
     init,
     run,
-    run_ensemble,
     single_run,
     solve_ne,
     step,
@@ -29,6 +31,7 @@ from neseek.errors import InfeasibleStart, NumericalDivergence
 from neseek.triggers import xi_from_uniform
 
 from conftest import strongly_connected_graphs, with_engine
+from test_metrics import assert_same_ensemble
 
 PUBLISHED_X0 = np.array([14.0, 12.0, 10.0, 4.0, 2.0])
 PUBLISHED_Y0 = np.array(
@@ -256,12 +259,12 @@ class TestRun:
         long = with_engine(spectrum_scenario, horizon=50.0)
         result = single_run(long, seed=0)
         assert result.err_inf[-1] < 0.05
-        assert result.metrics.rate_fit < -0.1
+        assert result.rate_fit < -0.1
 
     def test_error_decays_under_every_law(self, spectrum_scenario):
         for law in LawKind:
             result = single_run(spectrum_scenario, seed=2, law=law)
-            assert result.metrics.rate_fit < 0
+            assert result.rate_fit < 0
 
     def test_no_trigger_inequality_exact(self, spectrum_scenario):
         s = spectrum_scenario
@@ -344,15 +347,14 @@ class TestRun:
     def test_trigger_counts_bounded_as_dt_halves(self, spectrum_scenario):
         short = with_engine(spectrum_scenario, horizon=10.0)
         x_star = solve_ne(short.game).x_star
-        coarse = run_ensemble(short, short.law, 4, base_seed=0, x_star=x_star)[0].mean_counts
-        fine = run_ensemble(
-            short, short.law, 4, base_seed=0, x_star=x_star, dt=0.0125
-        )[0].mean_counts
+        coarse = compare_laws(short, [short.law], 4, base_seed=0, x_star=x_star)
+        fine = compare_laws(short, [short.law], 4, base_seed=0, x_star=x_star, dt=0.0125)
+        coarse, fine = coarse[short.law].mean_counts, fine[short.law].mean_counts
         assert (fine <= 1.5 * coarse).all()
 
     def test_inter_event_gaps_at_least_dt(self, spectrum_scenario):
         result = single_run(spectrum_scenario, seed=3)
-        for gaps in result.metrics.intervals:
+        for gaps in result.intervals:
             if gaps.size:
                 assert gaps.min() >= spectrum_scenario.engine.dt
 
@@ -431,14 +433,18 @@ def assert_same_columns(got, alone):
         assert np.array_equal(a, b, equal_nan=True), column
 
 
-def spy_on_run(monkeypatch):
+def spy_on_run(monkeypatch, results=None):
     """The (law, seed) of each member of every ``run`` call the harness makes
-    from now on, one list per call."""
+    from now on, one list per call; the runs themselves go to ``results``
+    when it is given."""
     calls = []
 
     def spy(*args, **kwargs):
         calls.append([(m.law, m.seed) for m in kwargs["members"]])
-        return run(*args, **kwargs)
+        out = run(*args, **kwargs)
+        if results is not None:
+            results.extend(out)
+        return out
 
     monkeypatch.setattr(harness, "run", spy)
     return calls
@@ -446,9 +452,6 @@ def spy_on_run(monkeypatch):
 
 def stochastic(*seeds):
     return [(LawKind.STOCHASTIC, seed) for seed in seeds]
-
-
-ENSEMBLE_FIELDS = ("mean_gamma_series", "mean_err_series", "mean_counts")
 
 
 class TestBatch:
@@ -463,15 +466,17 @@ class TestBatch:
             (alone,) = run(*args, members=[Member(s.law, s.trigger, seed)])
             assert_same_columns(got, alone)
         if s.law is not LawKind.STOCHASTIC:
-            # a deterministic ensemble replicates one run; each member must
-            # still equal the separate run of its own seed
+            # a deterministic ensemble replicates one run; it must still equal
+            # the ensemble of every seed's own separate run
             base = min(seeds[0], 2 ** 64 - len(seeds))
-            _, members = run_ensemble(s, s.law, len(seeds), base, x_star=x_star)
-            for k, m in enumerate(members):
+            ens = compare_laws(s, [s.law], len(seeds), base, x_star=x_star)[s.law]
+            first, separate = single_run(s, seed=base, x_star=x_star), Ensemble()
+            for k in range(len(seeds)):
                 alone = single_run(s, seed=base + k, x_star=x_star)
-                assert np.array_equal(m.err_series, alone.err_inf)
-                assert np.array_equal(m.gamma_series, alone.gamma)
-                assert np.array_equal(m.trigger_counts, alone.metrics.trigger_counts)
+                assert_same_columns(alone, first)
+                assert np.array_equal(alone.gamma, first.gamma)
+                separate.add(alone)
+            assert_same_ensemble(ens, separate.metrics())
 
     @settings(max_examples=60, deadline=None)
     @given(mixed_batch_cases())
@@ -507,10 +512,10 @@ class TestBatch:
         self, quadratic_scenario, monkeypatch, law
     ):
         calls = spy_on_run(monkeypatch)
-        ens, members = run_ensemble(quadratic_scenario, law, 7, base_seed=3)
+        ens = compare_laws(quadratic_scenario, [law], 7, base_seed=3)[law]
         assert calls == [[(law, 3)]]
-        assert ens.runs == len(members) == 7
-        run_ensemble(quadratic_scenario, LawKind.STOCHASTIC, 4, base_seed=3)
+        assert ens.runs == 7
+        compare_laws(quadratic_scenario, [LawKind.STOCHASTIC], 4, base_seed=3)
         assert calls[-1] == stochastic(3, 4, 5, 6)
 
     def test_compare_integrates_every_law_in_one_call(self, spectrum_scenario, monkeypatch):
@@ -520,18 +525,35 @@ class TestBatch:
         assert calls == [[(LawKind.STATIC, 5), (LawKind.DYNAMIC, 5), *stochastic(5, 6)]]
 
     def test_stochastic_ensemble_integrates_in_chunks(self, quadratic_scenario, monkeypatch):
-        whole, whole_members = run_ensemble(quadratic_scenario, LawKind.STOCHASTIC, 7, base_seed=3)
-        calls = spy_on_run(monkeypatch)
+        s, law = quadratic_scenario, LawKind.STOCHASTIC
+        whole = compare_laws(s, [law], 7, base_seed=3)[law]
+        results = []
+        calls = spy_on_run(monkeypatch, results)
         monkeypatch.setattr(harness, "ENSEMBLE_CHUNK", 3)
-        chunked, members = run_ensemble(quadratic_scenario, LawKind.STOCHASTIC, 7, base_seed=3)
+        chunked = compare_laws(s, [law], 7, base_seed=3)[law]
         assert calls == [stochastic(3, 4, 5), stochastic(6, 7, 8), stochastic(9)]
-        assert len(members) == 7
-        for a, b in zip(members, whole_members):
-            assert np.array_equal(a.err_series, b.err_series)
-            assert np.array_equal(a.trigger_counts, b.trigger_counts)
-        for field in ENSEMBLE_FIELDS:
-            assert getattr(chunked, field).tobytes() == getattr(whole, field).tobytes()
-        assert chunked.interval_stats == whole.interval_stats
+        assert len(results) == 7
+        monkeypatch.undo()
+        for seed, got in zip(range(3, 10), results):
+            assert_same_columns(got, single_run(s, seed=seed, law=law))
+        assert_same_ensemble(chunked, whole)
+
+    def test_chunk_is_released_before_the_next_integrates(self, quadratic_scenario, monkeypatch):
+        # a batch array that outlives its chunk makes peak memory grow with R
+        batches, alive = [], []
+
+        def spy(*args, **kwargs):
+            gc.collect()
+            alive.append([ref() is not None for ref in batches])
+            out = run(*args, **kwargs)
+            batches.extend(weakref.ref(a) for a in (out[0].actions.base, out[0].err_inf.base))
+            return out
+
+        monkeypatch.setattr(harness, "ENSEMBLE_CHUNK", 2)
+        monkeypatch.setattr(harness, "run", spy)
+        ens = compare_laws(quadratic_scenario, [LawKind.STOCHASTIC], 5, base_seed=0)
+        assert ens[LawKind.STOCHASTIC].runs == 5
+        assert alive == [[], [False] * 2, [False] * 4]
 
     def test_mixed_law_compare_integrates_in_chunks(self, quadratic_scenario, monkeypatch):
         # 1 + 1 + 1 deterministic members and 4 stochastic ones: chunks 3, 3, 1
@@ -543,12 +565,10 @@ class TestBatch:
         assert [len(call) for call in calls] == [3, 3, 1]
         monkeypatch.undo()
         for law in laws:
-            alone, _ = run_ensemble(s, law, 4, base_seed=3)
+            alone = compare_laws(s, [law], 4, base_seed=3)[law]
             for ens in (chunked[law], alone):
                 assert ens.runs == whole[law].runs == 4
-                for field in ENSEMBLE_FIELDS:
-                    assert getattr(ens, field).tobytes() == getattr(whole[law], field).tobytes()
-                assert ens.interval_stats == whole[law].interval_stats
+                assert_same_ensemble(ens, whole[law])
 
 
 class TestEngineConfig:

@@ -9,15 +9,14 @@ from neseek import (
     ActionInterval,
     QuadraticGame,
     SpectrumGame,
-    cost,
     estimate_constants,
-    partial_gradient,
-    project,
     pseudo_gradient,
     spectral_efficiency,
 )
 from neseek.errors import DomainError, NonMonotone
 from neseek.games import gradient_at_estimates
+
+from oracles import cost, partial_gradient, project
 
 # Frozen by high-precision evaluation of the closed form.
 U_12DB = 2.0453406611627294

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from neseek import (
     DirectedGraph,
     coupling_blocks,
-    coupling_matrix,
     is_strongly_connected,
     laplacian,
     lyapunov_pair,
@@ -15,6 +14,7 @@ from neseek.errors import NotStronglyConnected
 from neseek.graphs import solve_lyapunov_pd
 
 from conftest import dense_p, random_strongly_connected, strongly_connected_graphs
+from oracles import coupling_matrix
 
 TWO_CYCLE = DirectedGraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
 EDGELESS = DirectedGraph(np.zeros((3, 3)))

@@ -1,11 +1,13 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from neseek import aggregate, gamma_series, interval_stats, rate_fit
+from neseek import Ensemble, RunResult, gamma_series, interval_stats, rate_fit
 from neseek.errors import DegenerateWindow, ShapeMismatch
-from neseek.metrics import run_metrics
 
 
 def fire_matrix(events, n=2, steps=10):
@@ -20,8 +22,17 @@ def make_metrics(events, n=2, dt=0.1, steps=10, err=None):
     times = np.arange(steps + 1) * dt
     if err is None:
         err = np.exp(-times)
-    fired = fire_matrix(events, n, steps)
-    return run_metrics(fired, times, err, dt=dt, horizon=steps * dt, window=(0.0, steps * dt))
+    trig = np.zeros((steps + 1, n), dtype=np.int8)
+    trig[1:] = fire_matrix(events, n, steps)
+    unused = np.empty((steps, n))
+    return RunResult(times, np.empty((steps + 1, n)), err, trig, unused, unused, np.zeros(n), dt)
+
+
+def aggregate(members):
+    ensemble = Ensemble()
+    for m in members:
+        ensemble.add(m)
+    return ensemble.metrics()
 
 
 def player_stats(events, player, dt=0.1):
@@ -93,7 +104,7 @@ class TestAggregate:
         m = make_metrics([(1, 0), (3, 0), (2, 1)])
         ens = aggregate([m])
         assert ens.runs == 1
-        assert np.array_equal(ens.mean_gamma_series, m.gamma_series)
+        assert np.array_equal(ens.mean_gamma_series, m.gamma)
         assert np.array_equal(ens.mean_counts, m.trigger_counts)
         assert ens.interval_stats[0] == pytest.approx((0.2, 0.2, 0.2))
         assert ens.interval_stats[1] is None
@@ -111,7 +122,7 @@ class TestAggregate:
             events = zip(rng.integers(0, 10, 12), rng.integers(0, 2, 12))
             members.append(make_metrics(events))
         ens = aggregate(members)
-        stack = np.stack([m.gamma_series for m in members])
+        stack = np.stack([m.gamma for m in members])
         assert (ens.mean_gamma_series <= stack.max(axis=0) + 1e-15).all()
         assert (ens.mean_gamma_series >= stack.min(axis=0) - 1e-15).all()
 
@@ -121,7 +132,67 @@ class TestAggregate:
         with pytest.raises(ShapeMismatch):
             aggregate([a, b])
         with pytest.raises(ShapeMismatch):
+            aggregate([a, make_metrics([], n=3)])
+        with pytest.raises(ShapeMismatch):
             aggregate([])
+
+    def test_copies_equal_repeated_members(self):
+        a = make_metrics([(1, 0), (3, 0), (2, 1)])
+        b = make_metrics([(4, 1), (6, 1), (9, 0)])
+        folded = Ensemble()
+        folded.add(a, copies=3)
+        folded.add(b)
+        assert_same_ensemble(folded.metrics(), aggregate([a, a, a, b]))
+
+
+def assert_same_ensemble(got, want):
+    assert got.runs == want.runs
+    for name in ("times", "mean_gamma_series", "mean_err_series", "mean_counts"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert got.interval_stats == want.interval_stats
+
+
+@st.composite
+def fold_cases(draw):
+    """Random members (series, counts, gaps) with a copy count each.
+
+    Series have at least two points, as every run's do: a one-point stack is
+    reduced along a contiguous axis, which numpy sums pairwise."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    length, n = draw(st.integers(2, 40)), draw(st.integers(1, 6))
+    members = []
+    for _ in range(draw(st.integers(1, 300))):
+        copies = 1 if rng.random() < 0.8 else int(rng.integers(2, 10))
+        scale = 10.0 ** rng.integers(-8, 8, size=(2, length))
+        members.append((SimpleNamespace(
+            times=np.arange(length) * 0.1,
+            gamma=rng.random(length) * scale[0],
+            err_inf=rng.standard_normal(length) * scale[1],
+            trigger_counts=rng.integers(0, 1000, n),
+            intervals=tuple(rng.random(rng.integers(0, 5)) * 10.0 ** rng.integers(-3, 3)
+                            for _ in range(n)),
+        ), copies))
+    return members
+
+
+@settings(max_examples=60, deadline=None)
+@given(fold_cases())
+def test_fold_equals_stacked_mean_and_pooled_gaps(members):
+    # up to 300 members, a fifth of them with 2-9 copies: R reaches about 600
+    folded = Ensemble()
+    for m, copies in members:
+        folded.add(m, copies)
+    expanded = [m for m, copies in members for _ in range(copies)]
+    got = folded.metrics()
+    assert got.runs == len(expanded)
+    for name, column in (("mean_gamma_series", "gamma"), ("mean_err_series", "err_inf"),
+                         ("mean_counts", "trigger_counts")):
+        want = np.stack([getattr(m, column) for m in expanded]).mean(axis=0)
+        assert getattr(got, name).tobytes() == want.tobytes()
+    n = len(expanded[0].trigger_counts)
+    assert got.interval_stats == tuple(
+        interval_stats(np.concatenate([m.intervals[i] for m in expanded])) for i in range(n)
+    )
 
 
 def test_count_interval_consistency():

@@ -6,12 +6,12 @@ import pytest
 from neseek import (
     LawKind,
     TriggerParams,
-    decay_at,
     decide,
-    trigger_probability,
     triggering_function,
 )
 from neseek.triggers import threshold_term, xi_from_uniform
+
+from oracles import decay_at, trigger_probability
 
 
 def params(n=2, kappa=1.075, a_floor=0.05, eta=10.0, c=1.0, sigma=0.2, delta0=1.0):
