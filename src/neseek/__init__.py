@@ -29,7 +29,7 @@ from .metrics import (
     interval_stats,
     rate_fit,
 )
-from .oracle import NeSolution, solve_ne, verify_ne
+from .oracle import NeSolution, projected_ne, solve_ne, verify_ne
 from .scenario import Scenario, load_scenario
 from .triggers import (
     LawKind,
@@ -75,6 +75,7 @@ __all__ = [
     "law_trigger_params",
     "load_scenario",
     "lyapunov_pair",
+    "projected_ne",
     "pseudo_gradient",
     "rate_fit",
     "run",

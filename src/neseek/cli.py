@@ -47,8 +47,8 @@ def _jsonable(value):
     return value
 
 
-def _emit_json(data: dict) -> None:
-    print(json.dumps(_jsonable(data), indent=2, sort_keys=True))
+def _json_text(data: dict) -> str:
+    return json.dumps(_jsonable(data), indent=2, sort_keys=True) + "\n"
 
 
 def _load(args) -> Scenario:
@@ -67,16 +67,7 @@ def _load(args) -> Scenario:
 
 def cmd_solve_ne(args) -> int:
     scenario = _load(args)
-    solution = solve_ne(scenario.game)
-    _emit_json(
-        {
-            "x_star": solution.x_star,
-            "residual": solution.residual,
-            "iterations": solution.iterations,
-            "step": solution.step,
-            "exact": solution.exact,
-        }
-    )
+    sys.stdout.write(_json_text(dataclasses.asdict(solve_ne(scenario.game))))
     return 0
 
 
@@ -89,7 +80,7 @@ def cmd_bounds(args) -> int:
         beta=scenario.engine.beta,
         eta=scenario.trigger.eta,
     )
-    _emit_json(dataclasses.asdict(report))
+    sys.stdout.write(_json_text(dataclasses.asdict(report)))
     return 0
 
 
@@ -130,9 +121,7 @@ def cmd_simulate(args) -> int:
             for i, (count, gaps) in enumerate(zip(result.trigger_counts, result.intervals))
         ],
     }
-    (out_dir / "metrics.json").write_text(
-        json.dumps(_jsonable(metrics_doc), indent=2, sort_keys=True) + "\n"
-    )
+    (out_dir / "metrics.json").write_text(_json_text(metrics_doc))
 
     n = scenario.n
     action_series = [
@@ -206,9 +195,7 @@ def cmd_compare(args) -> int:
             for law in laws
         },
     }
-    (out_dir / "compare.json").write_text(
-        json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n"
-    )
+    (out_dir / "compare.json").write_text(_json_text(doc))
 
     gamma_series = [
         (law.value, ensembles[law].times, ensembles[law].mean_gamma_series) for law in laws

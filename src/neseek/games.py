@@ -198,15 +198,6 @@ def pseudo_gradient(game: GameDefinition, x: np.ndarray) -> np.ndarray:
     return _own_gradient(game, x, x)
 
 
-def _linear_jacobian(game: GameDefinition) -> np.ndarray | None:
-    """Jacobian of the pseudo-gradient when it is affine, else None."""
-    if isinstance(game, QuadraticGame):
-        return np.diag(game.diag_a) + game.cross
-    if isinstance(game, SpectrumGame) and game.tau == 1.0:
-        return np.outer(game.q, np.ones(game.n)) + np.diag(game.q)
-    return None
-
-
 def estimate_constants(
     game: GameDefinition,
     samples: int = 512,
@@ -218,14 +209,15 @@ def estimate_constants(
     analytically. Otherwise the constants are sampled over random pairs in
     the action box and flagged as estimates.
     """
-    jac = _linear_jacobian(game)
-    if jac is not None:
-        mu = float(np.linalg.eigvalsh(0.5 * (jac + jac.T)).min())
+    if isinstance(game, QuadraticGame) or game.tau == 1.0:
         if isinstance(game, SpectrumGame):
+            jac = np.outer(game.q, np.ones(game.n)) + np.diag(game.q)
             # gradient of player i w.r.t. the full estimate vector is q_i*(ones + e_i)
             l = game.q * math.sqrt(game.n + 3.0)
         else:
+            jac = np.diag(game.diag_a) + game.cross
             l = np.sqrt(game.diag_a ** 2 + (game.cross ** 2).sum(axis=1))
+        mu = float(np.linalg.eigvalsh(0.5 * (jac + jac.T)).min())
         if mu <= 0:
             raise NonMonotone(f"estimated monotonicity constant {mu:.3e} is not positive")
         return GameConstants(mu=mu, lbar=float(l.max()), l=l, exact=True)

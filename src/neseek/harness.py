@@ -28,13 +28,6 @@ from .triggers import LawKind, TriggerParams
 ENSEMBLE_CHUNK = 256
 
 
-def resolve_equilibrium(scenario: Scenario) -> np.ndarray:
-    """Equilibrium the error series is measured against."""
-    if scenario.ne_override is not None:
-        return scenario.ne_override
-    return solve_ne(scenario.game).x_star
-
-
 def law_trigger_params(scenario: Scenario, law: LawKind) -> TriggerParams:
     """Trigger parameters a given law runs with in a comparison."""
     params = scenario.trigger
@@ -61,7 +54,9 @@ def _setup(
         config = replace(scenario.engine, seed=seeds[0], **overrides)
     except (ValueError, TypeError, OverflowError) as exc:
         raise ValidationError(str(exc)) from exc
-    return seeds, config, resolve_equilibrium(scenario) if x_star is None else x_star
+    if x_star is None:
+        x_star = scenario.ne_override
+    return seeds, config, solve_ne(scenario.game).x_star if x_star is None else x_star
 
 
 def single_run(

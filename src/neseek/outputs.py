@@ -59,18 +59,9 @@ def write_summary_csv(path: Path, rows: Sequence[dict]) -> None:
     header = ["player", "law", "count_mean", "max_interval", "mean_interval", "min_interval"]
     lines = [",".join(header)]
     for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(row["player"]),
-                    str(row["law"]),
-                    _fmt(row["count_mean"]),
-                    "" if row["max_interval"] is None else _fmt(row["max_interval"]),
-                    "" if row["mean_interval"] is None else _fmt(row["mean_interval"]),
-                    "" if row["min_interval"] is None else _fmt(row["min_interval"]),
-                ]
-            )
-        )
+        cells = [str(row["player"]), str(row["law"]), _fmt(row["count_mean"])]
+        cells += ["" if row[key] is None else _fmt(row[key]) for key in header[3:]]
+        lines.append(",".join(cells))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -106,14 +97,10 @@ def line_chart_svg(
         cleaned.append((label, xs[keep], ys[keep]))
 
     href = [math.log10(h) if ylog else h for h in hlines if not ylog or h > 0]
-    all_x = np.concatenate([xs for _, xs, _ in cleaned if xs.size] or [np.array([0.0, 1.0])])
-    all_y = np.concatenate(
-        [ys for _, _, ys in cleaned if ys.size] + [np.array(href)]
-        if (any(ys.size for _, _, ys in cleaned) or href)
-        else [np.array([0.0, 1.0])]
-    )
-    x0, x1 = float(all_x.min()), float(all_x.max())
-    y0, y1 = float(all_y.min()), float(all_y.max())
+    all_x = np.concatenate([xs for _, xs, _ in cleaned] + [[]])
+    all_y = np.concatenate([ys for _, _, ys in cleaned] + [href])
+    x0, x1 = (float(all_x.min()), float(all_x.max())) if all_x.size else (0.0, 1.0)
+    y0, y1 = (float(all_y.min()), float(all_y.max())) if all_y.size else (0.0, 1.0)
     if x1 <= x0:
         x1 = x0 + 1.0
     if y1 <= y0:

@@ -87,31 +87,25 @@ def _finite_array(raw, shape: tuple[int, ...], where: str) -> np.ndarray:
     return a
 
 
+# Each game kind's class and required vector/matrix fields, in load order.
+_GAMES = {
+    "spectrum": (SpectrumGame, ("m_c", "q", "r", "s_db", "ber_target")),
+    "quadratic": (QuadraticGame, ("diag_a", "cross", "offset")),
+}
+
+
 def _game_from_dict(data: dict, n: int) -> GameDefinition:
     kind = _require(data, "kind", "game")
+    if not isinstance(kind, str) or kind not in _GAMES:
+        raise ValidationError(f"game: unknown kind '{kind}'")
+    cls, names = _GAMES[kind]
+    fields = {name: _require(data, name, "game") for name in names}
     try:
-        if kind == "spectrum":
-            return SpectrumGame(
-                m_c=_require(data, "m_c", "game"),
-                q=_require(data, "q", "game"),
-                r=_require(data, "r", "game"),
-                s_db=_require(data, "s_db", "game"),
-                ber_target=_require(data, "ber_target", "game"),
-                tau=float(data.get("tau", 1.0)),
-                intervals=_intervals(_require(data, "intervals", "game"), n, "game"),
-            )
-        if kind == "quadratic":
-            return QuadraticGame(
-                diag_a=_require(data, "diag_a", "game"),
-                cross=_require(data, "cross", "game"),
-                offset=_require(data, "offset", "game"),
-                intervals=_intervals(_require(data, "intervals", "game"), n, "game"),
-            )
-    except ValidationError:
-        raise
+        if cls is SpectrumGame:
+            fields["tau"] = float(data.get("tau", 1.0))
+        return cls(**fields, intervals=_intervals(_require(data, "intervals", "game"), n, "game"))
     except (ValueError, TypeError) as exc:
         raise ValidationError(f"game: {exc}") from exc
-    raise ValidationError(f"game: unknown kind '{kind}'")
 
 
 def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
@@ -151,8 +145,8 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
     else:
         raise ValidationError("trigger: provide 'sigma' or 'sigma_rule': '0.8/din'")
 
-    def _pervec(key, default=None):
-        raw = traw.get(key, default)
+    def _pervec(key):
+        raw = traw.get(key)
         if raw is None:
             raise ValidationError(f"trigger: missing required field '{key}'")
         if np.isscalar(raw):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -27,27 +28,30 @@ def test_solve_ne_spectrum(capsys):
     assert np.abs(np.array(doc["x_star"]) - [2.000, 3.987, 6.011, 8.018, 9.990]).max() < 1e-2
     assert doc["residual"] <= 1e-8
     assert doc["iterations"] >= 1
-    # linear pricing: the step comes from analytic constants
-    assert doc["exact"] is True
-    assert doc["step"] > 0
+    # the aggregative root-find certifies its distance to the equilibrium
+    assert doc["method"] == "aggregative"
+    assert 0 <= doc["distance_bound"] < math.inf
 
 
 def test_solve_ne_quadratic_closed_form(capsys):
     assert main(["solve-ne", "--config", QUAD]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert np.allclose(doc["x_star"], [1.0, 2.0], atol=1e-6)
-    assert doc["exact"] is True
+    # analytic constants: the projected iteration's error bound is finite
+    assert doc["method"] == "projected"
+    assert 0 <= doc["distance_bound"] < math.inf
 
 
-def test_solve_ne_superlinear_pricing_step_is_sampled(tmp_path, capsys):
+def test_solve_ne_superlinear_pricing_needs_no_sampled_step(tmp_path, capsys):
     config = json.loads(bundled_path("spectrum_paper").read_text())
     config["game"]["tau"] = 1.5
     path = tmp_path / "tau.json"
     path.write_text(json.dumps(config))
     assert main(["solve-ne", "--config", str(path)]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["exact"] is False
-    assert doc["step"] > 0
+    # the root-find needs no step, so tau > 1 still gets a finite bound
+    assert doc["method"] == "aggregative"
+    assert 0 <= doc["distance_bound"] < math.inf
     assert doc["residual"] <= 1e-8
 
 

@@ -106,7 +106,7 @@ class TestInit:
         state = init(s.game, s.graph, s.trigger, s.engine, x_star, y0)
         from neseek import verify_ne
 
-        assert verify_ne(s.game, state.x, s.engine.alpha) <= 1e-7
+        assert verify_ne(s.game, state.x, s.engine.alpha) <= 1e-12
 
     def test_infeasible_start(self, spectrum_scenario):
         s = spectrum_scenario

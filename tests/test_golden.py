@@ -60,7 +60,7 @@ GOLDEN = {
     },
     "spectrum_paper": {
         "compare/compare.json":
-            "c9d937d56fd46d71442206b4f0ba511625d670ccab164a2b391fc35d1c3652a8",
+            "cc87b9993d9741c06973ac16c9a41969d003452872661f2ea805f67ec3fc9a9d",
         "compare/error_compare.svg":
             "8d3c825cb9c74b008dda7a4a08c225fb9d7495b4f3e8048097bc2d0509da1a0c",
         "compare/gamma_compare.svg":
@@ -76,9 +76,9 @@ GOLDEN = {
         "simulate-seed0/gamma.svg":
             "b64f35e5e23cb35f3520008f53806aa4a9fe9948f406405b0f8c9966a54ee03d",
         "simulate-seed0/metrics.json":
-            "5d33c913dea9ec06da3aa088c37596852bbcfc975bc1477f232bbf8e0d98cbc4",
+            "b57f0471fdea23d71cc34a9fd5c84de9934a1628cae5f0c1c1dc77ad3fcd02a4",
         "simulate-seed0/trajectory.csv":
-            "4ff6879d511b9d4357e638f407a7ba66d89ecb0f4c14ad909b1e0b3a5e9519ce",
+            "139dcb2ff8f3a51ff7707d9d633d40249acd10442c56215de5afe2b210e9ef81",
         "simulate-seed123/actions.svg":
             "ef155c988145f2e62c2d678fb25ef4e83778a1ec22b12f6a71420d996c682f6d",
         "simulate-seed123/error.svg":
@@ -88,9 +88,9 @@ GOLDEN = {
         "simulate-seed123/gamma.svg":
             "0d89c812fa15af3452a287fe3e2b3e86bb367e37ac4cdda3f23308c1e2f1daa3",
         "simulate-seed123/metrics.json":
-            "1549db8afb53325edde7fd87d395d8dd00bd64e31bfea99ba5c45d1e0a4a9514",
+            "b8c56cc0d997620bd609d4de36effa33b20c239281316a3d18871a58c29dead1",
         "simulate-seed123/trajectory.csv":
-            "590c326f97052745eea713ff90314b6ea3bbe1de5210dd8e77ab93601e655a14",
+            "351364618531874d6f1d4c8736c8c09b27385a58992e4be0adbbc31f27ad4526",
     },
 }
 
