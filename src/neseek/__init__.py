@@ -21,7 +21,7 @@ from .graphs import (
     laplacian,
     lyapunov_pair,
 )
-from .harness import compare_laws, law_trigger_params, single_run
+from .harness import compare_laws, single_run
 from .metrics import (
     Ensemble,
     EnsembleMetrics,
@@ -72,7 +72,6 @@ __all__ = [
     "interval_stats",
     "is_strongly_connected",
     "laplacian",
-    "law_trigger_params",
     "load_scenario",
     "lyapunov_pair",
     "projected_ne",

@@ -1,11 +1,12 @@
 """Admissible step-size region and convergence-rate certificate.
 
 All constants follow from the game's regularity constants (mu, lbar), the
-Lyapunov certificate P of the graph's coupling matrix M with Q = I, and the
-two step sizes. P and M share one block-diagonal structure, so every norm of
-them below is a maximum over the blocks. The certified decay rate is the
-smaller root of a quadratic balancing the action-error and estimate-error
-contraction rates against their coupling.
+Lyapunov certificate P of the graph's coupling matrix M with Q = I (so
+lambda_min(Q) = 1 drops out of every formula), and the two step sizes. P
+and M share one block-diagonal structure, so every norm of them below is a
+maximum over the blocks. The certified decay rate is the smaller root of a
+quadratic balancing the action-error and estimate-error contraction rates
+against their coupling.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ class BoundsReport:
     c3: float
     c4: float
     c5: float
-    lambda_min_q: float
     lambda_max_p: float
     phi1: float
     phi2: float
@@ -60,24 +60,16 @@ def sigma_bound(graph: DirectedGraph) -> float:
     return (n - 1) / (2.0 * n * norm_l ** 2)
 
 
-def beta_min(mu: float, lambda_min_q: float, c2: float, c3: float, c4: float) -> float:
+def beta_min(mu: float, c2: float, c3: float, c4: float) -> float:
     """Smallest consensus gain for which any admissible action step exists."""
-    if mu <= 0 or lambda_min_q <= 0:
-        raise ValueError("mu and lambda_min_q must be positive")
-    return (4.0 * c2 * c3 + mu * c4) / (mu * lambda_min_q)
+    if mu <= 0:
+        raise ValueError("mu must be positive")
+    return (4.0 * c2 * c3 + mu * c4) / mu
 
 
-def alpha_max(
-    mu: float,
-    lambda_min_q: float,
-    beta: float,
-    c1: float,
-    c2: float,
-    c3: float,
-    c4: float,
-) -> float:
+def alpha_max(mu: float, beta: float, c1: float, c2: float, c3: float, c4: float) -> float:
     """Upper bound on the action step given a consensus gain above beta_min."""
-    numerator = 2.0 * mu * beta * lambda_min_q - 8.0 * c2 * c3 - 2.0 * mu * c4
+    numerator = 2.0 * mu * beta - 8.0 * c2 * c3 - 2.0 * mu * c4
     if numerator <= 0:
         raise InfeasibleBeta(
             "consensus gain at or below beta_min; no admissible action step"
@@ -85,7 +77,7 @@ def alpha_max(
     denominator = (
         8.0 * c1 * c2 * c3
         + 4.0 * mu * c2 * c3
-        + beta * c1 ** 2 * lambda_min_q
+        + beta * c1 ** 2
         - c1 ** 2 * c4
     )
     return numerator / denominator
@@ -111,7 +103,6 @@ def compute_report(
     # ||P|| = lambda_max(P) for symmetric positive definite P
     lambda_max_p = float(np.linalg.eigvalsh(pair.p).max())
     norm_pm = float(np.linalg.norm(pair.p @ coupling_blocks(graph), 2, axis=(1, 2)).max())
-    lambda_min_q = 1.0
 
     c1 = lbar * math.sqrt(n)
     c2 = lbar
@@ -122,15 +113,15 @@ def compute_report(
     phi1 = 2.0 * alpha * c2
     phi2 = 2.0 * c3 * (2.0 + alpha * c1)
     omega1 = 2.0 * (2.0 * alpha * mu - alpha ** 2 * c1 ** 2) / (2.0 + alpha * c1)
-    omega2 = beta * lambda_min_q - 2.0 * alpha * c2 * c3 - c4
+    omega2 = beta - 2.0 * alpha * c2 * c3 - c4
     theta_star = 0.5 * (
         omega1 + omega2 - math.sqrt((omega1 - omega2) ** 2 + 4.0 * phi1 * phi2)
     )
     k_v = min(theta_star, theta_star / lambda_max_p, eta / 2.0)
 
-    b_min = beta_min(mu, lambda_min_q, c2, c3, c4)
+    b_min = beta_min(mu, c2, c3, c4)
     try:
-        a_max = alpha_max(mu, lambda_min_q, beta, c1, c2, c3, c4)
+        a_max = alpha_max(mu, beta, c1, c2, c3, c4)
     except InfeasibleBeta:
         a_max = math.nan
     feasible = (
@@ -147,7 +138,6 @@ def compute_report(
         c3=c3,
         c4=c4,
         c5=c5,
-        lambda_min_q=lambda_min_q,
         lambda_max_p=lambda_max_p,
         phi1=phi1,
         phi2=phi2,

@@ -105,7 +105,7 @@ def cmd_simulate(args) -> int:
     outputs.write_trajectory_csv(out_dir / "trajectory.csv", result)
     outputs.write_events_csv(out_dir / "events.csv", result)
 
-    seed = scenario.engine.seed if args.seed is None else args.seed
+    seed = scenario.seed if args.seed is None else args.seed
     metrics_doc = {
         "law": scenario.law.value,
         "seed": int(seed),
@@ -168,7 +168,7 @@ def cmd_compare(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     runs = args.runs if args.runs is not None else scenario.runs
-    base_seed = scenario.engine.seed if args.seed is None else args.seed
+    base_seed = scenario.seed if args.seed is None else args.seed
 
     ensembles = harness.compare_laws(scenario, laws, runs, base_seed, dt=args.dt)
     out_dir = Path(args.out)

@@ -11,7 +11,8 @@ pinned back to the actions.
 
 The state may carry a leading member axis: R runs of one scenario then
 advance together, as (R, n) actions and (R, n, n) estimates. A member is one
-(law, seed) pair; members of a batch may differ in law, seed and ``sigma``.
+(law, seed, sigma cap) triple; the members of a batch share every other
+trigger parameter.
 """
 
 from __future__ import annotations
@@ -42,17 +43,11 @@ DIVERGENCE_GUARD = 1e9
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Step sizes, grid and the scenario's default law and seed.
-
-    ``run`` takes its laws and seeds from its members, not from ``law`` and
-    ``seed``.
-    """
+    """Step sizes and grid."""
 
     alpha: float
     beta: float
     horizon: float
-    seed: int
-    law: LawKind
     dt: float = 0.025
 
     def __post_init__(self):
@@ -65,8 +60,6 @@ class EngineConfig:
             raise ValueError("horizon must be finite")
         if self.dt > self.horizon:
             raise ValueError("dt must not exceed the horizon")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ValueError("seed must fit in 64 unsigned bits")
 
     @property
     def steps(self) -> int:
@@ -75,22 +68,30 @@ class EngineConfig:
 
 @dataclass(frozen=True)
 class Member:
-    """One run of a batch: its law, the trigger parameters it runs with and
-    its seed."""
+    """One run of a batch: its law, its seed and a cap on its disagreement
+    weights; it runs with ``min(sigma, sigma_cap)`` per player."""
 
     law: LawKind
-    params: TriggerParams
     seed: int
+    sigma_cap: float = math.inf
+
+    def __post_init__(self):
+        if not 0 <= int(self.seed) < 2 ** 64:
+            raise ValueError("seed must fit in 64 unsigned bits")
+        # written so that NaN fails the check
+        if not self.sigma_cap > 0:
+            raise ValueError("sigma_cap must be positive")
 
 
 @dataclass(frozen=True)
 class Batch:
     """The per-member inputs of the trigger decision, for R members.
 
-    ``params`` holds the fields every member shares, all but ``sigma``;
-    ``sigma`` is (R, n). ``xi`` and ``term`` are (steps, R, n): the random
-    thresholds and their ``threshold_term``, with NaN thresholds under the
-    deterministic laws. ``static`` and ``continuous`` are (R, 1) law masks.
+    ``params`` holds the trigger parameters every member shares; ``sigma`` is
+    (R, n), each member's capped disagreement weights. ``xi`` and ``term``
+    are (steps, R, n): the random thresholds and their ``threshold_term``,
+    with NaN thresholds under the deterministic laws. ``static`` and
+    ``continuous`` are (R, 1) law masks.
     """
 
     params: TriggerParams
@@ -101,23 +102,16 @@ class Batch:
     continuous: np.ndarray
 
     @classmethod
-    def of(cls, members: Sequence[Member], steps: int) -> "Batch":
+    def of(cls, params: TriggerParams, members: Sequence[Member], steps: int) -> "Batch":
         """Inputs for ``steps`` steps of the members, drawing their thresholds.
 
         Each stochastic member's player i draws from its own generator, the
         i-th child of ``SeedSequence(seed).spawn(n)``, so per-player streams
         are independent of one another. A stream is drawn whole up front:
         ``random(steps)`` yields the same doubles as ``steps`` scalar draws.
-        Raises ValueError unless the members share every trigger field but
-        ``sigma``.
         """
         if not members:
             raise ValueError("a batch needs at least one member")
-        params = members[0].params
-        for name in ("kappa", "a_floor", "eta", "c", "delta0"):
-            if not all(np.array_equal(getattr(m.params, name), getattr(params, name))
-                       for m in members):
-                raise ValueError(f"members may differ only in law, seed and sigma, not {name}")
         xi = np.full((steps, len(members), params.n), math.nan)
         for r, m in enumerate(members):
             if m.law is LawKind.STOCHASTIC:
@@ -128,7 +122,7 @@ class Batch:
                 xi[:, r] = xi_from_uniform(params, np.array(streams).T)
         return cls(
             params,
-            np.stack([m.params.sigma for m in members]),
+            np.minimum(params.sigma, [[m.sigma_cap] for m in members]),
             xi,
             threshold_term(params, xi),
             np.array([[m.law is LawKind.STATIC] for m in members]),
@@ -144,17 +138,15 @@ class EngineState:
     diagonal always equals the actions. Broadcast copies hold the most
     recently transmitted values; ``disagreement`` is ``din * y_hat - W @
     y_hat``, which both the triggering function and the estimate dynamics
-    read. All but ``delta``, which depends only on time, may share a leading
-    seed axis.
+    read. The arrays may share a leading member axis. The instant is
+    ``step_index * dt``.
     """
 
-    t: float
     step_index: int
     x: np.ndarray
     y: np.ndarray
     x_hat: np.ndarray
     y_hat: np.ndarray
-    delta: np.ndarray
     disagreement: np.ndarray
 
 
@@ -215,14 +207,7 @@ def check_start(game: GameDefinition, x0: np.ndarray, error: type[Exception]) ->
         raise error(f"x0[{i}]={x0[i]} outside [{lo[i]}, {hi[i]}]")
 
 
-def init(
-    game: GameDefinition,
-    graph: DirectedGraph,
-    trigger_params: TriggerParams,
-    config: EngineConfig,
-    x0: np.ndarray,
-    y0: np.ndarray,
-) -> EngineState:
+def init(game: GameDefinition, graph: DirectedGraph, x0: np.ndarray, y0: np.ndarray) -> EngineState:
     """Initial state: broadcasts equal the state, so event errors start at zero.
 
     The diagonal of y0 is overwritten with x0 to keep own-estimates exact.
@@ -234,13 +219,10 @@ def init(
         raise ValueError(f"x0 must have length {n}")
     if y0.shape != (n, n):
         raise ValueError(f"y0 must be {n}x{n}")
-    if trigger_params.n != n:
-        raise ValueError("trigger parameters and graph disagree on player count")
     check_start(game, x0, InfeasibleStart)
     y0[np.arange(n), np.arange(n)] = x0
-    delta = np.array(trigger_params.delta0, dtype=float)
     disagreement = graph.in_degrees[:, None] * y0 - graph.weights @ y0
-    return EngineState(0.0, 0, x0, y0, x0.copy(), y0.copy(), delta, disagreement)
+    return EngineState(0, x0, y0, x0.copy(), y0.copy(), disagreement)
 
 
 def step(
@@ -271,9 +253,10 @@ def step(
     disagreement_sq = (state.disagreement * state.disagreement).sum(axis=-1)
 
     params = batch.params
+    decay = params.delta0 * np.exp(-params.eta * (state.step_index * config.dt))
     rho = triggering_function(action_err_sq, estimate_err_sq, disagreement_sq, batch.sigma)
     fired = decide(
-        params, rho, action_err_sq + estimate_err_sq, state.delta,
+        params, rho, action_err_sq + estimate_err_sq, decay,
         batch.term[state.step_index], batch.static, batch.continuous,
     )
     x_hat = np.where(fired, x, state.x_hat)
@@ -286,7 +269,6 @@ def step(
     ydot = -config.beta * (disagreement + weights * (y_hat - x_hat[..., None, :]))
 
     k_new = state.step_index + 1
-    t_new = k_new * config.dt
     x_new = x + config.dt * xdot
     y_new = y + config.dt * ydot
     y_new[..., np.arange(n), np.arange(n)] = x_new
@@ -296,17 +278,16 @@ def step(
     if not np.abs(y_new).max() <= DIVERGENCE_GUARD:
         raise NumericalDivergence(
             f"state magnitude exceeded {DIVERGENCE_GUARD:.0e} or became non-finite "
-            f"at t={t_new:.6g}; reduce alpha, beta, or dt"
+            f"at t={k_new * config.dt:.6g}; reduce alpha, beta, or dt"
         )
 
-    delta_new = params.delta0 * np.exp(-params.eta * t_new)
-    state = EngineState(t_new, k_new, x_new, y_new, x_hat, y_hat, delta_new, disagreement)
-    return state, fired, rho
+    return EngineState(k_new, x_new, y_new, x_hat, y_hat, disagreement), fired, rho
 
 
 def run(
     game: GameDefinition,
     graph: DirectedGraph,
+    params: TriggerParams,
     config: EngineConfig,
     x0: np.ndarray,
     y0: np.ndarray,
@@ -316,15 +297,17 @@ def run(
     """Integrate one run per member over the horizon, all members in one batch.
 
     Each run is reproducible bit-for-bit and equals the run of its member
-    alone. ``x_star`` anchors the error series. Raises ValueError unless the
-    members share every trigger field but ``sigma``; NumericalDivergence
-    stops the whole batch at the first step where any member diverges.
+    alone. ``params`` holds the trigger parameters all members share and
+    ``x_star`` anchors the error series. NumericalDivergence stops the whole
+    batch at the first step where any member diverges.
     """
+    if params.n != graph.n:
+        raise ValueError("trigger parameters and graph disagree on player count")
     x_star = np.asarray(x_star, dtype=float)
     n, steps, runs = graph.n, config.steps, len(members)
-    batch = Batch.of(members, steps)
+    batch = Batch.of(params, members, steps)
 
-    one = init(game, graph, batch.params, config, x0, y0)
+    one = init(game, graph, x0, y0)
     seeded = ("x", "y", "x_hat", "y_hat", "disagreement")
     state = replace(one, **{k: np.stack([getattr(one, k)] * runs) for k in seeded})
     times = np.arange(steps + 1) * config.dt

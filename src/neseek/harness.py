@@ -12,6 +12,7 @@ comparison are integrated together, in batches of up to ENSEMBLE_CHUNK.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -22,41 +23,43 @@ from .engine import EngineConfig, Member, RunResult, run
 from .errors import ValidationError
 from .oracle import solve_ne
 from .scenario import Scenario
-from .triggers import LawKind, TriggerParams
+from .triggers import LawKind
 
 # Members integrated in one batch; bounds an ensemble's peak memory.
 ENSEMBLE_CHUNK = 256
 
 
-def law_trigger_params(scenario: Scenario, law: LawKind) -> TriggerParams:
-    """Trigger parameters a given law runs with in a comparison."""
-    params = scenario.trigger
-    if law is LawKind.DYNAMIC:
-        return replace(params, sigma=np.minimum(params.sigma, sigma_bound(scenario.graph)))
-    return params
+def _member(scenario: Scenario, law: LawKind, seed: int) -> Member:
+    """The member a law runs as in a comparison."""
+    return Member(law, seed, sigma_bound(scenario.graph) if law is LawKind.DYNAMIC else math.inf)
 
 
 def _setup(
-    scenario: Scenario, base_seed: int, runs: int, dt: float | None, x_star: np.ndarray | None
-) -> tuple[range, EngineConfig, np.ndarray]:
-    """Seeds base_seed..base_seed+runs-1, the engine config and the equilibrium.
+    scenario: Scenario, laws: list[LawKind], base_seed: int, runs: int, dt: float | None
+) -> tuple[range, list[Member], EngineConfig, np.ndarray]:
+    """Seeds base_seed..base_seed+runs-1, the members that integrate them, the
+    engine config and the equilibrium.
 
-    Every seed and the dt override are checked before the equilibrium is
-    solved, so a bad override raises ValidationError.
+    The stochastic law integrates every seed; any other law one member, at
+    the first seed. Every seed and the dt override are checked before the
+    equilibrium is solved, so a bad one raises ValidationError.
     """
     try:
         seeds = range(int(base_seed), int(base_seed) + int(runs))
         if not seeds:
             raise ValueError("runs must be >= 1")
-        overrides = {} if dt is None else {"dt": float(dt)}
         # the seeds are consecutive, so checking both ends checks them all
-        replace(scenario.engine, seed=seeds[-1], **overrides)
-        config = replace(scenario.engine, seed=seeds[0], **overrides)
+        Member(LawKind.STOCHASTIC, seeds[-1])
+        members = [
+            _member(scenario, law, seed)
+            for law in laws
+            for seed in (seeds if law is LawKind.STOCHASTIC else seeds[:1])
+        ]
+        config = scenario.engine if dt is None else replace(scenario.engine, dt=float(dt))
     except (ValueError, TypeError, OverflowError) as exc:
         raise ValidationError(str(exc)) from exc
-    if x_star is None:
-        x_star = scenario.ne_override
-    return seeds, config, solve_ne(scenario.game).x_star if x_star is None else x_star
+    x_star = scenario.ne_override
+    return seeds, members, config, solve_ne(scenario.game).x_star if x_star is None else x_star
 
 
 def single_run(
@@ -64,15 +67,14 @@ def single_run(
     seed: int | None = None,
     law: LawKind | None = None,
     dt: float | None = None,
-    x_star: np.ndarray | None = None,
 ) -> RunResult:
     """One seeded simulation of the scenario, with optional overrides."""
-    seed = scenario.engine.seed if seed is None else seed
+    seed = scenario.seed if seed is None else seed
     law = scenario.law if law is None else law
-    _, config, x_star = _setup(scenario, seed, 1, dt, x_star)
-    member = Member(law, law_trigger_params(scenario, law), seed)
+    _, members, config, x_star = _setup(scenario, [law], seed, 1, dt)
     return run(
-        scenario.game, scenario.graph, config, scenario.x0, scenario.y0, x_star, members=[member]
+        scenario.game, scenario.graph, scenario.trigger, config, scenario.x0, scenario.y0,
+        x_star, members=members,
     )[0]
 
 
@@ -82,7 +84,6 @@ def compare_laws(
     runs: int,
     base_seed: int,
     dt: float | None = None,
-    x_star: np.ndarray | None = None,
 ) -> dict[LawKind, metrics_mod.EnsembleMetrics]:
     """Ensemble metrics per law over seeds base_seed..base_seed+runs-1, all
     against the same equilibrium.
@@ -93,17 +94,13 @@ def compare_laws(
     chunk is folded into the per-law sums as soon as it finishes, so memory
     does not grow with the number of runs.
     """
-    seeds, config, x_star = _setup(scenario, base_seed, runs, dt, x_star)
-    members = []
-    for law in laws:
-        params = law_trigger_params(scenario, law)
-        integrated = seeds if law is LawKind.STOCHASTIC else seeds[:1]
-        members += [Member(law, params, seed) for seed in integrated]
+    seeds, members, config, x_star = _setup(scenario, laws, base_seed, runs, dt)
     ensembles = {law: metrics_mod.Ensemble() for law in laws}
     for start in range(0, len(members), ENSEMBLE_CHUNK):
         chunk = members[start:start + ENSEMBLE_CHUNK]
         for member, result in zip(chunk, run(
-            scenario.game, scenario.graph, config, scenario.x0, scenario.y0, x_star, members=chunk
+            scenario.game, scenario.graph, scenario.trigger, config, scenario.x0, scenario.y0,
+            x_star, members=chunk,
         )):
             ensembles[member.law].add(result, 1 if member.law is LawKind.STOCHASTIC else len(seeds))
         # the loop name would keep this chunk's batch alive while the next integrates

@@ -55,6 +55,8 @@ def projected_ne(
     range for strongly monotone Lipschitz operators. With exact constants the
     distance bound is the error bound (1 + s*L)/(s*mu) * ||r_s||_2 of
     Facchinei & Pang (2003), L = ||l||_2 (Frobenius bound on the Jacobian).
+    An iterate equal to the one two steps back means the map cycles between
+    neighbouring floats above tol, and raises NoConvergence at once.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -65,7 +67,7 @@ def projected_ne(
         raise ValueError("step must be positive")
 
     lo, hi = game.bounds
-    x = 0.5 * (lo + hi)
+    x = prev = 0.5 * (lo + hi)
     residual = np.inf
     for it in range(1, max_iter + 1):
         nxt = np.clip(x - step * pseudo_gradient(game, x), lo, hi)
@@ -74,7 +76,10 @@ def projected_ne(
             lip = float(np.linalg.norm(c.l))
             bound = (1.0 + step * lip) / (step * c.mu) * float(np.linalg.norm(x - nxt))
             return NeSolution(x, residual, it, "projected", bound if c.exact else math.inf)
-        x = nxt
+        if np.array_equal(nxt, prev):
+            msg = f"iterates cycle at iteration {it}, residual {residual:.3e} above tol"
+            raise NoConvergence(msg, residual=residual)
+        prev, x = x, nxt
     raise NoConvergence(
         f"no fixed point within {max_iter} iterations (residual {residual:.3e})",
         residual=residual,

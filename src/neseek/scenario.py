@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import sigma_bound
-from .engine import EngineConfig, check_start
+from .engine import EngineConfig, Member, check_start
 from .errors import ParseError, ValidationError
 from .games import ActionInterval, GameDefinition, QuadraticGame, SpectrumGame
 from .graphs import DirectedGraph, is_strongly_connected
@@ -45,6 +45,8 @@ class Scenario:
     engine: EngineConfig
     x0: np.ndarray
     y0: np.ndarray
+    law: LawKind
+    seed: int = 0
     runs: int = 1
     ne_override: np.ndarray | None = None
     advisories: list[str] = field(default_factory=list)
@@ -52,10 +54,6 @@ class Scenario:
     @property
     def n(self) -> int:
         return self.graph.n
-
-    @property
-    def law(self) -> LawKind:
-        return self.engine.law
 
 
 def _require(data: dict, key: str, where: str):
@@ -78,8 +76,15 @@ def _intervals(raw, n: int, where: str) -> tuple[ActionInterval, ...]:
     return tuple(out)
 
 
+def _array(raw, where: str) -> np.ndarray:
+    try:
+        return np.array(raw, dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+
+
 def _finite_array(raw, shape: tuple[int, ...], where: str) -> np.ndarray:
-    a = np.array(raw, dtype=float)
+    a = _array(raw, where)
     if a.shape != shape:
         raise ValidationError(f"{where}: expected shape {shape}, got {a.shape}")
     if not np.isfinite(a).all():
@@ -136,7 +141,7 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
         ) from None
 
     if "sigma" in traw:
-        sigma = np.array(traw["sigma"], dtype=float)
+        sigma = _array(traw["sigma"], "trigger.sigma")
     elif traw.get("sigma_rule") == "0.8/din":
         din = graph.in_degrees
         if (din == 0).any():
@@ -174,13 +179,12 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
             beta=float(_require(eraw, "beta", "engine")),
             dt=float(eraw.get("dt", 0.025)),
             horizon=float(_require(eraw, "horizon", "engine")),
-            seed=int(eraw.get("seed", 0)),
-            law=law,
         )
+        seed = Member(law, int(eraw.get("seed", 0))).seed
     except (ValueError, TypeError, OverflowError) as exc:
         raise ValidationError(f"engine: {exc}") from exc
 
-    x0 = np.array(_require(data, "x0", source), dtype=float)
+    x0 = _array(_require(data, "x0", source), "x0")
     if x0.shape != (n,):
         raise ValidationError(f"x0: expected length {n}, got shape {x0.shape}")
     y0 = _finite_array(_require(data, "y0", source), (n, n), "y0")
@@ -216,6 +220,8 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
         engine=engine,
         x0=x0,
         y0=y0,
+        law=law,
+        seed=seed,
         runs=runs,
         ne_override=ne_override,
         advisories=advisories,

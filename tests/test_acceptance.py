@@ -9,6 +9,7 @@ roughly t = 35 s. The honest long-horizon convergence check lives in
 test_engine.py; everything else here runs at the shipped settings.
 """
 
+import dataclasses
 import math
 import time
 
@@ -53,18 +54,22 @@ def equilibrium(spectrum_scenario):
 def stochastic_members(spectrum_scenario, equilibrium):
     """The stochastic ensemble's runs, one per seed, and the time they took."""
     s = spectrum_scenario
-    members = [Member(LawKind.STOCHASTIC, s.trigger, seed) for seed in range(ENSEMBLE_RUNS)]
+    members = [Member(LawKind.STOCHASTIC, seed) for seed in range(ENSEMBLE_RUNS)]
     t0 = time.perf_counter()
-    runs = run(s.game, s.graph, s.engine, s.x0, s.y0, equilibrium, members=members)
+    runs = run(s.game, s.graph, s.trigger, s.engine, s.x0, s.y0, equilibrium, members=members)
     elapsed = time.perf_counter() - t0
     return runs, elapsed
 
 
 @pytest.fixture(scope="module")
-def comparison_ensembles(spectrum_scenario, equilibrium):
-    return compare_laws(
-        spectrum_scenario, list(LawKind), ENSEMBLE_RUNS, base_seed=0, x_star=equilibrium
-    )
+def anchored(spectrum_scenario, equilibrium):
+    """The bundled scenario with its errors measured against ``equilibrium``."""
+    return dataclasses.replace(spectrum_scenario, ne_override=equilibrium)
+
+
+@pytest.fixture(scope="module")
+def comparison_ensembles(anchored):
+    return compare_laws(anchored, list(LawKind), ENSEMBLE_RUNS, base_seed=0)
 
 
 def test_01_equilibrium_reproduction(spectrum_scenario):
@@ -242,14 +247,14 @@ def test_09_rate_certificate_identities(spectrum_scenario):
     )
 
 
-def test_10_bounded_events_under_grid_refinement(spectrum_scenario, equilibrium):
-    law = spectrum_scenario.law
-    coarse = compare_laws(spectrum_scenario, [law], 6, base_seed=0, x_star=equilibrium)
-    fine = compare_laws(spectrum_scenario, [law], 6, base_seed=0, x_star=equilibrium, dt=0.0125)
+def test_10_bounded_events_under_grid_refinement(anchored):
+    law = anchored.law
+    coarse = compare_laws(anchored, [law], 6, base_seed=0)
+    fine = compare_laws(anchored, [law], 6, base_seed=0, dt=0.0125)
     ratio = fine[law].mean_counts / coarse[law].mean_counts
-    first = single_run(spectrum_scenario, seed=0, law=law, x_star=equilibrium)
+    first = single_run(anchored, seed=0, law=law)
     gaps_ok = all(
-        gaps.min() >= spectrum_scenario.engine.dt
+        gaps.min() >= anchored.engine.dt
         for gaps in first.intervals
         if gaps.size
     )
@@ -265,9 +270,9 @@ def test_11_single_step_hand_oracle():
     import test_engine
 
     game, graph, trig, cfg = test_engine.two_player_setup(horizon=0.025)
-    state = init(game, graph, trig, cfg, np.array([1.0, 2.0]),
-                 np.array([[1.0, 0.5], [1.5, 2.0]]))
-    new, _, _ = step(state, game, graph, test_engine.one_member(cfg.law, trig, 0, cfg.steps), cfg)
+    state = init(game, graph, np.array([1.0, 2.0]), np.array([[1.0, 0.5], [1.5, 2.0]]))
+    batch = test_engine.one_member(LawKind.CONTINUOUS, trig, 0, cfg.steps)
+    new, _, _ = step(state, game, graph, batch, cfg)
     g0 = (2.0 * 1.0 + (0.0 * 1.0 + 1.0 * 0.5)) + -4.0
     g1 = (3.0 * 2.0 + (-1.0 * 1.5 + 0.0 * 2.0)) + 1.0
     expected_x = np.array(

@@ -1,9 +1,12 @@
+import inspect
+
 import neseek
 
 # Removed from the package: the per-run metrics record and the second
 # ensemble entry point (a RunResult carries its own statistics and
-# compare_laws is the one ensemble call), and the scalar reference
-# implementations, which live in tests/oracles.py.
+# compare_laws is the one ensemble call), the scalar reference
+# implementations, which live in tests/oracles.py, and the per-law trigger
+# parameters (a Member carries its law's sigma cap).
 REMOVED = (
     "RunMetrics",
     "run_ensemble",
@@ -14,6 +17,7 @@ REMOVED = (
     "partial_gradient",
     "project",
     "coupling_matrix",
+    "law_trigger_params",
 )
 
 
@@ -27,3 +31,10 @@ def test_removed_names_are_not_exported():
     for name in REMOVED:
         assert name not in neseek.__all__, name
         assert not hasattr(neseek, name), name
+
+
+def test_runs_take_their_inputs_from_the_scenario():
+    # ne_override is the one way to anchor the error series
+    for fn in (neseek.single_run, neseek.compare_laws):
+        assert "x_star" not in inspect.signature(fn).parameters, fn.__name__
+    assert not hasattr(neseek.harness, "law_trigger_params")

@@ -48,25 +48,25 @@ class TestSigmaBound:
 
 class TestBetaMin:
     def test_unit_constants(self):
-        assert beta_min(mu=1.0, lambda_min_q=1.0, c2=1.0, c3=1.0, c4=1.0) == pytest.approx(5.0)
+        assert beta_min(mu=1.0, c2=1.0, c3=1.0, c4=1.0) == pytest.approx(5.0)
 
     def test_decreasing_in_mu_when_coupling_present(self):
-        base = beta_min(mu=1.0, lambda_min_q=1.0, c2=1.0, c3=1.0, c4=1.0)
-        doubled = beta_min(mu=2.0, lambda_min_q=1.0, c2=1.0, c3=1.0, c4=1.0)
+        base = beta_min(mu=1.0, c2=1.0, c3=1.0, c4=1.0)
+        doubled = beta_min(mu=2.0, c2=1.0, c3=1.0, c4=1.0)
         assert doubled < base
         # without the cross term the value is mu-independent
-        assert beta_min(2.0, 1.0, 0.0, 0.0, 3.0) == beta_min(1.0, 1.0, 0.0, 0.0, 3.0)
+        assert beta_min(2.0, 0.0, 0.0, 3.0) == beta_min(1.0, 0.0, 0.0, 3.0)
 
 
 class TestAlphaMax:
     def test_unit_constants(self):
-        got = alpha_max(mu=1.0, lambda_min_q=1.0, beta=10.0, c1=1.0, c2=1.0, c3=1.0, c4=1.0)
+        got = alpha_max(mu=1.0, beta=10.0, c1=1.0, c2=1.0, c3=1.0, c4=1.0)
         assert got == pytest.approx(10.0 / 21.0)
 
     def test_beta_at_threshold_is_infeasible(self):
-        b = beta_min(mu=1.0, lambda_min_q=1.0, c2=1.0, c3=1.0, c4=1.0)
+        b = beta_min(mu=1.0, c2=1.0, c3=1.0, c4=1.0)
         with pytest.raises(InfeasibleBeta):
-            alpha_max(1.0, 1.0, b * (1.0 - 1e-12), 1.0, 1.0, 1.0, 1.0)
+            alpha_max(1.0, b * (1.0 - 1e-12), 1.0, 1.0, 1.0, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -124,8 +124,7 @@ def test_feasible_region_exists_for_gentle_game():
     game = decoupled_quadratic(diag=(1.0, 1.0), offset=(-1.0, -2.0), box=(0.0, 5.0))
     report0 = compute_report(game, TWO_CYCLE, alpha=1e-3, beta=1.0, eta=10.0)
     beta = 2.0 * report0.beta_min
-    amax = alpha_max(report0.mu, report0.lambda_min_q, beta,
-                     report0.c1, report0.c2, report0.c3, report0.c4)
+    amax = alpha_max(report0.mu, beta, report0.c1, report0.c2, report0.c3, report0.c4)
     report = compute_report(game, TWO_CYCLE, alpha=0.5 * amax, beta=beta, eta=10.0)
     assert report.feasible
     assert report.theta_star > 0

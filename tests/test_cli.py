@@ -59,12 +59,13 @@ def test_bounds_reports_full_certificate(capsys):
     assert main(["bounds", "--config", SPECTRUM]) == 0
     doc = json.loads(capsys.readouterr().out)
     for key in (
-        "mu", "lbar", "c1", "c2", "c3", "c4", "c5", "lambda_min_q", "lambda_max_p",
+        "mu", "lbar", "c1", "c2", "c3", "c4", "c5", "lambda_max_p",
         "phi1", "phi2", "omega1", "omega2", "theta_star", "k_v",
         "alpha_max", "beta_min", "sigma_max", "feasible",
     ):
         assert key in doc
-    assert doc["lambda_min_q"] == pytest.approx(1.0)
+    # Q = I, so lambda_min(Q) = 1 is not reported
+    assert "lambda_min_q" not in doc
     assert isinstance(doc["feasible"], bool)
 
 
@@ -222,6 +223,17 @@ def test_bad_override_is_one_error_line(tmp_path, capsys, argv):
            if not line.startswith("warning:")]
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
+
+
+def test_non_numeric_start_is_one_error_line(tmp_path, capsys):
+    config = json.loads(bundled_path("quadratic_demo").read_text())
+    config["x0"] = ["a", 1]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert main(["solve-ne", "--config", str(path)]) == 1
+    err = [line for line in capsys.readouterr().err.splitlines()
+           if not line.startswith("warning:")]
+    assert len(err) == 1 and err[0].startswith("error: x0: ")
 
 
 def test_compare_divergence_is_one_error_line(tmp_path, capsys):

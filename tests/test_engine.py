@@ -20,13 +20,14 @@ from neseek import (
     Scenario,
     TriggerParams,
     compare_laws,
+    decide,
     init,
     run,
     single_run,
     solve_ne,
     step,
 )
-from neseek import harness
+from neseek import engine, harness
 from neseek.errors import InfeasibleStart, NumericalDivergence
 from neseek.triggers import xi_from_uniform
 
@@ -45,7 +46,7 @@ PUBLISHED_Y0 = np.array(
 )
 
 
-def two_player_setup(law=LawKind.CONTINUOUS, beta=0.2, dt=0.025, horizon=1.0, seed=0):
+def two_player_setup(beta=0.2, dt=0.025, horizon=1.0):
     game = QuadraticGame(
         diag_a=[2.0, 3.0],
         cross=[[0.0, 1.0], [-1.0, 0.0]],
@@ -61,7 +62,7 @@ def two_player_setup(law=LawKind.CONTINUOUS, beta=0.2, dt=0.025, horizon=1.0, se
         sigma=np.full(2, 0.2),
         delta0=np.ones(2),
     )
-    cfg = EngineConfig(alpha=0.1, beta=beta, dt=dt, horizon=horizon, seed=seed, law=law)
+    cfg = EngineConfig(alpha=0.1, beta=beta, dt=dt, horizon=horizon)
     return game, graph, trig, cfg
 
 
@@ -80,7 +81,7 @@ def draw(rngs):
 def one_member(law, params, seed, steps):
     """``step``'s inputs for one run on an unbatched state: a one-member
     ``Batch`` with its member axis dropped."""
-    b = Batch.of([Member(law, params, seed)], steps)
+    b = Batch.of(params, [Member(law, seed)], steps)
     return dataclasses.replace(
         b, sigma=b.sigma[0], xi=b.xi[:, 0], term=b.term[:, 0],
         static=b.static[0], continuous=b.continuous[0],
@@ -90,20 +91,19 @@ def one_member(law, params, seed, steps):
 class TestInit:
     def test_shipped_initial_state(self, spectrum_scenario):
         s = spectrum_scenario
-        state = init(s.game, s.graph, s.trigger, s.engine, PUBLISHED_X0, PUBLISHED_Y0)
-        assert state.t == 0.0
+        state = init(s.game, s.graph, PUBLISHED_X0, PUBLISHED_Y0)
+        assert state.step_index == 0
         assert np.array_equal(state.x, PUBLISHED_X0)
         assert state.y[0, 0] == 14.0  # diagonal overwritten by the action
         assert np.array_equal(np.diagonal(state.y), PUBLISHED_X0)
         assert np.array_equal(state.x_hat, state.x)
         assert np.array_equal(state.y_hat, state.y)
-        assert np.array_equal(state.delta, s.trigger.delta0)
 
     def test_equilibrium_start_has_zero_gradient_residual(self, spectrum_scenario):
         s = spectrum_scenario
         x_star = solve_ne(s.game).x_star
         y0 = np.tile(x_star, (5, 1))
-        state = init(s.game, s.graph, s.trigger, s.engine, x_star, y0)
+        state = init(s.game, s.graph, x_star, y0)
         from neseek import verify_ne
 
         assert verify_ne(s.game, state.x, s.engine.alpha) <= 1e-12
@@ -113,22 +113,23 @@ class TestInit:
         bad = PUBLISHED_X0.copy()
         bad[0] = 20.0
         with pytest.raises(InfeasibleStart):
-            init(s.game, s.graph, s.trigger, s.engine, bad, PUBLISHED_Y0)
+            init(s.game, s.graph, bad, PUBLISHED_Y0)
 
     def test_nan_start_is_infeasible(self, spectrum_scenario):
         s = spectrum_scenario
         bad = PUBLISHED_X0.copy()
         bad[2] = math.nan
         with pytest.raises(InfeasibleStart, match=r"x0\[2\]=nan outside"):
-            init(s.game, s.graph, s.trigger, s.engine, bad, PUBLISHED_Y0)
+            init(s.game, s.graph, bad, PUBLISHED_Y0)
 
 
 class TestStep:
     def test_single_step_matches_hand_computation(self):
         game, graph, trig, cfg = two_player_setup(horizon=0.025)
-        state = init(game, graph, trig, cfg, np.array([1.0, 2.0]),
-                     np.array([[1.0, 0.5], [1.5, 2.0]]))
-        new, fired, _ = step(state, game, graph, one_member(cfg.law, trig, 0, cfg.steps), cfg)
+        state = init(game, graph, np.array([1.0, 2.0]), np.array([[1.0, 0.5], [1.5, 2.0]]))
+        new, fired, _ = step(
+            state, game, graph, one_member(LawKind.CONTINUOUS, trig, 0, cfg.steps), cfg
+        )
 
         # scalar forward-Euler computation, written out term by term
         g0 = (2.0 * 1.0 + (0.0 * 1.0 + 1.0 * 0.5)) + -4.0
@@ -147,14 +148,13 @@ class TestStep:
         assert new.y[0, 0] == new.x[0]
         assert new.y[1, 1] == new.x[1]
         assert 1.0 + 0.025 * ydot00 != new.x[0]  # the pin is not a no-op
-        assert new.t == pytest.approx(0.025)
+        assert new.step_index == 1
         assert fired.tolist() == [True, True]  # continuous law fires everyone
 
     def test_continuous_law_reduces_to_exact_estimate_dynamics(self):
         game, graph, trig, cfg = two_player_setup(horizon=1.0)
-        state = init(game, graph, trig, cfg, np.array([1.0, 2.0]),
-                     np.array([[1.0, 0.5], [1.5, 2.0]]))
-        batch = one_member(cfg.law, trig, cfg.seed, cfg.steps)
+        state = init(game, graph, np.array([1.0, 2.0]), np.array([[1.0, 0.5], [1.5, 2.0]]))
+        batch = one_member(LawKind.CONTINUOUS, trig, 0, cfg.steps)
 
         # oracle: integrate the always-broadcast dynamics without any hats
         a = graph.weights
@@ -183,19 +183,26 @@ class TestStep:
         assert np.allclose(state.x, x, atol=1e-12)
         assert np.allclose(state.y, y, atol=1e-12)
 
-    def test_diagonal_identity_and_decay_every_step(self, quadratic_scenario):
+    def test_diagonal_identity_and_decay_every_step(self, quadratic_scenario, monkeypatch):
         s = quadratic_scenario
-        state = init(s.game, s.graph, s.trigger, s.engine, s.x0, s.y0)
-        batch = one_member(s.law, s.trigger, s.engine.seed, s.engine.steps)
-        for _ in range(50):
+        decays = []
+
+        def spy(params, rho, energy, decay, *rest):
+            decays.append(decay)
+            return decide(params, rho, energy, decay, *rest)
+
+        monkeypatch.setattr(engine, "decide", spy)
+        state = init(s.game, s.graph, s.x0, s.y0)
+        batch = one_member(s.law, s.trigger, s.seed, s.engine.steps)
+        for k in range(50):
             state, _, _ = step(state, s.game, s.graph, batch, s.engine)
             assert np.array_equal(np.diagonal(state.y), state.x)
-            expected = s.trigger.delta0 * np.exp(-s.trigger.eta * state.t)
-            assert np.allclose(state.delta, expected, rtol=1e-12)
+            expected = s.trigger.delta0 * np.exp(-s.trigger.eta * k * s.engine.dt)
+            assert np.allclose(decays[k], expected, rtol=1e-12)
 
     def test_broadcast_constant_between_triggers(self, quadratic_scenario):
         s = quadratic_scenario
-        state = init(s.game, s.graph, s.trigger, s.engine, s.x0, s.y0)
+        state = init(s.game, s.graph, s.x0, s.y0)
         batch = one_member(s.law, s.trigger, 3, s.engine.steps)
         for _ in range(120):
             prev_xhat = state.x_hat.copy()
@@ -213,9 +220,8 @@ class TestStep:
 
     def test_divergence_guard(self):
         game, graph, trig, cfg = two_player_setup(beta=1e12, horizon=0.1)
-        state = init(game, graph, trig, cfg, np.array([1.0, 2.0]),
-                     np.array([[1.0, 0.5], [1.5, 2.0]]))
-        batch = one_member(cfg.law, trig, 0, cfg.steps)
+        state = init(game, graph, np.array([1.0, 2.0]), np.array([[1.0, 0.5], [1.5, 2.0]]))
+        batch = one_member(LawKind.CONTINUOUS, trig, 0, cfg.steps)
         with pytest.raises(NumericalDivergence):
             for _ in range(cfg.steps):
                 state, _, _ = step(state, game, graph, batch, cfg)
@@ -228,11 +234,12 @@ class TestRun:
         (result,) = run(
             s.game,
             s.graph,
+            s.trigger,
             s.engine,
             x0=x_star,
             y0=np.tile(x_star, (5, 1)),
             x_star=x_star,
-            members=[Member(s.law, s.trigger, s.engine.seed)],
+            members=[Member(s.law, s.seed)],
         )
         assert result.err_inf.max() <= 1e-6
 
@@ -287,8 +294,8 @@ class TestRun:
     def test_evaluation_errors_match_raw_state(self, quadratic_scenario):
         # recompute the squared error terms from the previous state by hand
         s = quadratic_scenario
-        state = init(s.game, s.graph, s.trigger, s.engine, s.x0, s.y0)
-        batch = one_member(s.law, s.trigger, s.engine.seed, s.engine.steps)
+        state = init(s.game, s.graph, s.x0, s.y0)
+        batch = one_member(s.law, s.trigger, s.seed, s.engine.steps)
         for _ in range(60):
             prev = dataclasses.replace(
                 state,
@@ -346,9 +353,8 @@ class TestRun:
 
     def test_trigger_counts_bounded_as_dt_halves(self, spectrum_scenario):
         short = with_engine(spectrum_scenario, horizon=10.0)
-        x_star = solve_ne(short.game).x_star
-        coarse = compare_laws(short, [short.law], 4, base_seed=0, x_star=x_star)
-        fine = compare_laws(short, [short.law], 4, base_seed=0, x_star=x_star, dt=0.0125)
+        coarse = compare_laws(short, [short.law], 4, base_seed=0)
+        fine = compare_laws(short, [short.law], 4, base_seed=0, dt=0.0125)
         coarse, fine = coarse[short.law].mean_counts, fine[short.law].mean_counts
         assert (fine <= 1.5 * coarse).all()
 
@@ -389,7 +395,7 @@ def batch_cases(draw):
         delta0=rng.uniform(0.05, 1.0, n),
     )
     law = draw(st.sampled_from(list(LawKind)))
-    cfg = EngineConfig(alpha=0.1, beta=0.5, dt=0.025, horizon=1.0, seed=0, law=law)
+    cfg = EngineConfig(alpha=0.1, beta=0.5, dt=0.025, horizon=1.0)
     seeds = draw(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=5, unique=True))
     scenario = Scenario(
         graph=g,
@@ -398,6 +404,8 @@ def batch_cases(draw):
         engine=cfg,
         x0=rng.uniform(-3.0, 3.0, n),
         y0=rng.uniform(-3.0, 3.0, (n, n)),
+        law=law,
+        ne_override=np.zeros(n),
     )
     return scenario, seeds
 
@@ -405,21 +413,17 @@ def batch_cases(draw):
 @st.composite
 def mixed_batch_cases(draw):
     """A batch case with 1..8 members, each with a law drawn from all four,
-    any seed, and the scenario's sigma or that sigma capped at 0.05 or 0.15."""
+    any seed, and a sigma cap of inf (the scenario's sigma), 0.05 or 0.15."""
     s, _ = draw(batch_cases())
-    members = []
-    for law, seed, cap in draw(st.lists(
-        st.tuples(
+    members = draw(st.lists(
+        st.builds(
+            Member,
             st.sampled_from(list(LawKind)),
             st.integers(0, 2 ** 64 - 1),
-            st.sampled_from([None, 0.05, 0.15]),
+            st.sampled_from([math.inf, 0.05, 0.15]),
         ),
         min_size=1, max_size=8,
-    )):
-        params = s.trigger if cap is None else dataclasses.replace(
-            s.trigger, sigma=np.minimum(s.trigger.sigma, cap)
-        )
-        members.append(Member(law, params, seed))
+    ))
     return s, members
 
 
@@ -459,20 +463,19 @@ class TestBatch:
     @given(batch_cases())
     def test_batch_equals_separate_runs(self, case):
         s, seeds = case
-        x_star = np.zeros(s.n)
-        args = (s.game, s.graph, s.engine, s.x0, s.y0, x_star)
-        batch = run(*args, members=[Member(s.law, s.trigger, seed) for seed in seeds])
+        args = (s.game, s.graph, s.trigger, s.engine, s.x0, s.y0, s.ne_override)
+        batch = run(*args, members=[Member(s.law, seed) for seed in seeds])
         for seed, got in zip(seeds, batch):
-            (alone,) = run(*args, members=[Member(s.law, s.trigger, seed)])
+            (alone,) = run(*args, members=[Member(s.law, seed)])
             assert_same_columns(got, alone)
         if s.law is not LawKind.STOCHASTIC:
             # a deterministic ensemble replicates one run; it must still equal
             # the ensemble of every seed's own separate run
             base = min(seeds[0], 2 ** 64 - len(seeds))
-            ens = compare_laws(s, [s.law], len(seeds), base, x_star=x_star)[s.law]
-            first, separate = single_run(s, seed=base, x_star=x_star), Ensemble()
+            ens = compare_laws(s, [s.law], len(seeds), base)[s.law]
+            first, separate = single_run(s, seed=base), Ensemble()
             for k in range(len(seeds)):
-                alone = single_run(s, seed=base + k, x_star=x_star)
+                alone = single_run(s, seed=base + k)
                 assert_same_columns(alone, first)
                 assert np.array_equal(alone.gamma, first.gamma)
                 separate.add(alone)
@@ -482,26 +485,29 @@ class TestBatch:
     @given(mixed_batch_cases())
     def test_mixed_law_batch_equals_separate_runs(self, case):
         s, members = case
-        args = (s.game, s.graph, s.engine, s.x0, s.y0, np.zeros(s.n))
+        args = (s.game, s.graph, s.trigger, s.engine, s.x0, s.y0, s.ne_override)
         for member, got in zip(members, run(*args, members=members)):
             (alone,) = run(*args, members=[member])
             assert_same_columns(got, alone)
 
     @pytest.mark.parametrize(
-        "field, factor", [("kappa", 2.0), ("a_floor", 0.5), ("eta", 2.0), ("c", 2.0),
-                          ("delta0", 2.0)],
+        "seed, cap, message",
+        [
+            pytest.param(-1, math.inf, "seed", id="seed-negative"),
+            pytest.param(2 ** 64, math.inf, "seed", id="seed-2**64"),
+            pytest.param(0, 0.0, "sigma_cap", id="cap-zero"),
+            pytest.param(0, -1.0, "sigma_cap", id="cap-negative"),
+            pytest.param(0, math.nan, "sigma_cap", id="cap-nan"),
+        ],
     )
-    def test_members_must_share_all_but_sigma(self, quadratic_scenario, field, factor):
-        s = quadratic_scenario
-        other = dataclasses.replace(s.trigger, **{field: getattr(s.trigger, field) * factor})
-        members = [Member(LawKind.STOCHASTIC, s.trigger, 0), Member(LawKind.STATIC, other, 0)]
-        with pytest.raises(ValueError, match=f"not {field}$"):
-            run(s.game, s.graph, s.engine, s.x0, s.y0, np.zeros(s.n), members=members)
+    def test_member_rejects_out_of_range(self, seed, cap, message):
+        with pytest.raises(ValueError, match=message):
+            Member(LawKind.STOCHASTIC, seed, cap)
 
     def test_thresholds_follow_per_player_streams(self, quadratic_scenario):
         s = quadratic_scenario
-        members = [Member(LawKind.STATIC, s.trigger, 9), Member(LawKind.STOCHASTIC, s.trigger, 9)]
-        batch = Batch.of(members, 30)
+        members = [Member(LawKind.STATIC, 9), Member(LawKind.STOCHASTIC, 9)]
+        batch = Batch.of(s.trigger, members, 30)
         rngs = make_rngs(9, s.n)
         for k in range(30):
             assert np.array_equal(batch.xi[k, 1], xi_from_uniform(s.trigger, draw(rngs)))
@@ -573,23 +579,17 @@ class TestBatch:
 
 class TestEngineConfig:
     def test_validation(self):
-        from neseek import EngineConfig
-
         with pytest.raises(ValueError):
-            EngineConfig(alpha=0.0, beta=1.0, horizon=1.0, seed=0, law=LawKind.CONTINUOUS)
+            EngineConfig(alpha=0.0, beta=1.0, horizon=1.0)
         with pytest.raises(ValueError):
-            EngineConfig(alpha=0.1, beta=-1.0, horizon=1.0, seed=0, law=LawKind.CONTINUOUS)
+            EngineConfig(alpha=0.1, beta=-1.0, horizon=1.0)
         with pytest.raises(ValueError):
-            EngineConfig(alpha=0.1, beta=1.0, horizon=1.0, dt=2.0, seed=0, law=LawKind.CONTINUOUS)
+            EngineConfig(alpha=0.1, beta=1.0, horizon=1.0, dt=2.0)
         with pytest.raises(ValueError):
-            EngineConfig(alpha=0.1, beta=1.0, horizon=1.0, seed=-1, law=LawKind.CONTINUOUS)
+            EngineConfig(alpha=0.1, beta=1.0, horizon=math.nan)
 
     def test_step_count_avoids_float_drift(self):
-        from neseek import EngineConfig
-
-        cfg = EngineConfig(alpha=0.1, beta=1.0, horizon=20.0, dt=0.025, seed=0,
-                           law=LawKind.CONTINUOUS)
+        cfg = EngineConfig(alpha=0.1, beta=1.0, horizon=20.0, dt=0.025)
         assert cfg.steps == 800
-        one = EngineConfig(alpha=0.1, beta=1.0, horizon=0.025, dt=0.025, seed=0,
-                           law=LawKind.CONTINUOUS)
+        one = EngineConfig(alpha=0.1, beta=1.0, horizon=0.025, dt=0.025)
         assert one.steps == 1

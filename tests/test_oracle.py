@@ -95,6 +95,18 @@ def test_no_convergence_reports_residual():
     assert err.value.residual > 0
 
 
+def test_float_cycle_stops_early():
+    # at tol below the float resolution of x*, the map settles into a
+    # period-2 cycle between neighbouring floats near iteration 160
+    game = SpectrumGame(
+        m_c=[7.0], q=[1.3], r=[0.0], s_db=[12.0], ber_target=[1e-4],
+        intervals=(ActionInterval(-10.0, 10.0),),
+    )
+    with pytest.raises(NoConvergence, match="cycle") as err:
+        projected_ne(game, tol=1e-15, max_iter=200)
+    assert 0 < err.value.residual < 1e-14
+
+
 def test_step_and_its_origin_reported():
     game = published_game()
     c = estimate_constants(game)

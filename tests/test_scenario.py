@@ -168,6 +168,26 @@ def test_non_finite_dict_input_is_validation_error(kind, where, value):
             scenario_from_dict(data)
 
 
+@pytest.mark.parametrize("field", ["x0", "y0", "ne_override", "trigger.sigma"])
+@pytest.mark.parametrize("bad", ["non-numeric", "ragged"])
+def test_unconvertible_array_is_validation_error(field, bad):
+    # quadratic_demo has two players
+    value = {
+        "non-numeric": ["a", 1.0] if field != "y0" else [["a", 1.0], [1.0, 2.0]],
+        "ragged": [[1.0, 2.0], [3.0]],
+    }[bad]
+    data = quadratic_dict()
+    if field == "trigger.sigma":
+        data["trigger"].pop("sigma_rule")
+        data["trigger"]["sigma"] = value
+    else:
+        data[field] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AdvisoryWarning)
+        with pytest.raises(ValidationError, match=f"^{field}: "):
+            scenario_from_dict(data)
+
+
 def test_nan_y0_from_api_stops_the_run():
     # the loader rejects it; a scenario built around the loader meets the
     # run's guard instead
