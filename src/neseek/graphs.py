@@ -60,6 +60,20 @@ class DirectedGraph:
         din.flags.writeable = False
         return din
 
+    @cached_property
+    def links(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column indices of the nonzero weights, in row-major order."""
+        rows, cols = np.nonzero(self.weights)
+        rows.flags.writeable = cols.flags.writeable = False
+        return rows, cols
+
+    @cached_property
+    def csr(self):
+        """``weights`` as a ``scipy.sparse.csr_array``; its entries follow ``links``."""
+        import scipy.sparse  # imported here: graphs on the dense path never need it
+
+        return scipy.sparse.csr_array(self.weights)
+
 
 @dataclass(frozen=True)
 class LyapunovPair:

@@ -7,7 +7,8 @@ weight), while the randomized law keeps the scenario's weights. Ensemble
 members use seeds base_seed, base_seed + 1, ..., and are folded in seed
 order. Only the randomized law reads the random draw, so any other law
 integrates one run and repeats it. The members of every law in a
-comparison are integrated together, in batches of up to ENSEMBLE_CHUNK.
+comparison are integrated together, in chunks whose estimate matrices hold
+at most ENSEMBLE_ENTRIES entries: 256 members at n = 5, one from n = 57.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from .oracle import solve_ne
 from .scenario import Scenario
 from .triggers import LawKind
 
-# Members integrated in one batch; bounds an ensemble's peak memory.
-ENSEMBLE_CHUNK = 256
+# Estimate entries (members * n * n) integrated in one batch; bounds an
+# ensemble's peak memory and keeps a large-n batch's state in cache.
+ENSEMBLE_ENTRIES = 256 * 5 * 5
 
 
 def _member(scenario: Scenario, law: LawKind, seed: int) -> Member:
@@ -90,14 +92,15 @@ def compare_laws(
 
     Only the stochastic law reads the random draw: any other law integrates
     one member, at the first seed, and stands for every seed. The members of
-    all laws are integrated together, ENSEMBLE_CHUNK at a time, and each
-    chunk is folded into the per-law sums as soon as it finishes, so memory
-    does not grow with the number of runs.
+    all laws are integrated together, ENSEMBLE_ENTRIES // n**2 at a time (at
+    least one), and each chunk is folded into the per-law sums as soon as it
+    finishes, so memory does not grow with the number of runs.
     """
     seeds, members, config, x_star = _setup(scenario, laws, base_seed, runs, dt)
     ensembles = {law: metrics_mod.Ensemble() for law in laws}
-    for start in range(0, len(members), ENSEMBLE_CHUNK):
-        chunk = members[start:start + ENSEMBLE_CHUNK]
+    size = max(1, ENSEMBLE_ENTRIES // scenario.n ** 2)
+    for start in range(0, len(members), size):
+        chunk = members[start:start + size]
         for member, result in zip(chunk, run(
             scenario.game, scenario.graph, scenario.trigger, config, scenario.x0, scenario.y0,
             x_star, members=chunk,

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -74,6 +75,14 @@ def _intervals(raw, n: int, where: str) -> tuple[ActionInterval, ...]:
         except ValueError as exc:
             raise ValidationError(f"{where}: intervals[{k}]: {exc}") from exc
     return tuple(out)
+
+
+def _integer(raw, where: str) -> int:
+    """An integer field. Booleans and floats are rejected, integral ones too:
+    a float seed past 2**53 no longer holds the digits that were written."""
+    if isinstance(raw, bool) or not isinstance(raw, numbers.Integral):
+        raise ValidationError(f"{where}: expected an integer, got {raw!r}")
+    return int(raw)
 
 
 def _array(raw, where: str) -> np.ndarray:
@@ -180,7 +189,7 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
             dt=float(eraw.get("dt", 0.025)),
             horizon=float(_require(eraw, "horizon", "engine")),
         )
-        seed = Member(law, int(eraw.get("seed", 0))).seed
+        seed = Member(law, _integer(eraw.get("seed", 0), "engine.seed")).seed
     except (ValueError, TypeError, OverflowError) as exc:
         raise ValidationError(f"engine: {exc}") from exc
 
@@ -190,10 +199,7 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
     y0 = _finite_array(_require(data, "y0", source), (n, n), "y0")
     check_start(game, x0, ValidationError)
 
-    try:
-        runs = int(data.get("runs", 1))
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ValidationError(f"runs: {exc}") from exc
+    runs = _integer(data.get("runs", 1), "runs")
     if runs < 1:
         raise ValidationError("runs must be >= 1")
 

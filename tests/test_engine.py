@@ -28,10 +28,11 @@ from neseek import (
     step,
 )
 from neseek import engine, harness
+from neseek.engine import EngineState
 from neseek.errors import InfeasibleStart, NumericalDivergence
 from neseek.triggers import xi_from_uniform
 
-from conftest import strongly_connected_graphs, with_engine
+from conftest import random_strongly_connected, strongly_connected_graphs, with_engine
 from test_metrics import assert_same_ensemble
 
 PUBLISHED_X0 = np.array([14.0, 12.0, 10.0, 4.0, 2.0])
@@ -535,7 +536,7 @@ class TestBatch:
         whole = compare_laws(s, [law], 7, base_seed=3)[law]
         results = []
         calls = spy_on_run(monkeypatch, results)
-        monkeypatch.setattr(harness, "ENSEMBLE_CHUNK", 3)
+        monkeypatch.setattr(harness, "ENSEMBLE_ENTRIES", 3 * s.n ** 2)
         chunked = compare_laws(s, [law], 7, base_seed=3)[law]
         assert calls == [stochastic(3, 4, 5), stochastic(6, 7, 8), stochastic(9)]
         assert len(results) == 7
@@ -555,18 +556,33 @@ class TestBatch:
             batches.extend(weakref.ref(a) for a in (out[0].actions.base, out[0].err_inf.base))
             return out
 
-        monkeypatch.setattr(harness, "ENSEMBLE_CHUNK", 2)
+        # room for two members and not three
+        monkeypatch.setattr(harness, "ENSEMBLE_ENTRIES", 3 * quadratic_scenario.n ** 2 - 1)
         monkeypatch.setattr(harness, "run", spy)
         ens = compare_laws(quadratic_scenario, [LawKind.STOCHASTIC], 5, base_seed=0)
         assert ens[LawKind.STOCHASTIC].runs == 5
         assert alive == [[], [False] * 2, [False] * 4]
+
+    def test_chunks_fill_the_entry_budget(self, spectrum_scenario, monkeypatch):
+        # 256 members of n = 5 fill ENSEMBLE_ENTRIES; from n = 57 one member does
+        calls = spy_on_run(monkeypatch)
+        compare_laws(with_engine(spectrum_scenario, horizon=0.05), [LawKind.STOCHASTIC], 300, 0)
+        assert [len(call) for call in calls] == [256, 44]
+        rng, game, graph, trig = coupling_case(0, 57, unit=True)
+        wide = Scenario(
+            graph, game, trig, EngineConfig(alpha=0.1, beta=0.5, horizon=0.05),
+            x0=np.zeros(57), y0=np.zeros((57, 57)), law=LawKind.STOCHASTIC,
+            ne_override=np.zeros(57),
+        )
+        compare_laws(wide, [LawKind.STOCHASTIC], 3, 0)
+        assert [len(call) for call in calls[2:]] == [1, 1, 1]
 
     def test_mixed_law_compare_integrates_in_chunks(self, quadratic_scenario, monkeypatch):
         # 1 + 1 + 1 deterministic members and 4 stochastic ones: chunks 3, 3, 1
         s, laws = quadratic_scenario, list(LawKind)
         whole = compare_laws(s, laws, 4, base_seed=3)
         calls = spy_on_run(monkeypatch)
-        monkeypatch.setattr(harness, "ENSEMBLE_CHUNK", 3)
+        monkeypatch.setattr(harness, "ENSEMBLE_ENTRIES", 3 * s.n ** 2)
         chunked = compare_laws(s, laws, 4, base_seed=3)
         assert [len(call) for call in calls] == [3, 3, 1]
         monkeypatch.undo()
@@ -575,6 +591,110 @@ class TestBatch:
             for ens in (chunked[law], alone):
                 assert ens.runs == whole[law].runs == 4
                 assert_same_ensemble(ens, whole[law])
+
+
+def force_coupling(mp, sparse):
+    """Route the estimate coupling through one path, whatever the graph."""
+    mp.setattr(engine, "SPARSE_MIN_N", 0 if sparse else math.inf)
+    mp.setattr(engine, "SPARSE_MAX_DENSITY", 1.0)
+
+
+def coupling_case(seed, n, unit):
+    """A quadratic game and trigger parameters on the digraph of
+    ``random_strongly_connected``, with player 0's in-links removed. With
+    ``unit``, every row keeps at most two links, of weight 1: each coupling
+    entry then sums at most two exact products, in any order the same bits."""
+    rng = np.random.default_rng(seed)
+    w = random_strongly_connected(rng, n).weights.copy()
+    if unit:
+        for row in w:
+            links = np.flatnonzero(row)
+            row[:] = 0.0
+            row[rng.choice(links, size=min(2, links.size), replace=False)] = 1.0
+    w[0] = 0.0
+    cross = rng.uniform(-0.5, 0.5, (n, n))
+    np.fill_diagonal(cross, 0.0)
+    game = QuadraticGame(
+        diag_a=rng.uniform(1.0, 3.0, n),
+        cross=cross,
+        offset=rng.uniform(-2.0, 2.0, n),
+        intervals=(ActionInterval(-3.0, 3.0),) * n,
+    )
+    trig = TriggerParams(
+        kappa=1.075, a_floor=0.05, eta=1.0, c=rng.uniform(0.5, 2.0, n),
+        sigma=rng.uniform(0.01, 0.3, n), delta0=rng.uniform(0.05, 1.0, n),
+    )
+    return rng, game, DirectedGraph(w), trig
+
+
+class TestSparseCoupling:
+    CONFIG = EngineConfig(alpha=0.1, beta=0.5, dt=0.025, horizon=0.25)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2 ** 32 - 1), st.integers(2, 40), st.booleans(),
+        st.sampled_from([None, 1, 4]),
+    )
+    def test_sparse_step_equals_dense_step(self, seed, n, unit, runs):
+        # runs None: an unbatched (n, n) state under a one-member batch
+        rng, game, graph, trig = coupling_case(seed, n, unit)
+        shape = (n,) if runs is None else (runs, n)
+        x, x_hat = rng.uniform(-3.0, 3.0, (2, *shape))
+        y, y_hat = rng.uniform(-3.0, 3.0, (2, *shape, n))
+        with pytest.MonkeyPatch.context() as mp:
+            force_coupling(mp, sparse=False)
+            disagreement, _ = engine.coupling(graph, x_hat, y_hat)
+        state = EngineState(3, x, y, x_hat, y_hat, disagreement)
+        laws = list(LawKind)
+        if runs is None:
+            batch = one_member(LawKind.STOCHASTIC, trig, seed, self.CONFIG.steps)
+        else:
+            members = [Member(laws[r % 4], seed + r) for r in range(runs)]
+            batch = Batch.of(trig, members, self.CONFIG.steps)
+        out = {}
+        for sparse in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                force_coupling(mp, sparse)
+                assert engine.sparse_coupling(graph) is sparse
+                new, fired, rho = step(state, game, graph, batch, self.CONFIG)
+            out[sparse] = (new.y, new.disagreement, new.x, new.x_hat, new.y_hat, fired, rho)
+        for k, (dense, sparse) in enumerate(zip(out[False], out[True])):
+            assert dense.shape == sparse.shape and dense.dtype == sparse.dtype
+            # the decision precedes the coupling, so only y and disagreement
+            # may differ, and only in the summation of non-unit weights
+            if unit or k > 1:
+                assert np.array_equal(dense, sparse)
+            else:
+                assert np.abs(sparse - dense).max() <= 1e-14 * np.abs(dense).max()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 30), st.booleans())
+    def test_sparse_batch_members_equal_their_runs_alone(self, seed, n, unit):
+        rng, game, graph, trig = coupling_case(seed, n, unit)
+        x0 = rng.uniform(-3.0, 3.0, n)
+        y0 = rng.uniform(-3.0, 3.0, (n, n))
+        members = [Member(law, seed) for law in LawKind]
+        args = (game, graph, trig, self.CONFIG, x0, y0, np.zeros(n))
+        with pytest.MonkeyPatch.context() as mp:
+            force_coupling(mp, sparse=True)
+            batch = run(*args, members=members)
+            for member, got in zip(members, batch):
+                (alone,) = run(*args, members=[member])
+                assert_same_columns(got, alone)
+
+    def test_bundled_scenarios_resolve_dense(self, spectrum_scenario, quadratic_scenario):
+        assert not engine.sparse_coupling(spectrum_scenario.graph)
+        assert not engine.sparse_coupling(quadratic_scenario.graph)
+
+    def test_generated_n200_graph_resolves_sparse(self):
+        # a directed ring plus one chord into every player, unit weights
+        n, rng = 200, np.random.default_rng(5)
+        w = np.zeros((n, n))
+        for i in range(n):
+            w[i, i - 1] = 1.0
+            w[i, (i + 1 + rng.integers(n - 2)) % n] = 1.0
+        assert engine.sparse_coupling(DirectedGraph(w))
+        assert not engine.sparse_coupling(DirectedGraph(np.ones((n, n)) - np.eye(n)))
 
 
 class TestEngineConfig:

@@ -251,3 +251,37 @@ def test_runs_must_be_positive():
     data["runs"] = 0
     with pytest.raises(ValidationError, match="runs"):
         scenario_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "where, value",
+    [
+        pytest.param(("engine", "seed"), 1.7, id="seed-fractional"),
+        pytest.param(("engine", "seed"), True, id="seed-bool"),
+        pytest.param(("runs",), 2.9, id="runs-fractional"),
+        pytest.param(("runs",), False, id="runs-bool"),
+        # an integral float is refused too: past 2**53 it no longer holds the
+        # digits that were written
+        pytest.param(("engine", "seed"), 3.0, id="seed-integral-float"),
+        pytest.param(("runs",), 2.0, id="runs-integral-float"),
+    ],
+)
+def test_integer_fields_reject_bools_and_floats(where, value):
+    data = quadratic_dict()
+    target = data
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AdvisoryWarning)
+        with pytest.raises(ValidationError, match=rf"^{'.'.join(where)}: expected an integer"):
+            scenario_from_dict(data)
+
+
+def test_integer_fields_accept_numpy_integers():
+    data = quadratic_dict()
+    data["engine"]["seed"], data["runs"] = np.uint64(2 ** 64 - 1), np.int64(3)
+    with pytest.warns(AdvisoryWarning):
+        s = scenario_from_dict(data)
+    assert (s.seed, s.runs) == (2 ** 64 - 1, 3)
+    assert type(s.seed) is int and type(s.runs) is int
