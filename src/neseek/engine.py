@@ -20,12 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from . import metrics
-from .errors import DegenerateWindow, InfeasibleStart, NumericalDivergence
+from .errors import DegenerateWindow, NumericalDivergence
 from .games import GameDefinition, gradient_at_estimates
 from .graphs import DirectedGraph
 from .triggers import (
@@ -36,6 +36,9 @@ from .triggers import (
     triggering_function,
     xi_from_uniform,
 )
+
+if TYPE_CHECKING:
+    from .scenario import Scenario
 
 # State magnitudes beyond this abort the run: the step sizes are unstable.
 DIVERGENCE_GUARD = 1e9
@@ -203,18 +206,6 @@ class RunResult:
             return math.nan
 
 
-def check_start(game: GameDefinition, x0: np.ndarray, error: type[Exception]) -> None:
-    """Raise ``error`` naming the first entry of x0 outside its action interval.
-
-    Written so that a NaN entry counts as outside.
-    """
-    lo, hi = game.bounds
-    bad = np.flatnonzero(~((x0 >= lo) & (x0 <= hi)))
-    if bad.size:
-        i = int(bad[0])
-        raise error(f"x0[{i}]={x0[i]} outside [{lo[i]}, {hi[i]}]")
-
-
 def sparse_coupling(graph: DirectedGraph) -> bool:
     """True when ``coupling`` applies W through its CSR form, not densely."""
     n = graph.n
@@ -250,21 +241,17 @@ def coupling(
     return disagreement, bracket
 
 
-def init(game: GameDefinition, graph: DirectedGraph, x0: np.ndarray, y0: np.ndarray) -> EngineState:
-    """Initial state: broadcasts equal the state, so event errors start at zero.
+def init(scenario: Scenario) -> EngineState:
+    """The scenario's initial state: broadcasts equal the state, so event
+    errors start at zero.
 
     The diagonal of y0 is overwritten with x0 to keep own-estimates exact.
+    The scenario validated its start when it was built.
     """
-    n = graph.n
-    x0 = np.array(x0, dtype=float)
-    y0 = np.array(y0, dtype=float)
-    if x0.shape != (n,):
-        raise ValueError(f"x0 must have length {n}")
-    if y0.shape != (n, n):
-        raise ValueError(f"y0 must be {n}x{n}")
-    check_start(game, x0, InfeasibleStart)
+    n = scenario.n
+    x0, y0 = scenario.x0.copy(), scenario.y0.copy()
     y0[np.arange(n), np.arange(n)] = x0
-    disagreement, _ = coupling(graph, x0, y0)
+    disagreement, _ = coupling(scenario.graph, x0, y0)
     return EngineState(0, x0, y0, x0.copy(), y0.copy(), disagreement)
 
 
@@ -326,30 +313,24 @@ def step(
     return EngineState(k_new, x_new, y_new, x_hat, y_hat, disagreement), fired, rho
 
 
-def run(
-    game: GameDefinition,
-    graph: DirectedGraph,
-    params: TriggerParams,
-    config: EngineConfig,
-    x0: np.ndarray,
-    y0: np.ndarray,
-    x_star: np.ndarray,
-    members: Sequence[Member],
-) -> list[RunResult]:
-    """Integrate one run per member over the horizon, all members in one batch.
+def run(scenario: Scenario, members: Sequence[Member]) -> list[RunResult]:
+    """Integrate one run of the scenario per member over its horizon, all
+    members in one batch.
 
     Each run is reproducible bit-for-bit and equals the run of its member
-    alone. ``params`` holds the trigger parameters all members share and
-    ``x_star`` anchors the error series. NumericalDivergence stops the whole
-    batch at the first step where any member diverges.
+    alone. The members share the scenario's trigger parameters, and the
+    error series are measured against ``scenario.ne_override``, which must
+    be set. NumericalDivergence stops the whole batch at the first step
+    where any member diverges.
     """
-    if params.n != graph.n:
-        raise ValueError("trigger parameters and graph disagree on player count")
-    x_star = np.asarray(x_star, dtype=float)
+    x_star = scenario.ne_override
+    if x_star is None:
+        raise ValueError("run needs scenario.ne_override: the errors are measured against it")
+    game, graph, config = scenario.game, scenario.graph, scenario.engine
     n, steps, runs = graph.n, config.steps, len(members)
-    batch = Batch.of(params, members, steps)
+    batch = Batch.of(scenario.trigger, members, steps)
 
-    one = init(game, graph, x0, y0)
+    one = init(scenario)
     seeded = ("x", "y", "x_hat", "y_hat", "disagreement")
     state = replace(one, **{k: np.stack([getattr(one, k)] * runs) for k in seeded})
     times = np.arange(steps + 1) * config.dt

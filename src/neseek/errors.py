@@ -32,10 +32,6 @@ class NoConvergence(NeseekError):
         self.residual = residual
 
 
-class InfeasibleStart(NeseekError):
-    """An initial action lies outside its feasible interval."""
-
-
 class NumericalDivergence(NeseekError):
     """Simulation state exceeded the magnitude guard; step sizes are too aggressive."""
 

@@ -16,11 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-import numpy as np
-
 from . import metrics as metrics_mod
 from .bounds import sigma_bound
-from .engine import EngineConfig, Member, RunResult, run
+from .engine import Member, RunResult, run
 from .errors import ValidationError
 from .oracle import solve_ne
 from .scenario import Scenario
@@ -38,9 +36,11 @@ def _member(scenario: Scenario, law: LawKind, seed: int) -> Member:
 
 def _setup(
     scenario: Scenario, laws: list[LawKind], base_seed: int, runs: int, dt: float | None
-) -> tuple[range, list[Member], EngineConfig, np.ndarray]:
-    """Seeds base_seed..base_seed+runs-1, the members that integrate them, the
-    engine config and the equilibrium.
+) -> tuple[range, list[Member], Scenario]:
+    """Seeds base_seed..base_seed+runs-1, the members that integrate them, and
+    the scenario they run: its engine carries the dt override and its
+    ne_override the equilibrium, solved here once per call when the scenario
+    sets none.
 
     The stochastic law integrates every seed; any other law one member, at
     the first seed. Every seed and the dt override are checked before the
@@ -61,7 +61,9 @@ def _setup(
     except (ValueError, TypeError, OverflowError) as exc:
         raise ValidationError(str(exc)) from exc
     x_star = scenario.ne_override
-    return seeds, members, config, solve_ne(scenario.game).x_star if x_star is None else x_star
+    if x_star is None:
+        x_star = solve_ne(scenario.game).x_star
+    return seeds, members, replace(scenario, engine=config, ne_override=x_star)
 
 
 def single_run(
@@ -73,11 +75,8 @@ def single_run(
     """One seeded simulation of the scenario, with optional overrides."""
     seed = scenario.seed if seed is None else seed
     law = scenario.law if law is None else law
-    _, members, config, x_star = _setup(scenario, [law], seed, 1, dt)
-    return run(
-        scenario.game, scenario.graph, scenario.trigger, config, scenario.x0, scenario.y0,
-        x_star, members=members,
-    )[0]
+    _, members, anchored = _setup(scenario, [law], seed, 1, dt)
+    return run(anchored, members=members)[0]
 
 
 def compare_laws(
@@ -96,15 +95,12 @@ def compare_laws(
     least one), and each chunk is folded into the per-law sums as soon as it
     finishes, so memory does not grow with the number of runs.
     """
-    seeds, members, config, x_star = _setup(scenario, laws, base_seed, runs, dt)
+    seeds, members, anchored = _setup(scenario, laws, base_seed, runs, dt)
     ensembles = {law: metrics_mod.Ensemble() for law in laws}
     size = max(1, ENSEMBLE_ENTRIES // scenario.n ** 2)
     for start in range(0, len(members), size):
         chunk = members[start:start + size]
-        for member, result in zip(chunk, run(
-            scenario.game, scenario.graph, scenario.trigger, config, scenario.x0, scenario.y0,
-            x_star, members=chunk,
-        )):
+        for member, result in zip(chunk, run(anchored, members=chunk)):
             ensembles[member.law].add(result, 1 if member.law is LawKind.STOCHASTIC else len(seeds))
         # the loop name would keep this chunk's batch alive while the next integrates
         del result

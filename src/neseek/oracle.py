@@ -117,10 +117,11 @@ def _aggregative_ne(game: SpectrumGame) -> NeSolution:
     return NeSolution(x, verify_ne(game, x, 1.0), it, "aggregative", bound)
 
 
-def solve_ne(game: GameDefinition, tol: float = 1e-8, max_iter: int = 10 ** 6) -> NeSolution:
+def solve_ne(game: GameDefinition) -> NeSolution:
     """The aggregative root-find for a spectrum game (residual at unit step,
-    iterations are bisection steps); otherwise ``projected_ne`` at its default
-    step, which alone reads ``tol`` and ``max_iter``."""
+    iterations are bisection steps); otherwise ``projected_ne`` at its
+    defaults. Call ``projected_ne`` directly to set its step, ``tol`` or
+    ``max_iter``."""
     if isinstance(game, SpectrumGame):
         return _aggregative_ne(game)
-    return projected_ne(game, tol=tol, max_iter=max_iter)
+    return projected_ne(game)

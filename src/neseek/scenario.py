@@ -13,21 +13,25 @@ Schema (top-level keys):
     runs        ensemble size for comparisons (optional, default 1)
     ne_override optional equilibrium to measure errors against instead of the
                 centralized solver's answer
+
+A ``Scenario`` validates itself when built, in code, by the loader or by
+``dataclasses.replace``; the loader only turns the document into its parts.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .bounds import sigma_bound
-from .engine import EngineConfig, Member, check_start
+from .engine import EngineConfig, Member
 from .errors import ParseError, ValidationError
 from .games import ActionInterval, GameDefinition, QuadraticGame, SpectrumGame
 from .graphs import DirectedGraph, is_strongly_connected
@@ -38,8 +42,12 @@ class AdvisoryWarning(UserWarning):
     """Scenario loaded fine but a recommended bound is violated."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
+    """One validated simulation input. The parts check their own invariants;
+    construction checks those that tie them together, raising ValidationError
+    that names the field, and stores the arrays as read-only float copies."""
+
     graph: DirectedGraph
     game: GameDefinition
     trigger: TriggerParams
@@ -50,7 +58,45 @@ class Scenario:
     seed: int = 0
     runs: int = 1
     ne_override: np.ndarray | None = None
-    advisories: list[str] = field(default_factory=list)
+    advisories: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        n = self.n
+        if self.game.n != n:
+            raise ValidationError(f"game: defines {self.game.n} players but adjacency has {n}")
+        if self.trigger.n != n:
+            raise ValidationError(f"trigger: vectors have length {self.trigger.n}, expected {n}")
+        x0 = self._store("x0", (n,))
+        lo, hi = self.game.bounds
+        # written so that a NaN entry counts as outside
+        bad = np.flatnonzero(~((x0 >= lo) & (x0 <= hi)))
+        if bad.size:
+            i = int(bad[0])
+            raise ValidationError(f"x0[{i}]={x0[i]} outside [{lo[i]}, {hi[i]}]")
+        self._store("y0", (n, n))
+        if self.ne_override is not None:
+            self._store("ne_override", (n,))
+        try:
+            Member(self.law, self.seed)
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise ValidationError(f"seed: {exc}") from exc
+        if not self.runs >= 1:
+            raise ValidationError(f"runs: must be >= 1, got {self.runs}")
+
+    def _store(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """Replace field ``name`` by a read-only float copy of the given shape;
+        entries must be finite, except in x0, whose box check names them."""
+        try:
+            a = np.array(getattr(self, name), dtype=float)
+        except (ValueError, TypeError) as exc:
+            raise ValidationError(f"{name}: {exc}") from exc
+        if a.shape != shape:
+            raise ValidationError(f"{name}: expected shape {shape}, got {a.shape}")
+        if name != "x0" and not np.isfinite(a).all():
+            raise ValidationError(f"{name}: entries must be finite")
+        a.flags.writeable = False
+        object.__setattr__(self, name, a)
+        return a
 
     @property
     def n(self) -> int:
@@ -63,18 +109,33 @@ def _require(data: dict, key: str, where: str):
     return data[key]
 
 
-def _intervals(raw, n: int, where: str) -> tuple[ActionInterval, ...]:
-    if not isinstance(raw, list) or len(raw) != n:
-        raise ValidationError(f"{where}: intervals must be a list of {n} [lo, hi] pairs")
-    out = []
-    for k, pair in enumerate(raw):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ValidationError(f"{where}: intervals[{k}] must be a [lo, hi] pair")
-        try:
-            out.append(ActionInterval(float(pair[0]), float(pair[1])))
-        except ValueError as exc:
-            raise ValidationError(f"{where}: intervals[{k}]: {exc}") from exc
-    return tuple(out)
+def _numbers(raw, where: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """A number or nested lists of numbers as a float array, of ``shape`` when
+    given; raises ValidationError naming the dotted field. Booleans and
+    strings are refused, though numpy would read true as 1.0 and "0.1" as 0.1."""
+    try:
+        a = np.array(raw, dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+    if shape is not None and a.shape != shape:
+        raise ValidationError(f"{where}: expected shape {shape}, got {a.shape}")
+    leaves = [raw]
+    for _ in range(a.ndim):
+        leaves = list(itertools.chain.from_iterable(leaves))
+    for kind in set(map(type, leaves)):
+        if issubclass(kind, bool) or not issubclass(kind, numbers.Real):
+            bad = next(v for v in leaves if type(v) is kind)
+            raise ValidationError(f"{where}: expected a number, got {bad!r}")
+    return a
+
+
+def _number(raw, where: str) -> float:
+    return float(_numbers(raw, where, ()))
+
+
+def _scalars(section: dict, where: str, *keys: str) -> dict[str, float]:
+    """The required number fields ``keys`` of the section named ``where``."""
+    return {k: _number(_require(section, k, where), f"{where}.{k}") for k in keys}
 
 
 def _integer(raw, where: str) -> int:
@@ -83,22 +144,6 @@ def _integer(raw, where: str) -> int:
     if isinstance(raw, bool) or not isinstance(raw, numbers.Integral):
         raise ValidationError(f"{where}: expected an integer, got {raw!r}")
     return int(raw)
-
-
-def _array(raw, where: str) -> np.ndarray:
-    try:
-        return np.array(raw, dtype=float)
-    except (ValueError, TypeError) as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
-
-
-def _finite_array(raw, shape: tuple[int, ...], where: str) -> np.ndarray:
-    a = _array(raw, where)
-    if a.shape != shape:
-        raise ValidationError(f"{where}: expected shape {shape}, got {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValidationError(f"{where}: entries must be finite")
-    return a
 
 
 # Each game kind's class and required vector/matrix fields, in load order.
@@ -113,44 +158,19 @@ def _game_from_dict(data: dict, n: int) -> GameDefinition:
     if not isinstance(kind, str) or kind not in _GAMES:
         raise ValidationError(f"game: unknown kind '{kind}'")
     cls, names = _GAMES[kind]
-    fields = {name: _require(data, name, "game") for name in names}
+    fields = {name: _numbers(_require(data, name, "game"), f"game.{name}") for name in names}
+    if cls is SpectrumGame:
+        fields["tau"] = _number(data.get("tau", 1.0), "game.tau")
+    pairs = _numbers(_require(data, "intervals", "game"), "game.intervals", (n, 2)).tolist()
     try:
-        if cls is SpectrumGame:
-            fields["tau"] = float(data.get("tau", 1.0))
-        return cls(**fields, intervals=_intervals(_require(data, "intervals", "game"), n, "game"))
+        return cls(**fields, intervals=tuple(ActionInterval(lo, hi) for lo, hi in pairs))
     except (ValueError, TypeError) as exc:
         raise ValidationError(f"game: {exc}") from exc
 
 
-def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
-    """Validate a parsed scenario document; raises ValidationError naming the
-    violated invariant."""
-    if not isinstance(data, dict):
-        raise ValidationError(f"{source}: top level must be an object")
-
-    adjacency = _require(data, "adjacency", source)
-    try:
-        graph = DirectedGraph(np.array(adjacency, dtype=float))
-    except (ValueError, TypeError) as exc:
-        raise ValidationError(f"adjacency: {exc}") from exc
-    n = graph.n
-
-    game = _game_from_dict(_require(data, "game", source), n)
-    if game.n != n:
-        raise ValidationError(f"game: defines {game.n} players but adjacency has {n}")
-
-    traw = _require(data, "trigger", source)
-    law_name = _require(traw, "law", "trigger")
-    try:
-        law = LawKind(law_name)
-    except ValueError:
-        raise ValidationError(
-            f"trigger.law: '{law_name}' is not one of "
-            f"{[k.value for k in LawKind]}"
-        ) from None
-
+def _trigger_from_dict(traw: dict, graph: DirectedGraph) -> TriggerParams:
     if "sigma" in traw:
-        sigma = _array(traw["sigma"], "trigger.sigma")
+        sigma = _numbers(traw["sigma"], "trigger.sigma")
     elif traw.get("sigma_rule") == "0.8/din":
         din = graph.in_degrees
         if (din == 0).any():
@@ -160,53 +180,48 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
         raise ValidationError("trigger: provide 'sigma' or 'sigma_rule': '0.8/din'")
 
     def _pervec(key):
-        raw = traw.get(key)
-        if raw is None:
-            raise ValidationError(f"trigger: missing required field '{key}'")
-        if np.isscalar(raw):
-            return np.full(n, float(raw))
-        return np.array(raw, dtype=float)
+        # a scalar stands for the same value at every player
+        v = _numbers(_require(traw, key, "trigger"), f"trigger.{key}")
+        return np.full(graph.n, v) if v.ndim == 0 else v
 
+    scalars = _scalars(traw, "trigger", "kappa", "a_floor", "eta")
     try:
-        trigger = TriggerParams(
-            kappa=float(_require(traw, "kappa", "trigger")),
-            a_floor=float(_require(traw, "a_floor", "trigger")),
-            eta=float(_require(traw, "eta", "trigger")),
-            c=_pervec("c"),
-            sigma=sigma,
-            delta0=_pervec("delta0"),
-        )
+        return TriggerParams(**scalars, c=_pervec("c"), sigma=sigma, delta0=_pervec("delta0"))
     except (ValueError, TypeError) as exc:
         raise ValidationError(f"trigger: {exc}") from exc
-    if trigger.n != n:
-        raise ValidationError(f"trigger: vectors have length {trigger.n}, expected {n}")
+
+
+def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
+    """Build a scenario from a parsed document; raises ValidationError naming
+    the field. The advisories are warned once the scenario is built."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"{source}: top level must be an object")
+
+    try:
+        graph = DirectedGraph(_numbers(_require(data, "adjacency", source), "adjacency"))
+    except ValueError as exc:
+        raise ValidationError(f"adjacency: {exc}") from exc
+
+    game = _game_from_dict(_require(data, "game", source), graph.n)
+    traw = _require(data, "trigger", source)
+    law_name = _require(traw, "law", "trigger")
+    try:
+        law = LawKind(law_name)
+    except ValueError:
+        raise ValidationError(
+            f"trigger.law: '{law_name}' is not one of "
+            f"{[k.value for k in LawKind]}"
+        ) from None
+    trigger = _trigger_from_dict(traw, graph)
 
     eraw = _require(data, "engine", source)
+    scalars = _scalars(eraw, "engine", "alpha", "beta", "horizon")
     try:
-        engine = EngineConfig(
-            alpha=float(_require(eraw, "alpha", "engine")),
-            beta=float(_require(eraw, "beta", "engine")),
-            dt=float(eraw.get("dt", 0.025)),
-            horizon=float(_require(eraw, "horizon", "engine")),
-        )
-        seed = Member(law, _integer(eraw.get("seed", 0), "engine.seed")).seed
-    except (ValueError, TypeError, OverflowError) as exc:
+        engine = EngineConfig(**scalars, dt=_number(eraw.get("dt", 0.025), "engine.dt"))
+    except ValueError as exc:
         raise ValidationError(f"engine: {exc}") from exc
 
-    x0 = _array(_require(data, "x0", source), "x0")
-    if x0.shape != (n,):
-        raise ValidationError(f"x0: expected length {n}, got shape {x0.shape}")
-    y0 = _finite_array(_require(data, "y0", source), (n, n), "y0")
-    check_start(game, x0, ValidationError)
-
-    runs = _integer(data.get("runs", 1), "runs")
-    if runs < 1:
-        raise ValidationError("runs must be >= 1")
-
-    ne_override = None
-    if data.get("ne_override") is not None:
-        ne_override = _finite_array(data["ne_override"], (n,), "ne_override")
-
+    ne_override = data.get("ne_override")
     advisories = []
     if not is_strongly_connected(graph):
         advisories.append("graph is not strongly connected; consensus may fail")
@@ -216,22 +231,22 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
             f"sigma exceeds the admissible bound {bound:.6g} for some players; "
             "the certified rate does not apply"
         )
-    for msg in advisories:
-        warnings.warn(msg, AdvisoryWarning, stacklevel=2)
-
-    return Scenario(
+    scenario = Scenario(
         graph=graph,
         game=game,
         trigger=trigger,
         engine=engine,
-        x0=x0,
-        y0=y0,
+        x0=_numbers(_require(data, "x0", source), "x0"),
+        y0=_numbers(_require(data, "y0", source), "y0"),
         law=law,
-        seed=seed,
-        runs=runs,
-        ne_override=ne_override,
-        advisories=advisories,
+        seed=_integer(eraw.get("seed", 0), "engine.seed"),
+        runs=_integer(data.get("runs", 1), "runs"),
+        ne_override=None if ne_override is None else _numbers(ne_override, "ne_override"),
+        advisories=tuple(advisories),
     )
+    for msg in advisories:
+        warnings.warn(msg, AdvisoryWarning, stacklevel=2)
+    return scenario
 
 
 def _finite(literal: str) -> float:

@@ -51,12 +51,11 @@ def equilibrium(spectrum_scenario):
 
 
 @pytest.fixture(scope="module")
-def stochastic_members(spectrum_scenario, equilibrium):
+def stochastic_members(anchored):
     """The stochastic ensemble's runs, one per seed, and the time they took."""
-    s = spectrum_scenario
     members = [Member(LawKind.STOCHASTIC, seed) for seed in range(ENSEMBLE_RUNS)]
     t0 = time.perf_counter()
-    runs = run(s.game, s.graph, s.trigger, s.engine, s.x0, s.y0, equilibrium, members=members)
+    runs = run(anchored, members=members)
     elapsed = time.perf_counter() - t0
     return runs, elapsed
 
@@ -269,10 +268,9 @@ def test_10_bounded_events_under_grid_refinement(anchored):
 def test_11_single_step_hand_oracle():
     import test_engine
 
-    game, graph, trig, cfg = test_engine.two_player_setup(horizon=0.025)
-    state = init(game, graph, np.array([1.0, 2.0]), np.array([[1.0, 0.5], [1.5, 2.0]]))
-    batch = test_engine.one_member(LawKind.CONTINUOUS, trig, 0, cfg.steps)
-    new, _, _ = step(state, game, graph, batch, cfg)
+    s = test_engine.two_player_setup(horizon=0.025)
+    batch = test_engine.one_member(LawKind.CONTINUOUS, s.trigger, 0, s.engine.steps)
+    new, _, _ = step(init(s), s.game, s.graph, batch, s.engine)
     g0 = (2.0 * 1.0 + (0.0 * 1.0 + 1.0 * 0.5)) + -4.0
     g1 = (3.0 * 2.0 + (-1.0 * 1.5 + 0.0 * 2.0)) + 1.0
     expected_x = np.array(

@@ -38,3 +38,12 @@ def test_runs_take_their_inputs_from_the_scenario():
     for fn in (neseek.single_run, neseek.compare_laws):
         assert "x_star" not in inspect.signature(fn).parameters, fn.__name__
     assert not hasattr(neseek.harness, "law_trigger_params")
+
+
+def test_engine_reads_the_scenario_whole():
+    # the scenario is the one validated input: the engine takes it whole and
+    # keeps no start check of its own
+    assert list(inspect.signature(neseek.run).parameters) == ["scenario", "members"]
+    assert list(inspect.signature(neseek.init).parameters) == ["scenario"]
+    assert not hasattr(neseek.engine, "check_start")
+    assert not hasattr(neseek.errors, "InfeasibleStart")

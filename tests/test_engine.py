@@ -29,7 +29,7 @@ from neseek import (
 )
 from neseek import engine, harness
 from neseek.engine import EngineState
-from neseek.errors import InfeasibleStart, NumericalDivergence
+from neseek.errors import NumericalDivergence
 from neseek.triggers import xi_from_uniform
 
 from conftest import random_strongly_connected, strongly_connected_graphs, with_engine
@@ -48,6 +48,8 @@ PUBLISHED_Y0 = np.array(
 
 
 def two_player_setup(beta=0.2, dt=0.025, horizon=1.0):
+    """A two-player quadratic game under the continuous law, started at
+    x0 = (1, 2)."""
     game = QuadraticGame(
         diag_a=[2.0, 3.0],
         cross=[[0.0, 1.0], [-1.0, 0.0]],
@@ -64,7 +66,10 @@ def two_player_setup(beta=0.2, dt=0.025, horizon=1.0):
         delta0=np.ones(2),
     )
     cfg = EngineConfig(alpha=0.1, beta=beta, dt=dt, horizon=horizon)
-    return game, graph, trig, cfg
+    return Scenario(
+        graph, game, trig, cfg, x0=np.array([1.0, 2.0]),
+        y0=np.array([[1.0, 0.5], [1.5, 2.0]]), law=LawKind.CONTINUOUS, ne_override=np.zeros(2),
+    )
 
 
 def make_rngs(seed, n):
@@ -92,7 +97,7 @@ def one_member(law, params, seed, steps):
 class TestInit:
     def test_shipped_initial_state(self, spectrum_scenario):
         s = spectrum_scenario
-        state = init(s.game, s.graph, PUBLISHED_X0, PUBLISHED_Y0)
+        state = init(dataclasses.replace(s, x0=PUBLISHED_X0, y0=PUBLISHED_Y0))
         assert state.step_index == 0
         assert np.array_equal(state.x, PUBLISHED_X0)
         assert state.y[0, 0] == 14.0  # diagonal overwritten by the action
@@ -104,32 +109,17 @@ class TestInit:
         s = spectrum_scenario
         x_star = solve_ne(s.game).x_star
         y0 = np.tile(x_star, (5, 1))
-        state = init(s.game, s.graph, x_star, y0)
+        state = init(dataclasses.replace(s, x0=x_star, y0=y0))
         from neseek import verify_ne
 
         assert verify_ne(s.game, state.x, s.engine.alpha) <= 1e-12
 
-    def test_infeasible_start(self, spectrum_scenario):
-        s = spectrum_scenario
-        bad = PUBLISHED_X0.copy()
-        bad[0] = 20.0
-        with pytest.raises(InfeasibleStart):
-            init(s.game, s.graph, bad, PUBLISHED_Y0)
-
-    def test_nan_start_is_infeasible(self, spectrum_scenario):
-        s = spectrum_scenario
-        bad = PUBLISHED_X0.copy()
-        bad[2] = math.nan
-        with pytest.raises(InfeasibleStart, match=r"x0\[2\]=nan outside"):
-            init(s.game, s.graph, bad, PUBLISHED_Y0)
-
 
 class TestStep:
     def test_single_step_matches_hand_computation(self):
-        game, graph, trig, cfg = two_player_setup(horizon=0.025)
-        state = init(game, graph, np.array([1.0, 2.0]), np.array([[1.0, 0.5], [1.5, 2.0]]))
+        s = two_player_setup(horizon=0.025)
         new, fired, _ = step(
-            state, game, graph, one_member(LawKind.CONTINUOUS, trig, 0, cfg.steps), cfg
+            init(s), s.game, s.graph, one_member(s.law, s.trigger, 0, s.engine.steps), s.engine
         )
 
         # scalar forward-Euler computation, written out term by term
@@ -153,8 +143,9 @@ class TestStep:
         assert fired.tolist() == [True, True]  # continuous law fires everyone
 
     def test_continuous_law_reduces_to_exact_estimate_dynamics(self):
-        game, graph, trig, cfg = two_player_setup(horizon=1.0)
-        state = init(game, graph, np.array([1.0, 2.0]), np.array([[1.0, 0.5], [1.5, 2.0]]))
+        s = two_player_setup(horizon=1.0)
+        game, graph, trig, cfg = s.game, s.graph, s.trigger, s.engine
+        state = init(s)
         batch = one_member(LawKind.CONTINUOUS, trig, 0, cfg.steps)
 
         # oracle: integrate the always-broadcast dynamics without any hats
@@ -193,7 +184,7 @@ class TestStep:
             return decide(params, rho, energy, decay, *rest)
 
         monkeypatch.setattr(engine, "decide", spy)
-        state = init(s.game, s.graph, s.x0, s.y0)
+        state = init(s)
         batch = one_member(s.law, s.trigger, s.seed, s.engine.steps)
         for k in range(50):
             state, _, _ = step(state, s.game, s.graph, batch, s.engine)
@@ -203,7 +194,7 @@ class TestStep:
 
     def test_broadcast_constant_between_triggers(self, quadratic_scenario):
         s = quadratic_scenario
-        state = init(s.game, s.graph, s.x0, s.y0)
+        state = init(s)
         batch = one_member(s.law, s.trigger, 3, s.engine.steps)
         for _ in range(120):
             prev_xhat = state.x_hat.copy()
@@ -220,28 +211,20 @@ class TestStep:
                     assert np.array_equal(state.y_hat[i], prev_yhat[i])
 
     def test_divergence_guard(self):
-        game, graph, trig, cfg = two_player_setup(beta=1e12, horizon=0.1)
-        state = init(game, graph, np.array([1.0, 2.0]), np.array([[1.0, 0.5], [1.5, 2.0]]))
-        batch = one_member(LawKind.CONTINUOUS, trig, 0, cfg.steps)
+        s = two_player_setup(beta=1e12, horizon=0.1)
+        state = init(s)
+        batch = one_member(s.law, s.trigger, 0, s.engine.steps)
         with pytest.raises(NumericalDivergence):
-            for _ in range(cfg.steps):
-                state, _, _ = step(state, game, graph, batch, cfg)
+            for _ in range(s.engine.steps):
+                state, _, _ = step(state, s.game, s.graph, batch, s.engine)
 
 
 class TestRun:
     def test_equilibrium_is_invariant(self, spectrum_scenario):
         s = spectrum_scenario
         x_star = solve_ne(s.game).x_star
-        (result,) = run(
-            s.game,
-            s.graph,
-            s.trigger,
-            s.engine,
-            x0=x_star,
-            y0=np.tile(x_star, (5, 1)),
-            x_star=x_star,
-            members=[Member(s.law, s.seed)],
-        )
+        at_rest = dataclasses.replace(s, x0=x_star, y0=np.tile(x_star, (5, 1)), ne_override=x_star)
+        (result,) = run(at_rest, members=[Member(s.law, s.seed)])
         assert result.err_inf.max() <= 1e-6
 
     def test_same_seed_reproduces_everything(self, quadratic_scenario):
@@ -295,7 +278,7 @@ class TestRun:
     def test_evaluation_errors_match_raw_state(self, quadratic_scenario):
         # recompute the squared error terms from the previous state by hand
         s = quadratic_scenario
-        state = init(s.game, s.graph, s.x0, s.y0)
+        state = init(s)
         batch = one_member(s.law, s.trigger, s.seed, s.engine.steps)
         for _ in range(60):
             prev = dataclasses.replace(
@@ -464,10 +447,9 @@ class TestBatch:
     @given(batch_cases())
     def test_batch_equals_separate_runs(self, case):
         s, seeds = case
-        args = (s.game, s.graph, s.trigger, s.engine, s.x0, s.y0, s.ne_override)
-        batch = run(*args, members=[Member(s.law, seed) for seed in seeds])
+        batch = run(s, members=[Member(s.law, seed) for seed in seeds])
         for seed, got in zip(seeds, batch):
-            (alone,) = run(*args, members=[Member(s.law, seed)])
+            (alone,) = run(s, members=[Member(s.law, seed)])
             assert_same_columns(got, alone)
         if s.law is not LawKind.STOCHASTIC:
             # a deterministic ensemble replicates one run; it must still equal
@@ -486,9 +468,8 @@ class TestBatch:
     @given(mixed_batch_cases())
     def test_mixed_law_batch_equals_separate_runs(self, case):
         s, members = case
-        args = (s.game, s.graph, s.trigger, s.engine, s.x0, s.y0, s.ne_override)
-        for member, got in zip(members, run(*args, members=members)):
-            (alone,) = run(*args, members=[member])
+        for member, got in zip(members, run(s, members=members)):
+            (alone,) = run(s, members=[member])
             assert_same_columns(got, alone)
 
     @pytest.mark.parametrize(
@@ -671,15 +652,16 @@ class TestSparseCoupling:
     @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 30), st.booleans())
     def test_sparse_batch_members_equal_their_runs_alone(self, seed, n, unit):
         rng, game, graph, trig = coupling_case(seed, n, unit)
-        x0 = rng.uniform(-3.0, 3.0, n)
-        y0 = rng.uniform(-3.0, 3.0, (n, n))
+        s = Scenario(
+            graph, game, trig, self.CONFIG, x0=rng.uniform(-3.0, 3.0, n),
+            y0=rng.uniform(-3.0, 3.0, (n, n)), law=LawKind.STOCHASTIC, ne_override=np.zeros(n),
+        )
         members = [Member(law, seed) for law in LawKind]
-        args = (game, graph, trig, self.CONFIG, x0, y0, np.zeros(n))
         with pytest.MonkeyPatch.context() as mp:
             force_coupling(mp, sparse=True)
-            batch = run(*args, members=members)
+            batch = run(s, members=members)
             for member, got in zip(members, batch):
-                (alone,) = run(*args, members=[member])
+                (alone,) = run(s, members=[member])
                 assert_same_columns(got, alone)
 
     def test_bundled_scenarios_resolve_dense(self, spectrum_scenario, quadratic_scenario):

@@ -57,7 +57,7 @@ def test_coupled_two_player_hand_solve():
 
 def test_verify_at_solution():
     game = published_game()
-    sol = solve_ne(game, tol=1e-9)
+    sol = solve_ne(game)
     assert verify_ne(game, sol.x_star, step=0.05) <= 1e-8
 
 

@@ -6,9 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
-from neseek import LawKind, load_scenario, single_run
+from neseek import LawKind, Member, load_scenario, run
 from neseek.data import bundled_path
-from neseek.errors import NumericalDivergence, ParseError, ValidationError
+from neseek.errors import ParseError, ValidationError
 from neseek.scenario import AdvisoryWarning, scenario_from_dict
 
 
@@ -168,36 +168,81 @@ def test_non_finite_dict_input_is_validation_error(kind, where, value):
             scenario_from_dict(data)
 
 
-@pytest.mark.parametrize("field", ["x0", "y0", "ne_override", "trigger.sigma"])
-@pytest.mark.parametrize("bad", ["non-numeric", "ragged"])
+@pytest.mark.parametrize(
+    "field", ["x0", "y0", "ne_override", "trigger.sigma", "trigger.c", "game.diag_a"]
+)
+@pytest.mark.parametrize("bad", ["non-numeric", "ragged", "boolean", "numeric-string"])
 def test_unconvertible_array_is_validation_error(field, bad):
-    # quadratic_demo has two players
-    value = {
-        "non-numeric": ["a", 1.0] if field != "y0" else [["a", 1.0], [1.0, 2.0]],
-        "ragged": [[1.0, 2.0], [3.0]],
-    }[bad]
+    # quadratic_demo has two players; numpy would read true as 1.0 and "0.5" as 0.5
+    if bad == "ragged":
+        value = [[1.0, 2.0], [3.0]]
+    else:
+        leaf = {"non-numeric": "a", "boolean": True, "numeric-string": "0.5"}[bad]
+        value = [[leaf, 1.0], [1.0, 2.0]] if field == "y0" else [leaf, 1.0]
     data = quadratic_dict()
     if field == "trigger.sigma":
         data["trigger"].pop("sigma_rule")
-        data["trigger"]["sigma"] = value
-    else:
-        data[field] = value
+    target = data
+    *parents, key = field.split(".")
+    for parent in parents:
+        target = target[parent]
+    target[key] = value
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AdvisoryWarning)
         with pytest.raises(ValidationError, match=f"^{field}: "):
             scenario_from_dict(data)
 
 
-def test_nan_y0_from_api_stops_the_run():
-    # the loader rejects it; a scenario built around the loader meets the
-    # run's guard instead
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AdvisoryWarning)
-        s = scenario_from_dict(quadratic_dict())
-    y0 = s.y0.copy()
-    y0[0, 1] = math.nan
-    with pytest.raises(NumericalDivergence, match="non-finite"):
-        single_run(dataclasses.replace(s, y0=y0), seed=0)
+# (changed fields, the message's start): quadratic_demo has two players, each
+# acting in [-10, 10]
+API_CASES = [
+    pytest.param(
+        {"ne_override": [math.nan, 1.0]}, "ne_override: entries must be finite",
+        id="nan-ne_override",
+    ),
+    pytest.param({"ne_override": [1.0]}, "ne_override: expected shape", id="short-ne_override"),
+    pytest.param({"y0": [[3.0, math.nan], [0.0, -1.0]]}, "y0: entries must be finite", id="nan-y0"),
+    pytest.param({"x0": [3.0]}, "x0: expected shape", id="short-x0"),
+    pytest.param({"x0": [20.0, -1.0]}, r"x0\[0\]=20.0 outside \[-10.0, 10.0\]", id="infeasible-x0"),
+    pytest.param({"x0": [3.0, math.nan]}, r"x0\[1\]=nan outside", id="nan-x0"),
+    pytest.param({"runs": 0}, "runs: must be >= 1", id="runs-zero"),
+    pytest.param({"seed": -1}, "seed: ", id="seed-negative"),
+    pytest.param(
+        {"trigger": lambda s: dataclasses.replace(
+            s.trigger, c=np.ones(3), sigma=np.full(3, 0.1), delta0=np.ones(3)
+        )},
+        "trigger: vectors have length 3, expected 2", id="trigger-players",
+    ),
+]
+
+
+@pytest.mark.parametrize("changes, message", API_CASES)
+def test_api_built_scenario_is_refused(quadratic_scenario, changes, message):
+    # replace builds a new Scenario, so it validates as construction does: a
+    # scenario made in code cannot start a run that turns into NaN or
+    # measures against a broadcast equilibrium
+    s = quadratic_scenario
+    changes = {k: v(s) if callable(v) else v for k, v in changes.items()}
+    with pytest.raises(ValidationError, match=f"^{message}"):
+        dataclasses.replace(s, **changes)
+
+
+def test_run_needs_the_equilibrium(quadratic_scenario):
+    assert quadratic_scenario.ne_override is None
+    with pytest.raises(ValueError, match="ne_override"):
+        run(quadratic_scenario, members=[Member(LawKind.STOCHASTIC, 0)])
+
+
+def test_scenario_arrays_are_read_only_copies(quadratic_scenario):
+    x0 = np.array([1.0, 2.0])
+    s = dataclasses.replace(quadratic_scenario, x0=x0, ne_override=[1, 2])
+    x0[0] = 5.0
+    assert s.x0.tolist() == [1.0, 2.0]
+    assert s.ne_override.dtype == float
+    for a in (s.x0, s.y0, s.ne_override):
+        assert not a.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.runs = 2
 
 
 def test_unread_keys_are_ignored():
@@ -254,19 +299,23 @@ def test_runs_must_be_positive():
 
 
 @pytest.mark.parametrize(
-    "where, value",
+    "where, value, expected",
     [
-        pytest.param(("engine", "seed"), 1.7, id="seed-fractional"),
-        pytest.param(("engine", "seed"), True, id="seed-bool"),
-        pytest.param(("runs",), 2.9, id="runs-fractional"),
-        pytest.param(("runs",), False, id="runs-bool"),
+        pytest.param(("engine", "seed"), 1.7, "an integer", id="seed-fractional"),
+        pytest.param(("engine", "seed"), True, "an integer", id="seed-bool"),
+        pytest.param(("runs",), 2.9, "an integer", id="runs-fractional"),
+        pytest.param(("runs",), False, "an integer", id="runs-bool"),
         # an integral float is refused too: past 2**53 it no longer holds the
         # digits that were written
-        pytest.param(("engine", "seed"), 3.0, id="seed-integral-float"),
-        pytest.param(("runs",), 2.0, id="runs-integral-float"),
+        pytest.param(("engine", "seed"), 3.0, "an integer", id="seed-integral-float"),
+        pytest.param(("runs",), 2.0, "an integer", id="runs-integral-float"),
+        # a number field refuses booleans and strings, which numpy would convert
+        pytest.param(("engine", "dt"), True, "a number", id="dt-bool"),
+        pytest.param(("engine", "alpha"), "0.1", "a number", id="alpha-string"),
+        pytest.param(("trigger", "c"), True, "a number", id="c-bool"),
     ],
 )
-def test_integer_fields_reject_bools_and_floats(where, value):
+def test_integer_fields_reject_bools_and_floats(where, value, expected):
     data = quadratic_dict()
     target = data
     for key in where[:-1]:
@@ -274,7 +323,7 @@ def test_integer_fields_reject_bools_and_floats(where, value):
     target[where[-1]] = value
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AdvisoryWarning)
-        with pytest.raises(ValidationError, match=rf"^{'.'.join(where)}: expected an integer"):
+        with pytest.raises(ValidationError, match=rf"^{'.'.join(where)}: expected {expected}"):
             scenario_from_dict(data)
 
 
