@@ -9,6 +9,11 @@ field (neighbor estimates plus each neighbor's broadcast action); (4) a
 forward Euler update advances the state, and the own-estimate diagonal is
 pinned back to the actions.
 
+The broadcasts are piecewise constant between events, and so is
+everything the estimate coupling derives from them. The state carries those
+terms, and on the sparse path a step recomputes only the rows that its
+broadcasts touch.
+
 The state may carry a leading member axis: R runs of one scenario then
 advance together, as (R, n) actions and (R, n, n) estimates. A member is one
 (law, seed, sigma cap) triple; the members of a batch share every other
@@ -18,7 +23,8 @@ trigger parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
@@ -77,17 +83,31 @@ class EngineConfig:
         return max(1, int(math.ceil(self.horizon / self.dt - 1e-9)))
 
 
+def integer(value, name: str) -> int:
+    """``value`` as an int. Booleans, floats (integral ones too) and other
+    non-integers raise TypeError naming ``name``; numpy integers pass."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name}: expected an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Member:
     """One run of a batch: its law, its seed and a cap on its disagreement
-    weights; it runs with ``min(sigma, sigma_cap)`` per player."""
+    weights; it runs with ``min(sigma, sigma_cap)`` per player. A law name
+    is read as its ``LawKind``."""
 
     law: LawKind
     seed: int
     sigma_cap: float = math.inf
 
     def __post_init__(self):
-        if not 0 <= int(self.seed) < 2 ** 64:
+        object.__setattr__(self, "law", LawKind(self.law))
+        object.__setattr__(self, "seed", integer(self.seed, "seed"))
+        if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
         # written so that NaN fails the check
         if not self.sigma_cap > 0:
@@ -128,7 +148,7 @@ class Batch:
             if m.law is LawKind.STOCHASTIC:
                 streams = [
                     np.random.Generator(np.random.PCG64(ss)).random(steps)
-                    for ss in np.random.SeedSequence(int(m.seed)).spawn(params.n)
+                    for ss in np.random.SeedSequence(m.seed).spawn(params.n)
                 ]
                 xi[:, r] = xi_from_uniform(params, np.array(streams).T)
         return cls(
@@ -147,10 +167,13 @@ class EngineState:
 
     The estimate matrix keeps row i as player i's view of everyone; its
     diagonal always equals the actions. Broadcast copies hold the most
-    recently transmitted values; ``disagreement`` is ``din * y_hat - W @
-    y_hat``, which both the triggering function and the estimate dynamics
-    read. The arrays may share a leading member axis. The instant is
-    ``step_index * dt``.
+    recently transmitted values. Two terms of the estimate coupling are
+    carried with them, both functions of the broadcasts alone (see
+    ``broadcast_terms``): ``disagreement_sq``, the squared norm of each row
+    of ``din * y_hat - W @ y_hat``, which the triggering function reads, and
+    ``increment``, the estimate update ``dt * (-beta * bracket)``, under the
+    step sizes of the config the state is stepped with. The arrays may share
+    a leading member axis. The instant is ``step_index * dt``.
     """
 
     step_index: int
@@ -158,7 +181,8 @@ class EngineState:
     y: np.ndarray
     x_hat: np.ndarray
     y_hat: np.ndarray
-    disagreement: np.ndarray
+    disagreement_sq: np.ndarray
+    increment: np.ndarray
 
 
 @dataclass
@@ -213,37 +237,76 @@ def sparse_coupling(graph: DirectedGraph) -> bool:
 
 
 def coupling(
-    graph: DirectedGraph, x_hat: np.ndarray, y_hat: np.ndarray
+    graph: DirectedGraph, x_hat: np.ndarray, y_hat: np.ndarray, rows: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The estimate coupling of the broadcasts: ``disagreement = din * y_hat -
     W @ y_hat`` and the bracket ``disagreement + W * (y_hat - x_hat)`` of the
     estimate dynamics, where column j of the second term reads x_hat[j].
 
     Takes (n,) and (n, n) broadcasts or a leading member axis on both, and
-    returns new arrays. On the sparse path the members fold into the columns
-    of one CSR product, and the second term is formed only at the links;
-    with unit weights and at most two links per row both paths give the same
-    bits.
+    returns new arrays; with ``rows``, an array of row indices, only those
+    rows of both terms. On the sparse path the members fold into the columns
+    of one CSR product, and the second term is formed only at the links; a
+    CSR row slice keeps each row's summation order, so a row comes out the
+    same whichever rows are asked for. With unit weights and at most two
+    links per row both paths give the same bits.
     """
-    din = graph.in_degrees[:, None]
+    din, own = graph.in_degrees[:, None], y_hat
+    if rows is not None:
+        din, own = din[rows], y_hat[..., rows, :]
     if not sparse_coupling(graph):
-        weights = graph.weights
-        disagreement = din * y_hat - weights @ y_hat
-        return disagreement, disagreement + weights * (y_hat - x_hat[..., None, :])
-    n, w = graph.n, graph.csr
+        weights = graph.weights if rows is None else graph.weights[rows]
+        disagreement = din * own - weights @ y_hat
+        return disagreement, disagreement + weights * (own - x_hat[..., None, :])
+    w = graph.csr if rows is None else graph.csr[rows]
+    n, m = graph.n, w.shape[0]
     # (..., n, n) -> (n, ... * n): row i of the product is W[i] @ y_hat[..., :, :]
     folded = np.moveaxis(y_hat, -2, 0).reshape(n, -1)
-    w_y = np.moveaxis((w @ folded).reshape(n, *y_hat.shape[:-2], n), 0, -2)
-    disagreement = np.subtract(din * y_hat, w_y, out=w_y)
-    rows, cols = graph.links
+    w_y = np.moveaxis((w @ folded).reshape(m, *y_hat.shape[:-2], n), 0, -2)
+    disagreement = np.subtract(din * own, w_y, out=w_y)
+    # the links of the rows asked for, in w's own row numbering
+    link_rows, cols = np.repeat(np.arange(m), np.diff(w.indptr)), w.indices
     bracket = disagreement.copy()
-    bracket[..., rows, cols] += w.data * (y_hat[..., rows, cols] - x_hat[..., cols])
+    bracket[..., link_rows, cols] += w.data * (own[..., link_rows, cols] - x_hat[..., cols])
     return disagreement, bracket
+
+
+def broadcast_terms(
+    graph: DirectedGraph,
+    x_hat: np.ndarray,
+    y_hat: np.ndarray,
+    config: EngineConfig,
+    rows: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The state's ``disagreement_sq`` and ``increment`` for these broadcasts,
+    at ``rows`` when given (see ``coupling``): the squared row norms of the
+    disagreement, and the bracket scaled as ``(bracket * -beta) * dt``."""
+    disagreement, bracket = coupling(graph, x_hat, y_hat, rows)
+    bracket *= -config.beta
+    bracket *= config.dt
+    return (disagreement * disagreement).sum(axis=-1), bracket
+
+
+def touched_rows(graph: DirectedGraph, fired: np.ndarray) -> np.ndarray:
+    """The rows whose coupling terms change when the players that fired for
+    any member re-broadcast: those players and every player hearing one of
+    them, as increasing indices. Read from the links, not the weights."""
+    hit = fired.reshape(-1, graph.n).any(axis=0)
+    rows, cols = graph.links
+    hit[rows[hit[cols]]] = True
+    return np.flatnonzero(hit)
+
+
+def with_members(state: EngineState, runs: int) -> EngineState:
+    """The state repeated along a new leading member axis of length ``runs``."""
+    arrays = [f.name for f in fields(state) if f.name != "step_index"]
+    return replace(state, **{k: np.stack([getattr(state, k)] * runs) for k in arrays})
 
 
 def init(scenario: Scenario) -> EngineState:
     """The scenario's initial state: broadcasts equal the state, so event
-    errors start at zero.
+    errors start at zero, and their terms are formed under the scenario's
+    engine config.
 
     The diagonal of y0 is overwritten with x0 to keep own-estimates exact.
     The scenario validated its start when it was built.
@@ -251,8 +314,8 @@ def init(scenario: Scenario) -> EngineState:
     n = scenario.n
     x0, y0 = scenario.x0.copy(), scenario.y0.copy()
     y0[np.arange(n), np.arange(n)] = x0
-    disagreement, _ = coupling(scenario.graph, x0, y0)
-    return EngineState(0, x0, y0, x0.copy(), y0.copy(), disagreement)
+    terms = broadcast_terms(scenario.graph, x0, y0, scenario.engine)
+    return EngineState(0, x0, y0, x0.copy(), y0.copy(), *terms)
 
 
 def step(
@@ -269,48 +332,74 @@ def step(
     batch's member axis. Trigger decisions are made before derivatives are
     computed, so the broadcast values entering the estimate dynamics are the
     latest ones.
+
+    The step takes ownership of the input state's ``x_hat``, ``y_hat``,
+    ``disagreement_sq`` and ``increment``: it writes the fired players'
+    rows into them in place and hands them on in the new state, so a state
+    must not be stepped twice; step a copy instead. ``config`` must carry
+    the step sizes the state's ``increment`` was formed with, as
+    ``init(scenario)`` forms it with ``scenario.engine``. A state without
+    the member axis under a batch with one takes the axis on first.
+
+    Below the sparse crossover both terms are recomputed whole. On the
+    sparse path only the rows ``touched_rows`` names are, through one CSR
+    slice for every member, and none when no player fired. Every other row
+    depends only on broadcasts that did not change, and a row is the same
+    sum in the same order whichever rows are recomputed, so the bits equal
+    a full recompute.
     """
     n = graph.n
-    x = state.x
-    y = state.y
-    e_x = state.x_hat - x
-    e_y = state.y_hat - y
-    action_err_sq = e_x * e_x
-    estimate_err_sq = (e_y * e_y).sum(axis=-1)
-    disagreement_sq = (state.disagreement * state.disagreement).sum(axis=-1)
-
     params = batch.params
+    if state.x.ndim < batch.sigma.ndim:
+        state = with_members(state, len(batch.sigma))
+    x, y, x_hat, y_hat = state.x, state.y, state.x_hat, state.y_hat
+    e_x = x_hat - x
+    e_y = y_hat - y
+    action_err_sq = e_x * e_x
+    # e_y's buffer is reused for its square and, below, for the guard
+    estimate_err_sq = np.multiply(e_y, e_y, out=e_y).sum(axis=-1)
+
     decay = params.delta0 * np.exp(-params.eta * (state.step_index * config.dt))
-    rho = triggering_function(action_err_sq, estimate_err_sq, disagreement_sq, batch.sigma)
+    rho = triggering_function(action_err_sq, estimate_err_sq, state.disagreement_sq, batch.sigma)
     fired = decide(
         params, rho, action_err_sq + estimate_err_sq, decay,
         batch.term[state.step_index], batch.static, batch.continuous,
     )
-    x_hat = np.where(fired, x, state.x_hat)
-    y_hat = np.where(fired[..., None], y, state.y_hat)
 
     lo, hi = game.bounds
     grad = gradient_at_estimates(game, y)
     xdot = np.clip(x - config.alpha * grad, lo, hi) - x
-    disagreement, ydot = coupling(graph, x_hat, y_hat)
-    # ydot and then y_new = y + dt * ydot reuse the bracket's fresh buffer
-    ydot *= -config.beta
+    if not sparse_coupling(graph):
+        # at small n one masked copy costs fewer calls than indexing rows
+        np.copyto(x_hat, x, where=fired)
+        np.copyto(y_hat, y, where=fired[..., None])
+        disagreement_sq, increment = broadcast_terms(graph, x_hat, y_hat, config)
+    else:
+        disagreement_sq, increment = state.disagreement_sq, state.increment
+        if fired.any():
+            who = np.nonzero(fired)
+            x_hat[who] = x[who]
+            y_hat[who] = y[who]
+            rows = touched_rows(graph, fired)
+            disagreement_sq[..., rows], increment[..., rows, :] = broadcast_terms(
+                graph, x_hat, y_hat, config, rows
+            )
 
     k_new = state.step_index + 1
     x_new = x + config.dt * xdot
-    y_new = np.multiply(ydot, config.dt, out=ydot)
-    y_new += y
+    y_new = y + increment
     y_new[..., np.arange(n), np.arange(n)] = x_new
 
     # y_new carries x_new on its diagonal, so it bounds the whole state; a
     # NaN fails the comparison as well
-    if not np.abs(y_new).max() <= DIVERGENCE_GUARD:
+    if not np.abs(y_new, out=e_y).max() <= DIVERGENCE_GUARD:
         raise NumericalDivergence(
             f"state magnitude exceeded {DIVERGENCE_GUARD:.0e} or became non-finite "
             f"at t={k_new * config.dt:.6g}; reduce alpha, beta, or dt"
         )
 
-    return EngineState(k_new, x_new, y_new, x_hat, y_hat, disagreement), fired, rho
+    new = EngineState(k_new, x_new, y_new, x_hat, y_hat, disagreement_sq, increment)
+    return new, fired, rho
 
 
 def run(scenario: Scenario, members: Sequence[Member]) -> list[RunResult]:
@@ -330,9 +419,7 @@ def run(scenario: Scenario, members: Sequence[Member]) -> list[RunResult]:
     n, steps, runs = graph.n, config.steps, len(members)
     batch = Batch.of(scenario.trigger, members, steps)
 
-    one = init(scenario)
-    seeded = ("x", "y", "x_hat", "y_hat", "disagreement")
-    state = replace(one, **{k: np.stack([getattr(one, k)] * runs) for k in seeded})
+    state = with_members(init(scenario), runs)
     times = np.arange(steps + 1) * config.dt
     actions = np.empty((steps + 1, runs, n))
     trig = np.zeros((steps + 1, runs, n), dtype=np.int8)

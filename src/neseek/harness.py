@@ -18,7 +18,7 @@ from dataclasses import replace
 
 from . import metrics as metrics_mod
 from .bounds import sigma_bound
-from .engine import Member, RunResult, run
+from .engine import Member, RunResult, integer, run
 from .errors import ValidationError
 from .oracle import solve_ne
 from .scenario import Scenario
@@ -43,11 +43,14 @@ def _setup(
     sets none.
 
     The stochastic law integrates every seed; any other law one member, at
-    the first seed. Every seed and the dt override are checked before the
-    equilibrium is solved, so a bad one raises ValidationError.
+    the first seed. A law may be given by name. The laws, every seed and the
+    dt override are checked before the equilibrium is solved, so a bad one,
+    or a seed or run count that is not an integer, raises ValidationError.
     """
     try:
-        seeds = range(int(base_seed), int(base_seed) + int(runs))
+        laws = [LawKind(law) for law in laws]
+        base_seed = integer(base_seed, "seed")
+        seeds = range(base_seed, base_seed + integer(runs, "runs"))
         if not seeds:
             raise ValueError("runs must be >= 1")
         # the seeds are consecutive, so checking both ends checks them all
@@ -96,7 +99,7 @@ def compare_laws(
     finishes, so memory does not grow with the number of runs.
     """
     seeds, members, anchored = _setup(scenario, laws, base_seed, runs, dt)
-    ensembles = {law: metrics_mod.Ensemble() for law in laws}
+    ensembles = {member.law: metrics_mod.Ensemble() for member in members}
     size = max(1, ENSEMBLE_ENTRIES // scenario.n ** 2)
     for start in range(0, len(members), size):
         chunk = members[start:start + size]

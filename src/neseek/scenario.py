@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import sigma_bound
-from .engine import EngineConfig, Member
+from .engine import EngineConfig, Member, integer
 from .errors import ParseError, ValidationError
 from .games import ActionInterval, GameDefinition, QuadraticGame, SpectrumGame
 from .graphs import DirectedGraph, is_strongly_connected
@@ -77,8 +77,19 @@ class Scenario:
         if self.ne_override is not None:
             self._store("ne_override", (n,))
         try:
+            object.__setattr__(self, "law", LawKind(self.law))
+        except ValueError:
+            raise ValidationError(
+                f"law: {self.law!r} is not one of {[k.value for k in LawKind]}"
+            ) from None
+        try:
+            object.__setattr__(self, "seed", integer(self.seed, "seed"))
+            object.__setattr__(self, "runs", integer(self.runs, "runs"))
+        except TypeError as exc:
+            raise ValidationError(str(exc)) from None
+        try:
             Member(self.law, self.seed)
-        except (ValueError, TypeError, OverflowError) as exc:
+        except ValueError as exc:
             raise ValidationError(f"seed: {exc}") from exc
         if not self.runs >= 1:
             raise ValidationError(f"runs: must be >= 1, got {self.runs}")
@@ -141,9 +152,10 @@ def _scalars(section: dict, where: str, *keys: str) -> dict[str, float]:
 def _integer(raw, where: str) -> int:
     """An integer field. Booleans and floats are rejected, integral ones too:
     a float seed past 2**53 no longer holds the digits that were written."""
-    if isinstance(raw, bool) or not isinstance(raw, numbers.Integral):
-        raise ValidationError(f"{where}: expected an integer, got {raw!r}")
-    return int(raw)
+    try:
+        return integer(raw, where)
+    except TypeError as exc:
+        raise ValidationError(str(exc)) from None
 
 
 # Each game kind's class and required vector/matrix fields, in load order.

@@ -29,7 +29,7 @@ from neseek import (
 )
 from neseek import engine, harness
 from neseek.engine import EngineState
-from neseek.errors import NumericalDivergence
+from neseek.errors import NumericalDivergence, ValidationError
 from neseek.triggers import xi_from_uniform
 
 from conftest import random_strongly_connected, strongly_connected_graphs, with_engine
@@ -210,6 +210,21 @@ class TestStep:
                     assert state.x_hat[i] == prev_xhat[i]
                     assert np.array_equal(state.y_hat[i], prev_yhat[i])
 
+    def test_step_owns_the_broadcast_buffers(self, quadratic_scenario):
+        # the fired rows are written into the input's buffers, which the new
+        # state carries on; an unbatched state under a batch with a member
+        # axis takes the axis on, as run stacks it
+        s = quadratic_scenario
+        batch = Batch.of(s.trigger, [Member(LawKind.CONTINUOUS, 0)], s.engine.steps)
+        stacked = engine.with_members(init(s), 1)
+        buffers = (stacked.x_hat, stacked.y_hat)
+        new, fired, _ = step(stacked, s.game, s.graph, batch, s.engine)
+        assert fired.all()
+        assert new.x_hat is buffers[0] and new.y_hat is buffers[1]
+        promoted, _, _ = step(init(s), s.game, s.graph, batch, s.engine)
+        for name in ("x", "y", "x_hat", "y_hat", "disagreement_sq", "increment"):
+            assert np.array_equal(getattr(promoted, name), getattr(new, name)), name
+
     def test_divergence_guard(self):
         s = two_player_setup(beta=1e12, horizon=0.1)
         state = init(s)
@@ -347,6 +362,54 @@ class TestRun:
         for gaps in result.intervals:
             if gaps.size:
                 assert gaps.min() >= spectrum_scenario.engine.dt
+
+    def test_law_names_run_as_their_laws(self, spectrum_scenario):
+        # a plain string once ran as an uncapped deterministic law with no draws
+        s = dataclasses.replace(spectrum_scenario, law="stochastic")
+        assert s.law is LawKind.STOCHASTIC
+        assert_same_columns(
+            single_run(s, seed=1), single_run(spectrum_scenario, seed=1, law=LawKind.STOCHASTIC)
+        )
+        for law in ("static", "dynamic"):
+            assert_same_columns(
+                single_run(spectrum_scenario, seed=1, law=law),
+                single_run(spectrum_scenario, seed=1, law=LawKind(law)),
+            )
+        named = compare_laws(spectrum_scenario, ["dynamic"], 1, base_seed=1)
+        assert list(named) == [LawKind.DYNAMIC]
+        assert_same_ensemble(
+            named[LawKind.DYNAMIC],
+            compare_laws(spectrum_scenario, [LawKind.DYNAMIC], 1, base_seed=1)[LawKind.DYNAMIC],
+        )
+        with pytest.raises(ValidationError, match="sometimes"):
+            single_run(spectrum_scenario, seed=1, law="sometimes")
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda s: single_run(s, seed=1.7), id="single_run-seed-fractional"),
+            pytest.param(lambda s: single_run(s, seed=True), id="single_run-seed-bool"),
+            pytest.param(lambda s: single_run(s, seed=2.0), id="single_run-seed-integral-float"),
+            pytest.param(
+                lambda s: compare_laws(s, ["stochastic"], 2.5, 0), id="compare-runs-fractional"
+            ),
+            pytest.param(
+                lambda s: compare_laws(s, ["stochastic"], True, 0), id="compare-runs-bool"
+            ),
+            pytest.param(
+                lambda s: compare_laws(s, ["stochastic"], 2, 0.5), id="compare-seed-fractional"
+            ),
+        ],
+    )
+    def test_non_integer_seeds_and_runs_are_refused(self, quadratic_scenario, call):
+        # they were truncated: seed 1.7 and seed True both ran seed 1
+        with pytest.raises(ValidationError, match="expected an integer"):
+            call(quadratic_scenario)
+
+    def test_numpy_integer_seeds_and_runs_pass(self, quadratic_scenario):
+        s, law = quadratic_scenario, LawKind.STOCHASTIC
+        assert_same_columns(single_run(s, seed=np.int64(3)), single_run(s, seed=3))
+        assert compare_laws(s, [law], np.uint8(2), np.int64(3))[law].runs == 2
 
     def test_equilibrium_override_anchors_error_series(self, quadratic_scenario):
         s = dataclasses.replace(quadratic_scenario, ne_override=np.array([0.0, 0.0]))
@@ -486,6 +549,21 @@ class TestBatch:
         with pytest.raises(ValueError, match=message):
             Member(LawKind.STOCHASTIC, seed, cap)
 
+    def test_member_reads_a_law_name(self):
+        assert Member("stochastic", 1) == Member(LawKind.STOCHASTIC, 1)
+        assert Member("stochastic", 1).law is LawKind.STOCHASTIC
+        with pytest.raises(ValueError, match="sometimes"):
+            Member("sometimes", 1)
+
+    @pytest.mark.parametrize("seed", [1.7, 1.0, True, "1"], ids=repr)
+    def test_member_refuses_a_non_integer_seed(self, seed):
+        with pytest.raises(TypeError, match="seed: expected an integer"):
+            Member(LawKind.STOCHASTIC, seed)
+
+    def test_member_takes_numpy_integers(self):
+        member = Member(LawKind.STOCHASTIC, np.uint64(2 ** 64 - 1))
+        assert member.seed == 2 ** 64 - 1 and type(member.seed) is int
+
     def test_thresholds_follow_per_player_streams(self, quadratic_scenario):
         s = quadratic_scenario
         members = [Member(LawKind.STATIC, 9), Member(LawKind.STOCHASTIC, 9)]
@@ -574,6 +652,14 @@ class TestBatch:
                 assert_same_ensemble(ens, whole[law])
 
 
+def copied(state):
+    """A copy of the state that owns all of its arrays."""
+    return dataclasses.replace(state, **{
+        f.name: getattr(state, f.name).copy()
+        for f in dataclasses.fields(state) if f.name != "step_index"
+    })
+
+
 def force_coupling(mp, sparse):
     """Route the estimate coupling through one path, whatever the graph."""
     mp.setattr(engine, "SPARSE_MIN_N", 0 if sparse else math.inf)
@@ -624,8 +710,8 @@ class TestSparseCoupling:
         y, y_hat = rng.uniform(-3.0, 3.0, (2, *shape, n))
         with pytest.MonkeyPatch.context() as mp:
             force_coupling(mp, sparse=False)
-            disagreement, _ = engine.coupling(graph, x_hat, y_hat)
-        state = EngineState(3, x, y, x_hat, y_hat, disagreement)
+            terms = engine.broadcast_terms(graph, x_hat, y_hat, self.CONFIG)
+        state = EngineState(3, x, y, x_hat, y_hat, *terms)
         laws = list(LawKind)
         if runs is None:
             batch = one_member(LawKind.STOCHASTIC, trig, seed, self.CONFIG.steps)
@@ -637,16 +723,67 @@ class TestSparseCoupling:
             with pytest.MonkeyPatch.context() as mp:
                 force_coupling(mp, sparse)
                 assert engine.sparse_coupling(graph) is sparse
-                new, fired, rho = step(state, game, graph, batch, self.CONFIG)
-            out[sparse] = (new.y, new.disagreement, new.x, new.x_hat, new.y_hat, fired, rho)
+                # step owns its input's buffers: each path steps its own copy
+                new, fired, rho = step(copied(state), game, graph, batch, self.CONFIG)
+            out[sparse] = (
+                new.y, new.disagreement_sq, new.increment,
+                new.x, new.x_hat, new.y_hat, fired, rho,
+            )
         for k, (dense, sparse) in enumerate(zip(out[False], out[True])):
             assert dense.shape == sparse.shape and dense.dtype == sparse.dtype
-            # the decision precedes the coupling, so only y and disagreement
-            # may differ, and only in the summation of non-unit weights
-            if unit or k > 1:
+            # the decision precedes the coupling, so only y and the coupling
+            # terms may differ, and only in the summation of non-unit weights
+            if unit or k > 2:
                 assert np.array_equal(dense, sparse)
             else:
                 assert np.abs(sparse - dense).max() <= 1e-14 * np.abs(dense).max()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2 ** 32 - 1), st.integers(2, 30), st.booleans(),
+        st.sampled_from([None, 1, 4]),
+        st.lists(st.sampled_from(["none", "all", "some"]), min_size=1, max_size=4),
+    )
+    def test_event_driven_step_equals_full_recompute(self, seed, n, unit, runs, patterns):
+        # the first step from init, then further steps, each with a drawn fire
+        # pattern in place of the laws' decisions; runs None: an unbatched
+        # state under a one-member batch, 4: one member of each law
+        rng, game, graph, trig = coupling_case(seed, n, unit)
+        s = Scenario(
+            graph, game, trig, self.CONFIG, x0=rng.uniform(-3.0, 3.0, n),
+            y0=rng.uniform(-3.0, 3.0, (n, n)), law=LawKind.STOCHASTIC, ne_override=np.zeros(n),
+        )
+        masks = {
+            "none": lambda shape: np.zeros(shape, dtype=bool),
+            "all": lambda shape: np.ones(shape, dtype=bool),
+            "some": lambda shape: rng.random(shape) < rng.uniform(0.02, 0.5),
+        }
+        with pytest.MonkeyPatch.context() as mp:
+            force_coupling(mp, sparse=True)
+            if runs is None:
+                state = init(s)
+                batch = one_member(LawKind.STOCHASTIC, trig, seed, self.CONFIG.steps)
+            else:
+                state = engine.with_members(init(s), runs)
+                batch = Batch.of(trig, [Member(law, seed) for law in list(LawKind)[:runs]], 4)
+            for pattern in patterns:
+                mp.setattr(engine, "decide", lambda params, rho, *rest: masks[pattern](rho.shape))
+                prev = copied(state)
+                state, fired, _ = step(state, game, graph, batch, self.CONFIG)
+                x_hat = np.where(fired, prev.x, prev.x_hat)
+                y_hat = np.where(fired[..., None], prev.y, prev.y_hat)
+                disagreement_sq, increment = engine.broadcast_terms(
+                    graph, x_hat, y_hat, self.CONFIG
+                )
+                y = prev.y + increment
+                y[..., np.arange(n), np.arange(n)] = state.x
+                for got, full in [
+                    (state.x_hat, x_hat), (state.y_hat, y_hat),
+                    (state.disagreement_sq, disagreement_sq), (state.increment, increment),
+                    (state.y, y),
+                ]:
+                    assert got.shape == full.shape
+                    assert np.array_equal(got, full)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 30), st.booleans())

@@ -207,6 +207,11 @@ API_CASES = [
     pytest.param({"x0": [3.0, math.nan]}, r"x0\[1\]=nan outside", id="nan-x0"),
     pytest.param({"runs": 0}, "runs: must be >= 1", id="runs-zero"),
     pytest.param({"seed": -1}, "seed: ", id="seed-negative"),
+    pytest.param({"seed": 1.7}, "seed: expected an integer", id="seed-fractional"),
+    pytest.param({"seed": True}, "seed: expected an integer", id="seed-bool"),
+    pytest.param({"runs": 2.5}, "runs: expected an integer", id="runs-fractional"),
+    pytest.param({"runs": True}, "runs: expected an integer", id="runs-bool"),
+    pytest.param({"law": "telepathy"}, "law: 'telepathy' is not one of", id="unknown-law"),
     pytest.param(
         {"trigger": lambda s: dataclasses.replace(
             s.trigger, c=np.ones(3), sigma=np.full(3, 0.1), delta0=np.ones(3)
@@ -225,6 +230,13 @@ def test_api_built_scenario_is_refused(quadratic_scenario, changes, message):
     changes = {k: v(s) if callable(v) else v for k, v in changes.items()}
     with pytest.raises(ValidationError, match=f"^{message}"):
         dataclasses.replace(s, **changes)
+
+
+def test_api_built_scenario_reads_names_and_numpy_integers(quadratic_scenario):
+    s = dataclasses.replace(quadratic_scenario, law="static", seed=np.uint64(7), runs=np.int64(3))
+    assert s.law is LawKind.STATIC
+    assert (s.seed, s.runs) == (7, 3)
+    assert type(s.seed) is int and type(s.runs) is int
 
 
 def test_run_needs_the_equilibrium(quadratic_scenario):
