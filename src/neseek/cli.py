@@ -51,7 +51,9 @@ def _json_text(data: dict) -> str:
     return json.dumps(_jsonable(data), indent=2, sort_keys=True) + "\n"
 
 
-def _load(args) -> Scenario:
+def _load(args, dt: float | None = None) -> Scenario:
+    """The scenario ``--config`` names, its advisories printed as warnings,
+    with the integration step ``dt`` when one is given."""
     path = Path(args.config)
     if not path.exists():
         candidate = bundled_path(args.config)
@@ -62,7 +64,9 @@ def _load(args) -> Scenario:
         scenario = load_scenario(path)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
-    return scenario
+    if dt is None:
+        return scenario
+    return dataclasses.replace(scenario, engine=dataclasses.replace(scenario.engine, dt=dt))
 
 
 def cmd_solve_ne(args) -> int:
@@ -97,8 +101,8 @@ def _interval_row(player: int, law: str, count_mean: float, stats) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    scenario = _load(args)
-    result = harness.single_run(scenario, seed=args.seed, dt=args.dt)
+    scenario = _load(args, args.dt)
+    result = harness.single_run(scenario, seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -159,7 +163,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    scenario = _load(args)
+    scenario = _load(args, args.dt)
     try:
         laws = [LawKind(name.strip()) for name in args.laws.split(",") if name.strip()]
         if not laws or len(set(laws)) < len(laws):
@@ -170,7 +174,7 @@ def cmd_compare(args) -> int:
     runs = args.runs if args.runs is not None else scenario.runs
     base_seed = scenario.seed if args.seed is None else args.seed
 
-    ensembles = harness.compare_laws(scenario, laws, runs, base_seed, dt=args.dt)
+    ensembles = harness.compare_laws(scenario, laws, runs, base_seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

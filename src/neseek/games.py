@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, NonMonotone
+from .errors import DomainError, NonMonotone, ValidationError
 
 
 @dataclass(frozen=True)
@@ -26,17 +26,17 @@ class ActionInterval:
 
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError("interval bounds must be finite")
+            raise ValidationError("interval bounds must be finite")
         if self.lo > self.hi:
-            raise ValueError("interval must satisfy lo <= hi")
+            raise ValidationError("interval must satisfy lo <= hi")
 
 
 def _as_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
     v = np.array(values, dtype=float)
     if v.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}")
+        raise ValidationError(f"{name} must have shape {shape}")
     if not np.isfinite(v).all():
-        raise ValueError(f"{name} must be finite")
+        raise ValidationError(f"{name} must be finite")
     v.flags.writeable = False
     return v
 
@@ -69,18 +69,18 @@ class SpectrumGame:
     def __post_init__(self):
         n = len(self.intervals)
         if n < 1:
-            raise ValueError("at least one player is required")
+            raise ValidationError("at least one player is required")
         object.__setattr__(self, "intervals", tuple(self.intervals))
         for name in ("m_c", "q", "r", "s_db", "ber_target"):
             object.__setattr__(self, name, _as_array(getattr(self, name), (n,), name))
         if (self.q <= 0).any():
-            raise ValueError("price slopes q must be positive")
+            raise ValidationError("price slopes q must be positive")
         if (self.r < 0).any():
-            raise ValueError("revenue rates r must be nonnegative")
+            raise ValidationError("revenue rates r must be nonnegative")
         if ((self.ber_target <= 0) | (self.ber_target >= 0.2)).any():
-            raise ValueError("ber_target must lie in (0, 0.2)")
+            raise ValidationError("ber_target must lie in (0, 0.2)")
         if not 1 <= self.tau < math.inf:
-            raise ValueError("pricing exponent tau must be finite and >= 1")
+            raise ValidationError("pricing exponent tau must be finite and >= 1")
         if self.tau > 1 and any(iv.lo < 0 for iv in self.intervals):
             # fractional powers of a negative total are undefined
             raise DomainError("tau > 1 requires nonnegative action intervals")
@@ -115,15 +115,15 @@ class QuadraticGame:
     def __post_init__(self):
         n = len(self.intervals)
         if n < 1:
-            raise ValueError("at least one player is required")
+            raise ValidationError("at least one player is required")
         object.__setattr__(self, "intervals", tuple(self.intervals))
         object.__setattr__(self, "diag_a", _as_array(self.diag_a, (n,), "diag_a"))
         object.__setattr__(self, "offset", _as_array(self.offset, (n,), "offset"))
         object.__setattr__(self, "cross", _as_array(self.cross, (n, n), "cross"))
         if np.diagonal(self.cross).any():
-            raise ValueError("cross must have zero diagonal")
+            raise ValidationError("cross must have zero diagonal")
         if (self.diag_a <= 0).any():
-            raise ValueError("diag_a must be positive")
+            raise ValidationError("diag_a must be positive")
 
     @property
     def n(self) -> int:

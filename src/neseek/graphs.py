@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .errors import NotStronglyConnected, SolverFailure
+from .errors import NotStronglyConnected, SolverFailure, ValidationError
 
 # Residual allowed on the Lyapunov solve; the right-hand side is I, of norm 1.
 LYAPUNOV_RTOL = 1e-8
@@ -38,15 +38,15 @@ class DirectedGraph:
     def __post_init__(self):
         w = np.array(self.weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError("weights must be a square matrix")
+            raise ValidationError("weights must be a square matrix")
         if w.shape[0] < 2:
-            raise ValueError("at least two players are required")
+            raise ValidationError("at least two players are required")
         if not np.isfinite(w).all():
-            raise ValueError("weights must be finite")
+            raise ValidationError("weights must be finite")
         if (w < 0).any():
-            raise ValueError("weights must be nonnegative")
+            raise ValidationError("weights must be nonnegative")
         if np.diagonal(w).any():
-            raise ValueError("diagonal weights (self-loops) must be zero")
+            raise ValidationError("diagonal weights (self-loops) must be zero")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 

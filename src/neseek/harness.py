@@ -18,7 +18,7 @@ from dataclasses import replace
 
 from . import metrics as metrics_mod
 from .bounds import sigma_bound
-from .engine import Member, RunResult, integer, run
+from .engine import Member, RunResult, run
 from .errors import ValidationError
 from .oracle import solve_ne
 from .scenario import Scenario
@@ -35,59 +35,45 @@ def _member(scenario: Scenario, law: LawKind, seed: int) -> Member:
 
 
 def _setup(
-    scenario: Scenario, laws: list[LawKind], base_seed: int, runs: int, dt: float | None
+    scenario: Scenario, laws: list[LawKind], base_seed: int, runs: int
 ) -> tuple[range, list[Member], Scenario]:
     """Seeds base_seed..base_seed+runs-1, the members that integrate them, and
-    the scenario they run: its engine carries the dt override and its
-    ne_override the equilibrium, solved here once per call when the scenario
-    sets none.
+    the scenario they run, whose ne_override is the equilibrium: solved here
+    once per call when the scenario sets none.
 
     The stochastic law integrates every seed; any other law one member, at
-    the first seed. A law may be given by name. The laws, every seed and the
-    dt override are checked before the equilibrium is solved, so a bad one,
-    or a seed or run count that is not an integer, raises ValidationError.
+    the first seed. A law may be given by name, but not twice. The scenario
+    checks the seed and run count, and each member its law and seed, before
+    the equilibrium is solved.
     """
-    try:
-        laws = [LawKind(law) for law in laws]
-        base_seed = integer(base_seed, "seed")
-        seeds = range(base_seed, base_seed + integer(runs, "runs"))
-        if not seeds:
-            raise ValueError("runs must be >= 1")
-        # the seeds are consecutive, so checking both ends checks them all
-        Member(LawKind.STOCHASTIC, seeds[-1])
-        members = [
-            _member(scenario, law, seed)
-            for law in laws
-            for seed in (seeds if law is LawKind.STOCHASTIC else seeds[:1])
-        ]
-        config = scenario.engine if dt is None else replace(scenario.engine, dt=float(dt))
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ValidationError(str(exc)) from exc
+    scenario = replace(scenario, seed=base_seed, runs=runs)
+    laws = [LawKind(law) for law in laws]
+    if len(set(laws)) < len(laws):
+        raise ValidationError(f"laws: {[law.value for law in laws]} names a law twice")
+    seeds = range(scenario.seed, scenario.seed + scenario.runs)
+    members = [
+        _member(scenario, law, seed)
+        for law in laws
+        for seed in (seeds if law is LawKind.STOCHASTIC else seeds[:1])
+    ]
     x_star = scenario.ne_override
     if x_star is None:
         x_star = solve_ne(scenario.game).x_star
-    return seeds, members, replace(scenario, engine=config, ne_override=x_star)
+    return seeds, members, replace(scenario, ne_override=x_star)
 
 
 def single_run(
-    scenario: Scenario,
-    seed: int | None = None,
-    law: LawKind | None = None,
-    dt: float | None = None,
+    scenario: Scenario, seed: int | None = None, law: LawKind | None = None
 ) -> RunResult:
     """One seeded simulation of the scenario, with optional overrides."""
     seed = scenario.seed if seed is None else seed
     law = scenario.law if law is None else law
-    _, members, anchored = _setup(scenario, [law], seed, 1, dt)
+    _, members, anchored = _setup(scenario, [law], seed, 1)
     return run(anchored, members=members)[0]
 
 
 def compare_laws(
-    scenario: Scenario,
-    laws: list[LawKind],
-    runs: int,
-    base_seed: int,
-    dt: float | None = None,
+    scenario: Scenario, laws: list[LawKind], runs: int, base_seed: int
 ) -> dict[LawKind, metrics_mod.EnsembleMetrics]:
     """Ensemble metrics per law over seeds base_seed..base_seed+runs-1, all
     against the same equilibrium.
@@ -98,7 +84,7 @@ def compare_laws(
     least one), and each chunk is folded into the per-law sums as soon as it
     finishes, so memory does not grow with the number of runs.
     """
-    seeds, members, anchored = _setup(scenario, laws, base_seed, runs, dt)
+    seeds, members, anchored = _setup(scenario, laws, base_seed, runs)
     ensembles = {member.law: metrics_mod.Ensemble() for member in members}
     size = max(1, ENSEMBLE_ENTRIES // scenario.n ** 2)
     for start in range(0, len(members), size):

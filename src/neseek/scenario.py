@@ -25,6 +25,7 @@ import json
 import math
 import numbers
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -76,21 +77,11 @@ class Scenario:
         self._store("y0", (n, n))
         if self.ne_override is not None:
             self._store("ne_override", (n,))
-        try:
-            object.__setattr__(self, "law", LawKind(self.law))
-        except ValueError:
-            raise ValidationError(
-                f"law: {self.law!r} is not one of {[k.value for k in LawKind]}"
-            ) from None
-        try:
-            object.__setattr__(self, "seed", integer(self.seed, "seed"))
-            object.__setattr__(self, "runs", integer(self.runs, "runs"))
-        except TypeError as exc:
-            raise ValidationError(str(exc)) from None
-        try:
-            Member(self.law, self.seed)
-        except ValueError as exc:
-            raise ValidationError(f"seed: {exc}") from exc
+        # the member reads the law name and checks the seed
+        member = Member(self.law, self.seed)
+        object.__setattr__(self, "law", member.law)
+        object.__setattr__(self, "seed", member.seed)
+        object.__setattr__(self, "runs", integer(self.runs, "runs"))
         if not self.runs >= 1:
             raise ValidationError(f"runs: must be >= 1, got {self.runs}")
 
@@ -149,13 +140,13 @@ def _scalars(section: dict, where: str, *keys: str) -> dict[str, float]:
     return {k: _number(_require(section, k, where), f"{where}.{k}") for k in keys}
 
 
-def _integer(raw, where: str) -> int:
-    """An integer field. Booleans and floats are rejected, integral ones too:
-    a float seed past 2**53 no longer holds the digits that were written."""
+@contextmanager
+def _section(where: str):
+    """Prefix the ValidationError of a part built from section ``where``."""
     try:
-        return integer(raw, where)
-    except TypeError as exc:
-        raise ValidationError(str(exc)) from None
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 # Each game kind's class and required vector/matrix fields, in load order.
@@ -174,10 +165,8 @@ def _game_from_dict(data: dict, n: int) -> GameDefinition:
     if cls is SpectrumGame:
         fields["tau"] = _number(data.get("tau", 1.0), "game.tau")
     pairs = _numbers(_require(data, "intervals", "game"), "game.intervals", (n, 2)).tolist()
-    try:
+    with _section("game"):
         return cls(**fields, intervals=tuple(ActionInterval(lo, hi) for lo, hi in pairs))
-    except (ValueError, TypeError) as exc:
-        raise ValidationError(f"game: {exc}") from exc
 
 
 def _trigger_from_dict(traw: dict, graph: DirectedGraph) -> TriggerParams:
@@ -196,11 +185,10 @@ def _trigger_from_dict(traw: dict, graph: DirectedGraph) -> TriggerParams:
         v = _numbers(_require(traw, key, "trigger"), f"trigger.{key}")
         return np.full(graph.n, v) if v.ndim == 0 else v
 
-    scalars = _scalars(traw, "trigger", "kappa", "a_floor", "eta")
-    try:
-        return TriggerParams(**scalars, c=_pervec("c"), sigma=sigma, delta0=_pervec("delta0"))
-    except (ValueError, TypeError) as exc:
-        raise ValidationError(f"trigger: {exc}") from exc
+    fields = _scalars(traw, "trigger", "kappa", "a_floor", "eta")
+    fields.update(c=_pervec("c"), sigma=sigma, delta0=_pervec("delta0"))
+    with _section("trigger"):
+        return TriggerParams(**fields)
 
 
 def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
@@ -209,29 +197,18 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
     if not isinstance(data, dict):
         raise ValidationError(f"{source}: top level must be an object")
 
-    try:
-        graph = DirectedGraph(_numbers(_require(data, "adjacency", source), "adjacency"))
-    except ValueError as exc:
-        raise ValidationError(f"adjacency: {exc}") from exc
-
+    weights = _numbers(_require(data, "adjacency", source), "adjacency")
+    with _section("adjacency"):
+        graph = DirectedGraph(weights)
     game = _game_from_dict(_require(data, "game", source), graph.n)
     traw = _require(data, "trigger", source)
-    law_name = _require(traw, "law", "trigger")
-    try:
-        law = LawKind(law_name)
-    except ValueError:
-        raise ValidationError(
-            f"trigger.law: '{law_name}' is not one of "
-            f"{[k.value for k in LawKind]}"
-        ) from None
     trigger = _trigger_from_dict(traw, graph)
 
     eraw = _require(data, "engine", source)
-    scalars = _scalars(eraw, "engine", "alpha", "beta", "horizon")
-    try:
-        engine = EngineConfig(**scalars, dt=_number(eraw.get("dt", 0.025), "engine.dt"))
-    except ValueError as exc:
-        raise ValidationError(f"engine: {exc}") from exc
+    fields = _scalars(eraw, "engine", "alpha", "beta", "horizon")
+    fields["dt"] = _number(eraw.get("dt", 0.025), "engine.dt")
+    with _section("engine"):
+        engine = EngineConfig(**fields)
 
     ne_override = data.get("ne_override")
     advisories = []
@@ -250,9 +227,9 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
         engine=engine,
         x0=_numbers(_require(data, "x0", source), "x0"),
         y0=_numbers(_require(data, "y0", source), "y0"),
-        law=law,
-        seed=_integer(eraw.get("seed", 0), "engine.seed"),
-        runs=_integer(data.get("runs", 1), "runs"),
+        law=_require(traw, "law", "trigger"),
+        seed=integer(eraw.get("seed", 0), "engine.seed"),
+        runs=data.get("runs", 1),
         ne_override=None if ne_override is None else _numbers(ne_override, "ne_override"),
         advisories=tuple(advisories),
     )

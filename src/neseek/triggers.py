@@ -24,6 +24,8 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import ValidationError
+
 
 class LawKind(str, Enum):
     """Which communication law drives broadcasts."""
@@ -32,6 +34,10 @@ class LawKind(str, Enum):
     STATIC = "static"
     DYNAMIC = "dynamic"
     STOCHASTIC = "stochastic"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ValidationError(f"law: {value!r} is not one of {[k.value for k in cls]}")
 
 
 @dataclass(frozen=True)
@@ -52,22 +58,23 @@ class TriggerParams:
     delta0: np.ndarray
 
     def __post_init__(self):
-        if not self.kappa > 1:
-            raise ValueError("kappa must exceed 1")
+        # written so that NaN fails every check
+        if not 1 < self.kappa < math.inf:
+            raise ValidationError("kappa must exceed 1 and be finite")
         if not 0 < self.a_floor < 1:
-            raise ValueError("a_floor must lie in (0, 1)")
-        if not self.eta > 0:
-            raise ValueError("eta must be positive")
+            raise ValidationError("a_floor must lie in (0, 1)")
+        if not 0 < self.eta < math.inf:
+            raise ValidationError("eta must be positive and finite")
         for name in ("c", "sigma", "delta0"):
             v = np.array(getattr(self, name), dtype=float)
             if v.ndim != 1:
-                raise ValueError(f"{name} must be a vector")
+                raise ValidationError(f"{name} must be a vector")
             if not ((v > 0) & (v < math.inf)).all():
-                raise ValueError(f"{name} entries must be positive and finite")
+                raise ValidationError(f"{name} entries must be positive and finite")
             v.flags.writeable = False
             object.__setattr__(self, name, v)
         if not len(self.c) == len(self.sigma) == len(self.delta0):
-            raise ValueError("c, sigma, delta0 must share one length")
+            raise ValidationError("c, sigma, delta0 must share one length")
 
     @property
     def n(self) -> int:

@@ -32,7 +32,7 @@ from neseek import (
 )
 from neseek.games import ActionInterval
 
-from conftest import PUBLISHED_X_STAR, dense_p, random_strongly_connected
+from conftest import PUBLISHED_X_STAR, dense_p, random_strongly_connected, with_engine
 from oracles import coupling_matrix, project
 from test_triggers import decide_law, law_inputs, margin, random_cases
 from test_triggers import params as trigger_params_factory
@@ -249,7 +249,7 @@ def test_09_rate_certificate_identities(spectrum_scenario):
 def test_10_bounded_events_under_grid_refinement(anchored):
     law = anchored.law
     coarse = compare_laws(anchored, [law], 6, base_seed=0)
-    fine = compare_laws(anchored, [law], 6, base_seed=0, dt=0.0125)
+    fine = compare_laws(with_engine(anchored, dt=0.0125), [law], 6, base_seed=0)
     ratio = fine[law].mean_counts / coarse[law].mean_counts
     first = single_run(anchored, seed=0, law=law)
     gaps_ok = all(

@@ -1,7 +1,11 @@
 import dataclasses
 import gc
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from neseek import (
     solve_ne,
     step,
 )
+import neseek
 from neseek import engine, harness
 from neseek.engine import EngineState
 from neseek.errors import NumericalDivergence, ValidationError
@@ -353,7 +358,7 @@ class TestRun:
     def test_trigger_counts_bounded_as_dt_halves(self, spectrum_scenario):
         short = with_engine(spectrum_scenario, horizon=10.0)
         coarse = compare_laws(short, [short.law], 4, base_seed=0)
-        fine = compare_laws(short, [short.law], 4, base_seed=0, dt=0.0125)
+        fine = compare_laws(with_engine(short, dt=0.0125), [short.law], 4, base_seed=0)
         coarse, fine = coarse[short.law].mean_counts, fine[short.law].mean_counts
         assert (fine <= 1.5 * coarse).all()
 
@@ -383,6 +388,12 @@ class TestRun:
         )
         with pytest.raises(ValidationError, match="sometimes"):
             single_run(spectrum_scenario, seed=1, law="sometimes")
+
+    def test_compare_refuses_a_law_named_twice(self, quadratic_scenario):
+        # it integrated every member twice and reported runs == 6 for runs=3
+        laws = [LawKind.STATIC, "static", LawKind.STOCHASTIC, LawKind.STOCHASTIC]
+        with pytest.raises(ValidationError, match="names a law twice"):
+            compare_laws(quadratic_scenario, laws, 3, 0)
 
     @pytest.mark.parametrize(
         "call",
@@ -557,7 +568,7 @@ class TestBatch:
 
     @pytest.mark.parametrize("seed", [1.7, 1.0, True, "1"], ids=repr)
     def test_member_refuses_a_non_integer_seed(self, seed):
-        with pytest.raises(TypeError, match="seed: expected an integer"):
+        with pytest.raises(ValidationError, match="seed: expected an integer"):
             Member(LawKind.STOCHASTIC, seed)
 
     def test_member_takes_numpy_integers(self):
@@ -804,6 +815,28 @@ class TestSparseCoupling:
     def test_bundled_scenarios_resolve_dense(self, spectrum_scenario, quadratic_scenario):
         assert not engine.sparse_coupling(spectrum_scenario.graph)
         assert not engine.sparse_coupling(quadratic_scenario.graph)
+
+    def test_dense_path_never_imports_scipy_sparse(self):
+        # the import costs set-up time that only a graph on the sparse path needs
+        code = "\n".join([
+            "import sys, warnings",
+            "warnings.simplefilter('ignore')",
+            "import neseek",
+            "from neseek.data import bundled_path",
+            "s = neseek.load_scenario(bundled_path('spectrum_paper'))",
+            "neseek.single_run(s, seed=0)",
+            "neseek.compare_laws(s, ['static', 'stochastic'], 2, 0)",
+            "print('scipy.sparse' in sys.modules)",
+        ])
+        src = str(Path(neseek.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        )}
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False"]
 
     def test_generated_n200_graph_resolves_sparse(self):
         # a directed ring plus one chord into every player, unit weights

@@ -150,6 +150,11 @@ NON_FINITE_DICT_CASES = [
     ("quadratic", ("game", "cross", 0, 1), math.nan),
     ("spectrum", ("game", "m_c", 2), math.nan),
     ("spectrum", ("game", "tau"), math.nan),
+    # these ran without complaint: a run with kappa = inf never broadcasts
+    ("quadratic", ("trigger", "kappa"), math.inf),
+    ("quadratic", ("trigger", "eta"), math.inf),
+    ("quadratic", ("engine", "alpha"), math.inf),
+    ("quadratic", ("engine", "beta"), math.inf),
 ]
 
 
