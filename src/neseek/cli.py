@@ -51,22 +51,21 @@ def _json_text(data: dict) -> str:
     return json.dumps(_jsonable(data), indent=2, sort_keys=True) + "\n"
 
 
-def _load(args, dt: float | None = None) -> Scenario:
+def _load(args) -> Scenario:
     """The scenario ``--config`` names, its advisories printed as warnings,
-    with the integration step ``dt`` when one is given."""
+    with the ``--seed``, ``--runs`` and ``--dt`` the command line gives."""
     path = Path(args.config)
-    if not path.exists():
-        candidate = bundled_path(args.config)
-        if candidate.exists():
-            path = candidate
+    if not path.exists() and bundled_path(args.config).exists():
+        path = bundled_path(args.config)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         scenario = load_scenario(path)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
-    if dt is None:
-        return scenario
-    return dataclasses.replace(scenario, engine=dataclasses.replace(scenario.engine, dt=dt))
+    given = {k: v for k in ("seed", "runs", "dt") if (v := getattr(args, k, None)) is not None}
+    if "dt" in given:
+        given["engine"] = dataclasses.replace(scenario.engine, dt=given.pop("dt"))
+    return dataclasses.replace(scenario, **given)
 
 
 def cmd_solve_ne(args) -> int:
@@ -88,31 +87,48 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _interval_row(player: int, law: str, count_mean: float, stats) -> dict:
-    mx, mean, mn = stats if stats is not None else (None, None, None)
-    return {
-        "player": player,
-        "law": law,
-        "count_mean": count_mean,
-        "max_interval": mx,
-        "mean_interval": mean,
-        "min_interval": mn,
-    }
+def _interval_rows(law: LawKind, counts, stats) -> list[dict]:
+    """One row per player: its mean broadcast count under ``law`` and the
+    (max, mean, min) of its gaps between broadcasts, empty when it has none."""
+    rows = []
+    for player, (count, gaps) in enumerate(zip(counts, stats), start=1):
+        mx, mean, mn = gaps if gaps is not None else (None, None, None)
+        rows.append({"player": player, "law": law.value, "count_mean": float(count),
+                     "max_interval": mx, "mean_interval": mean, "min_interval": mn})
+    return rows
+
+
+def _chart_pair(out_dir: Path, gamma: list, err: list, runs: int | None = None) -> None:
+    """The communication-rate chart of the ``gamma`` series and the log-scale
+    convergence chart of the ``err`` series; a comparison over ``runs`` runs
+    notes them in the titles and the file names."""
+    note, suffix = ("", "") if runs is None else (f" ({runs} runs)", "_compare")
+    for name, series, title, ylabel, ylog in (
+        ("gamma", gamma, "Average communication rate", "rate", False),
+        ("error", err, "Convergence", "max |x - x*|", True),
+    ):
+        outputs.line_chart_svg(
+            out_dir / f"{name}{suffix}.svg",
+            series,
+            title=title + note,
+            xlabel="t (s)",
+            ylabel=ylabel,
+            ylog=ylog,
+        )
 
 
 def cmd_simulate(args) -> int:
-    scenario = _load(args, args.dt)
-    result = harness.single_run(scenario, seed=args.seed)
+    scenario = _load(args)
+    result = harness.single_run(scenario)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     outputs.write_trajectory_csv(out_dir / "trajectory.csv", result)
     outputs.write_events_csv(out_dir / "events.csv", result)
 
-    seed = scenario.seed if args.seed is None else args.seed
     metrics_doc = {
         "law": scenario.law.value,
-        "seed": int(seed),
+        "seed": scenario.seed,
         "dt": result.dt,
         "horizon": scenario.engine.horizon,
         "x_star": result.x_star,
@@ -120,16 +136,14 @@ def cmd_simulate(args) -> int:
         "final_gamma": result.gamma[-1],
         "rate_fit": result.rate_fit,
         "trigger_counts": result.trigger_counts,
-        "interval_stats": [
-            _interval_row(i + 1, scenario.law.value, float(count), interval_stats(gaps))
-            for i, (count, gaps) in enumerate(zip(result.trigger_counts, result.intervals))
-        ],
+        "interval_stats": _interval_rows(
+            scenario.law, result.trigger_counts, map(interval_stats, result.intervals)
+        ),
     }
     (out_dir / "metrics.json").write_text(_json_text(metrics_doc))
 
-    n = scenario.n
     action_series = [
-        (f"player {i + 1}", result.times, result.actions[:, i]) for i in range(n)
+        (f"player {i + 1}", result.times, result.actions[:, i]) for i in range(scenario.n)
     ]
     outputs.line_chart_svg(
         out_dir / "actions.svg",
@@ -139,23 +153,13 @@ def cmd_simulate(args) -> int:
         ylabel="action",
         hlines=[float(v) for v in result.x_star],
     )
-    outputs.line_chart_svg(
-        out_dir / "gamma.svg",
+    _chart_pair(
+        out_dir,
         [("communication rate", result.times, result.gamma)],
-        title="Average communication rate",
-        xlabel="t (s)",
-        ylabel="rate",
-    )
-    outputs.line_chart_svg(
-        out_dir / "error.svg",
         [("distance to equilibrium", result.times, result.err_inf)],
-        title="Convergence",
-        xlabel="t (s)",
-        ylabel="max |x - x*|",
-        ylog=True,
     )
     print(
-        f"simulate: law={scenario.law.value} seed={seed} "
+        f"simulate: law={scenario.law.value} seed={scenario.seed} "
         f"final_err={result.err_inf[-1]:.6g} gamma={result.gamma[-1]:.4f} "
         f"-> {out_dir}"
     )
@@ -163,7 +167,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    scenario = _load(args, args.dt)
+    scenario = _load(args)
     try:
         laws = [LawKind(name.strip()) for name in args.laws.split(",") if name.strip()]
         if not laws or len(set(laws)) < len(laws):
@@ -171,61 +175,39 @@ def cmd_compare(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    runs = args.runs if args.runs is not None else scenario.runs
-    base_seed = scenario.seed if args.seed is None else args.seed
 
-    ensembles = harness.compare_laws(scenario, laws, runs, base_seed)
+    ensembles = harness.compare_laws(scenario, laws, scenario.runs, scenario.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rows = []
-    for law in laws:
-        ens = ensembles[law]
-        for i in range(scenario.n):
-            rows.append(
-                _interval_row(i + 1, law.value, float(ens.mean_counts[i]), ens.interval_stats[i])
-            )
+    rows = [row for law, ens in ensembles.items()
+            for row in _interval_rows(law, ens.mean_counts, ens.interval_stats)]
     outputs.write_summary_csv(out_dir / "summary.csv", rows)
 
     doc = {
-        "runs": runs,
-        "base_seed": int(base_seed),
+        "runs": scenario.runs,
+        "base_seed": scenario.seed,
         "laws": {
             law.value: {
-                "mean_gamma_final": ensembles[law].mean_gamma_series[-1],
-                "mean_final_err": ensembles[law].mean_err_series[-1],
-                "mean_counts": ensembles[law].mean_counts,
+                "mean_gamma_final": ens.mean_gamma_series[-1],
+                "mean_final_err": ens.mean_err_series[-1],
+                "mean_counts": ens.mean_counts,
             }
-            for law in laws
+            for law, ens in ensembles.items()
         },
     }
     (out_dir / "compare.json").write_text(_json_text(doc))
 
-    gamma_series = [
-        (law.value, ensembles[law].times, ensembles[law].mean_gamma_series) for law in laws
-    ]
-    outputs.line_chart_svg(
-        out_dir / "gamma_compare.svg",
-        gamma_series,
-        title=f"Average communication rate ({runs} runs)",
-        xlabel="t (s)",
-        ylabel="rate",
+    _chart_pair(
+        out_dir,
+        [(law.value, ens.times, ens.mean_gamma_series) for law, ens in ensembles.items()],
+        [(law.value, ens.times, ens.mean_err_series) for law, ens in ensembles.items()],
+        scenario.runs,
     )
-    err_series = [
-        (law.value, ensembles[law].times, ensembles[law].mean_err_series) for law in laws
-    ]
-    outputs.line_chart_svg(
-        out_dir / "error_compare.svg",
-        err_series,
-        title=f"Convergence ({runs} runs)",
-        xlabel="t (s)",
-        ylabel="max |x - x*|",
-        ylog=True,
-    )
-    for law in laws:
+    for law, ens in ensembles.items():
         print(
-            f"compare: law={law.value:11s} mean_gamma={ensembles[law].mean_gamma_series[-1]:.4f} "
-            f"mean_final_err={ensembles[law].mean_err_series[-1]:.6g}"
+            f"compare: law={law.value:11s} mean_gamma={ens.mean_gamma_series[-1]:.4f} "
+            f"mean_final_err={ens.mean_err_series[-1]:.6g}"
         )
     print(f"compare: wrote {out_dir}/summary.csv")
     return 0
@@ -238,36 +220,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", required=True, help="scenario JSON path or bundled name")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("solve-ne", help="print the centralized equilibrium")
-    add_common(p)
-    p.set_defaults(func=cmd_solve_ne)
+    def add_run(p, seed_help: str) -> None:
+        p.add_argument("--seed", type=int, default=None, help=seed_help)
+        p.add_argument("--dt", type=float, default=None, help="override the integration step")
+        p.add_argument("--out", required=True, help="output directory")
 
-    p = sub.add_parser("bounds", help="print the step-size/rate certificate")
-    add_common(p)
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("simulate", help="one seeded run with CSV/SVG outputs")
-    add_common(p)
-    p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    p.add_argument("--dt", type=float, default=None, help="override the integration step")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("compare", help="Monte-Carlo comparison across laws")
-    add_common(p)
-    p.add_argument("--seed", type=int, default=None, help="base seed (runs use seed, seed+1, ...)")
+    command("solve-ne", cmd_solve_ne, "print the centralized equilibrium")
+    command("bounds", cmd_bounds, "print the step-size/rate certificate")
+    p = command("simulate", cmd_simulate, "one seeded run with CSV/SVG outputs")
+    add_run(p, "override the scenario seed")
+    p = command("compare", cmd_compare, "Monte-Carlo comparison across laws")
+    add_run(p, "base seed (runs use seed, seed+1, ...)")
     p.add_argument("--runs", type=int, default=None, help="runs per law (default: scenario)")
     p.add_argument(
         "--laws",
         default="static,dynamic,stochastic",
         help="comma-separated subset of continuous,static,dynamic,stochastic",
     )
-    p.add_argument("--dt", type=float, default=None, help="override the integration step")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_compare)
     return parser
 
 

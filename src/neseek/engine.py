@@ -23,7 +23,6 @@ trigger parameter.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
@@ -31,7 +30,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from . import metrics
-from .errors import DegenerateWindow, NumericalDivergence, ValidationError
+from .errors import DegenerateWindow, NumericalDivergence, ValidationError, integer, number
 from .games import GameDefinition, gradient_at_estimates
 from .graphs import DirectedGraph
 from .triggers import (
@@ -68,6 +67,8 @@ class EngineConfig:
     dt: float = 0.025
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "horizon", "dt"):
+            object.__setattr__(self, name, number(getattr(self, name), name))
         # written so that NaN fails every check
         if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
             raise ValidationError("alpha and beta must be positive and finite")
@@ -81,17 +82,6 @@ class EngineConfig:
     @property
     def steps(self) -> int:
         return max(1, int(math.ceil(self.horizon / self.dt - 1e-9)))
-
-
-def integer(value, name: str) -> int:
-    """``value`` as an int. Booleans, floats (integral ones too) and other
-    non-integers raise ValidationError naming ``name``; numpy integers pass."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValidationError(f"{name}: expected an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -109,6 +99,7 @@ class Member:
         object.__setattr__(self, "seed", integer(self.seed, "seed"))
         if not 0 <= self.seed < 2 ** 64:
             raise ValidationError(f"seed: {self.seed} does not fit in 64 unsigned bits")
+        object.__setattr__(self, "sigma_cap", number(self.sigma_cap, "sigma_cap"))
         # written so that NaN fails the check
         if not self.sigma_cap > 0:
             raise ValidationError("sigma_cap must be positive")

@@ -1,4 +1,13 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the readers that turn an
+input value into a number or an array of numbers or raise ValidationError."""
+
+from __future__ import annotations
+
+import itertools
+import operator
+from numbers import Real
+
+import numpy as np
 
 
 class NeseekError(Exception):
@@ -55,3 +64,42 @@ class ParseError(NeseekError):
 class ValidationError(NeseekError, ValueError):
     """An input violates a structural or numerical invariant. Raised once, by
     the constructor of the type that holds the value; a ValueError too."""
+
+
+def integer(value, name: str) -> int:
+    """``value`` as an int. Booleans, floats (integral ones too) and other
+    non-integers raise ValidationError naming ``name``; numpy integers pass."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{name}: expected an integer, got {value!r}")
+
+
+def numbers(raw, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """A number or nested lists of numbers as a new float array, of ``shape``
+    when given; raises ValidationError naming ``name``. Booleans and strings
+    are refused, though numpy would read true as 1.0 and "0.1" as 0.1; an
+    integer or float ndarray is taken whole, without a look at each entry."""
+    try:
+        a = np.array(raw, dtype=float)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ValidationError(f"{name}: {exc}") from exc
+    if shape is not None and a.shape != shape:
+        raise ValidationError(f"{name}: expected shape {shape}, got {a.shape}")
+    if isinstance(raw, np.ndarray) and raw.dtype.kind in "iuf":
+        return a
+    leaves = [raw]
+    for _ in range(a.ndim):
+        leaves = list(itertools.chain.from_iterable(leaves))
+    for kind in set(map(type, leaves)):
+        if issubclass(kind, bool) or not issubclass(kind, Real):
+            bad = next(v for v in leaves if type(v) is kind)
+            raise ValidationError(f"{name}: expected a number, got {bad!r}")
+    return a
+
+
+def number(raw, name: str) -> float:
+    """A single number read as by ``numbers``."""
+    return float(numbers(raw, name, ()))

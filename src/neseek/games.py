@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import DomainError, NonMonotone, ValidationError
+from .errors import DomainError, NonMonotone, ValidationError, number, numbers
 
 
 @dataclass(frozen=True)
@@ -25,6 +25,8 @@ class ActionInterval:
     hi: float
 
     def __post_init__(self):
+        for name in ("lo", "hi"):
+            object.__setattr__(self, name, number(getattr(self, name), name))
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValidationError("interval bounds must be finite")
         if self.lo > self.hi:
@@ -32,9 +34,7 @@ class ActionInterval:
 
 
 def _as_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
-    v = np.array(values, dtype=float)
-    if v.shape != shape:
-        raise ValidationError(f"{name} must have shape {shape}")
+    v = numbers(values, name, shape)
     if not np.isfinite(v).all():
         raise ValidationError(f"{name} must be finite")
     v.flags.writeable = False
@@ -73,6 +73,7 @@ class SpectrumGame:
         object.__setattr__(self, "intervals", tuple(self.intervals))
         for name in ("m_c", "q", "r", "s_db", "ber_target"):
             object.__setattr__(self, name, _as_array(getattr(self, name), (n,), name))
+        object.__setattr__(self, "tau", number(self.tau, "tau"))
         if (self.q <= 0).any():
             raise ValidationError("price slopes q must be positive")
         if (self.r < 0).any():

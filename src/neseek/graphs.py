@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .errors import NotStronglyConnected, SolverFailure, ValidationError
+from .errors import NotStronglyConnected, SolverFailure, ValidationError, numbers
 
 # Residual allowed on the Lyapunov solve; the right-hand side is I, of norm 1.
 LYAPUNOV_RTOL = 1e-8
@@ -36,7 +36,7 @@ class DirectedGraph:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.weights, dtype=float)
+        w = numbers(self.weights, "weights")
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValidationError("weights must be a square matrix")
         if w.shape[0] < 2:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -18,27 +18,29 @@ from .engine import RunResult
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf"]
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
+def _cell(value) -> str:
+    if isinstance(value, float):
+        return "" if math.isnan(value) else repr(value)
+    return "" if value is None else str(value)
+
+
+def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """One line per row under ``header``. A float cell is written with
+    ``repr``, so it parses back exactly; None and NaN are empty cells, and
+    any other cell is written with ``str``."""
+    lines = [",".join(header)]
+    lines += [",".join(map(_cell, row)) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_trajectory_csv(path: Path, result: RunResult) -> None:
     """Columns: t, x_1..x_n, err_inf, gamma, trig_1..trig_n."""
-    n = result.actions.shape[1]
-    header = (
-        ["t"]
-        + [f"x_{i + 1}" for i in range(n)]
-        + ["err_inf", "gamma"]
-        + [f"trig_{i + 1}" for i in range(n)]
-    )
-    lines = [",".join(header)]
-    for k in range(len(result.times)):
-        row = [_fmt(result.times[k])]
-        row += [_fmt(v) for v in result.actions[k]]
-        row += [_fmt(result.err_inf[k]), _fmt(result.gamma[k])]
-        row += [str(int(v)) for v in result.trig[k]]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    players = range(1, result.actions.shape[1] + 1)
+    header = ["t", *(f"x_{i}" for i in players), "err_inf", "gamma"]
+    header += [f"trig_{i}" for i in players]
+    floats = np.column_stack([result.times, result.actions, result.err_inf, result.gamma])
+    rows = zip(floats.tolist(), result.trig.astype(int).tolist())
+    write_csv(path, header, (cells + trig for cells, trig in rows))
 
 
 def write_events_csv(path: Path, result: RunResult) -> None:
@@ -46,23 +48,15 @@ def write_events_csv(path: Path, result: RunResult) -> None:
 
     Columns: t, player, rho, xi (player indices are 1-based, xi empty for
     deterministic laws)."""
-    lines = ["t,player,rho,xi"]
-    for k, i in zip(*np.nonzero(result.trig[1:])):
-        xi = result.xi[k, i]
-        xi = "" if math.isnan(xi) else _fmt(xi)
-        lines.append(f"{_fmt(result.times[k])},{i + 1},{_fmt(result.rho[k, i])},{xi}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    k, i = np.nonzero(result.trig[1:])
+    columns = (result.times[k], i + 1, result.rho[k, i], result.xi[k, i])
+    write_csv(path, ["t", "player", "rho", "xi"], zip(*(c.tolist() for c in columns)))
 
 
 def write_summary_csv(path: Path, rows: Sequence[dict]) -> None:
     """Comparison table: player, law, count_mean, max_interval, mean_interval, min_interval."""
     header = ["player", "law", "count_mean", "max_interval", "mean_interval", "min_interval"]
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [str(row["player"]), str(row["law"]), _fmt(row["count_mean"])]
-        cells += ["" if row[key] is None else _fmt(row[key]) for key in header[3:]]
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, header, ([row[key] for key in header] for row in rows))
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:

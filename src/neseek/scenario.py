@@ -20,10 +20,8 @@ A ``Scenario`` validates itself when built, in code, by the loader or by
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-import numbers
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -32,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import sigma_bound
-from .engine import EngineConfig, Member, integer
-from .errors import ParseError, ValidationError
+from .engine import EngineConfig, Member
+from .errors import ParseError, ValidationError, integer, number, numbers
 from .games import ActionInterval, GameDefinition, QuadraticGame, SpectrumGame
 from .graphs import DirectedGraph, is_strongly_connected
 from .triggers import LawKind, TriggerParams
@@ -59,7 +57,6 @@ class Scenario:
     seed: int = 0
     runs: int = 1
     ne_override: np.ndarray | None = None
-    advisories: tuple[str, ...] = ()
 
     def __post_init__(self):
         n = self.n
@@ -88,12 +85,7 @@ class Scenario:
     def _store(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         """Replace field ``name`` by a read-only float copy of the given shape;
         entries must be finite, except in x0, whose box check names them."""
-        try:
-            a = np.array(getattr(self, name), dtype=float)
-        except (ValueError, TypeError) as exc:
-            raise ValidationError(f"{name}: {exc}") from exc
-        if a.shape != shape:
-            raise ValidationError(f"{name}: expected shape {shape}, got {a.shape}")
+        a = numbers(getattr(self, name), name, shape)
         if name != "x0" and not np.isfinite(a).all():
             raise ValidationError(f"{name}: entries must be finite")
         a.flags.writeable = False
@@ -111,33 +103,9 @@ def _require(data: dict, key: str, where: str):
     return data[key]
 
 
-def _numbers(raw, where: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
-    """A number or nested lists of numbers as a float array, of ``shape`` when
-    given; raises ValidationError naming the dotted field. Booleans and
-    strings are refused, though numpy would read true as 1.0 and "0.1" as 0.1."""
-    try:
-        a = np.array(raw, dtype=float)
-    except (ValueError, TypeError) as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
-    if shape is not None and a.shape != shape:
-        raise ValidationError(f"{where}: expected shape {shape}, got {a.shape}")
-    leaves = [raw]
-    for _ in range(a.ndim):
-        leaves = list(itertools.chain.from_iterable(leaves))
-    for kind in set(map(type, leaves)):
-        if issubclass(kind, bool) or not issubclass(kind, numbers.Real):
-            bad = next(v for v in leaves if type(v) is kind)
-            raise ValidationError(f"{where}: expected a number, got {bad!r}")
-    return a
-
-
-def _number(raw, where: str) -> float:
-    return float(_numbers(raw, where, ()))
-
-
 def _scalars(section: dict, where: str, *keys: str) -> dict[str, float]:
     """The required number fields ``keys`` of the section named ``where``."""
-    return {k: _number(_require(section, k, where), f"{where}.{k}") for k in keys}
+    return {k: number(_require(section, k, where), f"{where}.{k}") for k in keys}
 
 
 @contextmanager
@@ -161,17 +129,17 @@ def _game_from_dict(data: dict, n: int) -> GameDefinition:
     if not isinstance(kind, str) or kind not in _GAMES:
         raise ValidationError(f"game: unknown kind '{kind}'")
     cls, names = _GAMES[kind]
-    fields = {name: _numbers(_require(data, name, "game"), f"game.{name}") for name in names}
+    fields = {name: numbers(_require(data, name, "game"), f"game.{name}") for name in names}
     if cls is SpectrumGame:
-        fields["tau"] = _number(data.get("tau", 1.0), "game.tau")
-    pairs = _numbers(_require(data, "intervals", "game"), "game.intervals", (n, 2)).tolist()
+        fields["tau"] = number(data.get("tau", 1.0), "game.tau")
+    pairs = numbers(_require(data, "intervals", "game"), "game.intervals", (n, 2)).tolist()
     with _section("game"):
         return cls(**fields, intervals=tuple(ActionInterval(lo, hi) for lo, hi in pairs))
 
 
 def _trigger_from_dict(traw: dict, graph: DirectedGraph) -> TriggerParams:
     if "sigma" in traw:
-        sigma = _numbers(traw["sigma"], "trigger.sigma")
+        sigma = numbers(traw["sigma"], "trigger.sigma")
     elif traw.get("sigma_rule") == "0.8/din":
         din = graph.in_degrees
         if (din == 0).any():
@@ -182,7 +150,7 @@ def _trigger_from_dict(traw: dict, graph: DirectedGraph) -> TriggerParams:
 
     def _pervec(key):
         # a scalar stands for the same value at every player
-        v = _numbers(_require(traw, key, "trigger"), f"trigger.{key}")
+        v = numbers(_require(traw, key, "trigger"), f"trigger.{key}")
         return np.full(graph.n, v) if v.ndim == 0 else v
 
     fields = _scalars(traw, "trigger", "kappa", "a_floor", "eta")
@@ -197,7 +165,7 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
     if not isinstance(data, dict):
         raise ValidationError(f"{source}: top level must be an object")
 
-    weights = _numbers(_require(data, "adjacency", source), "adjacency")
+    weights = numbers(_require(data, "adjacency", source), "adjacency")
     with _section("adjacency"):
         graph = DirectedGraph(weights)
     game = _game_from_dict(_require(data, "game", source), graph.n)
@@ -206,11 +174,10 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
 
     eraw = _require(data, "engine", source)
     fields = _scalars(eraw, "engine", "alpha", "beta", "horizon")
-    fields["dt"] = _number(eraw.get("dt", 0.025), "engine.dt")
+    fields["dt"] = number(eraw.get("dt", 0.025), "engine.dt")
     with _section("engine"):
         engine = EngineConfig(**fields)
 
-    ne_override = data.get("ne_override")
     advisories = []
     if not is_strongly_connected(graph):
         advisories.append("graph is not strongly connected; consensus may fail")
@@ -225,13 +192,12 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
         game=game,
         trigger=trigger,
         engine=engine,
-        x0=_numbers(_require(data, "x0", source), "x0"),
-        y0=_numbers(_require(data, "y0", source), "y0"),
+        x0=_require(data, "x0", source),
+        y0=_require(data, "y0", source),
         law=_require(traw, "law", "trigger"),
         seed=integer(eraw.get("seed", 0), "engine.seed"),
         runs=data.get("runs", 1),
-        ne_override=None if ne_override is None else _numbers(ne_override, "ne_override"),
-        advisories=tuple(advisories),
+        ne_override=data.get("ne_override"),
     )
     for msg in advisories:
         warnings.warn(msg, AdvisoryWarning, stacklevel=2)

@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, number, numbers
 
 
 class LawKind(str, Enum):
@@ -58,6 +58,8 @@ class TriggerParams:
     delta0: np.ndarray
 
     def __post_init__(self):
+        for name in ("kappa", "a_floor", "eta"):
+            object.__setattr__(self, name, number(getattr(self, name), name))
         # written so that NaN fails every check
         if not 1 < self.kappa < math.inf:
             raise ValidationError("kappa must exceed 1 and be finite")
@@ -66,7 +68,7 @@ class TriggerParams:
         if not 0 < self.eta < math.inf:
             raise ValidationError("eta must be positive and finite")
         for name in ("c", "sigma", "delta0"):
-            v = np.array(getattr(self, name), dtype=float)
+            v = numbers(getattr(self, name), name)
             if v.ndim != 1:
                 raise ValidationError(f"{name} must be a vector")
             if not ((v > 0) & (v < math.inf)).all():

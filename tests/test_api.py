@@ -109,6 +109,24 @@ CONSTRUCTOR_CASES = [
     pytest.param(lambda: Member(LawKind.DYNAMIC, 0, 0.0), "sigma_cap", id="member-cap"),
     pytest.param(lambda: integer(1.0, "runs"), "runs: expected an integer", id="integer"),
     pytest.param(lambda: LawKind("sometimes"), "law: 'sometimes' is not one of", id="law"),
+    # every number field is read by errors.numbers, which names the field
+    pytest.param(lambda: DirectedGraph("ab"), "weights: could not convert", id="graph-string"),
+    pytest.param(
+        lambda: DirectedGraph([[0, True], [1, 0]]), "weights: expected a number", id="graph-bool"
+    ),
+    pytest.param(lambda: ActionInterval("a", 1.0), "lo: ", id="interval-string"),
+    pytest.param(
+        lambda: QuadraticGame(diag_a=["1"], cross=[[0.0]], offset=[0.0], intervals=ONE_PLAYER),
+        "diag_a: expected a number", id="quadratic-game-string",
+    ),
+    pytest.param(lambda: TriggerParams(**{**TRIGGER, "c": ["x"]}), "c: ", id="trigger-c-string"),
+    pytest.param(
+        lambda: EngineConfig(alpha="0.1", beta=1.0, horizon=1.0), "alpha: expected a number",
+        id="alpha-string",
+    ),
+    pytest.param(
+        lambda: Member("static", 0, "1"), "sigma_cap: expected a number", id="member-cap-string"
+    ),
 ]
 
 

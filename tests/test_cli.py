@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from neseek import single_run
 from neseek.cli import main
 from neseek.data import bundled_path
 
@@ -234,6 +236,38 @@ def test_non_numeric_start_is_one_error_line(tmp_path, capsys):
     err = [line for line in capsys.readouterr().err.splitlines()
            if not line.startswith("warning:")]
     assert len(err) == 1 and err[0].startswith("error: x0: ")
+
+
+def test_huge_integer_is_one_error_line(tmp_path, capsys):
+    # json reads the literal as an int that does not fit in a float
+    config = json.loads(bundled_path("quadratic_demo").read_text())
+    config["engine"]["alpha"] = 10 ** 400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(config))
+    assert main(["solve-ne", "--config", str(path)]) == 1
+    err = [line for line in capsys.readouterr().err.splitlines()
+           if not line.startswith("warning:")]
+    assert len(err) == 1 and err[0].startswith("error: engine.alpha: ")
+
+
+def test_events_csv_of_a_deterministic_law(tmp_path, quadratic_scenario):
+    # a deterministic law draws no threshold, so every xi cell is empty
+    config = json.loads(bundled_path("quadratic_demo").read_text())
+    config["trigger"]["law"] = "static"
+    path = tmp_path / "static.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--seed", "5", "--out", str(out)]) == 0
+    result = single_run(dataclasses.replace(quadratic_scenario, law="static"), seed=5)
+    steps, players = np.nonzero(result.trig[1:])
+    header, rows = read_csv(out / "events.csv")
+    assert header == ["t", "player", "rho", "xi"]
+    assert len(rows) == len(steps) > 0
+    for (t, player, rho, xi), k, i in zip(rows, steps, players):
+        assert xi == ""
+        assert int(player) == i + 1
+        assert float(t) == result.times[k]
+        assert float(rho) == result.rho[k, i]
 
 
 def test_compare_divergence_is_one_error_line(tmp_path, capsys):

@@ -39,8 +39,7 @@ def test_bundled_spectrum_loads_with_published_parameters():
 
 def test_sigma_above_bound_warns_but_loads():
     with pytest.warns(AdvisoryWarning, match="sigma exceeds"):
-        s = scenario_from_dict(quadratic_dict())
-    assert s.advisories
+        scenario_from_dict(quadratic_dict())
 
 
 def test_explicit_sigma_list():
@@ -176,13 +175,17 @@ def test_non_finite_dict_input_is_validation_error(kind, where, value):
 @pytest.mark.parametrize(
     "field", ["x0", "y0", "ne_override", "trigger.sigma", "trigger.c", "game.diag_a"]
 )
-@pytest.mark.parametrize("bad", ["non-numeric", "ragged", "boolean", "numeric-string"])
+@pytest.mark.parametrize(
+    "bad", ["non-numeric", "ragged", "boolean", "numeric-string", "huge-integer"]
+)
 def test_unconvertible_array_is_validation_error(field, bad):
-    # quadratic_demo has two players; numpy would read true as 1.0 and "0.5" as 0.5
+    # quadratic_demo has two players; numpy would read true as 1.0 and "0.5"
+    # as 0.5, and raises OverflowError for an integer beyond the float range
     if bad == "ragged":
         value = [[1.0, 2.0], [3.0]]
     else:
-        leaf = {"non-numeric": "a", "boolean": True, "numeric-string": "0.5"}[bad]
+        leaf = {"non-numeric": "a", "boolean": True, "numeric-string": "0.5",
+                "huge-integer": 10 ** 400}[bad]
         value = [[leaf, 1.0], [1.0, 2.0]] if field == "y0" else [leaf, 1.0]
     data = quadratic_dict()
     if field == "trigger.sigma":
@@ -292,8 +295,7 @@ def test_not_strongly_connected_is_advisory():
     data["trigger"]["sigma"] = [0.01, 0.01]
     data["trigger"].pop("sigma_rule", None)
     with pytest.warns(AdvisoryWarning, match="strongly connected"):
-        s = scenario_from_dict(data)
-    assert any("strongly connected" in a for a in s.advisories)
+        scenario_from_dict(data)
 
 
 def test_scalar_and_list_trigger_vectors_agree():
