@@ -13,6 +13,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -98,6 +99,23 @@ def _interval_rows(law: LawKind, counts, stats) -> list[dict]:
     return rows
 
 
+@contextlib.contextmanager
+def _output_dir(path: str):
+    """The ``--out`` directory, made before the run it is to hold, so that a
+    path that cannot be a directory fails before any work is done. A run
+    that fails removes the directories made here again: a failed command
+    leaves no output behind."""
+    out = Path(path)
+    made = [p for p in (out, *out.parents) if not p.exists()]
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        yield out
+    except NeseekError:
+        for p in made:
+            p.rmdir()
+        raise
+
+
 def _chart_pair(out_dir: Path, gamma: list, err: list, runs: int | None = None) -> None:
     """The communication-rate chart of the ``gamma`` series and the log-scale
     convergence chart of the ``err`` series; a comparison over ``runs`` runs
@@ -119,9 +137,8 @@ def _chart_pair(out_dir: Path, gamma: list, err: list, runs: int | None = None) 
 
 def cmd_simulate(args) -> int:
     scenario = _load(args)
-    result = harness.single_run(scenario)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _output_dir(args.out) as out_dir:
+        result = harness.single_run(scenario)
 
     outputs.write_trajectory_csv(out_dir / "trajectory.csv", result)
     outputs.write_events_csv(out_dir / "events.csv", result)
@@ -176,9 +193,8 @@ def cmd_compare(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    ensembles = harness.compare_laws(scenario, laws, scenario.runs, scenario.seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _output_dir(args.out) as out_dir:
+        ensembles = harness.compare_laws(scenario, laws, scenario.runs, scenario.seed)
 
     rows = [row for law, ens in ensembles.items()
             for row in _interval_rows(law, ens.mean_counts, ens.interval_stats)]
@@ -251,7 +267,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NeseekError as exc:
+    except (NeseekError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,8 +11,8 @@ pinned back to the actions.
 
 The broadcasts are piecewise constant between events, and so is
 everything the estimate coupling derives from them. The state carries those
-terms, and on the sparse path a step recomputes only the rows that its
-broadcasts touch.
+terms, and a step forms them again only when a player fired: whole below
+the sparse crossover, and only at the rows its broadcasts touch above it.
 
 The state may carry a leading member axis: R runs of one scenario then
 advance together, as (R, n) actions and (R, n, n) estimates. A member is one
@@ -332,14 +332,15 @@ def step(
     ``init(scenario)`` forms it with ``scenario.engine``. A state without
     the member axis under a batch with one takes the axis on first.
 
-    Below the sparse crossover both terms are recomputed whole. On the
-    sparse path only the rows ``touched_rows`` names are, through one CSR
-    slice for every member, and none when no player fired. Every other row
+    The coupling terms are formed again only when some player fired: a
+    quiet step has the same broadcasts, so it keeps the carried terms and
+    their bits. Below the sparse crossover a step that fires recomputes
+    both terms whole. On the sparse path only the rows ``touched_rows``
+    names are, through one CSR slice for every member. Every other row
     depends only on broadcasts that did not change, and a row is the same
     sum in the same order whichever rows are recomputed, so the bits equal
     a full recompute.
     """
-    n = graph.n
     params = batch.params
     if state.x.ndim < batch.sigma.ndim:
         state = with_members(state, len(batch.sigma))
@@ -349,30 +350,33 @@ def step(
     action_err_sq = e_x * e_x
     # e_y's buffer is reused for its square and, below, for the guard
     estimate_err_sq = np.multiply(e_y, e_y, out=e_y).sum(axis=-1)
+    energy = action_err_sq + estimate_err_sq
 
     decay = params.delta0 * np.exp(-params.eta * (state.step_index * config.dt))
-    rho = triggering_function(action_err_sq, estimate_err_sq, state.disagreement_sq, batch.sigma)
+    rho = triggering_function(energy, state.disagreement_sq, batch.sigma)
     fired = decide(
-        params, rho, action_err_sq + estimate_err_sq, decay,
+        params, rho, energy, decay,
         batch.term[state.step_index], batch.static, batch.continuous,
     )
 
     lo, hi = game.bounds
     grad = gradient_at_estimates(game, y)
-    xdot = np.clip(x - config.alpha * grad, lo, hi) - x
-    if not sparse_coupling(graph):
-        # The dense path stays a full recompute. On a 2-core x86-64 host,
-        # `run` of the paper_ensemble batch (4 members, 800 steps, median of
-        # 8 alternating best-of-5) took 27.4 ms as written, 38.3 ms with the
-        # event-driven update below and 30.0 ms with row indexing in place of
-        # the masked copies. Nor would it keep the bits: dense W[rows] @ Y is
-        # not always (W @ Y)[rows]; 112 of 600 random small cases differed.
-        np.copyto(x_hat, x, where=fired)
-        np.copyto(y_hat, y, where=fired[..., None])
-        disagreement_sq, increment = broadcast_terms(graph, x_hat, y_hat, config)
-    else:
-        disagreement_sq, increment = state.disagreement_sq, state.increment
-        if fired.any():
+    # np.minimum/np.maximum skip np.clip's Python wrapper, with the same bits
+    xdot = np.minimum(np.maximum(x - config.alpha * grad, lo), hi) - x
+    disagreement_sq, increment = state.disagreement_sq, state.increment
+    if fired.any():
+        if not sparse_coupling(graph):
+            # A dense step that fires recomputes both terms whole. On a
+            # 2-core x86-64 host, `run` of the paper_ensemble batch (4
+            # members, 800 steps, median of 8 alternating best-of-5) took
+            # 27.4 ms that way against 38.3 ms with the row-level update of
+            # the sparse path. Nor would rows keep the bits: dense
+            # W[rows] @ Y is not always (W @ Y)[rows]; 112 of 600 random
+            # small cases differed.
+            np.copyto(x_hat, x, where=fired)
+            np.copyto(y_hat, y, where=fired[..., None])
+            disagreement_sq, increment = broadcast_terms(graph, x_hat, y_hat, config)
+        else:
             who = np.nonzero(fired)
             x_hat[who] = x[who]
             y_hat[who] = y[who]
@@ -384,7 +388,9 @@ def step(
     k_new = state.step_index + 1
     x_new = x + config.dt * xdot
     y_new = y + increment
-    y_new[..., np.arange(n), np.arange(n)] = x_new
+    # the diagonal of the fresh, contiguous y_new as a flat strided view
+    n = graph.n
+    y_new.reshape(*x_new.shape[:-1], n * n)[..., :: n + 1] = x_new
 
     # y_new carries x_new on its diagonal, so it bounds the whole state; a
     # NaN fails the comparison as well

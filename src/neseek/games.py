@@ -103,6 +103,13 @@ class SpectrumGame:
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return _bounds(self.intervals)
 
+    @cached_property
+    def revenue(self) -> np.ndarray:
+        """Per-unit revenue ``r * efficiency`` of each player."""
+        u = self.r * self.efficiencies
+        u.flags.writeable = False
+        return u
+
 
 @dataclass(frozen=True)
 class QuadraticGame:
@@ -176,17 +183,17 @@ def _own_gradient(game: GameDefinition, own: np.ndarray, rows: np.ndarray) -> np
             raise DomainError("negative total demand with fractional pricing exponent")
         price = game.m_c + game.q * totals ** game.tau
         marginal = own * game.q * game.tau * totals ** (game.tau - 1.0)
-        return price + marginal - game.r * game.efficiencies
+        return price + marginal - game.revenue
     return game.diag_a * own + (game.cross * rows).sum(axis=-1) + game.offset
 
 
 def gradient_at_estimates(game: GameDefinition, y: np.ndarray) -> np.ndarray:
     """Stack of own-action partial gradients, player i evaluated at row i of y.
 
-    ``y`` may carry leading axes (one estimate matrix per seed).
+    ``y`` is a float array and may carry leading axes (one estimate matrix
+    per seed).
     """
-    y = np.asarray(y, dtype=float)
-    return _own_gradient(game, np.diagonal(y, axis1=-2, axis2=-1), y)
+    return _own_gradient(game, y.diagonal(0, -2, -1), y)
 
 
 def pseudo_gradient(game: GameDefinition, x: np.ndarray) -> np.ndarray:

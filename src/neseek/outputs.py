@@ -18,18 +18,14 @@ from .engine import RunResult
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf"]
 
 
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return "" if math.isnan(value) else repr(value)
-    return "" if value is None else str(value)
-
-
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """One line per row under ``header``. A float cell is written with
     ``repr``, so it parses back exactly; None and NaN are empty cells, and
     any other cell is written with ``str``."""
     lines = [",".join(header)]
-    lines += [",".join(map(_cell, row)) for row in rows]
+    # str of a float is its repr, and NaN is the one value unequal to itself;
+    # a comprehension per row saves a function call per cell
+    lines += [",".join(["" if v is None or v != v else str(v) for v in row]) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -102,10 +98,10 @@ def line_chart_svg(
     pad = 0.05 * (y1 - y0)
     y0, y1 = y0 - pad, y1 + pad
 
-    def sx(v: float) -> float:
+    def sx(v):
         return ml + (v - x0) / (x1 - x0) * pw
 
-    def sy(v: float) -> float:
+    def sy(v):
         return mt + (y1 - v) / (y1 - y0) * ph
 
     parts = [
@@ -156,7 +152,9 @@ def line_chart_svg(
         if not xs.size:
             continue
         color = PALETTE[idx % len(PALETTE)]
-        points = " ".join(f"{sx(a):.3f},{sy(b):.3f}" for a, b in zip(xs, ys))
+        # sx and sy scale whole arrays with the same IEEE operations as one
+        # point; the points are then formatted as Python floats
+        points = " ".join(map("{:.3f},{:.3f}".format, sx(xs).tolist(), sy(ys).tolist()))
         parts.append(
             f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

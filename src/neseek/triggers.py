@@ -83,15 +83,15 @@ class TriggerParams:
         return len(self.c)
 
 
-def triggering_function(action_err_sq, estimate_err_sq, disagreement_sq, sigma):
+def triggering_function(energy, disagreement_sq, sigma):
     """Event-error energy minus the weighted disagreement allowance, per player.
 
-    ``action_err_sq`` is the squared gap between the broadcast and current
-    action, ``estimate_err_sq`` the squared norm of the broadcast-vs-current
-    estimate row and ``disagreement_sq`` the squared norm of the weighted sum
-    of broadcast differences against in-neighbors.
+    ``energy`` is the squared gap between the broadcast and current action
+    plus the squared norm of the broadcast-vs-current estimate row (the raw
+    energy ``decide`` also reads), and ``disagreement_sq`` the squared norm
+    of the weighted sum of broadcast differences against in-neighbors.
     """
-    return action_err_sq + estimate_err_sq - sigma * disagreement_sq
+    return energy - sigma * disagreement_sq
 
 
 def xi_from_uniform(params: TriggerParams, u: float | np.ndarray) -> float | np.ndarray:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neseek import single_run
+from neseek import harness, single_run
 from neseek.cli import main
 from neseek.data import bundled_path
 
@@ -286,6 +286,38 @@ def test_compare_divergence_is_one_error_line(tmp_path, capsys):
     assert err == ["error: state magnitude exceeded 1e+09 or became non-finite at t=0.05; "
                    "reduce alpha, beta, or dt"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_out_naming_a_file_fails_before_the_run(tmp_path, capsys, monkeypatch, command):
+    # the output directory is made before the integration, so an --out that
+    # cannot be a directory costs no run and is one error line
+    out = tmp_path / "taken"
+    out.write_text("a file")
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(harness, "single_run", no_run)
+    monkeypatch.setattr(harness, "compare_laws", no_run)
+    assert main([command, "--config", QUAD, "--out", str(out)]) == 1
+    err = [line for line in capsys.readouterr().err.splitlines()
+           if not line.startswith("warning:")]
+    assert len(err) == 1 and err[0].startswith("error: ") and str(out) in err[0]
+    assert out.read_text() == "a file"
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_failed_run_removes_the_directories_it_made(tmp_path, capsys, command):
+    config = json.loads(bundled_path("spectrum_paper").read_text())
+    config["engine"]["beta"] = 1e6
+    path = tmp_path / "diverging.json"
+    path.write_text(json.dumps(config))
+    # the run diverges after --out and a parent of it were made
+    argv = [command, "--config", str(path), "--out", str(tmp_path / "new" / "out")]
+    assert main(argv + (["--runs", "1"] if command == "compare" else [])) == 1
+    assert "error: state magnitude exceeded" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["diverging.json"]
 
 
 def test_package_runs_as_a_module():

@@ -749,16 +749,21 @@ class TestSparseCoupling:
             else:
                 assert np.abs(sparse - dense).max() <= 1e-14 * np.abs(dense).max()
 
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(0, 2 ** 32 - 1), st.integers(2, 30), st.booleans(),
         st.sampled_from([None, 1, 4]),
         st.lists(st.sampled_from(["none", "all", "some"]), min_size=1, max_size=4),
     )
-    def test_event_driven_step_equals_full_recompute(self, seed, n, unit, runs, patterns):
+    def test_event_driven_step_equals_full_recompute(
+        self, sparse, seed, n, unit, runs, patterns
+    ):
         # the first step from init, then further steps, each with a drawn fire
         # pattern in place of the laws' decisions; runs None: an unbatched
-        # state under a one-member batch, 4: one member of each law
+        # state under a one-member batch, 4: one member of each law. On both
+        # paths a quiet step keeps the carried terms and a step that fires
+        # forms them again
         rng, game, graph, trig = coupling_case(seed, n, unit)
         s = Scenario(
             graph, game, trig, self.CONFIG, x0=rng.uniform(-3.0, 3.0, n),
@@ -770,7 +775,7 @@ class TestSparseCoupling:
             "some": lambda shape: rng.random(shape) < rng.uniform(0.02, 0.5),
         }
         with pytest.MonkeyPatch.context() as mp:
-            force_coupling(mp, sparse=True)
+            force_coupling(mp, sparse)
             if runs is None:
                 state = init(s)
                 batch = one_member(LawKind.STOCHASTIC, trig, seed, self.CONFIG.steps)

@@ -56,7 +56,7 @@ def random_cases(rng, count):
 
 def margin(c, sigma):
     return triggering_function(
-        c["action_err_sq"], c["estimate_err_sq"], c["disagreement_sq"], sigma
+        c["action_err_sq"] + c["estimate_err_sq"], c["disagreement_sq"], sigma
     )
 
 
