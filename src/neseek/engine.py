@@ -15,9 +15,9 @@ terms, and a step forms them again only when a player fired: whole below
 the sparse crossover, and only at the rows its broadcasts touch above it.
 
 The state may carry a leading member axis: R runs of one scenario then
-advance together, as (R, n) actions and (R, n, n) estimates. A member is one
-(law, seed, sigma cap) triple; the members of a batch share every other
-trigger parameter.
+advance together, as (R, n) actions and (R, n, n) estimates. A member is a
+law and a seed; the members of a batch share the scenario's trigger
+parameters, and ``Batch.of`` turns them into each member's thresholds once.
 """
 
 from __future__ import annotations
@@ -30,17 +30,11 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from . import metrics
+from .bounds import sigma_bound
 from .errors import DegenerateWindow, NumericalDivergence, ValidationError, integer, number
-from .games import GameDefinition, gradient_at_estimates
+from .games import gradient_at_estimates
 from .graphs import DirectedGraph
-from .triggers import (
-    LawKind,
-    TriggerParams,
-    decide,
-    threshold_term,
-    triggering_function,
-    xi_from_uniform,
-)
+from .triggers import LawKind, decide, threshold_term, triggering_function, xi_from_uniform
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -86,54 +80,53 @@ class EngineConfig:
 
 @dataclass(frozen=True)
 class Member:
-    """One run of a batch: its law, its seed and a cap on its disagreement
-    weights; it runs with ``min(sigma, sigma_cap)`` per player. A law name
-    is read as its ``LawKind``."""
+    """One run of a batch: its law and its seed. A law name is read as its
+    ``LawKind``."""
 
     law: LawKind
     seed: int
-    sigma_cap: float = math.inf
 
     def __post_init__(self):
         object.__setattr__(self, "law", LawKind(self.law))
         object.__setattr__(self, "seed", integer(self.seed, "seed"))
         if not 0 <= self.seed < 2 ** 64:
             raise ValidationError(f"seed: {self.seed} does not fit in 64 unsigned bits")
-        object.__setattr__(self, "sigma_cap", number(self.sigma_cap, "sigma_cap"))
-        # written so that NaN fails the check
-        if not self.sigma_cap > 0:
-            raise ValidationError("sigma_cap must be positive")
 
 
 @dataclass(frozen=True)
 class Batch:
-    """The per-member inputs of the trigger decision, for R members.
+    """The trigger-decision inputs of R members of one scenario.
 
-    ``params`` holds the trigger parameters every member shares; ``sigma`` is
-    (R, n), each member's capped disagreement weights. ``xi`` and ``term``
-    are (steps, R, n): the random thresholds and their ``threshold_term``,
-    with NaN thresholds under the deterministic laws. ``static`` and
-    ``continuous`` are (R, 1) law masks.
+    ``sigma`` is (R, n), each member's disagreement weights. ``xi`` and
+    ``threshold`` are (steps, R, n): the random thresholds, NaN under the
+    deterministic laws, and the right-hand side every law compares its
+    margin with. ``static`` and ``continuous`` are (R, 1) law masks.
     """
 
-    params: TriggerParams
+    scenario: Scenario
     sigma: np.ndarray
     xi: np.ndarray
-    term: np.ndarray
+    threshold: np.ndarray
     static: np.ndarray
     continuous: np.ndarray
 
     @classmethod
-    def of(cls, params: TriggerParams, members: Sequence[Member], steps: int) -> "Batch":
-        """Inputs for ``steps`` steps of the members, drawing their thresholds.
+    def of(cls, scenario: Scenario, members: Sequence[Member]) -> "Batch":
+        """The members' inputs for every step of the scenario.
 
+        A DYNAMIC member runs with its weights capped at
+        ``sigma_bound(graph)``; every other member keeps the scenario's.
         Each stochastic member's player i draws from its own generator, the
         i-th child of ``SeedSequence(seed).spawn(n)``, so per-player streams
         are independent of one another. A stream is drawn whole up front:
         ``random(steps)`` yields the same doubles as ``steps`` scalar draws.
+        The threshold at step k is ``(delta0 * exp(-eta * (k * dt)) / c) *
+        threshold_term(params, xi[k])``, formed here for every step, so no
+        step takes a log or an exponential.
         """
         if not members:
             raise ValueError("a batch needs at least one member")
+        params, dt, steps = scenario.trigger, scenario.engine.dt, scenario.engine.steps
         xi = np.full((steps, len(members), params.n), math.nan)
         for r, m in enumerate(members):
             if m.law is LawKind.STOCHASTIC:
@@ -142,11 +135,16 @@ class Batch:
                     for ss in np.random.SeedSequence(m.seed).spawn(params.n)
                 ]
                 xi[:, r] = xi_from_uniform(params, np.array(streams).T)
+        dynamic = [m.law is LawKind.DYNAMIC for m in members]
+        cap = sigma_bound(scenario.graph) if any(dynamic) else math.inf
+        decay = params.delta0 * np.exp(-params.eta * (np.arange(steps) * dt))[:, None]
+        threshold = threshold_term(params, xi)
+        threshold *= (decay / params.c)[:, None]
         return cls(
-            params,
-            np.minimum(params.sigma, [[m.sigma_cap] for m in members]),
+            scenario,
+            np.minimum(params.sigma, [[cap if d else math.inf] for d in dynamic]),
             xi,
-            threshold_term(params, xi),
+            threshold,
             np.array([[m.law is LawKind.STATIC] for m in members]),
             np.array([[m.law is LawKind.CONTINUOUS] for m in members]),
         )
@@ -163,7 +161,7 @@ class EngineState:
     ``broadcast_terms``): ``disagreement_sq``, the squared norm of each row
     of ``din * y_hat - W @ y_hat``, which the triggering function reads, and
     ``increment``, the estimate update ``dt * (-beta * bracket)``, under the
-    step sizes of the config the state is stepped with. The arrays may share
+    step sizes of the scenario's engine config. The arrays may share
     a leading member axis. The instant is ``step_index * dt``.
     """
 
@@ -309,14 +307,8 @@ def init(scenario: Scenario) -> EngineState:
     return EngineState(0, x0, y0, x0.copy(), y0.copy(), *terms)
 
 
-def step(
-    state: EngineState,
-    game: GameDefinition,
-    graph: DirectedGraph,
-    batch: Batch,
-    config: EngineConfig,
-) -> tuple[EngineState, np.ndarray, np.ndarray]:
-    """Advance one grid step under the batch's laws and thresholds.
+def step(state: EngineState, batch: Batch) -> tuple[EngineState, np.ndarray, np.ndarray]:
+    """Advance one grid step of the batch's scenario and members.
 
     Returns the new state, the boolean fire mask and the triggering-function
     values of this step's evaluations, both shaped like ``state.x`` with the
@@ -325,12 +317,10 @@ def step(
     latest ones.
 
     The step takes ownership of the input state's ``x_hat``, ``y_hat``,
-    ``disagreement_sq`` and ``increment``: it writes the fired players'
-    rows into them in place and hands them on in the new state, so a state
-    must not be stepped twice; step a copy instead. ``config`` must carry
-    the step sizes the state's ``increment`` was formed with, as
-    ``init(scenario)`` forms it with ``scenario.engine``. A state without
-    the member axis under a batch with one takes the axis on first.
+    ``disagreement_sq`` and ``increment``: it writes the fired players' rows
+    into them in place and hands them on in the new state, so a state must
+    not be stepped twice; step a copy instead. A state without the member
+    axis under a batch with one takes the axis on first.
 
     The coupling terms are formed again only when some player fired: a
     quiet step has the same broadcasts, so it keeps the carried terms and
@@ -341,7 +331,7 @@ def step(
     sum in the same order whichever rows are recomputed, so the bits equal
     a full recompute.
     """
-    params = batch.params
+    game, graph, config = batch.scenario.game, batch.scenario.graph, batch.scenario.engine
     if state.x.ndim < batch.sigma.ndim:
         state = with_members(state, len(batch.sigma))
     x, y, x_hat, y_hat = state.x, state.y, state.x_hat, state.y_hat
@@ -352,11 +342,9 @@ def step(
     estimate_err_sq = np.multiply(e_y, e_y, out=e_y).sum(axis=-1)
     energy = action_err_sq + estimate_err_sq
 
-    decay = params.delta0 * np.exp(-params.eta * (state.step_index * config.dt))
     rho = triggering_function(energy, state.disagreement_sq, batch.sigma)
     fired = decide(
-        params, rho, energy, decay,
-        batch.term[state.step_index], batch.static, batch.continuous,
+        rho, energy, batch.threshold[state.step_index], batch.static, batch.continuous
     )
 
     lo, hi = game.bounds
@@ -417,9 +405,9 @@ def run(scenario: Scenario, members: Sequence[Member]) -> list[RunResult]:
     x_star = scenario.ne_override
     if x_star is None:
         raise ValueError("run needs scenario.ne_override: the errors are measured against it")
-    game, graph, config = scenario.game, scenario.graph, scenario.engine
-    n, steps, runs = graph.n, config.steps, len(members)
-    batch = Batch.of(scenario.trigger, members, steps)
+    config = scenario.engine
+    n, steps, runs = scenario.n, config.steps, len(members)
+    batch = Batch.of(scenario, members)
 
     state = with_members(init(scenario), runs)
     times = np.arange(steps + 1) * config.dt
@@ -428,7 +416,7 @@ def run(scenario: Scenario, members: Sequence[Member]) -> list[RunResult]:
     rho = np.empty((steps, runs, n))
     actions[0] = state.x
     for k in range(steps):
-        state, trig[k + 1], rho[k] = step(state, game, graph, batch, config)
+        state, trig[k + 1], rho[k] = step(state, batch)
         actions[k + 1] = state.x
     err_inf = np.abs(actions - x_star).max(axis=-1)
     return [

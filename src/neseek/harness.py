@@ -1,23 +1,22 @@
 """Seeded single runs and Monte-Carlo comparisons across communication laws.
 
 Comparison policy: each law is a drop-in replacement for the broadcast
-decision, but the dynamic comparison law runs with its disagreement weight
-capped at the admissible bound (its own analysis requires a compliant
-weight), while the randomized law keeps the scenario's weights. Ensemble
-members use seeds base_seed, base_seed + 1, ..., and are folded in seed
-order. Only the randomized law reads the random draw, so any other law
-integrates one run and repeats it. The members of every law in a
-comparison are integrated together, in chunks whose estimate matrices hold
-at most ENSEMBLE_ENTRIES entries: 256 members at n = 5, one from n = 57.
+decision. A member is a law and a seed; ``engine.Batch.of`` caps the dynamic
+comparison law's disagreement weight at the admissible bound (its own
+analysis requires a compliant weight), while the randomized law keeps the
+scenario's weights. Ensemble members use seeds base_seed, base_seed + 1,
+..., and are folded in seed order. Only the randomized law reads the random
+draw, so any other law integrates one run and repeats it. The members of
+every law in a comparison are integrated together, in chunks whose estimate
+matrices hold at most ENSEMBLE_ENTRIES entries: 256 members at n = 5, one
+from n = 57.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
 from . import metrics as metrics_mod
-from .bounds import sigma_bound
 from .engine import Member, RunResult, run
 from .errors import ValidationError
 from .oracle import solve_ne
@@ -27,11 +26,6 @@ from .triggers import LawKind
 # Estimate entries (members * n * n) integrated in one batch; bounds an
 # ensemble's peak memory and keeps a large-n batch's state in cache.
 ENSEMBLE_ENTRIES = 256 * 5 * 5
-
-
-def _member(scenario: Scenario, law: LawKind, seed: int) -> Member:
-    """The member a law runs as in a comparison."""
-    return Member(law, seed, sigma_bound(scenario.graph) if law is LawKind.DYNAMIC else math.inf)
 
 
 def _setup(
@@ -52,7 +46,7 @@ def _setup(
         raise ValidationError(f"laws: {[law.value for law in laws]} names a law twice")
     seeds = range(scenario.seed, scenario.seed + scenario.runs)
     members = [
-        _member(scenario, law, seed)
+        Member(law, seed)
         for law in laws
         for seed in (seeds if law is LawKind.STOCHASTIC else seeds[:1])
     ]

@@ -89,7 +89,7 @@ def projected_ne(
 def _aggregative_ne(game: SpectrumGame) -> NeSolution:
     """Bisect h on [sum(lo), sum(hi)] until the midpoint equals an endpoint."""
     lo, hi = game.bounds
-    a = game.r * game.efficiencies - game.m_c
+    a = game.revenue - game.m_c
     q, tau = game.q, game.tau
 
     def responses(total: np.float64) -> np.ndarray:

@@ -114,8 +114,8 @@ def threshold_term(params: TriggerParams, xi: np.ndarray) -> np.ndarray:
     """``ln(kappa) - ln(xi)`` per entry of the random thresholds ``xi``.
 
     A NaN entry, which is what a deterministic law records for ``xi``,
-    stands for the threshold pinned at a_floor. Computed once for a whole
-    run, so ``decide`` reads it instead of taking a log every step.
+    stands for the threshold pinned at a_floor. ``Batch.of`` scales it by
+    ``delta / c`` once for a whole run, so no step takes a log.
     """
     ln_kappa = math.log(params.kappa)
     term = np.full(np.shape(xi), ln_kappa - math.log(params.a_floor))
@@ -125,25 +125,23 @@ def threshold_term(params: TriggerParams, xi: np.ndarray) -> np.ndarray:
 
 
 def decide(
-    params: TriggerParams,
     rho: np.ndarray,
     energy: np.ndarray,
-    decay: np.ndarray,
-    term: np.ndarray,
+    threshold: np.ndarray,
     static: np.ndarray | bool,
     continuous: np.ndarray | bool,
 ) -> np.ndarray:
     """Fire mask shaped like ``rho``: one entry per player, with an optional
-    leading member axis shared by ``energy``, ``term`` and the law masks.
+    leading member axis shared by ``energy``, ``threshold`` and the law masks.
 
     ``rho`` is the triggering function and ``energy`` the raw event-error
-    energy (action plus estimate term) of each evaluation; ``term`` is
-    ``threshold_term`` at this evaluation. Every law compares a margin with
-    ``(decay / c) * term``. STOCHASTIC fires when the uniform draw behind xi
-    falls below the law's fire probability, through this log-domain form,
-    whose quiet branch is its exact negation. DYNAMIC is its deterministic
-    limit, with the threshold pinned at a_floor. Where ``static`` holds, the
-    margin is the raw energy instead (no disagreement allowance); where
+    energy (action plus estimate term) of each evaluation; ``threshold`` is
+    ``(delta / c) * threshold_term`` at this evaluation. Every law compares
+    a margin with it. STOCHASTIC fires when the uniform draw behind xi falls
+    below the law's fire probability, through this log-domain form, whose
+    quiet branch is its exact negation. DYNAMIC is its deterministic limit,
+    with the threshold pinned at a_floor. Where ``static`` holds, the margin
+    is the raw energy instead (no disagreement allowance); where
     ``continuous`` holds, the law always fires.
     """
-    return (np.where(static, energy, rho) > (decay / params.c) * term) | continuous
+    return (np.where(static, energy, rho) > threshold) | continuous

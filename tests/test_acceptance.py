@@ -269,8 +269,7 @@ def test_11_single_step_hand_oracle():
     import test_engine
 
     s = test_engine.two_player_setup(horizon=0.025)
-    batch = test_engine.one_member(LawKind.CONTINUOUS, s.trigger, 0, s.engine.steps)
-    new, _, _ = step(init(s), s.game, s.graph, batch, s.engine)
+    new, _, _ = step(init(s), test_engine.one_member(LawKind.CONTINUOUS, s, 0))
     g0 = (2.0 * 1.0 + (0.0 * 1.0 + 1.0 * 0.5)) + -4.0
     g1 = (3.0 * 2.0 + (-1.0 * 1.5 + 0.0 * 2.0)) + 1.0
     expected_x = np.array(

@@ -28,7 +28,8 @@ from neseek.scenario import scenario_from_dict
 # ensemble entry point (a RunResult carries its own statistics and
 # compare_laws is the one ensemble call), the scalar reference
 # implementations, which live in tests/oracles.py, and the per-law trigger
-# parameters (a Member carries its law's sigma cap).
+# parameters (Batch.of caps the dynamic law's sigma; a Member is a law and a
+# seed).
 REMOVED = (
     "RunMetrics",
     "run_ensemble",
@@ -69,6 +70,14 @@ def test_engine_reads_the_scenario_whole():
     # keeps no start check of its own
     assert list(inspect.signature(neseek.run).parameters) == ["scenario", "members"]
     assert list(inspect.signature(neseek.init).parameters) == ["scenario"]
+    # a member is a law and a seed, and the batch derives the rest from the
+    # scenario: the sigma cap, the decaying scale and the thresholds
+    assert list(inspect.signature(neseek.Batch.of).parameters) == ["scenario", "members"]
+    assert list(inspect.signature(neseek.step).parameters) == ["state", "batch"]
+    assert list(inspect.signature(neseek.decide).parameters) == [
+        "rho", "energy", "threshold", "static", "continuous"
+    ]
+    assert [f.name for f in dataclasses.fields(Member)] == ["law", "seed"]
     assert not hasattr(neseek.engine, "check_start")
     assert not hasattr(neseek.errors, "InfeasibleStart")
 
@@ -106,7 +115,6 @@ CONSTRUCTOR_CASES = [
         lambda: Member(LawKind.STOCHASTIC, 2 ** 64),
         "seed: 18446744073709551616 does not fit in 64 unsigned bits", id="member-seed",
     ),
-    pytest.param(lambda: Member(LawKind.DYNAMIC, 0, 0.0), "sigma_cap", id="member-cap"),
     pytest.param(lambda: integer(1.0, "runs"), "runs: expected an integer", id="integer"),
     pytest.param(lambda: LawKind("sometimes"), "law: 'sometimes' is not one of", id="law"),
     # every number field is read by errors.numbers, which names the field
@@ -123,9 +131,6 @@ CONSTRUCTOR_CASES = [
     pytest.param(
         lambda: EngineConfig(alpha="0.1", beta=1.0, horizon=1.0), "alpha: expected a number",
         id="alpha-string",
-    ),
-    pytest.param(
-        lambda: Member("static", 0, "1"), "sigma_cap: expected a number", id="member-cap-string"
     ),
 ]
 

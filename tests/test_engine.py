@@ -27,6 +27,7 @@ from neseek import (
     decide,
     init,
     run,
+    sigma_bound,
     single_run,
     solve_ne,
     step,
@@ -35,7 +36,7 @@ import neseek
 from neseek import engine, harness
 from neseek.engine import EngineState
 from neseek.errors import NumericalDivergence, ValidationError
-from neseek.triggers import xi_from_uniform
+from neseek.triggers import threshold_term, xi_from_uniform
 
 from conftest import random_strongly_connected, strongly_connected_graphs, with_engine
 from test_metrics import assert_same_ensemble
@@ -89,12 +90,12 @@ def draw(rngs):
     return np.array([g.random() for g in rngs])
 
 
-def one_member(law, params, seed, steps):
-    """``step``'s inputs for one run on an unbatched state: a one-member
-    ``Batch`` with its member axis dropped."""
-    b = Batch.of(params, [Member(law, seed)], steps)
+def one_member(law, scenario, seed):
+    """``step``'s inputs for one run of the scenario on an unbatched state: a
+    one-member ``Batch`` with its member axis dropped."""
+    b = Batch.of(scenario, [Member(law, seed)])
     return dataclasses.replace(
-        b, sigma=b.sigma[0], xi=b.xi[:, 0], term=b.term[:, 0],
+        b, sigma=b.sigma[0], xi=b.xi[:, 0], threshold=b.threshold[:, 0],
         static=b.static[0], continuous=b.continuous[0],
     )
 
@@ -123,9 +124,7 @@ class TestInit:
 class TestStep:
     def test_single_step_matches_hand_computation(self):
         s = two_player_setup(horizon=0.025)
-        new, fired, _ = step(
-            init(s), s.game, s.graph, one_member(s.law, s.trigger, 0, s.engine.steps), s.engine
-        )
+        new, fired, _ = step(init(s), one_member(s.law, s, 0))
 
         # scalar forward-Euler computation, written out term by term
         g0 = (2.0 * 1.0 + (0.0 * 1.0 + 1.0 * 0.5)) + -4.0
@@ -149,12 +148,12 @@ class TestStep:
 
     def test_continuous_law_reduces_to_exact_estimate_dynamics(self):
         s = two_player_setup(horizon=1.0)
-        game, graph, trig, cfg = s.game, s.graph, s.trigger, s.engine
+        cfg = s.engine
         state = init(s)
-        batch = one_member(LawKind.CONTINUOUS, trig, 0, cfg.steps)
+        batch = one_member(LawKind.CONTINUOUS, s, 0)
 
         # oracle: integrate the always-broadcast dynamics without any hats
-        a = graph.weights
+        a = s.graph.weights
         x = np.array([1.0, 2.0])
         y = np.array([[1.0, 0.5], [1.5, 2.0]])
         lo = np.array([0.0, -2.0])
@@ -176,37 +175,38 @@ class TestStep:
             y = y + cfg.dt * ydot
             y[np.arange(2), np.arange(2)] = x
 
-            state, _, _ = step(state, game, graph, batch, cfg)
+            state, _, _ = step(state, batch)
         assert np.allclose(state.x, x, atol=1e-12)
         assert np.allclose(state.y, y, atol=1e-12)
 
     def test_diagonal_identity_and_decay_every_step(self, quadratic_scenario, monkeypatch):
         s = quadratic_scenario
-        decays = []
+        p, thresholds = s.trigger, []
 
-        def spy(params, rho, energy, decay, *rest):
-            decays.append(decay)
-            return decide(params, rho, energy, decay, *rest)
+        def spy(rho, energy, threshold, *rest):
+            thresholds.append(threshold)
+            return decide(rho, energy, threshold, *rest)
 
         monkeypatch.setattr(engine, "decide", spy)
         state = init(s)
-        batch = one_member(s.law, s.trigger, s.seed, s.engine.steps)
+        batch = one_member(s.law, s, s.seed)
         for k in range(50):
-            state, _, _ = step(state, s.game, s.graph, batch, s.engine)
+            state, _, _ = step(state, batch)
             assert np.array_equal(np.diagonal(state.y), state.x)
-            expected = s.trigger.delta0 * np.exp(-s.trigger.eta * k * s.engine.dt)
-            assert np.allclose(decays[k], expected, rtol=1e-12)
+            decay = p.delta0 * np.exp(-p.eta * k * s.engine.dt)
+            expected = (decay / p.c) * threshold_term(p, batch.xi[k])
+            assert np.allclose(thresholds[k], expected, rtol=1e-12)
 
     def test_broadcast_constant_between_triggers(self, quadratic_scenario):
         s = quadratic_scenario
         state = init(s)
-        batch = one_member(s.law, s.trigger, 3, s.engine.steps)
+        batch = one_member(s.law, s, 3)
         for _ in range(120):
             prev_xhat = state.x_hat.copy()
             prev_yhat = state.y_hat.copy()
             prev_x = state.x.copy()
             prev_y = state.y.copy()
-            state, fired, _ = step(state, s.game, s.graph, batch, s.engine)
+            state, fired, _ = step(state, batch)
             for i in range(s.n):
                 if fired[i]:
                     assert state.x_hat[i] == prev_x[i]
@@ -220,23 +220,23 @@ class TestStep:
         # state carries on; an unbatched state under a batch with a member
         # axis takes the axis on, as run stacks it
         s = quadratic_scenario
-        batch = Batch.of(s.trigger, [Member(LawKind.CONTINUOUS, 0)], s.engine.steps)
+        batch = Batch.of(s, [Member(LawKind.CONTINUOUS, 0)])
         stacked = engine.with_members(init(s), 1)
         buffers = (stacked.x_hat, stacked.y_hat)
-        new, fired, _ = step(stacked, s.game, s.graph, batch, s.engine)
+        new, fired, _ = step(stacked, batch)
         assert fired.all()
         assert new.x_hat is buffers[0] and new.y_hat is buffers[1]
-        promoted, _, _ = step(init(s), s.game, s.graph, batch, s.engine)
+        promoted, _, _ = step(init(s), batch)
         for name in ("x", "y", "x_hat", "y_hat", "disagreement_sq", "increment"):
             assert np.array_equal(getattr(promoted, name), getattr(new, name)), name
 
     def test_divergence_guard(self):
         s = two_player_setup(beta=1e12, horizon=0.1)
         state = init(s)
-        batch = one_member(s.law, s.trigger, 0, s.engine.steps)
+        batch = one_member(s.law, s, 0)
         with pytest.raises(NumericalDivergence):
             for _ in range(s.engine.steps):
-                state, _, _ = step(state, s.game, s.graph, batch, s.engine)
+                state, _, _ = step(state, batch)
 
 
 class TestRun:
@@ -299,7 +299,7 @@ class TestRun:
         # recompute the squared error terms from the previous state by hand
         s = quadratic_scenario
         state = init(s)
-        batch = one_member(s.law, s.trigger, s.seed, s.engine.steps)
+        batch = one_member(s.law, s, s.seed)
         for _ in range(60):
             prev = dataclasses.replace(
                 state,
@@ -308,7 +308,7 @@ class TestRun:
                 x_hat=state.x_hat.copy(),
                 y_hat=state.y_hat.copy(),
             )
-            state, _, rho = step(state, s.game, s.graph, batch, s.engine)
+            state, _, rho = step(state, batch)
             a = s.graph.weights
             for i in range(s.n):
                 e_x = prev.x_hat[i] - prev.x[i]
@@ -470,16 +470,11 @@ def batch_cases(draw):
 
 @st.composite
 def mixed_batch_cases(draw):
-    """A batch case with 1..8 members, each with a law drawn from all four,
-    any seed, and a sigma cap of inf (the scenario's sigma), 0.05 or 0.15."""
+    """A batch case with 1..8 members, each with a law drawn from all four
+    and any seed."""
     s, _ = draw(batch_cases())
     members = draw(st.lists(
-        st.builds(
-            Member,
-            st.sampled_from(list(LawKind)),
-            st.integers(0, 2 ** 64 - 1),
-            st.sampled_from([math.inf, 0.05, 0.15]),
-        ),
+        st.builds(Member, st.sampled_from(list(LawKind)), st.integers(0, 2 ** 64 - 1)),
         min_size=1, max_size=8,
     ))
     return s, members
@@ -547,18 +542,11 @@ class TestBatch:
             assert_same_columns(got, alone)
 
     @pytest.mark.parametrize(
-        "seed, cap, message",
-        [
-            pytest.param(-1, math.inf, "seed", id="seed-negative"),
-            pytest.param(2 ** 64, math.inf, "seed", id="seed-2**64"),
-            pytest.param(0, 0.0, "sigma_cap", id="cap-zero"),
-            pytest.param(0, -1.0, "sigma_cap", id="cap-negative"),
-            pytest.param(0, math.nan, "sigma_cap", id="cap-nan"),
-        ],
+        "seed", [pytest.param(-1, id="seed-negative"), pytest.param(2 ** 64, id="seed-2**64")]
     )
-    def test_member_rejects_out_of_range(self, seed, cap, message):
-        with pytest.raises(ValueError, match=message):
-            Member(LawKind.STOCHASTIC, seed, cap)
+    def test_member_rejects_out_of_range(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            Member(LawKind.STOCHASTIC, seed)
 
     def test_member_reads_a_law_name(self):
         assert Member("stochastic", 1) == Member(LawKind.STOCHASTIC, 1)
@@ -575,10 +563,44 @@ class TestBatch:
         member = Member(LawKind.STOCHASTIC, np.uint64(2 ** 64 - 1))
         assert member.seed == 2 ** 64 - 1 and type(member.seed) is int
 
+    @pytest.mark.parametrize(
+        "name, dt, weights",
+        [
+            pytest.param("spectrum_scenario", None, None, id="spectrum"),
+            pytest.param("spectrum_scenario", 0.0125, None, id="spectrum-dt-0.0125"),
+            pytest.param("quadratic_scenario", None, None, id="quadratic"),
+            pytest.param("quadratic_scenario", 0.0125, None, id="quadratic-dt-0.0125"),
+            # both bundled scenarios have c = 1, under which the order of
+            # the products and the division cannot show
+            pytest.param("quadratic_scenario", None, ([0.7, 1.3], [0.3, 2.9]), id="quadratic-c"),
+        ],
+    )
+    def test_batch_derives_sigma_and_thresholds(self, request, name, dt, weights):
+        # the batch forms the cap and every step's threshold once, with the
+        # bits of the per-step formula
+        s = request.getfixturevalue(name)
+        if dt is not None:
+            s = with_engine(s, dt=dt)
+        if weights is not None:
+            c, delta0 = weights
+            s = dataclasses.replace(s, trigger=dataclasses.replace(s.trigger, c=c, delta0=delta0))
+        p, members = s.trigger, [Member(law, 5) for law in LawKind]
+        batch = Batch.of(s, members)
+        for r, member in enumerate(members):
+            capped = member.law is LawKind.DYNAMIC
+            want = np.minimum(p.sigma, sigma_bound(s.graph)) if capped else p.sigma
+            assert np.array_equal(batch.sigma[r], want), member.law
+        assert batch.threshold.shape == (s.engine.steps, len(members), s.n)
+        for k in range(s.engine.steps):
+            decay = p.delta0 * np.exp(-p.eta * (k * s.engine.dt))
+            assert np.array_equal(
+                batch.threshold[k], (decay / p.c) * threshold_term(p, batch.xi[k])
+            ), k
+
     def test_thresholds_follow_per_player_streams(self, quadratic_scenario):
         s = quadratic_scenario
         members = [Member(LawKind.STATIC, 9), Member(LawKind.STOCHASTIC, 9)]
-        batch = Batch.of(s.trigger, members, 30)
+        batch = Batch.of(s, members)
         rngs = make_rngs(9, s.n)
         for k in range(30):
             assert np.array_equal(batch.xi[k, 1], xi_from_uniform(s.trigger, draw(rngs)))
@@ -716,6 +738,10 @@ class TestSparseCoupling:
     def test_sparse_step_equals_dense_step(self, seed, n, unit, runs):
         # runs None: an unbatched (n, n) state under a one-member batch
         rng, game, graph, trig = coupling_case(seed, n, unit)
+        s = Scenario(
+            graph, game, trig, self.CONFIG, x0=np.zeros(n), y0=np.zeros((n, n)),
+            law=LawKind.STOCHASTIC,
+        )
         shape = (n,) if runs is None else (runs, n)
         x, x_hat = rng.uniform(-3.0, 3.0, (2, *shape))
         y, y_hat = rng.uniform(-3.0, 3.0, (2, *shape, n))
@@ -725,17 +751,16 @@ class TestSparseCoupling:
         state = EngineState(3, x, y, x_hat, y_hat, *terms)
         laws = list(LawKind)
         if runs is None:
-            batch = one_member(LawKind.STOCHASTIC, trig, seed, self.CONFIG.steps)
+            batch = one_member(LawKind.STOCHASTIC, s, seed)
         else:
-            members = [Member(laws[r % 4], seed + r) for r in range(runs)]
-            batch = Batch.of(trig, members, self.CONFIG.steps)
+            batch = Batch.of(s, [Member(laws[r % 4], seed + r) for r in range(runs)])
         out = {}
         for sparse in (False, True):
             with pytest.MonkeyPatch.context() as mp:
                 force_coupling(mp, sparse)
                 assert engine.sparse_coupling(graph) is sparse
                 # step owns its input's buffers: each path steps its own copy
-                new, fired, rho = step(copied(state), game, graph, batch, self.CONFIG)
+                new, fired, rho = step(copied(state), batch)
             out[sparse] = (
                 new.y, new.disagreement_sq, new.increment,
                 new.x, new.x_hat, new.y_hat, fired, rho,
@@ -778,14 +803,14 @@ class TestSparseCoupling:
             force_coupling(mp, sparse)
             if runs is None:
                 state = init(s)
-                batch = one_member(LawKind.STOCHASTIC, trig, seed, self.CONFIG.steps)
+                batch = one_member(LawKind.STOCHASTIC, s, seed)
             else:
                 state = engine.with_members(init(s), runs)
-                batch = Batch.of(trig, [Member(law, seed) for law in list(LawKind)[:runs]], 4)
+                batch = Batch.of(s, [Member(law, seed) for law in list(LawKind)[:runs]])
             for pattern in patterns:
-                mp.setattr(engine, "decide", lambda params, rho, *rest: masks[pattern](rho.shape))
+                mp.setattr(engine, "decide", lambda rho, *rest: masks[pattern](rho.shape))
                 prev = copied(state)
-                state, fired, _ = step(state, game, graph, batch, self.CONFIG)
+                state, fired, _ = step(state, batch)
                 x_hat = np.where(fired, prev.x, prev.x_hat)
                 y_hat = np.where(fired[..., None], prev.y, prev.y_hat)
                 disagreement_sq, increment = engine.broadcast_terms(

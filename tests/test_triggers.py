@@ -71,10 +71,11 @@ def law_inputs(c, p):
 
 def decide_law(law, p, rho, energy, decay, u):
     """``decide`` for evaluations that all follow ``law``, given the uniform
-    draw ``u`` of each; deterministic laws record NaN thresholds."""
+    draw ``u`` of each; deterministic laws record NaN thresholds. The
+    threshold is formed as ``Batch.of`` forms it."""
     xi = xi_from_uniform(p, u) if law is LawKind.STOCHASTIC else np.full(np.shape(u), math.nan)
-    return decide(p, rho, energy, decay, threshold_term(p, xi),
-                  law is LawKind.STATIC, law is LawKind.CONTINUOUS)
+    threshold = (decay / p.c) * threshold_term(p, xi)
+    return decide(rho, energy, threshold, law is LawKind.STATIC, law is LawKind.CONTINUOUS)
 
 
 def test_params_validation():
