@@ -1,8 +1,8 @@
 """Fixed-step integration of the coupled action/estimate dynamics.
 
 Each step: (1) all players evaluate their communication law at once on the
-current event errors, and those that fire re-broadcast their action and
-estimate row;
+current event errors, and those that fire re-broadcast their estimate row,
+whose diagonal entry is their action;
 (2) actions follow the projected own-gradient flow evaluated at each
 player's local estimate row; (3) estimate rows relax toward the broadcast
 field (neighbor estimates plus each neighbor's broadcast action); (4) a
@@ -100,7 +100,8 @@ class Batch:
     ``sigma`` is (R, n), each member's disagreement weights. ``xi`` and
     ``threshold`` are (steps, R, n): the random thresholds, NaN under the
     deterministic laws, and the right-hand side every law compares its
-    margin with. ``static`` and ``continuous`` are (R, 1) law masks.
+    margin with. ``static`` is the (R, 1) mask of the members whose margin
+    is the raw energy (see ``decide``).
     """
 
     scenario: Scenario
@@ -108,7 +109,6 @@ class Batch:
     xi: np.ndarray
     threshold: np.ndarray
     static: np.ndarray
-    continuous: np.ndarray
 
     @classmethod
     def of(cls, scenario: Scenario, members: Sequence[Member]) -> "Batch":
@@ -123,6 +123,11 @@ class Batch:
         The threshold at step k is ``(delta0 * exp(-eta * (k * dt)) / c) *
         threshold_term(params, xi[k])``, formed here for every step, so no
         step takes a log or an exponential.
+
+        A CONTINUOUS member's thresholds are -inf and its margin is the raw
+        energy, as a STATIC member's is: the energy is a sum of squares of a
+        finite state, so it exceeds -inf at every step and the member always
+        fires.
         """
         if not members:
             raise ValueError("a batch needs at least one member")
@@ -136,17 +141,18 @@ class Batch:
                 ]
                 xi[:, r] = xi_from_uniform(params, np.array(streams).T)
         dynamic = [m.law is LawKind.DYNAMIC for m in members]
+        continuous = [m.law is LawKind.CONTINUOUS for m in members]
         cap = sigma_bound(scenario.graph) if any(dynamic) else math.inf
         decay = params.delta0 * np.exp(-params.eta * (np.arange(steps) * dt))[:, None]
         threshold = threshold_term(params, xi)
         threshold *= (decay / params.c)[:, None]
+        threshold[:, continuous] = -math.inf
         return cls(
             scenario,
             np.minimum(params.sigma, [[cap if d else math.inf] for d in dynamic]),
             xi,
             threshold,
-            np.array([[m.law is LawKind.STATIC] for m in members]),
-            np.array([[m.law is LawKind.CONTINUOUS] for m in members]),
+            np.array([[m.law in (LawKind.STATIC, LawKind.CONTINUOUS)] for m in members]),
         )
 
 
@@ -155,20 +161,20 @@ class EngineState:
     """Simulation state at one grid instant.
 
     The estimate matrix keeps row i as player i's view of everyone; its
-    diagonal always equals the actions. Broadcast copies hold the most
-    recently transmitted values. Two terms of the estimate coupling are
-    carried with them, both functions of the broadcasts alone (see
-    ``broadcast_terms``): ``disagreement_sq``, the squared norm of each row
-    of ``din * y_hat - W @ y_hat``, which the triggering function reads, and
-    ``increment``, the estimate update ``dt * (-beta * bracket)``, under the
-    step sizes of the scenario's engine config. The arrays may share
-    a leading member axis. The instant is ``step_index * dt``.
+    diagonal always equals the actions. ``y_hat`` holds the most recently
+    broadcast rows, so its diagonal holds the broadcast actions. Two terms
+    of the estimate coupling are carried with them, both functions of the
+    broadcasts alone (see ``broadcast_terms``): ``disagreement_sq``, the
+    squared norm of each row of ``din * y_hat - W @ y_hat``, which the
+    triggering function reads, and ``increment``, the estimate update
+    ``dt * (-beta * bracket)``, under the step sizes of the scenario's
+    engine config. The arrays may share a leading member axis. The instant
+    is ``step_index * dt``.
     """
 
     step_index: int
     x: np.ndarray
     y: np.ndarray
-    x_hat: np.ndarray
     y_hat: np.ndarray
     disagreement_sq: np.ndarray
     increment: np.ndarray
@@ -226,14 +232,15 @@ def sparse_coupling(graph: DirectedGraph) -> bool:
 
 
 def coupling(
-    graph: DirectedGraph, x_hat: np.ndarray, y_hat: np.ndarray, rows: np.ndarray | None = None
+    graph: DirectedGraph, y_hat: np.ndarray, rows: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The estimate coupling of the broadcasts: ``disagreement = din * y_hat -
     W @ y_hat`` and the bracket ``disagreement + W * (y_hat - x_hat)`` of the
-    estimate dynamics, where column j of the second term reads x_hat[j].
+    estimate dynamics, where column j of the second term reads the broadcast
+    action x_hat[j] = y_hat[j, j].
 
-    Takes (n,) and (n, n) broadcasts or a leading member axis on both, and
-    returns new arrays; with ``rows``, an array of row indices, only those
+    Takes (n, n) broadcasts or a leading member axis on them, and returns
+    new arrays; with ``rows``, an array of row indices, only those
     rows of both terms. On the sparse path the members fold into the columns
     of one CSR product, and the second term is formed only at the links; a
     CSR row slice keeps each row's summation order, so a row comes out the
@@ -246,6 +253,7 @@ def coupling(
     if not sparse_coupling(graph):
         weights = graph.weights if rows is None else graph.weights[rows]
         disagreement = din * own - weights @ y_hat
+        x_hat = y_hat.diagonal(0, -2, -1)
         return disagreement, disagreement + weights * (own - x_hat[..., None, :])
     w = graph.csr if rows is None else graph.csr[rows]
     n, m = graph.n, w.shape[0]
@@ -256,21 +264,17 @@ def coupling(
     # the links of the rows asked for, in w's own row numbering
     link_rows, cols = np.repeat(np.arange(m), np.diff(w.indptr)), w.indices
     bracket = disagreement.copy()
-    bracket[..., link_rows, cols] += w.data * (own[..., link_rows, cols] - x_hat[..., cols])
+    bracket[..., link_rows, cols] += w.data * (own[..., link_rows, cols] - y_hat[..., cols, cols])
     return disagreement, bracket
 
 
 def broadcast_terms(
-    graph: DirectedGraph,
-    x_hat: np.ndarray,
-    y_hat: np.ndarray,
-    config: EngineConfig,
-    rows: np.ndarray | None = None,
+    graph: DirectedGraph, y_hat: np.ndarray, config: EngineConfig, rows: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """The state's ``disagreement_sq`` and ``increment`` for these broadcasts,
     at ``rows`` when given (see ``coupling``): the squared row norms of the
     disagreement, and the bracket scaled as ``(bracket * -beta) * dt``."""
-    disagreement, bracket = coupling(graph, x_hat, y_hat, rows)
+    disagreement, bracket = coupling(graph, y_hat, rows)
     bracket *= -config.beta
     bracket *= config.dt
     return (disagreement * disagreement).sum(axis=-1), bracket
@@ -303,8 +307,8 @@ def init(scenario: Scenario) -> EngineState:
     n = scenario.n
     x0, y0 = scenario.x0.copy(), scenario.y0.copy()
     y0[np.arange(n), np.arange(n)] = x0
-    terms = broadcast_terms(scenario.graph, x0, y0, scenario.engine)
-    return EngineState(0, x0, y0, x0.copy(), y0.copy(), *terms)
+    terms = broadcast_terms(scenario.graph, y0, scenario.engine)
+    return EngineState(0, x0, y0, y0.copy(), *terms)
 
 
 def step(state: EngineState, batch: Batch) -> tuple[EngineState, np.ndarray, np.ndarray]:
@@ -316,7 +320,7 @@ def step(state: EngineState, batch: Batch) -> tuple[EngineState, np.ndarray, np.
     computed, so the broadcast values entering the estimate dynamics are the
     latest ones.
 
-    The step takes ownership of the input state's ``x_hat``, ``y_hat``,
+    The step takes ownership of the input state's ``y_hat``,
     ``disagreement_sq`` and ``increment``: it writes the fired players' rows
     into them in place and hands them on in the new state, so a state must
     not be stepped twice; step a copy instead. A state without the member
@@ -334,8 +338,8 @@ def step(state: EngineState, batch: Batch) -> tuple[EngineState, np.ndarray, np.
     game, graph, config = batch.scenario.game, batch.scenario.graph, batch.scenario.engine
     if state.x.ndim < batch.sigma.ndim:
         state = with_members(state, len(batch.sigma))
-    x, y, x_hat, y_hat = state.x, state.y, state.x_hat, state.y_hat
-    e_x = x_hat - x
+    x, y, y_hat = state.x, state.y, state.y_hat
+    e_x = y_hat.diagonal(0, -2, -1) - x
     e_y = y_hat - y
     action_err_sq = e_x * e_x
     # e_y's buffer is reused for its square and, below, for the guard
@@ -343,9 +347,7 @@ def step(state: EngineState, batch: Batch) -> tuple[EngineState, np.ndarray, np.
     energy = action_err_sq + estimate_err_sq
 
     rho = triggering_function(energy, state.disagreement_sq, batch.sigma)
-    fired = decide(
-        rho, energy, batch.threshold[state.step_index], batch.static, batch.continuous
-    )
+    fired = decide(rho, energy, batch.threshold[state.step_index], batch.static)
 
     lo, hi = game.bounds
     grad = gradient_at_estimates(game, y)
@@ -361,16 +363,13 @@ def step(state: EngineState, batch: Batch) -> tuple[EngineState, np.ndarray, np.
             # the sparse path. Nor would rows keep the bits: dense
             # W[rows] @ Y is not always (W @ Y)[rows]; 112 of 600 random
             # small cases differed.
-            np.copyto(x_hat, x, where=fired)
             np.copyto(y_hat, y, where=fired[..., None])
-            disagreement_sq, increment = broadcast_terms(graph, x_hat, y_hat, config)
+            disagreement_sq, increment = broadcast_terms(graph, y_hat, config)
         else:
-            who = np.nonzero(fired)
-            x_hat[who] = x[who]
-            y_hat[who] = y[who]
+            y_hat[fired] = y[fired]
             rows = touched_rows(graph, fired)
             disagreement_sq[..., rows], increment[..., rows, :] = broadcast_terms(
-                graph, x_hat, y_hat, config, rows
+                graph, y_hat, config, rows
             )
 
     k_new = state.step_index + 1
@@ -388,7 +387,7 @@ def step(state: EngineState, batch: Batch) -> tuple[EngineState, np.ndarray, np.
             f"at t={k_new * config.dt:.6g}; reduce alpha, beta, or dt"
         )
 
-    new = EngineState(k_new, x_new, y_new, x_hat, y_hat, disagreement_sq, increment)
+    new = EngineState(k_new, x_new, y_new, y_hat, disagreement_sq, increment)
     return new, fired, rho
 
 

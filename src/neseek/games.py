@@ -18,6 +18,9 @@ import numpy as np
 
 from .errors import DomainError, NonMonotone, ValidationError, number, numbers
 
+# Random action pairs that estimate a non-affine game's constants.
+CONSTANT_SAMPLES = 512
+
 
 @dataclass(frozen=True)
 class ActionInterval:
@@ -206,16 +209,13 @@ def pseudo_gradient(game: GameDefinition, x: np.ndarray) -> np.ndarray:
     return _own_gradient(game, x, x)
 
 
-def estimate_constants(
-    game: GameDefinition,
-    samples: int = 512,
-    seed: int = 0,
-) -> GameConstants:
+def estimate_constants(game: GameDefinition) -> GameConstants:
     """Monotonicity constant and per-player gradient Lipschitz constants.
 
     Affine pseudo-gradients (quadratic game, linear pricing) are handled
-    analytically. Otherwise the constants are sampled over random pairs in
-    the action box and flagged as estimates.
+    analytically. Otherwise the constants are sampled over CONSTANT_SAMPLES
+    random pairs in the action box, drawn from a generator seeded with 0,
+    and flagged as estimates.
     """
     if isinstance(game, QuadraticGame) or game.tau == 1.0:
         if isinstance(game, SpectrumGame):
@@ -230,13 +230,11 @@ def estimate_constants(
             raise NonMonotone(f"estimated monotonicity constant {mu:.3e} is not positive")
         return GameConstants(mu=mu, lbar=float(l.max()), l=l, exact=True)
 
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
     lo, hi = game.bounds
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     mu = math.inf
     l = np.zeros(game.n)
-    for _ in range(samples):
+    for _ in range(CONSTANT_SAMPLES):
         a = rng.uniform(lo, hi)
         b = rng.uniform(lo, hi)
         d = a - b

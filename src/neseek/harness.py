@@ -36,12 +36,14 @@ def _setup(
     once per call when the scenario sets none.
 
     The stochastic law integrates every seed; any other law one member, at
-    the first seed. A law may be given by name, but not twice. The scenario
-    checks the seed and run count, and each member its law and seed, before
-    the equilibrium is solved.
+    the first seed. A law may be given by name, but not twice, and at least
+    one law must be given. The scenario checks the seed and run count, and
+    each member its law and seed, before the equilibrium is solved.
     """
     scenario = replace(scenario, seed=base_seed, runs=runs)
     laws = [LawKind(law) for law in laws]
+    if not laws:
+        raise ValidationError("laws: name at least one law")
     if len(set(laws)) < len(laws):
         raise ValidationError(f"laws: {[law.value for law in laws]} names a law twice")
     seeds = range(scenario.seed, scenario.seed + scenario.runs)

@@ -23,6 +23,9 @@ if TYPE_CHECKING:
 # of small arrays fragment the heap, and peak memory then grows with the runs.
 _POOL_LIMIT = 256
 
+# The time span (seconds) whose errors the decay-rate fit reads.
+RATE_WINDOW = (0.0, 10.0)
+
 
 @dataclass(frozen=True)
 class EnsembleMetrics:
@@ -49,11 +52,11 @@ def interval_stats(gaps: np.ndarray) -> tuple[float, float, float] | None:
     return float(gaps.max()), float(gaps.mean()), float(gaps.min())
 
 
-def rate_fit(times: np.ndarray, err_series: np.ndarray, window: tuple[float, float] = (0.0, 10.0)) -> float:
-    """Least-squares slope of ln(err) against t over the window."""
+def rate_fit(times: np.ndarray, err_series: np.ndarray) -> float:
+    """Least-squares slope of ln(err) against t over RATE_WINDOW."""
     times = np.asarray(times, dtype=float)
     errs = np.asarray(err_series, dtype=float)
-    lo, hi = window
+    lo, hi = RATE_WINDOW
     mask = (times >= lo) & (times <= hi)
     if mask.sum() < 3:
         raise DegenerateWindow("need at least 3 samples in the window")

@@ -173,8 +173,9 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
     trigger = _trigger_from_dict(traw, graph)
 
     eraw = _require(data, "engine", source)
-    fields = _scalars(eraw, "engine", "alpha", "beta", "horizon")
-    fields["dt"] = number(eraw.get("dt", 0.025), "engine.dt")
+    # dt is optional: EngineConfig holds its default
+    keys = ["alpha", "beta", "horizon"] + (["dt"] if "dt" in eraw else [])
+    fields = _scalars(eraw, "engine", *keys)
     with _section("engine"):
         engine = EngineConfig(**fields)
 

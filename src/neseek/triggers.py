@@ -125,14 +125,10 @@ def threshold_term(params: TriggerParams, xi: np.ndarray) -> np.ndarray:
 
 
 def decide(
-    rho: np.ndarray,
-    energy: np.ndarray,
-    threshold: np.ndarray,
-    static: np.ndarray | bool,
-    continuous: np.ndarray | bool,
+    rho: np.ndarray, energy: np.ndarray, threshold: np.ndarray, static: np.ndarray | bool
 ) -> np.ndarray:
     """Fire mask shaped like ``rho``: one entry per player, with an optional
-    leading member axis shared by ``energy``, ``threshold`` and the law masks.
+    leading member axis shared by ``energy``, ``threshold`` and ``static``.
 
     ``rho`` is the triggering function and ``energy`` the raw event-error
     energy (action plus estimate term) of each evaluation; ``threshold`` is
@@ -141,7 +137,10 @@ def decide(
     below the law's fire probability, through this log-domain form, whose
     quiet branch is its exact negation. DYNAMIC is its deterministic limit,
     with the threshold pinned at a_floor. Where ``static`` holds, the margin
-    is the raw energy instead (no disagreement allowance); where
-    ``continuous`` holds, the law always fires.
+    is the raw energy instead (no disagreement allowance). CONTINUOUS reads
+    the raw energy against a -inf threshold, so it fires at every
+    evaluation: the energy is a sum of squares of the state, which
+    ``engine.step`` keeps finite (a non-finite state raises
+    NumericalDivergence), so it is never NaN and always exceeds -inf.
     """
-    return (np.where(static, energy, rho) > threshold) | continuous
+    return np.where(static, energy, rho) > threshold

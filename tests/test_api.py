@@ -75,8 +75,16 @@ def test_engine_reads_the_scenario_whole():
     assert list(inspect.signature(neseek.Batch.of).parameters) == ["scenario", "members"]
     assert list(inspect.signature(neseek.step).parameters) == ["state", "batch"]
     assert list(inspect.signature(neseek.decide).parameters) == [
-        "rho", "energy", "threshold", "static", "continuous"
+        "rho", "energy", "threshold", "static"
     ]
+    # a broadcast is one row of y_hat, its diagonal entry the broadcast
+    # action, and the continuous law is a -inf threshold, not a mask
+    assert [f.name for f in dataclasses.fields(neseek.engine.EngineState)] == [
+        "step_index", "x", "y", "y_hat", "disagreement_sq", "increment"
+    ]
+    assert "continuous" not in [f.name for f in dataclasses.fields(neseek.Batch)]
+    for fn in (neseek.engine.coupling, neseek.engine.broadcast_terms):
+        assert "x_hat" not in inspect.signature(fn).parameters, fn.__name__
     assert [f.name for f in dataclasses.fields(Member)] == ["law", "seed"]
     assert not hasattr(neseek.engine, "check_start")
     assert not hasattr(neseek.errors, "InfeasibleStart")

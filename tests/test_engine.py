@@ -96,7 +96,7 @@ def one_member(law, scenario, seed):
     b = Batch.of(scenario, [Member(law, seed)])
     return dataclasses.replace(
         b, sigma=b.sigma[0], xi=b.xi[:, 0], threshold=b.threshold[:, 0],
-        static=b.static[0], continuous=b.continuous[0],
+        static=b.static[0],
     )
 
 
@@ -108,7 +108,7 @@ class TestInit:
         assert np.array_equal(state.x, PUBLISHED_X0)
         assert state.y[0, 0] == 14.0  # diagonal overwritten by the action
         assert np.array_equal(np.diagonal(state.y), PUBLISHED_X0)
-        assert np.array_equal(state.x_hat, state.x)
+        assert np.array_equal(np.diagonal(state.y_hat), state.x)
         assert np.array_equal(state.y_hat, state.y)
 
     def test_equilibrium_start_has_zero_gradient_residual(self, spectrum_scenario):
@@ -202,17 +202,15 @@ class TestStep:
         state = init(s)
         batch = one_member(s.law, s, 3)
         for _ in range(120):
-            prev_xhat = state.x_hat.copy()
             prev_yhat = state.y_hat.copy()
             prev_x = state.x.copy()
             prev_y = state.y.copy()
             state, fired, _ = step(state, batch)
             for i in range(s.n):
                 if fired[i]:
-                    assert state.x_hat[i] == prev_x[i]
+                    assert state.y_hat[i, i] == prev_x[i]
                     assert np.array_equal(state.y_hat[i], prev_y[i])
                 else:
-                    assert state.x_hat[i] == prev_xhat[i]
                     assert np.array_equal(state.y_hat[i], prev_yhat[i])
 
     def test_step_owns_the_broadcast_buffers(self, quadratic_scenario):
@@ -222,12 +220,12 @@ class TestStep:
         s = quadratic_scenario
         batch = Batch.of(s, [Member(LawKind.CONTINUOUS, 0)])
         stacked = engine.with_members(init(s), 1)
-        buffers = (stacked.x_hat, stacked.y_hat)
+        buffer = stacked.y_hat
         new, fired, _ = step(stacked, batch)
         assert fired.all()
-        assert new.x_hat is buffers[0] and new.y_hat is buffers[1]
+        assert new.y_hat is buffer
         promoted, _, _ = step(init(s), batch)
-        for name in ("x", "y", "x_hat", "y_hat", "disagreement_sq", "increment"):
+        for name in ("x", "y", "y_hat", "disagreement_sq", "increment"):
             assert np.array_equal(getattr(promoted, name), getattr(new, name)), name
 
     def test_divergence_guard(self):
@@ -305,13 +303,12 @@ class TestRun:
                 state,
                 x=state.x.copy(),
                 y=state.y.copy(),
-                x_hat=state.x_hat.copy(),
                 y_hat=state.y_hat.copy(),
             )
             state, _, rho = step(state, batch)
             a = s.graph.weights
             for i in range(s.n):
-                e_x = prev.x_hat[i] - prev.x[i]
+                e_x = prev.y_hat[i, i] - prev.x[i]
                 e_y = prev.y_hat[i] - prev.y[i]
                 disagreement = sum(
                     a[i, j] * (prev.y_hat[i] - prev.y_hat[j]) for j in range(s.n)
@@ -394,6 +391,11 @@ class TestRun:
         laws = [LawKind.STATIC, "static", LawKind.STOCHASTIC, LawKind.STOCHASTIC]
         with pytest.raises(ValidationError, match="names a law twice"):
             compare_laws(quadratic_scenario, laws, 3, 0)
+
+    def test_compare_refuses_an_empty_law_list(self, quadratic_scenario):
+        # it returned {} without a word, where the CLI refuses --laws ,
+        with pytest.raises(ValidationError, match="at least one law"):
+            compare_laws(quadratic_scenario, [], 2, 0)
 
     @pytest.mark.parametrize(
         "call",
@@ -590,12 +592,16 @@ class TestBatch:
             capped = member.law is LawKind.DYNAMIC
             want = np.minimum(p.sigma, sigma_bound(s.graph)) if capped else p.sigma
             assert np.array_equal(batch.sigma[r], want), member.law
+        # the continuous law reads the raw energy against a -inf threshold
+        continuous = [m.law is LawKind.CONTINUOUS for m in members]
+        raw = [m.law in (LawKind.STATIC, LawKind.CONTINUOUS) for m in members]
+        assert batch.static[:, 0].tolist() == raw
         assert batch.threshold.shape == (s.engine.steps, len(members), s.n)
         for k in range(s.engine.steps):
             decay = p.delta0 * np.exp(-p.eta * (k * s.engine.dt))
-            assert np.array_equal(
-                batch.threshold[k], (decay / p.c) * threshold_term(p, batch.xi[k])
-            ), k
+            want = (decay / p.c) * threshold_term(p, batch.xi[k])
+            want[continuous] = -math.inf
+            assert np.array_equal(batch.threshold[k], want), k
 
     def test_thresholds_follow_per_player_streams(self, quadratic_scenario):
         s = quadratic_scenario
@@ -745,10 +751,12 @@ class TestSparseCoupling:
         shape = (n,) if runs is None else (runs, n)
         x, x_hat = rng.uniform(-3.0, 3.0, (2, *shape))
         y, y_hat = rng.uniform(-3.0, 3.0, (2, *shape, n))
+        # the broadcast actions are the diagonal of the broadcast rows
+        y_hat[..., np.arange(n), np.arange(n)] = x_hat
         with pytest.MonkeyPatch.context() as mp:
             force_coupling(mp, sparse=False)
-            terms = engine.broadcast_terms(graph, x_hat, y_hat, self.CONFIG)
-        state = EngineState(3, x, y, x_hat, y_hat, *terms)
+            terms = engine.broadcast_terms(graph, y_hat, self.CONFIG)
+        state = EngineState(3, x, y, y_hat, *terms)
         laws = list(LawKind)
         if runs is None:
             batch = one_member(LawKind.STOCHASTIC, s, seed)
@@ -763,7 +771,7 @@ class TestSparseCoupling:
                 new, fired, rho = step(copied(state), batch)
             out[sparse] = (
                 new.y, new.disagreement_sq, new.increment,
-                new.x, new.x_hat, new.y_hat, fired, rho,
+                new.x, new.y_hat, fired, rho,
             )
         for k, (dense, sparse) in enumerate(zip(out[False], out[True])):
             assert dense.shape == sparse.shape and dense.dtype == sparse.dtype
@@ -811,16 +819,13 @@ class TestSparseCoupling:
                 mp.setattr(engine, "decide", lambda rho, *rest: masks[pattern](rho.shape))
                 prev = copied(state)
                 state, fired, _ = step(state, batch)
-                x_hat = np.where(fired, prev.x, prev.x_hat)
                 y_hat = np.where(fired[..., None], prev.y, prev.y_hat)
-                disagreement_sq, increment = engine.broadcast_terms(
-                    graph, x_hat, y_hat, self.CONFIG
-                )
+                disagreement_sq, increment = engine.broadcast_terms(graph, y_hat, self.CONFIG)
                 y = prev.y + increment
                 y[..., np.arange(n), np.arange(n)] = state.x
                 for got, full in [
-                    (state.x_hat, x_hat), (state.y_hat, y_hat),
-                    (state.disagreement_sq, disagreement_sq), (state.increment, increment),
+                    (state.y_hat, y_hat), (state.disagreement_sq, disagreement_sq),
+                    (state.increment, increment),
                     (state.y, y),
                 ]:
                     assert got.shape == full.shape

@@ -292,7 +292,7 @@ class TestEstimateConstants:
 
     def test_sampled_path_for_superlinear_pricing(self):
         game = published_game(tau=2.0)
-        c = estimate_constants(game, samples=256)
+        c = estimate_constants(game)
         assert not c.exact
         assert c.mu > 0
         assert (c.l > 0).all()

@@ -2,7 +2,8 @@
 
 Each bundled scenario is copied with a 5 s horizon. `simulate` runs at seeds
 0 and 123, and `compare --laws continuous,static,dynamic,stochastic --runs 2`
-runs at the scenario's own seed. The SHA-256 of every artifact is pinned, so
+runs at the scenario's own seed; `simulate` also runs at seed 0 under each
+deterministic law. The SHA-256 of every artifact is pinned, so
 a refactor meant to preserve behaviour must leave every byte unchanged. A
 change that alters artifacts on purpose updates the table below and says so
 in CHANGES.md.
@@ -114,3 +115,109 @@ def artifact_hashes(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_artifacts_byte_identical(name, tmp_path, capsys):
     assert artifact_hashes(name, tmp_path) == GOLDEN[name]
+
+
+# `simulate` at seed 0 under each deterministic law, on the same 5 s copies:
+# the table above pins only the bundled stochastic law's runs.
+LAW_SEED = 0
+LAW_GOLDEN = {
+    "quadratic_demo": {
+        "continuous/actions.svg":
+            "aae94f62bea3eb6622e1647a059bf7c741f50382c969a3d4dddc5febcef3c0f0",
+        "continuous/error.svg":
+            "51438e6887cf397fd91ae3a3741efef927894b56c6a08d36e0b11fec5fc0b0b2",
+        "continuous/events.csv":
+            "e8e5e7799cd2102035c9f1d4de52da2ad1b10719f0a8167fe67f5d2ab99a63df",
+        "continuous/gamma.svg":
+            "d2373c7db13181da68ed7db752bb4e4142258788f56dc5f9cf74b3e69f6f0d99",
+        "continuous/metrics.json":
+            "a6782bf1882cfef9c57b5a382c1cf9c48d0ca833fa6bb1d160a01b22b7d3035c",
+        "continuous/trajectory.csv":
+            "72a67f1df8e4cc441c63b022400d86af5f13299fdb8b4786c2940a84e6586148",
+        "dynamic/actions.svg":
+            "618fcc6b4729c25bbfada8130d909f040598e441badd732f71959a85c50ab68b",
+        "dynamic/error.svg":
+            "8c8923ecf38fbd187f2d62b2b3040eb2731ae2081eab7cfeebddcb5080cd9241",
+        "dynamic/events.csv":
+            "2d519d2c8260c9c8a5a5d7a0fd2ed545c9cf4e00ea9f8a4d62edac77823a0a92",
+        "dynamic/gamma.svg":
+            "2bdcc8a74c7d29e9d79a03f9eaac58ca3ce1bd6fdbcb556c9b2867fcde2e495e",
+        "dynamic/metrics.json":
+            "7dc370e8a5f28060bcb35b7a4695c1034aff82fc924e92eebd6411383053319d",
+        "dynamic/trajectory.csv":
+            "6ac6bf33e1700e9aa40f210984e23e98f2f631427fc51d4dc739e389ac0e5661",
+        "static/actions.svg":
+            "09d1af2e043c2438db4d2f28e1e6e8cc71b9e44089224b33713ac1b8df12be97",
+        "static/error.svg":
+            "b6984b920c6f7eeeaf34945b88f9babaf16f41b1dbfa78edfe8403163cc94258",
+        "static/events.csv":
+            "35d6bbaaae5a28b6ce0c03c094a79fd96fe87eb8798416b2b589596f31dc52cb",
+        "static/gamma.svg":
+            "a257faeb3cd8c9fad99776ea81d729a1fd3fa5f5daaebe06e7c5fc2d0d3cc945",
+        "static/metrics.json":
+            "88a8f279333a86c484f5a5a5f7fdc4699464ae1cbc2056e0a113d923c7aa155d",
+        "static/trajectory.csv":
+            "a94fe04141f4c0d18c0585516d678ed1d4d71402d5e7f44bd0c9a19a2993c7ed",
+    },
+    "spectrum_paper": {
+        "continuous/actions.svg":
+            "b0600a75efae8063d6b7af42c030c4e314938fdb55c0a580a76ef49b258b6835",
+        "continuous/error.svg":
+            "db26dada692e2ca4ed9635b5ccc9ddb7b2459e2f5920fa6372c9edbb84b863d4",
+        "continuous/events.csv":
+            "9cc636b97b1c69ccc8839c760bb9a859485b614c7f0e03d7eaf4672e34794e5b",
+        "continuous/gamma.svg":
+            "d2373c7db13181da68ed7db752bb4e4142258788f56dc5f9cf74b3e69f6f0d99",
+        "continuous/metrics.json":
+            "1dfbe5a1d691b1ae44914c24873a00ed9fcec0fcf8b3c6361ae8348ab6faac21",
+        "continuous/trajectory.csv":
+            "8a25f8c4900203f07c37d06345b54113ba7f91128aa2f8c855e9c24c2caac47f",
+        "dynamic/actions.svg":
+            "3a04394b9f95a53c1779bb106832ffb690edff5e1405dd506670c69c38ce60de",
+        "dynamic/error.svg":
+            "599cb7669b59995b4cbf8d435de838e2a1ef5bd3707729358da77959763c5773",
+        "dynamic/events.csv":
+            "4b8c09aff4336a7e399ce2f9347205d1fdd1d33109bc0ffabb1c6cafb477ef04",
+        "dynamic/gamma.svg":
+            "72c973b48079c9e11422f574dec8ce8bcf88a9100c7d4fff154765dbed2b3a64",
+        "dynamic/metrics.json":
+            "ddd5fd654c84da865b17bb56f65086f063e3aa8ba6f006ad64daf918b1e218cc",
+        "dynamic/trajectory.csv":
+            "6be7c7e3480ed697fd668d1bd2e350d98123568e9b4f9195bcbe6ba9b5703202",
+        "static/actions.svg":
+            "e2da60aa70f997e2314122fe49c509f58e50e7866974527313292719a98a990c",
+        "static/error.svg":
+            "9ec418b89847e917cd2180981604d57c57c36ce0896601d826e661193a73c33c",
+        "static/events.csv":
+            "8c72a4674e797e5b0b655138207d183577a6fbd7cd270ece112c8a3ada2918db",
+        "static/gamma.svg":
+            "6dea1c18a9ee0f13e43728d639ecef2ecd48dd9020cede397b9e4afb941a389a",
+        "static/metrics.json":
+            "366669758ef7aa4935d23d04696067f921d1b06de81588be7e4bc83fd6f4c0e5",
+        "static/trajectory.csv":
+            "cc52f9bcf74f5cdabaee1436559f506103c6928d840d22040be53fc4c24c1d03",
+    },
+}
+
+
+def law_hashes(name, law, tmp_path):
+    doc = json.loads(bundled_path(name).read_text())
+    doc["engine"]["horizon"] = HORIZON
+    doc["trigger"]["law"] = law
+    config = tmp_path / f"{name}-{law}.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / law
+    argv = ["simulate", "--seed", str(LAW_SEED), "--config", str(config), "--out", str(out)]
+    assert cli.main(argv) == 0
+    return {
+        f"{law}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.iterdir())
+    }
+
+
+@pytest.mark.parametrize("name", sorted(LAW_GOLDEN))
+def test_every_law_simulates_byte_identical(name, tmp_path, capsys):
+    hashes = {}
+    for law in ("continuous", "static", "dynamic"):
+        hashes.update(law_hashes(name, law, tmp_path))
+    assert hashes == LAW_GOLDEN[name]

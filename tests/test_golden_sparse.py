@@ -4,10 +4,11 @@ The bundled scenarios take the dense path, so `test_golden` never reaches
 the CSR product. This run does: a 128-player directed ring plus one seeded
 chord into every player, a seeded quadratic game whose gradients keep the
 actions inside their box (so the actions follow the estimates), and 20 steps
-of a stochastic and a static member in one batch. The SHA-256 of each
-member's columns is pinned, so a change to the sparse path meant to preserve
-behaviour must leave every bit unchanged. The digests were recorded before
-the sparse step became event-driven.
+of one member per law in one batch. The SHA-256 of each member's columns is
+pinned, so a change to the sparse path meant to preserve behaviour must leave
+every bit unchanged. The stochastic and static digests were recorded before
+the sparse step became event-driven, the continuous and dynamic ones before
+the state dropped its separate copy of the broadcast actions.
 
 Float bytes depend on the platform's libm and BLAS. The table was recorded
 on x86-64 Linux, Python 3.11, numpy 2.4 with OpenBLAS.
@@ -58,6 +59,30 @@ GOLDEN = {
         "xi":
             "c8aeed44f9feac1f117ef8b766722609e33259444845f4711cedd79037f40340",
     },
+    "continuous": {
+        "actions":
+            "5dff043222d0b76c5959c2472fcdcceb9d314cd16efe20fe613d6813864dfca6",
+        "err_inf":
+            "c399b84c9ed1a64bd81e840bebab327361c3a2e3f6891b74e5956c47148622e9",
+        "trig":
+            "bbfaa90a80e53128cd3198c01e55d3e9bfb61c8c0c341062e0e86c4f13381b93",
+        "rho":
+            "20a0212569c4e687bcb0b0b8e8c148892d851d3d54a4a2125759a8ea3880ec19",
+        "xi":
+            "c8aeed44f9feac1f117ef8b766722609e33259444845f4711cedd79037f40340",
+    },
+    "dynamic": {
+        "actions":
+            "e98f050f94247e9d0609a9ac40436df040446fcb1008e620ffd98f1a406c1f11",
+        "err_inf":
+            "084d4a76592ac5809e5ea3b7237335a07d8c6672c26496077f98b7c8f3930ca9",
+        "trig":
+            "dabb5f344751cf4b9988317189c985faf2183bf99f9d2f7bd052a2f9716188c7",
+        "rho":
+            "0db7ef4e1dd9dec42acac7175fbb874b59e1475236f268895ad3b476bf8851e9",
+        "xi":
+            "c8aeed44f9feac1f117ef8b766722609e33259444845f4711cedd79037f40340",
+    },
 }
 
 
@@ -101,6 +126,6 @@ def digests(result):
 def test_sparse_run_byte_identical():
     s = sparse_scenario()
     assert engine.sparse_coupling(s.graph)
-    members = [Member(LawKind.STOCHASTIC, 5), Member(LawKind.STATIC, 5)]
+    members = [Member(law, 5) for law in LawKind]
     results = run(s, members)
     assert {m.law.value: digests(r) for m, r in zip(members, results)} == GOLDEN

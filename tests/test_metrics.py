@@ -82,7 +82,7 @@ class TestIntervalStats:
 class TestRateFit:
     def test_exact_exponential(self):
         t = np.linspace(0, 10, 401)
-        slope = rate_fit(t, np.exp(-2.0 * t), window=(0.0, 10.0))
+        slope = rate_fit(t, np.exp(-2.0 * t))
         assert slope == pytest.approx(-2.0, abs=1e-6)
 
     def test_constant_series(self):
@@ -91,7 +91,7 @@ class TestRateFit:
 
     def test_degenerate_cases(self):
         with pytest.raises(DegenerateWindow):
-            rate_fit(np.array([0.0, 1.0]), np.array([1.0, 0.5]), window=(0.0, 1.0))
+            rate_fit(np.array([0.0, 1.0]), np.array([1.0, 0.5]))
         t = np.linspace(0, 10, 101)
         bad = np.exp(-t)
         bad[3] = 0.0

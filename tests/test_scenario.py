@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from neseek import LawKind, Member, load_scenario, run
+from neseek import EngineConfig, LawKind, Member, load_scenario, run
 from neseek.data import bundled_path
 from neseek.errors import ParseError, ValidationError
 from neseek.scenario import AdvisoryWarning, scenario_from_dict
@@ -275,6 +275,16 @@ def test_unread_keys_are_ignored():
     with pytest.warns(AdvisoryWarning):
         plain = scenario_from_dict(quadratic_dict())
     assert s.engine == plain.engine
+
+
+def test_engine_dt_defaults_to_the_engine_config():
+    # both bundled documents set dt, so only a document without it reads the default
+    data = quadratic_dict()
+    del data["engine"]["dt"]
+    with pytest.warns(AdvisoryWarning):
+        s = scenario_from_dict(data)
+    e = data["engine"]
+    assert s.engine == EngineConfig(alpha=e["alpha"], beta=e["beta"], horizon=e["horizon"])
 
 
 def test_missing_file_is_parse_error(tmp_path):

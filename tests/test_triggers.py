@@ -72,10 +72,12 @@ def law_inputs(c, p):
 def decide_law(law, p, rho, energy, decay, u):
     """``decide`` for evaluations that all follow ``law``, given the uniform
     draw ``u`` of each; deterministic laws record NaN thresholds. The
-    threshold is formed as ``Batch.of`` forms it."""
+    threshold and the margin are chosen as ``Batch.of`` chooses them."""
     xi = xi_from_uniform(p, u) if law is LawKind.STOCHASTIC else np.full(np.shape(u), math.nan)
     threshold = (decay / p.c) * threshold_term(p, xi)
-    return decide(rho, energy, threshold, law is LawKind.STATIC, law is LawKind.CONTINUOUS)
+    if law is LawKind.CONTINUOUS:
+        threshold = np.full_like(threshold, -math.inf)
+    return decide(rho, energy, threshold, law in (LawKind.STATIC, LawKind.CONTINUOUS))
 
 
 def test_params_validation():
