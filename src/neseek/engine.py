@@ -14,16 +14,16 @@ everything the estimate coupling derives from them. The state carries those
 terms, and a step forms them again only when a player fired: whole below
 the sparse crossover, and only at the rows its broadcasts touch above it.
 
-The state may carry a leading member axis: R runs of one scenario then
-advance together, as (R, n) actions and (R, n, n) estimates. A member is a
-law and a seed; the members of a batch share the scenario's trigger
-parameters, and ``Batch.of`` turns them into each member's thresholds once.
+The state carries a leading member axis: R runs of one scenario advance
+together, as (R, n) actions and (R, n, n) estimates. A member is a law and
+a seed; the members of a batch share the scenario's trigger parameters,
+and ``Batch.of`` turns them into each member's thresholds once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
@@ -130,7 +130,7 @@ class Batch:
         fires.
         """
         if not members:
-            raise ValueError("a batch needs at least one member")
+            raise ValidationError("members: a batch needs at least one member")
         params, dt, steps = scenario.trigger, scenario.engine.dt, scenario.engine.steps
         xi = np.full((steps, len(members), params.n), math.nan)
         for r, m in enumerate(members):
@@ -168,7 +168,8 @@ class EngineState:
     squared norm of each row of ``din * y_hat - W @ y_hat``, which the
     triggering function reads, and ``increment``, the estimate update
     ``dt * (-beta * bracket)``, under the step sizes of the scenario's
-    engine config. The arrays may share a leading member axis. The instant
+    engine config. Every array has the batch's leading member axis: ``x``
+    and ``disagreement_sq`` are (R, n), the others (R, n, n). The instant
     is ``step_index * dt``.
     """
 
@@ -226,105 +227,97 @@ class RunResult:
 
 
 def sparse_coupling(graph: DirectedGraph) -> bool:
-    """True when ``coupling`` applies W through its CSR form, not densely."""
+    """True when ``broadcast_terms`` applies W through its CSR form, not
+    densely."""
     n = graph.n
     return n >= SPARSE_MIN_N and len(graph.links[0]) <= SPARSE_MAX_DENSITY * n * n
-
-
-def coupling(
-    graph: DirectedGraph, y_hat: np.ndarray, rows: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The estimate coupling of the broadcasts: ``disagreement = din * y_hat -
-    W @ y_hat`` and the bracket ``disagreement + W * (y_hat - x_hat)`` of the
-    estimate dynamics, where column j of the second term reads the broadcast
-    action x_hat[j] = y_hat[j, j].
-
-    Takes (n, n) broadcasts or a leading member axis on them, and returns
-    new arrays; with ``rows``, an array of row indices, only those
-    rows of both terms. On the sparse path the members fold into the columns
-    of one CSR product, and the second term is formed only at the links; a
-    CSR row slice keeps each row's summation order, so a row comes out the
-    same whichever rows are asked for. With unit weights and at most two
-    links per row both paths give the same bits.
-    """
-    din, own = graph.in_degrees[:, None], y_hat
-    if rows is not None:
-        din, own = din[rows], y_hat[..., rows, :]
-    if not sparse_coupling(graph):
-        weights = graph.weights if rows is None else graph.weights[rows]
-        disagreement = din * own - weights @ y_hat
-        x_hat = y_hat.diagonal(0, -2, -1)
-        return disagreement, disagreement + weights * (own - x_hat[..., None, :])
-    w = graph.csr if rows is None else graph.csr[rows]
-    n, m = graph.n, w.shape[0]
-    # (..., n, n) -> (n, ... * n): row i of the product is W[i] @ y_hat[..., :, :]
-    folded = np.moveaxis(y_hat, -2, 0).reshape(n, -1)
-    w_y = np.moveaxis((w @ folded).reshape(m, *y_hat.shape[:-2], n), 0, -2)
-    disagreement = np.subtract(din * own, w_y, out=w_y)
-    # the links of the rows asked for, in w's own row numbering
-    link_rows, cols = np.repeat(np.arange(m), np.diff(w.indptr)), w.indices
-    bracket = disagreement.copy()
-    bracket[..., link_rows, cols] += w.data * (own[..., link_rows, cols] - y_hat[..., cols, cols])
-    return disagreement, bracket
 
 
 def broadcast_terms(
     graph: DirectedGraph, y_hat: np.ndarray, config: EngineConfig, rows: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The state's ``disagreement_sq`` and ``increment`` for these broadcasts,
-    at ``rows`` when given (see ``coupling``): the squared row norms of the
-    disagreement, and the bracket scaled as ``(bracket * -beta) * dt``."""
-    disagreement, bracket = coupling(graph, y_hat, rows)
+    """The state's ``disagreement_sq`` and ``increment`` for the (R, n, n)
+    broadcasts ``y_hat``, as new arrays: the squared row norms of
+    ``disagreement = din * y_hat - W @ y_hat``, and the bracket
+    ``disagreement + W * (y_hat - x_hat)`` of the estimate dynamics scaled as
+    ``(bracket * -beta) * dt``, where column j of the second term reads the
+    broadcast action x_hat[j] = y_hat[j, j]. This is the one place that
+    applies W.
+
+    With ``rows``, an array of row indices, only those rows, with the bits
+    of the same rows of the full form on either path. The dense path forms
+    the whole and takes its rows: a dense ``W[rows] @ y_hat`` is not always
+    ``(W @ y_hat)[rows]``. The sparse path folds the members into the
+    columns of one CSR product and forms the second term only at the links;
+    a CSR row slice keeps each row's summation order, so it forms only the
+    rows asked for. With unit weights and at most two links per row both
+    paths give the same bits.
+    """
+    din = graph.in_degrees[:, None]
+    if not sparse_coupling(graph):
+        disagreement = din * y_hat - graph.weights @ y_hat
+        x_hat = y_hat.diagonal(0, 1, 2)
+        bracket = disagreement + graph.weights * (y_hat - x_hat[:, None, :])
+        if rows is not None:
+            disagreement, bracket = disagreement[:, rows], bracket[:, rows]
+    else:
+        own, w = y_hat, graph.csr
+        if rows is not None:
+            din, own, w = din[rows], y_hat[:, rows], w[rows]
+        (runs, n, _), m = y_hat.shape, w.shape[0]
+        # (R, n, n) -> (n, R * n): row i of the product is W[i] @ y_hat[r] for every r
+        folded = y_hat.transpose(1, 0, 2).reshape(n, runs * n)
+        w_y = (w @ folded).reshape(m, runs, n).transpose(1, 0, 2)
+        disagreement = np.subtract(din * own, w_y, out=w_y)
+        # the links of the rows asked for, in w's own row numbering
+        link_rows, cols = np.repeat(np.arange(m), np.diff(w.indptr)), w.indices
+        bracket = disagreement.copy()
+        bracket[:, link_rows, cols] += w.data * (own[:, link_rows, cols] - y_hat[:, cols, cols])
     bracket *= -config.beta
     bracket *= config.dt
     return (disagreement * disagreement).sum(axis=-1), bracket
 
 
 def touched_rows(graph: DirectedGraph, fired: np.ndarray) -> np.ndarray:
-    """The rows whose coupling terms change when the players that fired for
-    any member re-broadcast: those players and every player hearing one of
-    them, as increasing indices. Read from the links, not the weights."""
-    hit = fired.reshape(-1, graph.n).any(axis=0)
+    """The rows whose coupling terms change when the players that fired, an
+    (R, n) mask, re-broadcast for any member: those players and every player
+    hearing one of them, as increasing indices. Read from the links, not the
+    weights."""
+    hit = fired.any(axis=0)
     rows, cols = graph.links
     hit[rows[hit[cols]]] = True
     return np.flatnonzero(hit)
 
 
-def with_members(state: EngineState, runs: int) -> EngineState:
-    """The state repeated along a new leading member axis of length ``runs``."""
-    arrays = [f.name for f in fields(state) if f.name != "step_index"]
-    return replace(state, **{k: np.stack([getattr(state, k)] * runs) for k in arrays})
-
-
-def init(scenario: Scenario) -> EngineState:
-    """The scenario's initial state: broadcasts equal the state, so event
-    errors start at zero, and their terms are formed under the scenario's
-    engine config.
+def init(batch: Batch) -> EngineState:
+    """The initial state of the batch's members: broadcasts equal the state,
+    so event errors start at zero, and their terms are formed under the
+    scenario's engine config. The scenario's start is formed once and
+    repeated along the member axis.
 
     The diagonal of y0 is overwritten with x0 to keep own-estimates exact.
     The scenario validated its start when it was built.
     """
+    scenario, runs = batch.scenario, len(batch.sigma)
     n = scenario.n
-    x0, y0 = scenario.x0.copy(), scenario.y0.copy()
-    y0[np.arange(n), np.arange(n)] = x0
+    x0, y0 = scenario.x0[None], scenario.y0[None].copy()
+    y0[:, np.arange(n), np.arange(n)] = x0
     terms = broadcast_terms(scenario.graph, y0, scenario.engine)
-    return EngineState(0, x0, y0, y0.copy(), *terms)
+    return EngineState(0, *(np.repeat(a, runs, axis=0) for a in (x0, y0, y0, *terms)))
 
 
 def step(state: EngineState, batch: Batch) -> tuple[EngineState, np.ndarray, np.ndarray]:
     """Advance one grid step of the batch's scenario and members.
 
     Returns the new state, the boolean fire mask and the triggering-function
-    values of this step's evaluations, both shaped like ``state.x`` with the
-    batch's member axis. Trigger decisions are made before derivatives are
-    computed, so the broadcast values entering the estimate dynamics are the
-    latest ones.
+    values of this step's evaluations, both (R, n) like ``state.x``. Trigger
+    decisions are made before derivatives are computed, so the broadcast
+    values entering the estimate dynamics are the latest ones.
 
     The step takes ownership of the input state's ``y_hat``,
     ``disagreement_sq`` and ``increment``: it writes the fired players' rows
     into them in place and hands them on in the new state, so a state must
-    not be stepped twice; step a copy instead. A state without the member
-    axis under a batch with one takes the axis on first.
+    not be stepped twice; step a copy instead.
 
     The coupling terms are formed again only when some player fired: a
     quiet step has the same broadcasts, so it keeps the carried terms and
@@ -336,10 +329,8 @@ def step(state: EngineState, batch: Batch) -> tuple[EngineState, np.ndarray, np.
     a full recompute.
     """
     game, graph, config = batch.scenario.game, batch.scenario.graph, batch.scenario.engine
-    if state.x.ndim < batch.sigma.ndim:
-        state = with_members(state, len(batch.sigma))
     x, y, y_hat = state.x, state.y, state.y_hat
-    e_x = y_hat.diagonal(0, -2, -1) - x
+    e_x = y_hat.diagonal(0, 1, 2) - x
     e_y = y_hat - y
     action_err_sq = e_x * e_x
     # e_y's buffer is reused for its square and, below, for the guard
@@ -360,15 +351,13 @@ def step(state: EngineState, batch: Batch) -> tuple[EngineState, np.ndarray, np.
             # 2-core x86-64 host, `run` of the paper_ensemble batch (4
             # members, 800 steps, median of 8 alternating best-of-5) took
             # 27.4 ms that way against 38.3 ms with the row-level update of
-            # the sparse path. Nor would rows keep the bits: dense
-            # W[rows] @ Y is not always (W @ Y)[rows]; 112 of 600 random
-            # small cases differed.
-            np.copyto(y_hat, y, where=fired[..., None])
+            # the sparse path.
+            np.copyto(y_hat, y, where=fired[:, :, None])
             disagreement_sq, increment = broadcast_terms(graph, y_hat, config)
         else:
             y_hat[fired] = y[fired]
             rows = touched_rows(graph, fired)
-            disagreement_sq[..., rows], increment[..., rows, :] = broadcast_terms(
+            disagreement_sq[:, rows], increment[:, rows] = broadcast_terms(
                 graph, y_hat, config, rows
             )
 
@@ -377,7 +366,7 @@ def step(state: EngineState, batch: Batch) -> tuple[EngineState, np.ndarray, np.
     y_new = y + increment
     # the diagonal of the fresh, contiguous y_new as a flat strided view
     n = graph.n
-    y_new.reshape(*x_new.shape[:-1], n * n)[..., :: n + 1] = x_new
+    y_new.reshape(len(x_new), n * n)[:, :: n + 1] = x_new
 
     # y_new carries x_new on its diagonal, so it bounds the whole state; a
     # NaN fails the comparison as well
@@ -403,12 +392,12 @@ def run(scenario: Scenario, members: Sequence[Member]) -> list[RunResult]:
     """
     x_star = scenario.ne_override
     if x_star is None:
-        raise ValueError("run needs scenario.ne_override: the errors are measured against it")
+        raise ValidationError("ne_override: unset; run measures the errors against it")
     config = scenario.engine
     n, steps, runs = scenario.n, config.steps, len(members)
     batch = Batch.of(scenario, members)
 
-    state = with_members(init(scenario), runs)
+    state = init(batch)
     times = np.arange(steps + 1) * config.dt
     actions = np.empty((steps + 1, runs, n))
     trig = np.zeros((steps + 1, runs, n), dtype=np.int8)

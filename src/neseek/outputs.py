@@ -55,10 +55,8 @@ def write_summary_csv(path: Path, rows: Sequence[dict]) -> None:
     write_csv(path, header, ([row[key] for key in header] for row in rows))
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
-    return list(np.linspace(lo, hi, count))
+def _ticks(lo: float, hi: float) -> list[float]:
+    return list(np.linspace(lo, hi, 5))
 
 
 def line_chart_svg(

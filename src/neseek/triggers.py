@@ -127,8 +127,9 @@ def threshold_term(params: TriggerParams, xi: np.ndarray) -> np.ndarray:
 def decide(
     rho: np.ndarray, energy: np.ndarray, threshold: np.ndarray, static: np.ndarray | bool
 ) -> np.ndarray:
-    """Fire mask shaped like ``rho``: one entry per player, with an optional
-    leading member axis shared by ``energy``, ``threshold`` and ``static``.
+    """Fire mask shaped like ``rho``, (R, n) in a step: one entry per member
+    and player, as in ``energy`` and ``threshold``; ``static`` is the (R, 1)
+    mask of the members whose margin is the raw energy.
 
     ``rho`` is the triggering function and ``energy`` the raw event-error
     energy (action plus estimate term) of each evaluation; ``threshold`` is

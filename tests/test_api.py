@@ -9,6 +9,7 @@ import pytest
 import neseek
 from neseek import (
     ActionInterval,
+    Batch,
     DirectedGraph,
     EngineConfig,
     LawKind,
@@ -17,6 +18,7 @@ from neseek import (
     SpectrumGame,
     TriggerParams,
     compare_laws,
+    run,
     single_run,
 )
 from neseek.data import bundled_path
@@ -69,7 +71,11 @@ def test_engine_reads_the_scenario_whole():
     # the scenario is the one validated input: the engine takes it whole and
     # keeps no start check of its own
     assert list(inspect.signature(neseek.run).parameters) == ["scenario", "members"]
-    assert list(inspect.signature(neseek.init).parameters) == ["scenario"]
+    # every state has the member axis: init starts the batch's members, and
+    # W is applied in one place
+    assert list(inspect.signature(neseek.init).parameters) == ["batch"]
+    assert not hasattr(neseek.engine, "with_members")
+    assert not hasattr(neseek.engine, "coupling")
     # a member is a law and a seed, and the batch derives the rest from the
     # scenario: the sigma cap, the decaying scale and the thresholds
     assert list(inspect.signature(neseek.Batch.of).parameters) == ["scenario", "members"]
@@ -83,8 +89,7 @@ def test_engine_reads_the_scenario_whole():
         "step_index", "x", "y", "y_hat", "disagreement_sq", "increment"
     ]
     assert "continuous" not in [f.name for f in dataclasses.fields(neseek.Batch)]
-    for fn in (neseek.engine.coupling, neseek.engine.broadcast_terms):
-        assert "x_hat" not in inspect.signature(fn).parameters, fn.__name__
+    assert "x_hat" not in inspect.signature(neseek.engine.broadcast_terms).parameters
     assert [f.name for f in dataclasses.fields(Member)] == ["law", "seed"]
     assert not hasattr(neseek.engine, "check_start")
     assert not hasattr(neseek.errors, "InfeasibleStart")
@@ -150,6 +155,21 @@ def test_the_type_that_holds_a_value_refuses_it(build, message):
     with pytest.raises(ValidationError, match=f"^{message}") as err:
         build()
     assert isinstance(err.value, ValueError) and isinstance(err.value, NeseekError)
+
+
+def test_the_engine_names_the_field_it_refuses(quadratic_scenario):
+    # both were bare ValueErrors, where every other refused input is a
+    # ValidationError that names its field
+    s, member = quadratic_scenario, Member(LawKind.STOCHASTIC, 0)
+    anchored = dataclasses.replace(s, ne_override=s.x0)
+    cases = [
+        (lambda: Batch.of(s, []), "members: "),
+        (lambda: run(anchored, members=[]), "members: "),
+        (lambda: run(s, members=[member]), "ne_override: "),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            build()
 
 
 def test_one_bad_value_reads_the_same_from_every_caller(quadratic_scenario):

@@ -91,40 +91,55 @@ def draw(rngs):
 
 
 def one_member(law, scenario, seed):
-    """``step``'s inputs for one run of the scenario on an unbatched state: a
-    one-member ``Batch`` with its member axis dropped."""
-    b = Batch.of(scenario, [Member(law, seed)])
-    return dataclasses.replace(
-        b, sigma=b.sigma[0], xi=b.xi[:, 0], threshold=b.threshold[:, 0],
-        static=b.static[0],
-    )
+    """The one-member ``Batch`` that ``init`` and ``step`` take for one run of
+    the scenario."""
+    return Batch.of(scenario, [Member(law, seed)])
 
 
 class TestInit:
     def test_shipped_initial_state(self, spectrum_scenario):
-        s = spectrum_scenario
-        state = init(dataclasses.replace(s, x0=PUBLISHED_X0, y0=PUBLISHED_Y0))
+        s = dataclasses.replace(spectrum_scenario, x0=PUBLISHED_X0, y0=PUBLISHED_Y0)
+        state = init(one_member(s.law, s, 0))
         assert state.step_index == 0
-        assert np.array_equal(state.x, PUBLISHED_X0)
-        assert state.y[0, 0] == 14.0  # diagonal overwritten by the action
-        assert np.array_equal(np.diagonal(state.y), PUBLISHED_X0)
-        assert np.array_equal(np.diagonal(state.y_hat), state.x)
+        assert np.array_equal(state.x, [PUBLISHED_X0])
+        assert state.y[0, 0, 0] == 14.0  # diagonal overwritten by the action
+        assert np.array_equal(state.y.diagonal(0, 1, 2), [PUBLISHED_X0])
+        assert np.array_equal(state.y_hat.diagonal(0, 1, 2), state.x)
         assert np.array_equal(state.y_hat, state.y)
 
     def test_equilibrium_start_has_zero_gradient_residual(self, spectrum_scenario):
         s = spectrum_scenario
         x_star = solve_ne(s.game).x_star
         y0 = np.tile(x_star, (5, 1))
-        state = init(dataclasses.replace(s, x0=x_star, y0=y0))
+        state = init(one_member(s.law, dataclasses.replace(s, x0=x_star, y0=y0), 0))
         from neseek import verify_ne
 
-        assert verify_ne(s.game, state.x, s.engine.alpha) <= 1e-12
+        assert verify_ne(s.game, state.x[0], s.engine.alpha) <= 1e-12
+
+    def test_every_member_starts_from_the_scenario(self, quadratic_scenario):
+        # the start and its terms are formed once and repeated along the
+        # member axis, into arrays the state owns; a step keeps the axis
+        s, n = quadratic_scenario, quadratic_scenario.n
+        names = ("x", "y", "y_hat", "disagreement_sq", "increment")
+        one = init(one_member(s.law, s, 0))
+        batch = Batch.of(s, [Member(law, 3) for law in LawKind])
+        state = init(batch)
+        for name in names:
+            assert np.array_equal(getattr(state, name), np.repeat(getattr(one, name), 4, axis=0))
+        arrays = [getattr(state, name) for name in names] + [s.x0, s.y0]
+        for k, a in enumerate(arrays):
+            assert not any(np.shares_memory(a, b) for b in arrays[k + 1:])
+        new, fired, rho = step(state, batch)
+        assert fired.shape == rho.shape == new.x.shape == new.disagreement_sq.shape == (4, n)
+        assert new.y.shape == new.y_hat.shape == new.increment.shape == (4, n, n)
 
 
 class TestStep:
     def test_single_step_matches_hand_computation(self):
         s = two_player_setup(horizon=0.025)
-        new, fired, _ = step(init(s), one_member(s.law, s, 0))
+        batch = one_member(s.law, s, 0)
+        new, fired, _ = step(init(batch), batch)
+        (x,), (y,) = new.x, new.y
 
         # scalar forward-Euler computation, written out term by term
         g0 = (2.0 * 1.0 + (0.0 * 1.0 + 1.0 * 0.5)) + -4.0
@@ -135,22 +150,22 @@ class TestStep:
         ydot01 = -0.2 * ((0.5 - 2.0) + (0.5 - 2.0))
         ydot10 = -0.2 * ((1.5 - 1.0) + (1.5 - 1.0))
 
-        assert new.x[0] == pytest.approx(x0_new, abs=1e-12)
-        assert new.x[1] == pytest.approx(x1_new, abs=1e-12)
-        assert new.y[0, 1] == pytest.approx(0.5 + 0.025 * ydot01, abs=1e-12)
-        assert new.y[1, 0] == pytest.approx(1.5 + 0.025 * ydot10, abs=1e-12)
+        assert x[0] == pytest.approx(x0_new, abs=1e-12)
+        assert x[1] == pytest.approx(x1_new, abs=1e-12)
+        assert y[0, 1] == pytest.approx(0.5 + 0.025 * ydot01, abs=1e-12)
+        assert y[1, 0] == pytest.approx(1.5 + 0.025 * ydot10, abs=1e-12)
         # diagonal pinned to the new actions, not the raw Euler value
-        assert new.y[0, 0] == new.x[0]
-        assert new.y[1, 1] == new.x[1]
-        assert 1.0 + 0.025 * ydot00 != new.x[0]  # the pin is not a no-op
+        assert y[0, 0] == x[0]
+        assert y[1, 1] == x[1]
+        assert 1.0 + 0.025 * ydot00 != x[0]  # the pin is not a no-op
         assert new.step_index == 1
-        assert fired.tolist() == [True, True]  # continuous law fires everyone
+        assert fired.tolist() == [[True, True]]  # continuous law fires everyone
 
     def test_continuous_law_reduces_to_exact_estimate_dynamics(self):
         s = two_player_setup(horizon=1.0)
         cfg = s.engine
-        state = init(s)
         batch = one_member(LawKind.CONTINUOUS, s, 0)
+        state = init(batch)
 
         # oracle: integrate the always-broadcast dynamics without any hats
         a = s.graph.weights
@@ -176,8 +191,8 @@ class TestStep:
             y[np.arange(2), np.arange(2)] = x
 
             state, _, _ = step(state, batch)
-        assert np.allclose(state.x, x, atol=1e-12)
-        assert np.allclose(state.y, y, atol=1e-12)
+        assert np.allclose(state.x[0], x, atol=1e-12)
+        assert np.allclose(state.y[0], y, atol=1e-12)
 
     def test_diagonal_identity_and_decay_every_step(self, quadratic_scenario, monkeypatch):
         s = quadratic_scenario
@@ -188,50 +203,45 @@ class TestStep:
             return decide(rho, energy, threshold, *rest)
 
         monkeypatch.setattr(engine, "decide", spy)
-        state = init(s)
         batch = one_member(s.law, s, s.seed)
+        state = init(batch)
         for k in range(50):
             state, _, _ = step(state, batch)
-            assert np.array_equal(np.diagonal(state.y), state.x)
+            assert np.array_equal(state.y.diagonal(0, 1, 2), state.x)
             decay = p.delta0 * np.exp(-p.eta * k * s.engine.dt)
             expected = (decay / p.c) * threshold_term(p, batch.xi[k])
             assert np.allclose(thresholds[k], expected, rtol=1e-12)
 
     def test_broadcast_constant_between_triggers(self, quadratic_scenario):
         s = quadratic_scenario
-        state = init(s)
         batch = one_member(s.law, s, 3)
+        state = init(batch)
         for _ in range(120):
-            prev_yhat = state.y_hat.copy()
-            prev_x = state.x.copy()
-            prev_y = state.y.copy()
-            state, fired, _ = step(state, batch)
+            (prev_yhat,), (prev_x,), (prev_y,) = state.y_hat.copy(), state.x.copy(), state.y.copy()
+            state, (fired,), _ = step(state, batch)
+            (y_hat,) = state.y_hat
             for i in range(s.n):
                 if fired[i]:
-                    assert state.y_hat[i, i] == prev_x[i]
-                    assert np.array_equal(state.y_hat[i], prev_y[i])
+                    assert y_hat[i, i] == prev_x[i]
+                    assert np.array_equal(y_hat[i], prev_y[i])
                 else:
-                    assert np.array_equal(state.y_hat[i], prev_yhat[i])
+                    assert np.array_equal(y_hat[i], prev_yhat[i])
 
     def test_step_owns_the_broadcast_buffers(self, quadratic_scenario):
         # the fired rows are written into the input's buffers, which the new
-        # state carries on; an unbatched state under a batch with a member
-        # axis takes the axis on, as run stacks it
+        # state carries on
         s = quadratic_scenario
-        batch = Batch.of(s, [Member(LawKind.CONTINUOUS, 0)])
-        stacked = engine.with_members(init(s), 1)
-        buffer = stacked.y_hat
-        new, fired, _ = step(stacked, batch)
+        batch = one_member(LawKind.CONTINUOUS, s, 0)
+        state = init(batch)
+        buffer = state.y_hat
+        new, fired, _ = step(state, batch)
         assert fired.all()
         assert new.y_hat is buffer
-        promoted, _, _ = step(init(s), batch)
-        for name in ("x", "y", "y_hat", "disagreement_sq", "increment"):
-            assert np.array_equal(getattr(promoted, name), getattr(new, name)), name
 
     def test_divergence_guard(self):
         s = two_player_setup(beta=1e12, horizon=0.1)
-        state = init(s)
         batch = one_member(s.law, s, 0)
+        state = init(batch)
         with pytest.raises(NumericalDivergence):
             for _ in range(s.engine.steps):
                 state, _, _ = step(state, batch)
@@ -296,23 +306,16 @@ class TestRun:
     def test_evaluation_errors_match_raw_state(self, quadratic_scenario):
         # recompute the squared error terms from the previous state by hand
         s = quadratic_scenario
-        state = init(s)
         batch = one_member(s.law, s, s.seed)
+        state = init(batch)
         for _ in range(60):
-            prev = dataclasses.replace(
-                state,
-                x=state.x.copy(),
-                y=state.y.copy(),
-                y_hat=state.y_hat.copy(),
-            )
-            state, _, rho = step(state, batch)
+            (x,), (y,), (y_hat,) = state.x.copy(), state.y.copy(), state.y_hat.copy()
+            state, _, (rho,) = step(state, batch)
             a = s.graph.weights
             for i in range(s.n):
-                e_x = prev.y_hat[i, i] - prev.x[i]
-                e_y = prev.y_hat[i] - prev.y[i]
-                disagreement = sum(
-                    a[i, j] * (prev.y_hat[i] - prev.y_hat[j]) for j in range(s.n)
-                )
+                e_x = y_hat[i, i] - x[i]
+                e_y = y_hat[i] - y[i]
+                disagreement = sum(a[i, j] * (y_hat[i] - y_hat[j]) for j in range(s.n))
                 terms = (
                     e_x * e_x,
                     float(e_y @ e_y),
@@ -738,30 +741,24 @@ class TestSparseCoupling:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.integers(0, 2 ** 32 - 1), st.integers(2, 40), st.booleans(),
-        st.sampled_from([None, 1, 4]),
+        st.integers(0, 2 ** 32 - 1), st.integers(2, 40), st.booleans(), st.sampled_from([1, 4]),
     )
     def test_sparse_step_equals_dense_step(self, seed, n, unit, runs):
-        # runs None: an unbatched (n, n) state under a one-member batch
         rng, game, graph, trig = coupling_case(seed, n, unit)
         s = Scenario(
             graph, game, trig, self.CONFIG, x0=np.zeros(n), y0=np.zeros((n, n)),
             law=LawKind.STOCHASTIC,
         )
-        shape = (n,) if runs is None else (runs, n)
-        x, x_hat = rng.uniform(-3.0, 3.0, (2, *shape))
-        y, y_hat = rng.uniform(-3.0, 3.0, (2, *shape, n))
+        x, x_hat = rng.uniform(-3.0, 3.0, (2, runs, n))
+        y, y_hat = rng.uniform(-3.0, 3.0, (2, runs, n, n))
         # the broadcast actions are the diagonal of the broadcast rows
-        y_hat[..., np.arange(n), np.arange(n)] = x_hat
+        y_hat[:, np.arange(n), np.arange(n)] = x_hat
         with pytest.MonkeyPatch.context() as mp:
             force_coupling(mp, sparse=False)
             terms = engine.broadcast_terms(graph, y_hat, self.CONFIG)
         state = EngineState(3, x, y, y_hat, *terms)
         laws = list(LawKind)
-        if runs is None:
-            batch = one_member(LawKind.STOCHASTIC, s, seed)
-        else:
-            batch = Batch.of(s, [Member(laws[r % 4], seed + r) for r in range(runs)])
+        batch = Batch.of(s, [Member(laws[r % 4], seed + r) for r in range(runs)])
         out = {}
         for sparse in (False, True):
             with pytest.MonkeyPatch.context() as mp:
@@ -785,18 +782,16 @@ class TestSparseCoupling:
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
     @settings(max_examples=60, deadline=None)
     @given(
-        st.integers(0, 2 ** 32 - 1), st.integers(2, 30), st.booleans(),
-        st.sampled_from([None, 1, 4]),
+        st.integers(0, 2 ** 32 - 1), st.integers(2, 30), st.booleans(), st.sampled_from([1, 4]),
         st.lists(st.sampled_from(["none", "all", "some"]), min_size=1, max_size=4),
     )
     def test_event_driven_step_equals_full_recompute(
         self, sparse, seed, n, unit, runs, patterns
     ):
         # the first step from init, then further steps, each with a drawn fire
-        # pattern in place of the laws' decisions; runs None: an unbatched
-        # state under a one-member batch, 4: one member of each law. On both
-        # paths a quiet step keeps the carried terms and a step that fires
-        # forms them again
+        # pattern in place of the laws' decisions; runs 4: one member of each
+        # law. On both paths a quiet step keeps the carried terms and a step
+        # that fires forms them again
         rng, game, graph, trig = coupling_case(seed, n, unit)
         s = Scenario(
             graph, game, trig, self.CONFIG, x0=rng.uniform(-3.0, 3.0, n),
@@ -809,20 +804,16 @@ class TestSparseCoupling:
         }
         with pytest.MonkeyPatch.context() as mp:
             force_coupling(mp, sparse)
-            if runs is None:
-                state = init(s)
-                batch = one_member(LawKind.STOCHASTIC, s, seed)
-            else:
-                state = engine.with_members(init(s), runs)
-                batch = Batch.of(s, [Member(law, seed) for law in list(LawKind)[:runs]])
+            batch = Batch.of(s, [Member(law, seed) for law in list(LawKind)[:runs]])
+            state = init(batch)
             for pattern in patterns:
                 mp.setattr(engine, "decide", lambda rho, *rest: masks[pattern](rho.shape))
                 prev = copied(state)
                 state, fired, _ = step(state, batch)
-                y_hat = np.where(fired[..., None], prev.y, prev.y_hat)
+                y_hat = np.where(fired[:, :, None], prev.y, prev.y_hat)
                 disagreement_sq, increment = engine.broadcast_terms(graph, y_hat, self.CONFIG)
                 y = prev.y + increment
-                y[..., np.arange(n), np.arange(n)] = state.x
+                y[:, np.arange(n), np.arange(n)] = state.x
                 for got, full in [
                     (state.y_hat, y_hat), (state.disagreement_sq, disagreement_sq),
                     (state.increment, increment),
@@ -830,6 +821,26 @@ class TestSparseCoupling:
                 ]:
                     assert got.shape == full.shape
                     assert np.array_equal(got, full)
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2 ** 32 - 1), st.integers(2, 40), st.booleans(), st.sampled_from([1, 4]),
+    )
+    def test_rows_equal_the_rows_of_the_full_form(self, sparse, seed, n, unit, runs):
+        # a row comes out the same whichever rows are asked for, in any order;
+        # a dense W[rows] @ y_hat once differed from (W @ y_hat)[rows]
+        rng, _, graph, _ = coupling_case(seed, n, unit)
+        y_hat = rng.uniform(-3.0, 3.0, (runs, n, n))
+        rows = rng.permutation(n)[: rng.integers(1, n + 1)]
+        with pytest.MonkeyPatch.context() as mp:
+            force_coupling(mp, sparse)
+            assert engine.sparse_coupling(graph) is sparse
+            full = engine.broadcast_terms(graph, y_hat, self.CONFIG)
+            part = engine.broadcast_terms(graph, y_hat, self.CONFIG, rows)
+        for whole, got in zip(full, part):
+            assert got.shape == whole[:, rows].shape
+            assert np.array_equal(got, whole[:, rows])
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 30), st.booleans())

@@ -10,7 +10,7 @@ from neseek import (
     laplacian,
     lyapunov_pair,
 )
-from neseek.errors import NotStronglyConnected
+from neseek.errors import NotStronglyConnected, SolverFailure
 from neseek.graphs import solve_lyapunov_pd
 
 from conftest import dense_p, random_strongly_connected, strongly_connected_graphs
@@ -146,6 +146,12 @@ def test_lyapunov_scalar_analog():
     for a in (0.5, 1.0, 3.0):
         p, _ = solve_lyapunov_pd(np.array([[a]]))
         assert p[0, 0] == pytest.approx(1.0 / (2.0 * a), rel=1e-12)
+
+
+def test_lyapunov_refuses_an_indefinite_solution():
+    # m = [[-1]] solves exactly, to p = [[-0.5]], which certifies nothing
+    with pytest.raises(SolverFailure, match="Lyapunov solution is not positive definite"):
+        solve_lyapunov_pd(np.array([[-1.0]]))
 
 
 def test_lyapunov_two_cycle_identity():
