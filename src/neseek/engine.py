@@ -13,6 +13,10 @@ The broadcasts are piecewise constant between events, and so is
 everything the estimate coupling derives from them. The state carries those
 terms, and a step forms them again only when a player fired: whole below
 the sparse crossover, and only at the rows its broadcasts touch above it.
+Between the events that touch it, an estimate row moves by the same
+increment every step, so above the crossover the state keeps each row in
+closed form, ``anchor + age * increment``, with a few scalars per row that
+a step reads instead of the row: a quiet step costs O(n) per member.
 
 The state carries a leading member axis: R runs of one scenario advance
 together, as (R, n) actions and (R, n, n) estimates. A member is a law and
@@ -32,7 +36,7 @@ import numpy as np
 from . import metrics
 from .bounds import sigma_bound
 from .errors import DegenerateWindow, NumericalDivergence, ValidationError, integer, number
-from .games import gradient_at_estimates
+from .games import gradient_at_estimates, gradient_from_others, row_functional
 from .graphs import DirectedGraph
 from .triggers import LawKind, decide, threshold_term, triggering_function, xi_from_uniform
 
@@ -49,6 +53,16 @@ DIVERGENCE_GUARD = 1e9
 # n = 1000; at n = 200-1000 it stops winning between 5% and 10% links.
 SPARSE_MIN_N = 128
 SPARSE_MAX_DENSITY = 0.05
+
+# On the sparse path a step that touches more than this share of a member's
+# rows anchors all of them, and forms the coupling whole once the rows
+# touched for any member exceed it. Measured on one core with the generated
+# ring-plus-chord scenarios: a step anchoring gathered rows costs as much as
+# one anchoring every row in place from about a quarter of the rows at
+# n = 200 and a half at n = 1000, and `single_run` took the same time for
+# every share from 0.2 to 0.6 at n = 200 and least from 0.4 to 0.6 at
+# n = 1000.
+REANCHOR_SHARE = 0.5
 
 
 @dataclass(frozen=True)
@@ -160,25 +174,51 @@ class Batch:
 class EngineState:
     """Simulation state at one grid instant.
 
-    The estimate matrix keeps row i as player i's view of everyone; its
-    diagonal always equals the actions. ``y_hat`` holds the most recently
+    Row i of the estimate matrix is player i's view of everyone; its
+    diagonal entry is the action x_i. ``y_hat`` holds the most recently
     broadcast rows, so its diagonal holds the broadcast actions. Two terms
     of the estimate coupling are carried with them, both functions of the
     broadcasts alone (see ``broadcast_terms``): ``disagreement_sq``, the
     squared norm of each row of ``din * y_hat - W @ y_hat``, which the
     triggering function reads, and ``increment``, the estimate update
-    ``dt * (-beta * bracket)``, under the step sizes of the scenario's
-    engine config. Every array has the batch's leading member axis: ``x``
-    and ``disagreement_sq`` are (R, n), the others (R, n, n). The instant
-    is ``step_index * dt``.
+    ``dt * (-beta * bracket)`` under the step sizes of the scenario's engine
+    config, zero on the diagonal on the sparse path.
+
+    Between the events that touch it a row moves by the same increment
+    every step, so the state keeps each row in closed form: off the
+    diagonal, row i is ``anchor_i + age_i * increment_i``, where ``age``
+    counts the steps since the row was last anchored, and ``y`` forms the
+    whole matrix. On the dense path every row is anchored at every step:
+    ``age`` stays zero, ``anchor`` is the estimate matrix itself and
+    ``row_terms`` is None. On the sparse path ``row_terms`` is the (7, R, n)
+    stack of the per-row scalars a step reads instead of the rows, formed
+    when a row is anchored. With d_i = y_hat_i - anchor_i and the own entry
+    left out of every row, they are |d_i|^2, <d_i, increment_i> and
+    |increment_i|^2, which give the event-error energy; the game's
+    ``row_functional`` of anchor_i and of increment_i, which give the
+    gradient; and the Euclidean norms |anchor_i| and |increment_i|, which
+    bound the row for the divergence guard.
+
+    Every array has the batch's leading member axis: ``x``, ``age`` and
+    ``disagreement_sq`` are (R, n), ``anchor``, ``y_hat`` and ``increment``
+    (R, n, n). The instant is ``step_index * dt``.
     """
 
     step_index: int
     x: np.ndarray
-    y: np.ndarray
+    anchor: np.ndarray
+    age: np.ndarray
     y_hat: np.ndarray
     disagreement_sq: np.ndarray
     increment: np.ndarray
+    row_terms: np.ndarray | None
+
+    @property
+    def y(self) -> np.ndarray:
+        """The (R, n, n) estimate matrix, formed anew from the anchors."""
+        y = self.anchor + self.age[..., None] * self.increment
+        y.reshape(len(y), -1)[:, :: y.shape[-1] + 1] = self.x
+        return y
 
 
 @dataclass
@@ -228,7 +268,7 @@ class RunResult:
 
 def sparse_coupling(graph: DirectedGraph) -> bool:
     """True when ``broadcast_terms`` applies W through its CSR form, not
-    densely."""
+    densely, and the state keeps its estimate rows in closed form."""
     n = graph.n
     return n >= SPARSE_MIN_N and len(graph.links[0]) <= SPARSE_MAX_DENSITY * n * n
 
@@ -251,7 +291,10 @@ def broadcast_terms(
     columns of one CSR product and forms the second term only at the links;
     a CSR row slice keeps each row's summation order, so it forms only the
     rows asked for. With unit weights and at most two links per row both
-    paths give the same bits.
+    paths give the same bits, but for the diagonal of the increment: a row's
+    own entry is the action, which the estimate dynamics do not move, and
+    the sparse path sets it to zero, so that the row terms of the state
+    read whole rows. The dense path leaves it, and a step overwrites it.
     """
     din = graph.in_degrees[:, None]
     if not sparse_coupling(graph):
@@ -260,50 +303,90 @@ def broadcast_terms(
         bracket = disagreement + graph.weights * (y_hat - x_hat[:, None, :])
         if rows is not None:
             disagreement, bracket = disagreement[:, rows], bracket[:, rows]
-    else:
-        own, w = y_hat, graph.csr
-        if rows is not None:
-            din, own, w = din[rows], y_hat[:, rows], w[rows]
-        (runs, n, _), m = y_hat.shape, w.shape[0]
-        # (R, n, n) -> (n, R * n): row i of the product is W[i] @ y_hat[r] for every r
-        folded = y_hat.transpose(1, 0, 2).reshape(n, runs * n)
-        w_y = (w @ folded).reshape(m, runs, n).transpose(1, 0, 2)
-        disagreement = np.subtract(din * own, w_y, out=w_y)
-        # the links of the rows asked for, in w's own row numbering
-        link_rows, cols = np.repeat(np.arange(m), np.diff(w.indptr)), w.indices
-        bracket = disagreement.copy()
-        bracket[:, link_rows, cols] += w.data * (own[:, link_rows, cols] - y_hat[:, cols, cols])
-    bracket *= -config.beta
+        bracket *= -config.beta
+        bracket *= config.dt
+        return (disagreement * disagreement).sum(axis=-1), bracket
+    own, w = y_hat, graph.csr
+    if rows is not None:
+        din, own, w = din[rows], y_hat[:, rows], w[rows]
+    (runs, n, _), m = y_hat.shape, w.shape[0]
+    # (R, n, n) -> (n, R * n): row i of the product is W[i] @ y_hat[r] for every r
+    folded = y_hat.transpose(1, 0, 2).reshape(n, runs * n)
+    w_y = (w @ folded).reshape(m, runs, n).transpose(1, 0, 2)
+    disagreement = np.subtract(din * own, w_y, out=w_y)
+    # the links of the rows asked for, in w's own row numbering
+    link_rows, cols = np.repeat(np.arange(m), np.diff(w.indptr)), w.indices
+    # C order, as every state array is: w_y is a transposed view
+    bracket = np.multiply(disagreement, -config.beta, order="C")
+    bracket[:, link_rows, cols] = (
+        disagreement[:, link_rows, cols]
+        + w.data * (own[:, link_rows, cols] - y_hat[:, cols, cols])
+    ) * -config.beta
     bracket *= config.dt
-    return (disagreement * disagreement).sum(axis=-1), bracket
+    bracket[:, np.arange(m), np.arange(n) if rows is None else rows] = 0.0
+    return np.multiply(disagreement, disagreement, out=disagreement).sum(axis=-1), bracket
 
 
 def touched_rows(graph: DirectedGraph, fired: np.ndarray) -> np.ndarray:
-    """The rows whose coupling terms change when the players that fired, an
-    (R, n) mask, re-broadcast for any member: those players and every player
-    hearing one of them, as increasing indices. Read from the links, not the
-    weights."""
-    hit = fired.any(axis=0)
+    """The (R, n) mask of the rows whose coupling terms change when the
+    players that fired, an (R, n) mask, re-broadcast: per member, those
+    players and every player hearing one of them. Read from the links, not
+    the weights."""
+    hit = fired.copy()
     rows, cols = graph.links
-    hit[rows[hit[cols]]] = True
-    return np.flatnonzero(hit)
+    member, link = np.nonzero(fired[:, cols])
+    hit[member, rows[link]] = True
+    return hit
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("...j,...j->...", a, b)
+
+
+def _row_terms(
+    game, y_hat: np.ndarray, anchor: np.ndarray, increment: np.ndarray, players: np.ndarray
+) -> np.ndarray:
+    """The (7, K) ``EngineState.row_terms`` of K estimate rows, row k being player
+    ``players[k]``'s: its broadcast row, its anchor with the own entry
+    zeroed, and its increment, zero there already."""
+    d = y_hat - anchor
+    d[np.arange(len(players)), players] = 0.0
+    inc_sq = _dot(increment, increment)
+    return np.stack([
+        _dot(d, d), _dot(d, increment), inc_sq,
+        row_functional(game, anchor, players), row_functional(game, increment, players),
+        np.sqrt(_dot(anchor, anchor)), np.sqrt(inc_sq),
+    ])
 
 
 def init(batch: Batch) -> EngineState:
     """The initial state of the batch's members: broadcasts equal the state,
     so event errors start at zero, and their terms are formed under the
-    scenario's engine config. The scenario's start is formed once and
-    repeated along the member axis.
+    scenario's engine config. Every row is anchored at step 0. The
+    scenario's start and its terms are formed once and repeated along the
+    member axis.
 
     The diagonal of y0 is overwritten with x0 to keep own-estimates exact.
     The scenario validated its start when it was built.
     """
     scenario, runs = batch.scenario, len(batch.sigma)
-    n = scenario.n
+    n, players = scenario.n, np.arange(scenario.n)
     x0, y0 = scenario.x0[None], scenario.y0[None].copy()
-    y0[:, np.arange(n), np.arange(n)] = x0
+    y0[:, players, players] = x0
     terms = broadcast_terms(scenario.graph, y0, scenario.engine)
-    return EngineState(0, *(np.repeat(a, runs, axis=0) for a in (x0, y0, y0, *terms)))
+    row_terms = None
+    if sparse_coupling(scenario.graph):
+        off = y0[0].copy()
+        off[players, players] = 0.0
+        row_terms = np.repeat(
+            _row_terms(scenario.game, y0[0], off, terms[1][0], players)[:, None], runs, axis=1
+        )
+    x, anchor, y_hat, disagreement_sq, increment = (
+        np.repeat(a, runs, axis=0) for a in (x0, y0, y0, *terms)
+    )
+    return EngineState(
+        0, x, anchor, np.zeros((runs, n)), y_hat, disagreement_sq, increment, row_terms
+    )
 
 
 def step(state: EngineState, batch: Batch) -> tuple[EngineState, np.ndarray, np.ndarray]:
@@ -314,70 +397,155 @@ def step(state: EngineState, batch: Batch) -> tuple[EngineState, np.ndarray, np.
     decisions are made before derivatives are computed, so the broadcast
     values entering the estimate dynamics are the latest ones.
 
-    The step takes ownership of the input state's ``y_hat``,
-    ``disagreement_sq`` and ``increment``: it writes the fired players' rows
-    into them in place and hands them on in the new state, so a state must
-    not be stepped twice; step a copy instead.
+    The step takes ownership of the input state's arrays: it updates them
+    in place and hands them on in the new state, so a state must not be
+    stepped twice; step a copy instead.
 
     The coupling terms are formed again only when some player fired: a
     quiet step has the same broadcasts, so it keeps the carried terms and
     their bits. Below the sparse crossover a step that fires recomputes
-    both terms whole. On the sparse path only the rows ``touched_rows``
-    names are, through one CSR slice for every member. Every other row
-    depends only on broadcasts that did not change, and a row is the same
-    sum in the same order whichever rows are recomputed, so the bits equal
-    a full recompute.
+    both terms whole, and every step adds the increment to every row. On
+    the sparse path a step reads each row through its ``row_terms`` and
+    costs O(n) per member when quiet. A step that fires forms again only
+    the rows ``touched_rows`` names, through one CSR slice for every member
+    (or the whole coupling once more than ``REANCHOR_SHARE`` of the rows
+    are touched), and anchors each member's touched rows at the next step:
+    every row of a member whose touched rows exceed that share, so a burst
+    costs whole-array passes rather than row gathers. Which rows are
+    anchored depends only on the member's own events, so a member's run has
+    the same bits in any batch.
     """
-    game, graph, config = batch.scenario.game, batch.scenario.graph, batch.scenario.engine
-    x, y, y_hat = state.x, state.y, state.y_hat
+    game, config = batch.scenario.game, batch.scenario.engine
+    x, y_hat, age, terms = state.x, state.y_hat, state.age, state.row_terms
     e_x = y_hat.diagonal(0, 1, 2) - x
-    e_y = y_hat - y
     action_err_sq = e_x * e_x
-    # e_y's buffer is reused for its square and, below, for the guard
-    estimate_err_sq = np.multiply(e_y, e_y, out=e_y).sum(axis=-1)
+    if terms is None:
+        # every row is at its anchor, which is the estimate matrix
+        y = state.anchor
+        e_y = y_hat - y
+        # e_y's buffer is reused for its square and, below, for the guard
+        estimate_err_sq = np.multiply(e_y, e_y, out=e_y).sum(axis=-1)
+        grad = gradient_at_estimates(game, y)
+    else:
+        d_sq, d_inc, inc_sq, f_anchor, f_inc = terms[:5]
+        # the own entry of e_y is e_x; off it, |d - age * increment|^2
+        # expanded, which rounding can take below zero
+        off = d_sq - age * (2.0 * d_inc - age * inc_sq)
+        estimate_err_sq = action_err_sq + np.maximum(off, 0.0, out=off)
+        grad = gradient_from_others(game, x, f_anchor + age * f_inc)
     energy = action_err_sq + estimate_err_sq
 
     rho = triggering_function(energy, state.disagreement_sq, batch.sigma)
     fired = decide(rho, energy, batch.threshold[state.step_index], batch.static)
 
     lo, hi = game.bounds
-    grad = gradient_at_estimates(game, y)
     # np.minimum/np.maximum skip np.clip's Python wrapper, with the same bits
     xdot = np.minimum(np.maximum(x - config.alpha * grad, lo), hi) - x
-    disagreement_sq, increment = state.disagreement_sq, state.increment
-    if fired.any():
-        if not sparse_coupling(graph):
-            # A dense step that fires recomputes both terms whole. On a
-            # 2-core x86-64 host, `run` of the paper_ensemble batch (4
-            # members, 800 steps, median of 8 alternating best-of-5) took
-            # 27.4 ms that way against 38.3 ms with the row-level update of
-            # the sparse path.
-            np.copyto(y_hat, y, where=fired[:, :, None])
-            disagreement_sq, increment = broadcast_terms(graph, y_hat, config)
-        else:
-            y_hat[fired] = y[fired]
-            rows = touched_rows(graph, fired)
-            disagreement_sq[:, rows], increment[:, rows] = broadcast_terms(
-                graph, y_hat, config, rows
-            )
-
     k_new = state.step_index + 1
     x_new = x + config.dt * xdot
-    y_new = y + increment
-    # the diagonal of the fresh, contiguous y_new as a flat strided view
-    n = graph.n
-    y_new.reshape(len(x_new), n * n)[:, :: n + 1] = x_new
-
-    # y_new carries x_new on its diagonal, so it bounds the whole state; a
-    # NaN fails the comparison as well
-    if not np.abs(y_new, out=e_y).max() <= DIVERGENCE_GUARD:
-        raise NumericalDivergence(
-            f"state magnitude exceeded {DIVERGENCE_GUARD:.0e} or became non-finite "
-            f"at t={k_new * config.dt:.6g}; reduce alpha, beta, or dt"
-        )
-
-    new = EngineState(k_new, x_new, y_new, y_hat, disagreement_sq, increment)
+    if terms is None:
+        terms = _iterate(state, batch, fired, x_new, e_y)
+    else:
+        terms = _advance_rows(state, batch, fired, x_new)
+    new = EngineState(k_new, x_new, *terms)
     return new, fired, rho
+
+
+def _diverged(config: EngineConfig, k: int) -> NumericalDivergence:
+    return NumericalDivergence(
+        f"state magnitude exceeded {DIVERGENCE_GUARD:.0e} or became non-finite "
+        f"at t={k * config.dt:.6g}; reduce alpha, beta, or dt"
+    )
+
+
+def _iterate(state: EngineState, batch: Batch, fired: np.ndarray, x_new: np.ndarray, scratch):
+    """The dense path's rest of a step: every row takes its increment and is
+    anchored again. Returns the new state's fields after ``x``."""
+    graph, config = batch.scenario.graph, batch.scenario.engine
+    y, y_hat = state.anchor, state.y_hat
+    disagreement_sq, increment = state.disagreement_sq, state.increment
+    if fired.any():
+        # A dense step that fires recomputes both terms whole. On a
+        # 2-core x86-64 host, `run` of the paper_ensemble batch (4
+        # members, 800 steps, median of 8 alternating best-of-5) took
+        # 27.4 ms that way against 38.3 ms with the row-level update of
+        # the sparse path.
+        np.copyto(y_hat, y, where=fired[:, :, None])
+        disagreement_sq, increment = broadcast_terms(graph, y_hat, config)
+    y += increment
+    n = graph.n
+    y.reshape(len(y), n * n)[:, :: n + 1] = x_new
+    # y carries x_new on its diagonal, so it bounds the whole state; a NaN
+    # fails the comparison as well
+    if not np.abs(y, out=scratch).max() <= DIVERGENCE_GUARD:
+        raise _diverged(config, state.step_index + 1)
+    return y, state.age, y_hat, disagreement_sq, increment, None
+
+
+def _advance_rows(state: EngineState, batch: Batch, fired: np.ndarray, x_new: np.ndarray):
+    """The sparse path's rest of a step: quiet rows age by one step, the
+    rows the events touched take their new terms and are anchored at the
+    next step. Returns the new state's fields after ``x``."""
+    game, graph, config = batch.scenario.game, batch.scenario.graph, batch.scenario.engine
+    anchor, y_hat, age, terms = state.anchor, state.y_hat, state.age, state.row_terms
+    disagreement_sq, increment = state.disagreement_sq, state.increment
+    runs, n = state.x.shape
+    age += 1.0
+    if fired.any():
+        touched = touched_rows(graph, fired)
+        touched[touched.sum(axis=1) > REANCHOR_SHARE * n] = True
+        # every array as R * n rows of n: row r * n + i is member r's player i
+        flat = np.flatnonzero(touched)
+        # a burst anchors every row in place; otherwise the touched rows are gathered
+        rows = slice(None) if flat.size == runs * n else flat
+        players, k = flat % n, np.arange(flat.size)
+        anchors, ages = anchor.reshape(runs * n, n), age.reshape(runs * n)
+        # the touched rows at this step, before their increments change
+        y_rows = anchors[rows]
+        since = ages[rows] - 1.0
+        if since.any():
+            y_rows += since[:, None] * increment.reshape(runs * n, n)[rows]
+        y_rows[k, players] = state.x.reshape(-1)[rows]
+        fires = fired.reshape(-1)[rows]
+        y_hat.reshape(runs * n, n)[flat[fires]] = y_rows[fires]
+
+        union = np.flatnonzero(touched.any(axis=0))
+        if union.size > REANCHOR_SHARE * n:
+            disagreement_sq, increment = broadcast_terms(graph, y_hat, config)
+        else:
+            disagreement_sq[:, union], increment[:, union] = broadcast_terms(
+                graph, y_hat, config, union
+            )
+        increments = increment.reshape(runs * n, n)[rows]
+        y_rows += increments
+        y_rows[k, players] = 0.0
+        terms.reshape(len(terms), runs * n)[:, rows] = _row_terms(
+            game, y_hat.reshape(runs * n, n)[rows], y_rows, increments, players
+        )
+        y_rows[k, players] = x_new.reshape(-1)[rows]
+        if isinstance(rows, np.ndarray):
+            anchors[rows] = y_rows
+        ages[rows] = 0.0
+
+    # |anchor| + age * |increment| bounds every entry of a row off the
+    # diagonal, less a slack for the rounding of the norms; the rows it does
+    # not clear are formed and checked exactly
+    clear = DIVERGENCE_GUARD * (1.0 - 1e-6)
+    anchor_norm, inc_norm = terms[5:]
+    bound = anchor_norm + age * inc_norm
+    if not (bound.max() <= clear and np.abs(x_new).max() <= DIVERGENCE_GUARD):
+        over = np.flatnonzero(~(bound <= clear))
+        y_rows = (
+            anchor.reshape(runs * n, n)[over]
+            + age.reshape(runs * n)[over, None] * increment.reshape(runs * n, n)[over]
+        )
+        y_rows[np.arange(over.size), over % n] = 0.0
+        if not (
+            np.abs(x_new).max() <= DIVERGENCE_GUARD
+            and np.abs(y_rows).max(initial=0.0) <= DIVERGENCE_GUARD
+        ):
+            raise _diverged(config, state.step_index + 1)
+    return anchor, age, y_hat, disagreement_sq, increment, terms
 
 
 def run(scenario: Scenario, members: Sequence[Member]) -> list[RunResult]:

@@ -171,23 +171,42 @@ def spectral_efficiency(s_db: float, ber_target: float) -> float:
     return math.log2(1.0 + 1.5 * s_lin / math.log(0.2 / ber_target))
 
 
-def _own_gradient(game: GameDefinition, own: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Own-action partial gradients, player i evaluated at its view of the profile.
+def row_functional(game: GameDefinition, rows: np.ndarray, players=slice(None)) -> np.ndarray:
+    """The one reading of a whole estimate row that an own gradient makes,
+    linear in the row: the total demand ``sum_j y_ij`` under the spectrum
+    game, ``cross_i . y_i`` under the quadratic one.
 
-    ``rows`` is either one estimate row per player (``own.shape + (n,)``) or
-    one common profile of shape (n,) that every player sees; a common
-    profile is summed once, not once per player.
+    ``rows[..., k, :]`` is the row of player ``players[k]`` (every player in
+    order by default); a common profile of shape (n,) is one row that every
+    player reads.
     """
     if isinstance(game, SpectrumGame):
-        totals = rows.sum(axis=-1)
-        if rows.ndim == own.ndim:
-            totals = np.full(own.shape, totals)
-        if game.tau > 1 and (totals < 0).any():
+        return rows.sum(axis=-1)
+    return (game.cross[players] * rows).sum(axis=-1)
+
+
+def _own_gradient(game: GameDefinition, own: np.ndarray, functional) -> np.ndarray:
+    """Own-action partial gradients from each player's own action and the
+    ``row_functional`` of its view of the profile."""
+    if isinstance(game, SpectrumGame):
+        if game.tau > 1 and (functional < 0).any():
             raise DomainError("negative total demand with fractional pricing exponent")
-        price = game.m_c + game.q * totals ** game.tau
-        marginal = own * game.q * game.tau * totals ** (game.tau - 1.0)
+        price = game.m_c + game.q * functional ** game.tau
+        marginal = own * game.q * game.tau * functional ** (game.tau - 1.0)
         return price + marginal - game.revenue
-    return game.diag_a * own + (game.cross * rows).sum(axis=-1) + game.offset
+    return game.diag_a * own + functional + game.offset
+
+
+def gradient_from_others(game: GameDefinition, own: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Own-action partial gradients from ``row_functional`` of each estimate
+    row with its own entry zeroed, and the actions that entry stands for.
+
+    The spectrum game's total adds the own action back; the quadratic game's
+    ``cross`` has a zero diagonal, so its own entry adds nothing.
+    """
+    if isinstance(game, SpectrumGame):
+        others = others + own
+    return _own_gradient(game, own, others)
 
 
 def gradient_at_estimates(game: GameDefinition, y: np.ndarray) -> np.ndarray:
@@ -196,7 +215,7 @@ def gradient_at_estimates(game: GameDefinition, y: np.ndarray) -> np.ndarray:
     ``y`` is a float array and may carry leading axes (one estimate matrix
     per seed).
     """
-    return _own_gradient(game, y.diagonal(0, -2, -1), y)
+    return _own_gradient(game, y.diagonal(0, -2, -1), row_functional(game, y))
 
 
 def pseudo_gradient(game: GameDefinition, x: np.ndarray) -> np.ndarray:
@@ -206,7 +225,9 @@ def pseudo_gradient(game: GameDefinition, x: np.ndarray) -> np.ndarray:
     spectrum game costs O(n) and builds no (n, n) array.
     """
     x = np.asarray(x, dtype=float)
-    return _own_gradient(game, x, x)
+    # one functional per player, as the tiled rows give: a power of a
+    # scalar can differ in the last bit from the same power in an array
+    return _own_gradient(game, x, np.full(x.shape, row_functional(game, x)))
 
 
 def estimate_constants(game: GameDefinition) -> GameConstants:

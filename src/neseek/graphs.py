@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotStronglyConnected, SolverFailure, ValidationError, numbers
 
@@ -128,6 +127,8 @@ def solve_lyapunov_pd(m: np.ndarray) -> tuple[np.ndarray, float]:
     operator norm of the defect, and raises SolverFailure if the solve does
     not certify.
     """
+    import scipy.linalg  # imported here: only the certificate needs it
+
     eye = np.eye(len(m))
     p = scipy.linalg.solve_continuous_lyapunov(m.T, eye)
     p = 0.5 * (p + p.T)

@@ -84,9 +84,10 @@ def test_engine_reads_the_scenario_whole():
         "rho", "energy", "threshold", "static"
     ]
     # a broadcast is one row of y_hat, its diagonal entry the broadcast
-    # action, and the continuous law is a -inf threshold, not a mask
+    # action, and the continuous law is a -inf threshold, not a mask; the
+    # estimates are anchored rows in closed form, formed whole by `y`
     assert [f.name for f in dataclasses.fields(neseek.engine.EngineState)] == [
-        "step_index", "x", "y", "y_hat", "disagreement_sq", "increment"
+        "step_index", "x", "anchor", "age", "y_hat", "disagreement_sq", "increment", "row_terms"
     ]
     assert "continuous" not in [f.name for f in dataclasses.fields(neseek.Batch)]
     assert "x_hat" not in inspect.signature(neseek.engine.broadcast_terms).parameters
