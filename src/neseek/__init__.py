@@ -1,7 +1,7 @@
 """Distributed Nash-equilibrium seeking over directed graphs with
 event-triggered communication."""
 
-from .bounds import BoundsReport, alpha_max, beta_min, compute_report, sigma_bound
+from .bounds import BoundsReport, alpha_max, beta_min, compute_report
 from .engine import Batch, EngineConfig, EngineState, Member, RunResult, init, run, step
 from .games import (
     ActionInterval,
@@ -13,14 +13,7 @@ from .games import (
     pseudo_gradient,
     spectral_efficiency,
 )
-from .graphs import (
-    DirectedGraph,
-    LyapunovPair,
-    coupling_blocks,
-    is_strongly_connected,
-    laplacian,
-    lyapunov_pair,
-)
+from .graphs import DirectedGraph, LyapunovPair, coupling_blocks, laplacian, lyapunov_pair
 from .harness import compare_laws, single_run
 from .metrics import (
     Ensemble,
@@ -70,7 +63,6 @@ __all__ = [
     "gamma_series",
     "init",
     "interval_stats",
-    "is_strongly_connected",
     "laplacian",
     "load_scenario",
     "lyapunov_pair",
@@ -78,7 +70,6 @@ __all__ = [
     "pseudo_gradient",
     "rate_fit",
     "run",
-    "sigma_bound",
     "single_run",
     "solve_ne",
     "spectral_efficiency",

@@ -12,14 +12,13 @@ against their coupling.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InfeasibleBeta
 from .games import GameDefinition, estimate_constants
-from .graphs import DirectedGraph, coupling_blocks, laplacian, lyapunov_pair
+from .graphs import DirectedGraph, coupling_blocks, lyapunov_pair
 
 
 @dataclass(frozen=True)
@@ -45,19 +44,6 @@ class BoundsReport:
     beta_min: float
     sigma_max: float
     feasible: bool
-
-
-def sigma_bound(graph: DirectedGraph) -> float:
-    """Largest admissible disagreement weight, (n-1) / (2*n*||L||^2)."""
-    n = graph.n
-    norm_l = float(np.linalg.norm(laplacian(graph), 2))
-    if norm_l == 0.0:
-        warnings.warn(
-            "graph has no edges; the disagreement term is void and the bound is infinite",
-            stacklevel=2,
-        )
-        return math.inf
-    return (n - 1) / (2.0 * n * norm_l ** 2)
 
 
 def beta_min(mu: float, c2: float, c3: float, c4: float) -> float:
@@ -150,6 +136,6 @@ def compute_report(
         eta=eta,
         alpha_max=a_max,
         beta_min=b_min,
-        sigma_max=sigma_bound(graph),
+        sigma_max=graph.sigma_bound,
         feasible=feasible,
     )

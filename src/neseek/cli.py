@@ -56,8 +56,8 @@ def _load(args) -> Scenario:
     """The scenario ``--config`` names, its advisories printed as warnings,
     with the ``--seed``, ``--runs`` and ``--dt`` the command line gives."""
     path = Path(args.config)
-    if not path.exists() and bundled_path(args.config).exists():
-        path = bundled_path(args.config)
+    if not path.exists() and (bundled := bundled_path(args.config)).is_file():
+        path = bundled
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         scenario = load_scenario(path)

@@ -1,14 +1,12 @@
 """Bundled scenario files."""
 
 from importlib import resources
-from pathlib import Path
 
 
-def bundled_path(name: str) -> Path:
-    """Filesystem path of a bundled scenario, e.g. ``spectrum_paper.json``."""
+def bundled_path(name: str):
+    """A bundled scenario, e.g. ``spectrum_paper.json``, as a resource that
+    ``load_scenario`` reads: a ``pathlib.Path`` when the package is installed
+    as files, a path inside the archive when it is imported from a zip."""
     if not name.endswith(".json"):
         name = f"{name}.json"
-    ref = resources.files(__package__) / name
-    with resources.as_file(ref) as path:
-        return Path(path)
-
+    return resources.files(__package__) / name

@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from . import metrics
-from .bounds import sigma_bound
 from .errors import DegenerateWindow, NumericalDivergence, ValidationError, integer, number
 from .games import gradient_at_estimates, gradient_from_others, row_functional
 from .graphs import DirectedGraph
@@ -129,7 +128,8 @@ class Batch:
         """The members' inputs for every step of the scenario.
 
         A DYNAMIC member runs with its weights capped at
-        ``sigma_bound(graph)``; every other member keeps the scenario's.
+        ``scenario.graph.sigma_bound``, which the graph computes once;
+        every other member keeps the scenario's.
         Each stochastic member's player i draws from its own generator, the
         i-th child of ``SeedSequence(seed).spawn(n)``, so per-player streams
         are independent of one another. A stream is drawn whole up front:
@@ -156,7 +156,7 @@ class Batch:
                 xi[:, r] = xi_from_uniform(params, np.array(streams).T)
         dynamic = [m.law is LawKind.DYNAMIC for m in members]
         continuous = [m.law is LawKind.CONTINUOUS for m in members]
-        cap = sigma_bound(scenario.graph) if any(dynamic) else math.inf
+        cap = scenario.graph.sigma_bound if any(dynamic) else math.inf
         decay = params.delta0 * np.exp(-params.eta * (np.arange(steps) * dt))[:, None]
         threshold = threshold_term(params, xi)
         threshold *= (decay / params.c)[:, None]
@@ -284,16 +284,15 @@ def broadcast_terms(
     broadcast action x_hat[j] = y_hat[j, j]. This is the one place that
     applies W.
 
-    With ``rows``, an array of row indices, only those rows, with the bits
-    of the same rows of the full form on either path. The dense path forms
-    the whole and takes its rows: a dense ``W[rows] @ y_hat`` is not always
-    ``(W @ y_hat)[rows]``. The sparse path folds the members into the
-    columns of one CSR product and forms the second term only at the links;
-    a CSR row slice keeps each row's summation order, so it forms only the
-    rows asked for. With unit weights and at most two links per row both
-    paths give the same bits, but for the diagonal of the increment: a row's
-    own entry is the action, which the estimate dynamics do not move, and
-    the sparse path sets it to zero, so that the row terms of the state
+    The sparse path folds the members into the columns of one CSR product
+    and forms the second term only at the links. There, and only there,
+    ``rows``, an array of row indices, asks for those rows alone: a CSR row
+    slice keeps each row's summation order, so they have the bits of the
+    same rows of the full form. The dense path forms every row whatever
+    ``rows`` says. With unit weights and at most two links per row both
+    paths give the same bits, but for the diagonal of the increment: a
+    row's own entry is the action, which the estimate dynamics do not move,
+    and the sparse path sets it to zero, so that the row terms of the state
     read whole rows. The dense path leaves it, and a step overwrites it.
     """
     din = graph.in_degrees[:, None]
@@ -301,8 +300,6 @@ def broadcast_terms(
         disagreement = din * y_hat - graph.weights @ y_hat
         x_hat = y_hat.diagonal(0, 1, 2)
         bracket = disagreement + graph.weights * (y_hat - x_hat[:, None, :])
-        if rows is not None:
-            disagreement, bracket = disagreement[:, rows], bracket[:, rows]
         bracket *= -config.beta
         bracket *= config.dt
         return (disagreement * disagreement).sum(axis=-1), bracket

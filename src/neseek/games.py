@@ -83,6 +83,12 @@ class SpectrumGame:
             raise ValidationError("revenue rates r must be nonnegative")
         if ((self.ber_target <= 0) | (self.ber_target >= 0.2)).any():
             raise ValidationError("ber_target must lie in (0, 0.2)")
+        try:
+            finite = np.isfinite(self.efficiencies).all()
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValidationError("s_db: an SNR this large gives a non-finite spectral efficiency")
         if not 1 <= self.tau < math.inf:
             raise ValidationError("pricing exponent tau must be finite and >= 1")
         if self.tau > 1 and any(iv.lo < 0 for iv in self.intervals):

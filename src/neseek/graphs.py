@@ -13,6 +13,8 @@ certificate takes n solves of size n instead of one of size n*n.
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -58,6 +60,23 @@ class DirectedGraph:
         din = self.weights.sum(axis=1)
         din.flags.writeable = False
         return din
+
+    @cached_property
+    def strongly_connected(self) -> bool:
+        """True iff every node reaches every other along directed links."""
+        links = self.weights > 0
+        return _reaches_all(links) and _reaches_all(links.T)
+
+    @cached_property
+    def sigma_bound(self) -> float:
+        """Largest admissible disagreement weight, (n-1) / (2*n*||L||^2);
+        infinite, with a warning on the first read, when there are no edges."""
+        norm_l = float(np.linalg.norm(laplacian(self), 2))
+        if norm_l == 0.0:
+            msg = "graph has no edges; the disagreement term is void and the bound is infinite"
+            warnings.warn(msg, stacklevel=3)  # the reader's line, past functools
+            return math.inf
+        return (self.n - 1) / (2.0 * self.n * norm_l ** 2)
 
     @cached_property
     def links(self) -> tuple[np.ndarray, np.ndarray]:
@@ -114,12 +133,6 @@ def _reaches_all(links: np.ndarray) -> bool:
     return bool(reached.all())
 
 
-def is_strongly_connected(g: DirectedGraph) -> bool:
-    """True iff every node reaches every other along directed links."""
-    links = g.weights > 0
-    return _reaches_all(links) and _reaches_all(links.T)
-
-
 def solve_lyapunov_pd(m: np.ndarray) -> tuple[np.ndarray, float]:
     """Solve ``m.T @ P + P @ m = I`` for symmetric positive definite P.
 
@@ -143,7 +156,7 @@ def solve_lyapunov_pd(m: np.ndarray) -> tuple[np.ndarray, float]:
 def lyapunov_pair(g: DirectedGraph) -> LyapunovPair:
     """Lyapunov certificate, with Q = I, for the coupling matrix of a
     strongly connected graph, solved block by block."""
-    if not is_strongly_connected(g):
+    if not g.strongly_connected:
         raise NotStronglyConnected("graph must be strongly connected")
     solved = [solve_lyapunov_pd(b) for b in coupling_blocks(g)]
     return LyapunovPair(

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -29,11 +30,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import sigma_bound
 from .engine import EngineConfig, Member
 from .errors import ParseError, ValidationError, integer, number, numbers
 from .games import ActionInterval, GameDefinition, QuadraticGame, SpectrumGame
-from .graphs import DirectedGraph, is_strongly_connected
+from .graphs import DirectedGraph
 from .triggers import LawKind, TriggerParams
 
 
@@ -161,7 +161,8 @@ def _trigger_from_dict(traw: dict, graph: DirectedGraph) -> TriggerParams:
 
 def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
     """Build a scenario from a parsed document; raises ValidationError naming
-    the field. The advisories are warned once the scenario is built."""
+    the field. Once the scenario is built, it warns if ``graph.strongly_connected``
+    is false or some sigma exceeds ``graph.sigma_bound``."""
     if not isinstance(data, dict):
         raise ValidationError(f"{source}: top level must be an object")
 
@@ -180,12 +181,11 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
         engine = EngineConfig(**fields)
 
     advisories = []
-    if not is_strongly_connected(graph):
+    if not graph.strongly_connected:
         advisories.append("graph is not strongly connected; consensus may fail")
-    bound = sigma_bound(graph)
-    if (trigger.sigma > bound).any():
+    if (trigger.sigma > graph.sigma_bound).any():
         advisories.append(
-            f"sigma exceeds the admissible bound {bound:.6g} for some players; "
+            f"sigma exceeds the admissible bound {graph.sigma_bound:.6g} for some players; "
             "the certified rate does not apply"
         )
     scenario = Scenario(
@@ -212,12 +212,13 @@ def _finite(literal: str) -> float:
     return value
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    """Read and validate a scenario JSON file.
+def load_scenario(path) -> Scenario:
+    """Read and validate a scenario JSON file: a path, or a resource with
+    ``read_text`` such as ``data.bundled_path`` returns.
 
     ``NaN``, ``Infinity`` and literals that overflow to infinity are rejected.
     """
-    path = Path(path)
+    path = Path(path) if isinstance(path, (str, os.PathLike)) else path
     try:
         text = path.read_text()
     except OSError as exc:

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import inspect
 import json
@@ -31,7 +32,7 @@ from neseek.scenario import scenario_from_dict
 # compare_laws is the one ensemble call), the scalar reference
 # implementations, which live in tests/oracles.py, and the per-law trigger
 # parameters (Batch.of caps the dynamic law's sigma; a Member is a law and a
-# seed).
+# seed), and the graph facts, which are properties of DirectedGraph.
 REMOVED = (
     "RunMetrics",
     "run_ensemble",
@@ -43,6 +44,8 @@ REMOVED = (
     "project",
     "coupling_matrix",
     "law_trigger_params",
+    "sigma_bound",
+    "is_strongly_connected",
 )
 
 
@@ -56,6 +59,17 @@ def test_removed_names_are_not_exported():
     for name in REMOVED:
         assert name not in neseek.__all__, name
         assert not hasattr(neseek, name), name
+
+
+def test_the_simulator_does_not_import_the_certificate():
+    # the graph holds the facts the loader and the batch read, so only the
+    # CLI imports the certificate module
+    for module in (neseek.engine, neseek.scenario):
+        imported = set()
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.ImportFrom):
+                imported |= {node.module, *(alias.name for alias in node.names)}
+        assert "bounds" not in imported, module.__name__
 
 
 def test_runs_take_their_inputs_from_the_scenario():

@@ -9,7 +9,6 @@ from neseek import (
     beta_min,
     compute_report,
     lyapunov_pair,
-    sigma_bound,
 )
 from neseek.errors import InfeasibleBeta
 
@@ -24,26 +23,26 @@ TWO_CYCLE = DirectedGraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
 class TestSigmaBound:
     def test_two_cycle_exact(self):
         # Laplacian [[1,-1],[-1,1]] has operator norm 2
-        assert sigma_bound(TWO_CYCLE) == pytest.approx(1.0 / 16.0, rel=1e-12)
+        assert TWO_CYCLE.sigma_bound == pytest.approx(1.0 / 16.0, rel=1e-12)
 
     def test_edgeless_warns_and_returns_infinity(self):
         g = DirectedGraph(np.zeros((3, 3)))
         with pytest.warns(UserWarning, match="no edges"):
-            assert sigma_bound(g) == math.inf
+            assert g.sigma_bound == math.inf
 
     def test_bundled_graph_matches_svd_oracle(self, spectrum_scenario):
         g = spectrum_scenario.graph
         lap = np.diag(g.in_degrees) - g.weights
         top_singular = np.linalg.svd(lap, compute_uv=False)[0]
         expected = 4.0 / (10.0 * top_singular ** 2)
-        got = sigma_bound(g)
+        got = g.sigma_bound
         assert got > 0
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_doubling_weights_quarters_the_bound(self, spectrum_scenario):
         g = spectrum_scenario.graph
         doubled = DirectedGraph(2.0 * g.weights)
-        assert sigma_bound(doubled) == pytest.approx(sigma_bound(g) / 4.0, rel=1e-12)
+        assert doubled.sigma_bound == pytest.approx(g.sigma_bound / 4.0, rel=1e-12)
 
 
 class TestBetaMin:

@@ -335,6 +335,45 @@ def test_package_runs_as_a_module():
     assert np.allclose(json.loads(done.stdout)["x_star"], [1.0, 2.0], atol=1e-6)
 
 
+def test_huge_snr_is_one_error_line(tmp_path, capsys):
+    config = json.loads(bundled_path("spectrum_paper").read_text())
+    config["game"]["s_db"][0] = 4000
+    path = tmp_path / "snr.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    err = [line for line in capsys.readouterr().err.splitlines()
+           if not line.startswith("warning:")]
+    assert len(err) == 1 and err[0].startswith("error: game: s_db: ")
+    assert not out.exists()
+
+
+def test_bundled_names_resolve_when_imported_from_a_zip(tmp_path):
+    import zipfile
+
+    import neseek
+
+    package = Path(neseek.__file__).parent
+    archive = tmp_path / "neseek.zip"
+    with zipfile.ZipFile(archive, "w") as z:
+        for f in package.rglob("*"):
+            if f.is_file() and "__pycache__" not in f.parts:
+                z.write(f, f.relative_to(package.parent))
+    code = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(archive)!r})",
+        "import neseek",
+        "assert neseek.__file__.startswith(sys.path[0]), neseek.__file__",
+        "from neseek.cli import main",
+        "sys.exit(main(['solve-ne', '--config', 'quadratic_demo']))",
+    ])
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    assert np.allclose(json.loads(done.stdout)["x_star"], [1.0, 2.0], atol=1e-6)
+
+
 def test_missing_config_fails_cleanly(capsys):
     assert main(["solve-ne", "--config", "/nonexistent/nope.json"]) == 1
     assert "error:" in capsys.readouterr().err

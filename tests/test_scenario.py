@@ -308,6 +308,16 @@ def test_not_strongly_connected_is_advisory():
         scenario_from_dict(data)
 
 
+@pytest.mark.parametrize("s_db", [4000.0, 3082.0], ids=["overflows", "infinite"])
+def test_snr_with_non_finite_efficiency_is_refused(s_db):
+    # 10 ** 400 overflows a float; 10 ** 308.2 does not, but the
+    # efficiency it gives is infinite
+    data = spectrum_dict()
+    data["game"]["s_db"][0] = s_db
+    with pytest.raises(ValidationError, match=r"^game: s_db: "):
+        scenario_from_dict(data)
+
+
 def test_scalar_and_list_trigger_vectors_agree():
     data = quadratic_dict()
     data["trigger"]["c"] = [1.0, 1.0]
