@@ -103,14 +103,15 @@ def _interval_rows(law: LawKind, counts, stats) -> list[dict]:
 def _output_dir(path: str):
     """The ``--out`` directory, made before the run it is to hold, so that a
     path that cannot be a directory fails before any work is done. A run
-    that fails removes the directories made here again: a failed command
-    leaves no output behind."""
+    that fails, by any exception (a Ctrl-C too), removes the directories
+    made here again and re-raises it: a failed command leaves no output
+    behind."""
     out = Path(path)
     made = [p for p in (out, *out.parents) if not p.exists()]
     out.mkdir(parents=True, exist_ok=True)
     try:
         yield out
-    except NeseekError:
+    except BaseException:
         for p in made:
             p.rmdir()
         raise

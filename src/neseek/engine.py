@@ -113,14 +113,20 @@ class Batch:
     ``sigma`` is (R, n), each member's disagreement weights. ``xi`` and
     ``threshold`` are (steps, R, n): the random thresholds, NaN under the
     deterministic laws, and the right-hand side every law compares its
-    margin with. ``static`` is the (R, 1) mask of the members whose margin
-    is the raw energy (see ``decide``).
+    margin with. ``scale`` is the (steps, n) ``delta / c`` of every step
+    and ``ln_kappa`` the ``math.log`` of kappa, from which ``decide`` forms
+    a drawn threshold again at a tie; ``drawn`` is True when some member
+    draws. ``static`` is the (R, 1) mask of the members whose margin is the
+    raw energy (see ``decide``).
     """
 
     scenario: Scenario
     sigma: np.ndarray
     xi: np.ndarray
     threshold: np.ndarray
+    scale: np.ndarray
+    ln_kappa: float
+    drawn: bool
     static: np.ndarray
 
     @classmethod
@@ -135,8 +141,9 @@ class Batch:
         are independent of one another. A stream is drawn whole up front:
         ``random(steps)`` yields the same doubles as ``steps`` scalar draws.
         The threshold at step k is ``(delta0 * exp(-eta * (k * dt)) / c) *
-        threshold_term(params, xi[k])``, formed here for every step, so no
-        step takes a log or an exponential.
+        threshold_term(params, xi[k])``, formed here for every step with
+        one ``np.log``, so no step takes a log or an exponential but at the
+        rare ties that ``decide`` forms again with ``math.log``.
 
         A CONTINUOUS member's thresholds are -inf and its margin is the raw
         energy, as a STATIC member's is: the energy is a sum of squares of a
@@ -158,14 +165,18 @@ class Batch:
         continuous = [m.law is LawKind.CONTINUOUS for m in members]
         cap = scenario.graph.sigma_bound if any(dynamic) else math.inf
         decay = params.delta0 * np.exp(-params.eta * (np.arange(steps) * dt))[:, None]
+        scale = decay / params.c
         threshold = threshold_term(params, xi)
-        threshold *= (decay / params.c)[:, None]
+        threshold *= scale[:, None]
         threshold[:, continuous] = -math.inf
         return cls(
             scenario,
             np.minimum(params.sigma, [[cap if d else math.inf] for d in dynamic]),
             xi,
             threshold,
+            scale,
+            math.log(params.kappa),
+            any(m.law is LawKind.STOCHASTIC for m in members),
             np.array([[m.law in (LawKind.STATIC, LawKind.CONTINUOUS)] for m in members]),
         )
 
@@ -433,18 +444,21 @@ def step(state: EngineState, batch: Batch) -> tuple[EngineState, np.ndarray, np.
     energy = action_err_sq + estimate_err_sq
 
     rho = triggering_function(energy, state.disagreement_sq, batch.sigma)
-    fired = decide(rho, energy, batch.threshold[state.step_index], batch.static)
+    k = state.step_index
+    fired = decide(
+        rho, energy, batch.threshold[k], batch.static,
+        batch.xi[k] if batch.drawn else None, batch.scale[k], batch.ln_kappa,
+    )
 
     lo, hi = game.bounds
     # np.minimum/np.maximum skip np.clip's Python wrapper, with the same bits
     xdot = np.minimum(np.maximum(x - config.alpha * grad, lo), hi) - x
-    k_new = state.step_index + 1
     x_new = x + config.dt * xdot
     if terms is None:
         terms = _iterate(state, batch, fired, x_new, e_y)
     else:
         terms = _advance_rows(state, batch, fired, x_new)
-    new = EngineState(k_new, x_new, *terms)
+    new = EngineState(k + 1, x_new, *terms)
     return new, fired, rho
 
 
@@ -461,7 +475,8 @@ def _iterate(state: EngineState, batch: Batch, fired: np.ndarray, x_new: np.ndar
     graph, config = batch.scenario.graph, batch.scenario.engine
     y, y_hat = state.anchor, state.y_hat
     disagreement_sq, increment = state.disagreement_sq, state.increment
-    if fired.any():
+    # count_nonzero skips the Python-level dispatch of fired.any()
+    if np.count_nonzero(fired):
         # A dense step that fires recomputes both terms whole. On a
         # 2-core x86-64 host, `run` of the paper_ensemble batch (4
         # members, 800 steps, median of 8 alternating best-of-5) took
@@ -488,7 +503,7 @@ def _advance_rows(state: EngineState, batch: Batch, fired: np.ndarray, x_new: np
     disagreement_sq, increment = state.disagreement_sq, state.increment
     runs, n = state.x.shape
     age += 1.0
-    if fired.any():
+    if np.count_nonzero(fired):
         touched = touched_rows(graph, fired)
         touched[touched.sum(axis=1) > REANCHOR_SHARE * n] = True
         # every array as R * n rows of n: row r * n + i is member r's player i

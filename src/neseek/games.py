@@ -195,7 +195,11 @@ def _own_gradient(game: GameDefinition, own: np.ndarray, functional) -> np.ndarr
     """Own-action partial gradients from each player's own action and the
     ``row_functional`` of its view of the profile."""
     if isinstance(game, SpectrumGame):
-        if game.tau > 1 and (functional < 0).any():
+        if game.tau == 1:
+            # linear pricing: the powers below are f ** 1 and f ** 0, exact,
+            # so this is the same sum with the same bits
+            return game.m_c + game.q * functional + own * game.q - game.revenue
+        if (functional < 0).any():
             raise DomainError("negative total demand with fractional pricing exponent")
         price = game.m_c + game.q * functional ** game.tau
         marginal = own * game.q * game.tau * functional ** (game.tau - 1.0)

@@ -14,6 +14,12 @@ which makes the complementary no-fire inequality hold exactly, float-for-float,
 whenever the law stays quiet. Deterministic comparison laws are expressed
 through the same right-hand side so that the whole family differs only in how
 it thresholds ``rho``.
+
+The reference right-hand side takes ``ln(xi)`` with ``math.log``. A batch
+forms its thresholds with one ``np.log`` over every draw, which can differ
+from ``math.log`` in the last bit, so ``decide`` forms a drawn threshold
+again with ``math.log`` wherever a margin lies within ``TIE_BAND`` of it:
+every decision equals the reference one.
 """
 
 from __future__ import annotations
@@ -25,6 +31,14 @@ from enum import Enum
 import numpy as np
 
 from .errors import ValidationError, number, numbers
+
+# A margin within TIE_BAND * threshold + TIE_FLOOR of a drawn threshold is
+# compared with the threshold formed again with math.log. np.log and
+# math.log differ by at most one ulp, which moves a threshold by a few ulps
+# (2**-52 relative each); the floor covers the subnormal thresholds of a
+# decay near underflow, where the relative band rounds to zero.
+TIE_BAND = 2.0 ** -44
+TIE_FLOOR = 2.0 ** -1068
 
 
 class LawKind(str, Enum):
@@ -104,44 +118,66 @@ def xi_from_uniform(params: TriggerParams, u: float | np.ndarray) -> float | np.
     return 1.0 - u * (1.0 - params.a_floor)
 
 
-def _log(v: np.ndarray) -> np.ndarray:
-    # math.log per entry: np.log can differ from it in the last ulp, which
-    # would move borderline decisions off the scalar oracle
-    return np.fromiter(map(math.log, v.ravel()), float, v.size).reshape(v.shape)
-
-
 def threshold_term(params: TriggerParams, xi: np.ndarray) -> np.ndarray:
-    """``ln(kappa) - ln(xi)`` per entry of the random thresholds ``xi``.
+    """``ln(kappa) - ln(xi)`` per entry of the random thresholds ``xi``,
+    with one ``np.log`` over the whole array, which ``decide`` corrects at
+    its ties.
 
     A NaN entry, which is what a deterministic law records for ``xi``,
-    stands for the threshold pinned at a_floor. ``Batch.of`` scales it by
-    ``delta / c`` once for a whole run, so no step takes a log.
+    stands for the threshold pinned at a_floor, formed with ``math.log``.
+    ``Batch.of`` scales the terms by ``delta / c`` once for a whole run, so
+    no step takes a log.
     """
     ln_kappa = math.log(params.kappa)
-    term = np.full(np.shape(xi), ln_kappa - math.log(params.a_floor))
-    drawn = ~np.isnan(xi)
-    term[drawn] = ln_kappa - _log(xi[drawn])
+    term = ln_kappa - np.log(xi)
+    term[np.isnan(xi)] = ln_kappa - math.log(params.a_floor)
     return term
 
 
 def decide(
-    rho: np.ndarray, energy: np.ndarray, threshold: np.ndarray, static: np.ndarray | bool
+    rho: np.ndarray, energy: np.ndarray, threshold: np.ndarray, static: np.ndarray | bool,
+    xi: np.ndarray | None, scale: np.ndarray, ln_kappa: float,
 ) -> np.ndarray:
     """Fire mask shaped like ``rho``, (R, n) in a step: one entry per member
-    and player, as in ``energy`` and ``threshold``; ``static`` is the (R, 1)
-    mask of the members whose margin is the raw energy.
+    and player, as in ``energy``, ``threshold`` and ``xi``; ``static`` is
+    the (R, 1) mask of the members whose margin is the raw energy.
 
     ``rho`` is the triggering function and ``energy`` the raw event-error
     energy (action plus estimate term) of each evaluation; ``threshold`` is
-    ``(delta / c) * threshold_term`` at this evaluation. Every law compares
-    a margin with it. STOCHASTIC fires when the uniform draw behind xi falls
-    below the law's fire probability, through this log-domain form, whose
-    quiet branch is its exact negation. DYNAMIC is its deterministic limit,
-    with the threshold pinned at a_floor. Where ``static`` holds, the margin
-    is the raw energy instead (no disagreement allowance). CONTINUOUS reads
+    ``scale * threshold_term`` at this evaluation, where ``scale`` is the
+    step's ``delta / c``, one entry per player. Every law compares a margin
+    with it. STOCHASTIC fires when the uniform draw behind xi falls below
+    the law's fire probability, through this log-domain form, whose quiet
+    branch is its exact negation. DYNAMIC is its deterministic limit, with
+    the threshold pinned at a_floor. Where ``static`` holds, the margin is
+    the raw energy instead (no disagreement allowance). CONTINUOUS reads
     the raw energy against a -inf threshold, so it fires at every
     evaluation: the energy is a sum of squares of the state, which
     ``engine.step`` keeps finite (a non-finite state raises
     NumericalDivergence), so it is never NaN and always exceeds -inf.
+
+    ``xi`` holds the step's random thresholds, NaN under the deterministic
+    laws, or is None when no member draws. Where a margin lies within the
+    tie band of a drawn threshold, the threshold is formed again as
+    ``(ln_kappa - math.log(xi)) * scale``, in ``Batch.of``'s order, so the
+    decision is the one the ``math.log`` threshold gives. A deterministic
+    law's threshold already is, and a -inf one has no ties.
     """
-    return np.where(static, energy, rho) > threshold
+    margin = np.where(static, energy, rho)
+    fired = margin > threshold
+    if xi is None:
+        return fired
+    # every threshold is nonnegative, or -inf with a -inf band: no ties
+    band = threshold * TIE_BAND
+    band += TIE_FLOOR
+    gap = margin - threshold
+    near = np.abs(gap, out=gap) <= band
+    # count_nonzero skips the Python-level dispatch of near.any()
+    if np.count_nonzero(near):
+        near &= ~np.isnan(xi)
+        exact = [
+            (ln_kappa - math.log(v)) * s
+            for v, s in zip(xi[near], np.broadcast_to(scale, near.shape)[near])
+        ]
+        fired[near] = margin[near] > exact
+    return fired

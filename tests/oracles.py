@@ -150,7 +150,11 @@ def closed_form_step(state, batch, coupling, share: float, fired=None):
         grad = gradient_from_others(game, x, f_anchor + age * f_inc)
     rho = triggering_function(energy, state.disagreement_sq, batch.sigma)
     if fired is None:
-        fired = decide(rho, energy, batch.threshold[state.step_index], batch.static)
+        k = state.step_index
+        fired = decide(
+            rho, energy, batch.threshold[k], batch.static,
+            batch.xi[k] if batch.drawn else None, batch.scale[k], batch.ln_kappa,
+        )
     lo, hi = game.bounds
     x_new = x + config.dt * (np.minimum(np.maximum(x - config.alpha * grad, lo), hi) - x)
 
@@ -201,7 +205,10 @@ def iterated_run(scenario, member):
         e_x = y_hat[diag] - x
         energy = e_x * e_x + ((y_hat - y) ** 2).sum(axis=-1)
         rho = triggering_function(energy, disagreement_sq, batch.sigma)
-        fired = decide(rho, energy, batch.threshold[k], batch.static)
+        fired = decide(
+            rho, energy, batch.threshold[k], batch.static,
+            batch.xi[k] if batch.drawn else None, batch.scale[k], batch.ln_kappa,
+        )
         grad = gradient_at_estimates(game, y)
         x = x + config.dt * (np.minimum(np.maximum(x - config.alpha * grad, lo), hi) - x)
         if fired.any():

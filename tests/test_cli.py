@@ -320,6 +320,22 @@ def test_failed_run_removes_the_directories_it_made(tmp_path, capsys, command):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["diverging.json"]
 
 
+@pytest.mark.parametrize(
+    "raised", [RuntimeError("boom"), KeyboardInterrupt()], ids=["RuntimeError", "KeyboardInterrupt"]
+)
+def test_any_exception_removes_the_directories_it_made(tmp_path, monkeypatch, raised):
+    # not only a NeseekError: an unexpected failure or a Ctrl-C during the
+    # run leaves no directory either, and reaches the caller unchanged
+    def failing_run(*args, **kwargs):
+        raise raised
+
+    monkeypatch.setattr(harness, "single_run", failing_run)
+    with pytest.raises(type(raised)) as caught:
+        main(["simulate", "--config", QUAD, "--out", str(tmp_path / "new" / "out")])
+    assert caught.value is raised
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_package_runs_as_a_module():
     import neseek
 

@@ -607,6 +607,11 @@ class TestBatch:
             want = (decay / p.c) * threshold_term(p, batch.xi[k])
             want[continuous] = -math.inf
             assert np.array_equal(batch.threshold[k], want), k
+            # what decide forms a drawn threshold again from at a tie
+            assert np.array_equal(batch.scale[k], decay / p.c), k
+        assert batch.ln_kappa == math.log(p.kappa)
+        assert batch.drawn
+        assert not Batch.of(s, [m for m in members if m.law is not LawKind.STOCHASTIC]).drawn
 
     def test_thresholds_follow_per_player_streams(self, quadratic_scenario):
         s = quadratic_scenario

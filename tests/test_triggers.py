@@ -9,7 +9,7 @@ from neseek import (
     decide,
     triggering_function,
 )
-from neseek.triggers import threshold_term, xi_from_uniform
+from neseek.triggers import TIE_BAND, threshold_term, xi_from_uniform
 
 from oracles import decay_at, trigger_probability
 
@@ -72,12 +72,33 @@ def law_inputs(c, p):
 def decide_law(law, p, rho, energy, decay, u):
     """``decide`` for evaluations that all follow ``law``, given the uniform
     draw ``u`` of each; deterministic laws record NaN thresholds. The
-    threshold and the margin are chosen as ``Batch.of`` chooses them."""
-    xi = xi_from_uniform(p, u) if law is LawKind.STOCHASTIC else np.full(np.shape(u), math.nan)
-    threshold = (decay / p.c) * threshold_term(p, xi)
+    threshold and the margin are chosen as ``Batch.of`` chooses them, and
+    ``decide`` gets the draws only under a law that draws, as in a step."""
+    drawn = law is LawKind.STOCHASTIC
+    xi = xi_from_uniform(p, u) if drawn else np.full(np.shape(u), math.nan)
+    scale = decay / p.c
+    threshold = scale * threshold_term(p, xi)
     if law is LawKind.CONTINUOUS:
         threshold = np.full_like(threshold, -math.inf)
-    return decide(rho, energy, threshold, law in (LawKind.STATIC, LawKind.CONTINUOUS))
+    static = law in (LawKind.STATIC, LawKind.CONTINUOUS)
+    return decide(
+        rho, energy, threshold, static, xi if drawn else None, scale, math.log(p.kappa)
+    )
+
+
+def exact_thresholds(p, xi, scale):
+    """The drawn thresholds with ``math.log`` per entry, the scalar oracle,
+    in ``Batch.of``'s order: ``(ln(kappa) - ln(xi)) * scale``."""
+    ln_kappa = math.log(p.kappa)
+    return np.array([(ln_kappa - math.log(v)) * s for v, s in zip(xi, scale)])
+
+
+def assert_ties_follow(at, threshold, xi, scale, ln_kappa):
+    """Against the batch ``threshold``, a stochastic margin at the exact
+    threshold ``at`` stays quiet and one ulp above it fires, everywhere."""
+    above = np.nextafter(at, math.inf)
+    assert not decide(at, at, threshold, False, xi, scale, ln_kappa).any()
+    assert decide(above, above, threshold, False, xi, scale, ln_kappa).all()
 
 
 def test_params_validation():
@@ -179,6 +200,39 @@ class TestDecide:
         at = [ln_kappa - math.log(xi_from_uniform(p, float(v))) for v in u]
         c = cases(e_x=at, e_y=np.zeros(count), cons=np.zeros(count), decay=np.ones(count))
         assert not decide_law(LawKind.STOCHASTIC, p, **law_inputs(c, p), u=u).any()
+
+    def test_stochastic_follows_math_log_when_the_batch_log_is_one_ulp_off(self):
+        # thresholds formed from logs one ulp off math.log, either way, as
+        # np.log can give on some CPUs: a margin at the math.log threshold
+        # stays quiet and one ulp above it fires, on any CPU
+        count = 20_000
+        p = params(n=count)
+        rng = np.random.default_rng(6)
+        xi = xi_from_uniform(p, rng.random(count))
+        scale = 10.0 ** rng.uniform(-8, 2, count) / p.c
+        ln_kappa = math.log(p.kappa)
+        logs = np.array([math.log(v) for v in xi])
+        at = exact_thresholds(p, xi, scale)
+        for direction in (-math.inf, math.inf):
+            off = (ln_kappa - np.nextafter(logs, direction)) * scale
+            assert (off != at).sum() > count // 4
+            assert_ties_follow(at, off, xi, scale, ln_kappa)
+
+    def test_tie_band_covers_subnormal_thresholds(self):
+        # eta * k * dt = 715 takes the decay to about 3e-311, so every
+        # threshold is subnormal and most are below 4.3e-311, where the
+        # relative band 2**-44 * threshold rounds to zero: only the
+        # absolute floor makes a batch threshold one ulp off a tie
+        count = 20_000
+        p = params(n=count, eta=10.0)
+        xi = xi_from_uniform(p, np.random.default_rng(7).random(count))
+        scale = p.delta0 * np.exp(-p.eta * (2860 * 0.025)) / p.c
+        at = exact_thresholds(p, xi, scale)
+        assert ((0 < at) & (at < np.finfo(float).tiny)).all()
+        assert (at * TIE_BAND == 0).sum() > count // 2
+        for direction in (-math.inf, math.inf):
+            off = np.nextafter(at, direction)
+            assert_ties_follow(at, off, xi, scale, math.log(p.kappa))
 
     def test_dynamic_equals_pinned_threshold_stochastic(self):
         # oracle in the multiplicative form: fire iff a_floor > kappa*exp(-c*rho/decay)
