@@ -38,6 +38,7 @@ from .errors import DegenerateWindow, NumericalDivergence, ValidationError, inte
 from .games import gradient_at_estimates, gradient_from_others, row_functional
 from .graphs import DirectedGraph
 from .triggers import LawKind, decide, threshold_term, triggering_function, xi_from_uniform
+from .triggers import uniform_streams
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -117,7 +118,7 @@ class Batch:
     and ``ln_kappa`` the ``math.log`` of kappa, from which ``decide`` forms
     a drawn threshold again at a tie; ``drawn`` is True when some member
     draws. ``static`` is the (R, 1) mask of the members whose margin is the
-    raw energy (see ``decide``).
+    raw energy (see ``decide``), or None when no member's is.
     """
 
     scenario: Scenario
@@ -127,7 +128,7 @@ class Batch:
     scale: np.ndarray
     ln_kappa: float
     drawn: bool
-    static: np.ndarray
+    static: np.ndarray | None
 
     @classmethod
     def of(cls, scenario: Scenario, members: Sequence[Member]) -> "Batch":
@@ -136,10 +137,12 @@ class Batch:
         A DYNAMIC member runs with its weights capped at
         ``scenario.graph.sigma_bound``, which the graph computes once;
         every other member keeps the scenario's.
-        Each stochastic member's player i draws from its own generator, the
-        i-th child of ``SeedSequence(seed).spawn(n)``, so per-player streams
-        are independent of one another. A stream is drawn whole up front:
-        ``random(steps)`` yields the same doubles as ``steps`` scalar draws.
+        Each stochastic member's player i draws from its own generator, for
+        the i-th of the n children ``SeedSequence(seed)`` spawns, so
+        per-player streams are independent of one another. They are drawn
+        whole up front by ``triggers.uniform_streams``, which seeds every
+        child of the batch in one vectorised pass with numpy's bits, as
+        ``tests/test_triggers.py`` checks against numpy's own spawn.
         The threshold at step k is ``(delta0 * exp(-eta * (k * dt)) / c) *
         threshold_term(params, xi[k])``, formed here for every step with
         one ``np.log``, so no step takes a log or an exponential but at the
@@ -154,13 +157,10 @@ class Batch:
             raise ValidationError("members: a batch needs at least one member")
         params, dt, steps = scenario.trigger, scenario.engine.dt, scenario.engine.steps
         xi = np.full((steps, len(members), params.n), math.nan)
-        for r, m in enumerate(members):
-            if m.law is LawKind.STOCHASTIC:
-                streams = [
-                    np.random.Generator(np.random.PCG64(ss)).random(steps)
-                    for ss in np.random.SeedSequence(m.seed).spawn(params.n)
-                ]
-                xi[:, r] = xi_from_uniform(params, np.array(streams).T)
+        drawn = [r for r, m in enumerate(members) if m.law is LawKind.STOCHASTIC]
+        if drawn:
+            streams = uniform_streams([members[r].seed for r in drawn], params.n, steps)
+            xi[:, drawn] = xi_from_uniform(params, streams)
         dynamic = [m.law is LawKind.DYNAMIC for m in members]
         continuous = [m.law is LawKind.CONTINUOUS for m in members]
         cap = scenario.graph.sigma_bound if any(dynamic) else math.inf
@@ -169,6 +169,7 @@ class Batch:
         threshold = threshold_term(params, xi)
         threshold *= scale[:, None]
         threshold[:, continuous] = -math.inf
+        static = [m.law in (LawKind.STATIC, LawKind.CONTINUOUS) for m in members]
         return cls(
             scenario,
             np.minimum(params.sigma, [[cap if d else math.inf] for d in dynamic]),
@@ -176,8 +177,8 @@ class Batch:
             threshold,
             scale,
             math.log(params.kappa),
-            any(m.law is LawKind.STOCHASTIC for m in members),
-            np.array([[m.law in (LawKind.STATIC, LawKind.CONTINUOUS)] for m in members]),
+            bool(drawn),
+            np.array(static)[:, None] if any(static) else None,
         )
 
 

@@ -3,6 +3,10 @@ import dataclasses
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +74,28 @@ def test_the_simulator_does_not_import_the_certificate():
             if isinstance(node, ast.ImportFrom):
                 imported |= {node.module, *(alias.name for alias in node.names)}
         assert "bounds" not in imported, module.__name__
+
+
+def test_loading_a_scenario_imports_no_numpy_random():
+    # numpy.random loads on the first batch that draws, not on import: a
+    # module-level import of it would slow every command's start
+    code = "\n".join([
+        "import sys, warnings",
+        "warnings.simplefilter('ignore')",
+        "import neseek",
+        "from neseek.data import bundled_path",
+        "neseek.load_scenario(bundled_path('spectrum_paper'))",
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))",
+    ])
+    src = str(Path(neseek.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["[]"]
 
 
 def test_runs_take_their_inputs_from_the_scenario():

@@ -601,6 +601,9 @@ class TestBatch:
         continuous = [m.law is LawKind.CONTINUOUS for m in members]
         raw = [m.law in (LawKind.STATIC, LawKind.CONTINUOUS) for m in members]
         assert batch.static[:, 0].tolist() == raw
+        # where every margin is rho, decide takes it without a mask
+        drawn = [Member(LawKind.STOCHASTIC, 5), Member(LawKind.DYNAMIC, 5)]
+        assert Batch.of(s, drawn).static is None
         assert batch.threshold.shape == (s.engine.steps, len(members), s.n)
         for k in range(s.engine.steps):
             decay = p.delta0 * np.exp(-p.eta * (k * s.engine.dt))

@@ -14,6 +14,12 @@ rows in closed form, anchor + age * increment: they moved by at most 1.5e-16
 (actions) and 5e-16 (rho) of their largest entry, while trig, xi and err_inf
 kept their bits.
 
+A second table, ``SPECTRUM_GOLDEN``, pins the game every generated
+large-n scenario plays: a 128-player ring-plus-chord spectrum game with
+linear pricing (``tau == 1``), whose gradient reads each estimate row's
+total, again one member per law over 20 steps in one batch. It was recorded
+before the per-player streams were seeded in one vectorised pass.
+
 Float bytes depend on the platform's libm and BLAS. The table was recorded
 on x86-64 Linux, Python 3.11, numpy 2.4 with OpenBLAS.
 """
@@ -30,6 +36,7 @@ from neseek import (
     Member,
     QuadraticGame,
     Scenario,
+    SpectrumGame,
     TriggerParams,
     engine,
     run,
@@ -90,6 +97,58 @@ GOLDEN = {
 }
 
 
+SPECTRUM_GOLDEN = {
+    "continuous": {
+        "actions":
+            "c12799fd207c7fbe193e2ab76eec1f4b2ad245780437e7cba458368467d399d4",
+        "err_inf":
+            "5e83b0aeaee4ad8d7d245b52b97ba95eb8e71124f409a0b59dd1d9fce7065744",
+        "trig":
+            "bbfaa90a80e53128cd3198c01e55d3e9bfb61c8c0c341062e0e86c4f13381b93",
+        "rho":
+            "07a694c71e28d1d2a26f9ffd4760ec91a23a001e92e9c84cc67599cdca19c5c8",
+        "xi":
+            "c8aeed44f9feac1f117ef8b766722609e33259444845f4711cedd79037f40340",
+    },
+    "static": {
+        "actions":
+            "5157b978ba156a93a14e04eeedc6a3c03bf8e90f99900eeb106d04fee347850c",
+        "err_inf":
+            "26837cca2a49e8dc91115e84e6af1ea57773ce90a8b9a362ea55295b272ddda5",
+        "trig":
+            "1c3dd8d2de4ce20ec02ac5ab669046b7b5452757c9a1eb26f2e8ba5d1d517f92",
+        "rho":
+            "3db15990de083266cdfb73a8b9a6ea17f2f3190a73e2bb4919c183588e49a7a0",
+        "xi":
+            "c8aeed44f9feac1f117ef8b766722609e33259444845f4711cedd79037f40340",
+    },
+    "dynamic": {
+        "actions":
+            "90779ac6483b81c89738b6ccceeeb7456a360155861dc06486845a6afc0199fb",
+        "err_inf":
+            "a121adae1dfbf15a2e1cd5c5d2a4f6c38e711165176534053cfee70f9c9a8e97",
+        "trig":
+            "c4fee3e930113a360897e83cdc8f29cad8a13780c8853a6434ec37fec05513b9",
+        "rho":
+            "eaaa8f1a1c3d9262e7870cade9bb0a843592ff37270795d89de473a7ac349e7d",
+        "xi":
+            "c8aeed44f9feac1f117ef8b766722609e33259444845f4711cedd79037f40340",
+    },
+    "stochastic": {
+        "actions":
+            "2822a286d3d94437b9f56312458b6bdb4d396578d953ab2c7127168d549a96d8",
+        "err_inf":
+            "004a32dee7c7d12a50674b597edb77c892cf2ce2b63853515befaee42def0490",
+        "trig":
+            "b9b55132d12242fb1cec4d3147fb500d69eba4a9d2afcc4b1b50f18f16be4dd7",
+        "rho":
+            "8629972f781c00c0f1c65dbcbab53c8711a5b3ab861810d1afe8e7c8d0811d11",
+        "xi":
+            "a1e1a530bb4df788166940d187cd0634be804bbd38dc57f05510b5b133ff12da",
+    },
+}
+
+
 def ring_with_chords(rng, n):
     """Player i hears i - 1 with weight 1 and one other player, neither
     itself nor i - 1, with a weight drawn from [0.5, 2)."""
@@ -120,6 +179,28 @@ def sparse_scenario():
     )
 
 
+def spectrum_scenario():
+    """The sparse path under the spectrum game, with the bundled
+    ``spectrum_paper`` scenario's trigger and step sizes and parameters drawn
+    around its ranges."""
+    rng = np.random.default_rng(256)
+    graph = ring_with_chords(rng, N)
+    game = SpectrumGame(
+        m_c=rng.uniform(5.7, 15.0, N), q=rng.uniform(1.1, 1.5, N), r=np.full(N, 20.0),
+        s_db=rng.uniform(12.0, 18.0, N), ber_target=np.full(N, 1e-4),
+        intervals=(ActionInterval(0.0, 16.0),) * N, tau=1.0,
+    )
+    trigger = TriggerParams(
+        kappa=1.075, a_floor=0.05, eta=10.0, c=np.ones(N),
+        sigma=0.8 / graph.in_degrees, delta0=np.full(N, 100.0),
+    )
+    return Scenario(
+        graph, game, trigger, EngineConfig(alpha=0.14, beta=1.5, dt=0.025, horizon=0.5),
+        x0=rng.uniform(0.0, 0.25, N), y0=rng.uniform(0.0, 0.25, (N, N)),
+        law=LawKind.STOCHASTIC, ne_override=np.zeros(N),
+    )
+
+
 def digests(result):
     return {
         column: hashlib.sha256(np.ascontiguousarray(getattr(result, column)).tobytes()).hexdigest()
@@ -133,3 +214,12 @@ def test_sparse_run_byte_identical():
     members = [Member(law, 5) for law in LawKind]
     results = run(s, members)
     assert {m.law.value: digests(r) for m, r in zip(members, results)} == GOLDEN
+
+
+def test_sparse_spectrum_run_byte_identical():
+    s = spectrum_scenario()
+    assert engine.sparse_coupling(s.graph)
+    assert s.game.tau == 1
+    members = [Member(law, 11) for law in LawKind]
+    results = run(s, members)
+    assert {m.law.value: digests(r) for m, r in zip(members, results)} == SPECTRUM_GOLDEN
