@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -230,7 +231,10 @@ def cmd_compare(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    as it is, and each subcommand's ``func`` default is bound here."""
     parser = argparse.ArgumentParser(
         prog="neseek",
         description="Distributed equilibrium seeking with event-triggered communication",
@@ -264,8 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (NeseekError, OSError) as exc:

@@ -37,8 +37,8 @@ from . import metrics
 from .errors import DegenerateWindow, NumericalDivergence, ValidationError, integer, number
 from .games import gradient_at_estimates, gradient_from_others, row_functional
 from .graphs import DirectedGraph
-from .triggers import LawKind, decide, threshold_term, triggering_function, xi_from_uniform
-from .triggers import uniform_streams
+from .triggers import LawKind, decide, threshold_term, tie_bounds, triggering_function
+from .triggers import uniform_streams, xi_from_uniform
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -63,6 +63,12 @@ SPARSE_MAX_DENSITY = 0.05
 # every share from 0.2 to 0.6 at n = 200 and least from 0.4 to 0.6 at
 # n = 1000.
 REANCHOR_SHARE = 0.5
+
+# broadcast_terms sums the rows it is asked for over blocks of about this
+# many entries, 256 kB, which stay in cache between its passes. Measured on
+# one core for 250 rows of two links at n = 1000: 1.26 ms in one block,
+# 1.11-1.15 ms in blocks of 2**15 or 2**16 entries, 1.16-1.52 ms in 2**13.
+BLOCK_ENTRIES = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -111,20 +117,22 @@ class Member:
 class Batch:
     """The trigger-decision inputs of R members of one scenario.
 
-    ``sigma`` is (R, n), each member's disagreement weights. ``xi`` and
-    ``threshold`` are (steps, R, n): the random thresholds, NaN under the
-    deterministic laws, and the right-hand side every law compares its
-    margin with. ``scale`` is the (steps, n) ``delta / c`` of every step
-    and ``ln_kappa`` the ``math.log`` of kappa, from which ``decide`` forms
-    a drawn threshold again at a tie; ``drawn`` is True when some member
-    draws. ``static`` is the (R, 1) mask of the members whose margin is the
-    raw energy (see ``decide``), or None when no member's is.
+    ``sigma`` is (R, n), each member's disagreement weights. ``xi``,
+    ``lower`` and ``upper`` are (steps, R, n): the random thresholds, NaN
+    under the deterministic laws, and the ``tie_bounds`` of the right-hand
+    side every law compares its margin with, one array when no member draws.
+    ``scale`` is the (steps, n) ``delta / c`` of every step and ``ln_kappa``
+    the ``math.log`` of kappa, from which ``decide`` forms a drawn threshold
+    again at a tie; ``drawn`` is True when some member draws. ``static`` is
+    the (R, 1) mask of the members whose margin is the raw energy (see
+    ``decide``), or None when no member's is.
     """
 
     scenario: Scenario
     sigma: np.ndarray
     xi: np.ndarray
-    threshold: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
     scale: np.ndarray
     ln_kappa: float
     drawn: bool
@@ -145,8 +153,8 @@ class Batch:
         ``tests/test_triggers.py`` checks against numpy's own spawn.
         The threshold at step k is ``(delta0 * exp(-eta * (k * dt)) / c) *
         threshold_term(params, xi[k])``, formed here for every step with
-        one ``np.log``, so no step takes a log or an exponential but at the
-        rare ties that ``decide`` forms again with ``math.log``.
+        one ``np.log``, with the tie bands, so no step takes a log or an
+        exponential but at the rare ties ``decide`` forms with ``math.log``.
 
         A CONTINUOUS member's thresholds are -inf and its margin is the raw
         energy, as a STATIC member's is: the energy is a sum of squares of a
@@ -174,7 +182,7 @@ class Batch:
             scenario,
             np.minimum(params.sigma, [[cap if d else math.inf] for d in dynamic]),
             xi,
-            threshold,
+            *(tie_bounds(threshold, xi) if drawn else (threshold, threshold)),
             scale,
             math.log(params.kappa),
             bool(drawn),
@@ -297,15 +305,17 @@ def broadcast_terms(
     applies W.
 
     The sparse path folds the members into the columns of one CSR product
-    and forms the second term only at the links. There, and only there,
-    ``rows``, an array of row indices, asks for those rows alone: a CSR row
-    slice keeps each row's summation order, so they have the bits of the
-    same rows of the full form. The dense path forms every row whatever
-    ``rows`` says. With unit weights and at most two links per row both
-    paths give the same bits, but for the diagonal of the increment: a
-    row's own entry is the action, which the estimate dynamics do not move,
-    and the sparse path sets it to zero, so that the row terms of the state
-    read whole rows. The dense path leaves it, and a step overwrites it.
+    and forms the second term only at the slots of ``graph.neighbours``.
+    There, and only there, ``rows``, an array of row indices, asks for those
+    rows alone, which it sums over that table from zero in the CSR product's
+    order, so they have the bits of the same rows of the full form (a
+    padded slot adds a zero to a sum that is never -0.0). The dense path
+    forms every row whatever ``rows`` says. With unit weights and at most
+    two links per row both paths give the same bits, but for the diagonal
+    of the increment: a row's own entry is the action, which the estimate
+    dynamics do not move, and the sparse path sets it to zero, so that the
+    row terms of the state read whole rows. The dense path leaves it, and a
+    step overwrites it.
     """
     din = graph.in_degrees[:, None]
     if not sparse_coupling(graph):
@@ -315,24 +325,38 @@ def broadcast_terms(
         bracket *= -config.beta
         bracket *= config.dt
         return (disagreement * disagreement).sum(axis=-1), bracket
-    own, w = y_hat, graph.csr
-    if rows is not None:
-        din, own, w = din[rows], y_hat[:, rows], w[rows]
-    (runs, n, _), m = y_hat.shape, w.shape[0]
-    # (R, n, n) -> (n, R * n): row i of the product is W[i] @ y_hat[r] for every r
-    folded = y_hat.transpose(1, 0, 2).reshape(n, runs * n)
-    w_y = (w @ folded).reshape(m, runs, n).transpose(1, 0, 2)
+    (runs, n, _), (cols, weights) = y_hat.shape, graph.neighbours
+    if rows is None:
+        own, rows = y_hat, np.arange(n)
+        # (R, n, n) -> (n, R * n): row i of the product is W[i] @ y_hat[r] for every r
+        folded = y_hat.transpose(1, 0, 2).reshape(n, runs * n)
+        w_y = (graph.csr @ folded).reshape(n, runs, n).transpose(1, 0, 2)
+    else:
+        din, own, cols, weights = din[rows], y_hat[:, rows], cols[rows], weights[rows]
+        # scipy's order: from zero, add weight * y_hat[:, column] link by link,
+        # a block of rows at a time that stays in cache; 1.0 * y is y, so a
+        # slot of unit weights adds its rows as they are. take buffers its
+        # out under mode="raise", and the columns are valid
+        w_y, size = np.zeros(own.shape), max(1, BLOCK_ENTRIES // (runs * n))
+        for start in range(0, len(rows), size):
+            block = w_y[:, start : start + size]
+            term = np.empty(block.shape)
+            for col, weight in zip(cols[start : start + size].T, weights[start : start + size].T):
+                np.take(y_hat, col, axis=1, out=term, mode="clip")
+                unit = (weight == 1.0).all()
+                block += term if unit else np.multiply(term, weight[:, None], out=term)
     disagreement = np.subtract(din * own, w_y, out=w_y)
-    # the links of the rows asked for, in w's own row numbering
-    link_rows, cols = np.repeat(np.arange(m), np.diff(w.indptr)), w.indices
-    # C order, as every state array is: w_y is a transposed view
+    # the table's slots, padding included, in the rows' own numbering
+    link_rows = np.arange(len(rows))[:, None]
+    # C order, as every state array is: w_y of the whole form is a transposed view
     bracket = np.multiply(disagreement, -config.beta, order="C")
     bracket[:, link_rows, cols] = (
         disagreement[:, link_rows, cols]
-        + w.data * (own[:, link_rows, cols] - y_hat[:, cols, cols])
+        + weights * (own[:, link_rows, cols] - y_hat[:, cols, cols])
     ) * -config.beta
     bracket *= config.dt
-    bracket[:, np.arange(m), np.arange(n) if rows is None else rows] = 0.0
+    # a padded slot is the row's own entry, set here like every other
+    bracket[:, link_rows[:, 0], rows] = 0.0
     return np.multiply(disagreement, disagreement, out=disagreement).sum(axis=-1), bracket
 
 
@@ -416,7 +440,7 @@ def step(state: EngineState, batch: Batch) -> tuple[EngineState, np.ndarray, np.
     both terms whole, and every step adds the increment to every row. On
     the sparse path a step reads each row through its ``row_terms`` and
     costs O(n) per member when quiet. A step that fires forms again only
-    the rows ``touched_rows`` names, through one CSR slice for every member
+    the rows ``touched_rows`` names, in one pass for every member
     (or the whole coupling once more than ``REANCHOR_SHARE`` of the rows
     are touched), and anchors each member's touched rows at the next step:
     every row of a member whose touched rows exceed that share, so a burst
@@ -447,7 +471,7 @@ def step(state: EngineState, batch: Batch) -> tuple[EngineState, np.ndarray, np.
     rho = triggering_function(energy, state.disagreement_sq, batch.sigma)
     k = state.step_index
     fired = decide(
-        rho, energy, batch.threshold[k], batch.static,
+        rho, energy, batch.lower[k], batch.upper[k], batch.static,
         batch.xi[k] if batch.drawn else None, batch.scale[k], batch.ln_kappa,
     )
 

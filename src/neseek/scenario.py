@@ -212,11 +212,25 @@ def _finite(literal: str) -> float:
     return value
 
 
+def _all_finite(value) -> bool:
+    """False when a parsed JSON value holds a non-finite float: one
+    ``math.fsum`` per list, and an element at a time where that raises."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if not isinstance(value, list):
+        return not isinstance(value, float) or math.isfinite(value)
+    try:
+        return math.isfinite(math.fsum(value))
+    except (TypeError, ValueError, OverflowError):
+        return all(_all_finite(v) for v in value)
+
+
 def load_scenario(path) -> Scenario:
     """Read and validate a scenario JSON file: a path, or a resource with
     ``read_text`` such as ``data.bundled_path`` returns.
 
-    ``NaN``, ``Infinity`` and literals that overflow to infinity are rejected.
+    ``NaN``, ``Infinity`` and literals that overflow to infinity are rejected;
+    only a document with the last is parsed again, so that the error names it.
     """
     path = Path(path) if isinstance(path, (str, os.PathLike)) else path
     try:
@@ -224,7 +238,9 @@ def load_scenario(path) -> Scenario:
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     try:
-        data = json.loads(text, parse_float=_finite, parse_constant=_finite)
+        data = json.loads(text, parse_constant=_finite)
+        if not _all_finite(data):
+            data = json.loads(text, parse_float=_finite, parse_constant=_finite)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except ValueError as exc:

@@ -17,9 +17,10 @@ it thresholds ``rho``.
 
 The reference right-hand side takes ``ln(xi)`` with ``math.log``. A batch
 forms its thresholds with one ``np.log`` over every draw, which can differ
-from ``math.log`` in the last bit, so ``decide`` forms a drawn threshold
-again with ``math.log`` wherever a margin lies within ``TIE_BAND`` of it:
-every decision equals the reference one.
+from ``math.log`` in the last bit, and brackets each drawn one with its tie
+band once (``tie_bounds``), so ``decide`` forms a drawn threshold again
+with ``math.log`` wherever a margin lies inside that band: every decision
+equals the reference one.
 """
 
 from __future__ import annotations
@@ -199,48 +200,54 @@ def threshold_term(params: TriggerParams, xi: np.ndarray) -> np.ndarray:
     return term
 
 
-def decide(
-    rho: np.ndarray, energy: np.ndarray, threshold: np.ndarray,
-    static: np.ndarray | bool | None, xi: np.ndarray | None, scale: np.ndarray, ln_kappa: float,
-) -> np.ndarray:
-    """Fire mask shaped like ``rho``, (R, n) in a step: one entry per member
-    and player, as in ``energy``, ``threshold`` and ``xi``; ``static`` is
-    the (R, 1) mask of the members whose margin is the raw energy, or None
-    when every margin is ``rho``.
-
-    ``rho`` is the triggering function and ``energy`` the raw event-error
-    energy (action plus estimate term) of each evaluation; ``threshold`` is
-    ``scale * threshold_term`` at this evaluation, where ``scale`` is the
-    step's ``delta / c``, one entry per player. Every law compares a margin
-    with it. STOCHASTIC fires when the uniform draw behind xi falls below
-    the law's fire probability, through this log-domain form, whose quiet
-    branch is its exact negation. DYNAMIC is its deterministic limit, with
-    the threshold pinned at a_floor. Where ``static`` holds, the margin is
-    the raw energy instead (no disagreement allowance). CONTINUOUS reads
-    the raw energy against a -inf threshold, so it fires at every
-    evaluation: the energy is a sum of squares of the state, which
-    ``engine.step`` keeps finite (a non-finite state raises
-    NumericalDivergence), so it is never NaN and always exceeds -inf.
-
-    ``xi`` holds the step's random thresholds, NaN under the deterministic
-    laws, or is None when no member draws. Where a margin lies within the
-    tie band of a drawn threshold, the threshold is formed again as
-    ``(ln_kappa - math.log(xi)) * scale``, in ``Batch.of``'s order, so the
-    decision is the one the ``math.log`` threshold gives. A deterministic
-    law's threshold already is, and a -inf one has no ties.
-    """
-    margin = rho if static is None else np.where(static, energy, rho)
-    fired = margin > threshold
-    if xi is None:
-        return fired
-    # every threshold is nonnegative, or -inf with a -inf band: no ties
+def tie_bounds(threshold: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(lower, upper)`` bounds ``decide`` reads, as new arrays: the
+    threshold -/+ ``TIE_BAND * threshold + TIE_FLOOR`` where ``xi`` is drawn,
+    and the threshold itself, the reference one already, where it is NaN."""
     band = threshold * TIE_BAND
     band += TIE_FLOOR
-    gap = margin - threshold
-    near = np.abs(gap, out=gap) <= band
-    # count_nonzero skips the Python-level dispatch of near.any()
-    if np.count_nonzero(near):
-        near &= ~np.isnan(xi)
+    band[np.isnan(xi)] = 0.0
+    return threshold - band, np.add(threshold, band, out=band)
+
+
+def decide(
+    rho: np.ndarray, energy: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+    static: np.ndarray | bool | None, xi: np.ndarray | None, scale: np.ndarray, ln_kappa: float,
+) -> np.ndarray:
+    """Fire mask shaped like ``rho``, (R, n) in a step, as are ``energy``,
+    ``lower``, ``upper`` and ``xi``; ``static`` is the (R, 1) mask of the
+    members whose margin is the raw energy, or None when every margin is ``rho``.
+
+    ``rho`` is the triggering function and ``energy`` the raw event-error
+    energy (action plus estimate term) of each evaluation. Each law compares
+    a margin with a threshold, ``scale * threshold_term`` at this
+    evaluation, where ``scale`` is the step's ``delta / c``, one entry per
+    player; ``lower`` and ``upper`` are that threshold's ``tie_bounds``.
+    STOCHASTIC fires when the uniform draw behind xi falls below the law's
+    fire probability, through this log-domain form, whose quiet branch is
+    its exact negation. DYNAMIC is its deterministic limit, with the
+    threshold pinned at a_floor. Where ``static`` holds, the margin is the
+    raw energy instead (no disagreement allowance). CONTINUOUS reads the
+    raw energy against a -inf threshold, so it fires at every evaluation:
+    the energy is a sum of squares of the state, which ``engine.step``
+    keeps finite (a non-finite state raises NumericalDivergence), so it is
+    never NaN and always exceeds -inf.
+
+    A margin above ``upper`` fires. ``xi`` holds the step's random
+    thresholds, NaN under the deterministic laws, or is None when no member
+    draws. Where a margin lies in ``(lower, upper]``, the threshold is
+    formed again as ``(ln_kappa - math.log(xi)) * scale``, in ``Batch.of``'s
+    order, so the decision is the one the ``math.log`` threshold gives.
+    """
+    margin = rho if static is None else np.where(static, energy, rho)
+    fired = margin > upper
+    if xi is None:
+        return fired
+    # upper >= lower, so fired is a subset of above; count_nonzero skips the
+    # Python-level dispatch of comparing the masks
+    above = margin > lower
+    if np.count_nonzero(above) != np.count_nonzero(fired):
+        near = np.not_equal(above, fired, out=above)
         exact = [
             (ln_kappa - math.log(v)) * s
             for v, s in zip(xi[near], np.broadcast_to(scale, near.shape)[near])

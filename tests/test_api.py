@@ -120,9 +120,10 @@ def test_engine_reads_the_scenario_whole():
     # scenario: the sigma cap, the decaying scale and the thresholds
     assert list(inspect.signature(neseek.Batch.of).parameters) == ["scenario", "members"]
     assert list(inspect.signature(neseek.step).parameters) == ["state", "batch"]
-    # decide forms a drawn threshold again from xi, scale and ln_kappa at a tie
+    # decide reads the tie band a batch forms once, and forms a drawn
+    # threshold again from xi, scale and ln_kappa inside it
     assert list(inspect.signature(neseek.decide).parameters) == [
-        "rho", "energy", "threshold", "static", "xi", "scale", "ln_kappa"
+        "rho", "energy", "lower", "upper", "static", "xi", "scale", "ln_kappa"
     ]
     # a broadcast is one row of y_hat, its diagonal entry the broadcast
     # action, and the continuous law is a -inf threshold, not a mask; the

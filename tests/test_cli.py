@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neseek import harness, single_run
+from neseek import cli, harness, single_run
 from neseek.cli import main
 from neseek.data import bundled_path
 
@@ -403,3 +403,28 @@ def test_compare_byte_identical_for_same_base_seed(tmp_path):
     assert main(args + ["--out", str(out2)]) == 0
     for name in ("summary.csv", "compare.json", "gamma_compare.svg", "error_compare.svg"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_commands_in_one_process_give_what_they_give_alone(tmp_path, capsys):
+    # the parser is built once per process: no command reads what an
+    # earlier one parsed, such as the --seed of a simulate before a compare
+    commands = [
+        ["solve-ne", "--config", SPECTRUM],
+        ["simulate", "--config", QUAD, "--seed", "4", "--out"],
+        ["compare", "--config", QUAD, "--runs", "2", "--laws", "static,stochastic", "--out"],
+        ["bounds", "--config", QUAD],
+    ]
+
+    def give(argv, out):
+        assert main(argv + [str(out)] if argv[-1] == "--out" else argv) == 0
+        files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+        printed = capsys.readouterr()
+        return printed.out.replace(str(out), "<out>"), printed.err, files
+
+    alone = []
+    for k, argv in enumerate(commands):
+        cli.build_parser.cache_clear()
+        alone.append(give(argv, tmp_path / f"alone-{k}"))
+    assert cli.build_parser() is cli.build_parser()
+    together = [give(argv, tmp_path / f"together-{k}") for k, argv in enumerate(commands)]
+    assert together == alone

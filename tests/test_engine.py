@@ -37,10 +37,11 @@ import neseek
 from neseek import engine, harness
 from neseek.engine import EngineState
 from neseek.errors import NumericalDivergence, ValidationError
-from neseek.triggers import threshold_term, xi_from_uniform
+from neseek.triggers import TIE_BAND, TIE_FLOOR, threshold_term, xi_from_uniform
 
 import oracles
 from conftest import random_strongly_connected, strongly_connected_graphs, with_engine
+from test_golden_sparse import ring_with_chords
 from test_metrics import assert_same_ensemble
 
 PUBLISHED_X0 = np.array([14.0, 12.0, 10.0, 4.0, 2.0])
@@ -200,9 +201,9 @@ class TestStep:
         s = quadratic_scenario
         p, thresholds = s.trigger, []
 
-        def spy(rho, energy, threshold, *rest):
-            thresholds.append(threshold)
-            return decide(rho, energy, threshold, *rest)
+        def spy(rho, energy, lower, upper, *rest):
+            thresholds.append(upper)
+            return decide(rho, energy, lower, upper, *rest)
 
         monkeypatch.setattr(engine, "decide", spy)
         batch = one_member(s.law, s, s.seed)
@@ -604,17 +605,23 @@ class TestBatch:
         # where every margin is rho, decide takes it without a mask
         drawn = [Member(LawKind.STOCHASTIC, 5), Member(LawKind.DYNAMIC, 5)]
         assert Batch.of(s, drawn).static is None
-        assert batch.threshold.shape == (s.engine.steps, len(members), s.n)
+        assert batch.lower.shape == batch.upper.shape == (s.engine.steps, len(members), s.n)
         for k in range(s.engine.steps):
             decay = p.delta0 * np.exp(-p.eta * (k * s.engine.dt))
             want = (decay / p.c) * threshold_term(p, batch.xi[k])
             want[continuous] = -math.inf
-            assert np.array_equal(batch.threshold[k], want), k
+            # the tie band of a drawn threshold, formed once; a deterministic
+            # threshold is its own bounds
+            band = np.where(np.isnan(batch.xi[k]), 0.0, want * TIE_BAND + TIE_FLOOR)
+            assert np.array_equal(batch.lower[k], want - band), k
+            assert np.array_equal(batch.upper[k], want + band), k
             # what decide forms a drawn threshold again from at a tie
             assert np.array_equal(batch.scale[k], decay / p.c), k
         assert batch.ln_kappa == math.log(p.kappa)
         assert batch.drawn
-        assert not Batch.of(s, [m for m in members if m.law is not LawKind.STOCHASTIC]).drawn
+        quiet = Batch.of(s, [m for m in members if m.law is not LawKind.STOCHASTIC])
+        assert not quiet.drawn
+        assert quiet.lower is quiet.upper
 
     def test_thresholds_follow_per_player_streams(self, quadratic_scenario):
         s = quadratic_scenario
@@ -873,6 +880,25 @@ class TestSparseCoupling:
             assert got.shape == whole[:, rows].shape
             assert np.array_equal(got, whole[:, rows])
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(0, 2 ** 32 - 1), st.integers(2, 40), st.booleans(), st.sampled_from([1, 3]),
+        st.integers(1, 3),
+    )
+    def test_rows_in_blocks_equal_the_rows_of_the_full_form(self, seed, n, unit, runs, size):
+        # rows summed a few at a time have the bits of the rows summed at once
+        rng, _, graph, _ = coupling_case(seed, n, unit)
+        y_hat = rng.uniform(-3.0, 3.0, (runs, n, n))
+        rows = rng.permutation(n)[: rng.integers(1, n + 1)]
+        with pytest.MonkeyPatch.context() as mp:
+            force_coupling(mp, sparse=True)
+            full = engine.broadcast_terms(graph, y_hat, self.CONFIG)
+            mp.setattr(engine, "BLOCK_ENTRIES", size * runs * n)
+            part = engine.broadcast_terms(graph, y_hat, self.CONFIG, rows)
+        for whole, got in zip(full, part):
+            assert np.array_equal(got, whole[:, rows])
+            assert np.array_equal(np.signbit(got), np.signbit(whole[:, rows]))
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 30), st.booleans())
     def test_sparse_batch_members_equal_their_runs_alone(self, seed, n, unit):
@@ -888,6 +914,45 @@ class TestSparseCoupling:
             for member, got in zip(members, batch):
                 (alone,) = run(s, members=[member])
                 assert_same_columns(got, alone)
+
+    def test_no_step_slices_the_csr(self, monkeypatch):
+        # a generated 200-player ring-plus-chord spectrum game takes the
+        # sparse path, and its firing steps form rows through the neighbour
+        # table: scipy's CSR serves only the whole product
+        n, rng = 200, np.random.default_rng(200)
+        graph = ring_with_chords(rng, n)
+        game = SpectrumGame(
+            m_c=rng.uniform(5.7, 15.0, n), q=rng.uniform(1.1, 1.5, n), r=np.full(n, 20.0),
+            s_db=rng.uniform(12.0, 18.0, n), ber_target=np.full(n, 1e-4),
+            intervals=(ActionInterval(0.0, 16.0),) * n, tau=1.0,
+        )
+        trigger = TriggerParams(
+            kappa=1.075, a_floor=0.05, eta=10.0, c=np.ones(n),
+            sigma=0.8 / graph.in_degrees, delta0=np.full(n, 100.0),
+        )
+        s = Scenario(
+            graph, game, trigger, EngineConfig(alpha=0.14, beta=1.5, dt=0.025, horizon=1.0),
+            x0=rng.uniform(0.0, 16.0, n), y0=rng.uniform(0.0, 16.0, (n, n)),
+            law=LawKind.STOCHASTIC,
+        )
+        assert engine.sparse_coupling(graph)
+
+        def refuse(*args):
+            raise AssertionError("a step sliced the CSR")
+
+        monkeypatch.setattr(type(graph.csr), "__getitem__", refuse)
+        terms, asked = engine.broadcast_terms, []
+
+        def spy(graph, y_hat, config, rows=None):
+            asked.append(rows is not None)
+            return terms(graph, y_hat, config, rows)
+
+        monkeypatch.setattr(engine, "broadcast_terms", spy)
+        for law in (LawKind.STATIC, LawKind.DYNAMIC, LawKind.STOCHASTIC):
+            asked.clear()
+            result = single_run(s, seed=1, law=law)
+            assert np.isfinite(result.actions).all()
+            assert any(asked), law
 
     def test_bundled_scenarios_resolve_dense(self, spectrum_scenario, quadratic_scenario):
         assert not engine.sparse_coupling(spectrum_scenario.graph)

@@ -121,6 +121,35 @@ def test_non_finite_number_in_file_is_parse_error(tmp_path, literal, field):
         load_scenario(path)
 
 
+def test_overflow_under_an_ignored_key_is_parse_error(tmp_path):
+    data = quadratic_dict()
+    data["notes"] = {"scale": [1.0, "HOLE"]}
+    path = tmp_path / "ignored.json"
+    path.write_text(json.dumps(data).replace('"HOLE"', "1e999"))
+    with pytest.raises(ParseError, match="non-finite number 1e999"):
+        load_scenario(path)
+
+
+def test_finite_floats_whose_sum_overflows_load(tmp_path):
+    # the exact sum of the list overflows, while each float is finite
+    data = quadratic_dict()
+    data["notes"] = [1e308, 1e308]
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(data))
+    with pytest.warns(AdvisoryWarning):
+        assert load_scenario(path).n == len(data["x0"])
+
+
+def test_long_overflowing_literal_is_named(tmp_path):
+    literal = "1" + "0" * 309 + ".0"
+    data = quadratic_dict()
+    data["x0"][0] = "HOLE"
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(data).replace('"HOLE"', literal))
+    with pytest.raises(ParseError, match=f"non-finite number {literal} is not allowed"):
+        load_scenario(path)
+
+
 def test_nan_x0_from_api_is_outside():
     data = quadratic_dict()
     data["x0"][0] = math.nan

@@ -12,7 +12,7 @@ from neseek import (
     decide,
     triggering_function,
 )
-from neseek.triggers import TIE_BAND, threshold_term, uniform_streams, xi_from_uniform
+from neseek.triggers import TIE_BAND, threshold_term, tie_bounds, uniform_streams, xi_from_uniform
 
 from oracles import decay_at, trigger_probability
 
@@ -85,7 +85,8 @@ def decide_law(law, p, rho, energy, decay, u):
         threshold = np.full_like(threshold, -math.inf)
     static = law in (LawKind.STATIC, LawKind.CONTINUOUS)
     return decide(
-        rho, energy, threshold, static, xi if drawn else None, scale, math.log(p.kappa)
+        rho, energy, *tie_bounds(threshold, xi), static, xi if drawn else None, scale,
+        math.log(p.kappa),
     )
 
 
@@ -100,8 +101,9 @@ def assert_ties_follow(at, threshold, xi, scale, ln_kappa):
     """Against the batch ``threshold``, a stochastic margin at the exact
     threshold ``at`` stays quiet and one ulp above it fires, everywhere."""
     above = np.nextafter(at, math.inf)
-    assert not decide(at, at, threshold, False, xi, scale, ln_kappa).any()
-    assert decide(above, above, threshold, False, xi, scale, ln_kappa).all()
+    bounds = tie_bounds(threshold, xi)
+    assert not decide(at, at, *bounds, False, xi, scale, ln_kappa).any()
+    assert decide(above, above, *bounds, False, xi, scale, ln_kappa).all()
 
 
 def test_params_validation():
