@@ -4,7 +4,6 @@ event-triggered communication."""
 from .bounds import BoundsReport, alpha_max, beta_min, compute_report
 from .engine import Batch, EngineConfig, EngineState, Member, RunResult, init, run, step
 from .games import (
-    ActionInterval,
     GameConstants,
     GameDefinition,
     QuadraticGame,
@@ -34,7 +33,6 @@ from .triggers import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionInterval",
     "Batch",
     "BoundsReport",
     "DirectedGraph",

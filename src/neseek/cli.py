@@ -103,16 +103,19 @@ def _interval_rows(law: LawKind, counts, stats) -> list[dict]:
 @contextlib.contextmanager
 def _output_dir(path: str):
     """The ``--out`` directory, made before the run it is to hold, so that a
-    path that cannot be a directory fails before any work is done. A run
-    that fails, by any exception (a Ctrl-C too), removes the directories
-    made here again and re-raises it: a failed command leaves no output
-    behind."""
+    path that cannot be a directory fails before any work is done. A run or
+    a write that fails, by any exception (a Ctrl-C too), removes the files
+    that were not there before and the directories made here, and re-raises
+    it: a failed command leaves no output behind."""
     out = Path(path)
     made = [p for p in (out, *out.parents) if not p.exists()]
     out.mkdir(parents=True, exist_ok=True)
+    kept = set(out.iterdir())
     try:
         yield out
     except BaseException:
+        for p in set(out.iterdir()) - kept:
+            p.unlink()
         for p in made:
             p.rmdir()
         raise
@@ -142,41 +145,42 @@ def cmd_simulate(args) -> int:
     with _output_dir(args.out) as out_dir:
         result = harness.single_run(scenario)
 
-    outputs.write_trajectory_csv(out_dir / "trajectory.csv", result)
-    outputs.write_events_csv(out_dir / "events.csv", result)
+        outputs.write_trajectory_csv(out_dir / "trajectory.csv", result)
+        outputs.write_events_csv(out_dir / "events.csv", result)
 
-    metrics_doc = {
-        "law": scenario.law.value,
-        "seed": scenario.seed,
-        "dt": result.dt,
-        "horizon": scenario.engine.horizon,
-        "x_star": result.x_star,
-        "final_err_inf": result.err_inf[-1],
-        "final_gamma": result.gamma[-1],
-        "rate_fit": result.rate_fit,
-        "trigger_counts": result.trigger_counts,
-        "interval_stats": _interval_rows(
-            scenario.law, result.trigger_counts, map(interval_stats, result.intervals)
-        ),
-    }
-    (out_dir / "metrics.json").write_text(_json_text(metrics_doc))
+        metrics_doc = {
+            "law": scenario.law.value,
+            "seed": scenario.seed,
+            "dt": result.dt,
+            "horizon": scenario.engine.horizon,
+            "x_star": result.x_star,
+            "final_err_inf": result.err_inf[-1],
+            "final_gamma": result.gamma[-1],
+            "rate_fit": result.rate_fit,
+            "trigger_counts": result.trigger_counts,
+            "interval_stats": _interval_rows(
+                scenario.law, result.trigger_counts, map(interval_stats, result.intervals)
+            ),
+        }
+        (out_dir / "metrics.json").write_text(_json_text(metrics_doc))
 
-    action_series = [
-        (f"player {i + 1}", result.times, result.actions[:, i]) for i in range(scenario.n)
-    ]
-    outputs.line_chart_svg(
-        out_dir / "actions.svg",
-        action_series,
-        title="Actions",
-        xlabel="t (s)",
-        ylabel="action",
-        hlines=[float(v) for v in result.x_star],
-    )
-    _chart_pair(
-        out_dir,
-        [("communication rate", result.times, result.gamma)],
-        [("distance to equilibrium", result.times, result.err_inf)],
-    )
+        action_series = [
+            (f"player {i + 1}", result.times, result.actions[:, i]) for i in range(scenario.n)
+        ]
+        outputs.line_chart_svg(
+            out_dir / "actions.svg",
+            action_series,
+            title="Actions",
+            xlabel="t (s)",
+            ylabel="action",
+            hlines=[float(v) for v in result.x_star],
+        )
+        _chart_pair(
+            out_dir,
+            [("communication rate", result.times, result.gamma)],
+            [("distance to equilibrium", result.times, result.err_inf)],
+        )
+
     print(
         f"simulate: law={scenario.law.value} seed={scenario.seed} "
         f"final_err={result.err_inf[-1]:.6g} gamma={result.gamma[-1]:.4f} "
@@ -198,30 +202,31 @@ def cmd_compare(args) -> int:
     with _output_dir(args.out) as out_dir:
         ensembles = harness.compare_laws(scenario, laws, scenario.runs, scenario.seed)
 
-    rows = [row for law, ens in ensembles.items()
-            for row in _interval_rows(law, ens.mean_counts, ens.interval_stats)]
-    outputs.write_summary_csv(out_dir / "summary.csv", rows)
+        rows = [row for law, ens in ensembles.items()
+                for row in _interval_rows(law, ens.mean_counts, ens.interval_stats)]
+        outputs.write_summary_csv(out_dir / "summary.csv", rows)
 
-    doc = {
-        "runs": scenario.runs,
-        "base_seed": scenario.seed,
-        "laws": {
-            law.value: {
-                "mean_gamma_final": ens.mean_gamma_series[-1],
-                "mean_final_err": ens.mean_err_series[-1],
-                "mean_counts": ens.mean_counts,
-            }
-            for law, ens in ensembles.items()
-        },
-    }
-    (out_dir / "compare.json").write_text(_json_text(doc))
+        doc = {
+            "runs": scenario.runs,
+            "base_seed": scenario.seed,
+            "laws": {
+                law.value: {
+                    "mean_gamma_final": ens.mean_gamma_series[-1],
+                    "mean_final_err": ens.mean_err_series[-1],
+                    "mean_counts": ens.mean_counts,
+                }
+                for law, ens in ensembles.items()
+            },
+        }
+        (out_dir / "compare.json").write_text(_json_text(doc))
 
-    _chart_pair(
-        out_dir,
-        [(law.value, ens.times, ens.mean_gamma_series) for law, ens in ensembles.items()],
-        [(law.value, ens.times, ens.mean_err_series) for law, ens in ensembles.items()],
-        scenario.runs,
-    )
+        _chart_pair(
+            out_dir,
+            [(law.value, ens.times, ens.mean_gamma_series) for law, ens in ensembles.items()],
+            [(law.value, ens.times, ens.mean_err_series) for law, ens in ensembles.items()],
+            scenario.runs,
+        )
+
     for law, ens in ensembles.items():
         print(
             f"compare: law={law.value:11s} mean_gamma={ens.mean_gamma_series[-1]:.4f} "
@@ -271,8 +276,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NeseekError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (NeseekError, OSError, MemoryError) as exc:
+        # a bare MemoryError has no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

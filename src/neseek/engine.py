@@ -46,11 +46,17 @@ if TYPE_CHECKING:
 # State magnitudes beyond this abort the run: the step sizes are unstable.
 DIVERGENCE_GUARD = 1e9
 
-# The estimate coupling goes through W's CSR form from this many players on,
-# when at most this share of the n*n weights are links. Measured on one core
-# with two links a row: the sparse step is 1.2-1.6x slower up to n = 50, ties
-# the dense one near n = 100 and is 1.8x faster at n = 500 and 2.5x at
-# n = 1000; at n = 200-1000 it stops winning between 5% and 10% links.
+# The sparse path, with its closed-form rows and W's CSR form, runs from this
+# many players on, when at most this share of the n*n weights are links; the
+# dense path runs below. Both stay because each wins on its side. Measured
+# on a 2-core x86-64 host with one BLAS thread: `run` of the four-member
+# `spectrum_paper` batch (static, dynamic and two stochastic members, n = 5)
+# took 32-35 ms on the dense path and 120-200 ms on the closed-form kernel
+# (medians of 9, three rounds). The sparse/dense time per step on generated
+# ring-plus-chord graphs crosses at about n = 128 under the stochastic law,
+# and between n = 128 and 200 under the static law (1.21 at n = 128, 0.77 at
+# n = 200). The density cap is older: when the sparse step formed every row,
+# it stopped winning between 5% and 10% links at n = 200-1000.
 SPARSE_MIN_N = 128
 SPARSE_MAX_DENSITY = 0.05
 
@@ -92,6 +98,8 @@ class EngineConfig:
             raise ValidationError("horizon must be finite")
         if self.dt > self.horizon:
             raise ValidationError("dt must not exceed the horizon")
+        if not math.isfinite(self.horizon / self.dt):
+            raise ValidationError("dt is too small for the horizon: horizon / dt is not finite")
 
     @property
     def steps(self) -> int:
@@ -600,6 +608,10 @@ def run(scenario: Scenario, members: Sequence[Member]) -> list[RunResult]:
         raise ValidationError("ne_override: unset; run measures the errors against it")
     config = scenario.engine
     n, steps, runs = scenario.n, config.steps, len(members)
+    if (steps + 1) * runs * n * 8 > np.iinfo(np.intp).max:
+        raise ValidationError(
+            f"engine: {steps:.3g} steps of {runs} runs of {n} players exceed numpy's largest array"
+        )
     batch = Batch.of(scenario, members)
 
     state = init(batch)

@@ -22,20 +22,6 @@ from .errors import DomainError, NonMonotone, ValidationError, number, numbers
 CONSTANT_SAMPLES = 512
 
 
-@dataclass(frozen=True)
-class ActionInterval:
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        for name in ("lo", "hi"):
-            object.__setattr__(self, name, number(getattr(self, name), name))
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValidationError("interval bounds must be finite")
-        if self.lo > self.hi:
-            raise ValidationError("interval must satisfy lo <= hi")
-
-
 def _as_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
     v = numbers(values, name, shape)
     if not np.isfinite(v).all():
@@ -44,16 +30,38 @@ def _as_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
     return v
 
 
-def _bounds(intervals) -> tuple[np.ndarray, np.ndarray]:
-    lo = np.array([iv.lo for iv in intervals])
-    hi = np.array([iv.hi for iv in intervals])
-    lo.flags.writeable = False
-    hi.flags.writeable = False
-    return lo, hi
+class _ActionBox:
+    """Both games' action box: ``intervals`` holds one ``[lo, hi]`` row per player."""
+
+    def _store_box(self) -> int:
+        """Store ``intervals`` as a checked, read-only (n, 2) float copy; return n."""
+        box = numbers(self.intervals, "intervals")
+        if box.shape[:1] == (0,):
+            raise ValidationError("at least one player is required")
+        if box.ndim != 2 or box.shape[1] != 2:
+            raise ValidationError(f"intervals: expected shape (n, 2), got {box.shape}")
+        if not np.isfinite(box).all():
+            raise ValidationError("interval bounds must be finite")
+        if (box[:, 0] > box[:, 1]).any():
+            raise ValidationError("interval must satisfy lo <= hi")
+        box.flags.writeable = False
+        object.__setattr__(self, "intervals", box)
+        return len(box)
+
+    @property
+    def n(self) -> int:
+        return len(self.intervals)
+
+    @cached_property
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only, contiguous ``lo`` and ``hi`` arrays."""
+        lo_hi = self.intervals.T.copy()
+        lo_hi.flags.writeable = False
+        return lo_hi[0], lo_hi[1]
 
 
 @dataclass(frozen=True)
-class SpectrumGame:
+class SpectrumGame(_ActionBox):
     """Resource-pricing game: player i pays ``x_i * (m_c_i + q_i * total**tau)``
     and earns ``r_i * efficiency_i * x_i``.
 
@@ -66,14 +74,11 @@ class SpectrumGame:
     r: np.ndarray
     s_db: np.ndarray
     ber_target: np.ndarray
-    intervals: tuple[ActionInterval, ...]
+    intervals: np.ndarray
     tau: float = 1.0
 
     def __post_init__(self):
-        n = len(self.intervals)
-        if n < 1:
-            raise ValidationError("at least one player is required")
-        object.__setattr__(self, "intervals", tuple(self.intervals))
+        n = self._store_box()
         for name in ("m_c", "q", "r", "s_db", "ber_target"):
             object.__setattr__(self, name, _as_array(getattr(self, name), (n,), name))
         object.__setattr__(self, "tau", number(self.tau, "tau"))
@@ -91,13 +96,9 @@ class SpectrumGame:
             raise ValidationError("s_db: an SNR this large gives a non-finite spectral efficiency")
         if not 1 <= self.tau < math.inf:
             raise ValidationError("pricing exponent tau must be finite and >= 1")
-        if self.tau > 1 and any(iv.lo < 0 for iv in self.intervals):
+        if self.tau > 1 and (self.intervals[:, 0] < 0).any():
             # fractional powers of a negative total are undefined
             raise DomainError("tau > 1 requires nonnegative action intervals")
-
-    @property
-    def n(self) -> int:
-        return len(self.intervals)
 
     @cached_property
     def efficiencies(self) -> np.ndarray:
@@ -109,10 +110,6 @@ class SpectrumGame:
         return u
 
     @cached_property
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        return _bounds(self.intervals)
-
-    @cached_property
     def revenue(self) -> np.ndarray:
         """Per-unit revenue ``r * efficiency`` of each player."""
         u = self.r * self.efficiencies
@@ -121,19 +118,16 @@ class SpectrumGame:
 
 
 @dataclass(frozen=True)
-class QuadraticGame:
+class QuadraticGame(_ActionBox):
     """Player i minimizes ``0.5*diag_a_i*x_i**2 + x_i*sum_j cross_ij*x_j + offset_i*x_i``."""
 
     diag_a: np.ndarray
     cross: np.ndarray
     offset: np.ndarray
-    intervals: tuple[ActionInterval, ...]
+    intervals: np.ndarray
 
     def __post_init__(self):
-        n = len(self.intervals)
-        if n < 1:
-            raise ValidationError("at least one player is required")
-        object.__setattr__(self, "intervals", tuple(self.intervals))
+        n = self._store_box()
         object.__setattr__(self, "diag_a", _as_array(self.diag_a, (n,), "diag_a"))
         object.__setattr__(self, "offset", _as_array(self.offset, (n,), "offset"))
         object.__setattr__(self, "cross", _as_array(self.cross, (n, n), "cross"))
@@ -141,14 +135,6 @@ class QuadraticGame:
             raise ValidationError("cross must have zero diagonal")
         if (self.diag_a <= 0).any():
             raise ValidationError("diag_a must be positive")
-
-    @property
-    def n(self) -> int:
-        return len(self.intervals)
-
-    @cached_property
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        return _bounds(self.intervals)
 
 
 GameDefinition = Union[SpectrumGame, QuadraticGame]

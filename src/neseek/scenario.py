@@ -32,7 +32,7 @@ import numpy as np
 
 from .engine import EngineConfig, Member
 from .errors import ParseError, ValidationError, integer, number, numbers
-from .games import ActionInterval, GameDefinition, QuadraticGame, SpectrumGame
+from .games import GameDefinition, QuadraticGame, SpectrumGame
 from .graphs import DirectedGraph
 from .triggers import LawKind, TriggerParams
 
@@ -97,9 +97,11 @@ class Scenario:
         return self.graph.n
 
 
-def _require(data: dict, key: str, where: str):
+def _require(data: dict, key: str, where: str, section: bool = False):
     if key not in data:
         raise ValidationError(f"{where}: missing required field '{key}'")
+    if section and not isinstance(data[key], dict):
+        raise ValidationError(f"{key}: must be an object")
     return data[key]
 
 
@@ -132,9 +134,9 @@ def _game_from_dict(data: dict, n: int) -> GameDefinition:
     fields = {name: numbers(_require(data, name, "game"), f"game.{name}") for name in names}
     if cls is SpectrumGame:
         fields["tau"] = number(data.get("tau", 1.0), "game.tau")
-    pairs = numbers(_require(data, "intervals", "game"), "game.intervals", (n, 2)).tolist()
+    fields["intervals"] = numbers(_require(data, "intervals", "game"), "game.intervals", (n, 2))
     with _section("game"):
-        return cls(**fields, intervals=tuple(ActionInterval(lo, hi) for lo, hi in pairs))
+        return cls(**fields)
 
 
 def _trigger_from_dict(traw: dict, graph: DirectedGraph) -> TriggerParams:
@@ -169,11 +171,11 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
     weights = numbers(_require(data, "adjacency", source), "adjacency")
     with _section("adjacency"):
         graph = DirectedGraph(weights)
-    game = _game_from_dict(_require(data, "game", source), graph.n)
-    traw = _require(data, "trigger", source)
+    game = _game_from_dict(_require(data, "game", source, section=True), graph.n)
+    traw = _require(data, "trigger", source, section=True)
     trigger = _trigger_from_dict(traw, graph)
 
-    eraw = _require(data, "engine", source)
+    eraw = _require(data, "engine", source, section=True)
     # dt is optional: EngineConfig holds its default
     keys = ["alpha", "beta", "horizon"] + (["dt"] if "dt" in eraw else [])
     fields = _scalars(eraw, "engine", *keys)

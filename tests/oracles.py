@@ -12,14 +12,14 @@ import math
 import numpy as np
 
 from neseek.errors import DomainError
-from neseek.games import ActionInterval, GameDefinition, SpectrumGame
+from neseek.games import GameDefinition, SpectrumGame
 from neseek.graphs import DirectedGraph, laplacian
 from neseek.triggers import TriggerParams
 
 
-def project(interval: ActionInterval, v: float) -> float:
-    """Clamp v into the interval (idempotent, non-expansive)."""
-    return min(max(v, interval.lo), interval.hi)
+def project(lo: float, hi: float, v: float) -> float:
+    """Clamp v into the interval [lo, hi] (idempotent, non-expansive)."""
+    return min(max(v, lo), hi)
 
 
 def _total_power(game: SpectrumGame, total: float, power: float) -> float:

@@ -13,7 +13,6 @@ import pytest
 
 import neseek
 from neseek import (
-    ActionInterval,
     Batch,
     DirectedGraph,
     EngineConfig,
@@ -36,7 +35,8 @@ from neseek.scenario import scenario_from_dict
 # compare_laws is the one ensemble call), the scalar reference
 # implementations, which live in tests/oracles.py, and the per-law trigger
 # parameters (Batch.of caps the dynamic law's sigma; a Member is a law and a
-# seed), and the graph facts, which are properties of DirectedGraph.
+# seed), the graph facts, which are properties of DirectedGraph, and the
+# per-player interval type (a game's action box is one (n, 2) array).
 REMOVED = (
     "RunMetrics",
     "run_ensemble",
@@ -50,6 +50,7 @@ REMOVED = (
     "law_trigger_params",
     "sigma_bound",
     "is_strongly_connected",
+    "ActionInterval",
 )
 
 
@@ -138,13 +139,30 @@ def test_engine_reads_the_scenario_whole():
     assert not hasattr(neseek.errors, "InfeasibleStart")
 
 
-ONE_PLAYER = (ActionInterval(0.0, 1.0),)
+ONE_PLAYER = [[0.0, 1.0]]
 TRIGGER = dict(kappa=1.5, a_floor=0.05, eta=1.0, c=[1.0], sigma=[0.1], delta0=[1.0])
 
 # (the constructor call, the start of its message)
 CONSTRUCTOR_CASES = [
     pytest.param(lambda: DirectedGraph(np.zeros((1, 1))), "at least two players", id="graph"),
-    pytest.param(lambda: ActionInterval(1.0, 0.0), "interval must satisfy", id="interval"),
+    pytest.param(
+        lambda: QuadraticGame(diag_a=[1.0], cross=[[0.0]], offset=[0.0], intervals=[[1.0, 0.0]]),
+        "interval must satisfy lo <= hi", id="interval",
+    ),
+    pytest.param(
+        lambda: QuadraticGame(
+            diag_a=[1.0], cross=[[0.0]], offset=[0.0], intervals=[[0.0, math.inf]]
+        ),
+        "interval bounds must be finite", id="interval-inf",
+    ),
+    pytest.param(
+        lambda: QuadraticGame(diag_a=[], cross=[], offset=[], intervals=[]),
+        "at least one player is required", id="no-players",
+    ),
+    pytest.param(
+        lambda: QuadraticGame(diag_a=[1.0], cross=[[0.0]], offset=[0.0], intervals=[0.0, 1.0]),
+        r"intervals: expected shape \(n, 2\), got \(2,\)", id="interval-shape",
+    ),
     pytest.param(
         lambda: SpectrumGame(
             m_c=[1.0], q=[-1.0], r=[1.0], s_db=[10.0], ber_target=[0.01], intervals=ONE_PLAYER
@@ -178,7 +196,12 @@ CONSTRUCTOR_CASES = [
     pytest.param(
         lambda: DirectedGraph([[0, True], [1, 0]]), "weights: expected a number", id="graph-bool"
     ),
-    pytest.param(lambda: ActionInterval("a", 1.0), "lo: ", id="interval-string"),
+    pytest.param(
+        lambda: SpectrumGame(
+            m_c=[1.0], q=[1.0], r=[1.0], s_db=[10.0], ber_target=[0.01], intervals=[["a", 1.0]]
+        ),
+        "intervals: ", id="interval-string",
+    ),
     pytest.param(
         lambda: QuadraticGame(diag_a=["1"], cross=[[0.0]], offset=[0.0], intervals=ONE_PLAYER),
         "diag_a: expected a number", id="quadratic-game-string",

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neseek import cli, harness, single_run
+from neseek import cli, engine, harness, single_run
 from neseek.cli import main
 from neseek.data import bundled_path
 
@@ -334,6 +334,105 @@ def test_any_exception_removes_the_directories_it_made(tmp_path, monkeypatch, ra
         main(["simulate", "--config", QUAD, "--out", str(tmp_path / "new" / "out")])
     assert caught.value is raised
     assert list(tmp_path.iterdir()) == []
+
+
+def error_lines(capsys):
+    return [line for line in capsys.readouterr().err.splitlines()
+            if not line.startswith("warning:")]
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize("dt", ["5e-324", "1e-300"])
+def test_grid_too_fine_to_integrate_is_one_error_line(tmp_path, capsys, command, dt):
+    # horizon / dt overflows to inf at 5e-324; at 1e-300 the step count is
+    # finite but the run's (steps, R, n) arrays exceed numpy's largest array:
+    # both are refused before anything is allocated
+    out = tmp_path / "out"
+    assert main([command, "--config", QUAD, "--dt", dt, "--out", str(out)]) == 1
+    err = error_lines(capsys)
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not out.exists()
+
+
+def test_horizon_too_long_to_integrate_is_one_error_line(tmp_path, capsys):
+    config = json.loads(bundled_path("quadratic_demo").read_text())
+    config["engine"]["horizon"] = 1e300
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    err = error_lines(capsys)
+    assert len(err) == 1 and "exceed numpy's largest array" in err[0], err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize("raised, line", [
+    (MemoryError("Unable to allocate 71.1 PiB for an array"),
+     "error: Unable to allocate 71.1 PiB for an array"),
+    (MemoryError(), "error: MemoryError"),
+], ids=["numpy", "bare"])
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, command, raised, line):
+    # numpy's error for a grid that fits its largest array but not the
+    # machine, such as --dt 1e-15 (71.1 PiB), and a bare one, which has no
+    # message; faked, so nothing is allocated
+    def no_memory(*args, **kwargs):
+        raise raised
+
+    monkeypatch.setattr(engine.Batch, "of", no_memory)
+    out = tmp_path / "new" / "out"
+    assert main([command, "--config", QUAD, "--out", str(out)]) == 1
+    assert error_lines(capsys) == [line]
+    assert list(tmp_path.iterdir()) == []
+
+
+def fail_writing(monkeypatch, command):
+    """Make the second artifact write of ``command`` raise OSError, after the
+    first artifact is on disk."""
+    def disk_full(*args, **kwargs):
+        raise OSError("No space left on device")
+
+    name = "write_events_csv" if command == "simulate" else "line_chart_svg"
+    monkeypatch.setattr(cli.outputs, name, disk_full)
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_failed_write_into_a_new_out_leaves_nothing(tmp_path, capsys, monkeypatch, command):
+    fail_writing(monkeypatch, command)
+    out = tmp_path / "out_w" / "a" / "b"
+    argv = [command, "--config", QUAD, "--out", str(out)]
+    assert main(argv + (["--runs", "1"] if command == "compare" else [])) == 1
+    assert error_lines(capsys) == ["error: No space left on device"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_failed_write_into_an_old_out_keeps_what_was_there(
+    tmp_path, capsys, monkeypatch, command
+):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    (out / "old").mkdir()
+    fail_writing(monkeypatch, command)
+    argv = [command, "--config", QUAD, "--out", str(out)]
+    assert main(argv + (["--runs", "1"] if command == "compare" else [])) == 1
+    assert error_lines(capsys) == ["error: No space left on device"]
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "old"]
+    assert (out / "notes.txt").read_text() == "kept"
+
+
+@pytest.mark.parametrize("section", ["game", "trigger", "engine"])
+@pytest.mark.parametrize("value", [[], 5, "kind"], ids=["list", "int", "str"])
+def test_section_that_is_not_an_object_is_one_error_line(tmp_path, capsys, section, value):
+    config = json.loads(bundled_path("quadratic_demo").read_text())
+    config[section] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    assert error_lines(capsys) == [f"error: {section}: must be an object"]
+    assert not out.exists()
 
 
 def test_package_runs_as_a_module():

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neseek import (
-    ActionInterval,
     Batch,
     EngineConfig,
     Ensemble,
@@ -63,7 +62,7 @@ def two_player_setup(beta=0.2, dt=0.025, horizon=1.0):
         diag_a=[2.0, 3.0],
         cross=[[0.0, 1.0], [-1.0, 0.0]],
         offset=[-4.0, 1.0],
-        intervals=(ActionInterval(0.0, 5.0), ActionInterval(-2.0, 4.0)),
+        intervals=[[0.0, 5.0], [-2.0, 4.0]],
     )
     graph = DirectedGraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
     trig = TriggerParams(
@@ -450,7 +449,7 @@ def batch_cases(draw):
         diag_a=rng.uniform(1.0, 3.0, n),
         cross=cross,
         offset=rng.uniform(-2.0, 2.0, n),
-        intervals=(ActionInterval(-3.0, 3.0),) * n,
+        intervals=[[-3.0, 3.0]] * n,
     )
     trig = TriggerParams(
         kappa=1.075,
@@ -763,7 +762,7 @@ def coupling_case(seed, n, unit):
         diag_a=rng.uniform(1.0, 3.0, n),
         cross=cross,
         offset=rng.uniform(-2.0, 2.0, n),
-        intervals=(ActionInterval(-3.0, 3.0),) * n,
+        intervals=[[-3.0, 3.0]] * n,
     )
     trig = TriggerParams(
         kappa=1.075, a_floor=0.05, eta=1.0, c=rng.uniform(0.5, 2.0, n),
@@ -924,7 +923,7 @@ class TestSparseCoupling:
         game = SpectrumGame(
             m_c=rng.uniform(5.7, 15.0, n), q=rng.uniform(1.1, 1.5, n), r=np.full(n, 20.0),
             s_db=rng.uniform(12.0, 18.0, n), ber_target=np.full(n, 1e-4),
-            intervals=(ActionInterval(0.0, 16.0),) * n, tau=1.0,
+            intervals=[[0.0, 16.0]] * n, tau=1.0,
         )
         trigger = TriggerParams(
             kappa=1.075, a_floor=0.05, eta=10.0, c=np.ones(n),
@@ -1007,7 +1006,7 @@ def generated_case(seed, n, spectrum):
         game = SpectrumGame(
             m_c=rng.uniform(5.7, 15.0, n), q=rng.uniform(1.1, 1.5, n), r=np.full(n, 20.0),
             s_db=rng.uniform(12.0, 18.0, n), ber_target=np.full(n, 1e-4),
-            intervals=(ActionInterval(0.0, 16.0),) * n,
+            intervals=[[0.0, 16.0]] * n,
         )
         box = (0.0, 16.0)
     else:
@@ -1015,7 +1014,7 @@ def generated_case(seed, n, spectrum):
         np.fill_diagonal(cross, 0.0)
         game = QuadraticGame(
             diag_a=rng.uniform(1.0, 3.0, n), cross=cross, offset=rng.uniform(-2.0, 2.0, n),
-            intervals=(ActionInterval(-3.0, 3.0),) * n,
+            intervals=[[-3.0, 3.0]] * n,
         )
         box = (-3.0, 3.0)
     trig = TriggerParams(
@@ -1097,6 +1096,10 @@ class TestEngineConfig:
             EngineConfig(alpha=0.1, beta=1.0, horizon=1.0, dt=2.0)
         with pytest.raises(ValueError):
             EngineConfig(alpha=0.1, beta=1.0, horizon=math.nan)
+        # a grid whose step count overflows a float is refused, not left to
+        # fail in int(math.ceil(inf))
+        with pytest.raises(ValidationError, match="horizon / dt is not finite"):
+            EngineConfig(alpha=0.1, beta=1.0, horizon=20.0, dt=5e-324)
 
     def test_step_count_avoids_float_drift(self):
         cfg = EngineConfig(alpha=0.1, beta=1.0, horizon=20.0, dt=0.025)

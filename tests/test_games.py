@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neseek import (
-    ActionInterval,
     QuadraticGame,
     SpectrumGame,
     estimate_constants,
@@ -14,6 +13,7 @@ from neseek import (
     spectral_efficiency,
 )
 from neseek.errors import DomainError, NonMonotone
+from neseek import games
 from neseek.games import gradient_at_estimates
 
 from oracles import cost, partial_gradient, project
@@ -23,7 +23,7 @@ U_12DB = 2.0453406611627294
 U_18DB = 3.749708766231957
 COST_P1_AT_ONES = -29.70681322325459
 
-BOX16 = tuple(ActionInterval(0.0, 16.0) for _ in range(5))
+BOX16 = [[0.0, 16.0]] * 5
 
 
 def published_game(tau=1.0):
@@ -44,7 +44,7 @@ def decoupled_quadratic(diag=(2.0, 4.0), offset=(-4.0, -12.0), box=(-50.0, 50.0)
         diag_a=diag,
         cross=np.zeros((n, n)),
         offset=offset,
-        intervals=tuple(ActionInterval(*box) for _ in range(n)),
+        intervals=[box] * n,
     )
 
 
@@ -107,7 +107,7 @@ class TestPartialGradient:
             s_db=[10.0, 10.0],
             ber_target=[1e-3, 1e-3],
             tau=2.0,
-            intervals=(ActionInterval(0.0, 4.0), ActionInterval(0.0, 4.0)),
+            intervals=[[0.0, 4.0], [0.0, 4.0]],
         )
         with pytest.raises(DomainError):
             partial_gradient(game, 0, np.array([-3.0, 1.0]))
@@ -121,7 +121,7 @@ class TestPartialGradient:
                 s_db=[10.0],
                 ber_target=[1e-3],
                 tau=1.5,
-                intervals=(ActionInterval(-1.0, 4.0),),
+                intervals=[[-1.0, 4.0]],
             )
 
     def test_matches_finite_differences(self):
@@ -130,7 +130,7 @@ class TestPartialGradient:
         for game in (published_game(), published_game(tau=2.0), decoupled_quadratic(),
                      QuadraticGame(diag_a=[2.0, 3.0], cross=[[0.0, 0.7], [-0.4, 0.0]],
                                    offset=[1.0, -2.0],
-                                   intervals=(ActionInterval(-5, 5), ActionInterval(-5, 5)))):
+                                   intervals=[[-5, 5], [-5, 5]])):
             lo, hi = game.bounds
             for _ in range(100):
                 y = rng.uniform(lo, hi)
@@ -152,7 +152,7 @@ class TestPseudoGradient:
             diag_a=[2.0, 3.0],
             cross=[[0.0, 1.0], [0.5, 0.0]],
             offset=[-1.0, 2.0],
-            intervals=(ActionInterval(-5, 5), ActionInterval(-5, 5)),
+            intervals=[[-5, 5], [-5, 5]],
         )
         m = np.diag(game.diag_a) + game.cross
         rng = np.random.default_rng(0)
@@ -165,7 +165,7 @@ class TestPseudoGradient:
             diag_a=[1.0, 2.0, 3.0],
             cross=[[0.0, 0.4, -0.2], [0.1, 0.0, 0.6], [-0.5, 0.2, 0.0]],
             offset=[0.3, -0.1, 1.0],
-            intervals=tuple(ActionInterval(-9, 9) for _ in range(3)),
+            intervals=[[-9, 9]] * 3,
         )
         rng = np.random.default_rng(1)
         f0 = pseudo_gradient(game, np.zeros(3))
@@ -204,7 +204,7 @@ def common_profile_cases(draw):
     kind = draw(st.sampled_from(["linear", "fractional", "quadratic"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     scale = 10.0 ** rng.uniform(-6.0, 3.0, n)
-    box = (ActionInterval(0.0, 16.0),) * n
+    box = [[0.0, 16.0]] * n
     if kind == "quadratic":
         cross = rng.standard_normal((n, n))
         np.fill_diagonal(cross, 0.0)
@@ -234,26 +234,51 @@ def test_pseudo_gradient_equals_tiled_estimates(case):
     assert got.tobytes() == tiled.tobytes()
 
 
+class TestActionBox:
+    @pytest.mark.parametrize("game", [
+        published_game(),
+        QuadraticGame(diag_a=[2.0, 3.0], cross=[[0.0, 0.7], [-0.4, 0.0]], offset=[1.0, -2.0],
+                      intervals=np.array([[-5, 5], [0.25, 0.5]])),
+    ], ids=["spectrum", "quadratic"])
+    def test_the_box_is_one_read_only_array(self, game):
+        box = game.intervals
+        assert box.dtype == float and box.shape == (game.n, 2)
+        assert not box.flags.writeable
+        lo, hi = game.bounds
+        assert game.bounds is game.bounds
+        for bound, column in ((lo, box[:, 0]), (hi, box[:, 1])):
+            assert bound.flags.c_contiguous and not bound.flags.writeable
+            assert bound.tobytes() == np.array(column.tolist()).tobytes()
+
+    def test_the_box_is_a_copy(self):
+        source = np.array([[0.0, 4.0], [-1.0, 1.0]])
+        game = QuadraticGame(diag_a=[1.0, 1.0], cross=np.zeros((2, 2)), offset=[0.0, 0.0],
+                             intervals=source)
+        source[0, 1] = 9.0
+        assert game.intervals.tolist() == [[0.0, 4.0], [-1.0, 1.0]]
+        assert game.bounds[1].tolist() == [4.0, 1.0]
+
+    def test_no_per_player_interval_type(self):
+        assert not hasattr(games, "ActionInterval")
+
+
 class TestProjection:
     def test_clamps(self):
-        box = ActionInterval(0.0, 16.0)
-        assert project(box, 20.0) == 16.0
-        assert project(box, 7.3) == 7.3
-        assert project(box, -5.0) == 0.0
+        assert project(0.0, 16.0, 20.0) == 16.0
+        assert project(0.0, 16.0, 7.3) == 7.3
+        assert project(0.0, 16.0, -5.0) == 0.0
 
     def test_idempotent(self):
-        box = ActionInterval(-2.0, 3.0)
         rng = np.random.default_rng(4)
         for v in rng.uniform(-10, 10, size=100):
-            assert project(box, project(box, v)) == project(box, v)
+            assert project(-2.0, 3.0, project(-2.0, 3.0, v)) == project(-2.0, 3.0, v)
 
     def test_non_expansive(self):
         rng = np.random.default_rng(9)
         for lo, hi in ((0.0, 16.0), (-3.0, 5.0), (1.0, 1.0)):
-            box = ActionInterval(lo, hi)
             v = rng.uniform(-50, 50, size=(1000, 2))
             for v1, v2 in v:
-                assert abs(project(box, v1) - project(box, v2)) <= abs(v1 - v2)
+                assert abs(project(lo, hi, v1) - project(lo, hi, v2)) <= abs(v1 - v2)
 
 
 class TestEstimateConstants:
@@ -285,7 +310,7 @@ class TestEstimateConstants:
             diag_a=[1.0, 1.0],
             cross=[[0.0, -3.0], [-3.0, 0.0]],
             offset=[0.0, 0.0],
-            intervals=(ActionInterval(-5, 5), ActionInterval(-5, 5)),
+            intervals=[[-5, 5], [-5, 5]],
         )
         with pytest.raises(NonMonotone):
             estimate_constants(game)

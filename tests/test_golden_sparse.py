@@ -29,7 +29,6 @@ import hashlib
 import numpy as np
 
 from neseek import (
-    ActionInterval,
     DirectedGraph,
     EngineConfig,
     LawKind,
@@ -166,7 +165,7 @@ def sparse_scenario():
     np.fill_diagonal(cross, 0.0)
     game = QuadraticGame(
         diag_a=rng.uniform(1.0, 3.0, N), cross=cross, offset=rng.uniform(-2.0, 2.0, N),
-        intervals=(ActionInterval(-3.0, 3.0),) * N,
+        intervals=[[-3.0, 3.0]] * N,
     )
     trigger = TriggerParams(
         kappa=1.075, a_floor=0.05, eta=10.0, c=np.ones(N),
@@ -188,7 +187,7 @@ def spectrum_scenario():
     game = SpectrumGame(
         m_c=rng.uniform(5.7, 15.0, N), q=rng.uniform(1.1, 1.5, N), r=np.full(N, 20.0),
         s_db=rng.uniform(12.0, 18.0, N), ber_target=np.full(N, 1e-4),
-        intervals=(ActionInterval(0.0, 16.0),) * N, tau=1.0,
+        intervals=[[0.0, 16.0]] * N, tau=1.0,
     )
     trigger = TriggerParams(
         kappa=1.075, a_floor=0.05, eta=10.0, c=np.ones(N),

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neseek import (
-    ActionInterval,
     QuadraticGame,
     SpectrumGame,
     estimate_constants,
@@ -28,7 +27,7 @@ def coupled_two_player():
         diag_a=[2.0, 2.0],
         cross=[[0.0, 1.0], [1.0, 0.0]],
         offset=[-4.0, -5.0],
-        intervals=(ActionInterval(-10.0, 10.0), ActionInterval(-10.0, 10.0)),
+        intervals=[[-10.0, 10.0], [-10.0, 10.0]],
     )
 
 
@@ -100,7 +99,7 @@ def test_float_cycle_stops_early():
     # period-2 cycle between neighbouring floats near iteration 160
     game = SpectrumGame(
         m_c=[7.0], q=[1.3], r=[0.0], s_db=[12.0], ber_target=[1e-4],
-        intervals=(ActionInterval(-10.0, 10.0),),
+        intervals=[[-10.0, 10.0]],
     )
     with pytest.raises(NoConvergence, match="cycle") as err:
         projected_ne(game, tol=1e-15, max_iter=200)
@@ -149,7 +148,7 @@ def test_solution_bits_equal_tiled_reference_at_n200():
         r=[20.0] * n,
         s_db=rng.uniform(12.0, 18.0, n),
         ber_target=[1e-4] * n,
-        intervals=(ActionInterval(0.0, 16.0),) * n,
+        intervals=[[0.0, 16.0]] * n,
     )
     sol = projected_ne(game)
     x_star, residual, iterations = tiled_solve_ne(game)
@@ -179,7 +178,7 @@ def spectrum_games(draw, max_n=300, linear=False):
         r=r,
         s_db=rng.uniform(12.0, 18.0, n),
         ber_target=rng.uniform(1e-5, 1e-2, n),
-        intervals=tuple(ActionInterval(a, b) for a, b in zip(lo, hi)),
+        intervals=np.column_stack([lo, hi]),
         tau=tau,
     )
 
@@ -191,7 +190,7 @@ NEGATIVE_TOTAL = SpectrumGame(
     r=[0.0] * 4,
     s_db=[12.0] * 4,
     ber_target=[1e-4] * 4,
-    intervals=(ActionInterval(-20.0, 5.0),) * 4,
+    intervals=[[-20.0, 5.0]] * 4,
 )
 
 # every player in deficit under superlinear pricing: the total is zero, where
@@ -202,7 +201,7 @@ ZERO_TOTAL = SpectrumGame(
     r=[0.0] * 3,
     s_db=[12.0] * 3,
     ber_target=[1e-4] * 3,
-    intervals=(ActionInterval(0.0, 16.0),) * 3,
+    intervals=[[0.0, 16.0]] * 3,
     tau=2.0,
 )
 
@@ -257,7 +256,7 @@ def test_superlinear_pricing_solves_without_sampled_constants(monkeypatch):
         r=[20.0] * n,
         s_db=rng.uniform(12.0, 18.0, n),
         ber_target=[1e-4] * n,
-        intervals=(ActionInterval(0.0, 16.0),) * n,
+        intervals=[[0.0, 16.0]] * n,
         tau=2.7,
     )
 

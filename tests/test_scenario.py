@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from neseek import EngineConfig, LawKind, Member, load_scenario, run
+from neseek import EngineConfig, LawKind, Member, engine, load_scenario, run
 from neseek.data import bundled_path
 from neseek.errors import ParseError, ValidationError
 from neseek.scenario import AdvisoryWarning, scenario_from_dict
@@ -267,6 +267,47 @@ def test_api_built_scenario_is_refused(quadratic_scenario, changes, message):
     changes = {k: v(s) if callable(v) else v for k, v in changes.items()}
     with pytest.raises(ValidationError, match=f"^{message}"):
         dataclasses.replace(s, **changes)
+
+
+@pytest.mark.parametrize(
+    "section, value", [("trigger", []), ("engine", 5), ("game", 5), ("game", "kind"),
+                       ("trigger", "sigma")],
+)
+def test_section_that_is_not_an_object_is_refused(section, value):
+    data = quadratic_dict()
+    data[section] = value
+    with pytest.raises(ValidationError, match=f"^{section}: must be an object$"):
+        scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("box, message", [
+    ([[1.0, -1.0], [-10.0, 10.0]], "game: interval must satisfy lo <= hi"),
+    ([[-10.0, math.inf], [-10.0, 10.0]], "game: interval bounds must be finite"),
+])
+def test_box_errors_through_the_loader_name_the_game(box, message):
+    data = quadratic_dict()
+    data["game"]["intervals"] = box
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        scenario_from_dict(data)
+
+
+def test_loaded_box_is_the_document_array():
+    with pytest.warns(AdvisoryWarning):
+        s = scenario_from_dict(quadratic_dict())
+    assert s.game.intervals.tolist() == quadratic_dict()["game"]["intervals"]
+    assert not s.game.intervals.flags.writeable
+
+
+def test_run_refuses_arrays_beyond_numpys_largest(quadratic_scenario, monkeypatch):
+    # a horizon / dt that is finite but too large for any array is refused
+    # before the batch is formed
+    monkeypatch.setattr(engine.Batch, "of", lambda *a: pytest.fail("the batch was formed"))
+    s = dataclasses.replace(
+        quadratic_scenario, engine=dataclasses.replace(quadratic_scenario.engine, horizon=1e300),
+        ne_override=[1.0, 2.0],
+    )
+    with pytest.raises(ValidationError, match="exceed numpy's largest array"):
+        run(s, members=[Member(LawKind.STOCHASTIC, 0)])
 
 
 def test_api_built_scenario_reads_names_and_numpy_integers(quadratic_scenario):
