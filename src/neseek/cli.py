@@ -18,7 +18,10 @@ import dataclasses
 import functools
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -102,23 +105,26 @@ def _interval_rows(law: LawKind, counts, stats) -> list[dict]:
 
 @contextlib.contextmanager
 def _output_dir(path: str):
-    """The ``--out`` directory, made before the run it is to hold, so that a
-    path that cannot be a directory fails before any work is done. A run or
-    a write that fails, by any exception (a Ctrl-C too), removes the files
-    that were not there before and the directories made here, and re-raises
-    it: a failed command leaves no output behind."""
+    """A staging directory inside ``--out`` for the files of a run, which
+    move into ``--out`` with ``os.replace`` once every write has succeeded.
+    ``--out`` is made before the run, so that a path that cannot be a
+    directory fails before any work is done. A run or a write that fails,
+    by any exception (a Ctrl-C too), removes the staging directory and the
+    directories made here, and re-raises it: a failed command leaves
+    ``--out`` as it was, never a mix of two runs' files."""
     out = Path(path)
     made = [p for p in (out, *out.parents) if not p.exists()]
     out.mkdir(parents=True, exist_ok=True)
-    kept = set(out.iterdir())
+    stage = Path(tempfile.mkdtemp(prefix=".staging-", dir=out))
     try:
-        yield out
+        yield stage
+        for p in stage.iterdir():
+            os.replace(p, out / p.name)
     except BaseException:
-        for p in set(out.iterdir()) - kept:
-            p.unlink()
-        for p in made:
-            p.rmdir()
+        # the outermost directory made here holds the staging directory
+        shutil.rmtree(made[-1] if made else stage)
         raise
+    stage.rmdir()
 
 
 def _chart_pair(out_dir: Path, gamma: list, err: list, runs: int | None = None) -> None:
@@ -142,11 +148,11 @@ def _chart_pair(out_dir: Path, gamma: list, err: list, runs: int | None = None) 
 
 def cmd_simulate(args) -> int:
     scenario = _load(args)
-    with _output_dir(args.out) as out_dir:
+    with _output_dir(args.out) as stage:
         result = harness.single_run(scenario)
 
-        outputs.write_trajectory_csv(out_dir / "trajectory.csv", result)
-        outputs.write_events_csv(out_dir / "events.csv", result)
+        outputs.write_trajectory_csv(stage / "trajectory.csv", result)
+        outputs.write_events_csv(stage / "events.csv", result)
 
         metrics_doc = {
             "law": scenario.law.value,
@@ -162,13 +168,13 @@ def cmd_simulate(args) -> int:
                 scenario.law, result.trigger_counts, map(interval_stats, result.intervals)
             ),
         }
-        (out_dir / "metrics.json").write_text(_json_text(metrics_doc))
+        (stage / "metrics.json").write_text(_json_text(metrics_doc))
 
         action_series = [
             (f"player {i + 1}", result.times, result.actions[:, i]) for i in range(scenario.n)
         ]
         outputs.line_chart_svg(
-            out_dir / "actions.svg",
+            stage / "actions.svg",
             action_series,
             title="Actions",
             xlabel="t (s)",
@@ -176,7 +182,7 @@ def cmd_simulate(args) -> int:
             hlines=[float(v) for v in result.x_star],
         )
         _chart_pair(
-            out_dir,
+            stage,
             [("communication rate", result.times, result.gamma)],
             [("distance to equilibrium", result.times, result.err_inf)],
         )
@@ -184,7 +190,7 @@ def cmd_simulate(args) -> int:
     print(
         f"simulate: law={scenario.law.value} seed={scenario.seed} "
         f"final_err={result.err_inf[-1]:.6g} gamma={result.gamma[-1]:.4f} "
-        f"-> {out_dir}"
+        f"-> {Path(args.out)}"
     )
     return 0
 
@@ -199,12 +205,12 @@ def cmd_compare(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    with _output_dir(args.out) as out_dir:
+    with _output_dir(args.out) as stage:
         ensembles = harness.compare_laws(scenario, laws, scenario.runs, scenario.seed)
 
         rows = [row for law, ens in ensembles.items()
                 for row in _interval_rows(law, ens.mean_counts, ens.interval_stats)]
-        outputs.write_summary_csv(out_dir / "summary.csv", rows)
+        outputs.write_summary_csv(stage / "summary.csv", rows)
 
         doc = {
             "runs": scenario.runs,
@@ -218,10 +224,10 @@ def cmd_compare(args) -> int:
                 for law, ens in ensembles.items()
             },
         }
-        (out_dir / "compare.json").write_text(_json_text(doc))
+        (stage / "compare.json").write_text(_json_text(doc))
 
         _chart_pair(
-            out_dir,
+            stage,
             [(law.value, ens.times, ens.mean_gamma_series) for law, ens in ensembles.items()],
             [(law.value, ens.times, ens.mean_err_series) for law, ens in ensembles.items()],
             scenario.runs,
@@ -232,7 +238,7 @@ def cmd_compare(args) -> int:
             f"compare: law={law.value:11s} mean_gamma={ens.mean_gamma_series[-1]:.4f} "
             f"mean_final_err={ens.mean_err_series[-1]:.6g}"
         )
-    print(f"compare: wrote {out_dir}/summary.csv")
+    print(f"compare: wrote {Path(args.out)}/summary.csv")
     return 0
 
 

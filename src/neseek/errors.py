@@ -77,11 +77,8 @@ def integer(value, name: str) -> int:
     raise ValidationError(f"{name}: expected an integer, got {value!r}")
 
 
-def numbers(raw, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
-    """A number or nested lists of numbers as a new float array, of ``shape``
-    when given; raises ValidationError naming ``name``. Booleans and strings
-    are refused, though numpy would read true as 1.0 and "0.1" as 0.1; an
-    integer or float ndarray is taken whole, without a look at each entry."""
+def _floats(raw, name: str, shape: tuple[int, ...] | None) -> np.ndarray:
+    """``raw`` as a new float array, converted and checked as by ``numbers``."""
     try:
         a = np.array(raw, dtype=float)
     except (ValueError, TypeError, OverflowError) as exc:
@@ -100,6 +97,21 @@ def numbers(raw, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
     return a
 
 
+def numbers(raw, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """The one reader of an input array: a number or nested lists of numbers
+    as a new, read-only float array with finite entries, of ``shape`` when
+    given; raises ValidationError naming ``name``. Booleans and strings are
+    refused, though numpy would read true as 1.0 and "0.1" as 0.1, and a
+    NaN or an infinity reads ``<name>: entries must be finite``; an integer
+    or float ndarray is converted whole, without a look at each entry."""
+    a = _floats(raw, name, shape)
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{name}: entries must be finite")
+    a.flags.writeable = False
+    return a
+
+
 def number(raw, name: str) -> float:
-    """A single number read as by ``numbers``."""
-    return float(numbers(raw, name, ()))
+    """A single number converted as by ``numbers``, as a float that may be
+    infinite or NaN: the range check of the type that holds it refuses those."""
+    return float(_floats(raw, name, ()))

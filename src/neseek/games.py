@@ -22,14 +22,6 @@ from .errors import DomainError, NonMonotone, ValidationError, number, numbers
 CONSTANT_SAMPLES = 512
 
 
-def _as_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
-    v = numbers(values, name, shape)
-    if not np.isfinite(v).all():
-        raise ValidationError(f"{name} must be finite")
-    v.flags.writeable = False
-    return v
-
-
 class _ActionBox:
     """Both games' action box: ``intervals`` holds one ``[lo, hi]`` row per player."""
 
@@ -40,11 +32,8 @@ class _ActionBox:
             raise ValidationError("at least one player is required")
         if box.ndim != 2 or box.shape[1] != 2:
             raise ValidationError(f"intervals: expected shape (n, 2), got {box.shape}")
-        if not np.isfinite(box).all():
-            raise ValidationError("interval bounds must be finite")
         if (box[:, 0] > box[:, 1]).any():
             raise ValidationError("interval must satisfy lo <= hi")
-        box.flags.writeable = False
         object.__setattr__(self, "intervals", box)
         return len(box)
 
@@ -80,7 +69,7 @@ class SpectrumGame(_ActionBox):
     def __post_init__(self):
         n = self._store_box()
         for name in ("m_c", "q", "r", "s_db", "ber_target"):
-            object.__setattr__(self, name, _as_array(getattr(self, name), (n,), name))
+            object.__setattr__(self, name, numbers(getattr(self, name), name, (n,)))
         object.__setattr__(self, "tau", number(self.tau, "tau"))
         if (self.q <= 0).any():
             raise ValidationError("price slopes q must be positive")
@@ -128,9 +117,8 @@ class QuadraticGame(_ActionBox):
 
     def __post_init__(self):
         n = self._store_box()
-        object.__setattr__(self, "diag_a", _as_array(self.diag_a, (n,), "diag_a"))
-        object.__setattr__(self, "offset", _as_array(self.offset, (n,), "offset"))
-        object.__setattr__(self, "cross", _as_array(self.cross, (n, n), "cross"))
+        for name, shape in (("diag_a", (n,)), ("offset", (n,)), ("cross", (n, n))):
+            object.__setattr__(self, name, numbers(getattr(self, name), name, shape))
         if np.diagonal(self.cross).any():
             raise ValidationError("cross must have zero diagonal")
         if (self.diag_a <= 0).any():

@@ -42,13 +42,10 @@ class DirectedGraph:
             raise ValidationError("weights must be a square matrix")
         if w.shape[0] < 2:
             raise ValidationError("at least two players are required")
-        if not np.isfinite(w).all():
-            raise ValidationError("weights must be finite")
         if (w < 0).any():
             raise ValidationError("weights must be nonnegative")
         if np.diagonal(w).any():
             raise ValidationError("diagonal weights (self-loops) must be zero")
-        w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
     @property

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import EngineConfig, Member
-from .errors import ParseError, ValidationError, integer, number, numbers
+from .errors import ParseError, ValidationError, integer, numbers
 from .games import GameDefinition, QuadraticGame, SpectrumGame
 from .graphs import DirectedGraph
 from .triggers import LawKind, TriggerParams
@@ -64,16 +64,14 @@ class Scenario:
             raise ValidationError(f"game: defines {self.game.n} players but adjacency has {n}")
         if self.trigger.n != n:
             raise ValidationError(f"trigger: vectors have length {self.trigger.n}, expected {n}")
-        x0 = self._store("x0", (n,))
+        for name, shape in (("x0", (n,)), ("y0", (n, n)), ("ne_override", (n,))):
+            if name != "ne_override" or self.ne_override is not None:
+                object.__setattr__(self, name, numbers(getattr(self, name), name, shape))
         lo, hi = self.game.bounds
-        # written so that a NaN entry counts as outside
-        bad = np.flatnonzero(~((x0 >= lo) & (x0 <= hi)))
+        bad = np.flatnonzero((self.x0 < lo) | (self.x0 > hi))
         if bad.size:
             i = int(bad[0])
-            raise ValidationError(f"x0[{i}]={x0[i]} outside [{lo[i]}, {hi[i]}]")
-        self._store("y0", (n, n))
-        if self.ne_override is not None:
-            self._store("ne_override", (n,))
+            raise ValidationError(f"x0[{i}]={self.x0[i]} outside [{lo[i]}, {hi[i]}]")
         # the member reads the law name and checks the seed
         member = Member(self.law, self.seed)
         object.__setattr__(self, "law", member.law)
@@ -81,16 +79,6 @@ class Scenario:
         object.__setattr__(self, "runs", integer(self.runs, "runs"))
         if not self.runs >= 1:
             raise ValidationError(f"runs: must be >= 1, got {self.runs}")
-
-    def _store(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        """Replace field ``name`` by a read-only float copy of the given shape;
-        entries must be finite, except in x0, whose box check names them."""
-        a = numbers(getattr(self, name), name, shape)
-        if name != "x0" and not np.isfinite(a).all():
-            raise ValidationError(f"{name}: entries must be finite")
-        a.flags.writeable = False
-        object.__setattr__(self, name, a)
-        return a
 
     @property
     def n(self) -> int:
@@ -105,9 +93,11 @@ def _require(data: dict, key: str, where: str, section: bool = False):
     return data[key]
 
 
-def _scalars(section: dict, where: str, *keys: str) -> dict[str, float]:
-    """The required number fields ``keys`` of the section named ``where``."""
-    return {k: number(_require(section, k, where), f"{where}.{k}") for k in keys}
+def _fields(data: dict, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
+    """Section ``where``'s fields as written: the required, and the optional it has."""
+    fields = {k: _require(data, k, where) for k in required}
+    fields.update({k: data[k] for k in optional if k in data})
+    return fields
 
 
 @contextmanager
@@ -119,68 +109,61 @@ def _section(where: str):
         raise ValidationError(f"{where}: {exc}") from None
 
 
-# Each game kind's class and required vector/matrix fields, in load order.
+# Each game kind's class, and its required and optional fields.
 _GAMES = {
-    "spectrum": (SpectrumGame, ("m_c", "q", "r", "s_db", "ber_target")),
-    "quadratic": (QuadraticGame, ("diag_a", "cross", "offset")),
+    "spectrum": (SpectrumGame, ("m_c", "q", "r", "s_db", "ber_target", "intervals"), ("tau",)),
+    "quadratic": (QuadraticGame, ("diag_a", "cross", "offset", "intervals"), ()),
 }
 
 
-def _game_from_dict(data: dict, n: int) -> GameDefinition:
+def _game_from_dict(data: dict) -> GameDefinition:
     kind = _require(data, "kind", "game")
     if not isinstance(kind, str) or kind not in _GAMES:
         raise ValidationError(f"game: unknown kind '{kind}'")
-    cls, names = _GAMES[kind]
-    fields = {name: numbers(_require(data, name, "game"), f"game.{name}") for name in names}
-    if cls is SpectrumGame:
-        fields["tau"] = number(data.get("tau", 1.0), "game.tau")
-    fields["intervals"] = numbers(_require(data, "intervals", "game"), "game.intervals", (n, 2))
+    cls, required, optional = _GAMES[kind]
+    fields = _fields(data, "game", required, optional)
     with _section("game"):
         return cls(**fields)
 
 
-def _trigger_from_dict(traw: dict, graph: DirectedGraph) -> TriggerParams:
+def _trigger_from_dict(traw: dict, graph: DirectedGraph) -> tuple[TriggerParams, LawKind]:
+    fields = _fields(traw, "trigger", ("law", "kappa", "a_floor", "eta", "c", "delta0"))
+    law = fields.pop("law")
     if "sigma" in traw:
-        sigma = numbers(traw["sigma"], "trigger.sigma")
+        fields["sigma"] = traw["sigma"]
     elif traw.get("sigma_rule") == "0.8/din":
         din = graph.in_degrees
         if (din == 0).any():
-            raise ValidationError("trigger.sigma_rule: a player has no in-edges")
-        sigma = 0.8 / din
+            raise ValidationError("trigger: sigma_rule: a player has no in-edges")
+        fields["sigma"] = 0.8 / din
     else:
         raise ValidationError("trigger: provide 'sigma' or 'sigma_rule': '0.8/din'")
-
-    def _pervec(key):
-        # a scalar stands for the same value at every player
-        v = numbers(_require(traw, key, "trigger"), f"trigger.{key}")
-        return np.full(graph.n, v) if v.ndim == 0 else v
-
-    fields = _scalars(traw, "trigger", "kappa", "a_floor", "eta")
-    fields.update(c=_pervec("c"), sigma=sigma, delta0=_pervec("delta0"))
+    # a scalar c or delta0 stands for the same value at every player
+    fields.update({k: [fields[k]] * graph.n for k in ("c", "delta0") if np.isscalar(fields[k])})
     with _section("trigger"):
-        return TriggerParams(**fields)
+        return TriggerParams(**fields), LawKind(law)
 
 
 def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
-    """Build a scenario from a parsed document; raises ValidationError naming
-    the field. Once the scenario is built, it warns if ``graph.strongly_connected``
-    is false or some sigma exceeds ``graph.sigma_bound``."""
+    """Build a scenario from a parsed document, each section's fields handed
+    as written to the type that holds them; a ValidationError names the
+    field after its section, ``trigger: c: ...``, or alone at the top level,
+    ``x0: ...``. Once the scenario is built, it warns if
+    ``graph.strongly_connected`` is false or some sigma exceeds
+    ``graph.sigma_bound``."""
     if not isinstance(data, dict):
         raise ValidationError(f"{source}: top level must be an object")
 
-    weights = numbers(_require(data, "adjacency", source), "adjacency")
+    weights = _require(data, "adjacency", source)
     with _section("adjacency"):
         graph = DirectedGraph(weights)
-    game = _game_from_dict(_require(data, "game", source, section=True), graph.n)
-    traw = _require(data, "trigger", source, section=True)
-    trigger = _trigger_from_dict(traw, graph)
-
+    game = _game_from_dict(_require(data, "game", source, section=True))
+    trigger, law = _trigger_from_dict(_require(data, "trigger", source, section=True), graph)
     eraw = _require(data, "engine", source, section=True)
-    # dt is optional: EngineConfig holds its default
-    keys = ["alpha", "beta", "horizon"] + (["dt"] if "dt" in eraw else [])
-    fields = _scalars(eraw, "engine", *keys)
+    fields = _fields(eraw, "engine", ("alpha", "beta", "horizon"), ("dt",))
     with _section("engine"):
         engine = EngineConfig(**fields)
+        seed = Member(law, eraw.get("seed", 0)).seed
 
     advisories = []
     if not graph.strongly_connected:
@@ -197,8 +180,8 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
         engine=engine,
         x0=_require(data, "x0", source),
         y0=_require(data, "y0", source),
-        law=_require(traw, "law", "trigger"),
-        seed=integer(eraw.get("seed", 0), "engine.seed"),
+        law=law,
+        seed=seed,
         runs=data.get("runs", 1),
         ne_override=data.get("ne_override"),
     )

@@ -98,9 +98,8 @@ class TriggerParams:
             v = numbers(getattr(self, name), name)
             if v.ndim != 1:
                 raise ValidationError(f"{name} must be a vector")
-            if not ((v > 0) & (v < math.inf)).all():
-                raise ValidationError(f"{name} entries must be positive and finite")
-            v.flags.writeable = False
+            if not (v > 0).all():
+                raise ValidationError(f"{name} entries must be positive")
             object.__setattr__(self, name, v)
         if not len(self.c) == len(self.sigma) == len(self.delta0):
             raise ValidationError("c, sigma, delta0 must share one length")

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -247,7 +248,7 @@ def test_huge_integer_is_one_error_line(tmp_path, capsys):
     assert main(["solve-ne", "--config", str(path)]) == 1
     err = [line for line in capsys.readouterr().err.splitlines()
            if not line.startswith("warning:")]
-    assert len(err) == 1 and err[0].startswith("error: engine.alpha: ")
+    assert len(err) == 1 and err[0].startswith("error: engine: alpha: ")
 
 
 def test_events_csv_of_a_deterministic_law(tmp_path, quadratic_scenario):
@@ -420,6 +421,33 @@ def test_failed_write_into_an_old_out_keeps_what_was_there(
     assert error_lines(capsys) == ["error: No space left on device"]
     assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "old"]
     assert (out / "notes.txt").read_text() == "kept"
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_failed_write_into_a_used_out_keeps_the_earlier_run(
+    tmp_path, capsys, monkeypatch, command
+):
+    # a run's files move into --out only once all of them are written, so a
+    # failed run leaves the earlier run's set as it was, not a mix of both;
+    # on spectrum_paper seeds 1 and 3 give different stochastic runs
+    def argv(seed, out):
+        runs = ["--runs", "1"] if command == "compare" else []
+        return [command, "--config", SPECTRUM, "--seed", str(seed), "--out", str(out), *runs]
+
+    def digests(directory):
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in directory.iterdir()}
+
+    out, other = tmp_path / "mix", tmp_path / "other"
+    assert main(argv(1, out)) == main(argv(3, other)) == 0
+    first = digests(out)
+    # the write that succeeds before the failing one gives other bytes
+    written = "trajectory.csv" if command == "simulate" else "summary.csv"
+    assert digests(other)[written] != first[written]
+    fail_writing(monkeypatch, command)
+    capsys.readouterr()
+    assert main(argv(3, out)) == 1
+    assert error_lines(capsys) == ["error: No space left on device"]
+    assert digests(out) == first
 
 
 @pytest.mark.parametrize("section", ["game", "trigger", "engine"])

@@ -424,10 +424,13 @@ class TestRun:
         with pytest.raises(ValidationError, match="expected an integer"):
             call(quadratic_scenario)
 
-    def test_numpy_integer_seeds_and_runs_pass(self, quadratic_scenario):
-        s, law = quadratic_scenario, LawKind.STOCHASTIC
-        assert_same_columns(single_run(s, seed=np.int64(3)), single_run(s, seed=3))
-        assert compare_laws(s, [law], np.uint8(2), np.int64(3))[law].runs == 2
+    def test_numpy_integer_seeds_and_runs_pass(self, drawn_scenario):
+        s, law = drawn_scenario, LawKind.STOCHASTIC
+        alone = distinct_runs(s, [3, 4])
+        assert_same_columns(single_run(s, seed=np.int64(3)), alone[0])
+        ens = compare_laws(s, [law], np.uint8(2), np.int64(3))[law]
+        assert ens.runs == 2
+        assert_same_ensemble(ens, compare_laws(s, [law], 2, 3)[law])
 
     def test_equilibrium_override_anchors_error_series(self, quadratic_scenario):
         s = dataclasses.replace(quadratic_scenario, ne_override=np.array([0.0, 0.0]))
@@ -516,6 +519,23 @@ def spy_on_run(monkeypatch, results=None):
 
 def stochastic(*seeds):
     return [(LawKind.STOCHASTIC, seed) for seed in seeds]
+
+
+@pytest.fixture(scope="module")
+def drawn_scenario(quadratic_scenario):
+    """quadratic_demo with a slower decay, eta = 1: there the stochastic law
+    fires on its draws, and seeds 0-11 give pairwise different runs. At the
+    bundled eta = 10 every seed gives the same run."""
+    trigger = dataclasses.replace(quadratic_scenario.trigger, eta=1.0)
+    return dataclasses.replace(quadratic_scenario, trigger=trigger)
+
+
+def distinct_runs(s, seeds):
+    """The stochastic run of each seed alone, checked to differ pairwise, so
+    that a test over these seeds would see one member run another's seed."""
+    runs = [single_run(s, seed=seed, law=LawKind.STOCHASTIC) for seed in seeds]
+    assert len({r.trig.tobytes() for r in runs}) == len(runs)
+    return runs
 
 
 class TestBatch:
@@ -648,8 +668,8 @@ class TestBatch:
         compare_laws(spectrum_scenario, laws, runs=2, base_seed=5)
         assert calls == [[(LawKind.STATIC, 5), (LawKind.DYNAMIC, 5), *stochastic(5, 6)]]
 
-    def test_stochastic_ensemble_integrates_in_chunks(self, quadratic_scenario, monkeypatch):
-        s, law = quadratic_scenario, LawKind.STOCHASTIC
+    def test_stochastic_ensemble_integrates_in_chunks(self, drawn_scenario, monkeypatch):
+        s, law = drawn_scenario, LawKind.STOCHASTIC
         whole = compare_laws(s, [law], 7, base_seed=3)[law]
         results = []
         calls = spy_on_run(monkeypatch, results)
@@ -658,8 +678,8 @@ class TestBatch:
         assert calls == [stochastic(3, 4, 5), stochastic(6, 7, 8), stochastic(9)]
         assert len(results) == 7
         monkeypatch.undo()
-        for seed, got in zip(range(3, 10), results):
-            assert_same_columns(got, single_run(s, seed=seed, law=law))
+        for got, alone in zip(results, distinct_runs(s, range(3, 10))):
+            assert_same_columns(got, alone)
         assert_same_ensemble(chunked, whole)
 
     def test_chunk_is_released_before_the_next_integrates(self, quadratic_scenario, monkeypatch):
@@ -694,9 +714,10 @@ class TestBatch:
         compare_laws(wide, [LawKind.STOCHASTIC], 3, 0)
         assert [len(call) for call in calls[2:]] == [1, 1, 1]
 
-    def test_mixed_law_compare_integrates_in_chunks(self, quadratic_scenario, monkeypatch):
+    def test_mixed_law_compare_integrates_in_chunks(self, drawn_scenario, monkeypatch):
         # 1 + 1 + 1 deterministic members and 4 stochastic ones: chunks 3, 3, 1
-        s, laws = quadratic_scenario, list(LawKind)
+        s, laws = drawn_scenario, list(LawKind)
+        distinct_runs(s, range(3, 7))
         whole = compare_laws(s, laws, 4, base_seed=3)
         calls = spy_on_run(monkeypatch)
         monkeypatch.setattr(harness, "ENSEMBLE_ENTRIES", 3 * s.n ** 2)
