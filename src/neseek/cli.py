@@ -197,14 +197,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     scenario = _load(args)
-    try:
-        laws = [LawKind(name.strip()) for name in args.laws.split(",") if name.strip()]
-        if not laws or len(set(laws)) < len(laws):
-            raise ValueError(f"--laws must name one or more laws, none twice: {args.laws!r}")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    # compare_laws checks the names, as it does any caller's
+    laws = [name.strip() for name in args.laws.split(",") if name.strip()]
     with _output_dir(args.out) as stage:
         ensembles = harness.compare_laws(scenario, laws, scenario.runs, scenario.seed)
 

@@ -131,9 +131,9 @@ class Batch:
     side every law compares its margin with, one array when no member draws.
     ``scale`` is the (steps, n) ``delta / c`` of every step and ``ln_kappa``
     the ``math.log`` of kappa, from which ``decide`` forms a drawn threshold
-    again at a tie; ``drawn`` is True when some member draws. ``static`` is
-    the (R, 1) mask of the members whose margin is the raw energy (see
-    ``decide``), or None when no member's is.
+    again at a tie; ``drawn`` is True when some member draws. A law is its
+    row of ``sigma`` and its thresholds, and every member's margin is
+    ``triggering_function(energy, disagreement_sq, sigma)``.
     """
 
     scenario: Scenario
@@ -144,15 +144,15 @@ class Batch:
     scale: np.ndarray
     ln_kappa: float
     drawn: bool
-    static: np.ndarray | None
 
     @classmethod
     def of(cls, scenario: Scenario, members: Sequence[Member]) -> "Batch":
         """The members' inputs for every step of the scenario.
 
-        A DYNAMIC member runs with its weights capped at
-        ``scenario.graph.sigma_bound``, which the graph computes once;
-        every other member keeps the scenario's.
+        A STATIC member's disagreement weights are zero, so its margin is
+        the raw event-error energy; a DYNAMIC member's are capped at
+        ``scenario.graph.sigma_bound``, which the graph computes once; every
+        other member keeps the scenario's.
         Each stochastic member's player i draws from its own generator, for
         the i-th of the n children ``SeedSequence(seed)`` spawns, so
         per-player streams are independent of one another. They are drawn
@@ -164,10 +164,9 @@ class Batch:
         one ``np.log``, with the tie bands, so no step takes a log or an
         exponential but at the rare ties ``decide`` forms with ``math.log``.
 
-        A CONTINUOUS member's thresholds are -inf and its margin is the raw
-        energy, as a STATIC member's is: the energy is a sum of squares of a
-        finite state, so it exceeds -inf at every step and the member always
-        fires.
+        A CONTINUOUS member's thresholds are -inf: its margin is the
+        difference of two finite sums of squares of a finite state, so it
+        exceeds -inf at every step and the member always fires.
         """
         if not members:
             raise ValidationError("members: a batch needs at least one member")
@@ -177,24 +176,23 @@ class Batch:
         if drawn:
             streams = uniform_streams([members[r].seed for r in drawn], params.n, steps)
             xi[:, drawn] = xi_from_uniform(params, streams)
-        dynamic = [m.law is LawKind.DYNAMIC for m in members]
         continuous = [m.law is LawKind.CONTINUOUS for m in members]
-        cap = scenario.graph.sigma_bound if any(dynamic) else math.inf
+        cap = {LawKind.STATIC: 0.0}
+        if any(m.law is LawKind.DYNAMIC for m in members):
+            cap[LawKind.DYNAMIC] = scenario.graph.sigma_bound
         decay = params.delta0 * np.exp(-params.eta * (np.arange(steps) * dt))[:, None]
         scale = decay / params.c
         threshold = threshold_term(params, xi)
         threshold *= scale[:, None]
         threshold[:, continuous] = -math.inf
-        static = [m.law in (LawKind.STATIC, LawKind.CONTINUOUS) for m in members]
         return cls(
             scenario,
-            np.minimum(params.sigma, [[cap if d else math.inf] for d in dynamic]),
+            np.minimum(params.sigma, [[cap.get(m.law, math.inf)] for m in members]),
             xi,
             *(tie_bounds(threshold, xi) if drawn else (threshold, threshold)),
             scale,
             math.log(params.kappa),
             bool(drawn),
-            np.array(static)[:, None] if any(static) else None,
         )
 
 
@@ -255,10 +253,11 @@ class RunResult:
 
     ``trig`` is the (steps + 1, n) fire matrix, with an all-zero row 0 so its
     rows align with ``times``: ``trig[k + 1]`` holds the decisions made at
-    t_k. ``rho`` and ``xi`` are the (steps, n) triggering-function values and
-    random thresholds of those evaluations; ``xi`` is NaN under the
-    deterministic laws. The statistics are derived from ``trig`` and
-    ``err_inf`` on first use and then cached.
+    t_k. ``rho`` is the (steps, n) triggering function of those evaluations,
+    the margin the law compared (the raw event energy under the static law),
+    and ``xi`` their random thresholds, NaN under the deterministic laws.
+    The statistics are derived from ``trig`` and ``err_inf`` on first use
+    and then cached.
     """
 
     times: np.ndarray
@@ -479,8 +478,8 @@ def step(state: EngineState, batch: Batch) -> tuple[EngineState, np.ndarray, np.
     rho = triggering_function(energy, state.disagreement_sq, batch.sigma)
     k = state.step_index
     fired = decide(
-        rho, energy, batch.lower[k], batch.upper[k], batch.static,
-        batch.xi[k] if batch.drawn else None, batch.scale[k], batch.ln_kappa,
+        rho, batch.lower[k], batch.upper[k], batch.xi[k] if batch.drawn else None,
+        batch.scale[k], batch.ln_kappa,
     )
 
     lo, hi = game.bounds

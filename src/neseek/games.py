@@ -25,8 +25,10 @@ CONSTANT_SAMPLES = 512
 class _ActionBox:
     """Both games' action box: ``intervals`` holds one ``[lo, hi]`` row per player."""
 
-    def _store_box(self) -> int:
-        """Store ``intervals`` as a checked, read-only (n, 2) float copy; return n."""
+    def _store_box(self, vectors: tuple[str, ...], square: tuple[str, ...] = ()) -> None:
+        """Store ``intervals`` as a checked, read-only (n, 2) float copy, and
+        likewise each field in ``vectors`` as (n,) and in ``square`` as (n, n):
+        a field whose shape disagrees with the box is refused naming both."""
         box = numbers(self.intervals, "intervals")
         if box.shape[:1] == (0,):
             raise ValidationError("at least one player is required")
@@ -35,7 +37,14 @@ class _ActionBox:
         if (box[:, 0] > box[:, 1]).any():
             raise ValidationError("interval must satisfy lo <= hi")
         object.__setattr__(self, "intervals", box)
-        return len(box)
+        n = len(box)
+        for name in vectors + square:
+            value = numbers(getattr(self, name), name)
+            shape = (n, n) if name in square else (n,)
+            if value.shape != shape:
+                raise ValidationError(f"{name}: expected shape {shape} for intervals of "
+                                      f"shape {box.shape}, got {value.shape}")
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -67,9 +76,7 @@ class SpectrumGame(_ActionBox):
     tau: float = 1.0
 
     def __post_init__(self):
-        n = self._store_box()
-        for name in ("m_c", "q", "r", "s_db", "ber_target"):
-            object.__setattr__(self, name, numbers(getattr(self, name), name, (n,)))
+        self._store_box(("m_c", "q", "r", "s_db", "ber_target"))
         object.__setattr__(self, "tau", number(self.tau, "tau"))
         if (self.q <= 0).any():
             raise ValidationError("price slopes q must be positive")
@@ -116,9 +123,7 @@ class QuadraticGame(_ActionBox):
     intervals: np.ndarray
 
     def __post_init__(self):
-        n = self._store_box()
-        for name, shape in (("diag_a", (n,)), ("offset", (n,)), ("cross", (n, n))):
-            object.__setattr__(self, name, numbers(getattr(self, name), name, shape))
+        self._store_box(("diag_a", "offset"), square=("cross",))
         if np.diagonal(self.cross).any():
             raise ValidationError("cross must have zero diagonal")
         if (self.diag_a <= 0).any():

@@ -1,15 +1,14 @@
 """Seeded single runs and Monte-Carlo comparisons across communication laws.
 
 Comparison policy: each law is a drop-in replacement for the broadcast
-decision. A member is a law and a seed; ``engine.Batch.of`` caps the dynamic
-comparison law's disagreement weight at the admissible bound (its own
-analysis requires a compliant weight), while the randomized law keeps the
-scenario's weights. Ensemble members use seeds base_seed, base_seed + 1,
+decision. A member is a law and a seed; ``engine.Batch.of`` zeroes the static
+law's disagreement weights and caps the dynamic law's at the admissible bound
+(its own analysis requires a compliant weight), while the randomized law keeps
+the scenario's weights. Ensemble members use seeds base_seed, base_seed + 1,
 ..., and are folded in seed order. Only the randomized law reads the random
-draw, so any other law integrates one run and repeats it. The members of
-every law in a comparison are integrated together, in chunks whose estimate
-matrices hold at most ENSEMBLE_ENTRIES entries: 256 members at n = 5, one
-from n = 57.
+draw, so any other law integrates one run and repeats it. The members of every
+law in a comparison are integrated together, in chunks whose estimate matrices
+hold at most ENSEMBLE_ENTRIES entries: 256 members at n = 5, one from n = 57.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ ENSEMBLE_ENTRIES = 256 * 5 * 5
 
 
 def _setup(
-    scenario: Scenario, laws: list[LawKind], base_seed: int, runs: int
+    scenario: Scenario, laws: list[LawKind | str], base_seed: int, runs: int
 ) -> tuple[range, list[Member], Scenario]:
     """Seeds base_seed..base_seed+runs-1, the members that integrate them, and
     the scenario they run, whose ne_override is the equilibrium: solved here
@@ -69,7 +68,7 @@ def single_run(
 
 
 def compare_laws(
-    scenario: Scenario, laws: list[LawKind], runs: int, base_seed: int
+    scenario: Scenario, laws: list[LawKind | str], runs: int, base_seed: int
 ) -> dict[LawKind, metrics_mod.EnsembleMetrics]:
     """Ensemble metrics per law over seeds base_seed..base_seed+runs-1, all
     against the same equilibrium.

@@ -43,7 +43,8 @@ def write_events_csv(path: Path, result: RunResult) -> None:
     """One row per broadcast, in step order and then player order.
 
     Columns: t, player, rho, xi (player indices are 1-based, xi empty for
-    deterministic laws)."""
+    deterministic laws); rho is the margin the law compared, the raw event
+    energy under the static law."""
     k, i = np.nonzero(result.trig[1:])
     columns = (result.times[k], i + 1, result.rho[k, i], result.xi[k, i])
     write_csv(path, ["t", "player", "rho", "xi"], zip(*(c.tolist() for c in columns)))

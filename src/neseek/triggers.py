@@ -12,8 +12,8 @@ Equivalently, in the form used throughout this module,
 
 which makes the complementary no-fire inequality hold exactly, float-for-float,
 whenever the law stays quiet. Deterministic comparison laws are expressed
-through the same right-hand side so that the whole family differs only in how
-it thresholds ``rho``.
+through the same margin and right-hand side, so that the whole family differs
+only in its disagreement weights and how it thresholds ``rho``.
 
 The reference right-hand side takes ``ln(xi)`` with ``math.log``. A batch
 forms its thresholds with one ``np.log`` over every draw, which can differ
@@ -163,12 +163,14 @@ def uniform_streams(seeds: Sequence[int], n: int, steps: int) -> np.ndarray:
 
 
 def triggering_function(energy, disagreement_sq, sigma):
-    """Event-error energy minus the weighted disagreement allowance, per player.
+    """Event-error energy minus the weighted disagreement allowance, per player:
+    the margin ``decide`` compares under every law.
 
     ``energy`` is the squared gap between the broadcast and current action
-    plus the squared norm of the broadcast-vs-current estimate row (the raw
-    energy ``decide`` also reads), and ``disagreement_sq`` the squared norm
-    of the weighted sum of broadcast differences against in-neighbors.
+    plus the squared norm of the broadcast-vs-current estimate row, and
+    ``disagreement_sq`` the squared norm of the weighted sum of broadcast
+    differences against in-neighbors. The static law's zero ``sigma`` leaves
+    the energy, bit for bit: ``0 * disagreement_sq`` is +0 for a finite norm.
     """
     return energy - sigma * disagreement_sq
 
@@ -210,27 +212,25 @@ def tie_bounds(threshold: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def decide(
-    rho: np.ndarray, energy: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-    static: np.ndarray | bool | None, xi: np.ndarray | None, scale: np.ndarray, ln_kappa: float,
+    rho: np.ndarray, lower: np.ndarray, upper: np.ndarray, xi: np.ndarray | None,
+    scale: np.ndarray, ln_kappa: float,
 ) -> np.ndarray:
-    """Fire mask shaped like ``rho``, (R, n) in a step, as are ``energy``,
-    ``lower``, ``upper`` and ``xi``; ``static`` is the (R, 1) mask of the
-    members whose margin is the raw energy, or None when every margin is ``rho``.
+    """Fire mask shaped like ``rho``, (R, n) in a step, as are ``lower``,
+    ``upper`` and ``xi``.
 
-    ``rho`` is the triggering function and ``energy`` the raw event-error
-    energy (action plus estimate term) of each evaluation. Each law compares
-    a margin with a threshold, ``scale * threshold_term`` at this
-    evaluation, where ``scale`` is the step's ``delta / c``, one entry per
-    player; ``lower`` and ``upper`` are that threshold's ``tie_bounds``.
-    STOCHASTIC fires when the uniform draw behind xi falls below the law's
-    fire probability, through this log-domain form, whose quiet branch is
-    its exact negation. DYNAMIC is its deterministic limit, with the
-    threshold pinned at a_floor. Where ``static`` holds, the margin is the
-    raw energy instead (no disagreement allowance). CONTINUOUS reads the
-    raw energy against a -inf threshold, so it fires at every evaluation:
-    the energy is a sum of squares of the state, which ``engine.step``
-    keeps finite (a non-finite state raises NumericalDivergence), so it is
-    never NaN and always exceeds -inf.
+    ``rho`` is the triggering function of each evaluation, the one margin
+    every law compares: a law is its disagreement weights (zero under
+    STATIC, so its margin is the raw event-error energy) and its threshold,
+    ``scale * threshold_term`` at this evaluation, where ``scale`` is the
+    step's ``delta / c``, one entry per player; ``lower`` and ``upper`` are
+    that threshold's ``tie_bounds``. STOCHASTIC fires when the uniform draw
+    behind xi falls below the law's fire probability, through this
+    log-domain form, whose quiet branch is its exact negation. DYNAMIC and
+    STATIC are its deterministic limit, with the threshold pinned at
+    a_floor. CONTINUOUS compares against a -inf threshold, so it fires at
+    every evaluation: its margin is the difference of two sums of squares
+    of the state, which ``engine.step`` keeps finite (a non-finite state
+    raises NumericalDivergence), so it is never NaN and always exceeds -inf.
 
     A margin above ``upper`` fires. ``xi`` holds the step's random
     thresholds, NaN under the deterministic laws, or is None when no member
@@ -238,18 +238,17 @@ def decide(
     formed again as ``(ln_kappa - math.log(xi)) * scale``, in ``Batch.of``'s
     order, so the decision is the one the ``math.log`` threshold gives.
     """
-    margin = rho if static is None else np.where(static, energy, rho)
-    fired = margin > upper
+    fired = rho > upper
     if xi is None:
         return fired
     # upper >= lower, so fired is a subset of above; count_nonzero skips the
     # Python-level dispatch of comparing the masks
-    above = margin > lower
+    above = rho > lower
     if np.count_nonzero(above) != np.count_nonzero(fired):
         near = np.not_equal(above, fired, out=above)
         exact = [
             (ln_kappa - math.log(v)) * s
             for v, s in zip(xi[near], np.broadcast_to(scale, near.shape)[near])
         ]
-        fired[near] = margin[near] > exact
+        fired[near] = rho[near] > exact
     return fired

@@ -152,8 +152,8 @@ def closed_form_step(state, batch, coupling, share: float, fired=None):
     if fired is None:
         k = state.step_index
         fired = decide(
-            rho, energy, batch.lower[k], batch.upper[k], batch.static,
-            batch.xi[k] if batch.drawn else None, batch.scale[k], batch.ln_kappa,
+            rho, batch.lower[k], batch.upper[k], batch.xi[k] if batch.drawn else None,
+            batch.scale[k], batch.ln_kappa,
         )
     lo, hi = game.bounds
     x_new = x + config.dt * (np.minimum(np.maximum(x - config.alpha * grad, lo), hi) - x)
@@ -206,8 +206,8 @@ def iterated_run(scenario, member):
         energy = e_x * e_x + ((y_hat - y) ** 2).sum(axis=-1)
         rho = triggering_function(energy, disagreement_sq, batch.sigma)
         fired = decide(
-            rho, energy, batch.lower[k], batch.upper[k], batch.static,
-            batch.xi[k] if batch.drawn else None, batch.scale[k], batch.ln_kappa,
+            rho, batch.lower[k], batch.upper[k], batch.xi[k] if batch.drawn else None,
+            batch.scale[k], batch.ln_kappa,
         )
         grad = gradient_at_estimates(game, y)
         x = x + config.dt * (np.minimum(np.maximum(x - config.alpha * grad, lo), hi) - x)

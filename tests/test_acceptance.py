@@ -152,18 +152,26 @@ def test_04_communication_rate_ordering(comparison_ensembles):
     )
 
 
-def test_05_no_trigger_inequality_exact(spectrum_scenario):
-    s = spectrum_scenario
+@pytest.mark.parametrize("law", list(LawKind), ids=lambda law: law.value)
+@pytest.mark.parametrize("name", ["spectrum_scenario", "quadratic_scenario"])
+def test_05_no_trigger_inequality_exact(request, name, law):
+    # every law's recorded rho is the margin it compared: against its
+    # math.log threshold, each decision follows from rho alone
+    s = request.getfixturevalue(name)
     p = s.trigger
-    result = single_run(s, seed=123)
+    result = single_run(s, seed=123, law=law)
     ln_kappa = math.log(p.kappa)
     violations = 0
     quiet = 0
     for k, t in enumerate(result.times[:-1]):
         decay = p.delta0 * np.exp(-p.eta * t)
         for i in range(s.n):
-            rho = float(result.rho[k, i])
-            bound = (float(decay[i]) / float(p.c[i])) * (ln_kappa - math.log(result.xi[k, i]))
+            rho, xi = float(result.rho[k, i]), float(result.xi[k, i])
+            # a deterministic law records a NaN xi: its threshold is pinned at a_floor
+            ln_xi = math.log(p.a_floor if math.isnan(xi) else xi)
+            bound = (float(decay[i]) / float(p.c[i])) * (ln_kappa - ln_xi)
+            if law is LawKind.CONTINUOUS:
+                bound = -math.inf
             if not result.trig[k + 1, i]:
                 quiet += 1
                 if not rho <= bound:
@@ -172,8 +180,8 @@ def test_05_no_trigger_inequality_exact(spectrum_scenario):
                 violations += 1
     check(
         "05",
-        violations == 0 and quiet > 0,
-        f"{violations} violations over {result.rho.size} evaluations ({quiet} quiet)",
+        violations == 0 and (quiet > 0) == (law is not LawKind.CONTINUOUS),
+        f"{law.value}: {violations} violations over {result.rho.size} evaluations ({quiet} quiet)",
     )
 
 
@@ -181,7 +189,7 @@ def test_06_pinned_threshold_equals_dynamic_law():
     total = 10_000
     p = trigger_params_factory(n=total)
     cases = random_cases(np.random.default_rng(2024), total)
-    fired = decide_law(LawKind.DYNAMIC, p, **law_inputs(cases, p), u=np.full(total, 0.5))
+    fired = decide_law(LawKind.DYNAMIC, p, **law_inputs(cases), u=np.full(total, 0.5))
     agree = 0
     for rho, decay, got in zip(margin(cases, p.sigma), cases["decay"], fired):
         z = float(p.c[0]) * float(rho) / float(decay)

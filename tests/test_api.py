@@ -121,10 +121,11 @@ def test_engine_reads_the_scenario_whole():
     # scenario: the sigma cap, the decaying scale and the thresholds
     assert list(inspect.signature(neseek.Batch.of).parameters) == ["scenario", "members"]
     assert list(inspect.signature(neseek.step).parameters) == ["state", "batch"]
-    # decide reads the tie band a batch forms once, and forms a drawn
-    # threshold again from xi, scale and ln_kappa inside it
+    # decide compares the one margin rho under every law: it reads the tie
+    # band a batch forms once, and forms a drawn threshold again from xi,
+    # scale and ln_kappa inside it
     assert list(inspect.signature(neseek.decide).parameters) == [
-        "rho", "energy", "lower", "upper", "static", "xi", "scale", "ln_kappa"
+        "rho", "lower", "upper", "xi", "scale", "ln_kappa"
     ]
     # a broadcast is one row of y_hat, its diagonal entry the broadcast
     # action, and the continuous law is a -inf threshold, not a mask; the
@@ -132,7 +133,9 @@ def test_engine_reads_the_scenario_whole():
     assert [f.name for f in dataclasses.fields(neseek.engine.EngineState)] == [
         "step_index", "x", "anchor", "age", "y_hat", "disagreement_sq", "increment", "row_terms"
     ]
-    assert "continuous" not in [f.name for f in dataclasses.fields(neseek.Batch)]
+    # nor is the static law a mask: it is zero disagreement weights
+    batch_fields = [f.name for f in dataclasses.fields(neseek.Batch)]
+    assert "continuous" not in batch_fields and "static" not in batch_fields
     assert "x_hat" not in inspect.signature(neseek.engine.broadcast_terms).parameters
     assert [f.name for f in dataclasses.fields(Member)] == ["law", "seed"]
     assert not hasattr(neseek.engine, "check_start")

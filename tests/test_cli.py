@@ -188,20 +188,33 @@ def test_compare_single_run_matches_simulate(tmp_path):
     )
 
 
-def test_unknown_law_rejected(tmp_path):
+def test_unknown_law_rejected(tmp_path, capsys):
+    # compare_laws checks the list, as for any caller: one error line, exit code 1
+    out = tmp_path / "x"
     code = main([
-        "compare", "--config", QUAD, "--laws", "sometimes", "--runs", "1",
-        "--out", str(tmp_path / "x"),
+        "compare", "--config", QUAD, "--laws", "sometimes", "--runs", "1", "--out", str(out),
     ])
-    assert code == 2
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == (
+        "error: law: 'sometimes' is not one of ['continuous', 'static', 'dynamic', 'stochastic']"
+    )
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("laws", ["stochastic,static,stochastic", ","])
-def test_duplicate_or_missing_law_rejected(tmp_path, capsys, laws):
+@pytest.mark.parametrize("laws, message", [
+    pytest.param(
+        "stochastic,static,stochastic",
+        "laws: ['stochastic', 'static', 'stochastic'] names a law twice",
+        id="stochastic,static,stochastic",
+    ),
+    pytest.param(",", "laws: name at least one law", id=","),
+])
+def test_duplicate_or_missing_law_rejected(tmp_path, capsys, laws, message):
     out = tmp_path / "x"
     code = main(["compare", "--config", QUAD, "--laws", laws, "--runs", "1", "--out", str(out)])
-    assert code == 2
-    assert "none twice" in capsys.readouterr().err
+    assert code == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
     assert not out.exists()
 
 

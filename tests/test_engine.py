@@ -200,9 +200,9 @@ class TestStep:
         s = quadratic_scenario
         p, thresholds = s.trigger, []
 
-        def spy(rho, energy, lower, upper, *rest):
+        def spy(rho, lower, upper, *rest):
             thresholds.append(upper)
-            return decide(rho, energy, lower, upper, *rest)
+            return decide(rho, lower, upper, *rest)
 
         monkeypatch.setattr(engine, "decide", spy)
         batch = one_member(s.law, s, s.seed)
@@ -613,17 +613,15 @@ class TestBatch:
             s = dataclasses.replace(s, trigger=dataclasses.replace(s.trigger, c=c, delta0=delta0))
         p, members = s.trigger, [Member(law, 5) for law in LawKind]
         batch = Batch.of(s, members)
+        # a law is its disagreement weights: none under the static law,
+        # capped under the dynamic one
+        sigma = {LawKind.STATIC: 0.0 * p.sigma,
+                 LawKind.DYNAMIC: np.minimum(p.sigma, s.graph.sigma_bound)}
         for r, member in enumerate(members):
-            capped = member.law is LawKind.DYNAMIC
-            want = np.minimum(p.sigma, s.graph.sigma_bound) if capped else p.sigma
-            assert np.array_equal(batch.sigma[r], want), member.law
-        # the continuous law reads the raw energy against a -inf threshold
+            assert np.array_equal(batch.sigma[r], sigma.get(member.law, p.sigma)), member.law
+        assert not np.signbit(batch.sigma).any()
+        # the continuous law reads its margin against a -inf threshold
         continuous = [m.law is LawKind.CONTINUOUS for m in members]
-        raw = [m.law in (LawKind.STATIC, LawKind.CONTINUOUS) for m in members]
-        assert batch.static[:, 0].tolist() == raw
-        # where every margin is rho, decide takes it without a mask
-        drawn = [Member(LawKind.STOCHASTIC, 5), Member(LawKind.DYNAMIC, 5)]
-        assert Batch.of(s, drawn).static is None
         assert batch.lower.shape == batch.upper.shape == (s.engine.steps, len(members), s.n)
         for k in range(s.engine.steps):
             decay = p.delta0 * np.exp(-p.eta * (k * s.engine.dt))

@@ -118,7 +118,10 @@ def test_artifacts_byte_identical(name, tmp_path, capsys):
 
 
 # `simulate` at seed 0 under each deterministic law, on the same 5 s copies:
-# the table above pins only the bundled stochastic law's runs.
+# the table above pins only the bundled stochastic law's runs. The static
+# law's events.csv was recorded again when its rho column became the margin
+# it compares, the raw event energy (zero disagreement weights); its other
+# files kept their bytes.
 LAW_SEED = 0
 LAW_GOLDEN = {
     "quadratic_demo": {
@@ -151,7 +154,7 @@ LAW_GOLDEN = {
         "static/error.svg":
             "b6984b920c6f7eeeaf34945b88f9babaf16f41b1dbfa78edfe8403163cc94258",
         "static/events.csv":
-            "35d6bbaaae5a28b6ce0c03c094a79fd96fe87eb8798416b2b589596f31dc52cb",
+            "dea7e1f61295167f2527c018509b10a3c39e019efb81d4971b1d51766a7896f7",
         "static/gamma.svg":
             "a257faeb3cd8c9fad99776ea81d729a1fd3fa5f5daaebe06e7c5fc2d0d3cc945",
         "static/metrics.json":
@@ -189,7 +192,7 @@ LAW_GOLDEN = {
         "static/error.svg":
             "9ec418b89847e917cd2180981604d57c57c36ce0896601d826e661193a73c33c",
         "static/events.csv":
-            "8c72a4674e797e5b0b655138207d183577a6fbd7cd270ece112c8a3ada2918db",
+            "4fa4c61984ff6f5b8fa34bc165df93d323b4d9a74bc76346c73423213a9784ca",
         "static/gamma.svg":
             "6dea1c18a9ee0f13e43728d639ecef2ecd48dd9020cede397b9e4afb941a389a",
         "static/metrics.json":

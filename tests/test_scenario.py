@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import sys
 import warnings
 
@@ -291,6 +292,31 @@ def test_box_errors_through_the_loader_name_the_game(box, message):
     data["game"]["intervals"] = box
     with pytest.raises(ValidationError, match=f"^{message}$"):
         scenario_from_dict(data)
+
+
+@pytest.mark.parametrize("doc, field, short", [
+    (spectrum_dict, "m_c", "box"), (spectrum_dict, "m_c", "vector"),
+    (quadratic_dict, "diag_a", "box"), (quadratic_dict, "diag_a", "vector"),
+])
+def test_length_mismatch_names_the_box(doc, field, short):
+    # a vector that disagrees with the box is refused naming the box and its
+    # rows, whichever of the two is short
+    data = doc()
+    game = data["game"]
+    n = len(game["intervals"])
+    if short == "box":
+        game["intervals"] = game["intervals"][:-1]
+    else:
+        game[field] = game[field][:-1]
+    rows, entries = (n - 1, n) if short == "box" else (n, n - 1)
+    message = (
+        f"game: {field}: expected shape ({rows},) for intervals of shape ({rows}, 2), "
+        f"got ({entries},)"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AdvisoryWarning)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            scenario_from_dict(data)
 
 
 def test_loaded_box_is_the_document_array():

@@ -30,7 +30,7 @@ def params(n=2, kappa=1.075, a_floor=0.05, eta=10.0, c=1.0, sigma=0.2, delta0=1.
 
 def cases(e_x=(0.0,), e_y=(0.0,), cons=(0.0,), decay=(1.0,)):
     """Evaluation inputs as arrays; ``law_inputs`` turns them into the
-    arguments of ``decide``."""
+    arguments of ``decide_law``."""
     return {
         "action_err_sq": np.array(e_x, dtype=float),
         "estimate_err_sq": np.array(e_y, dtype=float),
@@ -63,30 +63,31 @@ def margin(c, sigma):
     )
 
 
-def law_inputs(c, p):
-    """The per-evaluation arguments of ``decide`` for the cases ``c``."""
+def law_inputs(c):
+    """The per-evaluation inputs of ``decide_law`` for the cases ``c``."""
     return {
-        "rho": margin(c, p.sigma),
         "energy": c["action_err_sq"] + c["estimate_err_sq"],
+        "disagreement_sq": c["disagreement_sq"],
         "decay": c["decay"],
     }
 
 
-def decide_law(law, p, rho, energy, decay, u):
+def decide_law(law, p, energy, disagreement_sq, decay, u):
     """``decide`` for evaluations that all follow ``law``, given the uniform
     draw ``u`` of each; deterministic laws record NaN thresholds. The
-    threshold and the margin are chosen as ``Batch.of`` chooses them, and
-    ``decide`` gets the draws only under a law that draws, as in a step."""
+    disagreement weights, zero under the static law, and the threshold are
+    chosen as ``Batch.of`` chooses them, and ``decide`` gets the draws only
+    under a law that draws, as in a step."""
     drawn = law is LawKind.STOCHASTIC
     xi = xi_from_uniform(p, u) if drawn else np.full(np.shape(u), math.nan)
     scale = decay / p.c
     threshold = scale * threshold_term(p, xi)
     if law is LawKind.CONTINUOUS:
         threshold = np.full_like(threshold, -math.inf)
-    static = law in (LawKind.STATIC, LawKind.CONTINUOUS)
+    sigma = 0.0 * p.sigma if law is LawKind.STATIC else p.sigma
     return decide(
-        rho, energy, *tie_bounds(threshold, xi), static, xi if drawn else None, scale,
-        math.log(p.kappa),
+        triggering_function(energy, disagreement_sq, sigma), *tie_bounds(threshold, xi),
+        xi if drawn else None, scale, math.log(p.kappa),
     )
 
 
@@ -102,8 +103,8 @@ def assert_ties_follow(at, threshold, xi, scale, ln_kappa):
     threshold ``at`` stays quiet and one ulp above it fires, everywhere."""
     above = np.nextafter(at, math.inf)
     bounds = tie_bounds(threshold, xi)
-    assert not decide(at, at, *bounds, False, xi, scale, ln_kappa).any()
-    assert decide(above, above, *bounds, False, xi, scale, ln_kappa).all()
+    assert not decide(at, *bounds, xi, scale, ln_kappa).any()
+    assert decide(above, *bounds, xi, scale, ln_kappa).all()
 
 
 def test_params_validation():
@@ -173,7 +174,7 @@ class TestDecide:
     def test_continuous_always_fires(self):
         p = params(n=50)
         c = random_cases(np.random.default_rng(0), 50)
-        assert decide_law(LawKind.CONTINUOUS, p, **law_inputs(c, p), u=np.full(50, 0.5)).all()
+        assert decide_law(LawKind.CONTINUOUS, p, **law_inputs(c), u=np.full(50, 0.5)).all()
 
     def test_stochastic_never_fires_on_nonpositive_margin(self):
         u = np.linspace(0.0, 1.0, 101)[:-1]
@@ -181,7 +182,7 @@ class TestDecide:
         quiet = cases(e_x=[0.1] * len(u), e_y=[0.3] * len(u), cons=[10.0] * len(u),
                       decay=[1e-7] * len(u))  # margin negative
         assert (margin(quiet, 0.5) < 0).all()
-        assert not decide_law(LawKind.STOCHASTIC, p, **law_inputs(quiet, p), u=u).any()
+        assert not decide_law(LawKind.STOCHASTIC, p, **law_inputs(quiet), u=u).any()
 
     def test_stochastic_matches_uniform_probability(self):
         # 200 random cases, each against 20 uniform draws, in one call
@@ -193,7 +194,7 @@ class TestDecide:
             [trigger_probability(p, 0, float(r), float(d)) for r, d in zip(rho, c["decay"])]
         )
         u = rng.random(len(prob))
-        assert np.array_equal(decide_law(LawKind.STOCHASTIC, p, **law_inputs(c, p), u=u), u < prob)
+        assert np.array_equal(decide_law(LawKind.STOCHASTIC, p, **law_inputs(c), u=u), u < prob)
 
     def test_stochastic_stays_quiet_exactly_at_the_threshold(self):
         # margin set to the threshold computed with math.log, the scalar
@@ -204,7 +205,7 @@ class TestDecide:
         ln_kappa = math.log(p.kappa)
         at = [ln_kappa - math.log(xi_from_uniform(p, float(v))) for v in u]
         c = cases(e_x=at, e_y=np.zeros(count), cons=np.zeros(count), decay=np.ones(count))
-        assert not decide_law(LawKind.STOCHASTIC, p, **law_inputs(c, p), u=u).any()
+        assert not decide_law(LawKind.STOCHASTIC, p, **law_inputs(c), u=u).any()
 
     def test_stochastic_follows_math_log_when_the_batch_log_is_one_ulp_off(self):
         # thresholds formed from logs one ulp off math.log, either way, as
@@ -244,7 +245,7 @@ class TestDecide:
         count = 10_000
         p = params(n=count)
         c = random_cases(np.random.default_rng(2), count)
-        got = decide_law(LawKind.DYNAMIC, p, **law_inputs(c, p), u=np.full(count, 0.123))
+        got = decide_law(LawKind.DYNAMIC, p, **law_inputs(c), u=np.full(count, 0.123))
         pinned = []
         for rho, decay in zip(margin(c, p.sigma), c["decay"]):
             z = float(p.c[0]) * float(rho) / float(decay)
@@ -263,7 +264,7 @@ class TestDecide:
         # disagreement plays no role in the static comparison law
         c = cases(e_x=[0.5 * scale, 1.5 * scale, 1.5 * scale], e_y=[0.0] * 3,
                   cons=[100.0, 100.0, 0.0], decay=[1.0] * 3)
-        fired = decide_law(LawKind.STATIC, p, **law_inputs(c, p), u=np.full(3, 0.5))
+        fired = decide_law(LawKind.STATIC, p, **law_inputs(c), u=np.full(3, 0.5))
         assert fired.tolist() == [False, True, True]
 
     def test_decide_is_pure(self):
@@ -271,25 +272,25 @@ class TestDecide:
         p = params(n=50)
         c = random_cases(rng, 50)
         u = rng.random(50)
-        args = law_inputs(c, p)
+        args = law_inputs(c)
         for law in LawKind:
             assert np.array_equal(decide_law(law, p, **args, u=u), decide_law(law, p, **args, u=u))
 
     def test_seed_axis_matches_row_by_row(self):
-        # (R, n) margins, energies and draws against one (n,) decay, as in a
-        # seed-batched step
+        # (R, n) energies, disagreements and draws against one (n,) decay,
+        # as in a seed-batched step
         rng = np.random.default_rng(5)
         p = params(n=20)
-        rows = [law_inputs(random_cases(rng, 20), p) for _ in range(4)]
+        rows = [law_inputs(random_cases(rng, 20)) for _ in range(4)]
         decay = rows[0]["decay"]
-        rho = np.stack([r["rho"] for r in rows])
         energy = np.stack([r["energy"] for r in rows])
+        cons = np.stack([r["disagreement_sq"] for r in rows])
         u = rng.random((4, 20))
         for law in LawKind:
-            batch = decide_law(law, p, rho, energy, decay, u)
+            batch = decide_law(law, p, energy, cons, decay, u)
             assert batch.shape == (4, 20)
             for k in range(4):
-                assert np.array_equal(batch[k], decide_law(law, p, rho[k], energy[k], decay, u[k]))
+                assert np.array_equal(batch[k], decide_law(law, p, energy[k], cons[k], decay, u[k]))
 
 
 def test_xi_mapping_support():
