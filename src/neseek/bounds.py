@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InfeasibleBeta
 from .games import GameDefinition, estimate_constants
-from .graphs import DirectedGraph, coupling_blocks, lyapunov_pair
+from .graphs import DirectedGraph, lyapunov_pair
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,8 @@ def compute_report(
     n = graph.n
 
     pair = lyapunov_pair(graph)
-    # ||P|| = lambda_max(P) for symmetric positive definite P
-    lambda_max_p = float(np.linalg.eigvalsh(pair.p).max())
-    norm_pm = float(np.linalg.norm(pair.p @ coupling_blocks(graph), 2, axis=(1, 2)).max())
+    lambda_max_p = pair.lambda_max
+    norm_pm = float(np.linalg.norm(pair.p @ pair.blocks, 2, axis=(1, 2)).max())
 
     c1 = lbar * math.sqrt(n)
     c2 = lbar

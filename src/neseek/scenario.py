@@ -168,9 +168,11 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
     advisories = []
     if not graph.strongly_connected:
         advisories.append("graph is not strongly connected; consensus may fail")
-    if (trigger.sigma > graph.sigma_bound).any():
+    with _section("adjacency"):
+        sigma_bound = graph.sigma_bound
+    if (trigger.sigma > sigma_bound).any():
         advisories.append(
-            f"sigma exceeds the admissible bound {graph.sigma_bound:.6g} for some players; "
+            f"sigma exceeds the admissible bound {sigma_bound:.6g} for some players; "
             "the certified rate does not apply"
         )
     scenario = Scenario(

@@ -64,9 +64,9 @@ def random_strongly_connected(rng, n):
 
 
 @st.composite
-def strongly_connected_graphs(draw):
-    """Weighted digraphs on 2..8 nodes with a spanning cycle plus extra links."""
-    n = draw(st.integers(2, 8))
+def strongly_connected_graphs(draw, max_n=8):
+    """Weighted digraphs on 2..max_n nodes with a spanning cycle plus extra links."""
+    n = draw(st.integers(2, max_n))
     weight = st.floats(0.5, 2.0)
     order = draw(st.permutations(range(n)))
     w = np.zeros((n, n))

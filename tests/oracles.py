@@ -3,8 +3,8 @@
 Each is the textbook per-player form of something the package computes in
 batched array code: a player's cost and own-action gradient, the projection
 onto an action interval, the decaying trigger scale, the randomized law's
-fire probability, and the dense coupling matrix whose diagonal blocks
-``coupling_blocks`` returns.
+fire probability, the dense coupling matrix whose diagonal blocks
+``coupling_blocks`` returns, and scipy's Lyapunov solve of each block.
 """
 
 import math
@@ -13,7 +13,7 @@ import numpy as np
 
 from neseek.errors import DomainError
 from neseek.games import GameDefinition, SpectrumGame
-from neseek.graphs import DirectedGraph, laplacian
+from neseek.graphs import DirectedGraph, coupling_blocks, laplacian
 from neseek.triggers import TriggerParams
 
 
@@ -80,6 +80,17 @@ def coupling_matrix(g: DirectedGraph) -> np.ndarray:
     graph is strongly connected. Kept as the reference for ``coupling_blocks``.
     """
     return np.kron(laplacian(g), np.eye(g.n)) + np.diag(g.weights.ravel())
+
+
+def lyapunov_blocks(g: DirectedGraph) -> np.ndarray:
+    """The (n, n, n) stack of P blocks of the certificate, one
+    ``scipy.linalg.solve_continuous_lyapunov`` per coupling block, each
+    symmetrised: the reference for ``lyapunov_pair``'s P."""
+    import scipy.linalg
+
+    eye = np.eye(g.n)
+    solved = [scipy.linalg.solve_continuous_lyapunov(m.T, eye) for m in coupling_blocks(g)]
+    return np.array([0.5 * (p + p.T) for p in solved])
 
 
 def dense_coupling(graph: DirectedGraph, y_hat: np.ndarray, config):

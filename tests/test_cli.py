@@ -568,3 +568,27 @@ def test_commands_in_one_process_give_what_they_give_alone(tmp_path, capsys):
     assert cli.build_parser() is cli.build_parser()
     together = [give(argv, tmp_path / f"together-{k}") for k, argv in enumerate(commands)]
     assert together == alone
+
+
+@pytest.mark.parametrize("command", ["bounds", "simulate", "compare"])
+@pytest.mark.parametrize("weight, message", [
+    (1e200, "the bound (n-1)/(2n*||L||^2) is out of the float range"),
+    (1e-200, "the bound (n-1)/(2n*||L||^2) is out of the float range"),
+    (1e308, "an in-degree sum overflows"),
+])
+def test_weights_out_of_range_are_one_error_line(tmp_path, capsys, command, weight, message):
+    # every link of spectrum_paper at the weight, with an explicit sigma
+    config = json.loads(bundled_path("spectrum_paper").read_text())
+    n = len(config["adjacency"])
+    config["adjacency"] = (weight * (1 - np.eye(n))).tolist()
+    del config["trigger"]["sigma_rule"]
+    config["trigger"]["sigma"] = [0.01] * n
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path)] + (["--out", str(out)] if command != "bounds" else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: adjacency: weights: {message}"]
+    assert not out.exists()

@@ -1,4 +1,5 @@
-"""Golden artifact hashes for `simulate` and `compare` on both bundled scenarios.
+"""Golden artifact hashes for `simulate` and `compare` on both bundled
+scenarios, and golden `bounds` outputs.
 
 Each bundled scenario is copied with a 5 s horizon. `simulate` runs at seeds
 0 and 123, and `compare --laws continuous,static,dynamic,stochastic --runs 2`
@@ -15,6 +16,7 @@ on x86-64 Linux, Python 3.11, numpy 2.4 with OpenBLAS.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from neseek import cli
@@ -224,3 +226,53 @@ def test_every_law_simulates_byte_identical(name, tmp_path, capsys):
     for law in ("continuous", "static", "dynamic"):
         hashes.update(law_hashes(name, law, tmp_path))
     assert hashes == LAW_GOLDEN[name]
+
+
+# `bounds` stdout on both bundled scenarios as shipped, and on a 20-player
+# ring-plus-chord spectrum game with weights in [0.5, 2] and beta = 1e6, so
+# that every report field is finite. Recorded while each block of the
+# certificate went through scipy's Lyapunov solver; the LAPACK calls that
+# replaced it keep every byte. The digests do not change with one or two
+# BLAS threads, nor without numpy's AVX-512 kernels.
+BOUNDS_GOLDEN = {
+    "quadratic_demo": "598e823398f41d0568204a9997335ec07c5ead97aec6eef696a94e87a7ca89ff",
+    "ring_chord_n20": "168a7d9c5e31fe26803db097ae87c261f7b48d015a8b537ad5cb24f71596eeff",
+    "spectrum_paper": "e7987f4ead27c2f13c12b51185e3f4d027c16eb6b5ddacf0c3e2e86603feee3f",
+}
+
+
+def ring_chord_n20() -> dict:
+    """The scenario document of a directed ring in which player i hears
+    i - 1, plus one chord into every player, with non-unit weights."""
+    n, rng = 20, np.random.default_rng(2020)
+    a = np.zeros((n, n))
+    for i in range(n):
+        a[i, i - 1] = rng.uniform(0.5, 2.0)
+        a[i, (i + 1 + rng.integers(n - 2)) % n] = rng.uniform(0.5, 2.0)
+    return {
+        "adjacency": a.tolist(),
+        "game": {
+            "kind": "spectrum", "m_c": rng.uniform(5.7, 15.0, n).tolist(),
+            "q": rng.uniform(1.1, 1.5, n).tolist(), "r": [20.0] * n,
+            "s_db": rng.uniform(12.0, 18.0, n).tolist(), "ber_target": [1e-4] * n,
+            "tau": 1.0, "intervals": [[0.0, 16.0]] * n,
+        },
+        "trigger": {
+            "law": "stochastic", "kappa": 1.075, "a_floor": 0.05, "eta": 10.0,
+            "c": 1.0, "sigma_rule": "0.8/din", "delta0": 100.0,
+        },
+        "engine": {"alpha": 0.14, "beta": 1e6, "dt": 0.025, "horizon": 1.0, "seed": 0},
+        "x0": rng.uniform(0.0, 16.0, n).tolist(),
+        "y0": rng.uniform(0.0, 16.0, (n, n)).tolist(),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDS_GOLDEN))
+def test_bounds_byte_identical(name, tmp_path, capsys):
+    config = name
+    if name == "ring_chord_n20":
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(ring_chord_n20()))
+    assert cli.main(["bounds", "--config", str(config)]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == BOUNDS_GOLDEN[name]

@@ -1,11 +1,14 @@
 import dataclasses
+import itertools
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
+from scipy.linalg import lapack
 
 from neseek import (
     Batch,
@@ -18,13 +21,13 @@ from neseek import (
     load_scenario,
     lyapunov_pair,
 )
-from neseek import graphs
+from neseek import cli, graphs
 from neseek.data import bundled_path
-from neseek.errors import NotStronglyConnected, SolverFailure
+from neseek.errors import NotStronglyConnected, SolverFailure, ValidationError
 from neseek.graphs import solve_lyapunov_pd
 
 from conftest import dense_p, load_bundled, random_strongly_connected, strongly_connected_graphs
-from oracles import coupling_matrix
+from oracles import coupling_matrix, lyapunov_blocks
 
 TWO_CYCLE = DirectedGraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
 EDGELESS = DirectedGraph(np.zeros((3, 3)))
@@ -260,7 +263,7 @@ def test_edgeless_graph_warns_once_on_the_first_read():
 def test_lyapunov_scalar_analog():
     # m.T p + p m = q with 1x1 m = [[a]] gives p = q / (2 a)
     for a in (0.5, 1.0, 3.0):
-        p, _ = solve_lyapunov_pd(np.array([[a]]))
+        p = solve_lyapunov_pd(np.array([[a]])).p
         assert p[0, 0] == pytest.approx(1.0 / (2.0 * a), rel=1e-12)
 
 
@@ -319,3 +322,89 @@ def test_block_certificate_matches_dense_solve(g):
     assert np.linalg.eigvalsh(p).max() == pytest.approx(
         np.linalg.eigvalsh(0.5 * (ref + ref.T)).max(), rel=1e-10
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(strongly_connected_graphs(max_n=12))
+def test_block_stack_matches_scipy_bit_for_bit(g):
+    # every bit of P is scipy's per-block solve, symmetrised; the pair keeps
+    # the blocks it solved and the largest eigenvalue of P
+    pair = lyapunov_pair(g)
+    assert np.array_equal(pair.p, lyapunov_blocks(g))
+    assert np.array_equal(pair.blocks, coupling_blocks(g))
+    assert pair.lambda_max == np.linalg.eigvalsh(pair.p).max()
+
+
+def fail_block(monkeypatch, name, block, change):
+    """Make LAPACK's ``name`` return ``change(result)`` on ``block``'s call;
+    a workspace query is not a block's call."""
+    real, calls = getattr(lapack, name), itertools.count()
+
+    def fake(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if kwargs.get("lwork") == -1 or next(calls) != block:
+            return out
+        return change(out)
+
+    monkeypatch.setattr(lapack, name, fake)
+
+
+FAILURES = {
+    "dgees info > 0": ("dgees", lambda out: (*out[:-1], 2), "Schur form not found"),
+    "dtrsyl info < 0": ("dtrsyl", lambda out: (*out[:-1], -3), "illegal value in argument 3"),
+    "NaN residual": (
+        "dtrsyl", lambda out: (np.full_like(out[0], np.nan), *out[1:]),
+        "Lyapunov residual nan above tolerance",
+    ),
+}
+
+
+@pytest.mark.parametrize("failure", sorted(FAILURES))
+def test_a_failed_block_is_named(monkeypatch, spectrum_scenario, failure):
+    name, change, message = FAILURES[failure]
+    fail_block(monkeypatch, name, 3, change)
+    with pytest.raises(SolverFailure, match=f"^block 3: {message}"):
+        lyapunov_pair(spectrum_scenario.graph)
+
+
+@pytest.mark.parametrize("failure", sorted(FAILURES))
+def test_a_failed_block_is_one_error_line_of_bounds(monkeypatch, capsys, failure):
+    name, change, message = FAILURES[failure]
+    fail_block(monkeypatch, name, 1, change)
+    assert cli.main(["bounds", "--config", "spectrum_paper"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if not line.startswith("warning:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: block 1: {message}")
+
+
+def test_a_perturbed_sylvester_solve_warns_and_the_residual_decides(
+    monkeypatch, spectrum_scenario
+):
+    # dtrsyl info 1 (perturbed coefficients) keeps scipy's warning; the
+    # solution itself is still checked, and here it certifies
+    fail_block(monkeypatch, "dtrsyl", 2, lambda out: (*out[:-1], 1))
+    with pytest.warns(RuntimeWarning, match='^block 2: Input "a" has an eigenvalue pair'):
+        pair = lyapunov_pair(spectrum_scenario.graph)
+    assert np.array_equal(pair.p, lyapunov_blocks(spectrum_scenario.graph))
+
+
+def test_in_degrees_that_overflow_are_refused():
+    with pytest.raises(ValidationError, match="^weights: an in-degree sum overflows$"):
+        DirectedGraph(np.full((3, 3), 1e308) * (1 - np.eye(3)))
+
+
+@pytest.mark.parametrize("weight", [1e200, 1e-200, 1e-320])
+def test_a_sigma_bound_out_of_the_float_range_is_refused(weight):
+    # ||L||^2 overflows (the bound reads 0) or underflows (it reads infinite)
+    g = DirectedGraph(np.full((3, 3), weight) * (1 - np.eye(3)))
+    message = "weights: the bound (n-1)/(2n*||L||^2) is out of the float range"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        g.sigma_bound
+
+
+@pytest.mark.parametrize("weight", [1e150, 1e-150])
+def test_a_sigma_bound_in_the_float_range_keeps_its_formula(weight):
+    g = DirectedGraph(np.full((3, 3), weight) * (1 - np.eye(3)))
+    norm_l = float(np.linalg.norm(laplacian(g), 2))
+    assert 0.0 < g.sigma_bound == 2 / (6.0 * norm_l ** 2) < math.inf
