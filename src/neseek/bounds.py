@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleBeta
 from .games import GameDefinition, estimate_constants
 from .graphs import DirectedGraph, lyapunov_pair
 
@@ -54,12 +53,11 @@ def beta_min(mu: float, c2: float, c3: float, c4: float) -> float:
 
 
 def alpha_max(mu: float, beta: float, c1: float, c2: float, c3: float, c4: float) -> float:
-    """Upper bound on the action step given a consensus gain above beta_min."""
+    """Upper bound on the action step given a consensus gain above beta_min;
+    NaN at or below beta_min, where no admissible action step exists."""
     numerator = 2.0 * mu * beta - 8.0 * c2 * c3 - 2.0 * mu * c4
     if numerator <= 0:
-        raise InfeasibleBeta(
-            "consensus gain at or below beta_min; no admissible action step"
-        )
+        return math.nan
     denominator = (
         8.0 * c1 * c2 * c3
         + 4.0 * mu * c2 * c3
@@ -105,16 +103,9 @@ def compute_report(
     k_v = min(theta_star, theta_star / lambda_max_p, eta / 2.0)
 
     b_min = beta_min(mu, c2, c3, c4)
-    try:
-        a_max = alpha_max(mu, beta, c1, c2, c3, c4)
-    except InfeasibleBeta:
-        a_max = math.nan
-    feasible = (
-        beta > b_min
-        and not math.isnan(a_max)
-        and 0.0 < alpha < a_max
-        and theta_star > 0.0
-    )
+    a_max = alpha_max(mu, beta, c1, c2, c3, c4)
+    # a NaN a_max fails the comparison
+    feasible = beta > b_min and 0.0 < alpha < a_max and theta_star > 0.0
     return BoundsReport(
         mu=mu,
         lbar=lbar,

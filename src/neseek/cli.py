@@ -94,13 +94,12 @@ def cmd_bounds(args) -> int:
 
 def _interval_rows(law: LawKind, counts, stats) -> list[dict]:
     """One row per player: its mean broadcast count under ``law`` and the
-    (max, mean, min) of its gaps between broadcasts, empty when it has none."""
-    rows = []
-    for player, (count, gaps) in enumerate(zip(counts, stats), start=1):
-        mx, mean, mn = gaps if gaps is not None else (None, None, None)
-        rows.append({"player": player, "law": law.value, "count_mean": float(count),
-                     "max_interval": mx, "mean_interval": mean, "min_interval": mn})
-    return rows
+    (max, mean, min) of its gaps between broadcasts, NaN when it has none."""
+    return [
+        {"player": player, "law": law.value, "count_mean": float(count),
+         "max_interval": mx, "mean_interval": mean, "min_interval": mn}
+        for player, (count, (mx, mean, mn)) in enumerate(zip(counts, stats), start=1)
+    ]
 
 
 @contextlib.contextmanager

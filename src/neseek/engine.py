@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from . import metrics
-from .errors import DegenerateWindow, NumericalDivergence, ValidationError, integer, number
+from .errors import NumericalDivergence, ValidationError, integer, number
 from .games import gradient_at_estimates, gradient_from_others, row_functional
 from .graphs import DirectedGraph
 from .triggers import LawKind, decide, threshold_term, tie_bounds, triggering_function
@@ -128,11 +128,11 @@ class Batch:
     ``sigma`` is (R, n), each member's disagreement weights. ``xi``,
     ``lower`` and ``upper`` are (steps, R, n): the random thresholds, NaN
     under the deterministic laws, and the ``tie_bounds`` of the right-hand
-    side every law compares its margin with, one array when no member draws.
-    ``scale`` is the (steps, n) ``delta / c`` of every step and ``ln_kappa``
-    the ``math.log`` of kappa, from which ``decide`` forms a drawn threshold
-    again at a tie; ``drawn`` is True when some member draws. A law is its
-    row of ``sigma`` and its thresholds, and every member's margin is
+    side every law compares its margin with, both equal to it where ``xi``
+    is NaN. ``scale`` is the (steps, n) ``delta / c`` of every step and
+    ``ln_kappa`` the ``math.log`` of kappa, from which ``decide`` forms a
+    drawn threshold again at a tie. A law is its row of ``sigma`` and its
+    thresholds, and every member's margin is
     ``triggering_function(energy, disagreement_sq, sigma)``.
     """
 
@@ -143,7 +143,6 @@ class Batch:
     upper: np.ndarray
     scale: np.ndarray
     ln_kappa: float
-    drawn: bool
 
     @classmethod
     def of(cls, scenario: Scenario, members: Sequence[Member]) -> "Batch":
@@ -189,10 +188,9 @@ class Batch:
             scenario,
             np.minimum(params.sigma, [[cap.get(m.law, math.inf)] for m in members]),
             xi,
-            *(tie_bounds(threshold, xi) if drawn else (threshold, threshold)),
+            *tie_bounds(threshold, xi),
             scale,
             math.log(params.kappa),
-            bool(drawn),
         )
 
 
@@ -287,10 +285,7 @@ class RunResult:
     @cached_property
     def rate_fit(self) -> float:
         """Decay slope of ln(err_inf) over t in [0, 10]; NaN when undefined."""
-        try:
-            return metrics.rate_fit(self.times, self.err_inf)
-        except DegenerateWindow:
-            return math.nan
+        return metrics.rate_fit(self.times, self.err_inf)
 
 
 def sparse_coupling(graph: DirectedGraph) -> bool:
@@ -477,10 +472,7 @@ def step(state: EngineState, batch: Batch) -> tuple[EngineState, np.ndarray, np.
 
     rho = triggering_function(energy, state.disagreement_sq, batch.sigma)
     k = state.step_index
-    fired = decide(
-        rho, batch.lower[k], batch.upper[k], batch.xi[k] if batch.drawn else None,
-        batch.scale[k], batch.ln_kappa,
-    )
+    fired = decide(rho, batch.lower[k], batch.upper[k], batch.xi[k], batch.scale[k], batch.ln_kappa)
 
     lo, hi = game.bounds
     # np.minimum/np.maximum skip np.clip's Python wrapper, with the same bits

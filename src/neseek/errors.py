@@ -45,14 +45,6 @@ class NumericalDivergence(NeseekError):
     """Simulation state exceeded the magnitude guard; step sizes are too aggressive."""
 
 
-class InfeasibleBeta(NeseekError):
-    """The consensus gain is below the admissible threshold; no step-size bound exists."""
-
-
-class DegenerateWindow(NeseekError):
-    """Too few samples, or nonpositive values, inside a fitting window."""
-
-
 class ShapeMismatch(NeseekError):
     """Ensemble members disagree on player count, step size, or horizon."""
 

@@ -9,12 +9,13 @@ that it is zero at t = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DegenerateWindow, ShapeMismatch
+from .errors import ShapeMismatch
 
 if TYPE_CHECKING:
     from .engine import RunResult
@@ -34,7 +35,7 @@ class EnsembleMetrics:
     mean_gamma_series: np.ndarray
     mean_err_series: np.ndarray
     mean_counts: np.ndarray
-    interval_stats: tuple[tuple[float, float, float] | None, ...]
+    interval_stats: tuple[tuple[float, float, float], ...]
 
 
 def gamma_series(fired: np.ndarray) -> np.ndarray:
@@ -45,29 +46,29 @@ def gamma_series(fired: np.ndarray) -> np.ndarray:
     return out
 
 
-def interval_stats(gaps: np.ndarray) -> tuple[float, float, float] | None:
-    """(max, mean, min) of inter-event gaps; None when there are none."""
+def interval_stats(gaps: np.ndarray) -> tuple[float, float, float]:
+    """(max, mean, min) of inter-event gaps; NaN when there are none."""
     if gaps.size == 0:
-        return None
+        return math.nan, math.nan, math.nan
     return float(gaps.max()), float(gaps.mean()), float(gaps.min())
 
 
 def rate_fit(times: np.ndarray, err_series: np.ndarray) -> float:
-    """Least-squares slope of ln(err) against t over RATE_WINDOW."""
+    """Least-squares slope of ln(err) against t over RATE_WINDOW; NaN when
+    the window holds fewer than 3 samples, an error that is not positive or
+    no time spread."""
     times = np.asarray(times, dtype=float)
     errs = np.asarray(err_series, dtype=float)
     lo, hi = RATE_WINDOW
     mask = (times >= lo) & (times <= hi)
-    if mask.sum() < 3:
-        raise DegenerateWindow("need at least 3 samples in the window")
-    if (errs[mask] <= 0).any():
-        raise DegenerateWindow("errors must be positive inside the window")
-    t = times[mask]
-    z = np.log(errs[mask])
+    t, e = times[mask], errs[mask]
+    if t.size < 3 or (e <= 0).any():
+        return math.nan
     tbar = t.mean()
     denom = float(((t - tbar) ** 2).sum())
     if denom == 0.0:
-        raise DegenerateWindow("window has no time spread")
+        return math.nan
+    z = np.log(e)
     return float(((t - tbar) * (z - z.mean())).sum() / denom)
 
 

@@ -20,12 +20,12 @@ PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#1
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """One line per row under ``header``. A float cell is written with
-    ``repr``, so it parses back exactly; None and NaN are empty cells, and
-    any other cell is written with ``str``."""
+    ``repr``, so it parses back exactly; NaN is an empty cell, and any
+    other cell is written with ``str``."""
     lines = [",".join(header)]
     # str of a float is its repr, and NaN is the one value unequal to itself;
     # a comprehension per row saves a function call per cell
-    lines += [",".join(["" if v is None or v != v else str(v) for v in row]) for row in rows]
+    lines += [",".join(["" if v != v else str(v) for v in row]) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

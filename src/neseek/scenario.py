@@ -135,7 +135,12 @@ def _trigger_from_dict(traw: dict, graph: DirectedGraph) -> tuple[TriggerParams,
         din = graph.in_degrees
         if (din == 0).any():
             raise ValidationError("trigger: sigma_rule: a player has no in-edges")
-        fields["sigma"] = 0.8 / din
+        with np.errstate(over="ignore"):
+            fields["sigma"] = 0.8 / din
+        if not np.isfinite(fields["sigma"]).all():
+            raise ValidationError(
+                "trigger: sigma_rule: 0.8/din overflows: an in-degree is too small"
+            )
     else:
         raise ValidationError("trigger: provide 'sigma' or 'sigma_rule': '0.8/din'")
     # a scalar c or delta0 stands for the same value at every player

@@ -212,7 +212,7 @@ def tie_bounds(threshold: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def decide(
-    rho: np.ndarray, lower: np.ndarray, upper: np.ndarray, xi: np.ndarray | None,
+    rho: np.ndarray, lower: np.ndarray, upper: np.ndarray, xi: np.ndarray,
     scale: np.ndarray, ln_kappa: float,
 ) -> np.ndarray:
     """Fire mask shaped like ``rho``, (R, n) in a step, as are ``lower``,
@@ -233,14 +233,14 @@ def decide(
     raises NumericalDivergence), so it is never NaN and always exceeds -inf.
 
     A margin above ``upper`` fires. ``xi`` holds the step's random
-    thresholds, NaN under the deterministic laws, or is None when no member
-    draws. Where a margin lies in ``(lower, upper]``, the threshold is
-    formed again as ``(ln_kappa - math.log(xi)) * scale``, in ``Batch.of``'s
-    order, so the decision is the one the ``math.log`` threshold gives.
+    thresholds, NaN under the deterministic laws. Where a margin lies in
+    ``(lower, upper]``, the threshold is formed again as
+    ``(ln_kappa - math.log(xi)) * scale``, in ``Batch.of``'s order, so the
+    decision is the one the ``math.log`` threshold gives. A NaN ``xi`` has
+    a zero band, ``lower == upper``, so no deterministic threshold is
+    formed again.
     """
     fired = rho > upper
-    if xi is None:
-        return fired
     # upper >= lower, so fired is a subset of above; count_nonzero skips the
     # Python-level dispatch of comparing the masks
     above = rho > lower

@@ -163,7 +163,7 @@ def closed_form_step(state, batch, coupling, share: float, fired=None):
     if fired is None:
         k = state.step_index
         fired = decide(
-            rho, batch.lower[k], batch.upper[k], batch.xi[k] if batch.drawn else None,
+            rho, batch.lower[k], batch.upper[k], batch.xi[k],
             batch.scale[k], batch.ln_kappa,
         )
     lo, hi = game.bounds
@@ -217,7 +217,7 @@ def iterated_run(scenario, member):
         energy = e_x * e_x + ((y_hat - y) ** 2).sum(axis=-1)
         rho = triggering_function(energy, disagreement_sq, batch.sigma)
         fired = decide(
-            rho, batch.lower[k], batch.upper[k], batch.xi[k] if batch.drawn else None,
+            rho, batch.lower[k], batch.upper[k], batch.xi[k],
             batch.scale[k], batch.ln_kappa,
         )
         grad = gradient_at_estimates(game, y)

@@ -602,7 +602,7 @@ class TestBatch:
             pytest.param("quadratic_scenario", None, ([0.7, 1.3], [0.3, 2.9]), id="quadratic-c"),
         ],
     )
-    def test_batch_derives_sigma_and_thresholds(self, request, name, dt, weights):
+    def test_batch_derives_sigma_and_thresholds(self, request, monkeypatch, name, dt, weights):
         # the batch forms the cap and every step's threshold once, with the
         # bits of the per-step formula
         s = request.getfixturevalue(name)
@@ -635,10 +635,12 @@ class TestBatch:
             # what decide forms a drawn threshold again from at a tie
             assert np.array_equal(batch.scale[k], decay / p.c), k
         assert batch.ln_kappa == math.log(p.kappa)
-        assert batch.drawn
+        # a batch without a drawing member draws no streams, and its
+        # bounds are its thresholds
+        monkeypatch.setattr(engine, "uniform_streams", None)
         quiet = Batch.of(s, [m for m in members if m.law is not LawKind.STOCHASTIC])
-        assert not quiet.drawn
-        assert quiet.lower is quiet.upper
+        assert np.isnan(quiet.xi).all()
+        assert quiet.lower.tobytes() == quiet.upper.tobytes()
 
     def test_thresholds_follow_per_player_streams(self, quadratic_scenario):
         s = quadratic_scenario

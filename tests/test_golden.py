@@ -1,5 +1,6 @@
 """Golden artifact hashes for `simulate` and `compare` on both bundled
-scenarios, and golden `bounds` outputs.
+scenarios and for runs whose artifacts hold missing values, and golden
+`bounds` outputs.
 
 Each bundled scenario is copied with a 5 s horizon. `simulate` runs at seeds
 0 and 123, and `compare --laws continuous,static,dynamic,stochastic --runs 2`
@@ -98,20 +99,34 @@ GOLDEN = {
 }
 
 
-def artifact_hashes(name, tmp_path):
+def bundled_copy(name, path, horizon, law=None):
+    """Write bundled scenario ``name`` to ``path`` with ``horizon`` and,
+    when given, ``law``; return the path as a string."""
     doc = json.loads(bundled_path(name).read_text())
-    doc["engine"]["horizon"] = HORIZON
-    config = tmp_path / f"{name}.json"
-    config.write_text(json.dumps(doc))
-    runs = {f"simulate-seed{seed}": ["simulate", "--seed", str(seed)] for seed in SIMULATE_SEEDS}
-    runs["compare"] = ["compare", *COMPARE_ARGS]
+    doc["engine"]["horizon"] = horizon
+    if law is not None:
+        doc["trigger"]["law"] = law
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def run_hashes(config, runs, tmp_path):
+    """The SHA-256 of every file each run of ``runs`` (label -> cli argv)
+    writes on ``config``, keyed ``<label>/<file name>``."""
     hashes = {}
     for label, argv in runs.items():
         out = tmp_path / label
-        assert cli.main([*argv, "--config", str(config), "--out", str(out)]) == 0
+        assert cli.main([*argv, "--config", config, "--out", str(out)]) == 0
         for path in sorted(out.iterdir()):
             hashes[f"{label}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     return hashes
+
+
+def artifact_hashes(name, tmp_path):
+    config = bundled_copy(name, tmp_path / f"{name}.json", HORIZON)
+    runs = {f"simulate-seed{seed}": ["simulate", "--seed", str(seed)] for seed in SIMULATE_SEEDS}
+    runs["compare"] = ["compare", *COMPARE_ARGS]
+    return run_hashes(config, runs, tmp_path)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -206,18 +221,8 @@ LAW_GOLDEN = {
 
 
 def law_hashes(name, law, tmp_path):
-    doc = json.loads(bundled_path(name).read_text())
-    doc["engine"]["horizon"] = HORIZON
-    doc["trigger"]["law"] = law
-    config = tmp_path / f"{name}-{law}.json"
-    config.write_text(json.dumps(doc))
-    out = tmp_path / law
-    argv = ["simulate", "--seed", str(LAW_SEED), "--config", str(config), "--out", str(out)]
-    assert cli.main(argv) == 0
-    return {
-        f"{law}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(out.iterdir())
-    }
+    config = bundled_copy(name, tmp_path / f"{name}-{law}.json", HORIZON, law)
+    return run_hashes(config, {law: ["simulate", "--seed", str(LAW_SEED)]}, tmp_path)
 
 
 @pytest.mark.parametrize("name", sorted(LAW_GOLDEN))
@@ -276,3 +281,67 @@ def test_bounds_byte_identical(name, tmp_path, capsys):
     assert cli.main(["bounds", "--config", str(config)]) == 0
     text = capsys.readouterr().out
     assert hashlib.sha256(text.encode()).hexdigest() == BOUNDS_GOLDEN[name]
+
+
+# Runs whose artifacts hold missing values, which no run above has: every
+# player there broadcasts at least twice. On ``quadratic_demo`` at its own
+# seed 7 with a 1 s horizon, `simulate` leaves both players without a gap
+# between broadcasts, and `compare` leaves the dynamic law's player 1 and
+# both stochastic players without one, so their interval statistics are
+# null in JSON and empty CSV cells; at a 0.025 s horizon (one step) the
+# decay-rate fit has too few samples and metrics.json's rate_fit is null.
+# Recorded while a missing statistic was None and an undefined fit an
+# exception caught and turned into NaN.
+MISSING_RUNS = {
+    "simulate": (1.0, ["simulate"]),
+    "compare": (1.0, ["compare", "--runs", "3", "--laws", "static,dynamic,stochastic"]),
+    "simulate-one-step": (0.025, ["simulate"]),
+}
+MISSING_GOLDEN = {
+    "compare/compare.json":
+        "d5033057a558a27617f62b8ae3281f50aa7be6f92ef38604bb6fbcd242b42922",
+    "compare/error_compare.svg":
+        "677017f36b2cd289285ad60fa645aeaaad03f26c72df27e4fb3e4c8ba08667e8",
+    "compare/gamma_compare.svg":
+        "6c328d6fd32b1e83c4929232463333da84e498a2a98be67eb85a1ff2621e27c9",
+    "compare/summary.csv":
+        "f730f5043e8fc5bf9c733e73596169d3181f8a4ae202089c70a26900c0dc48e6",
+    "simulate-one-step/actions.svg":
+        "89f390c02eb94a8a574c72595762069305518d77d6db991bda7241300095a5d3",
+    "simulate-one-step/error.svg":
+        "d4ab103e98a1571132bdb019a0cd90a2e9a2dad2a21fd582d78a758ff4ffe774",
+    "simulate-one-step/events.csv":
+        "d90d0d9d7422031a940f725b75d7bd7da1f59a7c34fee84bddf581d0b8e30957",
+    "simulate-one-step/gamma.svg":
+        "353fcf04f19d7a960e52ebbd4388c503a9628790de9d3c01417baae20d97e817",
+    "simulate-one-step/metrics.json":
+        "f7fbaa79cd90438451e91ed7e48ce3c34c4a0681050f801411f8a954eb6ee626",
+    "simulate-one-step/trajectory.csv":
+        "a2390210d32150779872cd57d85766101477cb4912bf63856458192488b2f497",
+    "simulate/actions.svg":
+        "abc07dd7f7679ef617615f8ab387e7f42d3f1cf0c2d2c5b02bc9c38076265318",
+    "simulate/error.svg":
+        "14162e25dec9274e85f13d57a786e1e9c8d2bc1392d3884b95082d8fb70d933e",
+    "simulate/events.csv":
+        "2dfe8ec24f149fb41cdec142780eceda5c21a358376ceb05db39b4024b682eb9",
+    "simulate/gamma.svg":
+        "fd3a144d20722bf9a967212c6f50ab311b26bd708c8916e9b116aa4d6e14094f",
+    "simulate/metrics.json":
+        "61c5fedd2484f03508181726ab777cbc1baa02bd0832c12e2993c940f510d452",
+    "simulate/trajectory.csv":
+        "0f1976806401930718c2fbc0756bb684d071d71992b8ec7fb75e5ef355d2bfa3",
+}
+
+
+def test_missing_values_byte_identical(tmp_path, capsys):
+    hashes = {}
+    for label, (horizon, argv) in MISSING_RUNS.items():
+        config = bundled_copy("quadratic_demo", tmp_path / f"{label}.json", horizon)
+        hashes.update(run_hashes(config, {label: argv}, tmp_path))
+    simulated = json.loads((tmp_path / "simulate" / "metrics.json").read_text())
+    assert all(row["mean_interval"] is None for row in simulated["interval_stats"])
+    one_step = json.loads((tmp_path / "simulate-one-step" / "metrics.json").read_text())
+    assert one_step["rate_fit"] is None
+    summary = (tmp_path / "compare" / "summary.csv").read_text().splitlines()
+    assert [line.endswith(",,,") for line in summary[1:]] == [False, False, True, False, True, True]
+    assert hashes == MISSING_GOLDEN

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ def test_summary_csv_empty_interval_cells(tmp_path):
         path,
         [
             {"player": 1, "law": "stochastic", "count_mean": 1.0,
-             "max_interval": None, "mean_interval": None, "min_interval": None},
+             "max_interval": math.nan, "mean_interval": math.nan, "min_interval": math.nan},
         ],
     )
     lines = path.read_text().strip().split("\n")

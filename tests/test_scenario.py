@@ -406,6 +406,31 @@ def test_not_strongly_connected_is_advisory():
         scenario_from_dict(data)
 
 
+def subnormal_links_dict():
+    """``spectrum_paper`` with every link at 1e-320 and sigma by the rule:
+    0.8 / din overflows to inf at every player."""
+    data = spectrum_dict()
+    data["adjacency"] = (1e-320 * (np.array(data["adjacency"]) != 0)).tolist()
+    data["trigger"]["sigma_rule"] = "0.8/din"
+    return data
+
+
+def test_sigma_rule_that_overflows_names_the_rule():
+    with pytest.raises(ValidationError, match=r"^trigger: sigma_rule: 0.8/din overflows"):
+        scenario_from_dict(subnormal_links_dict())
+
+
+def test_sigma_rule_that_overflows_is_one_bounds_error_line(tmp_path, capsys):
+    path = tmp_path / "subnormal.json"
+    path.write_text(json.dumps(subnormal_links_dict()))
+    assert main(["bounds", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: trigger: sigma_rule: 0.8/din overflows: an in-degree is too small"
+    ]
+
+
 @pytest.mark.parametrize("s_db", [4000.0, 3082.0], ids=["overflows", "infinite"])
 def test_snr_with_non_finite_efficiency_is_refused(s_db):
     # 10 ** 400 overflows a float; 10 ** 308.2 does not, but the

@@ -11,6 +11,7 @@ from neseek import (
     TriggerParams,
     decide,
     triggering_function,
+    triggers,
 )
 from neseek.triggers import TIE_BAND, threshold_term, tie_bounds, uniform_streams, xi_from_uniform
 
@@ -76,8 +77,7 @@ def decide_law(law, p, energy, disagreement_sq, decay, u):
     """``decide`` for evaluations that all follow ``law``, given the uniform
     draw ``u`` of each; deterministic laws record NaN thresholds. The
     disagreement weights, zero under the static law, and the threshold are
-    chosen as ``Batch.of`` chooses them, and ``decide`` gets the draws only
-    under a law that draws, as in a step."""
+    chosen as ``Batch.of`` chooses them."""
     drawn = law is LawKind.STOCHASTIC
     xi = xi_from_uniform(p, u) if drawn else np.full(np.shape(u), math.nan)
     scale = decay / p.c
@@ -87,7 +87,7 @@ def decide_law(law, p, energy, disagreement_sq, decay, u):
     sigma = 0.0 * p.sigma if law is LawKind.STATIC else p.sigma
     return decide(
         triggering_function(energy, disagreement_sq, sigma), *tie_bounds(threshold, xi),
-        xi if drawn else None, scale, math.log(p.kappa),
+        xi, scale, math.log(p.kappa),
     )
 
 
@@ -239,6 +239,30 @@ class TestDecide:
         for direction in (-math.inf, math.inf):
             off = np.nextafter(at, direction)
             assert_ties_follow(at, off, xi, scale, math.log(p.kappa))
+
+    def test_deterministic_ties_are_not_formed_again(self, monkeypatch):
+        # a NaN xi gives a zero tie band, so a deterministic margin is
+        # compared with its threshold as given, and no log is taken: at
+        # the threshold it stays quiet, one ulp above it fires, a threshold
+        # whose decay underflowed to +0.0 is a sign test, and the
+        # continuous law's -inf threshold fires
+        p = params(n=6)
+        xi = np.full(6, math.nan)
+        scale = np.array([0.37, 0.37, math.exp(-800.0), math.exp(-800.0), 0.37, 0.37]) / p.c
+        threshold = scale * threshold_term(p, xi)
+        threshold[4:] = -math.inf
+        t = threshold[0]
+        rho = np.array([t, np.nextafter(t, math.inf), 0.0, 5e-324, -1e300, 0.0])
+        assert threshold[2] == 0.0 and not np.signbit(threshold[2])
+        lower, upper = tie_bounds(threshold, xi)
+        assert lower.tobytes() == upper.tobytes() == threshold.tobytes()
+
+        def no_log(v):
+            raise AssertionError("decide formed a deterministic threshold again")
+
+        monkeypatch.setattr(triggers.math, "log", no_log)
+        fired = decide(rho, lower, upper, xi, scale, 0.0)
+        assert fired.tolist() == [False, True, False, True, True, True]
 
     def test_dynamic_equals_pinned_threshold_stochastic(self):
         # oracle in the multiplicative form: fire iff a_floor > kappa*exp(-c*rho/decay)
