@@ -33,7 +33,7 @@ from .data import bundled_path
 from .errors import NeseekError
 from .metrics import interval_stats
 from .oracle import solve_ne
-from .scenario import Scenario, load_scenario
+from .scenario import AdvisoryWarning, Scenario, load_scenario
 from .triggers import LawKind
 
 
@@ -63,7 +63,9 @@ def _load(args) -> Scenario:
     if not path.exists() and (bundled := bundled_path(args.config)).is_file():
         path = bundled
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+        # advisories print on every call; any other warning meets the
+        # caller's filters, so -W error::RuntimeWarning still raises
+        warnings.simplefilter("always", AdvisoryWarning)
         scenario = load_scenario(path)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)

@@ -38,7 +38,7 @@ from .errors import NumericalDivergence, ValidationError, integer, number
 from .games import gradient_at_estimates, gradient_from_others, row_functional
 from .graphs import DirectedGraph
 from .triggers import LawKind, decide, threshold_term, tie_bounds, triggering_function
-from .triggers import uniform_streams, xi_from_uniform
+from .triggers import xi_from_uniform
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -152,12 +152,10 @@ class Batch:
         the raw event-error energy; a DYNAMIC member's are capped at
         ``scenario.graph.sigma_bound``, which the graph computes once; every
         other member keeps the scenario's.
-        Each stochastic member's player i draws from its own generator, for
-        the i-th of the n children ``SeedSequence(seed)`` spawns, so
-        per-player streams are independent of one another. They are drawn
-        whole up front by ``triggers.uniform_streams``, which seeds every
-        child of the batch in one vectorised pass with numpy's bits, as
-        ``tests/test_triggers.py`` checks against numpy's own spawn.
+        Each stochastic member draws from one generator of its own,
+        ``default_rng(seed).random((steps, n))``, whole and up front: player
+        i at step k reads element ``k * n + i`` of its stream, so the draws
+        depend on n and the seed, but not on the horizon or the batch-mates.
         The threshold at step k is ``(delta0 * exp(-eta * (k * dt)) / c) *
         threshold_term(params, xi[k])``, formed here for every step with
         one ``np.log``, with the tie bands, so no step takes a log or an
@@ -173,8 +171,12 @@ class Batch:
         xi = np.full((steps, len(members), params.n), math.nan)
         drawn = [r for r, m in enumerate(members) if m.law is LawKind.STOCHASTIC]
         if drawn:
-            streams = uniform_streams([members[r].seed for r in drawn], params.n, steps)
-            xi[:, drawn] = xi_from_uniform(params, streams)
+            # imported here, so that importing neseek loads no numpy.random
+            from numpy.random import default_rng
+
+            for r in drawn:
+                u = default_rng(members[r].seed).random((steps, params.n))
+                xi[:, r] = xi_from_uniform(params, u)
         continuous = [m.law is LawKind.CONTINUOUS for m in members]
         cap = {LawKind.STATIC: 0.0}
         if any(m.law is LawKind.DYNAMIC for m in members):

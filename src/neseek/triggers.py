@@ -15,6 +15,11 @@ whenever the law stays quiet. Deterministic comparison laws are expressed
 through the same margin and right-hand side, so that the whole family differs
 only in its disagreement weights and how it thresholds ``rho``.
 
+Each (player, evaluation) takes one i.i.d. uniform draw, which
+``xi_from_uniform`` maps onto the threshold support. ``engine.Batch.of``
+draws a stochastic member's uniforms from one generator of its own, seeded
+with the member's seed; this module draws nothing.
+
 The reference right-hand side takes ``ln(xi)`` with ``math.log``. A batch
 forms its thresholds with one ``np.log`` over every draw, which can differ
 from ``math.log`` in the last bit, and brackets each drawn one with its tie
@@ -28,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -41,17 +45,6 @@ from .errors import ValidationError, number, numbers
 # decay near underflow, where the relative band rounds to zero.
 TIE_BAND = 2.0 ** -44
 TIE_FLOOR = 2.0 ** -1068
-
-
-# numpy's SeedSequence hash constants, on 32-bit words. A child's pool
-# words are its parent's, each mixed with one hash of the child's index,
-# whose hash constant continues from the 16 rounds of MULT_A that filled
-# (4) and mixed (12) the parent's pool.
-MASK32 = 0xFFFFFFFF
-MULT_A = 0x931E8875
-SPAWN_HASH = 0x43B0D7E5 * pow(MULT_A, 16, MASK32 + 1) & MASK32
-MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
 
 
 class LawKind(str, Enum):
@@ -107,59 +100,6 @@ class TriggerParams:
     @property
     def n(self) -> int:
         return len(self.c)
-
-
-def _xorshift(words: np.ndarray) -> np.ndarray:
-    words &= MASK32
-    return words ^ (words >> 16)
-
-
-def _hash(words: np.ndarray, start: int, mult: int, rounds: int) -> np.ndarray:
-    """SeedSequence's successive hash rounds, one per row of the result:
-    each xors the hash constant in, multiplies the constant by ``mult`` and
-    then the word by the new constant, and xorshifts."""
-    const = [start * pow(mult, k, MASK32 + 1) & MASK32 for k in range(rounds + 1)]
-    const = np.array(const, np.uint64)[:, None]
-    return _xorshift((words ^ const[:-1]) * const[1:])
-
-
-class _StateWords:
-    """The seed ``uniform_streams`` hands PCG64: its state words, which it
-    registers as an ``ISeedSequence`` on first use, so that importing
-    neseek loads no ``numpy.random`` module."""
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=None):
-        return self.words
-
-
-def uniform_streams(seeds: Sequence[int], n: int, steps: int) -> np.ndarray:
-    """The (steps, len(seeds), n) uniforms ``Generator(PCG64(child)).random(steps)``
-    of player i of a run seeded with ``seeds[r]``, ``child`` being the i-th
-    of the n children ``SeedSequence(seeds[r])`` spawns, bit for bit.
-
-    A seed in [0, 2**64) fills at most four pool words, so before its index
-    is mixed in a child's pool is its parent's, which numpy forms. The rest,
-    mixing in the index and forming the eight state words PCG64 asks for,
-    runs here for every child at once; PCG64 and the draws stay numpy's.
-    """
-    from numpy.random import PCG64, Generator, SeedSequence
-    from numpy.random.bit_generator import ISeedSequence
-
-    ISeedSequence.register(_StateWords)
-    pools = np.array([SeedSequence(seed).pool for seed in seeds], dtype=np.uint64)
-    keys = _hash(np.arange(n, dtype=np.uint64), SPAWN_HASH, MULT_A, 4)
-    # (S, 4, n): pool word d of child i of seed r; then its 8 state words
-    mixed = _xorshift(MIX_MULT_L * pools[:, :, None] - MIX_MULT_R * keys)
-    state = _hash(np.concatenate([mixed, mixed], axis=1), INIT_B, MULT_B, 8)
-    # PCG64 reads the words as little-endian pairs
-    words = (state[:, ::2] | state[:, 1::2] << 32).transpose(0, 2, 1).copy()
-    out = np.empty((len(seeds), n, steps))
-    for row, child in zip(out.reshape(-1, steps), words.reshape(-1, 4)):
-        Generator(PCG64(_StateWords(child))).random(out=row)
-    return out.transpose(2, 0, 1)
 
 
 def triggering_function(energy, disagreement_sq, sigma):

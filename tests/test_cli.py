@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +187,26 @@ def test_compare_single_run_matches_simulate(tmp_path):
     assert doc["laws"]["stochastic"]["mean_gamma_final"] == pytest.approx(
         metrics["final_gamma"], rel=1e-12
     )
+
+
+def test_loading_keeps_the_callers_warning_filters(monkeypatch, capsys):
+    # an advisory prints as a warning line on every call, while any other
+    # warning raised in loading meets the caller's filters
+    for _ in range(2):
+        assert main(["solve-ne", "--config", SPECTRUM]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("warning: sigma exceeds") for line in err)
+    load = cli.load_scenario
+
+    def overflowing(path):
+        warnings.warn("overflow encountered in loading", RuntimeWarning)
+        return load(path)
+
+    monkeypatch.setattr(cli, "load_scenario", overflowing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="overflow encountered in loading"):
+            main(["solve-ne", "--config", SPECTRUM])
 
 
 def test_unknown_law_rejected(tmp_path, capsys):
@@ -442,7 +463,7 @@ def test_failed_write_into_a_used_out_keeps_the_earlier_run(
 ):
     # a run's files move into --out only once all of them are written, so a
     # failed run leaves the earlier run's set as it was, not a mix of both;
-    # on spectrum_paper seeds 1 and 3 give different stochastic runs
+    # on spectrum_paper seeds 0 and 1 give different stochastic runs
     def argv(seed, out):
         runs = ["--runs", "1"] if command == "compare" else []
         return [command, "--config", SPECTRUM, "--seed", str(seed), "--out", str(out), *runs]
@@ -451,14 +472,14 @@ def test_failed_write_into_a_used_out_keeps_the_earlier_run(
         return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in directory.iterdir()}
 
     out, other = tmp_path / "mix", tmp_path / "other"
-    assert main(argv(1, out)) == main(argv(3, other)) == 0
+    assert main(argv(0, out)) == main(argv(1, other)) == 0
     first = digests(out)
     # the write that succeeds before the failing one gives other bytes
     written = "trajectory.csv" if command == "simulate" else "summary.csv"
     assert digests(other)[written] != first[written]
     fail_writing(monkeypatch, command)
     capsys.readouterr()
-    assert main(argv(3, out)) == 1
+    assert main(argv(1, out)) == 1
     assert error_lines(capsys) == ["error: No space left on device"]
     assert digests(out) == first
 

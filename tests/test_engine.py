@@ -80,18 +80,6 @@ def two_player_setup(beta=0.2, dt=0.025, horizon=1.0):
     )
 
 
-def make_rngs(seed, n):
-    return [
-        np.random.Generator(np.random.PCG64(ss))
-        for ss in np.random.SeedSequence(seed).spawn(n)
-    ]
-
-
-def draw(rngs):
-    """One uniform per player, as one step of a run consumes them."""
-    return np.array([g.random() for g in rngs])
-
-
 def one_member(law, scenario, seed):
     """The one-member ``Batch`` that ``init`` and ``step`` take for one run of
     the scenario."""
@@ -521,6 +509,23 @@ def stochastic(*seeds):
     return [(LawKind.STOCHASTIC, seed) for seed in seeds]
 
 
+def assert_draws_alone(scenario, members):
+    """A member's draws do not depend on its batch-mates, its position in
+    the batch or the horizon: its first k steps are the ones it draws alone
+    at a horizon of k steps."""
+    short = with_engine(scenario, horizon=0.5)
+    steps = short.engine.steps
+    batch = Batch.of(scenario, members)
+    assert batch.xi.shape[0] > steps
+    for r, m in enumerate(members):
+        if m.law is LawKind.STOCHASTIC:
+            alone = Batch.of(short, [m]).xi[:, 0]
+            assert np.array_equal(batch.xi[:steps, r], alone), m
+            assert not np.isnan(batch.xi[:, r]).any()
+        else:
+            assert np.isnan(batch.xi[:, r]).all()
+
+
 @pytest.fixture(scope="module")
 def drawn_scenario(quadratic_scenario):
     """quadratic_demo with a slower decay, eta = 1: there the stochastic law
@@ -635,9 +640,12 @@ class TestBatch:
             # what decide forms a drawn threshold again from at a tie
             assert np.array_equal(batch.scale[k], decay / p.c), k
         assert batch.ln_kappa == math.log(p.kappa)
-        # a batch without a drawing member draws no streams, and its
-        # bounds are its thresholds
-        monkeypatch.setattr(engine, "uniform_streams", None)
+        # a batch without a drawing member draws nothing, and its bounds
+        # are its thresholds
+        def no_generator(*args):
+            raise AssertionError("a deterministic batch made a generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
         quiet = Batch.of(s, [m for m in members if m.law is not LawKind.STOCHASTIC])
         assert np.isnan(quiet.xi).all()
         assert quiet.lower.tobytes() == quiet.upper.tobytes()
@@ -646,10 +654,37 @@ class TestBatch:
         s = quadratic_scenario
         members = [Member(LawKind.STATIC, 9), Member(LawKind.STOCHASTIC, 9)]
         batch = Batch.of(s, members)
-        rngs = make_rngs(9, s.n)
-        for k in range(30):
-            assert np.array_equal(batch.xi[k, 1], xi_from_uniform(s.trigger, draw(rngs)))
+        # one generator per member: player i at step k reads element k*n + i
+        u = np.random.default_rng(9).random((s.engine.steps, s.n))
+        assert np.array_equal(batch.xi[:, 1], xi_from_uniform(s.trigger, u))
         assert np.isnan(batch.xi[:, 0]).all()
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["forward", "reversed"])
+    def test_edge_seeds_draw_alone(self, quadratic_scenario, order):
+        seeds = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
+        members = [Member(law, seed) for seed in seeds for law in LawKind]
+        assert_draws_alone(quadratic_scenario, members[::order])
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(
+            st.builds(Member, st.sampled_from(list(LawKind)), st.integers(0, 2 ** 64 - 1)),
+            min_size=1, max_size=6,
+        ),
+    )
+    def test_draws_depend_on_the_member_alone(self, quadratic_scenario, members):
+        assert_draws_alone(quadratic_scenario, members)
+
+    def test_stochastic_broadcast_count_keeps_its_distribution(self, spectrum_scenario):
+        # a check on the law, not on the bits of its draws: over 200 seeds the
+        # mean total broadcast count on spectrum_paper stays within 3 standard
+        # errors of 213.935, its mean under one generator per player, whose
+        # per-run standard deviation was 2.03
+        s = spectrum_scenario
+        s = dataclasses.replace(s, ne_override=solve_ne(s.game).x_star)
+        runs = run(s, [Member(LawKind.STOCHASTIC, seed) for seed in range(200)])
+        counts = [r.trig.sum() for r in runs]
+        assert abs(np.mean(counts) - 213.935) <= 3 * 2.03 / math.sqrt(len(counts))
 
     @pytest.mark.parametrize("law", [LawKind.CONTINUOUS, LawKind.STATIC, LawKind.DYNAMIC])
     def test_deterministic_ensemble_integrates_one_seed(

@@ -8,7 +8,9 @@ runs at the scenario's own seed; `simulate` also runs at seed 0 under each
 deterministic law. The SHA-256 of every artifact is pinned, so
 a refactor meant to preserve behaviour must leave every byte unchanged. A
 change that alters artifacts on purpose updates the table below and says so
-in CHANGES.md.
+in CHANGES.md. The stochastic runs' digests, in ``GOLDEN`` and
+``MISSING_GOLDEN``, were recorded again when each stochastic member came to
+draw from one generator of its own instead of one per player.
 
 Float bytes depend on the platform's libm and BLAS. The table was recorded
 on x86-64 Linux, Python 3.11, numpy 2.4 with OpenBLAS.
@@ -42,7 +44,7 @@ GOLDEN = {
         "simulate-seed0/error.svg":
             "05252234160164d3193db183e25c0273299553a57e58c11da18be83f334364d2",
         "simulate-seed0/events.csv":
-            "4d304006a4a8117eec247aa274d413edefe01b594e4ee1d38fc9388dddd10ea4",
+            "1886a6f9fcdc21ea4d8e7deabd3bf5ef2304a26b8761b9eccf6357db77a11e43",
         "simulate-seed0/gamma.svg":
             "50a378b5e0cde26585328b82128b0329cd8da0bbc89b50f566495bcd170788f9",
         "simulate-seed0/metrics.json":
@@ -54,7 +56,7 @@ GOLDEN = {
         "simulate-seed123/error.svg":
             "05252234160164d3193db183e25c0273299553a57e58c11da18be83f334364d2",
         "simulate-seed123/events.csv":
-            "418c2d1d2bd1ead367671998531999774e762a8a5fb3d0debcd51bbf85a03bc6",
+            "3fcc8b90189a35d45a282437cfa26655e239231f5c22c3125a4dbe0bb097d168",
         "simulate-seed123/gamma.svg":
             "50a378b5e0cde26585328b82128b0329cd8da0bbc89b50f566495bcd170788f9",
         "simulate-seed123/metrics.json":
@@ -70,31 +72,31 @@ GOLDEN = {
         "compare/gamma_compare.svg":
             "2fe01d4410e74db29d587a3fd30a0332777ee00a9dbfafb38dcb760718fd9a81",
         "compare/summary.csv":
-            "9a25f486f380d8b2e9fdc6e1d40ab2ce0701f810227dc5413eed9794db23b9a5",
+            "0d4ba723f3e2a594893b5d48c3e1d7af3564cffbc5e0d115ca06224e036d065c",
         "simulate-seed0/actions.svg":
-            "c6f3f18f7b43f3ef72e8dd8d73d930cbc0af0c3614a51d4e4c2eaf3c93f9fc45",
+            "a9b30ed298a6187609861f368a7ee462eb350295c8331faed0f9ffaea7829c3f",
         "simulate-seed0/error.svg":
-            "b8ba95b9f23d8fffaf19adbbcd8079cba60983170dbe3ec4ae1cc474db50eb25",
+            "90ea5d4b7bef0acdf0bac5f7a2c0869466dcdc8a2f4acd92b06c14194070dc00",
         "simulate-seed0/events.csv":
-            "f1b5a391f2ba1befd924682e5ae6f87fca2a82c07c2bc7cf57a81ae28f7d1762",
+            "fdd7134e17d888dbfce226858d336a2c54c9bf80a41489bf1d8eea415bed49d9",
         "simulate-seed0/gamma.svg":
-            "b64f35e5e23cb35f3520008f53806aa4a9fe9948f406405b0f8c9966a54ee03d",
+            "19952fd46869231742d8a2459abd72d0a0e9c5017dc7d20d8756696b746517c9",
         "simulate-seed0/metrics.json":
-            "b57f0471fdea23d71cc34a9fd5c84de9934a1628cae5f0c1c1dc77ad3fcd02a4",
+            "5980a7dd8bdb0afbbf06d483086b8dccb464234cbac3f96276153ce25dd19511",
         "simulate-seed0/trajectory.csv":
-            "139dcb2ff8f3a51ff7707d9d633d40249acd10442c56215de5afe2b210e9ef81",
+            "3fc507e9dbb035291d81292ca83c9f20c12a6fd594cd8ca8218821a544181e78",
         "simulate-seed123/actions.svg":
-            "ef155c988145f2e62c2d678fb25ef4e83778a1ec22b12f6a71420d996c682f6d",
+            "c6f3f18f7b43f3ef72e8dd8d73d930cbc0af0c3614a51d4e4c2eaf3c93f9fc45",
         "simulate-seed123/error.svg":
-            "88d891331f482f163bb749247a9c117ef3f03144e9558aa7c70c74aac6e50723",
+            "b8ba95b9f23d8fffaf19adbbcd8079cba60983170dbe3ec4ae1cc474db50eb25",
         "simulate-seed123/events.csv":
-            "1ce7ff02e47eacd43a2fafedd42e8d376768cf0f6f884c3ec5b9291c3b15792d",
+            "986892d9d33b30f05e28edc3b5416020a92a4821e61ab055cb9aaf603c44f959",
         "simulate-seed123/gamma.svg":
-            "0d89c812fa15af3452a287fe3e2b3e86bb367e37ac4cdda3f23308c1e2f1daa3",
+            "b64f35e5e23cb35f3520008f53806aa4a9fe9948f406405b0f8c9966a54ee03d",
         "simulate-seed123/metrics.json":
-            "b8c56cc0d997620bd609d4de36effa33b20c239281316a3d18871a58c29dead1",
+            "9e8f1ce18d505bc5ef6237a096cf862dea6b86060734561ee669b7d718747e00",
         "simulate-seed123/trajectory.csv":
-            "351364618531874d6f1d4c8736c8c09b27385a58992e4be0adbbc31f27ad4526",
+            "139dcb2ff8f3a51ff7707d9d633d40249acd10442c56215de5afe2b210e9ef81",
     },
 }
 
@@ -323,7 +325,7 @@ MISSING_GOLDEN = {
     "simulate/error.svg":
         "14162e25dec9274e85f13d57a786e1e9c8d2bc1392d3884b95082d8fb70d933e",
     "simulate/events.csv":
-        "2dfe8ec24f149fb41cdec142780eceda5c21a358376ceb05db39b4024b682eb9",
+        "05a7581ecb68b74fcbf7f2e0d3507ff12de056ffad9a7714adc4293bcce1fc58",
     "simulate/gamma.svg":
         "fd3a144d20722bf9a967212c6f50ab311b26bd708c8916e9b116aa4d6e14094f",
     "simulate/metrics.json":

@@ -17,13 +17,15 @@ kept their bits.
 A second table, ``SPECTRUM_GOLDEN``, pins the game every generated
 large-n scenario plays: a 128-player ring-plus-chord spectrum game with
 linear pricing (``tau == 1``), whose gradient reads each estimate row's
-total, again one member per law over 20 steps in one batch. It was recorded
-before the per-player streams were seeded in one vectorised pass.
+total, again one member per law over 20 steps in one batch.
 
 The static rho digest of both tables was recorded again when the static law
 became zero disagreement weights, so that its rho is the margin it compares,
 the raw event energy, with the bits of the energy it compared before; every
-other column of every law kept its bits.
+other column of every law kept its bits. The stochastic digests of both
+tables were recorded again when each stochastic member came to draw from
+one generator of its own, ``default_rng(seed)``, instead of one per player;
+the deterministic laws' digests kept their bits.
 
 Float bytes depend on the platform's libm and BLAS. The table was recorded
 on x86-64 Linux, Python 3.11, numpy 2.4 with OpenBLAS.
@@ -52,15 +54,15 @@ COLUMNS = ("actions", "err_inf", "trig", "rho", "xi")
 GOLDEN = {
     "stochastic": {
         "actions":
-            "57606800b64388e32d139413d2e86eebdf07ef72ae05d748b4fb26981f807f26",
+            "80c74531a008267f84fbcfcd66907860fcc033ba1ff005357e4ac865fc94633b",
         "err_inf":
             "f08f34e4f85e448037e282208be947bc22e629a40e97b9cd684cfc3e4aa60009",
         "trig":
-            "5cd49dfc4b10b2b20a249b884f9aed806db82f4f49d815dd7ce002a7c2e82c91",
+            "52b6c21863363f78defeb3cb40aa38cec4867c44fe7458b17c0f6a348c82b590",
         "rho":
-            "0c73aa0139e47b484c13bddc91821f82a502d8e19519cc46bf1433b3b12dbd55",
+            "c3e4e61ba6b729afd17314b775ed87899b9da9c70d743f7e3c9b6d1ebfbf064e",
         "xi":
-            "ced22edf85e994a33e785798905108a9ee159666a6576b0546008f69b11cb089",
+            "6340d9be41d406cd2516e90139e5047b076fd76665d5efc91ff34db8d4dad66c",
     },
     "static": {
         "actions":
@@ -140,15 +142,15 @@ SPECTRUM_GOLDEN = {
     },
     "stochastic": {
         "actions":
-            "2822a286d3d94437b9f56312458b6bdb4d396578d953ab2c7127168d549a96d8",
+            "ba53e24335de4fcde15306e13fa619f661980552bfc6d3fe30c5b5940c38ebfe",
         "err_inf":
-            "004a32dee7c7d12a50674b597edb77c892cf2ce2b63853515befaee42def0490",
+            "427497b07e642da0d20c18f30c3fd11b5b85d829698d67a3d86dfa9f82ee8800",
         "trig":
-            "b9b55132d12242fb1cec4d3147fb500d69eba4a9d2afcc4b1b50f18f16be4dd7",
+            "3f9f3b83f83e9927d0434af2e219a8f4b00b9648d124c06a803e9e0a61dc899a",
         "rho":
-            "8629972f781c00c0f1c65dbcbab53c8711a5b3ab861810d1afe8e7c8d0811d11",
+            "d8d93caafc38aa1e3c059bc00252884cc9609737a1f4c5898aa7ee509c57ec06",
         "xi":
-            "a1e1a530bb4df788166940d187cd0634be804bbd38dc57f05510b5b133ff12da",
+            "63af9c7ae972a119f156a0ded29a879fe725bdb4ee592b7d3265aa86f6ff13a6",
     },
 }
 

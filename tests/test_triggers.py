@@ -1,9 +1,8 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from neseek import (
@@ -13,7 +12,7 @@ from neseek import (
     triggering_function,
     triggers,
 )
-from neseek.triggers import TIE_BAND, threshold_term, tie_bounds, uniform_streams, xi_from_uniform
+from neseek.triggers import TIE_BAND, threshold_term, tie_bounds, xi_from_uniform
 
 from oracles import decay_at, trigger_probability
 
@@ -323,42 +322,3 @@ def test_xi_mapping_support():
     assert xi_from_uniform(p, 0.999999) > 0.05
     for u in np.linspace(0, 1, 50)[:-1]:
         assert 0.05 < xi_from_uniform(p, float(u)) <= 1.0
-
-
-def numpy_streams(seeds, n, steps):
-    """The (steps, len(seeds), n) draws through numpy's own spawn: player i
-    of seed s draws from the i-th child of ``SeedSequence(s)``."""
-    return np.stack([
-        np.array([
-            np.random.Generator(np.random.PCG64(child)).random(steps)
-            for child in np.random.SeedSequence(seed).spawn(n)
-        ]).T
-        for seed in seeds
-    ], axis=1)
-
-
-EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
-
-
-class TestUniformStreams:
-    @pytest.mark.parametrize("n, steps", [(1, 1), (5, 100), (200, 3)])
-    def test_equals_numpy_spawn(self, n, steps):
-        # one-word and two-word seeds, alone and in one call
-        want = numpy_streams(EDGE_SEEDS, n, steps)
-        assert np.array_equal(uniform_streams(EDGE_SEEDS, n, steps), want)
-        for r, seed in enumerate(EDGE_SEEDS):
-            assert np.array_equal(uniform_streams([seed], n, steps)[:, 0], want[:, r])
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2**64 - 1), st.sampled_from([1, 5, 200]), st.sampled_from([1, 3, 100]))
-    def test_any_seed_equals_numpy_spawn(self, seed, n, steps):
-        seeds = [seed, 2**64 - 1 - seed]
-        assert np.array_equal(uniform_streams(seeds, n, steps), numpy_streams(seeds, n, steps))
-
-    def test_no_numpy_warning(self):
-        # numpy warns on the overflow of uint32 scalar products; the 32-bit
-        # words are kept in uint64 arrays, so no seed warns
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = uniform_streams(EDGE_SEEDS, 5, 3)
-        assert np.array_equal(got, numpy_streams(EDGE_SEEDS, 5, 3))
