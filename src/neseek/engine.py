@@ -27,7 +27,7 @@ and ``Batch.of`` turns them into each member's thresholds once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import metrics
 from .errors import NumericalDivergence, ValidationError, integer, number
-from .games import gradient_at_estimates, gradient_from_others, row_functional
+from .games import functional_from_others, gradient_kernel, row_functional
 from .graphs import DirectedGraph
 from .triggers import LawKind, decide, threshold_term, tie_bounds, triggering_function
 from .triggers import xi_from_uniform
@@ -51,12 +51,15 @@ DIVERGENCE_GUARD = 1e9
 # dense path runs below. Both stay because each wins on its side. Measured
 # on a 2-core x86-64 host with one BLAS thread: `run` of the four-member
 # `spectrum_paper` batch (static, dynamic and two stochastic members, n = 5)
-# took 32-35 ms on the dense path and 120-200 ms on the closed-form kernel
-# (medians of 9, three rounds). The sparse/dense time per step on generated
-# ring-plus-chord graphs crosses at about n = 128 under the stochastic law,
-# and between n = 128 and 200 under the static law (1.21 at n = 128, 0.77 at
-# n = 200). The density cap is older: when the sparse step formed every row,
-# it stopped winning between 5% and 10% links at n = 200-1000.
+# took 20-22 ms on the dense path and 97-102 ms on the closed-form kernel
+# (medians of 9, three rounds). On the generated ring-plus-chord graphs of
+# `bench/scenarios.py` (one member, 40 steps, medians of five alternating
+# rounds) the sparse/dense time of `run` under the stochastic, dynamic and
+# static laws was 1.65, 2.49 and 2.30 at n = 64; 0.65, 1.04 and 1.05 at
+# n = 128; and 0.43, 0.59 and 0.79 at n = 200: the paths cross at about
+# n = 128, the stochastic law between n = 64 and 128. The density cap is
+# older: when the sparse step formed every row, it stopped winning between
+# 5% and 10% links at n = 200-1000.
 SPARSE_MIN_N = 128
 SPARSE_MAX_DENSITY = 0.05
 
@@ -321,14 +324,10 @@ def broadcast_terms(
     row terms of the state read whole rows. The dense path leaves it, and a
     step overwrites it.
     """
-    din = graph.in_degrees[:, None]
     if not sparse_coupling(graph):
-        disagreement = din * y_hat - graph.weights @ y_hat
-        x_hat = y_hat.diagonal(0, 1, 2)
-        bracket = disagreement + graph.weights * (y_hat - x_hat[:, None, :])
-        bracket *= -config.beta
-        bracket *= config.dt
-        return (disagreement * disagreement).sum(axis=-1), bracket
+        coupling = _dense_coupling(graph, config, y_hat)
+        return coupling(np.empty(y_hat.shape[:-1]), np.empty(y_hat.shape))
+    din = graph.in_degrees[:, None]
     (runs, n, _), (cols, weights) = y_hat.shape, graph.neighbours
     if rows is None:
         own, rows = y_hat, np.arange(n)
@@ -362,6 +361,29 @@ def broadcast_terms(
     # a padded slot is the row's own entry, set here like every other
     bracket[:, link_rows[:, 0], rows] = 0.0
     return np.multiply(disagreement, disagreement, out=disagreement).sum(axis=-1), bracket
+
+
+def _dense_coupling(graph: DirectedGraph, config: EngineConfig, y_hat: np.ndarray):
+    """The dense ``broadcast_terms`` of ``y_hat`` as it stands at each call, as
+    a function ``coupling(disagreement_sq, increment)`` that forms both terms
+    into those arrays and returns them; din, W, -beta and dt broadcast once."""
+    constants = graph.in_degrees[:, None], graph.weights, -config.beta, config.dt
+    din, weights, neg_beta, dt = (np.full(y_hat.shape, v) for v in constants)
+    x_hat, work = y_hat.diagonal(0, 1, 2)[:, None, :], np.empty(y_hat.shape)
+
+    def coupling(disagreement_sq, increment):
+        w_y = np.matmul(graph.weights, y_hat, out=increment)
+        disagreement = np.subtract(np.multiply(din, y_hat, out=work), w_y, out=work)
+        # ((disagreement + W * (y_hat - x_hat)) * -beta) * dt
+        np.subtract(y_hat, x_hat, out=increment)
+        increment *= weights
+        increment += disagreement
+        increment *= neg_beta
+        increment *= dt
+        np.add.reduce(np.square(disagreement, out=work), axis=-1, out=disagreement_sq)
+        return disagreement_sq, increment
+
+    return coupling
 
 
 def touched_rows(graph: DirectedGraph, fired: np.ndarray) -> np.ndarray:
@@ -427,65 +449,14 @@ def init(batch: Batch) -> EngineState:
 
 
 def step(state: EngineState, batch: Batch) -> tuple[EngineState, np.ndarray, np.ndarray]:
-    """Advance one grid step of the batch's scenario and members.
-
-    Returns the new state, the boolean fire mask and the triggering-function
-    values of this step's evaluations, both (R, n) like ``state.x``. Trigger
-    decisions are made before derivatives are computed, so the broadcast
-    values entering the estimate dynamics are the latest ones.
-
-    The step takes ownership of the input state's arrays: it updates them
-    in place and hands them on in the new state, so a state must not be
-    stepped twice; step a copy instead.
-
-    The coupling terms are formed again only when some player fired: a
-    quiet step has the same broadcasts, so it keeps the carried terms and
-    their bits. Below the sparse crossover a step that fires recomputes
-    both terms whole, and every step adds the increment to every row. On
-    the sparse path a step reads each row through its ``row_terms`` and
-    costs O(n) per member when quiet. A step that fires forms again only
-    the rows ``touched_rows`` names, in one pass for every member
-    (or the whole coupling once more than ``REANCHOR_SHARE`` of the rows
-    are touched), and anchors each member's touched rows at the next step:
-    every row of a member whose touched rows exceed that share, so a burst
-    costs whole-array passes rather than row gathers. Which rows are
-    anchored depends only on the member's own events, so a member's run has
-    the same bits in any batch.
-    """
-    game, config = batch.scenario.game, batch.scenario.engine
-    x, y_hat, age, terms = state.x, state.y_hat, state.age, state.row_terms
-    e_x = y_hat.diagonal(0, 1, 2) - x
-    action_err_sq = e_x * e_x
-    if terms is None:
-        # every row is at its anchor, which is the estimate matrix
-        y = state.anchor
-        e_y = y_hat - y
-        # e_y's buffer is reused for its square and, below, for the guard
-        estimate_err_sq = np.multiply(e_y, e_y, out=e_y).sum(axis=-1)
-        grad = gradient_at_estimates(game, y)
-    else:
-        d_sq, d_inc, inc_sq, f_anchor, f_inc = terms[:5]
-        # the own entry of e_y is e_x; off it, |d - age * increment|^2
-        # expanded, which rounding can take below zero
-        off = d_sq - age * (2.0 * d_inc - age * inc_sq)
-        estimate_err_sq = action_err_sq + np.maximum(off, 0.0, out=off)
-        grad = gradient_from_others(game, x, f_anchor + age * f_inc)
-    energy = action_err_sq + estimate_err_sq
-
-    rho = triggering_function(energy, state.disagreement_sq, batch.sigma)
-    k = state.step_index
-    fired = decide(rho, batch.lower[k], batch.upper[k], batch.xi[k], batch.scale[k], batch.ln_kappa)
-
-    lo, hi = game.bounds
-    # np.minimum/np.maximum skip np.clip's Python wrapper, with the same bits
-    xdot = np.minimum(np.maximum(x - config.alpha * grad, lo), hi) - x
-    x_new = x + config.dt * xdot
-    if terms is None:
-        terms = _iterate(state, batch, fired, x_new, e_y)
-    else:
-        terms = _advance_rows(state, batch, fired, x_new)
-    new = EngineState(k + 1, x_new, *terms)
-    return new, fired, rho
+    """Advance one grid step of the batch's scenario and members, by ``run``'s
+    loop. Returns the new state, the boolean fire mask and ``rho``, the
+    triggering function of the step, both (R, n) like ``state.x``. The new
+    state owns the input state's arrays and updated them in place, so a
+    state must not be stepped twice; step a copy instead."""
+    x_new, rho = np.empty((2, 1, *state.x.shape))
+    fired = np.empty(rho.shape, dtype=bool)
+    return _integrate(state, batch, x_new, fired, rho), fired[0], rho[0]
 
 
 def _diverged(config: EngineConfig, k: int) -> NumericalDivergence:
@@ -495,35 +466,85 @@ def _diverged(config: EngineConfig, k: int) -> NumericalDivergence:
     )
 
 
-def _iterate(state: EngineState, batch: Batch, fired: np.ndarray, x_new: np.ndarray, scratch):
-    """The dense path's rest of a step: every row takes its increment and is
-    anchored again. Returns the new state's fields after ``x``."""
-    graph, config = batch.scenario.graph, batch.scenario.engine
-    y, y_hat = state.anchor, state.y_hat
-    disagreement_sq, increment = state.disagreement_sq, state.increment
-    # count_nonzero skips the Python-level dispatch of fired.any()
-    if np.count_nonzero(fired):
-        # A dense step that fires recomputes both terms whole. On a
-        # 2-core x86-64 host, `run` of the paper_ensemble batch (4
-        # members, 800 steps, median of 8 alternating best-of-5) took
-        # 27.4 ms that way against 38.3 ms with the row-level update of
-        # the sparse path.
-        np.copyto(y_hat, y, where=fired[:, :, None])
-        disagreement_sq, increment = broadcast_terms(graph, y_hat, config)
-    y += increment
-    n = graph.n
-    y.reshape(len(y), n * n)[:, :: n + 1] = x_new
-    # y carries x_new on its diagonal, so it bounds the whole state; a NaN
-    # fails the comparison as well
-    if not np.abs(y, out=scratch).max() <= DIVERGENCE_GUARD:
-        raise _diverged(config, state.step_index + 1)
-    return y, state.age, y_hat, disagreement_sq, increment, None
+def _integrate(state: EngineState, batch: Batch, x_rows, fired_rows, rho_rows) -> EngineState:
+    """Advance ``state`` over the steps [k0, k0 + len(rho_rows)), k0 its step
+    index: step k0 + j writes its rho, fire mask and new actions into row j
+    of ``rho_rows``, ``fired_rows`` and ``x_rows``, where the next step reads
+    its ``x``. Returns the last state, which owns the input state's arrays.
+
+    Trigger decisions precede the derivatives, so the broadcasts entering
+    the estimate dynamics are the latest ones. The coupling terms are formed
+    again only when some player fired: a quiet step keeps them and their
+    bits. Below the sparse crossover the constants are broadcast and the
+    work arrays allocated once per call, every array is written in place, a
+    step that fires forms both terms whole and every row takes the
+    increment. On the sparse path a quiet step reads each row through its
+    ``row_terms`` in O(n) per member, and one that fires forms again only
+    the rows ``touched_rows`` names (all of a member's past
+    ``REANCHOR_SHARE``), so a member's run has the same bits in any batch.
+    """
+    game, graph, config = batch.scenario.game, batch.scenario.graph, batch.scenario.engine
+    state = replace(state)
+    x, anchor, age, y_hat, terms = state.x, state.anchor, state.age, state.y_hat, state.row_terms
+    lo, hi, alpha, dt = (np.full(x.shape, v) for v in (*game.bounds, config.alpha, config.dt))
+    gradient = gradient_kernel(game, x.shape)
+    lower, upper, xi, scale = batch.lower, batch.upper, batch.xi, batch.scale
+    # views that stay valid: every step updates y_hat and anchor in place
+    x_hat, pinned = y_hat.diagonal(0, 1, 2), anchor.reshape(len(x), -1)[:, :: x.shape[1] + 1]
+    err, functional, grad = np.empty((3, *x.shape))
+    if terms is None:
+        # the sparse path's quiet steps form no (R, n, n) array
+        work, coupling = np.empty(anchor.shape), _dense_coupling(graph, config, y_hat)
+    for j in range(len(rho_rows)):
+        k, rho, x_new = state.step_index, rho_rows[j], x_rows[j]
+        action_err_sq = np.square(np.subtract(x_hat, x, out=err), out=err)
+        if terms is None:
+            # every row is at its anchor, which is the estimate matrix
+            e_y = np.subtract(y_hat, anchor, out=work)
+            np.add.reduce(np.square(e_y, out=work), axis=-1, out=rho)
+            # the own entry of a row is the action, pinned to x
+            gradient(x, row_functional(game, anchor, out=functional), grad)
+        else:
+            d_sq, d_inc, inc_sq, f_anchor, f_inc = terms[:5]
+            # the own entry of e_y is e_x; off it, |d - age * increment|^2
+            # expanded, which rounding can take below zero
+            off = d_sq - age * (2.0 * d_inc - age * inc_sq)
+            np.add(action_err_sq, np.maximum(off, 0.0, out=off), out=rho)
+            gradient(x, functional_from_others(game, x, f_anchor + age * f_inc), grad)
+        # energy: the action's event error and the estimate row's
+        np.add(action_err_sq, rho, out=rho)
+        triggering_function(rho, state.disagreement_sq, batch.sigma, out=rho)
+        fired_rows[j] = fired = decide(rho, lower[k], upper[k], xi[k], scale[k], batch.ln_kappa)
+
+        # x + dt * (min(max(x - alpha * grad, lo), hi) - x); np.minimum and
+        # np.maximum skip np.clip's Python wrapper, with the same bits
+        np.subtract(x, np.multiply(grad, alpha, out=grad), out=grad)
+        np.minimum(np.maximum(grad, lo, out=grad), hi, out=grad)
+        np.multiply(np.subtract(grad, x, out=grad), dt, out=grad)
+        np.add(x, grad, out=x_new)
+        if terms is None:
+            # count_nonzero skips the Python-level dispatch of fired.any()
+            if np.count_nonzero(fired):
+                np.copyto(y_hat, anchor, where=fired[:, :, None])
+                coupling(state.disagreement_sq, state.increment)
+            anchor += state.increment
+            pinned[...] = x_new
+            # anchor carries x_new on its diagonal, so it bounds the whole
+            # state; a NaN fails the comparison as well
+            if not np.maximum.reduce(np.abs(anchor, out=work), axis=None) <= DIVERGENCE_GUARD:
+                raise _diverged(config, k + 1)
+        else:
+            state.disagreement_sq, state.increment = _advance_rows(state, batch, fired, x_new)
+        state.x = x = x_new
+        state.step_index = k + 1
+    return state
 
 
 def _advance_rows(state: EngineState, batch: Batch, fired: np.ndarray, x_new: np.ndarray):
     """The sparse path's rest of a step: quiet rows age by one step, the
     rows the events touched take their new terms and are anchored at the
-    next step. Returns the new state's fields after ``x``."""
+    next step, all in place. Returns the new ``disagreement_sq`` and
+    ``increment``."""
     game, graph, config = batch.scenario.game, batch.scenario.graph, batch.scenario.engine
     anchor, y_hat, age, terms = state.anchor, state.y_hat, state.age, state.row_terms
     disagreement_sq, increment = state.disagreement_sq, state.increment
@@ -583,7 +604,7 @@ def _advance_rows(state: EngineState, batch: Batch, fired: np.ndarray, x_new: np
             and np.abs(y_rows).max(initial=0.0) <= DIVERGENCE_GUARD
         ):
             raise _diverged(config, state.step_index + 1)
-    return anchor, age, y_hat, disagreement_sq, increment, terms
+    return disagreement_sq, increment
 
 
 def run(scenario: Scenario, members: Sequence[Member]) -> list[RunResult]:
@@ -613,9 +634,8 @@ def run(scenario: Scenario, members: Sequence[Member]) -> list[RunResult]:
     trig = np.zeros((steps + 1, runs, n), dtype=np.int8)
     rho = np.empty((steps, runs, n))
     actions[0] = state.x
-    for k in range(steps):
-        state, trig[k + 1], rho[k] = step(state, batch)
-        actions[k + 1] = state.x
+    # the loop writes the fire masks through a bool view: 0 and 1 in one byte each
+    _integrate(state, batch, actions[1:], trig[1:].view(bool), rho)
     err_inf = np.abs(actions - x_star).max(axis=-1)
     return [
         RunResult(

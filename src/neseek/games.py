@@ -156,46 +156,63 @@ def spectral_efficiency(s_db: float, ber_target: float) -> float:
     return math.log2(1.0 + 1.5 * s_lin / math.log(0.2 / ber_target))
 
 
-def row_functional(game: GameDefinition, rows: np.ndarray, players=slice(None)) -> np.ndarray:
+def row_functional(game: GameDefinition, rows: np.ndarray, players=slice(None), out=None):
     """The one reading of a whole estimate row that an own gradient makes,
     linear in the row: the total demand ``sum_j y_ij`` under the spectrum
-    game, ``cross_i . y_i`` under the quadratic one.
+    game, ``cross_i . y_i`` under the quadratic one, into ``out`` if given.
 
     ``rows[..., k, :]`` is the row of player ``players[k]`` (every player in
     order by default); a common profile of shape (n,) is one row that every
     player reads.
     """
     if isinstance(game, SpectrumGame):
-        return rows.sum(axis=-1)
-    return (game.cross[players] * rows).sum(axis=-1)
+        return np.add.reduce(rows, axis=-1, out=out)
+    return np.add.reduce(game.cross[players] * rows, axis=-1, out=out)
 
 
-def _own_gradient(game: GameDefinition, own: np.ndarray, functional) -> np.ndarray:
-    """Own-action partial gradients from each player's own action and the
-    ``row_functional`` of its view of the profile."""
-    if isinstance(game, SpectrumGame):
+def gradient_kernel(game: GameDefinition, shape: tuple[int, ...]):
+    """Own-action partial gradients as a function ``gradient(own, functional,
+    out)`` of arrays of ``shape``, from each player's own action and the
+    ``row_functional`` of its view of the profile, into ``out``; the game's
+    vectors are broadcast to ``shape`` once."""
+    if isinstance(game, QuadraticGame):
+        diag_a, offset = (np.full(shape, v) for v in (game.diag_a, game.offset))
+
+        def gradient(own, functional, out):
+            np.add(np.multiply(diag_a, own, out=out), functional, out=out)
+            return np.add(out, offset, out=out)
+
+        return gradient
+    m_c, q, revenue, work = (np.full(shape, v) for v in (game.m_c, game.q, game.revenue, 0.0))
+
+    def gradient(own, functional, out):
         if game.tau == 1:
             # linear pricing: the powers below are f ** 1 and f ** 0, exact,
             # so this is the same sum with the same bits
-            return game.m_c + game.q * functional + own * game.q - game.revenue
-        if (functional < 0).any():
-            raise DomainError("negative total demand with fractional pricing exponent")
-        price = game.m_c + game.q * functional ** game.tau
-        marginal = own * game.q * game.tau * functional ** (game.tau - 1.0)
-        return price + marginal - game.revenue
-    return game.diag_a * own + functional + game.offset
+            np.multiply(q, functional, out=out)
+            np.multiply(own, q, out=work)
+        else:
+            if (functional < 0).any():
+                raise DomainError("negative total demand with fractional pricing exponent")
+            np.multiply(q, functional ** game.tau, out=out)
+            np.multiply(own * q * game.tau, functional ** (game.tau - 1.0), out=work)
+        # (m_c + q * f ** tau) + own * q * tau * f ** (tau - 1) - revenue
+        out += m_c
+        out += work
+        return np.subtract(out, revenue, out=out)
+
+    return gradient
 
 
-def gradient_from_others(game: GameDefinition, own: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """Own-action partial gradients from ``row_functional`` of each estimate
-    row with its own entry zeroed, and the actions that entry stands for.
+def _own_gradient(game: GameDefinition, own: np.ndarray, functional) -> np.ndarray:
+    return gradient_kernel(game, own.shape)(own, functional, np.empty(own.shape))
 
-    The spectrum game's total adds the own action back; the quadratic game's
-    ``cross`` has a zero diagonal, so its own entry adds nothing.
-    """
-    if isinstance(game, SpectrumGame):
-        others = others + own
-    return _own_gradient(game, own, others)
+
+def functional_from_others(game: GameDefinition, own: np.ndarray, others: np.ndarray):
+    """``row_functional`` of whole rows from ``others``, that of the rows with
+    their own entry zeroed, and ``own``, the actions those entries stand for."""
+    # the quadratic game's cross has a zero diagonal: the own entry adds nothing
+    return others + own if isinstance(game, SpectrumGame) else others
 
 
 def gradient_at_estimates(game: GameDefinition, y: np.ndarray) -> np.ndarray:

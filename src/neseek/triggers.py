@@ -102,9 +102,9 @@ class TriggerParams:
         return len(self.c)
 
 
-def triggering_function(energy, disagreement_sq, sigma):
+def triggering_function(energy, disagreement_sq, sigma, out=None):
     """Event-error energy minus the weighted disagreement allowance, per player:
-    the margin ``decide`` compares under every law.
+    the margin ``decide`` compares under every law, into ``out`` if given.
 
     ``energy`` is the squared gap between the broadcast and current action
     plus the squared norm of the broadcast-vs-current estimate row, and
@@ -112,7 +112,7 @@ def triggering_function(energy, disagreement_sq, sigma):
     differences against in-neighbors. The static law's zero ``sigma`` leaves
     the energy, bit for bit: ``0 * disagreement_sq`` is +0 for a finite norm.
     """
-    return energy - sigma * disagreement_sq
+    return np.subtract(energy, sigma * disagreement_sq, out=out)
 
 
 def xi_from_uniform(params: TriggerParams, u: float | np.ndarray) -> float | np.ndarray:

@@ -141,7 +141,7 @@ def closed_form_step(state, batch, coupling, share: float, fired=None):
     entries of the increment are zero. A given (R, n) ``fired`` mask
     stands in for the laws' decisions.
     """
-    from neseek.games import gradient_at_estimates, gradient_from_others
+    from neseek.games import functional_from_others, gradient_at_estimates, gradient_kernel
     from neseek.triggers import decide, triggering_function
 
     scenario = batch.scenario
@@ -158,7 +158,8 @@ def closed_form_step(state, batch, coupling, share: float, fired=None):
         d_sq, d_inc, inc_sq, f_anchor, f_inc = terms[:5]
         off = np.maximum(d_sq - age * (2.0 * d_inc - age * inc_sq), 0.0)
         energy = e_x * e_x + (e_x * e_x + off)
-        grad = gradient_from_others(game, x, f_anchor + age * f_inc)
+        functional = functional_from_others(game, x, f_anchor + age * f_inc)
+        grad = gradient_kernel(game, x.shape)(x, functional, np.empty(x.shape))
     rho = triggering_function(energy, state.disagreement_sq, batch.sigma)
     if fired is None:
         k = state.step_index

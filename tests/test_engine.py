@@ -39,7 +39,8 @@ from neseek.errors import NumericalDivergence, ValidationError
 from neseek.triggers import TIE_BAND, TIE_FLOOR, threshold_term, xi_from_uniform
 
 import oracles
-from conftest import random_strongly_connected, strongly_connected_graphs, with_engine
+from conftest import load_bundled, random_strongly_connected, strongly_connected_graphs
+from conftest import with_engine
 from test_golden_sparse import ring_with_chords
 from test_metrics import assert_same_ensemble
 
@@ -1140,6 +1141,89 @@ class TestClosedFormRows:
         with pytest.raises(NumericalDivergence):
             for _ in range(s.engine.steps):
                 state, _, _ = step(state, batch)
+
+
+def tau_two(spectrum_scenario):
+    """The bundled spectrum scenario under quadratic pricing, tau = 2, on a
+    5 s horizon, with its equilibrium set."""
+    s = with_engine(spectrum_scenario, horizon=5.0)
+    game = dataclasses.replace(s.game, tau=2.0)
+    return dataclasses.replace(s, game=game, ne_override=solve_ne(game).x_star)
+
+
+class TestOneLoop:
+    """``run`` and ``step`` execute the one integration loop: a run over the
+    horizon is its steps, bit for bit, on both paths."""
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    @pytest.mark.parametrize("name", ["quadratic_demo", "spectrum_paper", "tau_two"])
+    def test_run_equals_its_steps(self, request, name, sparse):
+        if name == "tau_two":
+            s = tau_two(request.getfixturevalue("spectrum_scenario"))
+        else:
+            s = with_engine(load_bundled(name), horizon=5.0)
+            s = dataclasses.replace(s, ne_override=solve_ne(s.game).x_star)
+        members = [Member(law, 7) for law in LawKind]
+        with pytest.MonkeyPatch.context() as mp:
+            force_coupling(mp, sparse)
+            batch = Batch.of(s, members)
+            results = run(s, members)
+            shape = (s.engine.steps, len(members), s.n)
+            whole = engine._integrate(
+                init(batch), batch, np.empty(shape), np.empty(shape, dtype=bool), np.empty(shape)
+            )
+            state, actions, trig, rho = init(batch), [init(batch).x], [], []
+            for _ in range(s.engine.steps):
+                state, fired, r = step(state, batch)
+                actions.append(state.x)
+                trig.append(fired)
+                rho.append(r)
+        assert (state.row_terms is None) is not sparse
+        for r, result in enumerate(results):
+            assert np.array_equal(result.actions, np.array(actions)[:, r])
+            assert np.array_equal(result.trig[1:], np.array(trig)[:, r])
+            assert np.array_equal(result.rho, np.array(rho)[:, r])
+        assert whole.step_index == state.step_index == s.engine.steps
+        for f in dataclasses.fields(EngineState)[1:]:
+            got, want = getattr(whole, f.name), getattr(state, f.name)
+            if want is None:
+                assert got is None, f.name
+            else:
+                assert got.dtype == want.dtype and np.array_equal(got, want), f.name
+                assert np.array_equal(np.signbit(got), np.signbit(want)), f.name
+
+    @pytest.mark.parametrize("beta", [1e12, 150.0])
+    def test_dense_guard_trips_where_the_reference_leaves_the_bound(self, beta):
+        # the plain dense reference, stepped until its state leaves the
+        # guard: the run stops at that step, and at no other
+        s = two_player_setup(beta=beta, horizon=2.0)
+        batch = one_member(s.law, s, 0)
+        state, first = init(batch), None
+        for k in range(s.engine.steps):
+            fields, _, _ = oracles.closed_form_step(
+                state, batch, oracles.dense_coupling, engine.REANCHOR_SHARE
+            )
+            state = EngineState(k + 1, **fields)
+            if not np.abs(state.anchor).max() <= engine.DIVERGENCE_GUARD:
+                first = k + 1
+                break
+        assert first is not None and (beta < 1e12) is (first > 1)
+        with pytest.raises(NumericalDivergence, match=f"at t={first * s.engine.dt:.6g};"):
+            run(s, [Member(s.law, 0)])
+
+    @pytest.mark.parametrize("entry", ["action", "estimate"])
+    def test_dense_guard_stops_a_state_turned_non_finite(self, quadratic_scenario, entry):
+        # a NaN in the actions or off the diagonal of the estimates fails the
+        # guard's comparison at the next step, which does not hand it on
+        s = quadratic_scenario
+        batch = one_member(s.law, s, 0)
+        state, _, _ = step(init(batch), batch)
+        if entry == "action":
+            state.x[0, 1] = math.nan
+        else:
+            state.anchor[0, 0, 1] = math.nan
+        with pytest.raises(NumericalDivergence, match=f"at t={2 * s.engine.dt:.6g};"):
+            step(state, batch)
 
 
 class TestEngineConfig:
