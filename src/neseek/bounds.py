@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .games import GameDefinition, estimate_constants
 from .graphs import DirectedGraph, lyapunov_pair
 
@@ -48,7 +49,7 @@ class BoundsReport:
 def beta_min(mu: float, c2: float, c3: float, c4: float) -> float:
     """Smallest consensus gain for which any admissible action step exists."""
     if mu <= 0:
-        raise ValueError("mu must be positive")
+        raise ValidationError("mu must be positive")
     return (4.0 * c2 * c3 + mu * c4) / mu
 
 

@@ -93,8 +93,8 @@ class EngineConfig:
         for name in ("alpha", "beta", "horizon", "dt"):
             object.__setattr__(self, name, number(getattr(self, name), name))
         # written so that NaN fails every check
-        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
-            raise ValidationError("alpha and beta must be positive and finite")
+        if bad := [k for k in ("alpha", "beta") if not 0 < getattr(self, k) < math.inf]:
+            raise ValidationError(f"{bad[0]} must be positive and finite")
         if not self.dt > 0:
             raise ValidationError("dt must be positive")
         if not math.isfinite(self.horizon):
@@ -453,7 +453,13 @@ def step(state: EngineState, batch: Batch) -> tuple[EngineState, np.ndarray, np.
     loop. Returns the new state, the boolean fire mask and ``rho``, the
     triggering function of the step, both (R, n) like ``state.x``. The new
     state owns the input state's arrays and updated them in place, so a
-    state must not be stepped twice; step a copy instead."""
+    state must not be stepped twice; step a copy instead. Its arrays must be
+    C-contiguous, as ``init`` makes them."""
+    # the step writes these through reshape, which of an array that is not
+    # C-contiguous returns a copy, so the writes would be lost
+    for name in ("anchor", "age", "y_hat", "row_terms"):
+        if (array := getattr(state, name)) is not None and not array.flags.c_contiguous:
+            raise ValidationError(f"state: {name}: must be C-contiguous, as init makes it")
     x_new, rho = np.empty((2, 1, *state.x.shape))
     fired = np.empty(rho.shape, dtype=bool)
     return _integrate(state, batch, x_new, fired, rho), fired[0], rho[0]

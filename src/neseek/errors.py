@@ -50,7 +50,7 @@ class ShapeMismatch(NeseekError):
 
 
 class ParseError(NeseekError):
-    """A scenario file is not valid JSON."""
+    """A scenario file cannot be read, or is not UTF-8 JSON."""
 
 
 class ValidationError(NeseekError, ValueError):

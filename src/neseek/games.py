@@ -91,7 +91,7 @@ class SpectrumGame(_ActionBox):
         if not finite:
             raise ValidationError("s_db: an SNR this large gives a non-finite spectral efficiency")
         if not 1 <= self.tau < math.inf:
-            raise ValidationError("pricing exponent tau must be finite and >= 1")
+            raise ValidationError("tau must be finite and >= 1")
         if self.tau > 1 and (self.intervals[:, 0] < 0).any():
             # fractional powers of a negative total are undefined
             raise DomainError("tau > 1 requires nonnegative action intervals")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence
+from .errors import NoConvergence, ValidationError
 from .games import GameDefinition, SpectrumGame, estimate_constants, pseudo_gradient
 
 
@@ -36,7 +36,7 @@ class NeSolution:
 def verify_ne(game: GameDefinition, x: np.ndarray, step: float) -> float:
     """Fixed-point residual ``max|x - clip(x - step*F(x))|``; zero iff x is the equilibrium."""
     if step <= 0:
-        raise ValueError("step must be positive")
+        raise ValidationError("step must be positive")
     x = np.asarray(x, dtype=float)
     lo, hi = game.bounds
     nxt = np.clip(x - step * pseudo_gradient(game, x), lo, hi)
@@ -59,12 +59,12 @@ def projected_ne(
     neighbouring floats above tol, and raises NoConvergence at once.
     """
     if tol <= 0:
-        raise ValueError("tol must be positive")
+        raise ValidationError("tol must be positive")
     c = estimate_constants(game)
     if step is None:
         step = 0.9 * 2.0 * c.mu / c.lbar ** 2
     if step <= 0:
-        raise ValueError("step must be positive")
+        raise ValidationError("step must be positive")
 
     lo, hi = game.bounds
     x = prev = 0.5 * (lo + hi)

@@ -21,7 +21,6 @@ A ``Scenario`` validates itself when built, in code, by the loader or by
 from __future__ import annotations
 
 import json
-import math
 import os
 import warnings
 from contextlib import contextmanager
@@ -197,44 +196,17 @@ def scenario_from_dict(data: dict, source: str = "<dict>") -> Scenario:
     return scenario
 
 
-def _finite(literal: str) -> float:
-    value = float(literal)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {literal} is not allowed")
-    return value
-
-
-def _all_finite(value) -> bool:
-    """False when a parsed JSON value holds a non-finite float: one
-    ``math.fsum`` per list, and an element at a time where that raises."""
-    if isinstance(value, dict):
-        value = list(value.values())
-    if not isinstance(value, list):
-        return not isinstance(value, float) or math.isfinite(value)
-    try:
-        return math.isfinite(math.fsum(value))
-    except (TypeError, ValueError, OverflowError):
-        return all(_all_finite(v) for v in value)
-
-
 def load_scenario(path) -> Scenario:
     """Read and validate a scenario JSON file: a path, or a resource with
-    ``read_text`` such as ``data.bundled_path`` returns.
-
-    ``NaN``, ``Infinity`` and literals that overflow to infinity are rejected;
-    only a document with the last is parsed again, so that the error names it.
-    """
+    ``read_text`` such as ``data.bundled_path`` returns. It is only parsed, as
+    UTF-8 JSON; the type that reads a field refuses a NaN or infinity there."""
     path = Path(path) if isinstance(path, (str, os.PathLike)) else path
     try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    try:
-        data = json.loads(text, parse_constant=_finite)
-        if not _all_finite(data):
-            data = json.loads(text, parse_float=_finite, parse_constant=_finite)
+        data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: text that is not UTF-8, or an integer literal beyond
+        # Python's digit limit
         raise ParseError(f"{path}: {exc}") from exc
     return scenario_from_dict(data, source=str(path))

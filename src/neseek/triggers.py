@@ -169,8 +169,8 @@ def decide(
     STATIC are its deterministic limit, with the threshold pinned at
     a_floor. CONTINUOUS compares against a -inf threshold, so it fires at
     every evaluation: its margin is the difference of two sums of squares
-    of the state, which ``engine.step`` keeps finite (a non-finite state
-    raises NumericalDivergence), so it is never NaN and always exceeds -inf.
+    of the state, which ``run``'s loop ``engine._integrate`` keeps finite
+    (it raises NumericalDivergence), so it is never NaN and exceeds -inf.
 
     A margin above ``upper`` fires. ``xi`` holds the step's random
     thresholds, NaN under the deterministic laws. Where a margin lies in

@@ -21,9 +21,12 @@ from neseek import (
     QuadraticGame,
     SpectrumGame,
     TriggerParams,
+    beta_min,
     compare_laws,
+    projected_ne,
     run,
     single_run,
+    verify_ne,
 )
 from neseek.data import bundled_path
 from neseek.engine import integer
@@ -145,6 +148,21 @@ def test_engine_reads_the_scenario_whole():
 ONE_PLAYER = [[0.0, 1.0]]
 TRIGGER = dict(kappa=1.5, a_floor=0.05, eta=1.0, c=[1.0], sigma=[0.1], delta0=[1.0])
 
+
+def quadratic_doc(edit):
+    """The bundled quadratic_demo document after ``edit(doc)``."""
+    doc = json.loads(bundled_path("quadratic_demo").read_text())
+    edit(doc)
+    return doc
+
+
+def spectrum_game(**changes):
+    return SpectrumGame(**{
+        **dict(m_c=[1.0], q=[1.0], r=[1.0], s_db=[10.0], ber_target=[0.01], intervals=ONE_PLAYER),
+        **changes,
+    })
+
+
 # (the constructor call, the start of its message)
 CONSTRUCTOR_CASES = [
     pytest.param(lambda: DirectedGraph(np.zeros((1, 1))), "at least two players", id="graph"),
@@ -180,10 +198,10 @@ CONSTRUCTOR_CASES = [
     pytest.param(lambda: TriggerParams(**{**TRIGGER, "eta": math.inf}), "eta", id="eta-inf"),
     pytest.param(lambda: TriggerParams(**{**TRIGGER, "c": [0.0]}), "c entries", id="trigger-c"),
     pytest.param(
-        lambda: EngineConfig(alpha=math.inf, beta=1.0, horizon=1.0), "alpha and beta", id="alpha-inf"
+        lambda: EngineConfig(alpha=math.inf, beta=1.0, horizon=1.0), "alpha must", id="alpha-inf"
     ),
     pytest.param(
-        lambda: EngineConfig(alpha=0.1, beta=math.inf, horizon=1.0), "alpha and beta", id="beta-inf"
+        lambda: EngineConfig(alpha=0.1, beta=math.inf, horizon=1.0), "beta must", id="beta-inf"
     ),
     pytest.param(
         lambda: EngineConfig(alpha=0.1, beta=1.0, horizon=1.0, dt=0.0), "dt must", id="dt-zero"
@@ -214,6 +232,51 @@ CONSTRUCTOR_CASES = [
         lambda: EngineConfig(alpha="0.1", beta=1.0, horizon=1.0), "alpha: expected a number",
         id="alpha-string",
     ),
+    pytest.param(lambda: spectrum_game(r=[-1.0]), "revenue rates r must be nonnegative", id="r"),
+    pytest.param(
+        lambda: spectrum_game(ber_target=[0.3]), r"ber_target must lie in \(0, 0.2\)",
+        id="ber_target",
+    ),
+    pytest.param(
+        lambda: QuadraticGame(diag_a=[1.0], cross=[[1.0]], offset=[0.0], intervals=ONE_PLAYER),
+        "cross must have zero diagonal", id="cross-diagonal",
+    ),
+    pytest.param(
+        lambda: TriggerParams(**{**TRIGGER, "c": [[1.0]]}), "c must be a vector",
+        id="trigger-c-matrix",
+    ),
+    pytest.param(
+        lambda: TriggerParams(**{**TRIGGER, "sigma": [0.1, 0.1]}),
+        "c, sigma, delta0 must share one length", id="trigger-lengths",
+    ),
+    # the loader's own refusals: the document's shape, not a value's
+    pytest.param(
+        lambda: scenario_from_dict(quadratic_doc(lambda d: d["game"].update(kind=math.nan))),
+        "game: unknown kind 'nan'", id="loader-kind",
+    ),
+    pytest.param(
+        lambda: scenario_from_dict(quadratic_doc(lambda d: d.update(adjacency=[[0, 1], [0, 0]]))),
+        "trigger: sigma_rule: a player has no in-edges", id="loader-sigma-rule-in-edges",
+    ),
+    pytest.param(
+        lambda: scenario_from_dict(quadratic_doc(lambda d: d["trigger"].pop("sigma_rule"))),
+        "trigger: provide 'sigma' or 'sigma_rule'", id="loader-no-sigma",
+    ),
+    pytest.param(
+        lambda: scenario_from_dict([1.0], source="list.json"),
+        "list.json: top level must be an object", id="loader-top-level",
+    ),
+    pytest.param(
+        lambda: verify_ne(spectrum_game(), [0.5], 0.0), "step must be positive", id="verify-step"
+    ),
+    pytest.param(
+        lambda: projected_ne(spectrum_game(), tol=0.0), "tol must be positive", id="projected-tol"
+    ),
+    pytest.param(
+        lambda: projected_ne(spectrum_game(), step=-1.0), "step must be positive",
+        id="projected-step",
+    ),
+    pytest.param(lambda: beta_min(0.0, 1.0, 1.0, 1.0), "mu must be positive", id="beta_min-mu"),
 ]
 
 

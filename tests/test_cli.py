@@ -106,7 +106,7 @@ def test_simulate_rejects_non_finite_scenario(tmp_path, capsys):
     config.write_text(json.dumps(doc))  # writes the bare NaN literal
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
-    assert "non-finite number NaN" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == ["error: y0: entries must be finite"]
     assert not out.exists()
 
 
@@ -262,15 +262,48 @@ def test_bad_override_is_one_error_line(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-def test_non_numeric_start_is_one_error_line(tmp_path, capsys):
-    config = json.loads(bundled_path("quadratic_demo").read_text())
-    config["x0"] = ["a", 1]
+def edited(name, edit, mark=None):
+    """The bundled document ``name`` after ``edit(doc)``, as UTF-8 bytes,
+    with the string ``"HOLE"`` replaced by ``mark``, a raw JSON literal."""
+    doc = json.loads(bundled_path(name).read_text())
+    edit(doc)
+    text = json.dumps(doc)
+    return (text if mark is None else text.replace('"HOLE"', mark)).encode()
+
+
+def negative_demand(doc):
+    # a superlinear price of a negative total demand: the row's sum is
+    # negative from the first step
+    doc["game"]["tau"], doc["y0"][0][1] = 2.0, -1000.0
+
+
+@pytest.mark.parametrize("command, content, start", [
+    pytest.param(
+        "solve-ne", lambda: edited("quadratic_demo", lambda d: d.update(x0=["a", 1])),
+        "error: x0: ", id="non-numeric",
+    ),
+    pytest.param("simulate", lambda: b"\xff\xfe\x00garbage", "error: ", id="not-utf-8"),
+    pytest.param(
+        "simulate", lambda: b"[" * 200_000 + b"]" * 200_000, "error: ", id="nested-200000-deep"
+    ),
+    # json reads it as an int, whose digits exceed Python's conversion limit
+    pytest.param(
+        "simulate", lambda: edited("quadratic_demo", lambda d: d.update(x0=["HOLE", 1]), "1" * 5000),
+        "error: ", id="5000-digit-integer",
+    ),
+    pytest.param(
+        "simulate", lambda: edited("spectrum_paper", negative_demand),
+        "error: negative total demand with fractional pricing exponent", id="negative-demand",
+    ),
+])
+def test_non_numeric_start_is_one_error_line(tmp_path, capsys, command, content, start):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(config))
-    assert main(["solve-ne", "--config", str(path)]) == 1
+    path.write_bytes(content())
+    out = ["--out", str(tmp_path / "out")] if command == "simulate" else []
+    assert main([command, "--config", str(path), *out]) == 1
     err = [line for line in capsys.readouterr().err.splitlines()
            if not line.startswith("warning:")]
-    assert len(err) == 1 and err[0].startswith("error: x0: ")
+    assert len(err) == 1 and err[0].startswith(start)
 
 
 def test_huge_integer_is_one_error_line(tmp_path, capsys):

@@ -152,6 +152,16 @@ class TestStep:
         assert new.step_index == 1
         assert fired.tolist() == [[True, True]]  # continuous law fires everyone
 
+    def test_refuses_a_state_whose_writes_it_would_lose(self):
+        # the step pins the diagonal through a reshaped view of the anchor,
+        # which of a Fortran-order array is a copy: the pin was lost
+        s = two_player_setup(horizon=0.025)
+        batch = one_member(s.law, s, 0)
+        state = init(batch)
+        state.anchor = np.asfortranarray(state.anchor)
+        with pytest.raises(ValidationError, match="^state: anchor: must be C-contiguous"):
+            step(state, batch)
+
     def test_continuous_law_reduces_to_exact_estimate_dynamics(self):
         s = two_player_setup(horizon=1.0)
         cfg = s.engine

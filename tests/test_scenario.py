@@ -110,27 +110,17 @@ def test_parse_error_has_location(tmp_path):
         load_scenario(bad)
 
 
-@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
-@pytest.mark.parametrize("field", ["x0", "y0"])
-def test_non_finite_number_in_file_is_parse_error(tmp_path, literal, field):
+def test_a_number_under_an_ignored_key_is_not_read(tmp_path):
+    # no type reads these keys, so no non-finite literal there is refused
     data = quadratic_dict()
-    if field == "x0":
-        data["x0"][0] = "HOLE"
-    else:
-        data["y0"][0][1] = "HOLE"
-    path = tmp_path / "nonfinite.json"
-    path.write_text(json.dumps(data).replace('"HOLE"', literal))
-    with pytest.raises(ParseError, match=f"non-finite number {literal}"):
-        load_scenario(path)
-
-
-def test_overflow_under_an_ignored_key_is_parse_error(tmp_path):
-    data = quadratic_dict()
+    data["engine"]["record_every"] = "HOLE"
     data["notes"] = {"scale": [1.0, "HOLE"]}
     path = tmp_path / "ignored.json"
     path.write_text(json.dumps(data).replace('"HOLE"', "1e999"))
-    with pytest.raises(ParseError, match="non-finite number 1e999"):
-        load_scenario(path)
+    with pytest.warns(AdvisoryWarning):
+        s = load_scenario(path)
+    with pytest.warns(AdvisoryWarning):
+        assert s.engine == scenario_from_dict(quadratic_dict()).engine
 
 
 def test_finite_floats_whose_sum_overflows_load(tmp_path):
@@ -149,7 +139,7 @@ def test_long_overflowing_literal_is_named(tmp_path):
     data["x0"][0] = "HOLE"
     path = tmp_path / "long.json"
     path.write_text(json.dumps(data).replace('"HOLE"', literal))
-    with pytest.raises(ParseError, match=f"non-finite number {literal} is not allowed"):
+    with pytest.raises(ValidationError, match="^x0: entries must be finite$"):
         load_scenario(path)
 
 
@@ -186,11 +176,27 @@ NON_FINITE_DICT_CASES = [
     ("quadratic", ("trigger", "eta"), math.inf),
     ("quadratic", ("engine", "alpha"), math.inf),
     ("quadratic", ("engine", "beta"), math.inf),
+    ("quadratic", ("x0", 0), math.nan),
+    # the diagonal of y0 is overwritten by x0, and refused all the same
+    ("quadratic", ("y0", 1, 1), math.nan),
+    ("quadratic", ("adjacency", 0, 1), math.nan),
+    ("quadratic", ("game", "intervals", 0, 1), math.nan),
+    ("quadratic", ("trigger", "a_floor"), math.nan),
+    ("quadratic", ("trigger", "law"), math.nan),
+    ("quadratic", ("trigger", "c"), [1.0, math.nan]),
+    ("quadratic", ("trigger", "delta0"), [math.nan, 1.0]),
+    ("quadratic", ("engine", "seed"), math.nan),
+    ("quadratic", ("ne_override",), [1.0, math.inf]),
+    ("spectrum", ("game", "q", 0), math.nan),
+    ("spectrum", ("game", "r", 1), math.nan),
+    ("spectrum", ("game", "s_db", 2), math.nan),
+    ("spectrum", ("game", "ber_target", 3), math.nan),
 ]
 
 
-@pytest.mark.parametrize("kind, where, value", NON_FINITE_DICT_CASES)
-def test_non_finite_dict_input_is_validation_error(kind, where, value):
+def with_entry(kind, where, value):
+    """The bundled document of ``kind`` with ``value`` at ``where``, a path of
+    keys whose trailing indices address a list entry."""
     data = quadratic_dict() if kind == "quadratic" else spectrum_dict()
     if where == ("trigger", "sigma"):
         data["trigger"].pop("sigma_rule")
@@ -198,10 +204,42 @@ def test_non_finite_dict_input_is_validation_error(kind, where, value):
     for key in where[:-1]:
         target = target[key]
     target[where[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("kind, where, value", NON_FINITE_DICT_CASES)
+def test_non_finite_dict_input_is_validation_error(kind, where, value):
+    data = with_entry(kind, where, value)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AdvisoryWarning)
         with pytest.raises(ValidationError):
             scenario_from_dict(data)
+
+
+def marked(value):
+    """``value`` with each non-finite float replaced by a mark that a JSON
+    literal takes the place of."""
+    if isinstance(value, list):
+        return [marked(v) for v in value]
+    return "HOLE" if isinstance(value, float) and not math.isfinite(value) else value
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize("kind, where, value", [
+    pytest.param(*case, id=f"{case[0]}-{'.'.join(map(str, case[1]))}")
+    # entries that differ only in the value write the same file
+    for case in {json.dumps(marked(list(case))): case for case in NON_FINITE_DICT_CASES}.values()
+])
+def test_non_finite_number_in_file_is_refused_by_its_field(tmp_path, kind, where, value, literal):
+    # the loader parses the literal as any other number, and the type that
+    # reads the field refuses it, naming the field as the dict API does
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps(with_entry(kind, where, marked(value))).replace('"HOLE"', literal))
+    field = ": ".join(key for key in where if isinstance(key, str))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AdvisoryWarning)
+        with pytest.raises(ValidationError, match=f"^{re.escape(field)}[: ]"):
+            load_scenario(path)
 
 
 @pytest.mark.parametrize(
