@@ -73,12 +73,6 @@ SPARSE_MAX_DENSITY = 0.05
 # n = 1000.
 REANCHOR_SHARE = 0.5
 
-# broadcast_terms sums the rows it is asked for over blocks of about this
-# many entries, 256 kB, which stay in cache between its passes. Measured on
-# one core for 250 rows of two links at n = 1000: 1.26 ms in one block,
-# 1.11-1.15 ms in blocks of 2**15 or 2**16 entries, 1.16-1.52 ms in 2**13.
-BLOCK_ENTRIES = 2 ** 15
-
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -312,45 +306,37 @@ def broadcast_terms(
     applies W.
 
     The sparse path folds the members into the columns of one CSR product
-    and forms the second term only at the slots of ``graph.neighbours``.
-    There, and only there, ``rows``, an array of row indices, asks for those
-    rows alone, which it sums over that table from zero in the CSR product's
-    order, so they have the bits of the same rows of the full form (a
-    padded slot adds a zero to a sum that is never -0.0). The dense path
-    forms every row whatever ``rows`` says. With unit weights and at most
-    two links per row both paths give the same bits, but for the diagonal
-    of the increment: a row's own entry is the action, which the estimate
-    dynamics do not move, and the sparse path sets it to zero, so that the
-    row terms of the state read whole rows. The dense path leaves it, and a
-    step overwrites it.
+    and forms the second term only at the entries of ``graph.links``, whose
+    weights ``graph.csr.data`` holds in the same order. There, and only
+    there, ``rows``, an array of row indices in any order, asks for those
+    rows alone: they are taken from the whole product, and every later pass
+    runs over them and their links only, so they have the bits of the same
+    rows of the full form. The dense path forms every row whatever ``rows``
+    says. With unit weights and at most two links per row both paths give
+    the same bits, but for the diagonal of the increment: a row's own entry
+    is the action, which the estimate dynamics do not move, and the sparse
+    path sets it to zero, so that the row terms of the state read whole
+    rows. The dense path leaves it, and a step overwrites it.
     """
     if not sparse_coupling(graph):
         coupling = _dense_coupling(graph, config, y_hat)
         return coupling(np.empty(y_hat.shape[:-1]), np.empty(y_hat.shape))
-    din = graph.in_degrees[:, None]
-    (runs, n, _), (cols, weights) = y_hat.shape, graph.neighbours
+    (runs, n, _), (link_rows, cols), weights = y_hat.shape, graph.links, graph.csr.data
+    # (R, n, n) -> (n, R * n): row i of the product is W[i] @ y_hat[r] for every r
+    folded = y_hat.transpose(1, 0, 2).reshape(n, runs * n)
+    w_y = (graph.csr @ folded).reshape(n, runs, n).transpose(1, 0, 2)
+    din, own = graph.in_degrees[:, None], y_hat
     if rows is None:
-        own, rows = y_hat, np.arange(n)
-        # (R, n, n) -> (n, R * n): row i of the product is W[i] @ y_hat[r] for every r
-        folded = y_hat.transpose(1, 0, 2).reshape(n, runs * n)
-        w_y = (graph.csr @ folded).reshape(n, runs, n).transpose(1, 0, 2)
+        rows = np.arange(n)
     else:
-        din, own, cols, weights = din[rows], y_hat[:, rows], cols[rows], weights[rows]
-        # scipy's order: from zero, add weight * y_hat[:, column] link by link,
-        # a block of rows at a time that stays in cache; 1.0 * y is y, so a
-        # slot of unit weights adds its rows as they are. take buffers its
-        # out under mode="raise", and the columns are valid
-        w_y, size = np.zeros(own.shape), max(1, BLOCK_ENTRIES // (runs * n))
-        for start in range(0, len(rows), size):
-            block = w_y[:, start : start + size]
-            term = np.empty(block.shape)
-            for col, weight in zip(cols[start : start + size].T, weights[start : start + size].T):
-                np.take(y_hat, col, axis=1, out=term, mode="clip")
-                unit = (weight == 1.0).all()
-                block += term if unit else np.multiply(term, weight[:, None], out=term)
+        # the asked rows' links, their rows renumbered to positions in rows
+        at = np.full(n, -1)
+        at[rows] = np.arange(len(rows))
+        link_rows = at[link_rows]
+        asked = link_rows >= 0
+        link_rows, cols, weights = link_rows[asked], cols[asked], weights[asked]
+        din, own, w_y = din[rows], y_hat[:, rows], w_y[:, rows]
     disagreement = np.subtract(din * own, w_y, out=w_y)
-    # the table's slots, padding included, in the rows' own numbering
-    link_rows = np.arange(len(rows))[:, None]
     # C order, as every state array is: w_y of the whole form is a transposed view
     bracket = np.multiply(disagreement, -config.beta, order="C")
     bracket[:, link_rows, cols] = (
@@ -358,8 +344,7 @@ def broadcast_terms(
         + weights * (own[:, link_rows, cols] - y_hat[:, cols, cols])
     ) * -config.beta
     bracket *= config.dt
-    # a padded slot is the row's own entry, set here like every other
-    bracket[:, link_rows[:, 0], rows] = 0.0
+    bracket[:, np.arange(len(rows)), rows] = 0.0
     return np.multiply(disagreement, disagreement, out=disagreement).sum(axis=-1), bracket
 
 

@@ -94,7 +94,7 @@ class SpectrumGame(_ActionBox):
             raise ValidationError("tau must be finite and >= 1")
         if self.tau > 1 and (self.intervals[:, 0] < 0).any():
             # fractional powers of a negative total are undefined
-            raise DomainError("tau > 1 requires nonnegative action intervals")
+            raise ValidationError("intervals: tau > 1 requires nonnegative lower bounds")
 
     @cached_property
     def efficiencies(self) -> np.ndarray:

@@ -94,24 +94,9 @@ class DirectedGraph:
         return rows, cols
 
     @cached_property
-    def neighbours(self) -> tuple[np.ndarray, np.ndarray]:
-        """The padded neighbour table: (n, d) link columns and weights, d the
-        most links of a row. Slot s of row i is its s-th link in ``links``
-        order; a row with fewer is padded with weight 0.0 at its own column."""
-        rows, cols = self.links
-        # links are in row-major order: a link's slot is its offset in its row
-        slots = np.arange(len(rows)) - np.searchsorted(rows, rows)
-        d = int(slots.max(initial=-1)) + 1
-        columns = np.repeat(np.arange(self.n)[:, None], d, axis=1)
-        columns[rows, slots] = cols
-        weights = np.zeros((self.n, d))
-        weights[rows, slots] = self.weights[rows, cols]
-        columns.flags.writeable = weights.flags.writeable = False
-        return columns, weights
-
-    @cached_property
     def csr(self):
-        """``weights`` as a ``scipy.sparse.csr_array``; its entries follow ``links``."""
+        """``weights`` as a ``scipy.sparse.csr_array``. Its entries follow
+        ``links``: ``csr.data`` holds the link weights in that order."""
         import scipy.sparse  # imported here: graphs on the dense path never need it
 
         return scipy.sparse.csr_array(self.weights)

@@ -277,6 +277,11 @@ def negative_demand(doc):
     doc["game"]["tau"], doc["y0"][0][1] = 2.0, -1000.0
 
 
+def negative_box(doc):
+    # a superlinear price over a box that reaches below zero
+    doc["game"]["tau"], doc["game"]["intervals"][0] = 2.0, [-1.0, 16.0]
+
+
 @pytest.mark.parametrize("command, content, start", [
     pytest.param(
         "solve-ne", lambda: edited("quadratic_demo", lambda d: d.update(x0=["a", 1])),
@@ -294,6 +299,10 @@ def negative_demand(doc):
     pytest.param(
         "simulate", lambda: edited("spectrum_paper", negative_demand),
         "error: negative total demand with fractional pricing exponent", id="negative-demand",
+    ),
+    pytest.param(
+        "bounds", lambda: edited("spectrum_paper", negative_box),
+        "error: game: intervals: ", id="negative-box",
     ),
 ])
 def test_non_numeric_start_is_one_error_line(tmp_path, capsys, command, content, start):

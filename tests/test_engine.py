@@ -41,7 +41,7 @@ from neseek.triggers import TIE_BAND, TIE_FLOOR, threshold_term, xi_from_uniform
 import oracles
 from conftest import load_bundled, random_strongly_connected, strongly_connected_graphs
 from conftest import with_engine
-from test_golden_sparse import ring_with_chords
+from test_golden_sparse import ring_with_chords, with_hub
 from test_metrics import assert_same_ensemble
 
 PUBLISHED_X0 = np.array([14.0, 12.0, 10.0, 4.0, 2.0])
@@ -810,11 +810,13 @@ def force_coupling(mp, sparse):
     mp.setattr(engine, "SPARSE_MAX_DENSITY", 1.0)
 
 
-def coupling_case(seed, n, unit):
+def coupling_case(seed, n, unit, hub=False):
     """A quadratic game and trigger parameters on the digraph of
     ``random_strongly_connected``, with player 0's in-links removed. With
     ``unit``, every row keeps at most two links, of weight 1: each coupling
-    entry then sums at most two exact products, in any order the same bits."""
+    entry then sums at most two exact products, in any order the same bits.
+    With ``hub``, player 1 then also hears every player it did not, at
+    weight 0.01: a row as wide as n - 1, which ``unit`` does not cover."""
     rng = np.random.default_rng(seed)
     w = random_strongly_connected(rng, n).weights.copy()
     if unit:
@@ -823,6 +825,8 @@ def coupling_case(seed, n, unit):
             row[:] = 0.0
             row[rng.choice(links, size=min(2, links.size), replace=False)] = 1.0
     w[0] = 0.0
+    if hub:
+        w = with_hub(DirectedGraph(w), 1).weights
     cross = rng.uniform(-0.5, 0.5, (n, n))
     np.fill_diagonal(cross, 0.0)
     game = QuadraticGame(
@@ -931,10 +935,12 @@ class TestSparseCoupling:
     @settings(max_examples=100, deadline=None)
     @given(
         st.integers(0, 2 ** 32 - 1), st.integers(2, 40), st.booleans(), st.sampled_from([1, 4]),
+        st.booleans(),
     )
-    def test_rows_equal_the_rows_of_the_full_form(self, sparse, seed, n, unit, runs):
-        # a row comes out the same whichever rows are asked for, in any order
-        rng, _, graph, _ = coupling_case(seed, n, unit)
+    def test_rows_equal_the_rows_of_the_full_form(self, sparse, seed, n, unit, runs, hub):
+        # a row comes out the same whichever rows are asked for, in any order,
+        # a wide row among them
+        rng, _, graph, _ = coupling_case(seed, n, unit, hub)
         y_hat = rng.uniform(-3.0, 3.0, (runs, n, n))
         rows = rng.permutation(n)[: rng.integers(1, n + 1)]
         with pytest.MonkeyPatch.context() as mp:
@@ -945,25 +951,6 @@ class TestSparseCoupling:
         for whole, got in zip(full, part):
             assert got.shape == whole[:, rows].shape
             assert np.array_equal(got, whole[:, rows])
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.integers(0, 2 ** 32 - 1), st.integers(2, 40), st.booleans(), st.sampled_from([1, 3]),
-        st.integers(1, 3),
-    )
-    def test_rows_in_blocks_equal_the_rows_of_the_full_form(self, seed, n, unit, runs, size):
-        # rows summed a few at a time have the bits of the rows summed at once
-        rng, _, graph, _ = coupling_case(seed, n, unit)
-        y_hat = rng.uniform(-3.0, 3.0, (runs, n, n))
-        rows = rng.permutation(n)[: rng.integers(1, n + 1)]
-        with pytest.MonkeyPatch.context() as mp:
-            force_coupling(mp, sparse=True)
-            full = engine.broadcast_terms(graph, y_hat, self.CONFIG)
-            mp.setattr(engine, "BLOCK_ENTRIES", size * runs * n)
-            part = engine.broadcast_terms(graph, y_hat, self.CONFIG, rows)
-        for whole, got in zip(full, part):
-            assert np.array_equal(got, whole[:, rows])
-            assert np.array_equal(np.signbit(got), np.signbit(whole[:, rows]))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 30), st.booleans())
@@ -983,8 +970,8 @@ class TestSparseCoupling:
 
     def test_no_step_slices_the_csr(self, monkeypatch):
         # a generated 200-player ring-plus-chord spectrum game takes the
-        # sparse path, and its firing steps form rows through the neighbour
-        # table: scipy's CSR serves only the whole product
+        # sparse path, and its firing steps take their rows from the whole
+        # CSR product: no step slices the CSR to the rows it asks for
         n, rng = 200, np.random.default_rng(200)
         graph = ring_with_chords(rng, n)
         game = SpectrumGame(

@@ -12,7 +12,7 @@ from neseek import (
     pseudo_gradient,
     spectral_efficiency,
 )
-from neseek.errors import DomainError, NonMonotone
+from neseek.errors import DomainError, NonMonotone, ValidationError
 from neseek import games
 from neseek.games import gradient_at_estimates
 
@@ -113,7 +113,7 @@ class TestPartialGradient:
             partial_gradient(game, 0, np.array([-3.0, 1.0]))
 
     def test_superlinear_pricing_needs_nonnegative_box(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError, match="^intervals: "):
             SpectrumGame(
                 m_c=[1.0],
                 q=[1.0],

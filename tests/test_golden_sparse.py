@@ -27,13 +27,25 @@ tables were recorded again when each stochastic member came to draw from
 one generator of its own, ``default_rng(seed)``, instead of one per player;
 the deterministic laws' digests kept their bits.
 
+A third table, ``HUB_GOLDEN``, pins a graph with one wide row: the spectrum
+scenario's graph with player 1 also hearing every other player at weight
+0.01, which is still sparse. It was recorded while the rows a firing step
+forms came from a padded neighbour table as wide as that row.
+
+Every table is checked twice: all laws in one batch, and each law alone.
+In the batch the continuous member touches every row, so every step forms
+the coupling whole; alone, the other laws' firing steps form only the rows
+their events touch.
+
 Float bytes depend on the platform's libm and BLAS. The table was recorded
 on x86-64 Linux, Python 3.11, numpy 2.4 with OpenBLAS.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
+import pytest
 
 from neseek import (
     DirectedGraph,
@@ -155,6 +167,58 @@ SPECTRUM_GOLDEN = {
 }
 
 
+HUB_GOLDEN = {
+    "continuous": {
+        "actions":
+            "38efff83707a03929b1f7b7ba829c13ea43b7b59515254d0720feb0a235705d0",
+        "err_inf":
+            "9ed57c6943bc1fd1985a87ee4f4ded37dbbccc60ff58256adb13c8ed369adec6",
+        "trig":
+            "bbfaa90a80e53128cd3198c01e55d3e9bfb61c8c0c341062e0e86c4f13381b93",
+        "rho":
+            "18bbc62f2e1a5fac102b7202765467b53f15b232f43c2727a8cd28e2ece1e35b",
+        "xi":
+            "c8aeed44f9feac1f117ef8b766722609e33259444845f4711cedd79037f40340",
+    },
+    "static": {
+        "actions":
+            "a9e214617021002c2bc76af55a503a6a441b683d2d5f952216994849c0224037",
+        "err_inf":
+            "26837cca2a49e8dc91115e84e6af1ea57773ce90a8b9a362ea55295b272ddda5",
+        "trig":
+            "1c3dd8d2de4ce20ec02ac5ab669046b7b5452757c9a1eb26f2e8ba5d1d517f92",
+        "rho":
+            "2c6d52478f097916963dcbdc5e8bde6c27c169fed7d302ae959d2d945a91f5a3",
+        "xi":
+            "c8aeed44f9feac1f117ef8b766722609e33259444845f4711cedd79037f40340",
+    },
+    "dynamic": {
+        "actions":
+            "f0f8f5d12890f534d95ac58e3fa26472d3e816fbae924a6cfc90100951841b73",
+        "err_inf":
+            "a121adae1dfbf15a2e1cd5c5d2a4f6c38e711165176534053cfee70f9c9a8e97",
+        "trig":
+            "03af746569df0708951e5831a1854288f9ac1b08b243ff4bfec2d69740b3dd56",
+        "rho":
+            "7ff59cb4c40dff98fdba9cb66e6075c2c07d689ed6fd9aeb48f74c45e2c87c22",
+        "xi":
+            "c8aeed44f9feac1f117ef8b766722609e33259444845f4711cedd79037f40340",
+    },
+    "stochastic": {
+        "actions":
+            "8415fab137c6452d8169bc72620ecf32402169029c1488a916b2a26cef7ea679",
+        "err_inf":
+            "427497b07e642da0d20c18f30c3fd11b5b85d829698d67a3d86dfa9f82ee8800",
+        "trig":
+            "3f9f3b83f83e9927d0434af2e219a8f4b00b9648d124c06a803e9e0a61dc899a",
+        "rho":
+            "bb2a4e647a7cbfd3978d57f5fa556962ff3aef980f68fbe7eec8b9a3926c5040",
+        "xi":
+            "63af9c7ae972a119f156a0ded29a879fe725bdb4ee592b7d3265aa86f6ff13a6",
+    },
+}
+
+
 def ring_with_chords(rng, n):
     """Player i hears i - 1 with weight 1 and one other player, neither
     itself nor i - 1, with a weight drawn from [0.5, 2)."""
@@ -207,6 +271,21 @@ def spectrum_scenario():
     )
 
 
+def with_hub(graph, player):
+    """The graph with ``player`` also hearing every player it did not hear,
+    at weight 0.01: a row as wide as n - 1 in a graph that stays sparse."""
+    w = graph.weights.copy()
+    deaf = w[player] == 0.0
+    deaf[player] = False
+    w[player, deaf] = 0.01
+    return DirectedGraph(w)
+
+
+def hub_scenario():
+    s = spectrum_scenario()
+    return dataclasses.replace(s, graph=with_hub(s.graph, 1))
+
+
 def digests(result):
     return {
         column: hashlib.sha256(np.ascontiguousarray(getattr(result, column)).tobytes()).hexdigest()
@@ -214,18 +293,40 @@ def digests(result):
     }
 
 
-def test_sparse_run_byte_identical():
-    s = sparse_scenario()
+def law_digests(s, seed, batched, monkeypatch):
+    """Each law's digests under ``seed``: all members in one batch, or each
+    member run alone. Only the lone runs form rows on their own."""
+    terms, asked = engine.broadcast_terms, []
+
+    def spy(graph, y_hat, config, rows=None):
+        asked.append(rows is not None)
+        return terms(graph, y_hat, config, rows)
+
+    monkeypatch.setattr(engine, "broadcast_terms", spy)
+    members = [Member(law, seed) for law in LawKind]
     assert engine.sparse_coupling(s.graph)
-    members = [Member(law, 5) for law in LawKind]
-    results = run(s, members)
-    assert {m.law.value: digests(r) for m, r in zip(members, results)} == GOLDEN
+    results = run(s, members) if batched else [run(s, [m])[0] for m in members]
+    assert any(asked) is not batched
+    return {m.law.value: digests(r) for m, r in zip(members, results)}
 
 
-def test_sparse_spectrum_run_byte_identical():
+BATCHED = pytest.mark.parametrize("batched", [True, False], ids=["batched", "alone"])
+
+
+@BATCHED
+def test_sparse_run_byte_identical(batched, monkeypatch):
+    assert law_digests(sparse_scenario(), 5, batched, monkeypatch) == GOLDEN
+
+
+@BATCHED
+def test_sparse_spectrum_run_byte_identical(batched, monkeypatch):
     s = spectrum_scenario()
-    assert engine.sparse_coupling(s.graph)
     assert s.game.tau == 1
-    members = [Member(law, 11) for law in LawKind]
-    results = run(s, members)
-    assert {m.law.value: digests(r) for m, r in zip(members, results)} == SPECTRUM_GOLDEN
+    assert law_digests(s, 11, batched, monkeypatch) == SPECTRUM_GOLDEN
+
+
+@BATCHED
+def test_hub_run_byte_identical(batched, monkeypatch):
+    s = hub_scenario()
+    assert np.count_nonzero(s.graph.weights[1]) == N - 1
+    assert law_digests(s, 11, batched, monkeypatch) == HUB_GOLDEN

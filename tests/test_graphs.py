@@ -184,68 +184,14 @@ def test_graph_facts_are_computed_once_per_graph(monkeypatch):
     assert counts == {"norm": 1, "search": 2}
 
 
-def assert_table_follows_links(g):
-    """Slot s of row i is row i's s-th link in ``links`` order, and the
-    slots after its links hold weight 0.0 at column i."""
-    columns, weights = g.neighbours
+def test_links_follow_the_csr_entries():
+    # broadcast_terms reads the link weights from csr.data in links order
+    rng = np.random.default_rng(12)
+    g = random_strongly_connected(rng, 40)
     rows, cols = g.links
-    d = int(np.bincount(rows, minlength=g.n).max(initial=0))
-    assert columns.shape == weights.shape == (g.n, d)
-    assert columns.dtype.kind == "i" and weights.dtype == np.float64
-    for i in range(g.n):
-        links = cols[rows == i]
-        assert columns[i, : links.size].tolist() == links.tolist()
-        assert np.array_equal(weights[i, : links.size], g.weights[i, links])
-        assert (columns[i, links.size :] == i).all()
-        assert (weights[i, links.size :] == 0.0).all()
-        assert not np.signbit(weights[i, links.size :]).any()
-
-
-class TestNeighbourTable:
-    def test_slots_follow_the_links_of_unequal_rows(self):
-        # row 0 has no in-links, row 1 one, row 2 three, row 3 two, with
-        # weights that are not 1
-        w = np.zeros((4, 4))
-        w[1, 3] = 0.5
-        w[2, [0, 1, 3]] = [2.0, 0.25, 1.5]
-        w[3, [2, 0]] = [0.75, 3.0]
-        g = DirectedGraph(w)
-        columns, weights = g.neighbours
-        assert columns.tolist() == [[0, 0, 0], [3, 1, 1], [0, 1, 3], [0, 2, 3]]
-        assert weights.tolist() == [
-            [0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [2.0, 0.25, 1.5], [3.0, 0.75, 0.0]
-        ]
-        assert_table_follows_links(g)
-
-    def test_slots_follow_the_links_of_random_graphs(self, spectrum_scenario):
-        assert_table_follows_links(spectrum_scenario.graph)
-        rng = np.random.default_rng(11)
-        for n in (2, 5, 30):
-            w = random_strongly_connected(rng, n).weights.copy()
-            w[rng.integers(n)] = 0.0
-            assert_table_follows_links(DirectedGraph(w))
-
-    def test_links_follow_the_csr_entries(self):
-        # the table's order is the order of scipy's CSR product
-        rng = np.random.default_rng(12)
-        g = random_strongly_connected(rng, 40)
-        columns, weights = g.neighbours
-        for i in range(g.n):
-            start, stop = g.csr.indptr[i], g.csr.indptr[i + 1]
-            assert columns[i, : stop - start].tolist() == g.csr.indices[start:stop].tolist()
-            assert weights[i, : stop - start].tolist() == g.csr.data[start:stop].tolist()
-
-    def test_edgeless_graph_has_no_slots(self):
-        columns, weights = EDGELESS.neighbours
-        assert columns.shape == weights.shape == (3, 0)
-
-    def test_table_is_computed_once_and_read_only(self):
-        columns, weights = TWO_CYCLE.neighbours
-        assert TWO_CYCLE.neighbours[0] is columns
-        with pytest.raises(ValueError):
-            columns[0, 0] = 1
-        with pytest.raises(ValueError):
-            weights[0, 0] = 0.0
+    assert np.array_equal(np.repeat(np.arange(g.n), np.diff(g.csr.indptr)), rows)
+    assert np.array_equal(g.csr.indices, cols)
+    assert np.array_equal(g.csr.data, g.weights[rows, cols])
 
 
 def test_edgeless_graph_warns_once_on_the_first_read():
