@@ -603,14 +603,11 @@ def run(scenario: Scenario, members: Sequence[Member]) -> list[RunResult]:
     members in one batch.
 
     Each run is reproducible bit-for-bit and equals the run of its member
-    alone. The members share the scenario's trigger parameters, and the
-    error series are measured against ``scenario.ne_override``, which must
-    be set. NumericalDivergence stops the whole batch at the first step
-    where any member diverges.
+    alone. The members share the scenario's trigger parameters, and their
+    errors are measured against ``scenario.x_star``. NumericalDivergence
+    stops the whole batch at the first step where any member diverges.
     """
-    x_star = scenario.ne_override
-    if x_star is None:
-        raise ValidationError("ne_override: unset; run measures the errors against it")
+    x_star = scenario.x_star
     config = scenario.engine
     n, steps, runs = scenario.n, config.steps, len(members)
     if (steps + 1) * runs * n * 8 > np.iinfo(np.intp).max:

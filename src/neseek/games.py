@@ -31,11 +31,11 @@ class _ActionBox:
         a field whose shape disagrees with the box is refused naming both."""
         box = numbers(self.intervals, "intervals")
         if box.shape[:1] == (0,):
-            raise ValidationError("at least one player is required")
+            raise ValidationError("intervals: at least one player is required")
         if box.ndim != 2 or box.shape[1] != 2:
             raise ValidationError(f"intervals: expected shape (n, 2), got {box.shape}")
         if (box[:, 0] > box[:, 1]).any():
-            raise ValidationError("interval must satisfy lo <= hi")
+            raise ValidationError("intervals must satisfy lo <= hi")
         object.__setattr__(self, "intervals", box)
         n = len(box)
         for name in vectors + square:
@@ -79,9 +79,9 @@ class SpectrumGame(_ActionBox):
         self._store_box(("m_c", "q", "r", "s_db", "ber_target"))
         object.__setattr__(self, "tau", number(self.tau, "tau"))
         if (self.q <= 0).any():
-            raise ValidationError("price slopes q must be positive")
+            raise ValidationError("q must be positive")
         if (self.r < 0).any():
-            raise ValidationError("revenue rates r must be nonnegative")
+            raise ValidationError("r must be nonnegative")
         if ((self.ber_target <= 0) | (self.ber_target >= 0.2)).any():
             raise ValidationError("ber_target must lie in (0, 0.2)")
         try:

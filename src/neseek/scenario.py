@@ -12,7 +12,7 @@ Schema (top-level keys):
     y0          initial estimate rows, n x n (diagonal is overwritten by x0)
     runs        ensemble size for comparisons (optional, default 1)
     ne_override optional equilibrium to measure errors against instead of the
-                centralized solver's answer
+                centralized solver's answer; ``Scenario.x_star`` reads it
 
 A ``Scenario`` validates itself when built, in code, by the loader or by
 ``dataclasses.replace``; the loader only turns the document into its parts.
@@ -25,10 +25,12 @@ import os
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
+from . import oracle
 from .engine import EngineConfig, Member
 from .errors import ParseError, ValidationError, integer, numbers
 from .games import GameDefinition, QuadraticGame, SpectrumGame
@@ -83,6 +85,14 @@ class Scenario:
     def n(self) -> int:
         return self.graph.n
 
+    @cached_property
+    def x_star(self) -> np.ndarray:
+        """The read-only equilibrium runs measure their errors against:
+        ``ne_override``, or the solver's, solved once per scenario object."""
+        if self.ne_override is not None:
+            return self.ne_override
+        return numbers(oracle.solve_ne(self.game).x_star, "x_star")
+
 
 def _require(data: dict, key: str, where: str, section: bool = False):
     if key not in data:
@@ -118,7 +128,7 @@ _GAMES = {
 def _game_from_dict(data: dict) -> GameDefinition:
     kind = _require(data, "kind", "game")
     if not isinstance(kind, str) or kind not in _GAMES:
-        raise ValidationError(f"game: unknown kind '{kind}'")
+        raise ValidationError(f"game: kind: {kind!r} is not one of {list(_GAMES)}")
     cls, required, optional = _GAMES[kind]
     fields = _fields(data, "game", required, optional)
     with _section("game"):

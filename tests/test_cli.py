@@ -304,6 +304,11 @@ def negative_box(doc):
         "bounds", lambda: edited("spectrum_paper", negative_box),
         "error: game: intervals: ", id="negative-box",
     ),
+    # the game's sign checks start with the field, as every other error does
+    pytest.param(
+        "bounds", lambda: edited("spectrum_paper", lambda d: d["game"]["q"].__setitem__(0, 0)),
+        "error: game: q must be positive", id="zero-price-slope",
+    ),
 ])
 def test_non_numeric_start_is_one_error_line(tmp_path, capsys, command, content, start):
     path = tmp_path / "bad.json"

@@ -401,6 +401,12 @@ class TestRun:
         with pytest.raises(ValidationError, match="at least one law"):
             compare_laws(quadratic_scenario, [], 2, 0)
 
+    def test_compare_refuses_a_bare_law_name(self, quadratic_scenario):
+        # a string is a list of letters: it was refused as law: 's' is not one of ...
+        message = "^laws: expected a list of law names, got 'static'$"
+        with pytest.raises(ValidationError, match=message):
+            compare_laws(quadratic_scenario, "static", 2, 0)
+
     @pytest.mark.parametrize(
         "call",
         [

@@ -8,7 +8,24 @@ import warnings
 import numpy as np
 import pytest
 
-from neseek import EngineConfig, LawKind, Member, engine, errors, load_scenario, run
+from neseek import (
+    DirectedGraph,
+    EngineConfig,
+    LawKind,
+    Member,
+    QuadraticGame,
+    Scenario,
+    TriggerParams,
+    compare_laws,
+    engine,
+    errors,
+    harness,
+    load_scenario,
+    oracle,
+    run,
+    single_run,
+    solve_ne,
+)
 from neseek.cli import main
 from neseek.data import bundled_path
 from neseek.errors import ParseError, ValidationError
@@ -322,7 +339,7 @@ def test_section_that_is_not_an_object_is_refused(section, value):
 
 
 @pytest.mark.parametrize("box, message", [
-    ([[1.0, -1.0], [-10.0, 10.0]], "game: interval must satisfy lo <= hi"),
+    ([[1.0, -1.0], [-10.0, 10.0]], "game: intervals must satisfy lo <= hi"),
     ([[-10.0, math.inf], [-10.0, 10.0]], "game: intervals: entries must be finite"),
 ])
 def test_box_errors_through_the_loader_name_the_game(box, message):
@@ -383,10 +400,83 @@ def test_api_built_scenario_reads_names_and_numpy_integers(quadratic_scenario):
     assert type(s.seed) is int and type(s.runs) is int
 
 
-def test_run_needs_the_equilibrium(quadratic_scenario):
-    assert quadratic_scenario.ne_override is None
-    with pytest.raises(ValueError, match="ne_override"):
-        run(quadratic_scenario, members=[Member(LawKind.STOCHASTIC, 0)])
+def test_run_measures_against_the_solved_equilibrium(quadratic_scenario):
+    # a scenario without ne_override runs as if it held the solver's answer
+    s = quadratic_scenario
+    assert s.ne_override is None
+    members = [Member(LawKind.STOCHASTIC, 0), Member(LawKind.DYNAMIC, 0)]
+    anchored = dataclasses.replace(s, ne_override=solve_ne(s.game).x_star)
+    for got, want in zip(run(s, members), run(anchored, members), strict=True):
+        for name, value in vars(want).items():
+            if isinstance(value, np.ndarray):
+                assert value.dtype == getattr(got, name).dtype, name
+                assert np.array_equal(getattr(got, name), value, equal_nan=True), name
+
+
+def test_x_star_is_the_override_or_the_solution(quadratic_scenario):
+    s = dataclasses.replace(quadratic_scenario)
+    assert np.array_equal(s.x_star, solve_ne(s.game).x_star)
+    assert s.x_star is s.x_star
+    v = np.array([0.5, -0.5])
+    anchored = dataclasses.replace(s, ne_override=v)
+    assert np.array_equal(anchored.x_star, v) and anchored.x_star is anchored.ne_override
+    for x_star in (s.x_star, anchored.x_star):
+        assert not x_star.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            x_star[0] = 1.0
+
+
+def solve_ne_calls(monkeypatch):
+    """The games ``oracle.solve_ne`` is called with from now on."""
+    calls, solve = [], oracle.solve_ne
+
+    def spy(game):
+        calls.append(game)
+        return solve(game)
+
+    monkeypatch.setattr(oracle, "solve_ne", spy)
+    return calls
+
+
+def test_a_scenario_solves_its_equilibrium_once(quadratic_scenario, monkeypatch):
+    # a fresh object, so that no earlier test's solve is cached on it
+    s = dataclasses.replace(quadratic_scenario)
+    calls = solve_ne_calls(monkeypatch)
+    results = [single_run(s, seed=seed) for seed in range(3)]
+    assert len(calls) == 1
+    assert all(result.x_star is s.x_star for result in results)
+
+
+def test_every_chunk_of_a_comparison_reads_one_equilibrium(monkeypatch):
+    # from n = 57 each member is a chunk of its own
+    n = 57
+    s = Scenario(
+        DirectedGraph(np.roll(np.eye(n), 1, axis=1)),
+        QuadraticGame(diag_a=np.ones(n), cross=np.zeros((n, n)), offset=np.linspace(-1, 1, n),
+                      intervals=[[-3.0, 3.0]] * n),
+        TriggerParams(kappa=1.075, a_floor=0.05, eta=1.0, c=np.ones(n), sigma=np.full(n, 0.1),
+                      delta0=np.ones(n)),
+        EngineConfig(alpha=0.1, beta=0.5, horizon=0.05),
+        x0=np.zeros(n), y0=np.zeros((n, n)), law=LawKind.STOCHASTIC,
+    )
+    calls, chunks = solve_ne_calls(monkeypatch), []
+
+    def spy(scenario, members):
+        chunks.append(members)
+        return run(scenario, members)
+
+    monkeypatch.setattr(harness, "run", spy)
+    ensemble = compare_laws(s, [LawKind.STATIC, LawKind.STOCHASTIC], 2, 0)
+    assert len(chunks) == 3 and len(calls) == 1
+    assert ensemble[LawKind.STOCHASTIC].runs == 2
+
+
+def test_a_set_override_solves_nothing(quadratic_scenario, monkeypatch):
+    s = dataclasses.replace(quadratic_scenario, ne_override=[1.0, 2.0])
+    calls = solve_ne_calls(monkeypatch)
+    single_run(s)
+    compare_laws(s, list(LawKind), 2, 0)
+    assert calls == []
 
 
 def test_scenario_arrays_are_read_only_copies(quadratic_scenario):
