@@ -201,7 +201,7 @@ def cmd_compare(args) -> int:
     # compare_laws checks the names, as it does any caller's
     laws = [name.strip() for name in args.laws.split(",") if name.strip()]
     with _output_dir(args.out) as stage:
-        ensembles = harness.compare_laws(scenario, laws, scenario.runs, scenario.seed)
+        ensembles = harness.compare_laws(scenario, laws)
 
         rows = [row for law, ens in ensembles.items()
                 for row in _interval_rows(law, ens.mean_counts, ens.interval_stats)]

@@ -155,8 +155,8 @@ class Batch:
         depend on n and the seed, but not on the horizon or the batch-mates.
         The threshold at step k is ``(delta0 * exp(-eta * (k * dt)) / c) *
         threshold_term(params, xi[k])``, formed here for every step with
-        one ``np.log``, with the tie bands, so no step takes a log or an
-        exponential but at the rare ties ``decide`` forms with ``math.log``.
+        one ``np.log`` and libm's ``exp``, with the tie bands, so no step
+        takes a log or an exponential but at the rare ties, in ``decide``.
 
         A CONTINUOUS member's thresholds are -inf: its margin is the
         difference of two finite sums of squares of a finite state, so it
@@ -178,8 +178,10 @@ class Batch:
         cap = {LawKind.STATIC: 0.0}
         if any(m.law is LawKind.DYNAMIC for m in members):
             cap[LawKind.DYNAMIC] = scenario.graph.sigma_bound
-        decay = params.delta0 * np.exp(-params.eta * (np.arange(steps) * dt))[:, None]
-        scale = decay / params.c
+        # libm's exp, not numpy's: its AVX-512 kernel differs in the last bit,
+        # and the tie bands cover only the log
+        exp = np.array([math.exp(-params.eta * (k * dt)) for k in range(steps)])
+        scale = params.delta0 * exp[:, None] / params.c
         threshold = threshold_term(params, xi)
         threshold *= scale[:, None]
         threshold[:, continuous] = -math.inf

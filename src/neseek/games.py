@@ -204,10 +204,6 @@ def gradient_kernel(game: GameDefinition, shape: tuple[int, ...]):
     return gradient
 
 
-def _own_gradient(game: GameDefinition, own: np.ndarray, functional) -> np.ndarray:
-    return gradient_kernel(game, own.shape)(own, functional, np.empty(own.shape))
-
-
 def functional_from_others(game: GameDefinition, own: np.ndarray, others: np.ndarray):
     """``row_functional`` of whole rows from ``others``, that of the rows with
     their own entry zeroed, and ``own``, the actions those entries stand for."""
@@ -215,25 +211,17 @@ def functional_from_others(game: GameDefinition, own: np.ndarray, others: np.nda
     return others + own if isinstance(game, SpectrumGame) else others
 
 
-def gradient_at_estimates(game: GameDefinition, y: np.ndarray) -> np.ndarray:
-    """Stack of own-action partial gradients, player i evaluated at row i of y.
-
-    ``y`` is a float array and may carry leading axes (one estimate matrix
-    per seed).
-    """
-    return _own_gradient(game, y.diagonal(0, -2, -1), row_functional(game, y))
-
-
 def pseudo_gradient(game: GameDefinition, x: np.ndarray) -> np.ndarray:
     """Stacked own-action gradients at a common profile x.
 
-    Equal, bit for bit, to ``gradient_at_estimates`` at n copies of x; the
-    spectrum game costs O(n) and builds no (n, n) array.
+    Equal, bit for bit, to the own gradients of n estimate rows that all
+    read x; the spectrum game costs O(n) and builds no (n, n) array.
     """
     x = np.asarray(x, dtype=float)
     # one functional per player, as the tiled rows give: a power of a
     # scalar can differ in the last bit from the same power in an array
-    return _own_gradient(game, x, np.full(x.shape, row_functional(game, x)))
+    functional = np.full(x.shape, row_functional(game, x))
+    return gradient_kernel(game, x.shape)(x, functional, np.empty(x.shape))
 
 
 def estimate_constants(game: GameDefinition) -> GameConstants:

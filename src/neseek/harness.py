@@ -1,19 +1,18 @@
 """Seeded single runs and Monte-Carlo comparisons across communication laws.
 
-Comparison policy: each law is a drop-in replacement for the broadcast
+Comparison policy: each law is a drop-in substitute for the broadcast
 decision. A member is a law and a seed; ``engine.Batch.of`` zeroes the static
 law's disagreement weights and caps the dynamic law's at the admissible bound
 (its own analysis requires a compliant weight), while the randomized law keeps
-the scenario's weights. Ensemble members use seeds base_seed, base_seed + 1,
-..., and are folded in seed order. Only the randomized law reads the random
-draw, so any other law integrates one run and repeats it. The members of every
-law in a comparison are integrated together, in chunks whose estimate matrices
-hold at most ENSEMBLE_ENTRIES entries: 256 members at n = 5, one from n = 57.
+the scenario's weights. An ensemble runs the scenario's run count of seeds
+from scenario.seed up, folded in seed order: another law, seed or count is
+another scenario. Only the randomized law reads the random draw, so any other
+law integrates one run and repeats it. The members of every law in a comparison
+are integrated together, in chunks whose estimate matrices hold at most
+ENSEMBLE_ENTRIES entries: 256 members at n = 5, one from n = 57.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 from . import metrics as metrics_mod
 from .engine import Member, RunResult, run
@@ -26,20 +25,16 @@ from .triggers import LawKind
 ENSEMBLE_ENTRIES = 256 * 5 * 5
 
 
-def single_run(
-    scenario: Scenario, seed: int | None = None, law: LawKind | None = None
-) -> RunResult:
-    """One seeded simulation of the scenario, with optional overrides."""
-    seed = scenario.seed if seed is None else seed
-    law = scenario.law if law is None else law
-    return run(scenario, members=[Member(law, seed)])[0]
+def single_run(scenario: Scenario, seed: int | None = None) -> RunResult:
+    """One simulation of the scenario's law, at ``seed`` or the scenario's."""
+    return run(scenario, [Member(scenario.law, scenario.seed if seed is None else seed)])[0]
 
 
 def compare_laws(
-    scenario: Scenario, laws: list[LawKind | str], runs: int, base_seed: int
+    scenario: Scenario, laws: list[LawKind | str]
 ) -> dict[LawKind, metrics_mod.EnsembleMetrics]:
-    """Ensemble metrics per law over seeds base_seed..base_seed+runs-1, all
-    against one ``scenario.x_star``.
+    """Ensemble metrics per law over the seeds scenario.seed ..
+    scenario.seed + scenario.runs - 1, all against one ``scenario.x_star``.
 
     ``laws`` is a list of laws or their names, none twice. Only the
     stochastic law reads the random draw: any other law integrates one
@@ -48,7 +43,6 @@ def compare_laws(
     least one), and each chunk is folded into the per-law sums as soon as it
     finishes, so memory does not grow with the number of runs.
     """
-    scenario = replace(scenario, seed=base_seed, runs=runs)
     if isinstance(laws, str):
         raise ValidationError(f"laws: expected a list of law names, got {laws!r}")
     laws = [LawKind(law) for law in laws]

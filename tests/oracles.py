@@ -1,7 +1,8 @@
 """Scalar reference implementations the tests compare the package against.
 
 Each is the textbook per-player form of something the package computes in
-batched array code: a player's cost and own-action gradient, the projection
+batched array code: a player's cost and own-action gradient, the stacked
+gradients at estimate rows that the engine's dense path forms, the projection
 onto an action interval, the decaying trigger scale, the randomized law's
 fire probability, the dense coupling matrix whose diagonal blocks
 ``coupling_blocks`` returns, and scipy's Lyapunov solve of each block.
@@ -12,7 +13,7 @@ import math
 import numpy as np
 
 from neseek.errors import DomainError
-from neseek.games import GameDefinition, SpectrumGame
+from neseek.games import GameDefinition, SpectrumGame, gradient_kernel, row_functional
 from neseek.graphs import DirectedGraph, coupling_blocks, laplacian
 from neseek.triggers import TriggerParams
 
@@ -48,6 +49,15 @@ def partial_gradient(game: GameDefinition, i: int, y_i: np.ndarray) -> float:
         marginal = y_i[i] * game.q[i] * game.tau * _total_power(game, total, game.tau - 1.0)
         return float(price + marginal - game.r[i] * game.efficiencies[i])
     return float(game.diag_a[i] * y_i[i] + game.cross[i] @ y_i + game.offset[i])
+
+
+def gradient_at_estimates(game: GameDefinition, y: np.ndarray) -> np.ndarray:
+    """Stack of own-action partial gradients, player i evaluated at row i of
+    ``y``, through ``games.gradient_kernel`` as the engine's dense path forms
+    them. ``y`` is a float array and may carry leading axes (one estimate
+    matrix per member)."""
+    own = y.diagonal(0, -2, -1)
+    return gradient_kernel(game, own.shape)(own, row_functional(game, y), np.empty(own.shape))
 
 
 def decay_at(params: TriggerParams, i: int, t: float) -> float:
@@ -141,7 +151,7 @@ def closed_form_step(state, batch, coupling, share: float, fired=None):
     entries of the increment are zero. A given (R, n) ``fired`` mask
     stands in for the laws' decisions.
     """
-    from neseek.games import functional_from_others, gradient_at_estimates, gradient_kernel
+    from neseek.games import functional_from_others
     from neseek.triggers import decide, triggering_function
 
     scenario = batch.scenario
@@ -201,7 +211,6 @@ def iterated_run(scenario, member):
     path took before it kept the rows in closed form. The coupling is
     ``engine.broadcast_terms``."""
     from neseek.engine import Batch, broadcast_terms
-    from neseek.games import gradient_at_estimates
     from neseek.triggers import decide, triggering_function
 
     batch = Batch.of(scenario, [member])

@@ -67,7 +67,7 @@ def anchored(spectrum_scenario, equilibrium):
 
 @pytest.fixture(scope="module")
 def comparison_ensembles(anchored):
-    return compare_laws(anchored, list(LawKind), ENSEMBLE_RUNS, base_seed=0)
+    return compare_laws(dataclasses.replace(anchored, runs=ENSEMBLE_RUNS, seed=0), list(LawKind))
 
 
 def test_01_equilibrium_reproduction(spectrum_scenario):
@@ -159,12 +159,12 @@ def test_05_no_trigger_inequality_exact(request, name, law):
     # math.log threshold, each decision follows from rho alone
     s = request.getfixturevalue(name)
     p = s.trigger
-    result = single_run(s, seed=123, law=law)
+    result = single_run(dataclasses.replace(s, law=law), seed=123)
     ln_kappa = math.log(p.kappa)
     violations = 0
     quiet = 0
     for k, t in enumerate(result.times[:-1]):
-        decay = p.delta0 * np.exp(-p.eta * t)
+        decay = p.delta0 * math.exp(-p.eta * t)
         for i in range(s.n):
             rho, xi = float(result.rho[k, i]), float(result.xi[k, i])
             # a deterministic law records a NaN xi: its threshold is pinned at a_floor
@@ -253,11 +253,11 @@ def test_09_rate_certificate_identities(spectrum_scenario):
 
 
 def test_10_bounded_events_under_grid_refinement(anchored):
-    law = anchored.law
-    coarse = compare_laws(anchored, [law], 6, base_seed=0)
-    fine = compare_laws(with_engine(anchored, dt=0.0125), [law], 6, base_seed=0)
+    law, six = anchored.law, dataclasses.replace(anchored, runs=6, seed=0)
+    coarse = compare_laws(six, [law])
+    fine = compare_laws(with_engine(six, dt=0.0125), [law])
     ratio = fine[law].mean_counts / coarse[law].mean_counts
-    first = single_run(anchored, seed=0, law=law)
+    first = single_run(anchored, seed=0)
     gaps_ok = all(
         gaps.min() >= anchored.engine.dt
         for gaps in first.intervals

@@ -264,8 +264,8 @@ class TestRun:
         assert np.array_equal(a.gamma, b.gamma)
 
     def test_continuous_vs_stochastic_rate(self, quadratic_scenario):
-        cont = single_run(quadratic_scenario, seed=1, law=LawKind.CONTINUOUS)
-        stoc = single_run(quadratic_scenario, seed=1, law=LawKind.STOCHASTIC)
+        cont = single_run(dataclasses.replace(quadratic_scenario, law=LawKind.CONTINUOUS), seed=1)
+        stoc = single_run(dataclasses.replace(quadratic_scenario, law=LawKind.STOCHASTIC), seed=1)
         assert np.array_equal(cont.gamma[1:], np.ones(len(cont.gamma) - 1))
         assert stoc.gamma[-1] < 1.0
         assert (stoc.trig.sum(axis=1) == 0).any()
@@ -283,7 +283,7 @@ class TestRun:
 
     def test_error_decays_under_every_law(self, spectrum_scenario):
         for law in LawKind:
-            result = single_run(spectrum_scenario, seed=2, law=law)
+            result = single_run(dataclasses.replace(spectrum_scenario, law=law), seed=2)
             assert result.rate_fit < 0
 
     def test_no_trigger_inequality_exact(self, spectrum_scenario):
@@ -293,7 +293,7 @@ class TestRun:
         ln_kappa = math.log(p.kappa)
         checked = 0
         for k, t in enumerate(result.times[:-1]):
-            decay = p.delta0 * np.exp(-p.eta * t)
+            decay = p.delta0 * math.exp(-p.eta * t)
             for i in range(s.n):
                 rho = float(result.rho[k, i])
                 bound = (float(decay[i]) / float(p.c[i])) * (ln_kappa - math.log(result.xi[k, i]))
@@ -345,7 +345,7 @@ class TestRun:
         assert not result.trig[0].any()
         assert result.rho.shape == result.xi.shape == (steps, n)
         assert ((result.xi > quadratic_scenario.trigger.a_floor) & (result.xi <= 1.0)).all()
-        static = single_run(quadratic_scenario, seed=4, law=LawKind.STATIC)
+        static = single_run(dataclasses.replace(quadratic_scenario, law=LawKind.STATIC), seed=4)
         assert np.isnan(static.xi).all()
         assert np.isfinite(static.rho).all()
 
@@ -357,9 +357,9 @@ class TestRun:
         assert result.times[1] == pytest.approx(short.engine.dt)
 
     def test_trigger_counts_bounded_as_dt_halves(self, spectrum_scenario):
-        short = with_engine(spectrum_scenario, horizon=10.0)
-        coarse = compare_laws(short, [short.law], 4, base_seed=0)
-        fine = compare_laws(with_engine(short, dt=0.0125), [short.law], 4, base_seed=0)
+        short = dataclasses.replace(with_engine(spectrum_scenario, horizon=10.0), runs=4, seed=0)
+        coarse = compare_laws(short, [short.law])
+        fine = compare_laws(with_engine(short, dt=0.0125), [short.law])
         coarse, fine = coarse[short.law].mean_counts, fine[short.law].mean_counts
         assert (fine <= 1.5 * coarse).all()
 
@@ -374,38 +374,38 @@ class TestRun:
         s = dataclasses.replace(spectrum_scenario, law="stochastic")
         assert s.law is LawKind.STOCHASTIC
         assert_same_columns(
-            single_run(s, seed=1), single_run(spectrum_scenario, seed=1, law=LawKind.STOCHASTIC)
+            single_run(s, seed=1), run(spectrum_scenario, [Member(LawKind.STOCHASTIC, 1)])[0]
         )
         for law in ("static", "dynamic"):
             assert_same_columns(
-                single_run(spectrum_scenario, seed=1, law=law),
-                single_run(spectrum_scenario, seed=1, law=LawKind(law)),
+                single_run(dataclasses.replace(spectrum_scenario, law=law), seed=1),
+                run(spectrum_scenario, [Member(LawKind(law), 1)])[0],
             )
-        named = compare_laws(spectrum_scenario, ["dynamic"], 1, base_seed=1)
+        s = dataclasses.replace(spectrum_scenario, seed=1)
+        named = compare_laws(s, ["dynamic"])
         assert list(named) == [LawKind.DYNAMIC]
         assert_same_ensemble(
-            named[LawKind.DYNAMIC],
-            compare_laws(spectrum_scenario, [LawKind.DYNAMIC], 1, base_seed=1)[LawKind.DYNAMIC],
+            named[LawKind.DYNAMIC], compare_laws(s, [LawKind.DYNAMIC])[LawKind.DYNAMIC]
         )
         with pytest.raises(ValidationError, match="sometimes"):
-            single_run(spectrum_scenario, seed=1, law="sometimes")
+            dataclasses.replace(spectrum_scenario, law="sometimes")
 
     def test_compare_refuses_a_law_named_twice(self, quadratic_scenario):
         # it integrated every member twice and reported runs == 6 for runs=3
         laws = [LawKind.STATIC, "static", LawKind.STOCHASTIC, LawKind.STOCHASTIC]
         with pytest.raises(ValidationError, match="names a law twice"):
-            compare_laws(quadratic_scenario, laws, 3, 0)
+            compare_laws(quadratic_scenario, laws)
 
     def test_compare_refuses_an_empty_law_list(self, quadratic_scenario):
         # it returned {} without a word, where the CLI refuses --laws ,
         with pytest.raises(ValidationError, match="at least one law"):
-            compare_laws(quadratic_scenario, [], 2, 0)
+            compare_laws(quadratic_scenario, [])
 
     def test_compare_refuses_a_bare_law_name(self, quadratic_scenario):
         # a string is a list of letters: it was refused as law: 's' is not one of ...
         message = "^laws: expected a list of law names, got 'static'$"
         with pytest.raises(ValidationError, match=message):
-            compare_laws(quadratic_scenario, "static", 2, 0)
+            compare_laws(quadratic_scenario, "static")
 
     @pytest.mark.parametrize(
         "call",
@@ -414,13 +414,11 @@ class TestRun:
             pytest.param(lambda s: single_run(s, seed=True), id="single_run-seed-bool"),
             pytest.param(lambda s: single_run(s, seed=2.0), id="single_run-seed-integral-float"),
             pytest.param(
-                lambda s: compare_laws(s, ["stochastic"], 2.5, 0), id="compare-runs-fractional"
+                lambda s: dataclasses.replace(s, runs=2.5), id="compare-runs-fractional"
             ),
+            pytest.param(lambda s: dataclasses.replace(s, runs=True), id="compare-runs-bool"),
             pytest.param(
-                lambda s: compare_laws(s, ["stochastic"], True, 0), id="compare-runs-bool"
-            ),
-            pytest.param(
-                lambda s: compare_laws(s, ["stochastic"], 2, 0.5), id="compare-seed-fractional"
+                lambda s: dataclasses.replace(s, seed=0.5), id="compare-seed-fractional"
             ),
         ],
     )
@@ -433,9 +431,9 @@ class TestRun:
         s, law = drawn_scenario, LawKind.STOCHASTIC
         alone = distinct_runs(s, [3, 4])
         assert_same_columns(single_run(s, seed=np.int64(3)), alone[0])
-        ens = compare_laws(s, [law], np.uint8(2), np.int64(3))[law]
+        ens = compare_laws(dataclasses.replace(s, runs=np.uint8(2), seed=np.int64(3)), [law])[law]
         assert ens.runs == 2
-        assert_same_ensemble(ens, compare_laws(s, [law], 2, 3)[law])
+        assert_same_ensemble(ens, compare_laws(dataclasses.replace(s, runs=2, seed=3), [law])[law])
 
     def test_equilibrium_override_anchors_error_series(self, quadratic_scenario):
         s = dataclasses.replace(quadratic_scenario, ne_override=np.array([0.0, 0.0]))
@@ -555,7 +553,8 @@ def drawn_scenario(quadratic_scenario):
 def distinct_runs(s, seeds):
     """The stochastic run of each seed alone, checked to differ pairwise, so
     that a test over these seeds would see one member run another's seed."""
-    runs = [single_run(s, seed=seed, law=LawKind.STOCHASTIC) for seed in seeds]
+    s = dataclasses.replace(s, law=LawKind.STOCHASTIC)
+    runs = [single_run(s, seed=seed) for seed in seeds]
     assert len({r.trig.tobytes() for r in runs}) == len(runs)
     return runs
 
@@ -573,7 +572,7 @@ class TestBatch:
             # a deterministic ensemble replicates one run; it must still equal
             # the ensemble of every seed's own separate run
             base = min(seeds[0], 2 ** 64 - len(seeds))
-            ens = compare_laws(s, [s.law], len(seeds), base)[s.law]
+            ens = compare_laws(dataclasses.replace(s, runs=len(seeds), seed=base), [s.law])[s.law]
             first, separate = single_run(s, seed=base), Ensemble()
             for k in range(len(seeds)):
                 alone = single_run(s, seed=base + k)
@@ -646,7 +645,7 @@ class TestBatch:
         continuous = [m.law is LawKind.CONTINUOUS for m in members]
         assert batch.lower.shape == batch.upper.shape == (s.engine.steps, len(members), s.n)
         for k in range(s.engine.steps):
-            decay = p.delta0 * np.exp(-p.eta * (k * s.engine.dt))
+            decay = p.delta0 * math.exp(-p.eta * (k * s.engine.dt))
             want = (decay / p.c) * threshold_term(p, batch.xi[k])
             want[continuous] = -math.inf
             # the tie band of a drawn threshold, formed once; a deterministic
@@ -666,6 +665,29 @@ class TestBatch:
         quiet = Batch.of(s, [m for m in members if m.law is not LawKind.STOCHASTIC])
         assert np.isnan(quiet.xi).all()
         assert quiet.lower.tobytes() == quiet.upper.tobytes()
+
+    @pytest.mark.parametrize(
+        "name, eta, steps",
+        [
+            pytest.param("spectrum_scenario", None, None, id="spectrum"),
+            pytest.param("quadratic_scenario", None, None, id="quadratic"),
+            pytest.param("quadratic_scenario", 0.5, 2000, id="quadratic-eta-0.5-2000-steps"),
+        ],
+    )
+    def test_decay_is_libm_exp_on_every_cpu(self, request, name, eta, steps):
+        # numpy's AVX-512 exp differs from libm's in the last bit: the scale
+        # is formed with math.exp, so a threshold does not depend on the CPU
+        s = request.getfixturevalue(name)
+        if eta is not None:
+            s = dataclasses.replace(s, trigger=dataclasses.replace(s.trigger, eta=eta))
+        if steps is not None:
+            s = with_engine(s, horizon=steps * s.engine.dt)
+        p, dt = s.trigger, s.engine.dt
+        scale = Batch.of(s, [Member(LawKind.STATIC, 0)]).scale
+        assert scale.shape == (steps or s.engine.steps, s.n)
+        want = [[oracles.decay_at(p, i, k * dt) / p.c[i] for i in range(s.n)]
+                for k in range(len(scale))]
+        assert scale.tobytes() == np.array(want).tobytes()
 
     def test_thresholds_follow_per_player_streams(self, quadratic_scenario):
         s = quadratic_scenario
@@ -708,25 +730,25 @@ class TestBatch:
         self, quadratic_scenario, monkeypatch, law
     ):
         calls = spy_on_run(monkeypatch)
-        ens = compare_laws(quadratic_scenario, [law], 7, base_seed=3)[law]
+        ens = compare_laws(dataclasses.replace(quadratic_scenario, runs=7, seed=3), [law])[law]
         assert calls == [[(law, 3)]]
         assert ens.runs == 7
-        compare_laws(quadratic_scenario, [LawKind.STOCHASTIC], 4, base_seed=3)
+        compare_laws(dataclasses.replace(quadratic_scenario, runs=4, seed=3), [LawKind.STOCHASTIC])
         assert calls[-1] == stochastic(3, 4, 5, 6)
 
     def test_compare_integrates_every_law_in_one_call(self, spectrum_scenario, monkeypatch):
         calls = spy_on_run(monkeypatch)
         laws = [LawKind.STATIC, LawKind.DYNAMIC, LawKind.STOCHASTIC]
-        compare_laws(spectrum_scenario, laws, runs=2, base_seed=5)
+        compare_laws(dataclasses.replace(spectrum_scenario, runs=2, seed=5), laws)
         assert calls == [[(LawKind.STATIC, 5), (LawKind.DYNAMIC, 5), *stochastic(5, 6)]]
 
     def test_stochastic_ensemble_integrates_in_chunks(self, drawn_scenario, monkeypatch):
-        s, law = drawn_scenario, LawKind.STOCHASTIC
-        whole = compare_laws(s, [law], 7, base_seed=3)[law]
+        s, law = dataclasses.replace(drawn_scenario, runs=7, seed=3), LawKind.STOCHASTIC
+        whole = compare_laws(s, [law])[law]
         results = []
         calls = spy_on_run(monkeypatch, results)
         monkeypatch.setattr(harness, "ENSEMBLE_ENTRIES", 3 * s.n ** 2)
-        chunked = compare_laws(s, [law], 7, base_seed=3)[law]
+        chunked = compare_laws(s, [law])[law]
         assert calls == [stochastic(3, 4, 5), stochastic(6, 7, 8), stochastic(9)]
         assert len(results) == 7
         monkeypatch.undo()
@@ -748,36 +770,38 @@ class TestBatch:
         # room for two members and not three
         monkeypatch.setattr(harness, "ENSEMBLE_ENTRIES", 3 * quadratic_scenario.n ** 2 - 1)
         monkeypatch.setattr(harness, "run", spy)
-        ens = compare_laws(quadratic_scenario, [LawKind.STOCHASTIC], 5, base_seed=0)
+        s = dataclasses.replace(quadratic_scenario, runs=5, seed=0)
+        ens = compare_laws(s, [LawKind.STOCHASTIC])
         assert ens[LawKind.STOCHASTIC].runs == 5
         assert alive == [[], [False] * 2, [False] * 4]
 
     def test_chunks_fill_the_entry_budget(self, spectrum_scenario, monkeypatch):
         # 256 members of n = 5 fill ENSEMBLE_ENTRIES; from n = 57 one member does
         calls = spy_on_run(monkeypatch)
-        compare_laws(with_engine(spectrum_scenario, horizon=0.05), [LawKind.STOCHASTIC], 300, 0)
+        short = dataclasses.replace(with_engine(spectrum_scenario, horizon=0.05), runs=300, seed=0)
+        compare_laws(short, [LawKind.STOCHASTIC])
         assert [len(call) for call in calls] == [256, 44]
         rng, game, graph, trig = coupling_case(0, 57, unit=True)
         wide = Scenario(
             graph, game, trig, EngineConfig(alpha=0.1, beta=0.5, horizon=0.05),
-            x0=np.zeros(57), y0=np.zeros((57, 57)), law=LawKind.STOCHASTIC,
+            x0=np.zeros(57), y0=np.zeros((57, 57)), law=LawKind.STOCHASTIC, runs=3,
             ne_override=np.zeros(57),
         )
-        compare_laws(wide, [LawKind.STOCHASTIC], 3, 0)
+        compare_laws(wide, [LawKind.STOCHASTIC])
         assert [len(call) for call in calls[2:]] == [1, 1, 1]
 
     def test_mixed_law_compare_integrates_in_chunks(self, drawn_scenario, monkeypatch):
         # 1 + 1 + 1 deterministic members and 4 stochastic ones: chunks 3, 3, 1
-        s, laws = drawn_scenario, list(LawKind)
+        s, laws = dataclasses.replace(drawn_scenario, runs=4, seed=3), list(LawKind)
         distinct_runs(s, range(3, 7))
-        whole = compare_laws(s, laws, 4, base_seed=3)
+        whole = compare_laws(s, laws)
         calls = spy_on_run(monkeypatch)
         monkeypatch.setattr(harness, "ENSEMBLE_ENTRIES", 3 * s.n ** 2)
-        chunked = compare_laws(s, laws, 4, base_seed=3)
+        chunked = compare_laws(s, laws)
         assert [len(call) for call in calls] == [3, 3, 1]
         monkeypatch.undo()
         for law in laws:
-            alone = compare_laws(s, [law], 4, base_seed=3)[law]
+            alone = compare_laws(s, [law])[law]
             for ens in (chunked[law], alone):
                 assert ens.runs == whole[law].runs == 4
                 assert_same_ensemble(ens, whole[law])
@@ -1009,7 +1033,7 @@ class TestSparseCoupling:
         monkeypatch.setattr(engine, "broadcast_terms", spy)
         for law in (LawKind.STATIC, LawKind.DYNAMIC, LawKind.STOCHASTIC):
             asked.clear()
-            result = single_run(s, seed=1, law=law)
+            result = single_run(dataclasses.replace(s, law=law), seed=1)
             assert np.isfinite(result.actions).all()
             assert any(asked), law
 
@@ -1021,14 +1045,15 @@ class TestSparseCoupling:
         # the imports cost set-up time that only a graph on the sparse path
         # (scipy.sparse) or the certificate (scipy.linalg) needs
         code = "\n".join([
-            "import sys, warnings",
+            "import dataclasses, sys, warnings",
             "warnings.simplefilter('ignore')",
             "import neseek",
             "from neseek.data import bundled_path",
             "for name in ('spectrum_paper', 'quadratic_demo'):",
             "    s = neseek.load_scenario(bundled_path(name))",
             "    neseek.single_run(s, seed=0)",
-            "    neseek.compare_laws(s, list(neseek.LawKind), 2, 0)",
+            "    s = dataclasses.replace(s, runs=2, seed=0)",
+            "    neseek.compare_laws(s, list(neseek.LawKind))",
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
         ])
         src = str(Path(neseek.__file__).parents[1])

@@ -14,9 +14,8 @@ from neseek import (
 )
 from neseek.errors import DomainError, NonMonotone, ValidationError
 from neseek import games
-from neseek.games import gradient_at_estimates
 
-from oracles import cost, partial_gradient, project
+from oracles import cost, gradient_at_estimates, partial_gradient, project
 
 # Frozen by high-precision evaluation of the closed form.
 U_12DB = 2.0453406611627294

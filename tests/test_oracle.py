@@ -16,8 +16,8 @@ from neseek import (
     verify_ne,
 )
 from neseek.errors import NoConvergence
-from neseek.games import gradient_at_estimates
 
+from oracles import gradient_at_estimates
 from test_games import decoupled_quadratic, published_game
 
 

@@ -447,6 +447,16 @@ def test_a_scenario_solves_its_equilibrium_once(quadratic_scenario, monkeypatch)
     assert all(result.x_star is s.x_star for result in results)
 
 
+def test_comparisons_on_one_scenario_solve_its_equilibrium_once(quadratic_scenario, monkeypatch):
+    # the run count and base seed are the scenario's: no comparison rebuilds
+    # the scenario, and with it the cached equilibrium
+    s = dataclasses.replace(quadratic_scenario, runs=2)
+    calls = solve_ne_calls(monkeypatch)
+    for _ in range(3):
+        compare_laws(s, [LawKind.STATIC])
+    assert len(calls) == 1
+
+
 def test_every_chunk_of_a_comparison_reads_one_equilibrium(monkeypatch):
     # from n = 57 each member is a chunk of its own
     n = 57
@@ -457,7 +467,7 @@ def test_every_chunk_of_a_comparison_reads_one_equilibrium(monkeypatch):
         TriggerParams(kappa=1.075, a_floor=0.05, eta=1.0, c=np.ones(n), sigma=np.full(n, 0.1),
                       delta0=np.ones(n)),
         EngineConfig(alpha=0.1, beta=0.5, horizon=0.05),
-        x0=np.zeros(n), y0=np.zeros((n, n)), law=LawKind.STOCHASTIC,
+        x0=np.zeros(n), y0=np.zeros((n, n)), law=LawKind.STOCHASTIC, runs=2,
     )
     calls, chunks = solve_ne_calls(monkeypatch), []
 
@@ -466,16 +476,16 @@ def test_every_chunk_of_a_comparison_reads_one_equilibrium(monkeypatch):
         return run(scenario, members)
 
     monkeypatch.setattr(harness, "run", spy)
-    ensemble = compare_laws(s, [LawKind.STATIC, LawKind.STOCHASTIC], 2, 0)
+    ensemble = compare_laws(s, [LawKind.STATIC, LawKind.STOCHASTIC])
     assert len(chunks) == 3 and len(calls) == 1
     assert ensemble[LawKind.STOCHASTIC].runs == 2
 
 
 def test_a_set_override_solves_nothing(quadratic_scenario, monkeypatch):
-    s = dataclasses.replace(quadratic_scenario, ne_override=[1.0, 2.0])
+    s = dataclasses.replace(quadratic_scenario, ne_override=[1.0, 2.0], runs=2)
     calls = solve_ne_calls(monkeypatch)
     single_run(s)
-    compare_laws(s, list(LawKind), 2, 0)
+    compare_laws(s, list(LawKind))
     assert calls == []
 
 
