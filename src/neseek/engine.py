@@ -304,25 +304,27 @@ def broadcast_terms(
     ``disagreement = din * y_hat - W @ y_hat``, and the bracket
     ``disagreement + W * (y_hat - x_hat)`` of the estimate dynamics scaled as
     ``(bracket * -beta) * dt``, where column j of the second term reads the
-    broadcast action x_hat[j] = y_hat[j, j]. This is the one place that
-    applies W.
+    broadcast action x_hat[j] = y_hat[j, j]. ``rows``, an array of row
+    indices in any order, asks for those rows alone, with the bits of the
+    same rows of the full form, as (R, len(rows)) and (R, len(rows), n)
+    arrays on either path.
 
-    The sparse path folds the members into the columns of one CSR product
-    and forms the second term only at the entries of ``graph.links``, whose
-    weights ``graph.csr.data`` holds in the same order. There, and only
-    there, ``rows``, an array of row indices in any order, asks for those
-    rows alone: they are taken from the whole product, and every later pass
-    runs over them and their links only, so they have the bits of the same
-    rows of the full form. The dense path forms every row whatever ``rows``
-    says. With unit weights and at most two links per row both paths give
-    the same bits, but for the diagonal of the increment: a row's own entry
-    is the action, which the estimate dynamics do not move, and the sparse
-    path sets it to zero, so that the row terms of the state read whole
-    rows. The dense path leaves it, and a step overwrites it.
+    The dense path forms every row by ``_dense_coupling``, which the dense
+    step loop calls as well, and takes the asked rows from them. The sparse
+    path folds the members into the columns of one CSR product and forms
+    the second term only at the entries of ``graph.links``, whose weights
+    ``graph.csr.data`` holds in the same order; the asked rows are taken
+    from the whole product, and every later pass runs over them and their
+    links only. With unit weights and at most two links per row both paths
+    give the same bits, but for the diagonal of the increment: a row's own
+    entry is the action, which the estimate dynamics do not move, and the
+    sparse path sets it to zero, so that the row terms of the state read
+    whole rows. The dense path leaves it, and a step overwrites it.
     """
     if not sparse_coupling(graph):
         coupling = _dense_coupling(graph, config, y_hat)
-        return coupling(np.empty(y_hat.shape[:-1]), np.empty(y_hat.shape))
+        terms = coupling(np.empty(y_hat.shape[:-1]), np.empty(y_hat.shape))
+        return terms if rows is None else tuple(term[:, rows] for term in terms)
     (runs, n, _), (link_rows, cols), weights = y_hat.shape, graph.links, graph.csr.data
     # (R, n, n) -> (n, R * n): row i of the product is W[i] @ y_hat[r] for every r
     folded = y_hat.transpose(1, 0, 2).reshape(n, runs * n)
@@ -441,12 +443,18 @@ def step(state: EngineState, batch: Batch) -> tuple[EngineState, np.ndarray, np.
     triggering function of the step, both (R, n) like ``state.x``. The new
     state owns the input state's arrays and updated them in place, so a
     state must not be stepped twice; step a copy instead. Its arrays must be
-    C-contiguous, as ``init`` makes them."""
+    C-contiguous, as ``init`` makes them, and its step index one of the
+    batch's steps."""
     # the step writes these through reshape, which of an array that is not
     # C-contiguous returns a copy, so the writes would be lost
     for name in ("anchor", "age", "y_hat", "row_terms"):
         if (array := getattr(state, name)) is not None and not array.flags.c_contiguous:
             raise ValidationError(f"state: {name}: must be C-contiguous, as init makes it")
+    # a step reads its thresholds at the step index, and numpy would read a
+    # negative one from the end
+    k, steps = state.step_index, len(batch.lower)
+    if not 0 <= k < steps:
+        raise ValidationError(f"state: step_index: {k} is not in the batch's steps 0..{steps - 1}")
     x_new, rho = np.empty((2, 1, *state.x.shape))
     fired = np.empty(rho.shape, dtype=bool)
     return _integrate(state, batch, x_new, fired, rho), fired[0], rho[0]

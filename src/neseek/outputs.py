@@ -56,8 +56,23 @@ def write_summary_csv(path: Path, rows: Sequence[dict]) -> None:
     write_csv(path, header, ([row[key] for key in header] for row in rows))
 
 
-def _ticks(lo: float, hi: float) -> list[float]:
-    return list(np.linspace(lo, hi, 5))
+# the stroke of the grid lines and of the dashed reference lines at x*
+_GRID = 'stroke="#dddddd" stroke-width="1"'
+_REFERENCE = 'stroke="#555555" stroke-width="1" stroke-dasharray="6 4"'
+
+
+def _line(x1: str, y1: str, x2: str, y2: str, style: str) -> str:
+    """One ``<line>`` from formatted coordinates and its stroke attributes."""
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {style}/>'
+
+
+def _text(x: str, y: str, size: int, body: str, anchor: str | None = "middle", extra="") -> str:
+    """One sans-serif ``<text>``; an ``anchor`` of None writes no text-anchor."""
+    anchored = f' text-anchor="{anchor}"' if anchor else ""
+    return (
+        f'<text x="{x}" y="{y}"{anchored} font-family="sans-serif" '
+        f'font-size="{size}"{extra}>{body}</text>'
+    )
 
 
 def line_chart_svg(
@@ -107,64 +122,40 @@ def line_chart_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" height="{height:.0f}" '
         f'viewBox="0 0 {width:.0f} {height:.0f}">',
         f'<rect width="{width:.0f}" height="{height:.0f}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="14">{title}</text>',
+        _text(f"{width / 2:.1f}", "20", 14, title),
     ]
     # axes and grid
-    for tv in _ticks(x0, x1):
-        parts.append(
-            f'<line x1="{sx(tv):.2f}" y1="{mt:.2f}" x2="{sx(tv):.2f}" y2="{mt + ph:.2f}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{sx(tv):.2f}" y="{mt + ph + 16:.2f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{tv:.4g}</text>'
-        )
-    for tv in _ticks(y0, y1):
-        parts.append(
-            f'<line x1="{ml:.2f}" y1="{sy(tv):.2f}" x2="{ml + pw:.2f}" y2="{sy(tv):.2f}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{ml - 6:.2f}" y="{sy(tv) + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{tv:.4g}</text>'
-        )
+    for tv in np.linspace(x0, x1, 5):
+        x = f"{sx(tv):.2f}"
+        parts.append(_line(x, f"{mt:.2f}", x, f"{mt + ph:.2f}", _GRID))
+        parts.append(_text(x, f"{mt + ph + 16:.2f}", 11, f"{tv:.4g}"))
+    for tv in np.linspace(y0, y1, 5):
+        y = f"{sy(tv):.2f}"
+        parts.append(_line(f"{ml:.2f}", y, f"{ml + pw:.2f}", y, _GRID))
+        parts.append(_text(f"{ml - 6:.2f}", f"{sy(tv) + 4:.2f}", 11, f"{tv:.4g}", "end"))
     parts.append(
         f'<rect x="{ml:.2f}" y="{mt:.2f}" width="{pw:.2f}" height="{ph:.2f}" '
         f'fill="none" stroke="#333333"/>'
     )
-    parts.append(
-        f'<text x="{ml + pw / 2:.1f}" y="{height - 10:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{xlabel}</text>'
-    )
-    ylab = f"log10({ylabel})" if ylog else ylabel
-    parts.append(
-        f'<text x="16" y="{mt + ph / 2:.1f}" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="12" transform="rotate(-90 16 {mt + ph / 2:.1f})">{ylab}</text>'
-    )
+    parts.append(_text(f"{ml + pw / 2:.1f}", f"{height - 10:.1f}", 12, xlabel))
+    ylab, mid = f"log10({ylabel})" if ylog else ylabel, f"{mt + ph / 2:.1f}"
+    parts.append(_text("16", mid, 12, ylab, extra=f' transform="rotate(-90 16 {mid})"'))
     for hv in href:
-        parts.append(
-            f'<line x1="{ml:.2f}" y1="{sy(hv):.2f}" x2="{ml + pw:.2f}" y2="{sy(hv):.2f}" '
-            f'stroke="#555555" stroke-width="1" stroke-dasharray="6 4"/>'
-        )
+        y = f"{sy(hv):.2f}"
+        parts.append(_line(f"{ml:.2f}", y, f"{ml + pw:.2f}", y, _REFERENCE))
     for idx, (label, xs, ys) in enumerate(cleaned):
         if not xs.size:
             continue
-        color = PALETTE[idx % len(PALETTE)]
+        stroke = f'stroke="{PALETTE[idx % len(PALETTE)]}"'
         # sx and sy scale whole arrays with the same IEEE operations as one
         # point; the points are then formatted as Python floats
         points = " ".join(map("{:.3f},{:.3f}".format, sx(xs).tolist(), sy(ys).tolist()))
         parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+            f'<polyline points="{points}" fill="none" {stroke} stroke-width="1.5"/>'
         )
         lx, ly = ml + pw - 150, mt + 16 + 16 * idx
-        parts.append(
-            f'<line x1="{lx:.1f}" y1="{ly - 4:.1f}" x2="{lx + 22:.1f}" y2="{ly - 4:.1f}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{lx + 28:.1f}" y="{ly:.1f}" font-family="sans-serif" '
-            f'font-size="11">{label}</text>'
-        )
+        key = f"{ly - 4:.1f}"
+        parts.append(_line(f"{lx:.1f}", key, f"{lx + 22:.1f}", key, f'{stroke} stroke-width="2"'))
+        parts.append(_text(f"{lx + 28:.1f}", f"{ly:.1f}", 11, label, anchor=None))
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")

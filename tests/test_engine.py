@@ -162,6 +162,17 @@ class TestStep:
         with pytest.raises(ValidationError, match="^state: anchor: must be C-contiguous"):
             step(state, batch)
 
+    @pytest.mark.parametrize("k", [-1, 1, 2], ids=["negative", "at-horizon", "past-horizon"])
+    def test_refuses_a_step_index_outside_the_batch(self, k):
+        # a one-step batch has thresholds for step 0 alone: past it numpy
+        # indexing raises an IndexError, and a negative index reads the end
+        s = two_player_setup(horizon=0.025)
+        batch = one_member(s.law, s, 0)
+        state = init(batch)
+        state.step_index = k
+        with pytest.raises(ValidationError, match="^state: step_index: "):
+            step(state, batch)
+
     def test_continuous_law_reduces_to_exact_estimate_dynamics(self):
         s = two_player_setup(horizon=1.0)
         cfg = s.engine
@@ -960,8 +971,7 @@ class TestSparseCoupling:
                 )
                 assert_state(state, fired, rho, expected)
 
-    # only the sparse path forms rows on their own
-    @pytest.mark.parametrize("sparse", [True], ids=["sparse"])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
     @settings(max_examples=100, deadline=None)
     @given(
         st.integers(0, 2 ** 32 - 1), st.integers(2, 40), st.booleans(), st.sampled_from([1, 4]),
