@@ -21,7 +21,7 @@ a step reads instead of the row: a quiet step costs O(n) per member.
 The state carries a leading member axis: R runs of one scenario advance
 together, as (R, n) actions and (R, n, n) estimates. A member is a law and
 a seed; the members of a batch share the scenario's trigger parameters,
-and ``Batch.of`` turns them into each member's thresholds once.
+which ``triggers.law_inputs`` turns into each member's thresholds once.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ from . import metrics
 from .errors import NumericalDivergence, ValidationError, integer, number
 from .games import functional_from_others, gradient_kernel, row_functional
 from .graphs import DirectedGraph
-from .triggers import LawKind, decide, threshold_term, tie_bounds, triggering_function
-from .triggers import xi_from_uniform
+from .triggers import LawKind, decide, law_inputs, triggering_function
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -120,13 +119,14 @@ class Member:
 
 @dataclass(frozen=True)
 class Batch:
-    """The trigger-decision inputs of R members of one scenario.
+    """The trigger-decision inputs of R members of one scenario, as
+    ``triggers.law_inputs`` defines them.
 
     ``sigma`` is (R, n), each member's disagreement weights. ``xi``,
     ``lower`` and ``upper`` are (steps, R, n): the random thresholds, NaN
-    under the deterministic laws, and the ``tie_bounds`` of the right-hand
-    side every law compares its margin with, both equal to it where ``xi``
-    is NaN. ``scale`` is the (steps, n) ``delta / c`` of every step and
+    under the deterministic laws, and the tie bounds of the right-hand side
+    every law compares its margin with, both equal to it where ``xi`` is
+    NaN. ``scale`` is the (steps, n) ``delta / c`` of every step and
     ``ln_kappa`` the ``math.log`` of kappa, from which ``decide`` forms a
     drawn threshold again at a tie. A law is its row of ``sigma`` and its
     thresholds, and every member's margin is
@@ -143,56 +143,14 @@ class Batch:
 
     @classmethod
     def of(cls, scenario: Scenario, members: Sequence[Member]) -> "Batch":
-        """The members' inputs for every step of the scenario.
-
-        A STATIC member's disagreement weights are zero, so its margin is
-        the raw event-error energy; a DYNAMIC member's are capped at
-        ``scenario.graph.sigma_bound``, which the graph computes once; every
-        other member keeps the scenario's.
-        Each stochastic member draws from one generator of its own,
-        ``default_rng(seed).random((steps, n))``, whole and up front: player
-        i at step k reads element ``k * n + i`` of its stream, so the draws
-        depend on n and the seed, but not on the horizon or the batch-mates.
-        The threshold at step k is ``(delta0 * exp(-eta * (k * dt)) / c) *
-        threshold_term(params, xi[k])``, formed here for every step with
-        one ``np.log`` and libm's ``exp``, with the tie bands, so no step
-        takes a log or an exponential but at the rare ties, in ``decide``.
-
-        A CONTINUOUS member's thresholds are -inf: its margin is the
-        difference of two finite sums of squares of a finite state, so it
-        exceeds -inf at every step and the member always fires.
-        """
+        """The members' inputs for every step of the scenario, formed once by
+        ``law_inputs`` from its trigger parameters, grid and graph."""
         if not members:
             raise ValidationError("members: a batch needs at least one member")
-        params, dt, steps = scenario.trigger, scenario.engine.dt, scenario.engine.steps
-        xi = np.full((steps, len(members), params.n), math.nan)
-        drawn = [r for r, m in enumerate(members) if m.law is LawKind.STOCHASTIC]
-        if drawn:
-            # imported here, so that importing neseek loads no numpy.random
-            from numpy.random import default_rng
-
-            for r in drawn:
-                u = default_rng(members[r].seed).random((steps, params.n))
-                xi[:, r] = xi_from_uniform(params, u)
-        continuous = [m.law is LawKind.CONTINUOUS for m in members]
-        cap = {LawKind.STATIC: 0.0}
-        if any(m.law is LawKind.DYNAMIC for m in members):
-            cap[LawKind.DYNAMIC] = scenario.graph.sigma_bound
-        # libm's exp, not numpy's: its AVX-512 kernel differs in the last bit,
-        # and the tie bands cover only the log
-        exp = np.array([math.exp(-params.eta * (k * dt)) for k in range(steps)])
-        scale = params.delta0 * exp[:, None] / params.c
-        threshold = threshold_term(params, xi)
-        threshold *= scale[:, None]
-        threshold[:, continuous] = -math.inf
-        return cls(
-            scenario,
-            np.minimum(params.sigma, [[cap.get(m.law, math.inf)] for m in members]),
-            xi,
-            *tie_bounds(threshold, xi),
-            scale,
-            math.log(params.kappa),
-        )
+        params, config = scenario.trigger, scenario.engine
+        laws, seeds = [m.law for m in members], [m.seed for m in members]
+        inputs = law_inputs(params, laws, seeds, config.steps, config.dt, scenario.graph)
+        return cls(scenario, *inputs, math.log(params.kappa))
 
 
 @dataclass

@@ -1,14 +1,14 @@
 """Seeded single runs and Monte-Carlo comparisons across communication laws.
 
-Comparison policy: each law is a drop-in substitute for the broadcast
-decision. A member is a law and a seed; ``engine.Batch.of`` zeroes the static
-law's disagreement weights and caps the dynamic law's at the admissible bound
-(its own analysis requires a compliant weight), while the randomized law keeps
-the scenario's weights. An ensemble runs the scenario's run count of seeds
-from scenario.seed up, folded in seed order: another law, seed or count is
-another scenario. Only the randomized law reads the random draw, so any other
-law integrates one run and repeats it. The members of every law in a comparison
-are integrated together, in chunks whose estimate matrices hold at most
+Comparison policy: each law is a drop-in substitute for the broadcast decision.
+A member is a law and a seed; ``triggers.law_inputs`` zeroes the static law's
+disagreement weights and caps the dynamic law's at the admissible bound (its
+own analysis requires a compliant weight), while the randomized law keeps the
+scenario's weights. An ensemble runs the scenario's run count of seeds from
+scenario.seed up, folded in seed order: another law, seed or count is another
+scenario. Only the randomized law reads the random draw, so any other law
+integrates one run and repeats it. The members of every law in a comparison are
+integrated together, in chunks whose estimate matrices hold at most
 ENSEMBLE_ENTRIES entries: 256 members at n = 5, one from n = 57.
 """
 

@@ -16,14 +16,15 @@ through the same margin and right-hand side, so that the whole family differs
 only in its disagreement weights and how it thresholds ``rho``.
 
 Each (player, evaluation) takes one i.i.d. uniform draw, which
-``xi_from_uniform`` maps onto the threshold support. ``engine.Batch.of``
-draws a stochastic member's uniforms from one generator of its own, seeded
-with the member's seed; this module draws nothing.
+``xi_from_uniform`` maps onto the threshold support. ``law_inputs`` defines
+every law: it draws a stochastic member's uniforms from one generator of its
+own, seeded with the member's seed, and forms each member's disagreement
+weights and thresholds for a whole run, which ``engine.Batch.of`` stores.
 
-The reference right-hand side takes ``ln(xi)`` with ``math.log``. A batch
-forms its thresholds with one ``np.log`` over every draw, which can differ
-from ``math.log`` in the last bit, and brackets each drawn one with its tie
-band once (``tie_bounds``), so ``decide`` forms a drawn threshold again
+The reference right-hand side takes ``ln(xi)`` with ``math.log``.
+``law_inputs`` forms the thresholds with one ``np.log`` over every draw,
+which can differ from ``math.log`` in the last bit, and brackets each drawn
+one with its tie band once, so ``decide`` forms a drawn threshold again
 with ``math.log`` wherever a margin lies inside that band: every decision
 equals the reference one.
 """
@@ -125,30 +126,48 @@ def xi_from_uniform(params: TriggerParams, u: float | np.ndarray) -> float | np.
     return 1.0 - u * (1.0 - params.a_floor)
 
 
-def threshold_term(params: TriggerParams, xi: np.ndarray) -> np.ndarray:
-    """``ln(kappa) - ln(xi)`` per entry of the random thresholds ``xi``,
-    with one ``np.log`` over the whole array, which ``decide`` corrects at
-    its ties.
+def law_inputs(params: TriggerParams, laws, seeds, steps: int, dt: float, graph):
+    """Every member's trigger-decision inputs for every step, one member per
+    entry of ``laws`` with its seed in ``seeds``: the ``(sigma, xi, lower,
+    upper, scale)`` that ``engine.Batch`` stores. This defines the laws.
 
-    A NaN entry, which is what a deterministic law records for ``xi``,
-    stands for the threshold pinned at a_floor, formed with ``math.log``.
-    ``Batch.of`` scales the terms by ``delta / c`` once for a whole run, so
-    no step takes a log.
+    ``sigma`` (R, n) is zero under STATIC, so its margin is the raw
+    event-error energy, capped at ``graph.sigma_bound`` (read only then)
+    under DYNAMIC, and ``params.sigma`` otherwise. ``xi`` (steps, R, n) is
+    NaN but under STOCHASTIC, whose member draws its own
+    ``default_rng(seed).random((steps, n))`` whole: player i at step k reads
+    element ``k * n + i``, whatever the horizon or the other members.
+    ``scale`` (steps, n) is ``delta0 * exp(-eta * (k * dt)) / c`` with
+    libm's ``exp``: numpy's AVX-512 kernel differs in the last bit, and the
+    tie bands cover only the log. The threshold is ``scale[k] * (ln(kappa) -
+    ln(xi[k]))`` with one ``np.log``, ``math.log(a_floor)`` where ``xi`` is
+    NaN, and -inf under CONTINUOUS, whose finite margin fires at every step.
+    ``lower`` and ``upper`` are the threshold -/+ ``TIE_BAND * threshold +
+    TIE_FLOOR`` where ``xi`` is drawn, and the threshold where it is NaN.
     """
-    ln_kappa = math.log(params.kappa)
-    term = ln_kappa - np.log(xi)
-    term[np.isnan(xi)] = ln_kappa - math.log(params.a_floor)
-    return term
+    xi = np.full((steps, len(laws), params.n), math.nan)
+    if LawKind.STOCHASTIC in laws:
+        # imported here, so that importing neseek loads no numpy.random
+        from numpy.random import default_rng
 
-
-def tie_bounds(threshold: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(lower, upper)`` bounds ``decide`` reads, as new arrays: the
-    threshold -/+ ``TIE_BAND * threshold + TIE_FLOOR`` where ``xi`` is drawn,
-    and the threshold itself, the reference one already, where it is NaN."""
+        for r, law in enumerate(laws):
+            if law is LawKind.STOCHASTIC:
+                xi[:, r] = xi_from_uniform(params, default_rng(seeds[r]).random((steps, params.n)))
+    cap = {LawKind.STATIC: 0.0}
+    if LawKind.DYNAMIC in laws:
+        cap[LawKind.DYNAMIC] = graph.sigma_bound
+    exp = np.array([math.exp(-params.eta * (k * dt)) for k in range(steps)])
+    scale = params.delta0 * exp[:, None] / params.c
+    ln_kappa, pinned = math.log(params.kappa), np.isnan(xi)
+    threshold = ln_kappa - np.log(xi)
+    threshold[pinned] = ln_kappa - math.log(params.a_floor)
+    threshold *= scale[:, None]
+    threshold[:, [law is LawKind.CONTINUOUS for law in laws]] = -math.inf
     band = threshold * TIE_BAND
     band += TIE_FLOOR
-    band[np.isnan(xi)] = 0.0
-    return threshold - band, np.add(threshold, band, out=band)
+    band[pinned] = 0.0
+    sigma = np.minimum(params.sigma, [[cap.get(law, math.inf)] for law in laws])
+    return sigma, xi, threshold - band, np.add(threshold, band, out=band), scale
 
 
 def decide(
@@ -161,21 +180,22 @@ def decide(
     ``rho`` is the triggering function of each evaluation, the one margin
     every law compares: a law is its disagreement weights (zero under
     STATIC, so its margin is the raw event-error energy) and its threshold,
-    ``scale * threshold_term`` at this evaluation, where ``scale`` is the
-    step's ``delta / c``, one entry per player; ``lower`` and ``upper`` are
-    that threshold's ``tie_bounds``. STOCHASTIC fires when the uniform draw
-    behind xi falls below the law's fire probability, through this
-    log-domain form, whose quiet branch is its exact negation. DYNAMIC and
-    STATIC are its deterministic limit, with the threshold pinned at
-    a_floor. CONTINUOUS compares against a -inf threshold, so it fires at
-    every evaluation: its margin is the difference of two sums of squares
-    of the state, which ``run``'s loop ``engine._integrate`` keeps finite
-    (it raises NumericalDivergence), so it is never NaN and exceeds -inf.
+    ``scale * (ln(kappa) - ln(xi))`` at this evaluation, where ``scale`` is
+    the step's ``delta / c``, one entry per player; ``lower`` and ``upper``
+    are that threshold's tie bounds, as ``law_inputs`` forms them all.
+    STOCHASTIC fires when the uniform draw behind xi falls below the law's
+    fire probability, through this log-domain form, whose quiet branch is
+    its exact negation. DYNAMIC and STATIC are its deterministic limit,
+    with the threshold pinned at a_floor. CONTINUOUS compares against a
+    -inf threshold, so it fires at every evaluation: its margin is the
+    difference of two sums of squares of the state, which ``run``'s loop
+    ``engine._integrate`` keeps finite (it raises NumericalDivergence), so
+    it is never NaN and exceeds -inf.
 
     A margin above ``upper`` fires. ``xi`` holds the step's random
     thresholds, NaN under the deterministic laws. Where a margin lies in
     ``(lower, upper]``, the threshold is formed again as
-    ``(ln_kappa - math.log(xi)) * scale``, in ``Batch.of``'s order, so the
+    ``(ln_kappa - math.log(xi)) * scale``, in ``law_inputs``' order, so the
     decision is the one the ``math.log`` threshold gives. A NaN ``xi`` has
     a zero band, ``lower == upper``, so no deterministic threshold is
     formed again.

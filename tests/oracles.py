@@ -4,8 +4,9 @@ Each is the textbook per-player form of something the package computes in
 batched array code: a player's cost and own-action gradient, the stacked
 gradients at estimate rows that the engine's dense path forms, the projection
 onto an action interval, the decaying trigger scale, the randomized law's
-fire probability, the dense coupling matrix whose diagonal blocks
-``coupling_blocks`` returns, and scipy's Lyapunov solve of each block.
+fire probability, a law's threshold term and its tie bounds, the dense
+coupling matrix whose diagonal blocks ``coupling_blocks`` returns, and
+scipy's Lyapunov solve of each block.
 """
 
 import math
@@ -15,7 +16,7 @@ import numpy as np
 from neseek.errors import DomainError
 from neseek.games import GameDefinition, SpectrumGame, gradient_kernel, row_functional
 from neseek.graphs import DirectedGraph, coupling_blocks, laplacian
-from neseek.triggers import TriggerParams
+from neseek.triggers import TIE_BAND, TIE_FLOOR, TriggerParams
 
 
 def project(lo: float, hi: float, v: float) -> float:
@@ -80,6 +81,28 @@ def trigger_probability(params: TriggerParams, i: int, rho_val: float, delta: fl
         return 1.0
     v = params.kappa * math.exp(-z)
     return (1.0 - v) / (1.0 - params.a_floor)
+
+
+def threshold_term(params: TriggerParams, xi: np.ndarray) -> np.ndarray:
+    """``ln(kappa) - ln(xi)`` per entry of the random thresholds ``xi``,
+    with one ``np.log`` over the whole array, which ``decide`` corrects at
+    its ties. A NaN entry, which is what a deterministic law records for
+    ``xi``, stands for the threshold pinned at a_floor, formed with
+    ``math.log``. ``triggers.law_inputs`` scales the terms by ``delta / c``."""
+    ln_kappa = math.log(params.kappa)
+    term = ln_kappa - np.log(xi)
+    term[np.isnan(xi)] = ln_kappa - math.log(params.a_floor)
+    return term
+
+
+def tie_bounds(threshold: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(lower, upper)`` bounds ``decide`` reads, as new arrays: the
+    threshold -/+ ``TIE_BAND * threshold + TIE_FLOOR`` where ``xi`` is drawn,
+    and the threshold itself, the reference one already, where it is NaN."""
+    band = threshold * TIE_BAND
+    band += TIE_FLOOR
+    band[np.isnan(xi)] = 0.0
+    return threshold - band, np.add(threshold, band, out=band)
 
 
 def coupling_matrix(g: DirectedGraph) -> np.ndarray:

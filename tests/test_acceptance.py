@@ -33,7 +33,7 @@ from neseek import (
 
 from conftest import PUBLISHED_X_STAR, dense_p, random_strongly_connected, with_engine
 from oracles import coupling_matrix, project
-from test_triggers import decide_law, law_inputs, margin, random_cases
+from test_triggers import decide_law, evaluation_inputs, margin, random_cases
 from test_triggers import params as trigger_params_factory
 
 ENSEMBLE_RUNS = 100
@@ -189,7 +189,7 @@ def test_06_pinned_threshold_equals_dynamic_law():
     total = 10_000
     p = trigger_params_factory(n=total)
     cases = random_cases(np.random.default_rng(2024), total)
-    fired = decide_law(LawKind.DYNAMIC, p, **law_inputs(cases), u=np.full(total, 0.5))
+    fired = decide_law(LawKind.DYNAMIC, p, **evaluation_inputs(cases), u=np.full(total, 0.5))
     agree = 0
     for rho, decay, got in zip(margin(cases, p.sigma), cases["decay"], fired):
         z = float(p.c[0]) * float(rho) / float(decay)

@@ -36,9 +36,10 @@ import neseek
 from neseek import engine, harness
 from neseek.engine import EngineState
 from neseek.errors import NumericalDivergence, ValidationError
-from neseek.triggers import TIE_BAND, TIE_FLOOR, threshold_term, xi_from_uniform
+from neseek.triggers import TIE_BAND, TIE_FLOOR, xi_from_uniform
 
 import oracles
+from oracles import threshold_term
 from conftest import load_bundled, random_strongly_connected, strongly_connected_graphs
 from conftest import with_engine
 from test_golden_sparse import ring_with_chords, with_hub
@@ -623,23 +624,32 @@ class TestBatch:
         assert member.seed == 2 ** 64 - 1 and type(member.seed) is int
 
     @pytest.mark.parametrize(
-        "name, dt, weights",
+        "name, dt, weights, horizon",
         [
-            pytest.param("spectrum_scenario", None, None, id="spectrum"),
-            pytest.param("spectrum_scenario", 0.0125, None, id="spectrum-dt-0.0125"),
-            pytest.param("quadratic_scenario", None, None, id="quadratic"),
-            pytest.param("quadratic_scenario", 0.0125, None, id="quadratic-dt-0.0125"),
+            pytest.param("spectrum_scenario", None, None, None, id="spectrum"),
+            pytest.param("spectrum_scenario", 0.0125, None, None, id="spectrum-dt-0.0125"),
+            pytest.param("quadratic_scenario", None, None, None, id="quadratic"),
+            pytest.param("quadratic_scenario", 0.0125, None, None, id="quadratic-dt-0.0125"),
             # both bundled scenarios have c = 1, under which the order of
             # the products and the division cannot show
-            pytest.param("quadratic_scenario", None, ([0.7, 1.3], [0.3, 2.9]), id="quadratic-c"),
+            pytest.param(
+                "quadratic_scenario", None, ([0.7, 1.3], [0.3, 2.9]), None, id="quadratic-c"
+            ),
+            # from eta * k * dt = 715 on the thresholds are subnormal, where
+            # the relative band rounds to zero and only TIE_FLOOR brackets them
+            pytest.param("quadratic_scenario", None, None, 71.75, id="quadratic-subnormal"),
         ],
     )
-    def test_batch_derives_sigma_and_thresholds(self, request, monkeypatch, name, dt, weights):
+    def test_batch_derives_sigma_and_thresholds(
+        self, request, monkeypatch, name, dt, weights, horizon
+    ):
         # the batch forms the cap and every step's threshold once, with the
         # bits of the per-step formula
         s = request.getfixturevalue(name)
         if dt is not None:
             s = with_engine(s, dt=dt)
+        if horizon is not None:
+            s = with_engine(s, horizon=horizon)
         if weights is not None:
             c, delta0 = weights
             s = dataclasses.replace(s, trigger=dataclasses.replace(s.trigger, c=c, delta0=delta0))

@@ -1,8 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neseek import (
@@ -12,9 +13,17 @@ from neseek import (
     triggering_function,
     triggers,
 )
-from neseek.triggers import TIE_BAND, threshold_term, tie_bounds, xi_from_uniform
+from neseek.data import bundled_path
+from neseek.triggers import TIE_BAND, xi_from_uniform
 
-from oracles import decay_at, trigger_probability
+from conftest import strongly_connected_graphs
+from oracles import decay_at, threshold_term, tie_bounds, trigger_probability
+
+# the trigger block of each bundled scenario, its scalars given to every player
+TRIGGER_BLOCKS = [
+    json.loads(bundled_path(name).read_text())["trigger"]
+    for name in ("quadratic_demo", "spectrum_paper")
+]
 
 
 def params(n=2, kappa=1.075, a_floor=0.05, eta=10.0, c=1.0, sigma=0.2, delta0=1.0):
@@ -29,7 +38,7 @@ def params(n=2, kappa=1.075, a_floor=0.05, eta=10.0, c=1.0, sigma=0.2, delta0=1.
 
 
 def cases(e_x=(0.0,), e_y=(0.0,), cons=(0.0,), decay=(1.0,)):
-    """Evaluation inputs as arrays; ``law_inputs`` turns them into the
+    """Evaluation inputs as arrays; ``evaluation_inputs`` turns them into the
     arguments of ``decide_law``."""
     return {
         "action_err_sq": np.array(e_x, dtype=float),
@@ -63,7 +72,7 @@ def margin(c, sigma):
     )
 
 
-def law_inputs(c):
+def evaluation_inputs(c):
     """The per-evaluation inputs of ``decide_law`` for the cases ``c``."""
     return {
         "energy": c["action_err_sq"] + c["estimate_err_sq"],
@@ -76,7 +85,7 @@ def decide_law(law, p, energy, disagreement_sq, decay, u):
     """``decide`` for evaluations that all follow ``law``, given the uniform
     draw ``u`` of each; deterministic laws record NaN thresholds. The
     disagreement weights, zero under the static law, and the threshold are
-    chosen as ``Batch.of`` chooses them."""
+    chosen as ``triggers.law_inputs`` chooses them."""
     drawn = law is LawKind.STOCHASTIC
     xi = xi_from_uniform(p, u) if drawn else np.full(np.shape(u), math.nan)
     scale = decay / p.c
@@ -92,7 +101,7 @@ def decide_law(law, p, energy, disagreement_sq, decay, u):
 
 def exact_thresholds(p, xi, scale):
     """The drawn thresholds with ``math.log`` per entry, the scalar oracle,
-    in ``Batch.of``'s order: ``(ln(kappa) - ln(xi)) * scale``."""
+    in ``law_inputs``' order: ``(ln(kappa) - ln(xi)) * scale``."""
     ln_kappa = math.log(p.kappa)
     return np.array([(ln_kappa - math.log(v)) * s for v, s in zip(xi, scale)])
 
@@ -173,7 +182,7 @@ class TestDecide:
     def test_continuous_always_fires(self):
         p = params(n=50)
         c = random_cases(np.random.default_rng(0), 50)
-        assert decide_law(LawKind.CONTINUOUS, p, **law_inputs(c), u=np.full(50, 0.5)).all()
+        assert decide_law(LawKind.CONTINUOUS, p, **evaluation_inputs(c), u=np.full(50, 0.5)).all()
 
     def test_stochastic_never_fires_on_nonpositive_margin(self):
         u = np.linspace(0.0, 1.0, 101)[:-1]
@@ -181,7 +190,7 @@ class TestDecide:
         quiet = cases(e_x=[0.1] * len(u), e_y=[0.3] * len(u), cons=[10.0] * len(u),
                       decay=[1e-7] * len(u))  # margin negative
         assert (margin(quiet, 0.5) < 0).all()
-        assert not decide_law(LawKind.STOCHASTIC, p, **law_inputs(quiet), u=u).any()
+        assert not decide_law(LawKind.STOCHASTIC, p, **evaluation_inputs(quiet), u=u).any()
 
     def test_stochastic_matches_uniform_probability(self):
         # 200 random cases, each against 20 uniform draws, in one call
@@ -193,7 +202,7 @@ class TestDecide:
             [trigger_probability(p, 0, float(r), float(d)) for r, d in zip(rho, c["decay"])]
         )
         u = rng.random(len(prob))
-        assert np.array_equal(decide_law(LawKind.STOCHASTIC, p, **law_inputs(c), u=u), u < prob)
+        assert np.array_equal(decide_law(LawKind.STOCHASTIC, p, **evaluation_inputs(c), u=u), u < prob)
 
     def test_stochastic_stays_quiet_exactly_at_the_threshold(self):
         # margin set to the threshold computed with math.log, the scalar
@@ -204,7 +213,7 @@ class TestDecide:
         ln_kappa = math.log(p.kappa)
         at = [ln_kappa - math.log(xi_from_uniform(p, float(v))) for v in u]
         c = cases(e_x=at, e_y=np.zeros(count), cons=np.zeros(count), decay=np.ones(count))
-        assert not decide_law(LawKind.STOCHASTIC, p, **law_inputs(c), u=u).any()
+        assert not decide_law(LawKind.STOCHASTIC, p, **evaluation_inputs(c), u=u).any()
 
     def test_stochastic_follows_math_log_when_the_batch_log_is_one_ulp_off(self):
         # thresholds formed from logs one ulp off math.log, either way, as
@@ -268,7 +277,7 @@ class TestDecide:
         count = 10_000
         p = params(n=count)
         c = random_cases(np.random.default_rng(2), count)
-        got = decide_law(LawKind.DYNAMIC, p, **law_inputs(c), u=np.full(count, 0.123))
+        got = decide_law(LawKind.DYNAMIC, p, **evaluation_inputs(c), u=np.full(count, 0.123))
         pinned = []
         for rho, decay in zip(margin(c, p.sigma), c["decay"]):
             z = float(p.c[0]) * float(rho) / float(decay)
@@ -287,7 +296,7 @@ class TestDecide:
         # disagreement plays no role in the static comparison law
         c = cases(e_x=[0.5 * scale, 1.5 * scale, 1.5 * scale], e_y=[0.0] * 3,
                   cons=[100.0, 100.0, 0.0], decay=[1.0] * 3)
-        fired = decide_law(LawKind.STATIC, p, **law_inputs(c), u=np.full(3, 0.5))
+        fired = decide_law(LawKind.STATIC, p, **evaluation_inputs(c), u=np.full(3, 0.5))
         assert fired.tolist() == [False, True, True]
 
     def test_decide_is_pure(self):
@@ -295,7 +304,7 @@ class TestDecide:
         p = params(n=50)
         c = random_cases(rng, 50)
         u = rng.random(50)
-        args = law_inputs(c)
+        args = evaluation_inputs(c)
         for law in LawKind:
             assert np.array_equal(decide_law(law, p, **args, u=u), decide_law(law, p, **args, u=u))
 
@@ -304,7 +313,7 @@ class TestDecide:
         # as in a seed-batched step
         rng = np.random.default_rng(5)
         p = params(n=20)
-        rows = [law_inputs(random_cases(rng, 20)) for _ in range(4)]
+        rows = [evaluation_inputs(random_cases(rng, 20)) for _ in range(4)]
         decay = rows[0]["decay"]
         energy = np.stack([r["energy"] for r in rows])
         cons = np.stack([r["disagreement_sq"] for r in rows])
@@ -322,3 +331,49 @@ def test_xi_mapping_support():
     assert xi_from_uniform(p, 0.999999) > 0.05
     for u in np.linspace(0, 1, 50)[:-1]:
         assert 0.05 < xi_from_uniform(p, float(u)) <= 1.0
+
+
+@st.composite
+def member_lists(draw):
+    """Trigger parameters of a bundled block on a random digraph of 2-8
+    players, with its ``0.8/din`` disagreement weights; 1-6 random laws with
+    their seeds; and 1-50 steps."""
+    graph, block = draw(strongly_connected_graphs()), draw(st.sampled_from(TRIGGER_BLOCKS))
+    n = graph.n
+    p = TriggerParams(
+        kappa=block["kappa"], a_floor=block["a_floor"], eta=block["eta"],
+        c=np.full(n, block["c"]), sigma=0.8 / graph.in_degrees, delta0=np.full(n, block["delta0"]),
+    )
+    members = draw(st.lists(
+        st.tuples(st.sampled_from(list(LawKind)), st.integers(0, 2 ** 64 - 1)),
+        min_size=1, max_size=6,
+    ))
+    return p, graph, members, draw(st.integers(1, 50))
+
+
+@settings(max_examples=100, deadline=None)
+@given(member_lists())
+def test_law_inputs_of_a_member_are_its_own(case):
+    # a member's weights, draws and thresholds do not depend on its
+    # batch-mates; the graph is read only for a dynamic member
+    p, graph, members, steps = case
+    laws, seeds = [law for law, _ in members], [seed for _, seed in members]
+    sigma, xi, lower, upper, scale = triggers.law_inputs(p, laws, seeds, steps, 0.025, graph)
+    assert sigma.shape == (len(members), p.n)
+    assert xi.shape == lower.shape == upper.shape == (steps, len(members), p.n)
+    for r, (law, seed) in enumerate(members):
+        alone = triggers.law_inputs(
+            p, [law], [seed], steps, 0.025, graph if law is LawKind.DYNAMIC else None
+        )
+        got = (sigma[r], xi[:, r], lower[:, r], upper[:, r], scale)
+        want = (alone[0][0], alone[1][:, 0], alone[2][:, 0], alone[3][:, 0], alone[4])
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes(), law
+        if law is LawKind.STOCHASTIC:
+            assert not np.isnan(xi[:, r]).any()
+        else:
+            assert np.isnan(xi[:, r]).all()
+            assert lower[:, r].tobytes() == upper[:, r].tobytes()
+        if law is LawKind.CONTINUOUS:
+            assert (upper[:, r] == -math.inf).all()
+
