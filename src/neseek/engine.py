@@ -44,6 +44,10 @@ if TYPE_CHECKING:
 
 # State magnitudes beyond this abort the run: the step sizes are unstable.
 DIVERGENCE_GUARD = 1e9
+# |anchor| + age * |increment| bounds every entry of a row off the diagonal;
+# a row is formed and checked when its bound passes this, the guard less a
+# slack for the rounding of the norms
+_CLEAR = DIVERGENCE_GUARD * (1.0 - 1e-6)
 
 # The sparse path, with its closed-form rows and W's CSR form, runs from this
 # many players on, when at most this share of the n*n weights are links; the
@@ -54,9 +58,12 @@ DIVERGENCE_GUARD = 1e9
 # (medians of 9, three rounds). On the generated ring-plus-chord graphs of
 # `bench/scenarios.py` (one member, 40 steps, medians of five alternating
 # rounds) the sparse/dense time of `run` under the stochastic, dynamic and
-# static laws was 1.65, 2.49 and 2.30 at n = 64; 0.65, 1.04 and 1.05 at
-# n = 128; and 0.43, 0.59 and 0.79 at n = 200: the paths cross at about
-# n = 128, the stochastic law between n = 64 and 128. The density cap is
+# static laws was 1.65, 2.49 and 2.30 at n = 64. Measured again once a quiet
+# step's guard was O(1) and a burst formed its terms in place (three runs of
+# the same script): 0.63-0.72, 0.89-0.98 and 0.91-1.03 at n = 128, and
+# 0.42-0.47, 0.48-0.55 and 0.63-0.75 at n = 200, against 0.65, 1.04 and
+# 1.05, and 0.43, 0.59 and 0.79 before: the paths cross at about n = 128,
+# the stochastic law between n = 64 and 128. The density cap is
 # older: when the sparse step formed every row, it stopped winning between
 # 5% and 10% links at n = 200-1000.
 SPARSE_MIN_N = 128
@@ -119,7 +126,7 @@ class Member:
 
 @dataclass(frozen=True)
 class Batch:
-    """The trigger-decision inputs of R members of one scenario, as
+    """The trigger-decision inputs of the R ``members`` of one scenario, as
     ``triggers.law_inputs`` defines them.
 
     ``sigma`` is (R, n), each member's disagreement weights. ``xi``,
@@ -134,6 +141,7 @@ class Batch:
     """
 
     scenario: Scenario
+    members: tuple[Member, ...]
     sigma: np.ndarray
     xi: np.ndarray
     lower: np.ndarray
@@ -150,7 +158,7 @@ class Batch:
         params, config = scenario.trigger, scenario.engine
         laws, seeds = [m.law for m in members], [m.seed for m in members]
         inputs = law_inputs(params, laws, seeds, config.steps, config.dt, scenario.graph)
-        return cls(scenario, *inputs, math.log(params.kappa))
+        return cls(scenario, tuple(members), *inputs, math.log(params.kappa))
 
 
 @dataclass
@@ -165,7 +173,8 @@ class EngineState:
     squared norm of each row of ``din * y_hat - W @ y_hat``, which the
     triggering function reads, and ``increment``, the estimate update
     ``dt * (-beta * bracket)`` under the step sizes of the scenario's engine
-    config, zero on the diagonal on the sparse path.
+    config, zero on the diagonal on the sparse path. A step that forms them
+    whole writes them into these arrays.
 
     Between the events that touch it a row moves by the same increment
     every step, so the state keeps each row in closed form: off the
@@ -179,8 +188,9 @@ class EngineState:
     left out of every row, they are |d_i|^2, <d_i, increment_i> and
     |increment_i|^2, which give the event-error energy; the game's
     ``row_functional`` of anchor_i and of increment_i, which give the
-    gradient; and the Euclidean norms |anchor_i| and |increment_i|, which
-    bound the row for the divergence guard.
+    gradient; and |anchor_i| and |increment_i|: the divergence guard reads
+    the row's bound |anchor_i| + age_i * |increment_i| only when the largest
+    norms and age, formed when a step fires, do not clear it.
 
     Every array has the batch's leading member axis: ``x``, ``age`` and
     ``disagreement_sq`` are (R, n), ``anchor``, ``y_hat`` and ``increment``
@@ -255,7 +265,8 @@ def sparse_coupling(graph: DirectedGraph) -> bool:
 
 
 def broadcast_terms(
-    graph: DirectedGraph, y_hat: np.ndarray, config: EngineConfig, rows: np.ndarray | None = None
+    graph: DirectedGraph, y_hat: np.ndarray, config: EngineConfig, rows: np.ndarray | None = None,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The state's ``disagreement_sq`` and ``increment`` for the (R, n, n)
     broadcasts ``y_hat``, as new arrays: the squared row norms of
@@ -265,29 +276,31 @@ def broadcast_terms(
     broadcast action x_hat[j] = y_hat[j, j]. ``rows``, an array of row
     indices in any order, asks for those rows alone, with the bits of the
     same rows of the full form, as (R, len(rows)) and (R, len(rows), n)
-    arrays on either path.
+    arrays on either path; ``out``, a pair of arrays, takes the full form.
 
     The dense path forms every row by ``_dense_coupling``, which the dense
     step loop calls as well, and takes the asked rows from them. The sparse
-    path folds the members into the columns of one CSR product and forms
-    the second term only at the entries of ``graph.links``, whose weights
+    path folds the members into the columns of one CSR product and forms the
+    second term only at the entries of ``graph.links``, whose weights
     ``graph.csr.data`` holds in the same order; the asked rows are taken
     from the whole product, and every later pass runs over them and their
-    links only. With unit weights and at most two links per row both paths
-    give the same bits, but for the diagonal of the increment: a row's own
-    entry is the action, which the estimate dynamics do not move, and the
-    sparse path sets it to zero, so that the row terms of the state read
-    whole rows. The dense path leaves it, and a step overwrites it.
+    links only; into ``out``, the full form makes no (R, n, n) array but the
+    product. einsum scales the rows by din, and makes +0.0 of -0.0. With
+    unit weights and at most two links per row both paths give the same
+    bits, but for the diagonal of the increment: a row's own entry is the
+    action, which the estimate dynamics do not move, and the sparse path
+    sets it to zero, so that the row terms of the state read whole rows. The
+    dense path leaves it, and a step overwrites it.
     """
     if not sparse_coupling(graph):
         coupling = _dense_coupling(graph, config, y_hat)
-        terms = coupling(np.empty(y_hat.shape[:-1]), np.empty(y_hat.shape))
+        terms = coupling(*(out or (np.empty(y_hat.shape[:-1]), np.empty(y_hat.shape))))
         return terms if rows is None else tuple(term[:, rows] for term in terms)
     (runs, n, _), (link_rows, cols), weights = y_hat.shape, graph.links, graph.csr.data
     # (R, n, n) -> (n, R * n): row i of the product is W[i] @ y_hat[r] for every r
     folded = y_hat.transpose(1, 0, 2).reshape(n, runs * n)
     w_y = (graph.csr @ folded).reshape(n, runs, n).transpose(1, 0, 2)
-    din, own = graph.in_degrees[:, None], y_hat
+    din, own = graph.in_degrees, y_hat
     if rows is None:
         rows = np.arange(n)
     else:
@@ -298,16 +311,16 @@ def broadcast_terms(
         asked = link_rows >= 0
         link_rows, cols, weights = link_rows[asked], cols[asked], weights[asked]
         din, own, w_y = din[rows], y_hat[:, rows], w_y[:, rows]
-    disagreement = np.subtract(din * own, w_y, out=w_y)
-    # C order, as every state array is: w_y of the whole form is a transposed view
-    bracket = np.multiply(disagreement, -config.beta, order="C")
+    disagreement_sq, bracket = out or (np.empty(own.shape[:-1]), np.empty(own.shape))
+    disagreement = np.subtract(np.einsum("rij,i->rij", own, din, out=bracket), w_y, out=w_y)
+    np.multiply(disagreement, -config.beta, out=bracket)
     bracket[:, link_rows, cols] = (
         disagreement[:, link_rows, cols]
         + weights * (own[:, link_rows, cols] - y_hat[:, cols, cols])
     ) * -config.beta
     bracket *= config.dt
     bracket[:, np.arange(len(rows)), rows] = 0.0
-    return np.multiply(disagreement, disagreement, out=disagreement).sum(axis=-1), bracket
+    return np.add.reduce(np.square(w_y, out=w_y), axis=-1, out=disagreement_sq), bracket
 
 
 def _dense_coupling(graph: DirectedGraph, config: EngineConfig, y_hat: np.ndarray):
@@ -345,51 +358,50 @@ def touched_rows(graph: DirectedGraph, fired: np.ndarray) -> np.ndarray:
     return hit
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("...j,...j->...", a, b)
+def _dot(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    return np.einsum("...j,...j->...", a, b, out=out)
 
 
 def _row_terms(
-    game, y_hat: np.ndarray, anchor: np.ndarray, increment: np.ndarray, players: np.ndarray
-) -> np.ndarray:
-    """The (7, K) ``EngineState.row_terms`` of K estimate rows, row k being player
-    ``players[k]``'s: its broadcast row, its anchor with the own entry
-    zeroed, and its increment, zero there already."""
+    game, y_hat: np.ndarray, anchor: np.ndarray, increment: np.ndarray, players: np.ndarray, out
+):
+    """Form into ``out`` the (7, ..., K) ``EngineState.row_terms`` of K estimate
+    rows, row k being player ``players[k]``'s: its broadcast row, its anchor,
+    whose own entry it zeroes, and its increment, zero there already."""
+    d_sq, d_inc, inc_sq, f_anchor, f_inc, anchor_norm, inc_norm = out
+    own = ..., np.arange(len(players)), players
+    anchor[own] = 0.0
     d = y_hat - anchor
-    d[np.arange(len(players)), players] = 0.0
-    inc_sq = _dot(increment, increment)
-    return np.stack([
-        _dot(d, d), _dot(d, increment), inc_sq,
-        row_functional(game, anchor, players), row_functional(game, increment, players),
-        np.sqrt(_dot(anchor, anchor)), np.sqrt(inc_sq),
-    ])
+    d[own] = 0.0
+    _dot(d, d, d_sq)
+    _dot(d, increment, d_inc)
+    _dot(increment, increment, inc_sq)
+    row_functional(game, anchor, players, out=f_anchor)
+    row_functional(game, increment, players, out=f_inc)
+    np.sqrt(_dot(anchor, anchor, anchor_norm), out=anchor_norm)
+    np.sqrt(inc_sq, out=inc_norm)
 
 
 def init(batch: Batch) -> EngineState:
     """The initial state of the batch's members: broadcasts equal the state,
     so event errors start at zero, and their terms are formed under the
     scenario's engine config. Every row is anchored at step 0. The
-    scenario's start and its terms are formed once and repeated along the
-    member axis.
+    scenario's start is repeated along the member axis, and its terms are
+    formed for all members at once, each with the bits of a member alone.
 
     The diagonal of y0 is overwritten with x0 to keep own-estimates exact.
     The scenario validated its start when it was built.
     """
     scenario, runs = batch.scenario, len(batch.sigma)
     n, players = scenario.n, np.arange(scenario.n)
-    x0, y0 = scenario.x0[None], scenario.y0[None].copy()
-    y0[:, players, players] = x0
-    terms = broadcast_terms(scenario.graph, y0, scenario.engine)
+    x, anchor = (np.repeat(a[None], runs, axis=0) for a in (scenario.x0, scenario.y0))
+    anchor[:, players, players] = x
+    y_hat = anchor.copy()
+    disagreement_sq, increment = broadcast_terms(scenario.graph, y_hat, scenario.engine)
     row_terms = None
     if sparse_coupling(scenario.graph):
-        off = y0[0].copy()
-        off[players, players] = 0.0
-        row_terms = np.repeat(
-            _row_terms(scenario.game, y0[0], off, terms[1][0], players)[:, None], runs, axis=1
-        )
-    x, anchor, y_hat, disagreement_sq, increment = (
-        np.repeat(a, runs, axis=0) for a in (x0, y0, y0, *terms)
-    )
+        row_terms = np.empty((7, runs, n))
+        _row_terms(scenario.game, y_hat, anchor.copy(), increment, players, row_terms)
     return EngineState(
         0, x, anchor, np.zeros((runs, n)), y_hat, disagreement_sq, increment, row_terms
     )
@@ -418,10 +430,17 @@ def step(state: EngineState, batch: Batch) -> tuple[EngineState, np.ndarray, np.
     return _integrate(state, batch, x_new, fired, rho), fired[0], rho[0]
 
 
-def _diverged(config: EngineConfig, k: int) -> NumericalDivergence:
+def _diverged(batch: Batch, k: int, bad: np.ndarray) -> NumericalDivergence:
+    """The error of the step to t_k, naming the first player ``bad``, (R, n), marks."""
+    r, player = np.unravel_index(np.argmax(bad), bad.shape)
+    member, bound = batch.members[r], batch.scenario.graph.sigma_bound
+    # the continuous law fires at every step, whatever its sigma
+    admitted = member.law is LawKind.CONTINUOUS or (batch.sigma[r] <= bound).all()
+    cause = "" if admitted else f"its sigma exceeds sigma_bound {bound:.6g}; "
     return NumericalDivergence(
-        f"state magnitude exceeded {DIVERGENCE_GUARD:.0e} or became non-finite "
-        f"at t={k * config.dt:.6g}; reduce alpha, beta, or dt"
+        f"state magnitude exceeded {DIVERGENCE_GUARD:.0e} or became non-finite at t="
+        f"{k * batch.scenario.engine.dt:.6g}; member {r} ({member.law.value}, seed {member.seed}), "
+        f"player {player}; {cause}reduce alpha, beta, or dt"
     )
 
 
@@ -448,12 +467,16 @@ def _integrate(state: EngineState, batch: Batch, x_rows, fired_rows, rho_rows) -
     lo, hi, alpha, dt = (np.full(x.shape, v) for v in (*game.bounds, config.alpha, config.dt))
     gradient = gradient_kernel(game, x.shape)
     lower, upper, xi, scale = batch.lower, batch.upper, batch.xi, batch.scale
-    # views that stay valid: every step updates y_hat and anchor in place
+    # views that stay valid: every step updates y_hat, anchor and the row
+    # terms in place
     x_hat, pinned = y_hat.diagonal(0, 1, 2), anchor.reshape(len(x), -1)[:, :: x.shape[1] + 1]
     err, functional, grad = np.empty((3, *x.shape))
     if terms is None:
         # the sparse path's quiet steps form no (R, n, n) array
         work, coupling = np.empty(anchor.shape), _dense_coupling(graph, config, y_hat)
+    else:
+        d_sq, d_inc, inc_sq, f_anchor, f_inc = terms[:5]
+        top = _top(terms, age)
     for j in range(len(rho_rows)):
         k, rho, x_new = state.step_index, rho_rows[j], x_rows[j]
         action_err_sq = np.square(np.subtract(x_hat, x, out=err), out=err)
@@ -464,12 +487,15 @@ def _integrate(state: EngineState, batch: Batch, x_rows, fired_rows, rho_rows) -
             # the own entry of a row is the action, pinned to x
             gradient(x, row_functional(game, anchor, out=functional), grad)
         else:
-            d_sq, d_inc, inc_sq, f_anchor, f_inc = terms[:5]
             # the own entry of e_y is e_x; off it, |d - age * increment|^2
-            # expanded, which rounding can take below zero
-            off = d_sq - age * (2.0 * d_inc - age * inc_sq)
+            # expanded, d_sq - age * (2 * d_inc - age * inc_sq), which
+            # rounding can take below zero; rho and functional hold the terms
+            off = np.multiply(d_inc, 2.0, out=rho)
+            off -= np.multiply(age, inc_sq, out=functional)
+            np.subtract(d_sq, np.multiply(age, off, out=off), out=off)
             np.add(action_err_sq, np.maximum(off, 0.0, out=off), out=rho)
-            gradient(x, functional_from_others(game, x, f_anchor + age * f_inc), grad)
+            total = np.add(f_anchor, np.multiply(age, f_inc, out=functional), out=functional)
+            gradient(x, functional_from_others(game, x, total), grad)
         # energy: the action's event error and the estimate row's
         np.add(action_err_sq, rho, out=rho)
         triggering_function(rho, state.disagreement_sq, batch.sigma, out=rho)
@@ -481,8 +507,8 @@ def _integrate(state: EngineState, batch: Batch, x_rows, fired_rows, rho_rows) -
         np.minimum(np.maximum(grad, lo, out=grad), hi, out=grad)
         np.multiply(np.subtract(grad, x, out=grad), dt, out=grad)
         np.add(x, grad, out=x_new)
+        # count_nonzero skips the Python-level dispatch of fired.any()
         if terms is None:
-            # count_nonzero skips the Python-level dispatch of fired.any()
             if np.count_nonzero(fired):
                 np.copyto(y_hat, anchor, where=fired[:, :, None])
                 coupling(state.disagreement_sq, state.increment)
@@ -491,79 +517,87 @@ def _integrate(state: EngineState, batch: Batch, x_rows, fired_rows, rho_rows) -
             # anchor carries x_new on its diagonal, so it bounds the whole
             # state; a NaN fails the comparison as well
             if not np.maximum.reduce(np.abs(anchor, out=work), axis=None) <= DIVERGENCE_GUARD:
-                raise _diverged(config, k + 1)
+                raise _diverged(batch, k + 1, (~(work <= DIVERGENCE_GUARD)).any(axis=-1))
         else:
-            state.disagreement_sq, state.increment = _advance_rows(state, batch, fired, x_new)
+            age += 1.0
+            top[1] += 1.0
+            if np.count_nonzero(fired):
+                _advance_rows(state, batch, fired, x_new)
+                top = _top(terms, age)
+            # the largest of each factor bound every row's bound: rounding is monotone
+            if not (top[0] + top[1] * top[2] <= _CLEAR and _peak(x_new, err) <= DIVERGENCE_GUARD):
+                _guard_rows(state, batch, x_new)
         state.x = x = x_new
         state.step_index = k + 1
     return state
 
 
+def _top(terms: np.ndarray, age: np.ndarray) -> list[float]:
+    # the largest anchor norm, age and increment norm of a sparse state
+    return [float(np.maximum.reduce(a, axis=None)) for a in (terms[5], age, terms[6])]
+
+
+def _peak(a: np.ndarray, work: np.ndarray):
+    # the largest magnitude in a, through work, or NaN if a holds one
+    return np.maximum.reduce(np.abs(a, out=work), axis=None)
+
+
 def _advance_rows(state: EngineState, batch: Batch, fired: np.ndarray, x_new: np.ndarray):
-    """The sparse path's rest of a step: quiet rows age by one step, the
-    rows the events touched take their new terms and are anchored at the
-    next step, all in place. Returns the new ``disagreement_sq`` and
-    ``increment``."""
+    """The sparse path's rest of a step that fired, its rows aged: the rows
+    the events touched take new terms and are anchored at the next step."""
     game, graph, config = batch.scenario.game, batch.scenario.graph, batch.scenario.engine
     anchor, y_hat, age, terms = state.anchor, state.y_hat, state.age, state.row_terms
-    disagreement_sq, increment = state.disagreement_sq, state.increment
     runs, n = state.x.shape
-    age += 1.0
-    if np.count_nonzero(fired):
-        touched = touched_rows(graph, fired)
-        touched[touched.sum(axis=1) > REANCHOR_SHARE * n] = True
-        # every array as R * n rows of n: row r * n + i is member r's player i
-        flat = np.flatnonzero(touched)
-        # a burst anchors every row in place; otherwise the touched rows are gathered
-        rows = slice(None) if flat.size == runs * n else flat
-        players, k = flat % n, np.arange(flat.size)
-        anchors, ages = anchor.reshape(runs * n, n), age.reshape(runs * n)
-        # the touched rows at this step, before their increments change
-        y_rows = anchors[rows]
-        since = ages[rows] - 1.0
-        if since.any():
-            y_rows += since[:, None] * increment.reshape(runs * n, n)[rows]
-        y_rows[k, players] = state.x.reshape(-1)[rows]
-        fires = fired.reshape(-1)[rows]
-        y_hat.reshape(runs * n, n)[flat[fires]] = y_rows[fires]
+    touched = touched_rows(graph, fired)
+    touched[touched.sum(axis=1) > REANCHOR_SHARE * n] = True
+    # every array as R * n rows of n: row r * n + i is member r's player i
+    flat = np.flatnonzero(touched)
+    # a burst anchors every row in place; otherwise the touched rows are gathered
+    rows = slice(None) if flat.size == runs * n else flat
+    players, k = flat % n, np.arange(flat.size)
+    anchors, ages = anchor.reshape(runs * n, n), age.reshape(runs * n)
+    # the touched rows at this step, before their increments change
+    y_rows = anchors[rows]
+    since = ages[rows] - 1.0
+    if np.count_nonzero(since):
+        # a row scaling, faster by einsum than by a broadcast multiply
+        y_rows += np.einsum("ij,i->ij", state.increment.reshape(runs * n, n)[rows], since)
+    y_rows[k, players] = state.x.reshape(-1)[rows]
+    fires = fired.reshape(-1)[rows]
+    y_hat.reshape(runs * n, n)[flat[fires]] = y_rows[fires]
 
-        union = np.flatnonzero(touched.any(axis=0))
-        if union.size > REANCHOR_SHARE * n:
-            disagreement_sq, increment = broadcast_terms(graph, y_hat, config)
-        else:
-            disagreement_sq[:, union], increment[:, union] = broadcast_terms(
-                graph, y_hat, config, union
-            )
-        increments = increment.reshape(runs * n, n)[rows]
-        y_rows += increments
-        y_rows[k, players] = 0.0
-        terms.reshape(len(terms), runs * n)[:, rows] = _row_terms(
-            game, y_hat.reshape(runs * n, n)[rows], y_rows, increments, players
+    union = np.flatnonzero(np.logical_or.reduce(touched, axis=0))
+    if union.size > REANCHOR_SHARE * n:
+        broadcast_terms(graph, y_hat, config, out=(state.disagreement_sq, state.increment))
+    else:
+        state.disagreement_sq[:, union], state.increment[:, union] = broadcast_terms(
+            graph, y_hat, config, union
         )
-        y_rows[k, players] = x_new.reshape(-1)[rows]
-        if isinstance(rows, np.ndarray):
-            anchors[rows] = y_rows
-        ages[rows] = 0.0
+    increments = state.increment.reshape(runs * n, n)[rows]
+    y_rows += increments
+    # a view in a burst, as y_rows is, and otherwise a gathered copy
+    row_terms = terms.reshape(len(terms), runs * n)[:, rows]
+    _row_terms(game, y_hat.reshape(runs * n, n)[rows], y_rows, increments, players, row_terms)
+    y_rows[k, players] = x_new.reshape(-1)[rows]
+    if isinstance(rows, np.ndarray):
+        anchors[rows], terms.reshape(len(terms), runs * n)[:, rows] = y_rows, row_terms
+    ages[rows] = 0.0
 
-    # |anchor| + age * |increment| bounds every entry of a row off the
-    # diagonal, less a slack for the rounding of the norms; the rows it does
-    # not clear are formed and checked exactly
-    clear = DIVERGENCE_GUARD * (1.0 - 1e-6)
-    anchor_norm, inc_norm = terms[5:]
-    bound = anchor_norm + age * inc_norm
-    if not (bound.max() <= clear and np.abs(x_new).max() <= DIVERGENCE_GUARD):
-        over = np.flatnonzero(~(bound <= clear))
-        y_rows = (
-            anchor.reshape(runs * n, n)[over]
-            + age.reshape(runs * n)[over, None] * increment.reshape(runs * n, n)[over]
-        )
-        y_rows[np.arange(over.size), over % n] = 0.0
-        if not (
-            np.abs(x_new).max() <= DIVERGENCE_GUARD
-            and np.abs(y_rows).max(initial=0.0) <= DIVERGENCE_GUARD
-        ):
-            raise _diverged(config, state.step_index + 1)
-    return disagreement_sq, increment
+
+def _guard_rows(state: EngineState, batch: Batch, x_new: np.ndarray):
+    """The sparse guard past the largest bounds: the actions and uncleared rows."""
+    runs, n = x_new.shape
+    over = np.flatnonzero(~(state.row_terms[5] + state.age * state.row_terms[6] <= _CLEAR))
+    anchors, ages, increments = (
+        a.reshape(runs * n, -1)[over] for a in (state.anchor, state.age, state.increment)
+    )
+    y_rows = anchors + ages * increments
+    y_rows[np.arange(over.size), over % n] = 0.0
+    # a NaN fails the comparisons as well
+    bad = ~(np.abs(x_new) <= DIVERGENCE_GUARD)
+    bad.reshape(-1)[over] |= ~(np.abs(y_rows) <= DIVERGENCE_GUARD).all(axis=-1)
+    if bad.any():
+        raise _diverged(batch, state.step_index + 1, bad)
 
 
 def run(scenario: Scenario, members: Sequence[Member]) -> list[RunResult]:

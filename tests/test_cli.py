@@ -366,7 +366,7 @@ def test_compare_divergence_is_one_error_line(tmp_path, capsys):
     err = [line for line in capsys.readouterr().err.splitlines()
            if not line.startswith("warning:")]
     assert err == ["error: state magnitude exceeded 1e+09 or became non-finite at t=0.05; "
-                   "reduce alpha, beta, or dt"]
+                   "member 0 (continuous, seed 0), player 0; reduce alpha, beta, or dt"]
     assert not out.exists()
 
 

@@ -989,18 +989,22 @@ class TestSparseCoupling:
     )
     def test_rows_equal_the_rows_of_the_full_form(self, sparse, seed, n, unit, runs, hub):
         # a row comes out the same whichever rows are asked for, in any order,
-        # a wide row among them
+        # a wide row among them; the full form written into given arrays is
+        # the full form
         rng, _, graph, _ = coupling_case(seed, n, unit, hub)
         y_hat = rng.uniform(-3.0, 3.0, (runs, n, n))
         rows = rng.permutation(n)[: rng.integers(1, n + 1)]
+        out = np.full((runs, n), np.nan), np.full((runs, n, n), np.nan)
         with pytest.MonkeyPatch.context() as mp:
             force_coupling(mp, sparse)
             assert engine.sparse_coupling(graph) is sparse
             full = engine.broadcast_terms(graph, y_hat, self.CONFIG)
             part = engine.broadcast_terms(graph, y_hat, self.CONFIG, rows)
-        for whole, got in zip(full, part):
+            into = engine.broadcast_terms(graph, y_hat, self.CONFIG, out=out)
+        for whole, got, given, written in zip(full, part, out, into):
             assert got.shape == whole[:, rows].shape
             assert np.array_equal(got, whole[:, rows])
+            assert written is given and np.array_equal(written, whole)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 30), st.booleans())
@@ -1046,9 +1050,9 @@ class TestSparseCoupling:
         monkeypatch.setattr(type(graph.csr), "__getitem__", refuse)
         terms, asked = engine.broadcast_terms, []
 
-        def spy(graph, y_hat, config, rows=None):
+        def spy(graph, y_hat, config, rows=None, out=None):
             asked.append(rows is not None)
-            return terms(graph, y_hat, config, rows)
+            return terms(graph, y_hat, config, rows, out)
 
         monkeypatch.setattr(engine, "broadcast_terms", spy)
         for law in (LawKind.STATIC, LawKind.DYNAMIC, LawKind.STOCHASTIC):
@@ -1168,6 +1172,78 @@ class TestClosedFormRows:
         assert not fired.any() and state.age.min() == 2.0
         assert peak < n * n * np.dtype(float).itemsize
 
+    def test_burst_holds_one_matrix_at_a_time(self, monkeypatch):
+        # a step where every player fires, after a quiet one: it anchors
+        # every row in place and forms the coupling whole into the state's
+        # own arrays, so no more than one (n, n) array is alive at a time
+        # (the CSR product, the aged increments, or the gaps of the row
+        # terms); forming the terms anew took more than two
+        n = 200
+        s = generated_case(3, n, spectrum=True)
+        batch = Batch.of(s, [Member(LawKind.STOCHASTIC, 0)])
+        state = init(batch)
+        monkeypatch.setattr(engine, "decide", lambda rho, *rest: np.zeros(rho.shape, bool))
+        state, _, _ = step(state, batch)
+        monkeypatch.setattr(engine, "decide", lambda rho, *rest: np.ones(rho.shape, bool))
+        tracemalloc.start()
+        try:
+            state, fired, _ = step(state, batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fired.all() and not state.age.any()
+        assert peak < 1.5 * n * n * np.dtype(float).itemsize
+
+    def test_quiet_steps_past_the_largest_bounds_equal_their_steps(self):
+        # row 0's anchor and row 3's increment: the largest anchor norm plus
+        # the largest age times the largest increment norm leaves the guard
+        # from the tenth quiet step on, while no row's own bound does. Those
+        # steps read the rows' bounds, raise nothing, and a run over them is
+        # its steps, bit for bit
+        n, steps = 8, 20
+        rng, game, graph, trig = coupling_case(5, n, unit=True)
+        config = dataclasses.replace(TestSparseCoupling.CONFIG, horizon=steps * 0.025)
+        s = Scenario(
+            graph, game, trig, config, x0=np.zeros(n), y0=np.zeros((n, n)),
+            law=LawKind.STOCHASTIC, ne_override=np.zeros(n),
+        )
+        x = rng.uniform(-3.0, 3.0, (1, n))
+        anchor, y_hat = rng.uniform(-3.0, 3.0, (2, 1, n, n))
+        increment = rng.uniform(-1.0, 1.0, (1, n, n))
+        anchor[0, 0, 1], increment[0, 3, 4] = 9e8, 1e7
+        anchor[:, np.arange(n), np.arange(n)] = x
+        increment[:, np.arange(n), np.arange(n)] = 0.0
+        start = EngineState(
+            0, x, anchor, np.zeros((1, n)), y_hat, rng.uniform(0.0, 1.0, (1, n)), increment,
+            oracles.row_terms(game, y_hat, anchor, increment),
+        )
+        guarded, guard = [], engine._guard_rows
+
+        def spy(state, *rest):
+            guarded.append(state.step_index)
+            return guard(state, *rest)
+
+        with pytest.MonkeyPatch.context() as mp:
+            force_coupling(mp, sparse=True)
+            mp.setattr(engine, "decide", lambda rho, *rest: np.zeros(rho.shape, bool))
+            mp.setattr(engine, "_guard_rows", spy)
+            batch = Batch.of(s, [Member(LawKind.STOCHASTIC, 0)])
+            shape = (steps, 1, n)
+            x_rows, fired_rows, rho_rows = np.empty(shape), np.empty(shape, bool), np.empty(shape)
+            whole = engine._integrate(copied(start), batch, x_rows, fired_rows, rho_rows)
+            state = copied(start)
+            for j in range(steps):
+                state, fired, rho = step(state, batch)
+                assert np.array_equal(state.x, x_rows[j]) and np.array_equal(rho, rho_rows[j])
+                assert not fired.any() and not fired_rows[j].any()
+        assert guarded == 2 * list(range(9, steps))
+        terms, age = whole.row_terms, whole.age
+        assert terms[5].max() + age.max() * terms[6].max() > engine.DIVERGENCE_GUARD
+        assert (terms[5] + age * terms[6]).max() < 0.95 * engine.DIVERGENCE_GUARD
+        for f in dataclasses.fields(EngineState):
+            got, want = getattr(whole, f.name), getattr(state, f.name)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_guard_forms_the_rows_its_bound_does_not_clear(self):
         # rows of large entries: their norm bound exceeds the guard, so the
         # step forms them, and finds every entry below it
@@ -1181,12 +1257,12 @@ class TestClosedFormRows:
 
     def test_divergence_guard_on_the_sparse_path(self):
         # the row bound trips, the rows it does not clear are formed, and a
-        # run with unstable step sizes stops
+        # run with unstable step sizes stops at its first step
         s = generated_case(3, 128, spectrum=False)
         s = with_engine(s, beta=1e12)
         batch = Batch.of(s, [Member(LawKind.STATIC, 0)])
         state = init(batch)
-        with pytest.raises(NumericalDivergence):
+        with pytest.raises(NumericalDivergence, match="at t=0.025; member 0 .static, seed 0."):
             for _ in range(s.engine.steps):
                 state, _, _ = step(state, batch)
 

@@ -298,9 +298,9 @@ def law_digests(s, seed, batched, monkeypatch):
     member run alone. Only the lone runs form rows on their own."""
     terms, asked = engine.broadcast_terms, []
 
-    def spy(graph, y_hat, config, rows=None):
+    def spy(graph, y_hat, config, rows=None, out=None):
         asked.append(rows is not None)
-        return terms(graph, y_hat, config, rows)
+        return terms(graph, y_hat, config, rows, out)
 
     monkeypatch.setattr(engine, "broadcast_terms", spy)
     members = [Member(law, seed) for law in LawKind]

@@ -10,6 +10,8 @@ at sigma = 0.8/din, above it on every instance here, the stochastic law
 alone can diverge or stall.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,8 @@ from neseek import (
     run,
 )
 from neseek.errors import NumericalDivergence
+
+from test_engine import force_coupling
 
 
 def instance(seed: int, capped: bool) -> Scenario:
@@ -79,3 +83,20 @@ def test_the_stochastic_law_alone_diverges_above_the_bound():
         assert result.err_inf[-1] <= 1e-2 * result.err_inf[0], law
     with pytest.raises(NumericalDivergence, match=r"at t=20\.625;"):
         run(s, [Member(LawKind.STOCHASTIC, 0)])
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_a_divergence_names_its_member(sparse):
+    # the four laws of instance 0 in one batch, on either path: the error
+    # names the stochastic member, which alone diverges, the player whose
+    # state left the guard, and the sigma the graph does not admit
+    s = instance(0, capped=False)
+    message = (
+        "state magnitude exceeded 1e+09 or became non-finite at t=20.625; member 3 "
+        "(stochastic, seed 0), player 7; its sigma exceeds sigma_bound "
+        f"{s.graph.sigma_bound:.6g}; reduce alpha, beta, or dt"
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        force_coupling(mp, sparse)
+        with pytest.raises(NumericalDivergence, match=f"^{re.escape(message)}$"):
+            run(s, [Member(law, 0) for law in LawKind])
