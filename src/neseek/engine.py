@@ -137,7 +137,7 @@ class Batch:
     ``ln_kappa`` the ``math.log`` of kappa, from which ``decide`` forms a
     drawn threshold again at a tie. A law is its row of ``sigma`` and its
     thresholds, and every member's margin is
-    ``triggering_function(energy, disagreement_sq, sigma)``.
+    ``triggering_function(energy, sigma * disagreement_sq)``.
     """
 
     scenario: Scenario
@@ -470,15 +470,20 @@ def _integrate(state: EngineState, batch: Batch, x_rows, fired_rows, rho_rows) -
     # views that stay valid: every step updates y_hat, anchor and the row
     # terms in place
     x_hat, pinned = y_hat.diagonal(0, 1, 2), anchor.reshape(len(x), -1)[:, :: x.shape[1] + 1]
-    err, functional, grad = np.empty((3, *x.shape))
+    err, functional, grad, allowance = np.empty((4, *x.shape))
     if terms is None:
         # the sparse path's quiet steps form no (R, n, n) array
         work, coupling = np.empty(anchor.shape), _dense_coupling(graph, config, y_hat)
     else:
         d_sq, d_inc, inc_sq, f_anchor, f_inc = terms[:5]
         top = _top(terms, age)
+    fires = True
     for j in range(len(rho_rows)):
         k, rho, x_new = state.step_index, rho_rows[j], x_rows[j]
+        if fires:
+            # the allowance changes only when the terms are formed: at the
+            # start and after a step that fired
+            np.multiply(batch.sigma, state.disagreement_sq, out=allowance)
         action_err_sq = np.square(np.subtract(x_hat, x, out=err), out=err)
         if terms is None:
             # every row is at its anchor, which is the estimate matrix
@@ -498,8 +503,10 @@ def _integrate(state: EngineState, batch: Batch, x_rows, fired_rows, rho_rows) -
             gradient(x, functional_from_others(game, x, total), grad)
         # energy: the action's event error and the estimate row's
         np.add(action_err_sq, rho, out=rho)
-        triggering_function(rho, state.disagreement_sq, batch.sigma, out=rho)
+        triggering_function(rho, allowance, out=rho)
         fired_rows[j] = fired = decide(rho, lower[k], upper[k], xi[k], scale[k], batch.ln_kappa)
+        # count_nonzero skips the Python-level dispatch of fired.any()
+        fires = np.count_nonzero(fired)
 
         # x + dt * (min(max(x - alpha * grad, lo), hi) - x); np.minimum and
         # np.maximum skip np.clip's Python wrapper, with the same bits
@@ -507,9 +514,8 @@ def _integrate(state: EngineState, batch: Batch, x_rows, fired_rows, rho_rows) -
         np.minimum(np.maximum(grad, lo, out=grad), hi, out=grad)
         np.multiply(np.subtract(grad, x, out=grad), dt, out=grad)
         np.add(x, grad, out=x_new)
-        # count_nonzero skips the Python-level dispatch of fired.any()
         if terms is None:
-            if np.count_nonzero(fired):
+            if fires:
                 np.copyto(y_hat, anchor, where=fired[:, :, None])
                 coupling(state.disagreement_sq, state.increment)
             anchor += state.increment
@@ -521,7 +527,7 @@ def _integrate(state: EngineState, batch: Batch, x_rows, fired_rows, rho_rows) -
         else:
             age += 1.0
             top[1] += 1.0
-            if np.count_nonzero(fired):
+            if fires:
                 _advance_rows(state, batch, fired, x_new)
                 top = _top(terms, age)
             # the largest of each factor bound every row's bound: rounding is monotone

@@ -108,16 +108,19 @@ class LyapunovPair:
 
     ``p`` is the (n, n, n) block stack: ``p[j]`` solves the equation for
     ``blocks[j]``, the block ``coupling_blocks(g)[j]`` of M, and the dense P
-    is ``P[i*n + j, k*n + j] = p[j][i, k]``, zero elsewhere. ``residual`` is
-    the operator norm of the defect ``M.T @ P + P @ M - I``, the largest
-    over the blocks, and ``lambda_max`` the largest eigenvalue of P, which is
-    its operator norm.
+    is ``P[i*n + j, k*n + j] = p[j][i, k]``, zero elsewhere. ``lambda_max`` is
+    the largest eigenvalue of P, which is its operator norm.
     """
 
     p: np.ndarray
     blocks: np.ndarray
-    residual: float
     lambda_max: float
+
+    @cached_property
+    def residual(self) -> float:
+        """The largest operator norm of a block's ``M.T @ P + P @ M - I``, formed on first read."""
+        stack = self.blocks.reshape((-1,) + self.blocks.shape[-2:])
+        return float(_operator_norms(_defect(stack, self.p.reshape(stack.shape))).max())
 
 
 def laplacian(g: DirectedGraph) -> np.ndarray:
@@ -128,8 +131,11 @@ def laplacian(g: DirectedGraph) -> np.ndarray:
 def coupling_blocks(g: DirectedGraph) -> np.ndarray:
     """The (n, n, n) stack of diagonal blocks of the coupling matrix,
     ``blocks[j] = L + diag(W[:, j])``: its rows i*n + j for i = 0..n-1."""
-    lap = laplacian(g)
-    return np.array([lap + np.diag(w) for w in g.weights.T])
+    blocks = np.repeat(laplacian(g)[None], g.n, axis=0)
+    # W.T onto the diagonals; off them each entry of L is 0.0 - w, never
+    # -0.0, so it has the bits of L + diag(W[:, j]) there, signed zeros too
+    blocks.reshape(g.n, -1)[:, :: g.n + 1] += g.weights.T
+    return blocks
 
 
 def _reaches_all(links: np.ndarray) -> bool:
@@ -160,10 +166,12 @@ def solve_lyapunov_pd(m: np.ndarray) -> LyapunovPair:
     of P is the same as scipy's: the real Schur form ``m.T = U R U.T``
     (``dgees``, its workspace queried once per stack), the quasi-triangular
     Sylvester solve ``R Y + Y R.T = U.T U`` (``dtrsyl``), then
-    ``P = U Y U.T``. The symmetrisation, the residuals and the eigenvalues
-    then run once over the stack. Requires every block's spectrum in the
-    open right half-plane; raises SolverFailure naming the first block that
-    does not certify, a NaN failing every check.
+    ``P = U Y U.T``. The symmetrisation, the defects and the eigenvalues
+    then run once over the stack; a defect takes its SVD only where its
+    Frobenius norm, a bound on its operator norm, misses the tolerance.
+    Requires every block's spectrum in the open right half-plane; raises
+    SolverFailure naming the first block that does not certify, a NaN
+    failing every check.
     """
     from scipy.linalg import lapack  # imported here: only the certificate needs it
 
@@ -191,25 +199,35 @@ def solve_lyapunov_pd(m: np.ndarray) -> LyapunovPair:
         p[j] = u.dot(y).dot(u.T)
 
     p = 0.5 * (p + p.transpose(0, 2, 1))
-    defect = stack.transpose(0, 2, 1) @ p + p @ stack - eye
-    # a block whose defect is not finite has no singular values: it reads NaN
-    finite = np.isfinite(defect).all(axis=(1, 2))
-    defect[~finite] = 0.0
-    residual = np.where(finite, np.linalg.norm(defect, 2, axis=(1, 2)), np.nan)
+    defect = _defect(stack, p)
+    # ||D||_2 <= ||D||_F: a block whose sum of squares clears the tolerance,
+    # less a margin for its rounding, certifies; the rest (a NaN among them)
+    # take the operator norm
+    sum_sq = np.einsum("kij,kij->k", defect, defect)
+    unclear = np.flatnonzero(~(sum_sq <= (LYAPUNOV_RTOL * (1.0 - 1e-9)) ** 2))
+    residual = _operator_norms(defect[unclear])
     failed = np.flatnonzero(~(residual <= LYAPUNOV_RTOL))
     if failed.size:
-        j = failed[0]
-        raise SolverFailure(f"block {j}: Lyapunov residual {residual[j]:.3e} above tolerance")
+        j, r = unclear[failed[0]], residual[failed[0]]
+        raise SolverFailure(f"block {j}: Lyapunov residual {r:.3e} above tolerance")
     eigenvalues = np.linalg.eigvalsh(p)  # ascending in each block
     failed = np.flatnonzero(~(eigenvalues[:, 0] > 0))
     if failed.size:
         raise SolverFailure(f"block {failed[0]}: Lyapunov solution is not positive definite")
-    return LyapunovPair(
-        p=p.reshape(blocks.shape),
-        blocks=blocks,
-        residual=float(residual.max()),
-        lambda_max=float(eigenvalues.max()),
-    )
+    return LyapunovPair(p.reshape(blocks.shape), blocks, float(eigenvalues.max()))
+
+
+def _defect(stack: np.ndarray, p: np.ndarray) -> np.ndarray:
+    # M.T @ P + P @ M - I of each block of the (k, n, n) stacks
+    return stack.transpose(0, 2, 1) @ p + p @ stack - np.eye(stack.shape[-1])
+
+
+def _operator_norms(defect: np.ndarray) -> np.ndarray:
+    # the 2-norm of each block of a (k, n, n) defect, which it overwrites; a
+    # block that is not finite has no singular values: it reads NaN
+    finite = np.isfinite(defect).all(axis=(1, 2))
+    defect[~finite] = 0.0
+    return np.where(finite, np.linalg.norm(defect, 2, axis=(1, 2)), np.nan)
 
 
 def lyapunov_pair(g: DirectedGraph) -> LyapunovPair:

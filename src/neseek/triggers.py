@@ -103,17 +103,18 @@ class TriggerParams:
         return len(self.c)
 
 
-def triggering_function(energy, disagreement_sq, sigma, out=None):
+def triggering_function(energy, allowance, out=None):
     """Event-error energy minus the weighted disagreement allowance, per player:
     the margin ``decide`` compares under every law, into ``out`` if given.
 
     ``energy`` is the squared gap between the broadcast and current action
     plus the squared norm of the broadcast-vs-current estimate row, and
-    ``disagreement_sq`` the squared norm of the weighted sum of broadcast
-    differences against in-neighbors. The static law's zero ``sigma`` leaves
-    the energy, bit for bit: ``0 * disagreement_sq`` is +0 for a finite norm.
+    ``allowance`` is ``sigma * disagreement_sq``, where ``disagreement_sq``
+    is the squared norm of the weighted sum of broadcast differences against
+    in-neighbors; it changes only when a player fires. The static law's zero ``sigma`` gives
+    +0 for a finite norm, which leaves the energy bit for bit.
     """
-    return np.subtract(energy, sigma * disagreement_sq, out=out)
+    return np.subtract(energy, allowance, out=out)
 
 
 def xi_from_uniform(params: TriggerParams, u: float | np.ndarray) -> float | np.ndarray:

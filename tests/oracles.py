@@ -5,8 +5,9 @@ batched array code: a player's cost and own-action gradient, the stacked
 gradients at estimate rows that the engine's dense path forms, the projection
 onto an action interval, the decaying trigger scale, the randomized law's
 fire probability, a law's threshold term and its tie bounds, the dense
-coupling matrix whose diagonal blocks ``coupling_blocks`` returns, and
-scipy's Lyapunov solve of each block.
+coupling matrix whose diagonal blocks ``coupling_blocks`` returns, those
+blocks one by one, scipy's Lyapunov solve of each block, and the operator
+norm of each block's defect.
 """
 
 import math
@@ -115,6 +116,23 @@ def coupling_matrix(g: DirectedGraph) -> np.ndarray:
     return np.kron(laplacian(g), np.eye(g.n)) + np.diag(g.weights.ravel())
 
 
+def listed_coupling_blocks(g: DirectedGraph) -> np.ndarray:
+    """``coupling_blocks`` formed block by block, ``L + diag(W[:, j])`` for
+    each j: the reference for its bits, signed zeros included."""
+    lap = laplacian(g)
+    return np.array([lap + np.diag(w) for w in g.weights.T])
+
+
+def lyapunov_residuals(blocks: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The operator norm of each defect ``M.T @ P + P @ M - I`` of (k, n, n)
+    stacks of blocks M and solutions P, NaN for one that is not finite: the
+    check every block once took, the reference for ``LyapunovPair.residual``."""
+    defect = blocks.transpose(0, 2, 1) @ p + p @ blocks - np.eye(blocks.shape[-1])
+    finite = np.isfinite(defect).all(axis=(1, 2))
+    defect[~finite] = 0.0
+    return np.where(finite, np.linalg.norm(defect, 2, axis=(1, 2)), np.nan)
+
+
 def lyapunov_blocks(g: DirectedGraph) -> np.ndarray:
     """The (n, n, n) stack of P blocks of the certificate, one
     ``scipy.linalg.solve_continuous_lyapunov`` per coupling block, each
@@ -193,7 +211,7 @@ def closed_form_step(state, batch, coupling, share: float, fired=None):
         energy = e_x * e_x + (e_x * e_x + off)
         functional = functional_from_others(game, x, f_anchor + age * f_inc)
         grad = gradient_kernel(game, x.shape)(x, functional, np.empty(x.shape))
-    rho = triggering_function(energy, state.disagreement_sq, batch.sigma)
+    rho = triggering_function(energy, batch.sigma * state.disagreement_sq)
     if fired is None:
         k = state.step_index
         fired = decide(
@@ -248,7 +266,7 @@ def iterated_run(scenario, member):
     for k in range(config.steps):
         e_x = y_hat[diag] - x
         energy = e_x * e_x + ((y_hat - y) ** 2).sum(axis=-1)
-        rho = triggering_function(energy, disagreement_sq, batch.sigma)
+        rho = triggering_function(energy, batch.sigma * disagreement_sq)
         fired = decide(
             rho, batch.lower[k], batch.upper[k], batch.xi[k],
             batch.scale[k], batch.ln_kappa,

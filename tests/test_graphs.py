@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import lapack
 
 from neseek import (
@@ -27,7 +28,7 @@ from neseek.errors import NotStronglyConnected, SolverFailure, ValidationError
 from neseek.graphs import solve_lyapunov_pd
 
 from conftest import dense_p, load_bundled, random_strongly_connected, strongly_connected_graphs
-from oracles import coupling_matrix, lyapunov_blocks
+from oracles import coupling_matrix, listed_coupling_blocks, lyapunov_blocks, lyapunov_residuals
 
 TWO_CYCLE = DirectedGraph(np.array([[0.0, 1.0], [1.0, 0.0]]))
 EDGELESS = DirectedGraph(np.zeros((3, 3)))
@@ -281,6 +282,25 @@ def test_block_stack_matches_scipy_bit_for_bit(g):
     assert pair.lambda_max == np.linalg.eigvalsh(pair.p).max()
 
 
+def int_bits(a):
+    # float64 bits as int64, so that -0.0 and +0.0 differ
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(strongly_connected_graphs(), st.booleans())
+def test_blocks_and_lazy_residual_keep_the_reference_bits(g, negative_zeros):
+    # a zero weight may be -0.0, which the graph accepts
+    if negative_zeros:
+        g = DirectedGraph(np.where(g.weights == 0, -0.0, g.weights))
+    blocks = listed_coupling_blocks(g)
+    assert np.array_equal(int_bits(coupling_blocks(g)), int_bits(blocks))
+    pair = lyapunov_pair(g)
+    assert "residual" not in vars(pair)  # formed on the first read
+    residual = lyapunov_residuals(blocks, lyapunov_blocks(g)).max()
+    assert int_bits(pair.residual) == int_bits(residual)
+
+
 def fail_block(monkeypatch, name, block, change):
     """Make LAPACK's ``name`` return ``change(result)`` on ``block``'s call;
     a workspace query is not a block's call."""
@@ -295,8 +315,17 @@ def fail_block(monkeypatch, name, block, change):
     monkeypatch.setattr(lapack, name, fake)
 
 
+def scale_p(factor):
+    # dtrsyl's output with its scale, hence the block's P, times factor: the
+    # block's defect is then about (factor - 1) * I
+    return lambda out: (out[0], out[1] * factor, out[2])
+
+
 FAILURES = {
     "dgees info > 0": ("dgees", lambda out: (*out[:-1], 2), "Schur form not found"),
+    "residual above tolerance": (
+        "dtrsyl", scale_p(1 + 1.001e-8), "Lyapunov residual 1.001e-08 above tolerance"
+    ),
     "dtrsyl info < 0": ("dtrsyl", lambda out: (*out[:-1], -3), "illegal value in argument 3"),
     "NaN residual": (
         "dtrsyl", lambda out: (np.full_like(out[0], np.nan), *out[1:]),
@@ -322,6 +351,24 @@ def test_a_failed_block_is_one_error_line_of_bounds(monkeypatch, capsys, failure
     assert captured.out == ""
     errors = [line for line in captured.err.splitlines() if not line.startswith("warning:")]
     assert len(errors) == 1 and errors[0].startswith(f"error: block 1: {message}")
+
+
+def test_a_block_past_the_frobenius_bound_is_accepted_on_its_operator_norm(
+    monkeypatch, spectrum_scenario
+):
+    # block 3's defect is about 6e-9 * I: its operator norm clears the
+    # tolerance, its Frobenius norm, 6e-9 * sqrt(5), does not, so it alone
+    # takes the operator norm
+    fail_block(monkeypatch, "dtrsyl", 3, scale_p(1 + 6e-9))
+    real, checked = graphs._operator_norms, []
+    monkeypatch.setattr(graphs, "_operator_norms", lambda d: checked.append(len(d)) or real(d))
+    pair = lyapunov_pair(spectrum_scenario.graph)
+    assert checked == [1]
+    m, p = pair.blocks[3], pair.p[3]
+    defect = m.T @ p + p @ m - np.eye(len(m))
+    assert np.linalg.norm(defect, 2) < 1e-8 < np.linalg.norm(defect)
+    assert pair.residual == lyapunov_residuals(pair.blocks, pair.p).max()
+    assert pair.residual == pytest.approx(6e-9, rel=1e-6)
 
 
 def test_a_perturbed_sylvester_solve_warns_and_the_residual_decides(

@@ -68,7 +68,7 @@ def random_cases(rng, count):
 
 def margin(c, sigma):
     return triggering_function(
-        c["action_err_sq"] + c["estimate_err_sq"], c["disagreement_sq"], sigma
+        c["action_err_sq"] + c["estimate_err_sq"], sigma * c["disagreement_sq"]
     )
 
 
@@ -94,7 +94,7 @@ def decide_law(law, p, energy, disagreement_sq, decay, u):
         threshold = np.full_like(threshold, -math.inf)
     sigma = 0.0 * p.sigma if law is LawKind.STATIC else p.sigma
     return decide(
-        triggering_function(energy, disagreement_sq, sigma), *tie_bounds(threshold, xi),
+        triggering_function(energy, sigma * disagreement_sq), *tie_bounds(threshold, xi),
         xi, scale, math.log(p.kappa),
     )
 
