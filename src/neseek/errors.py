@@ -27,7 +27,7 @@ class DomainError(NeseekError):
 
 
 class NonMonotone(NeseekError):
-    """The game's pseudo-gradient is not strongly monotone on the probed region."""
+    """The game's monotonicity bound over its action box is not positive."""
 
 
 class NoConvergence(NeseekError):

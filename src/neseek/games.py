@@ -18,10 +18,6 @@ import numpy as np
 
 from .errors import DomainError, NonMonotone, ValidationError, number, numbers
 
-# Random action pairs that estimate a non-affine game's constants.
-CONSTANT_SAMPLES = 512
-
-
 class _ActionBox:
     """Both games' action box: ``intervals`` holds one ``[lo, hi]`` row per player."""
 
@@ -135,16 +131,13 @@ GameDefinition = Union[SpectrumGame, QuadraticGame]
 
 @dataclass(frozen=True)
 class GameConstants:
-    """Monotonicity and smoothness constants of the pseudo-gradient.
-
-    ``exact`` is True when they were computed analytically (linear
-    pseudo-gradient) rather than sampled.
-    """
+    """Constants of the pseudo-gradient over the action box: ``mu`` bounds the
+    smallest eigenvalue of its Jacobian's symmetric part from below, ``l[i]``
+    the norm of the Jacobian's row i from above, and ``lbar`` is ``max(l)``."""
 
     mu: float
     lbar: float
     l: np.ndarray = field(repr=False)
-    exact: bool = True
 
 
 def spectral_efficiency(s_db: float, ber_target: float) -> float:
@@ -187,7 +180,7 @@ def gradient_kernel(game: GameDefinition, shape: tuple[int, ...]):
 
     def gradient(own, functional, out):
         if game.tau == 1:
-            # linear pricing: the powers below are f ** 1 and f ** 0, exact,
+            # linear pricing: the powers below are f ** 1 and f ** 0, unrounded,
             # so this is the same sum with the same bits
             np.multiply(q, functional, out=out)
             np.multiply(own, q, out=work)
@@ -225,41 +218,29 @@ def pseudo_gradient(game: GameDefinition, x: np.ndarray) -> np.ndarray:
 
 
 def estimate_constants(game: GameDefinition) -> GameConstants:
-    """Monotonicity constant and per-player gradient Lipschitz constants.
+    """Monotonicity and per-player Lipschitz constants over the action box, in
+    closed form; a ``mu`` that is not positive raises NonMonotone.
 
-    Affine pseudo-gradients (quadratic game, linear pricing) are handled
-    analytically. Otherwise the constants are sampled over CONSTANT_SAMPLES
-    random pairs in the action box, drawn from a generator seeded with 0,
-    and flagged as estimates.
+    The quadratic game is affine, so mu and l are read off its constant
+    Jacobian. The spectrum game's Jacobian at total demand f is
+    ``tau f**(tau-1) D_q (11' + I) + tau (tau-1) f**(tau-2) (q o x) 1'``, and
+    0 <= x_i <= f at tau > 1. So Weyl's inequality, with the rank-one part's
+    symmetric part no lower than -sqrt(n) max(q) f / 2, bounds mu below at
+    f = sum(lo), and the triangle inequality bounds each row's norm l_i above
+    at f = sum(hi).
     """
-    if isinstance(game, QuadraticGame) or game.tau == 1.0:
-        if isinstance(game, SpectrumGame):
-            jac = np.outer(game.q, np.ones(game.n)) + np.diag(game.q)
-            # gradient of player i w.r.t. the full estimate vector is q_i*(ones + e_i)
-            l = game.q * math.sqrt(game.n + 3.0)
-        else:
-            jac = np.diag(game.diag_a) + game.cross
-            l = np.sqrt(game.diag_a ** 2 + (game.cross ** 2).sum(axis=1))
-        mu = float(np.linalg.eigvalsh(0.5 * (jac + jac.T)).min())
-        if mu <= 0:
-            raise NonMonotone(f"estimated monotonicity constant {mu:.3e} is not positive")
-        return GameConstants(mu=mu, lbar=float(l.max()), l=l, exact=True)
-
-    lo, hi = game.bounds
-    rng = np.random.default_rng(0)
-    mu = math.inf
-    l = np.zeros(game.n)
-    for _ in range(CONSTANT_SAMPLES):
-        a = rng.uniform(lo, hi)
-        b = rng.uniform(lo, hi)
-        d = a - b
-        nrm2 = float(d @ d)
-        if nrm2 == 0.0:
-            continue
-        fa = pseudo_gradient(game, a)
-        fb = pseudo_gradient(game, b)
-        mu = min(mu, float(d @ (fa - fb)) / nrm2)
-        l = np.maximum(l, np.abs(fa - fb) / math.sqrt(nrm2))
+    if isinstance(game, QuadraticGame):
+        jac, scale, shift = np.diag(game.diag_a) + game.cross, 1.0, 0.0
+        l = np.sqrt(game.diag_a ** 2 + (game.cross ** 2).sum(axis=1))
+    else:
+        n, q, tau, (lo, hi) = game.n, game.q, game.tau, game.bounds
+        jac = np.outer(q, np.ones(n)) + np.diag(q)
+        # at tau = 1 the factors are *1.0, +0.0 and -0.0: the affine game's bits
+        excess = (tau - 1.0) * math.sqrt(n)
+        scale, shift = tau * lo.sum() ** (tau - 1.0), excess * q.max() / 2.0
+        l = tau * q * hi.sum() ** (tau - 1.0) * (math.sqrt(n + 3.0) + excess)
+    mu = float(scale * (np.linalg.eigvalsh(0.5 * (jac + jac.T)).min() - shift))
     if mu <= 0:
-        raise NonMonotone(f"estimated monotonicity constant {mu:.3e} is not positive")
-    return GameConstants(mu=mu, lbar=float(l.max()), l=l, exact=False)
+        where = "cross" if isinstance(game, QuadraticGame) else "tau" if game.tau > 1 else "q"
+        raise NonMonotone(f"game: {where}: the monotonicity bound {mu:.3e} is not positive")
+    return GameConstants(mu=mu, lbar=float(l.max()), l=l)

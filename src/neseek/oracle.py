@@ -11,7 +11,6 @@ monotonicity.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ from .games import GameDefinition, SpectrumGame, estimate_constants, pseudo_grad
 class NeSolution:
     """The solution, its fixed-point residual, the iteration count, the method
     (``"aggregative"`` or ``"projected"``) and a bound on the max-norm distance
-    to the equilibrium, ``inf`` when the game's constants were sampled."""
+    to the equilibrium."""
 
     x_star: np.ndarray
     residual: float
@@ -52,9 +51,9 @@ def projected_ne(
     """Iterate the projected pseudo-gradient map until the residual drops below tol.
 
     The default step is 0.9 * 2*mu/lbar**2, inside the classical contraction
-    range for strongly monotone Lipschitz operators. With exact constants the
-    distance bound is the error bound (1 + s*L)/(s*mu) * ||r_s||_2 of
-    Facchinei & Pang (2003), L = ||l||_2 (Frobenius bound on the Jacobian).
+    range for strongly monotone Lipschitz operators. The distance bound is the
+    error bound (1 + s*L)/(s*mu) * ||r_s||_2 of Facchinei & Pang (2003) at the
+    game's constants, L = ||l||_2 (Frobenius bound on the Jacobian).
     An iterate equal to the one two steps back means the map cycles between
     neighbouring floats above tol, and raises NoConvergence at once.
     """
@@ -75,7 +74,7 @@ def projected_ne(
         if residual <= tol:
             lip = float(np.linalg.norm(c.l))
             bound = (1.0 + step * lip) / (step * c.mu) * float(np.linalg.norm(x - nxt))
-            return NeSolution(x, residual, it, "projected", bound if c.exact else math.inf)
+            return NeSolution(x, residual, it, "projected", bound)
         if np.array_equal(nxt, prev):
             msg = f"iterates cycle at iteration {it}, residual {residual:.3e} above tol"
             raise NoConvergence(msg, residual=residual)

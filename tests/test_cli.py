@@ -304,6 +304,11 @@ def negative_box(doc):
         "bounds", lambda: edited("spectrum_paper", negative_box),
         "error: game: intervals: ", id="negative-box",
     ),
+    # superlinear pricing over a box from zero: no positive monotonicity bound
+    pytest.param(
+        "bounds", lambda: edited("spectrum_paper", lambda d: d["game"].update(tau=2.0)),
+        "error: game: tau: ", id="superlinear-from-zero",
+    ),
     # the game's sign checks start with the field, as every other error does
     pytest.param(
         "bounds", lambda: edited("spectrum_paper", lambda d: d["game"]["q"].__setitem__(0, 0)),

@@ -286,7 +286,6 @@ class TestEstimateConstants:
         c = estimate_constants(game)
         jac = np.outer(game.q, np.ones(5)) + np.diag(game.q)
         mu_oracle = np.linalg.eigvalsh(0.5 * (jac + jac.T)).min()
-        assert c.exact
         assert c.mu == pytest.approx(mu_oracle, rel=1e-12)
         assert np.allclose(c.l, game.q * math.sqrt(8.0), rtol=1e-12)
         assert c.lbar == pytest.approx(1.5 * math.sqrt(8.0), rel=1e-12)
@@ -300,7 +299,6 @@ class TestEstimateConstants:
     def test_quadratic_diagonal_exact(self):
         game = decoupled_quadratic(diag=(2.0, 4.0), offset=(0.0, 0.0))
         c = estimate_constants(game)
-        assert c.exact
         assert c.mu == pytest.approx(2.0)
         assert np.allclose(c.l, [2.0, 4.0])
 
@@ -314,13 +312,11 @@ class TestEstimateConstants:
         with pytest.raises(NonMonotone):
             estimate_constants(game)
 
-    def test_sampled_path_for_superlinear_pricing(self):
-        game = published_game(tau=2.0)
-        c = estimate_constants(game)
-        assert not c.exact
-        assert c.mu > 0
-        assert (c.l > 0).all()
-        assert c.mu <= c.lbar
+    def test_superlinear_pricing_from_a_zero_corner_is_refused(self):
+        # at tau > 1 the Jacobian vanishes with the total demand, so a box
+        # whose lower corner sums to 0 has no positive monotonicity constant
+        with pytest.raises(NonMonotone, match="^game: tau: "):
+            estimate_constants(published_game(tau=2.0))
 
     def test_monotonicity_witness(self):
         game = published_game()
@@ -331,3 +327,50 @@ class TestEstimateConstants:
             y = rng.uniform(0, 16, size=5)
             gap = (x - y) @ (pseudo_gradient(game, x) - pseudo_gradient(game, y))
             assert gap >= c.mu * ((x - y) @ (x - y)) * (1 - 1e-9) - 1e-12
+
+
+def spectrum_jacobian(game, x):
+    """The spectrum game's pseudo-gradient Jacobian at x, in closed form:
+    ``tau f**(tau-1) D_q (11' + I) + tau (tau-1) f**(tau-2) (q o x) 1'``."""
+    f, q, tau, n = x.sum(), game.q, game.tau, game.n
+    own = tau * f ** (tau - 1.0) * q[:, None] * (np.ones((n, n)) + np.eye(n))
+    return own + tau * (tau - 1.0) * f ** (tau - 2.0) * np.outer(q * x, np.ones(n))
+
+
+@st.composite
+def positive_corner_games(draw):
+    """Spectrum games on 1..11 players with tau in [1, 3] and a box whose
+    lower corner is positive, and 20 profiles in the box: its two corners,
+    where the bounds are taken, and 18 random ones."""
+    n = draw(st.integers(1, 11))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lo = rng.uniform(0.1, 3.0, n)
+    hi = lo + rng.uniform(0.0, 16.0, n)
+    game = SpectrumGame(
+        m_c=rng.uniform(5.7, 15.0, n), q=rng.uniform(0.5, 2.0, n), r=rng.uniform(0.0, 20.0, n),
+        s_db=rng.uniform(12.0, 18.0, n), ber_target=rng.uniform(1e-5, 1e-2, n),
+        intervals=np.column_stack([lo, hi]), tau=draw(st.floats(1.0, 3.0)),
+    )
+    return game, np.vstack([lo, hi, rng.uniform(lo, hi, (18, n))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(positive_corner_games())
+def test_closed_form_constants_bound_the_jacobian(case):
+    # mu never exceeds the smallest eigenvalue of the Jacobian's symmetric
+    # part, and l_i is never below the norm of its row i, at any box point
+    game, points = case
+    try:
+        c = estimate_constants(game)
+    except NonMonotone as exc:
+        assert str(exc).startswith("game: tau: " if game.tau > 1 else "game: q: ")
+        return
+    assert 0 < c.mu <= c.lbar == c.l.max()
+    for x in points:
+        jac = spectrum_jacobian(game, x)
+        # the closed form is the pseudo-gradient's derivative along a direction
+        d, h = np.linspace(-1.0, 1.0, game.n), 1e-6
+        slope = (pseudo_gradient(game, x + h * d) - pseudo_gradient(game, x - h * d)) / (2 * h)
+        assert np.allclose(jac @ d, slope, rtol=1e-6, atol=1e-6 * np.abs(jac).max())
+        assert c.mu <= np.linalg.eigvalsh(0.5 * (jac + jac.T)).min() * (1 + 1e-12)
+        assert (c.l >= np.linalg.norm(jac, axis=1) * (1 - 1e-12)).all()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 from itertools import count
@@ -15,7 +16,7 @@ from neseek import (
     solve_ne,
     verify_ne,
 )
-from neseek.errors import NoConvergence
+from neseek.errors import NoConvergence, NonMonotone
 
 from oracles import gradient_at_estimates
 from test_games import decoupled_quadratic, published_game
@@ -110,14 +111,18 @@ def test_step_and_its_origin_reported():
     game = published_game()
     c = estimate_constants(game)
     sol = projected_ne(game)
-    # analytic constants (linear pricing) certify a distance bound
+    # closed-form constants certify a distance bound
     assert math.isfinite(sol.distance_bound)
     default = projected_ne(game, step=0.9 * 2.0 * c.mu / c.lbar ** 2)
     assert sol.x_star.tobytes() == default.x_star.tobytes()
     assert sol.iterations == default.iterations
-    # sampled constants (nonlinear pricing) carry no guarantee
-    assert projected_ne(published_game(tau=2.0)).distance_bound == math.inf
-    # the error bound holds at any step once the constants are exact
+    # superlinear pricing on a box away from zero: the closed-form constants
+    # give a finite bound, and it covers the gap to the aggregative root
+    superlinear = dataclasses.replace(published_game(tau=1.5), intervals=[[1.0, 16.0]] * 5)
+    bounded = projected_ne(superlinear)
+    gap = np.abs(bounded.x_star - solve_ne(superlinear).x_star).max()
+    assert gap <= bounded.distance_bound < math.inf
+    # the error bound holds at any step
     caller = projected_ne(game, step=0.05)
     exact = solve_ne(game).x_star
     assert np.abs(caller.x_star - exact).max() <= caller.distance_bound
@@ -246,8 +251,9 @@ def test_aggregative_agrees_with_projected_iteration(game):
 
 
 def test_superlinear_pricing_solves_without_sampled_constants(monkeypatch):
-    # parameters in the published ranges; with the sampled-constant step the
-    # projected iteration needs 229,391 iterations and stops 3.2e-4 from x*
+    # parameters in the published ranges, on a box from zero: there the
+    # closed-form monotonicity bound is not positive, so the projected
+    # iteration has no step, and the root-find needs none
     n = 50
     rng = np.random.default_rng(2027)
     game = SpectrumGame(
@@ -260,10 +266,13 @@ def test_superlinear_pricing_solves_without_sampled_constants(monkeypatch):
         tau=2.7,
     )
 
-    def no_sampling(*args, **kwargs):
+    with pytest.raises(NonMonotone, match="^game: tau: "):
+        projected_ne(game)
+
+    def no_constants(*args, **kwargs):
         raise AssertionError("estimate_constants called")
 
-    monkeypatch.setattr("neseek.oracle.estimate_constants", no_sampling)
+    monkeypatch.setattr("neseek.oracle.estimate_constants", no_constants)
     sol = solve_ne(game)
     assert sol.method == "aggregative"
     assert sol.iterations <= 128

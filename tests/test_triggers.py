@@ -377,3 +377,34 @@ def test_law_inputs_of_a_member_are_its_own(case):
         if law is LawKind.CONTINUOUS:
             assert (upper[:, r] == -math.inf).all()
 
+
+@settings(max_examples=60, deadline=None)
+@given(
+    strongly_connected_graphs(), st.sampled_from(TRIGGER_BLOCKS), st.sampled_from([0.1, 1.0, 10.0]),
+    st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=4), st.integers(1, 50),
+    st.integers(0, 2 ** 32 - 1),
+)
+def test_at_equal_sigma_the_dynamic_threshold_is_the_largest(graph, block, eta, seeds, steps, seed):
+    # the dynamic law pins xi at a_floor, the lower edge of the stochastic
+    # law's support, so with the weights equal (sigma within the dynamic
+    # cap) a stochastic evaluation fires whenever the dynamic one would
+    n = graph.n
+    p = TriggerParams(
+        kappa=block["kappa"], a_floor=block["a_floor"], eta=eta, c=np.full(n, block["c"]),
+        sigma=np.minimum(0.8 / graph.in_degrees, graph.sigma_bound),
+        delta0=np.full(n, block["delta0"]),
+    )
+    laws = [LawKind.DYNAMIC] + [LawKind.STOCHASTIC] * len(seeds)
+    sigma, xi, lower, upper, scale = triggers.law_inputs(p, laws, [0, *seeds], steps, 0.025, graph)
+    assert (sigma == sigma[0]).all()
+    ln_kappa, rng = math.log(p.kappa), np.random.default_rng(seed)
+    for k in range(steps):
+        dynamic = upper[k, 0]
+        assert dynamic.tolist() == [(ln_kappa - math.log(p.a_floor)) * s for s in scale[k]]
+        for r in range(1, len(laws)):
+            drawn = [(ln_kappa - math.log(v)) * s for v, s in zip(xi[k, r], scale[k])]
+            assert (np.array(drawn) <= dynamic).all()
+        # one margin for every member, as equal weights give in a shared state
+        rho = np.tile(dynamic * rng.uniform(0.0, 2.0, n), (len(laws), 1))
+        fired = decide(rho, lower[k], upper[k], xi[k], scale[k], ln_kappa)
+        assert (fired[1:] >= fired[0]).all()
